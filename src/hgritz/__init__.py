@@ -11,12 +11,11 @@ shooting solver supplies independent reference energies.
 
 from .basis import (BasisSpec, Constants, MAX_INDEX, basis_derivative,
                     basis_table, basis_value, hermite_eval, x_recurrence_coeffs)
-from .eigensolver import SymmetricEigenResult, eigh, eigh_tridiagonal
+from .eigensolver import Spectrum, eigh, eigh_tridiagonal
 from .errors import (BracketingError, ConvergenceError, DegenerateInputError,
                      QuadratureError, ScanResolutionError)
-from .operators import (BandedSymMatrix, PotentialSpec, Spectrum,
-                        hamiltonian_matrix, kinetic_matrix, potential_matrix,
-                        to_dense)
+from .operators import (BandedSymMatrix, PotentialSpec, hamiltonian_matrix,
+                        kinetic_matrix, potential_matrix, to_dense)
 from .quadrature import (QuadratureRule, element_oracle, gauss_hermite_rule,
                          inner_product, kinetic_second_form)
 from .spectral import (CheckResult, ConvergenceTable, MhuReport,
@@ -32,10 +31,10 @@ __version__ = "0.1.0"
 __all__ = [
     "BasisSpec", "Constants", "MAX_INDEX", "basis_derivative", "basis_table",
     "basis_value", "hermite_eval", "x_recurrence_coeffs",
-    "SymmetricEigenResult", "eigh", "eigh_tridiagonal",
+    "Spectrum", "eigh", "eigh_tridiagonal",
     "BracketingError", "ConvergenceError", "DegenerateInputError",
     "QuadratureError", "ScanResolutionError",
-    "BandedSymMatrix", "PotentialSpec", "Spectrum", "hamiltonian_matrix",
+    "BandedSymMatrix", "PotentialSpec", "hamiltonian_matrix",
     "kinetic_matrix", "potential_matrix", "to_dense",
     "QuadratureRule", "element_oracle", "gauss_hermite_rule", "inner_product",
     "kinetic_second_form",

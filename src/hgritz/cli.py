@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from importlib import resources
@@ -45,8 +46,24 @@ def fmt_float(v: float) -> str:
     return f"{v:.12g}"
 
 
-def _round12(v: float) -> float:
-    return float(f"{float(v):.12g}")
+def _round12(doc):
+    """doc with every float, at any depth, rounded to 12 significant digits."""
+    if isinstance(doc, float):
+        return float(f"{doc:.12g}")
+    if isinstance(doc, dict):
+        return {key: _round12(value) for key, value in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_round12(value) for value in doc]
+    return doc
+
+
+def _cell(value) -> str:
+    """One CSV cell: bools as true/false, floats by fmt_float, the rest by str."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return fmt_float(value)
+    return str(value)
 
 
 def report_schema() -> dict:
@@ -67,23 +84,22 @@ class ProblemConfig:
     dims: tuple[int, ...] | None = None
     alpha_grid: tuple[float, ...] | None = None
     alpha_bracket: tuple[float, float] | None = None
-    output_format: str = "csv"
 
     def to_dict(self) -> dict:
         pot = {"kind": self.potential.kind}
         if self.potential.omega is not None:
-            pot["omega"] = _round12(self.potential.omega)
+            pot["omega"] = self.potential.omega
         if self.potential.lam is not None:
-            pot["lambda"] = _round12(self.potential.lam)
+            pot["lambda"] = self.potential.lam
         if self.potential.coeffs is not None:
-            pot["coeffs"] = [_round12(c) for c in self.potential.coeffs]
+            pot["coeffs"] = list(self.potential.coeffs)
         out = {
             "potential": pot,
-            "hbar": _round12(self.constants.hbar),
-            "mass": _round12(self.constants.mass),
+            "hbar": self.constants.hbar,
+            "mass": self.constants.mass,
         }
         if self.alpha is not None:
-            out["alpha"] = _round12(self.alpha)
+            out["alpha"] = self.alpha
         if self.alpha_mode is not None:
             out["alpha_mode"] = self.alpha_mode
         if self.dim is not None:
@@ -91,9 +107,9 @@ class ProblemConfig:
         if self.dims is not None:
             out["dims"] = list(self.dims)
         if self.alpha_grid is not None:
-            out["alpha_grid"] = [_round12(a) for a in self.alpha_grid]
+            out["alpha_grid"] = list(self.alpha_grid)
         if self.alpha_bracket is not None:
-            out["alpha_bracket"] = [_round12(a) for a in self.alpha_bracket]
+            out["alpha_bracket"] = list(self.alpha_bracket)
         return out
 
 
@@ -105,6 +121,13 @@ def _parse_floats(text, parser, flag):
     if not values:
         parser.error(f"{flag} expects at least one value")
     return values
+
+
+def _width(value: float, parser, flag) -> float:
+    """A basis width alpha from the command line: positive and finite."""
+    if not 0.0 < value < math.inf:
+        parser.error(f"{flag} must be positive and finite, got {value!r}")
+    return value
 
 
 def _parse_dims(text, parser):
@@ -156,27 +179,29 @@ def _alpha_from_args(args, parser, pot, constants) -> tuple[float, str]:
         alpha = float(args.alpha)
     except ValueError:
         parser.error(f"--alpha expects a positive real or 'exact-diagonal', got {args.alpha!r}")
-    if not alpha > 0.0:
-        parser.error("--alpha must be positive")
-    return alpha, "explicit"
+    return _width(alpha, parser, "--alpha"), "explicit"
 
 
-def _emit(args, text):
+def _report(args, command, config, results, checks, table) -> int:
+    """Write one report in the chosen format; return the exit code.
+
+    JSON is the document {command, config, results, checks} with every float
+    rounded to 12 significant digits; CSV is `table`, header row first, one
+    line per row.  The exit code is 1 exactly when an entry of `checks`
+    failed.
+    """
+    if args.format == "json":
+        doc = {"command": command, "config": config.to_dict(),
+               "results": results, "checks": checks}
+        text = json.dumps(_round12(doc), indent=2, sort_keys=True) + "\n"
+    else:
+        text = "".join(",".join(_cell(v) for v in row) + "\n" for row in table)
     if args.output == "-":
         sys.stdout.write(text)
     else:
         with open(args.output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-
-
-def _json_report(command, config, results, checks) -> str:
-    doc = {"command": command, "config": config.to_dict(),
-           "results": results, "checks": checks}
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def _csv(lines) -> str:
-    return "\n".join(lines) + "\n"
+    return 0 if all(c["pass"] for c in checks) else 1
 
 
 def _run_solve(args, parser) -> int:
@@ -185,8 +210,7 @@ def _run_solve(args, parser) -> int:
     alpha, mode = _alpha_from_args(args, parser, pot, constants)
     if args.dim < 1:
         parser.error("--dim must be a positive integer")
-    config = ProblemConfig(pot, constants, alpha=alpha, alpha_mode=mode,
-                           dim=args.dim, output_format=args.format)
+    config = ProblemConfig(pot, constants, alpha=alpha, alpha_mode=mode, dim=args.dim)
     spectrum = solve_spectrum(pot, constants, alpha, args.dim)
     spec = BasisSpec(alpha, constants.hbar, constants.mass)
     rows = []
@@ -200,15 +224,9 @@ def _run_solve(args, parser) -> int:
             "parity": _PARITY_LETTER[parity_classify(coeffs)],
             "nodes": samples.node_count,
         })
-    if args.format == "json":
-        results = [{**row, "energy": _round12(row["energy"])} for row in rows]
-        _emit(args, _json_report("solve", config, results, []))
-    else:
-        lines = ["index,energy,parity,nodes"]
-        lines += [f"{r['index']},{fmt_float(r['energy'])},{r['parity']},{r['nodes']}"
-                  for r in rows]
-        _emit(args, _csv(lines))
-    return 0
+    header = ["index", "energy", "parity", "nodes"]
+    table = [header] + [[row[key] for key in header] for row in rows]
+    return _report(args, "solve", config, rows, [], table)
 
 
 def _exact_values(args, parser, pot, constants, table):
@@ -235,25 +253,16 @@ def _run_verify_mhu(args, parser) -> int:
     constants = _constants_from_args(args, parser)
     alpha, mode = _alpha_from_args(args, parser, pot, constants)
     dims = _parse_dims(args.dims, parser)
-    config = ProblemConfig(pot, constants, alpha=alpha, alpha_mode=mode,
-                           dims=dims, output_format=args.format)
+    config = ProblemConfig(pot, constants, alpha=alpha, alpha_mode=mode, dims=dims)
     table = convergence_table(pot, constants, alpha, dims)
     exact = _exact_values(args, parser, pot, constants, table)
-    report = check_mhu(table, exact)
-    checks = report.to_dicts()
-    if args.format == "json":
-        results = {
-            "dims": list(dims),
-            "spectra": [[_round12(v) for v in s] for s in table.spectra],
-        }
-        if exact is not None:
-            results["exact"] = [_round12(v) for v in exact]
-        _emit(args, _json_report("verify-mhu", config, results, checks))
-    else:
-        lines = ["check,pass,detail"]
-        lines += [f"{c['name']},{str(c['pass']).lower()},\"{c['detail']}\"" for c in checks]
-        _emit(args, _csv(lines))
-    return 0 if report.passed else 1
+    checks = check_mhu(table, exact).to_dicts()
+    results = {"dims": list(dims), "spectra": [list(s) for s in table.spectra]}
+    if exact is not None:
+        results["exact"] = exact
+    rows = [["check", "pass", "detail"]]
+    rows += [[c["name"], c["pass"], f"\"{c['detail']}\""] for c in checks]
+    return _report(args, "verify-mhu", config, results, checks, rows)
 
 
 def _run_scan_alpha(args, parser) -> int:
@@ -268,49 +277,36 @@ def _run_scan_alpha(args, parser) -> int:
         parser.error("--levels must lie in [1, dim]")
 
     if args.alpha_grid is not None:
-        grid = _parse_floats(args.alpha_grid, parser, "--alpha-grid")
-        if any(a <= 0 for a in grid):
-            parser.error("--alpha-grid values must be positive")
-        config = ProblemConfig(pot, constants, dim=args.dim, alpha_grid=grid,
-                               output_format=args.format)
+        grid = tuple(_width(a, parser, "--alpha-grid")
+                     for a in _parse_floats(args.alpha_grid, parser, "--alpha-grid"))
+        config = ProblemConfig(pot, constants, dim=args.dim, alpha_grid=grid)
         scan = scan_alpha(pot, constants, args.dim, grid)
-        if args.format == "json":
-            results = {
-                "alphas": [_round12(a) for a in scan.alphas],
-                "energies": [[_round12(v) for v in e[:levels]] for e in scan.energies],
-                "argmin_alpha": _round12(scan.argmin_alpha),
-            }
-            _emit(args, _json_report("scan-alpha", config, results, []))
-        else:
-            header = "alpha," + ",".join(f"e{i}" for i in range(levels))
-            lines = [header]
-            for a, e in zip(scan.alphas, scan.energies):
-                lines.append(",".join([fmt_float(a)] + [fmt_float(v) for v in e[:levels]]))
-            lines.append(f"# argmin_alpha,{fmt_float(scan.argmin_alpha)}")
-            _emit(args, _csv(lines))
-        return 0
-
-    bracket = _parse_floats(args.alpha_bracket, parser, "--alpha-bracket")
-    if len(bracket) != 2 or not 0 < bracket[0] < bracket[1]:
-        parser.error("--alpha-bracket expects 'lo,hi' with 0 < lo < hi")
-    config = ProblemConfig(pot, constants, dim=args.dim, alpha_bracket=bracket,
-                           output_format=args.format)
-    result = minimize_alpha(pot, constants, args.dim, bracket, levels=levels)
-    if args.format == "json":
         results = {
-            "alpha_star": _round12(result.alpha_star),
-            "energy": _round12(result.energy),
-            "boundary": result.boundary,
+            "alphas": list(scan.alphas),
+            "energies": [list(e[:levels]) for e in scan.energies],
+            "argmin_alpha": scan.argmin_alpha,
         }
-        if result.boundary:
-            results["warning"] = "boundary solution: objective looks monotone on the bracket"
-        _emit(args, _json_report("scan-alpha", config, results, []))
-    else:
-        lines = ["alpha_star,energy,boundary",
-                 f"{fmt_float(result.alpha_star)},{fmt_float(result.energy)},"
-                 f"{str(result.boundary).lower()}"]
-        _emit(args, _csv(lines))
-    return 0
+        rows = [["alpha"] + [f"e{i}" for i in range(levels)]]
+        rows += [[a, *e[:levels]] for a, e in zip(scan.alphas, scan.energies)]
+        rows.append(["# argmin_alpha", scan.argmin_alpha])
+        return _report(args, "scan-alpha", config, results, [], rows)
+
+    bracket = tuple(_width(a, parser, "--alpha-bracket")
+                    for a in _parse_floats(args.alpha_bracket, parser, "--alpha-bracket"))
+    if len(bracket) != 2 or not bracket[0] < bracket[1]:
+        parser.error("--alpha-bracket expects 'lo,hi' with 0 < lo < hi")
+    config = ProblemConfig(pot, constants, dim=args.dim, alpha_bracket=bracket)
+    result = minimize_alpha(pot, constants, args.dim, bracket, levels=levels)
+    results = {
+        "alpha_star": result.alpha_star,
+        "energy": result.energy,
+        "boundary": result.boundary,
+    }
+    if result.boundary:
+        results["warning"] = "boundary solution: objective looks monotone on the bracket"
+    rows = [["alpha_star", "energy", "boundary"],
+            [result.alpha_star, result.energy, result.boundary]]
+    return _report(args, "scan-alpha", config, results, [], rows)
 
 
 def _run_oracle_compare(args, parser) -> int:
@@ -318,11 +314,9 @@ def _run_oracle_compare(args, parser) -> int:
     constants = _constants_from_args(args, parser)
     if not 1 <= args.dim <= ORACLE_MAX_DIM:
         parser.error(f"--dim must lie in [1, {ORACLE_MAX_DIM}] (oracle cost)")
-    if not args.alpha > 0:
-        parser.error("--alpha must be positive")
-    config = ProblemConfig(pot, constants, alpha=args.alpha, alpha_mode="explicit",
-                           dim=args.dim, output_format=args.format)
-    spec = BasisSpec(args.alpha, constants.hbar, constants.mass)
+    alpha = _width(args.alpha, parser, "--alpha")
+    config = ProblemConfig(pot, constants, alpha=alpha, alpha_mode="explicit", dim=args.dim)
+    spec = BasisSpec(alpha, constants.hbar, constants.mass)
     t_matrix = kinetic_matrix(spec, args.dim)
     v_matrix = potential_matrix(spec, pot, args.dim, band4=args.band4)
     rule = gauss_hermite_rule(2 * (args.dim - 1) + pot.degree + 4)
@@ -337,27 +331,17 @@ def _run_oracle_compare(args, parser) -> int:
             if dv > worst["potential"][0]:
                 worst["potential"] = (dv, r, s)
     checks = []
+    results = {"band4": args.band4}
+    rows = [["matrix", "max_discrepancy", "worst_r", "worst_s", "pass"]]
     for name in ("kinetic", "potential"):
         disc, r, s = worst[name]
         ok = disc <= ORACLE_TOLERANCE
         detail = (f"max |analytic - quadrature| = {disc:.3e} at (r={r}, s={s}), "
                   f"tolerance {ORACLE_TOLERANCE:.0e}")
         checks.append({"name": f"{name}_oracle_agreement", "pass": ok, "detail": detail})
-    passed = all(c["pass"] for c in checks)
-    if args.format == "json":
-        results = {name: {"max_discrepancy": _round12(worst[name][0]),
-                          "worst_entry": [worst[name][1], worst[name][2]]}
-                   for name in ("kinetic", "potential")}
-        results["band4"] = args.band4
-        _emit(args, _json_report("oracle-compare", config, results, checks))
-    else:
-        lines = ["matrix,max_discrepancy,worst_r,worst_s,pass"]
-        for name in ("kinetic", "potential"):
-            disc, r, s = worst[name]
-            ok = disc <= ORACLE_TOLERANCE
-            lines.append(f"{name},{fmt_float(disc)},{r},{s},{str(ok).lower()}")
-        _emit(args, _csv(lines))
-    return 0 if passed else 1
+        results[name] = {"max_discrepancy": disc, "worst_entry": [r, s]}
+        rows.append([name, disc, r, s, ok])
+    return _report(args, "oracle-compare", config, results, checks, rows)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -374,8 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--mass", type=float, default=1.0)
     common.add_argument("--format", choices=["csv", "json"], default="csv")
     common.add_argument("--output", default="-", help="output path, '-' for stdout")
-    common.add_argument("--seed", type=int, default=None,
-                        help="reserved; there are no stochastic components yet")
 
     parser = argparse.ArgumentParser(
         prog="hgritz",

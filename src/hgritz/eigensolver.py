@@ -22,17 +22,42 @@ _EPS = float(np.finfo(float).eps)
 _MAX_SWEEPS = 30
 
 
-@dataclass(frozen=True)
-class SymmetricEigenResult:
-    """Ascending eigenvalues, orthonormal eigenvector columns, max residual.
+@dataclass(frozen=True, eq=False)
+class Spectrum:
+    """Ascending eigenvalues and orthonormal eigenvector columns of one solve.
 
-    residual_norm is max_i ||A v_i - lambda_i v_i||_2; solves whose residual
-    exceeds 1e-10 (1 + ||A||_inf) are rejected instead of returned.
+    residual_norm is the solve's max_i ||A v_i - lambda_i v_i||_2.  For a
+    symmetric A it bounds the error of every returned eigenvalue; eigh rejects
+    solves whose residual exceeds 1e-10 (1 + ||A||_inf).  It is 0.0 for a
+    spectrum given as exact data.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    residual_norm: float
+    residual_norm: float = 0.0
+
+    def __post_init__(self):
+        w = np.array(self.eigenvalues, dtype=float)
+        v = np.array(self.eigenvectors, dtype=float)
+        if w.ndim != 1 or v.ndim != 2 or v.shape[1] != w.size:
+            raise ValueError("need one eigenvector column per eigenvalue")
+        if w.size > 1 and np.any(np.diff(w) < -1e-12 * (1.0 + np.abs(w[:-1]))):
+            raise ValueError("eigenvalues must ascend")
+        gram = v.T @ v
+        if float(np.abs(gram - np.eye(w.size)).max()) > 1e-10:
+            raise ValueError("eigenvectors must be orthonormal within 1e-10")
+        residual = float(self.residual_norm)
+        if not (math.isfinite(residual) and residual >= 0.0):
+            raise ValueError("residual_norm must be finite and non-negative")
+        w.setflags(write=False)
+        v.setflags(write=False)
+        object.__setattr__(self, "eigenvalues", w)
+        object.__setattr__(self, "eigenvectors", v)
+        object.__setattr__(self, "residual_norm", residual)
+
+    @property
+    def dim(self) -> int:
+        return self.eigenvalues.size
 
 
 def _householder_tridiag(a):
@@ -139,10 +164,10 @@ def _finish(a_apply, norm_inf, d, z, n):
     if residual > 1e-10 * (1.0 + norm_inf):
         raise ConvergenceError(
             f"eigen residual {residual:.3e} above tolerance for dim {n}", dim=n)
-    return SymmetricEigenResult(w, v, residual)
+    return Spectrum(w, v, residual)
 
 
-def eigh(matrix) -> SymmetricEigenResult:
+def eigh(matrix) -> Spectrum:
     """Full spectral decomposition of a symmetric matrix.
 
     Accepts a BandedSymMatrix or any square array-like; symmetry is required
@@ -166,7 +191,7 @@ def eigh(matrix) -> SymmetricEigenResult:
     a = 0.5 * (a + a.T)
     n = a.shape[0]
     if n == 1:
-        return SymmetricEigenResult(np.array([a[0, 0]]), np.eye(1), 0.0)
+        return Spectrum(a[0], np.eye(1))
 
     work = a.copy()
     d, e, q = _householder_tridiag(work)
@@ -176,7 +201,7 @@ def eigh(matrix) -> SymmetricEigenResult:
     return _finish(lambda v: a @ v, norm_inf, d, q, n)
 
 
-def eigh_tridiagonal(diag, offdiag) -> SymmetricEigenResult:
+def eigh_tridiagonal(diag, offdiag) -> Spectrum:
     """Spectral decomposition of a symmetric tridiagonal matrix.
 
     Fast path shared with the quadrature module; same contract as eigh.
@@ -189,7 +214,7 @@ def eigh_tridiagonal(diag, offdiag) -> SymmetricEigenResult:
         raise ValueError("matrix entries must be finite")
     n = d.size
     if n == 1:
-        return SymmetricEigenResult(d.copy(), np.eye(1), 0.0)
+        return Spectrum(d, np.eye(1))
 
     def apply(v):
         out = d[:, None] * v

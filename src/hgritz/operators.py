@@ -257,43 +257,6 @@ def to_dense(matrix: BandedSymMatrix) -> np.ndarray:
     return matrix.to_dense()
 
 
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    """Ascending eigenvalues and orthonormal eigenvector columns of one solve.
-
-    residual_norm is the solve's max_i ||H v_i - lambda_i v_i||_2.  For a
-    symmetric H it bounds the error of every returned eigenvalue; it is 0.0
-    for a spectrum given as exact data.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    residual_norm: float = 0.0
-
-    def __post_init__(self):
-        w = np.array(self.eigenvalues, dtype=float)
-        v = np.array(self.eigenvectors, dtype=float)
-        if w.ndim != 1 or v.ndim != 2 or v.shape[1] != w.size:
-            raise ValueError("need one eigenvector column per eigenvalue")
-        if w.size > 1 and np.any(np.diff(w) < -1e-12 * (1.0 + np.abs(w[:-1]))):
-            raise ValueError("eigenvalues must ascend")
-        gram = v.T @ v
-        if float(np.abs(gram - np.eye(w.size)).max()) > 1e-10:
-            raise ValueError("eigenvectors must be orthonormal within 1e-10")
-        residual = float(self.residual_norm)
-        if not (math.isfinite(residual) and residual >= 0.0):
-            raise ValueError("residual_norm must be finite and non-negative")
-        w.setflags(write=False)
-        v.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", w)
-        object.__setattr__(self, "eigenvectors", v)
-        object.__setattr__(self, "residual_norm", residual)
-
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.size
-
-
 def _check_dim(dim) -> int:
     if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
         raise ValueError(f"dim must be a positive integer, got {dim!r}")

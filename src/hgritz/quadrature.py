@@ -22,7 +22,11 @@ from .eigensolver import eigh_tridiagonal
 from .errors import QuadratureError
 from .operators import PotentialSpec
 
-MAX_ORDER = 512
+#: Largest order whose weights are all normal doubles.  The smallest weight
+#: falls below the smallest normal double (2.2e-308) from order 371 and is
+#: 1e-323 at order 388; from 389 on it underflows to 0 and the rule fails its
+#: positivity check.
+MAX_ORDER = 370
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisSpec, Constants, _require_positive
-from .eigensolver import eigh
+from .eigensolver import Spectrum, eigh
 from .errors import ConvergenceError
-from .operators import PotentialSpec, Spectrum, hamiltonian_matrix
+from .operators import PotentialSpec, hamiltonian_matrix
 from .spectral import ConvergenceTable
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -62,8 +62,7 @@ def solve_spectrum(pot: PotentialSpec, constants: Constants, alpha: float,
                    dim: int) -> Spectrum:
     """One secular-equation solve at the given width parameter."""
     spec = BasisSpec(alpha, constants.hbar, constants.mass)
-    result = eigh(hamiltonian_matrix(spec, pot, dim))
-    return Spectrum(result.eigenvalues, result.eigenvectors, result.residual_norm)
+    return eigh(hamiltonian_matrix(spec, pot, dim))
 
 
 def exact_diagonal_alpha(omega: float, constants: Constants = Constants()) -> float:

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -8,11 +9,41 @@ import pytest
 import hgritz.cli as cli
 from hgritz import ConvergenceTable
 
+GOLDEN = Path(__file__).parent / "golden"
+
+#: One invocation per report shape: (golden name, exit code, argv).  The
+#: expected stdout of each is tests/golden/<name>.csv and <name>.json.
+REPORTS = [
+    ("solve", 0, ["solve", "--potential", "even-polynomial", "--coeffs", "0,-1,0.5",
+                  "--alpha", "2", "--dim", "6"]),
+    ("verify_mhu", 0, ["verify-mhu", "--alpha", "1.3", "--dims", "2,4",
+                       "--exact", "analytic", "--exact-levels", "2"]),
+    ("verify_mhu_vacuous", 0, ["verify-mhu", "--alpha", "1", "--dims", "3",
+                               "--exact", "analytic", "--exact-levels", "2"]),
+    ("scan_grid", 0, ["scan-alpha", "--potential", "quartic", "--dim", "4",
+                      "--alpha-grid", "0.5,1.5,3", "--levels", "3"]),
+    ("scan_bracket", 0, ["scan-alpha", "--potential", "quartic", "--dim", "1",
+                         "--alpha-bracket", "0.5,5"]),
+    ("scan_bracket_boundary", 0, ["scan-alpha", "--dim", "1", "--alpha-bracket", "2,5"]),
+    ("oracle", 0, ["oracle-compare", "--potential", "quartic", "--dim", "6",
+                   "--alpha", "1.5"]),
+    ("oracle_misindexed", 1, ["oracle-compare", "--potential", "quartic", "--dim", "5",
+                              "--band4", "misindexed"]),
+]
+
 
 def run_cli(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name,code,argv", REPORTS, ids=[r[0] for r in REPORTS])
+def test_report_bytes(capsys, name, code, argv, fmt):
+    got, out, _ = run_cli(capsys, argv + ["--format", fmt])
+    assert got == code
+    assert out == (GOLDEN / f"{name}.{fmt}").read_bytes().decode("utf-8")
 
 
 class TestSolve:
@@ -211,3 +242,25 @@ class TestOracleCompare:
         with pytest.raises(SystemExit) as err:
             cli.main(["oracle-compare", "--dim", "65"])
         assert err.value.code == 2
+
+
+#: (argv, flag): each gives the named basis-width flag an invalid value.
+BAD_WIDTHS = [
+    (["solve", "--alpha", "inf", "--dim", "2"], "--alpha"),
+    (["verify-mhu", "--alpha", "inf", "--dims", "2,4"], "--alpha"),
+    (["oracle-compare", "--alpha", "inf", "--dim", "2"], "--alpha"),
+    (["scan-alpha", "--dim", "2", "--alpha-grid", "1,inf"], "--alpha-grid"),
+    (["scan-alpha", "--dim", "2", "--alpha-bracket", "1,inf"], "--alpha-bracket"),
+    (["solve", "--alpha", "nan", "--dim", "2"], "--alpha"),
+    (["oracle-compare", "--alpha", "-1", "--dim", "2"], "--alpha"),
+    (["scan-alpha", "--dim", "2", "--alpha-grid", "0,1"], "--alpha-grid"),
+    (["scan-alpha", "--dim", "2", "--alpha-bracket", "nan,1"], "--alpha-bracket"),
+]
+
+
+@pytest.mark.parametrize("argv,flag", BAD_WIDTHS, ids=[" ".join(a) for a, _ in BAD_WIDTHS])
+def test_width_must_be_positive_and_finite(capsys, argv, flag):
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    assert err.value.code == 2
+    assert f"{flag} must be positive and finite" in capsys.readouterr().err

@@ -8,7 +8,7 @@ from hgritz import (BasisSpec, PotentialSpec, QuadratureError, QuadratureRule,
                     inner_product, kinetic_matrix, kinetic_second_form,
                     potential_matrix)
 from hgritz import hermite_eval
-from hgritz.quadrature import minimum_order
+from hgritz.quadrature import MAX_ORDER, minimum_order
 
 SQRT_PI = math.sqrt(math.pi)
 SPEC1 = BasisSpec(1.0)
@@ -64,6 +64,12 @@ class TestRule:
     def test_large_order(self):
         rule = gauss_hermite_rule(128)
         assert float(rule.weights.sum()) == pytest.approx(SQRT_PI, abs=1e-12)
+
+    def test_max_order_builds_with_normal_weights(self):
+        rule = gauss_hermite_rule(MAX_ORDER)
+        assert float(rule.weights.min()) >= np.finfo(float).tiny
+        with pytest.raises(ValueError, match="order must lie in"):
+            gauss_hermite_rule(MAX_ORDER + 1)
 
     def test_order_validation(self):
         with pytest.raises(ValueError):
