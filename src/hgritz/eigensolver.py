@@ -2,9 +2,13 @@
 
 Solves the secular equation |A - eps I| = 0 for dense or banded symmetric
 input without outside linear-algebra routines: reduce to tridiagonal form by
-Householder reflections, then run implicit-shift QL with Wilkinson shifts,
-accumulating the eigenvectors.  Output is deterministic: eigenvalues ascend
-and each eigenvector has its largest-magnitude component positive.
+Householder reflections, then run implicit-shift QL with Wilkinson shifts
+(EISPACK tql2; Bowdler, Martin, Reinsch & Wilkinson 1968, Numer. Math.
+11:293), accumulating the eigenvectors.  A banded matrix whose odd bands are
+all zero, as every Hamiltonian of an even potential is, is solved one parity
+block at a time, so each of its eigenvectors has exact parity.  Output is
+deterministic: eigenvalues ascend and each eigenvector has its
+largest-magnitude component positive.
 """
 
 from __future__ import annotations
@@ -90,12 +94,19 @@ def _householder_tridiag(a):
 
 
 def _ql_implicit(d, e, z):
-    """Implicit-shift QL on tridiagonal (d, e), rotating columns of z.
+    """Implicit-shift QL on tridiagonal (d, e); return (eigenvalues, rotated z).
 
-    d has length n and is overwritten with eigenvalues (unsorted); e has
-    length n with e[i] coupling d[i], d[i+1] and e[n-1] = 0 as sentinel.
+    d has length n and e length n - 1, e[i] coupling d[i] and d[i + 1];
+    neither is modified.  The eigenvalues come back unsorted, and column j of
+    the rotated copy of z belongs to eigenvalue j.  The scalar recurrence
+    runs on Python floats and each rotation acts on two contiguous rows of
+    z^T: numpy scalar indexing and strided column copies cost more than the
+    arithmetic at these sizes.
     """
-    n = d.size
+    n = len(d)
+    d = d.tolist()
+    e = e.tolist() + [0.0]
+    zt = z.T.copy()
     for l in range(n):
         sweeps = 0
         while True:
@@ -136,14 +147,19 @@ def _ql_implicit(d, e, z):
                 p = s * r
                 d[i + 1] = g + p
                 g = c * r - b
-                col = z[:, i + 1].copy()
-                z[:, i + 1] = s * z[:, i] + c * col
-                z[:, i] = c * z[:, i] - s * col
+                # rows i, i + 1 <- c z_i - s z_j, s z_i + c z_j, in place
+                zi, zj = zt[i], zt[i + 1]
+                sj = s * zj
+                zj *= c
+                zj += s * zi
+                zi *= c
+                zi -= sj
             if underflow:
                 continue
             d[l] -= p
             e[l] = g
             e[m] = 0.0
+    return np.array(d), zt.T
 
 
 def _fix_signs(v):
@@ -155,30 +171,109 @@ def _fix_signs(v):
     return v
 
 
-def _finish(a_apply, norm_inf, d, z, n):
+def _finish(a_apply, norm_inf, d, z):
+    """Sorted (eigenvalues, eigenvectors, residual) of one QL solve, residual-checked."""
+    n = d.size
     order = np.argsort(d, kind="stable")
     w = d[order]
     v = _fix_signs(z[:, order])
     resid = a_apply(v) - v * w
-    residual = float(np.sqrt((resid * resid).sum(axis=0)).max()) if n else 0.0
+    residual = float(np.sqrt((resid * resid).sum(axis=0)).max())
     if residual > 1e-10 * (1.0 + norm_inf):
         raise ConvergenceError(
             f"eigen residual {residual:.3e} above tolerance for dim {n}", dim=n)
-    return Spectrum(w, v, residual)
+    return w, v, residual
+
+
+def _dense(a):
+    """(eigenvalues, eigenvectors, residual) of the symmetric array a."""
+    n = a.shape[0]
+    if n == 1:
+        return a[0].copy(), np.eye(1), 0.0
+    d, e, q = _householder_tridiag(a.copy())
+    w, z = _ql_implicit(d, e, q)
+    norm_inf = float(np.abs(a).sum(axis=1).max())
+    return _finish(lambda v: a @ v, norm_inf, w, z)
+
+
+def _tridiag(d, e):
+    """(eigenvalues, eigenvectors, residual) of the symmetric tridiagonal (d, e)."""
+    n = d.size
+    if n == 1:
+        return d.copy(), np.eye(1), 0.0
+
+    def apply(v):
+        out = d[:, None] * v
+        out[:-1] += e[:, None] * v[1:]
+        out[1:] += e[:, None] * v[:-1]
+        return out
+
+    row_sums = np.abs(d)
+    row_sums[:-1] += np.abs(e)
+    row_sums[1:] += np.abs(e)
+    w, z = _ql_implicit(d, e, np.eye(n))
+    return _finish(apply, float(row_sums.max()), w, z)
+
+
+def _parity_blocks(matrix) -> Spectrum:
+    """eigh of a banded matrix whose odd bands are all zero.
+
+    Such a matrix couples index r only to indices of the same parity, so it
+    is block diagonal once the even indices are put before the odd ones.
+    Band j of a block is band 2j of the matrix taken from every second entry;
+    a block of bandwidth one goes straight to QL.  Each block's eigenvectors
+    fill its own rows of the result, exact zeros elsewhere, and the residual
+    is the larger of the two blocks' residuals, which is that of the whole
+    matrix.
+    """
+    from .operators import BandedSymMatrix
+
+    n = matrix.dim
+    values, ranks, vectors, residual = [], [], np.zeros((n, n)), 0.0
+    for p in range(min(n, 2)):
+        size = (n - p + 1) // 2
+        bands = [band[p::2] for band in matrix.bands[::2]][:size]
+        if len(bands) == 1:
+            bands.append(np.zeros(size - 1))
+        if len(bands) == 2:
+            w, v, r = _tridiag(*bands)
+        else:
+            w, v, r = _dense(BandedSymMatrix(size, len(bands) - 1, tuple(bands)).to_dense())
+        columns = slice(n - size, n) if p else slice(0, size)
+        vectors[p::2, columns] = v
+        values.append(w)
+        # by the oscillation theorem even level k is state 2k, odd level k
+        # is state 2k + 1
+        ranks.extend(range(p, 2 * size, 2))
+        residual = max(residual, r)
+    w = np.concatenate(values)
+    # Two adjacent levels of opposite parity no further apart than the
+    # ascent tolerance of Spectrum are put in the oscillation theorem's
+    # order, not in the order rounding gave them.
+    order = np.argsort(w, kind="stable").tolist()
+    levels = w.tolist()
+    for i in range(n - 1):
+        a, b = order[i], order[i + 1]
+        if ranks[a] > ranks[b] and levels[b] - levels[a] <= 1e-12 * (1.0 + abs(levels[b])):
+            order[i], order[i + 1] = b, a
+    return Spectrum(w[order], vectors[:, order], residual)
 
 
 def eigh(matrix) -> Spectrum:
     """Full spectral decomposition of a symmetric matrix.
 
     Accepts a BandedSymMatrix or any square array-like; symmetry is required
-    up to round-off.  Deterministic for identical input.
+    up to round-off.  A BandedSymMatrix whose odd bands are all exactly zero
+    is solved by parity blocks and each of its eigenvectors is exactly even
+    or odd in the index.  Deterministic for identical input.
     """
     from .operators import BandedSymMatrix
 
     if isinstance(matrix, BandedSymMatrix):
-        a = matrix.to_dense()
-    else:
-        a = np.array(matrix, dtype=float)
+        if not any(band.any() for band in matrix.bands[1::2]):
+            return _parity_blocks(matrix)
+        return Spectrum(*_dense(matrix.to_dense()))
+    a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     if a.size == 0:
@@ -188,17 +283,7 @@ def eigh(matrix) -> Spectrum:
     scale = float(np.abs(a).max())
     if float(np.abs(a - a.T).max()) > 1e-12 * (1.0 + scale):
         raise ValueError("matrix is not symmetric")
-    a = 0.5 * (a + a.T)
-    n = a.shape[0]
-    if n == 1:
-        return Spectrum(a[0], np.eye(1))
-
-    work = a.copy()
-    d, e, q = _householder_tridiag(work)
-    epad = np.append(e, 0.0)
-    _ql_implicit(d, epad, q)
-    norm_inf = float(np.abs(a).sum(axis=1).max())
-    return _finish(lambda v: a @ v, norm_inf, d, q, n)
+    return Spectrum(*_dense(0.5 * (a + a.T)))
 
 
 def eigh_tridiagonal(diag, offdiag) -> Spectrum:
@@ -212,23 +297,4 @@ def eigh_tridiagonal(diag, offdiag) -> Spectrum:
         raise ValueError("need len(offdiag) == len(diag) - 1 >= 0")
     if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
         raise ValueError("matrix entries must be finite")
-    n = d.size
-    if n == 1:
-        return Spectrum(d, np.eye(1))
-
-    def apply(v):
-        out = d[:, None] * v
-        out[:-1] += e[:, None] * v[1:]
-        out[1:] += e[:, None] * v[:-1]
-        return out
-
-    row_sums = np.abs(d).copy()
-    row_sums[:-1] += np.abs(e)
-    row_sums[1:] += np.abs(e)
-    norm_inf = float(row_sums.max())
-
-    dwork = d.copy()
-    epad = np.append(e, 0.0)
-    z = np.eye(n)
-    _ql_implicit(dwork, epad, z)
-    return _finish(apply, norm_inf, dwork, z, n)
+    return Spectrum(*_tridiag(d, e))

@@ -27,6 +27,13 @@ ODD = "odd"
 #: Default number of grid intervals; keeps truncation error below 1e-8 scale.
 DEFAULT_STEPS = 20000
 
+#: Accepted range of grid intervals.  Below the floor the fourth-order error
+#: is no longer small.  At the cap each shoot holds several 8 MB arrays and
+#: its pure-Python recurrence takes about 0.3 s, and a spectrum scan makes
+#: hundreds of shoots; past it a typo can exhaust memory.
+MIN_STEPS = 1000
+MAX_STEPS = 1_000_000
+
 #: Magnitude threshold that triggers internal rescaling during propagation.
 _RESCALE_AT = 1e250
 
@@ -46,8 +53,9 @@ class ShootingConfig:
     def __post_init__(self):
         if not (math.isfinite(self.x_max) and self.x_max > 0.0):
             raise ValueError(f"x_max must be positive, got {self.x_max!r}")
-        if self.steps < 1000:
-            raise ValueError(f"steps must be >= 1000, got {self.steps!r}")
+        if not MIN_STEPS <= self.steps <= MAX_STEPS:
+            raise ValueError(
+                f"steps must lie in [{MIN_STEPS}, {MAX_STEPS}], got {self.steps!r}")
         lo, hi = self.energy_bracket
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ValueError(f"energy bracket must satisfy lo < hi, got {self.energy_bracket!r}")

@@ -73,6 +73,18 @@ class TestSolve:
         assert float(first[1]) == pytest.approx(0.667986, abs=2e-6)
         assert first[2] == "e" and first[3] == "0"
 
+    @pytest.mark.parametrize("alpha,dim", [("4", "120"), ("1.43181", "147")])
+    def test_deep_double_well_parity_and_nodes(self, capsys, alpha, dim):
+        # the lowest doublets agree to 12 digits; a solver that mixed the
+        # two parity blocks reported every state as "m", state 0 with 1 node
+        code, out, _ = run_cli(capsys, [
+            "solve", "--potential", "even-polynomial", "--coeffs", "0,-10,0.5",
+            "--alpha", alpha, "--dim", dim])
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:11]]
+        assert [row[2] for row in rows] == ["e", "o"] * 5
+        assert [int(row[3]) for row in rows] == list(range(10))
+
     def test_json_schema_and_determinism(self, capsys):
         argv = ["solve", "--alpha", "exact-diagonal", "--dim", "4", "--format", "json"]
         code, out1, _ = run_cli(capsys, argv)
@@ -131,6 +143,15 @@ class TestVerifyMhu:
         assert code == 0
         doc = json.loads(out)
         np.testing.assert_allclose(doc["results"]["exact"], [0.5, 1.5], atol=1e-7)
+
+    @pytest.mark.parametrize("steps", ["0", "999", "1000001", "100000000000"])
+    def test_numerov_steps_out_of_range_is_usage_error(self, capsys, steps):
+        # 1e11 steps used to die on a 745 GiB allocation
+        with pytest.raises(SystemExit) as err:
+            cli.main(["verify-mhu", "--dims", "2,4", "--exact", "numerov",
+                      "--numerov-steps", steps])
+        assert err.value.code == 2
+        assert "--numerov-steps must lie in [1000, 1000000]" in capsys.readouterr().err
 
     def test_single_dim_vacuous(self, capsys):
         code, out, _ = run_cli(capsys, [

@@ -5,7 +5,7 @@ import pytest
 
 from helpers import charpoly_eigenvalues
 
-from hgritz import (BasisSpec, PotentialSpec, eigh, eigh_tridiagonal,
+from hgritz import (BandedSymMatrix, BasisSpec, PotentialSpec, eigh, eigh_tridiagonal,
                     hamiltonian_matrix)
 
 
@@ -123,3 +123,72 @@ def test_input_validation():
         eigh(np.array([[np.nan]]))
     with pytest.raises(ValueError):
         eigh_tridiagonal([1.0, 2.0], [0.5, 0.5])
+
+
+# -- parity blocks ------------------------------------------------------------
+
+_EPS = np.finfo(float).eps
+
+BLOCK_POTENTIALS = {
+    "harmonic": PotentialSpec.harmonic(1.0),
+    "quartic": PotentialSpec.quartic(1.0),
+    "degree6": PotentialSpec.even_polynomial([0.0, 0.5, 0.2, 0.1]),
+    "double_well": PotentialSpec.even_polynomial([0.0, -10.0, 0.5]),
+}
+
+
+def assert_matches_lapack(res, a):
+    # per level: 1e-9 relative, or the 10 eps ||H|| that LAPACK itself
+    # guarantees where that is larger (a test-only ceiling)
+    ref = np.linalg.eigvalsh(a)
+    norm = float(np.abs(ref).max())
+    gap = np.abs(res.eigenvalues - ref)
+    ceiling = np.maximum(1e-9 * np.maximum(1.0, np.abs(ref)), 10.0 * _EPS * norm)
+    assert np.all(gap <= ceiling), float((gap / ceiling).max())
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 63, 64, 256])
+@pytest.mark.parametrize("name", list(BLOCK_POTENTIALS))
+def test_parity_blocks_match_lapack_with_exact_parity(name, dim):
+    h = hamiltonian_matrix(BasisSpec(1.5), BLOCK_POTENTIALS[name], dim)
+    res = eigh(h)
+    a = h.to_dense()
+    assert_matches_lapack(res, a)
+    v = res.eigenvectors
+    even = np.all(v[1::2] == 0.0, axis=0)
+    odd = np.all(v[0::2] == 0.0, axis=0)
+    assert np.all(even ^ odd)
+    assert int(even.sum()) == (dim + 1) // 2
+    # H is block diagonal under the parity permutation, so the larger block
+    # residual is the residual of the whole matrix
+    resid = a @ v - v * res.eigenvalues
+    full = float(np.sqrt((resid * resid).sum(axis=0)).max())
+    assert full <= res.residual_norm + 16.0 * _EPS * float(np.abs(a).sum(axis=1).max())
+
+
+def test_near_tie_across_blocks_follows_oscillation_order():
+    # odd level 0 lies 4e-16 below even level 0, inside the ascent
+    # tolerance of Spectrum, so the even level comes first; odd level 1
+    # lies 1e-9 below even level 1, which is a real order and is kept
+    d = np.array([1.0, 1.0 - 4e-16, 2.0, 2.0 - 1e-9])
+    res = eigh(BandedSymMatrix(4, 2, (d, np.zeros(3), np.zeros(2))))
+    np.testing.assert_array_equal(res.eigenvalues, [1.0, 1.0 - 4e-16, 2.0 - 1e-9, 2.0])
+    np.testing.assert_array_equal(res.eigenvectors, np.eye(4)[:, [0, 1, 3, 2]])
+
+
+def test_nonzero_odd_band_takes_the_full_path():
+    rng = np.random.default_rng(21)
+    n = 40
+    bands = tuple(rng.standard_normal(n - k) for k in range(4))
+    h = BandedSymMatrix(n, 3, bands)
+    res = eigh(h)
+    assert_matches_lapack(res, h.to_dense())
+    v = res.eigenvectors
+    assert np.all(np.abs(v[0::2]).max(axis=0) > 0.0)
+    assert np.all(np.abs(v[1::2]).max(axis=0) > 0.0)
+
+
+def test_dense_input_takes_the_full_path():
+    a = hamiltonian_matrix(BasisSpec(1.5), BLOCK_POTENTIALS["quartic"], 30).to_dense()
+    res = eigh(a)
+    assert_matches_lapack(res, a)

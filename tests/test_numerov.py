@@ -21,6 +21,8 @@ class TestConfig:
         with pytest.raises(ValueError):
             numerov.ShootingConfig(5.0, 999, (0.4, 0.6), "even")
         with pytest.raises(ValueError):
+            numerov.ShootingConfig(5.0, numerov.MAX_STEPS + 1, (0.4, 0.6), "even")
+        with pytest.raises(ValueError):
             numerov.ShootingConfig(-1.0, 2000, (0.4, 0.6), "even")
         with pytest.raises(ValueError):
             numerov.ShootingConfig(5.0, 2000, (0.6, 0.4), "even")
