@@ -15,7 +15,7 @@ from .eigensolver import Spectrum, eigh, eigh_tridiagonal
 from .errors import (BracketingError, ConvergenceError, DegenerateInputError,
                      QuadratureError, ScanResolutionError)
 from .operators import (BandedSymMatrix, PotentialSpec, hamiltonian_matrix,
-                        kinetic_matrix, potential_matrix, to_dense)
+                        kinetic_matrix, potential_matrix)
 from .quadrature import (QuadratureRule, element_oracle, gauss_hermite_rule,
                          inner_product, kinetic_second_form)
 from .spectral import (CheckResult, ConvergenceTable, MhuReport,
@@ -35,7 +35,7 @@ __all__ = [
     "BracketingError", "ConvergenceError", "DegenerateInputError",
     "QuadratureError", "ScanResolutionError",
     "BandedSymMatrix", "PotentialSpec", "hamiltonian_matrix",
-    "kinetic_matrix", "potential_matrix", "to_dense",
+    "kinetic_matrix", "potential_matrix",
     "QuadratureRule", "element_oracle", "gauss_hermite_rule", "inner_product",
     "kinetic_second_form",
     "CheckResult", "ConvergenceTable", "MhuReport", "WavefunctionSamples",

@@ -24,7 +24,7 @@ from importlib import resources
 from .basis import BasisSpec, Constants
 from .errors import (BracketingError, ConvergenceError, QuadratureError,
                      ScanResolutionError)
-from .operators import (BAND4_LADDER, BAND4_MISINDEXED, PotentialSpec,
+from .operators import (BAND4_LADDER, BAND4_MISINDEXED, PotentialSpec, _check_band4,
                         kinetic_matrix, potential_matrix)
 from .quadrature import element_oracle, gauss_hermite_rule
 from .spectral import check_mhu, default_node_grid, parity_classify, reconstruct
@@ -317,6 +317,10 @@ def _run_oracle_compare(args, parser) -> int:
     constants = _constants_from_args(args, parser)
     if not 1 <= args.dim <= ORACLE_MAX_DIM:
         parser.error(f"--dim must lie in [1, {ORACLE_MAX_DIM}] (oracle cost)")
+    try:
+        _check_band4(pot, args.dim, args.band4)
+    except ValueError as err:
+        parser.error(str(err))
     alpha = _width(args.alpha, parser, "--alpha")
     config = ProblemConfig(pot, constants, alpha=alpha, alpha_mode="explicit", dim=args.dim)
     spec = BasisSpec(alpha, constants.hbar, constants.mass)
@@ -400,7 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--band4", choices=[BAND4_LADDER, BAND4_MISINDEXED],
                    default=BAND4_LADDER,
-                   help="quartic band-4 variant; 'misindexed' is a negative control")
+                   help="quartic band-4 variant; 'misindexed' is a negative control "
+                        "that needs --potential quartic and --dim >= 5")
     p.set_defaults(func=_run_oracle_compare)
     return parser
 

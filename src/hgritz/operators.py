@@ -1,31 +1,37 @@
 """Analytic matrix representations of T, V and H = T + V in the basis.
 
 All in-scope potentials are even polynomials, so every matrix is symmetric and
-banded with zero odd bands (parity selection rule).  Closed forms:
+banded with zero odd bands (parity selection rule).  T has the closed form
 
     T_rr      = (alpha hbar^2 / 4m) (2r + 1)
     T_{r,r+2} = -(alpha hbar^2 / 4m) sqrt((r+1)(r+2))
 
-harmonic V = (1/2) m omega^2 x^2:
+Every V = sum_k c_k x^(2k) is built by one banded composition of the x
+ladder, one x^2 at a time on the even bands (`_ladder_tables`).  It
+reproduces the closed forms of the harmonic V = (1/2) m omega^2 x^2,
 
     V_rr      = (m omega^2 / 4 alpha) (2r + 1)
     V_{r,r+2} = +(m omega^2 / 4 alpha) sqrt((r+1)(r+2))
 
-quartic V = lam x^4, with q = lam / (4 alpha^2):
+bit for bit, so H is exactly diagonal at alpha = m omega / hbar, and of the
+quartic V = lam x^4, with q = lam / (4 alpha^2),
 
     V_rr      = 3q (2r^2 + 2r + 1)
     V_{r,r+2} = 2q (2r + 3) sqrt((r+1)(r+2))
     V_{r,r+4} = q sqrt((r+1)(r+2)(r+3)(r+4))
 
-The band-4 coefficient follows from composing the x ladder four times; a
-shifted-index variant is kept as a deliberate negative control so the
-quadrature oracle can be shown to catch wrong matrix elements.  General even
-polynomials are built by composing the tridiagonal x ladder as a matrix
-product instead of hand-derived closed forms.
+to within 2 ulp.  The closed forms live in tests/helpers.py as oracles, pinned
+by test_even_polynomial_reproduces_harmonic and
+test_even_polynomial_reproduces_quartic in tests/test_operators.py;
+test_entries_within_three_ulp_of_exact checks every entry against the ladder
+composed in 40-digit decimal.  A shifted-index band 4 of the quartic is kept
+as a deliberate negative control so the quadrature oracle can be shown to
+catch wrong matrix elements.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -102,14 +108,18 @@ class PotentialSpec:
     def even_polynomial(cls, coeffs) -> "PotentialSpec":
         return cls(EVEN_POLYNOMIAL, coeffs=tuple(coeffs))
 
+    def coefficients(self, *, mass: float) -> tuple[float, ...]:
+        """c_k of V = sum_k c_k x^(2k) for every kind; mass enters only harmonic."""
+        if self.kind == HARMONIC:
+            return (0.0, 0.5 * mass * self.omega**2)
+        if self.kind == QUARTIC:
+            return (0.0, 0.0, self.lam)
+        return self.coeffs
+
     @property
     def degree(self) -> int:
-        """Polynomial degree of V."""
-        if self.kind == HARMONIC:
-            return 2
-        if self.kind == QUARTIC:
-            return 4
-        return 2 * (len(self.coeffs) - 1)
+        """Polynomial degree of V (the number of coefficients ignores mass)."""
+        return 2 * (len(self.coefficients(mass=1.0)) - 1)
 
     def value(self, x, *, mass: float):
         """V(x); mass enters only the harmonic form."""
@@ -132,24 +142,19 @@ class PotentialSpec:
 
     def curvature_at_origin(self, *, mass: float) -> float:
         """V''(0)."""
-        if self.kind == HARMONIC:
-            return mass * self.omega**2
-        if self.kind == QUARTIC:
-            return 0.0
-        return 2.0 * self.coeffs[1] if len(self.coeffs) > 1 else 0.0
+        return 2.0 * self.coefficients(mass=mass)[1]
 
     def minimum(self, *, mass: float) -> float:
         """min_x V(x)."""
-        if self.kind in (HARMONIC, QUARTIC):
-            return 0.0
-        dcoeffs = [k * c for k, c in enumerate(self.coeffs)][1:]
+        coeffs = self.coefficients(mass=mass)
+        dcoeffs = [k * c for k, c in enumerate(coeffs)][1:]
         candidates = [0.0]
         if len(dcoeffs) > 1:
             roots = np.polynomial.polynomial.polyroots(dcoeffs)
             for u in roots:
                 if abs(u.imag) < 1e-12 * (1.0 + abs(u.real)) and u.real > 0.0:
                     candidates.append(float(u.real))
-        values = [float(np.polynomial.polynomial.polyval(u, self.coeffs)) for u in candidates]
+        values = [float(np.polynomial.polynomial.polyval(u, coeffs)) for u in candidates]
         return min(values)
 
     def turning_point(self, energy: float, *, mass: float) -> float:
@@ -252,11 +257,6 @@ class BandedSymMatrix:
         return BandedSymMatrix(self.dim, bw, tuple(bands))
 
 
-def to_dense(matrix: BandedSymMatrix) -> np.ndarray:
-    """Full symmetric array with mirrored bands."""
-    return matrix.to_dense()
-
-
 def _check_dim(dim) -> int:
     if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
         raise ValueError(f"dim must be a positive integer, got {dim!r}")
@@ -280,25 +280,6 @@ def kinetic_matrix(spec: BasisSpec, dim: int) -> BandedSymMatrix:
     return BandedSymMatrix(dim, bw, tuple(bands))
 
 
-def _harmonic_bands(spec, pot, dim):
-    v = spec.mass * pot.omega**2 / (4.0 * spec.alpha)
-    r = np.arange(dim, dtype=float)
-    bands = [v * (2.0 * r + 1.0)]
-    if dim >= 2:
-        bands.append(np.zeros(dim - 1))
-    if dim >= 3:
-        rr = np.arange(dim - 2, dtype=float)
-        bands.append(v * np.sqrt((rr + 1.0) * (rr + 2.0)))
-    return bands
-
-
-def quartic_band4(r, alpha: float, lam: float):
-    """Band-4 coupling of lam x^4 from the four-fold x ladder."""
-    rr = np.asarray(r, dtype=float)
-    q = lam / (4.0 * alpha**2)
-    return q * np.sqrt((rr + 1.0) * (rr + 2.0) * (rr + 3.0) * (rr + 4.0))
-
-
 def quartic_band4_misindexed(r, alpha: float, lam: float):
     """Shifted-index band-4 variant; wrong on purpose.
 
@@ -313,66 +294,74 @@ def quartic_band4_misindexed(r, alpha: float, lam: float):
     return q * (np.sqrt(first) + np.sqrt(second))
 
 
-def _quartic_bands(spec, pot, dim, band4_form):
-    q = pot.lam / (4.0 * spec.alpha**2)
+def _check_band4(pot: PotentialSpec, dim: int, band4: str) -> None:
+    """Reject a band-4 form that is unknown or would leave V unchanged."""
+    if band4 not in (BAND4_LADDER, BAND4_MISINDEXED):
+        raise ValueError(f"unknown band4 form {band4!r}")
+    if band4 == BAND4_MISINDEXED and (pot.kind != QUARTIC or dim < 5):
+        raise ValueError("band4 'misindexed' needs a quartic potential and dim >= 5; "
+                         "anywhere else it would leave the matrix unchanged")
+
+
+@functools.lru_cache(maxsize=8)
+def _ladder_tables(kmax: int, dim: int):
+    """h_kj(r) for k <= kmax as arrays h[k][j], and sqrt((r+1)...(r+2j)) as roots[j-1].
+
+    Band 2j of x^(2k) is h_kj(r) sqrt((r+1)...(r+2j)) / (2 alpha)^k, and
+    x^(2k) = x^(2k-2) x^2 gives, from h_00 = 1,
+
+        h_kj(r) = h_{k-1,j-1}(r) + (2r+4j+1) h_{k-1,j}(r)
+                  + (r+2j+1)(r+2j+2) h_{k-1,j+1}(r),
+
+    where for j = 0 the first term is r(r-1) h_{k-1,1}(r-2).  The h_kj are
+    integers, held exactly in floats while below 2^53.  Neither table depends
+    on alpha or the coefficients, so both are built once per (kmax, dim).
+    """
     r = np.arange(dim, dtype=float)
-    bands = [3.0 * q * (2.0 * r * r + 2.0 * r + 1.0)]
-    if dim >= 2:
-        bands.append(np.zeros(dim - 1))
-    if dim >= 3:
-        rr = np.arange(dim - 2, dtype=float)
-        bands.append(2.0 * q * (2.0 * rr + 3.0) * np.sqrt((rr + 1.0) * (rr + 2.0)))
-    if dim >= 4:
-        bands.append(np.zeros(dim - 3))
-    if dim >= 5:
-        rr = np.arange(dim - 4, dtype=float)
-        if band4_form == BAND4_LADDER:
-            bands.append(quartic_band4(rr, spec.alpha, pot.lam))
-        elif band4_form == BAND4_MISINDEXED:
-            bands.append(quartic_band4_misindexed(rr, spec.alpha, pot.lam))
-        else:
-            raise ValueError(f"unknown band4 form {band4_form!r}")
-    return bands
-
-
-def _ladder_bands(spec, pot, dim):
-    # Compose the tridiagonal x ladder k times in a padded space so every
-    # retained entry is exact (paths never leave the padding).
-    kmax = len(pot.coeffs) - 1
-    pad = dim + 2 * kmax
-    off = np.sqrt(np.arange(1, pad) / (2.0 * spec.alpha))
-    ladder = np.zeros((pad, pad))
-    idx = np.arange(pad - 1)
-    ladder[idx, idx + 1] = off
-    ladder[idx + 1, idx] = off
-    usq = ladder @ ladder
-    acc = np.zeros((pad, pad))
-    power = np.eye(pad)
-    for k, ck in enumerate(pot.coeffs):
-        if k:
-            power = power @ usq
-        if ck:
-            acc += ck * power
-    big = acc[:dim, :dim]
-    bw = min(2 * kmax, dim - 1)
-    return [np.diag(big, k).copy() for k in range(bw + 1)]
+    j = np.arange(kmax + 1)[:, None]
+    up = 2.0 * r + (4 * j + 1)
+    down = (r + (2 * j + 1)) * (r + (2 * j + 2))
+    h = [np.ones((1, dim))]
+    for k in range(1, kmax + 1):
+        prev = h[-1]
+        hk = np.zeros((k + 1, dim))
+        hk[1:] = prev
+        hk[:k] += up[:k] * prev
+        hk[:k - 1] += down[:k - 1] * prev[1:]
+        if k > 1:
+            hk[0, 2:] += r[2:] * (r[2:] - 1.0) * prev[1, :-2]
+        h.append(hk)
+    roots = np.sqrt(np.cumprod(r + np.arange(1.0, 2 * kmax + 1)[:, None], axis=0)[1::2])
+    for table in h + [roots]:
+        table.setflags(write=False)
+    return tuple(h), roots
 
 
 def potential_matrix(spec: BasisSpec, pot: PotentialSpec, dim: int, *,
                      band4: str = BAND4_LADDER) -> BandedSymMatrix:
     """Potential-energy matrix with bandwidth equal to the degree of V.
 
-    `band4` selects the quartic band-4 coefficient set; anything but the
-    default "ladder" form exists only as a negative control for the
-    quadrature cross-check.
+    Each even-band entry is one scaled sum of the integers h_kj times one
+    square root; odd bands are exact zeros.  `band4` "misindexed" replaces
+    band 4 of a quartic V (dim >= 5) with the shifted-index negative control
+    for the quadrature cross-check; for any other potential or dim it raises
+    ValueError.
     """
     dim = _check_dim(dim)
-    if pot.kind == HARMONIC:
-        bands = _harmonic_bands(spec, pot, dim)
-    elif pot.kind == QUARTIC:
-        bands = _quartic_bands(spec, pot, dim, band4)
-    else:
-        bands = _ladder_bands(spec, pot, dim)
+    _check_band4(pot, dim, band4)
+    coeffs = pot.coefficients(mass=spec.mass)
+    kmax = len(coeffs) - 1
+    h, roots = _ladder_tables(kmax, dim)
+    sums = np.zeros((kmax + 1, dim))
+    for k, c in enumerate(coeffs):
+        if c:
+            sums[:k + 1] += (c / (2.0 * spec.alpha) ** k) * h[k]
+    bands = [sums[0]]
+    for band in range(1, min(2 * kmax, dim - 1) + 1):
+        n = dim - band
+        bands.append(np.zeros(n) if band % 2 else sums[band // 2, :n] * roots[band // 2 - 1, :n])
+    if band4 == BAND4_MISINDEXED:
+        bands[4] = quartic_band4_misindexed(np.arange(dim - 4), spec.alpha, pot.lam)
     return BandedSymMatrix(dim, len(bands) - 1, tuple(bands))
 
 

@@ -2,10 +2,14 @@
 
 Everything here deliberately avoids the library's main evaluation paths:
 closed-form eigenfunctions go through the unnormalized Hermite recurrence
-with explicit factorials, and eigenvalues of tiny matrices come from
-bisection on the characteristic polynomial evaluated by cofactor expansion.
+with explicit factorials, eigenvalues of tiny matrices come from bisection on
+the characteristic polynomial evaluated by cofactor expansion, the harmonic
+and quartic potential matrices come from their hand-derived closed forms, and
+exact potential matrix entries come from the x ladder composed in 40-digit
+decimal arithmetic.
 """
 
+import decimal
 import math
 
 import numpy as np
@@ -78,3 +82,82 @@ def charpoly_eigenvalues(a, samples=8001):
     if len(roots) != n:
         raise AssertionError(f"charpoly scan found {len(roots)} roots, expected {n}")
     return np.array(sorted(roots))
+
+
+def harmonic_bands(alpha, mass, omega, dim):
+    """Bands of (1/2) m omega^2 x^2 from the closed form, v = m omega^2 / 4 alpha:
+
+        V_rr = v (2r + 1),   V_{r,r+2} = v sqrt((r+1)(r+2)).
+    """
+    v = mass * omega**2 / (4.0 * alpha)
+    r = np.arange(dim, dtype=float)
+    bands = [v * (2.0 * r + 1.0)]
+    if dim >= 2:
+        bands.append(np.zeros(dim - 1))
+    if dim >= 3:
+        rr = np.arange(dim - 2, dtype=float)
+        bands.append(v * np.sqrt((rr + 1.0) * (rr + 2.0)))
+    return bands
+
+
+def quartic_band4(r, alpha, lam):
+    """Band-4 coupling of lam x^4 from the four-fold x ladder."""
+    rr = np.asarray(r, dtype=float)
+    q = lam / (4.0 * alpha**2)
+    return q * np.sqrt((rr + 1.0) * (rr + 2.0) * (rr + 3.0) * (rr + 4.0))
+
+
+def quartic_bands(alpha, lam, dim):
+    """Bands of lam x^4 from the closed form, q = lam / 4 alpha^2:
+
+        V_rr = 3q (2r^2 + 2r + 1),   V_{r,r+2} = 2q (2r + 3) sqrt((r+1)(r+2)),
+        V_{r,r+4} = q sqrt((r+1)(r+2)(r+3)(r+4)).
+    """
+    q = lam / (4.0 * alpha**2)
+    r = np.arange(dim, dtype=float)
+    bands = [3.0 * q * (2.0 * r * r + 2.0 * r + 1.0)]
+    if dim >= 2:
+        bands.append(np.zeros(dim - 1))
+    if dim >= 3:
+        rr = np.arange(dim - 2, dtype=float)
+        bands.append(2.0 * q * (2.0 * rr + 3.0) * np.sqrt((rr + 1.0) * (rr + 2.0)))
+    if dim >= 4:
+        bands.append(np.zeros(dim - 3))
+    if dim >= 5:
+        bands.append(quartic_band4(np.arange(dim - 4), alpha, lam))
+    return bands
+
+
+def exact_potential_entries(alpha, coeffs, dim, digits=40):
+    """{(r, s): V_rs} for r <= s < dim of V = sum_k coeffs[k] x^(2k), in decimal.
+
+    Composes the x ladder, x_{r,r+1} = sqrt((r+1) / 2 alpha), on a basis
+    padded by 2K indices (K = len(coeffs) - 1) so that no retained entry
+    loses a path through the truncation; each power is kept as a sparse
+    dict of its nonzero entries.  Coefficients and alpha enter exactly.
+    """
+    ctx = decimal.Context(prec=digits)
+    kmax = len(coeffs) - 1
+    pad = dim + 2 * kmax
+    two_alpha = 2 * decimal.Decimal(alpha)
+    ladder = [ctx.sqrt(ctx.divide(decimal.Decimal(i + 1), two_alpha)) for i in range(pad - 1)]
+    power = {(i, i): decimal.Decimal(1) for i in range(pad)}
+    total = {}
+    for k, c in enumerate(coeffs):
+        if k:
+            for _ in range(2):
+                step = {}
+                for (i, j), value in power.items():
+                    if j > 0:
+                        step[i, j - 1] = ctx.add(step.get((i, j - 1), 0),
+                                                 ctx.multiply(value, ladder[j - 1]))
+                    if j + 1 < pad:
+                        step[i, j + 1] = ctx.add(step.get((i, j + 1), 0),
+                                                 ctx.multiply(value, ladder[j]))
+                power = step
+        if c:
+            for (i, j), value in power.items():
+                if i <= j < dim:
+                    total[i, j] = ctx.add(total.get((i, j), 0),
+                                          ctx.multiply(decimal.Decimal(c), value))
+    return total

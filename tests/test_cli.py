@@ -259,6 +259,18 @@ class TestOracleCompare:
         assert doc["results"]["potential"]["max_discrepancy"] == pytest.approx(
             0.25 * (math.sqrt(40.0) - math.sqrt(24.0)), rel=1e-6)
 
+    @pytest.mark.parametrize("argv", [
+        ["--potential", "harmonic", "--dim", "8"],
+        ["--potential", "even-polynomial", "--coeffs", "0,0,1", "--dim", "8"],
+        ["--potential", "quartic", "--dim", "4"],
+    ], ids=["harmonic", "even-polynomial", "quartic-dim-4"])
+    def test_misindexed_band4_without_quartic_band_four_is_usage_error(self, capsys, argv):
+        # the override would leave the matrix unchanged and both checks pass
+        with pytest.raises(SystemExit) as err:
+            cli.main(["oracle-compare", "--band4", "misindexed"] + argv)
+        assert err.value.code == 2
+        assert "band4 'misindexed' needs a quartic potential" in capsys.readouterr().err
+
     def test_dim_cap_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
             cli.main(["oracle-compare", "--dim", "65"])

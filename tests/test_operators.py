@@ -1,12 +1,14 @@
+import decimal
 import math
 
 import numpy as np
 import pytest
 
+from helpers import (exact_potential_entries, harmonic_bands, quartic_band4,
+                     quartic_bands)
 from hgritz import (BandedSymMatrix, BasisSpec, PotentialSpec, Spectrum,
-                    hamiltonian_matrix, kinetic_matrix, potential_matrix,
-                    to_dense)
-from hgritz.operators import quartic_band4, quartic_band4_misindexed
+                    hamiltonian_matrix, kinetic_matrix, potential_matrix)
+from hgritz.operators import quartic_band4_misindexed
 
 SPEC1 = BasisSpec(1.0)
 HARM = PotentialSpec.harmonic(1.0)
@@ -75,7 +77,7 @@ class TestBandedSymMatrix:
 
     def test_dense_symmetric_and_round_trip(self):
         h = hamiltonian_matrix(BasisSpec(1.7), QUART, 9)
-        dense = to_dense(h)
+        dense = h.to_dense()
         assert np.abs(dense - dense.T).max() == 0.0
         back = BandedSymMatrix.from_dense(dense, h.bandwidth)
         for k in range(h.bandwidth + 1):
@@ -147,24 +149,73 @@ class TestPotential:
         assert quartic_band4_misindexed(0, 1.0, 1.0) == pytest.approx(0.25 * math.sqrt(40.0))
         v_bad = potential_matrix(SPEC1, QUART, 6, band4="misindexed")
         v_good = potential_matrix(SPEC1, QUART, 6)
-        assert abs(v_bad.entry(0, 4) - v_good.entry(0, 4)) > 0.3
+        np.testing.assert_array_equal(v_bad.bands[4],
+                                      quartic_band4_misindexed(np.arange(2), 1.0, 1.0))
+        assert abs(v_bad.entry(0, 4) - quartic_band4(0, 1.0, 1.0)) > 0.3
+        for k in range(4):
+            np.testing.assert_array_equal(v_bad.bands[k], v_good.bands[k])
 
-    def test_even_polynomial_reproduces_harmonic(self):
-        spec = BasisSpec(1.4, mass=2.0)
-        omega = 1.3
+    @pytest.mark.parametrize("pot,dim", [(HARM, 8), (PotentialSpec.even_polynomial([0, 0, 1]), 8),
+                                         (QUART, 4), (QUART, 1)])
+    def test_misindexed_band4_needs_quartic_band_four(self, pot, dim):
+        # anywhere else the override would leave the matrix unchanged
+        with pytest.raises(ValueError, match="misindexed"):
+            potential_matrix(SPEC1, pot, dim, band4="misindexed")
+
+    def test_unknown_band4_form(self):
+        with pytest.raises(ValueError, match="unknown band4"):
+            potential_matrix(SPEC1, QUART, 6, band4="shifted")
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 30, 1024])
+    @pytest.mark.parametrize("spec,omega", [(BasisSpec(1.4, mass=2.0), 1.3),
+                                            (BasisSpec(1.0, hbar=2.0, mass=4.0), 0.5),
+                                            (BasisSpec(0.37, mass=0.6), 2.9)],
+                             ids=["a1.4-m2-w1.3", "hbar2-m4-w0.5", "a0.37-m0.6-w2.9"])
+    def test_even_polynomial_reproduces_harmonic(self, spec, omega, dim):
+        # bitwise, so that H is exactly diagonal at alpha = m omega / hbar
+        closed = harmonic_bands(spec.alpha, spec.mass, omega, dim)
         pot_poly = PotentialSpec.even_polynomial([0.0, 0.5 * spec.mass * omega**2])
-        v_poly = potential_matrix(spec, pot_poly, 10)
-        v_closed = potential_matrix(spec, PotentialSpec.harmonic(omega), 10)
-        np.testing.assert_allclose(v_poly.to_dense(), v_closed.to_dense(),
-                                   rtol=1e-13, atol=1e-14)
+        for pot in (PotentialSpec.harmonic(omega), pot_poly):
+            v = potential_matrix(spec, pot, dim)
+            assert v.bandwidth == len(closed) - 1
+            for band, want in zip(v.bands, closed):
+                np.testing.assert_array_equal(band, want)
 
-    def test_even_polynomial_reproduces_quartic(self):
-        spec = BasisSpec(0.9)
-        pot_poly = PotentialSpec.even_polynomial([0.0, 0.0, 2.5])
-        v_poly = potential_matrix(spec, pot_poly, 12)
-        v_closed = potential_matrix(spec, PotentialSpec.quartic(2.5), 12)
-        np.testing.assert_allclose(v_poly.to_dense(), v_closed.to_dense(),
-                                   rtol=1e-12, atol=1e-12)
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 12, 30, 1024])
+    @pytest.mark.parametrize("alpha,lam", [(0.9, 2.5), (1.0, 1.0), (3.7, 0.013)])
+    def test_even_polynomial_reproduces_quartic(self, alpha, lam, dim):
+        closed = quartic_bands(alpha, lam, dim)
+        spec = BasisSpec(alpha)
+        for pot in (PotentialSpec.quartic(lam), PotentialSpec.even_polynomial([0.0, 0.0, lam])):
+            v = potential_matrix(spec, pot, dim)
+            assert v.bandwidth == len(closed) - 1
+            for band, want in zip(v.bands, closed):
+                assert np.all(np.abs(band - want) <= 2.0 * np.spacing(np.abs(want)))
+
+    @pytest.mark.parametrize("dim", [40, 64])
+    @pytest.mark.parametrize("pot,coeffs", [
+        (QUART, (0.0, 0.0, 1.0)),
+        (PotentialSpec.even_polynomial([0.0, 0.3, 0.6]), (0.0, 0.3, 0.6)),
+        (PotentialSpec.even_polynomial([0.0, 0.0, 0.0, 0.0, 1.0]), (0.0, 0.0, 0.0, 0.0, 1.0)),
+        (PotentialSpec.even_polynomial([0.0, -10.0, 0.5]), (0.0, -10.0, 0.5)),
+    ], ids=["quartic", "0,0.3,0.6", "x^8", "0,-10,0.5"])
+    def test_entries_within_three_ulp_of_exact(self, pot, coeffs, dim):
+        # exact values from the padded x ladder composed in 40-digit decimal
+        alpha = 4.0
+        v = potential_matrix(BasisSpec(alpha), pot, dim)
+        exact = exact_potential_entries(alpha, coeffs, dim)
+        checked = 0
+        for r in range(dim):
+            for s in range(r, min(dim, r + v.bandwidth + 1)):
+                want = exact.get((r, s), decimal.Decimal(0))
+                got = v.entry(r, s)
+                if want == 0:
+                    assert got == 0.0
+                    continue
+                ulps = abs(decimal.Decimal(got) - want) / decimal.Decimal(math.ulp(float(want)))
+                assert ulps <= 3, f"V[{r},{s}] = {got!r} is {float(ulps):.2f} ulp from {want}"
+                checked += 1
+        assert checked == len([w for w in exact.values() if w != 0])
 
     def test_even_polynomial_constant_term_shifts_diagonal(self):
         spec = BasisSpec(1.0)
