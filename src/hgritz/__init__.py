@@ -10,17 +10,18 @@ shooting solver supplies independent reference energies.
 """
 
 from .basis import (BasisSpec, Constants, MAX_INDEX, basis_derivative,
-                    basis_table, basis_value, hermite_eval, x_recurrence_coeffs)
+                    basis_table, basis_value)
 from .eigensolver import Spectrum, eigh, eigh_tridiagonal
 from .errors import (BracketingError, ConvergenceError, DegenerateInputError,
                      QuadratureError, ScanResolutionError)
 from .operators import (BandedSymMatrix, PotentialSpec, hamiltonian_matrix,
                         kinetic_matrix, potential_matrix)
 from .quadrature import (QuadratureRule, element_oracle, gauss_hermite_rule,
-                         inner_product, kinetic_second_form)
+                         inner_product)
 from .spectral import (CheckResult, ConvergenceTable, MhuReport,
                        WavefunctionSamples, check_mhu, count_nodes,
-                       default_node_grid, parity_classify, reconstruct)
+                       default_node_grid, node_counts, parity_classify,
+                       reconstruct)
 from .variational import (AlphaScanResult, MinimizeResult, convergence_table,
                           exact_diagonal_alpha, minimize_alpha, scan_alpha,
                           solve_spectrum)
@@ -30,17 +31,16 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BasisSpec", "Constants", "MAX_INDEX", "basis_derivative", "basis_table",
-    "basis_value", "hermite_eval", "x_recurrence_coeffs",
+    "basis_value",
     "Spectrum", "eigh", "eigh_tridiagonal",
     "BracketingError", "ConvergenceError", "DegenerateInputError",
     "QuadratureError", "ScanResolutionError",
     "BandedSymMatrix", "PotentialSpec", "hamiltonian_matrix",
     "kinetic_matrix", "potential_matrix",
     "QuadratureRule", "element_oracle", "gauss_hermite_rule", "inner_product",
-    "kinetic_second_form",
     "CheckResult", "ConvergenceTable", "MhuReport", "WavefunctionSamples",
-    "check_mhu", "count_nodes", "default_node_grid", "parity_classify",
-    "reconstruct",
+    "check_mhu", "count_nodes", "default_node_grid", "node_counts",
+    "parity_classify", "reconstruct",
     "AlphaScanResult", "MinimizeResult", "convergence_table",
     "exact_diagonal_alpha", "minimize_alpha", "scan_alpha", "solve_spectrum",
     "numerov",

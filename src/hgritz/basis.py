@@ -12,8 +12,7 @@ through a normalized three-term recurrence acting on phi directly,
     phi_{r+1} = (x sqrt(2 alpha) phi_r - sqrt(r) phi_{r-1}) / sqrt(r + 1),
 
 seeded with phi_0 = (alpha/pi)^(1/4) exp(-alpha x^2 / 2).  H_r and 2^r r!
-separately overflow near r ~ 150 while phi_r itself stays O(1), so the
-unnormalized Hermite path is kept only as a short cross-check route.
+separately overflow near r ~ 150 while phi_r itself stays O(1).
 """
 
 from __future__ import annotations
@@ -26,9 +25,6 @@ import numpy as np
 #: Cap on basis-function indices.  Beyond desk scale; keeps factorial-free
 #: evaluation paths honest.
 MAX_INDEX = 1024
-
-#: Cap for the unnormalized Hermite cross-check path (textbook-value range).
-HERMITE_EVAL_MAX = 30
 
 
 @dataclass(frozen=True)
@@ -87,24 +83,6 @@ def _as_grid(x):
     return np.atleast_1d(arr), arr.ndim == 0
 
 
-def hermite_eval(s, y):
-    """Hermite polynomial H_s(y) by the upward recurrence.
-
-    H_0 = 1, H_1 = 2y, H_{s+1} = 2 y H_s - 2 s H_{s-1}.  Accepts scalar or
-    array y.  This unnormalized path is capped at HERMITE_EVAL_MAX because
-    H_s and 2^s s! blow up long before phi_s does; use basis_value beyond.
-    """
-    s = check_index(s, cap=HERMITE_EVAL_MAX + 1)
-    yv, scalar = _as_grid(y)
-    h_prev = np.ones_like(yv)
-    if s == 0:
-        return float(h_prev[0]) if scalar else h_prev
-    h = 2.0 * yv
-    for k in range(1, s):
-        h, h_prev = 2.0 * yv * h - 2.0 * k * h_prev, h
-    return float(h[0]) if scalar else h
-
-
 def basis_table(spec: BasisSpec, rmax: int, x) -> np.ndarray:
     """Evaluate phi_0 .. phi_rmax on a grid; returns shape (rmax + 1, len(x))."""
     rmax = check_index(rmax)
@@ -153,14 +131,3 @@ def basis_derivative(spec: BasisSpec, r, x):
     below, _, above = _phi_neighbours(spec, r, xv)
     out = 0.5 * math.sqrt(2.0 * spec.alpha) * (math.sqrt(r) * below - math.sqrt(r + 1) * above)
     return float(out[0]) if scalar else out
-
-
-def x_recurrence_coeffs(r, alpha) -> tuple[float, float]:
-    """Coefficients (up, down) with x phi_r = up phi_{r+1} + down phi_{r-1}.
-
-    up = sqrt(r+1) / sqrt(2 alpha), down = sqrt(r) / sqrt(2 alpha).
-    """
-    r = check_index(r)
-    _require_positive("alpha", alpha)
-    root = math.sqrt(2.0 * float(alpha))
-    return math.sqrt(r + 1) / root, math.sqrt(r) / root

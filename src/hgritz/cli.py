@@ -27,7 +27,7 @@ from .errors import (BracketingError, ConvergenceError, QuadratureError,
 from .operators import (BAND4_LADDER, BAND4_MISINDEXED, PotentialSpec, _check_band4,
                         kinetic_matrix, potential_matrix)
 from .quadrature import element_oracle, gauss_hermite_rule
-from .spectral import check_mhu, default_node_grid, parity_classify, reconstruct
+from .spectral import check_mhu, node_counts, parity_classify
 from .variational import (convergence_table, exact_diagonal_alpha,
                           minimize_alpha, scan_alpha, solve_spectrum)
 from . import numerov
@@ -212,18 +212,12 @@ def _run_solve(args, parser) -> int:
         parser.error("--dim must be a positive integer")
     config = ProblemConfig(pot, constants, alpha=alpha, alpha_mode=mode, dim=args.dim)
     spectrum = solve_spectrum(pot, constants, alpha, args.dim)
-    spec = BasisSpec(alpha, constants.hbar, constants.mass)
-    rows = []
-    for i in range(spectrum.dim):
-        coeffs = spectrum.eigenvectors[:, i]
-        grid = default_node_grid(spec, pot, float(spectrum.eigenvalues[i]))
-        samples = reconstruct(spec, coeffs, grid)
-        rows.append({
-            "index": i,
-            "energy": float(spectrum.eigenvalues[i]),
-            "parity": _PARITY_LETTER[parity_classify(coeffs)],
-            "nodes": samples.node_count,
-        })
+    nodes = node_counts(BasisSpec(alpha, constants.hbar, constants.mass), pot, spectrum)
+    rows = [{"index": i,
+             "energy": float(spectrum.eigenvalues[i]),
+             "parity": _PARITY_LETTER[parity_classify(spectrum.eigenvectors[:, i])],
+             "nodes": int(nodes[i])}
+            for i in range(spectrum.dim)]
     header = ["index", "energy", "parity", "nodes"]
     table = [header] + [[row[key] for key in header] for row in rows]
     return _report(args, "solve", config, rows, [], table)
@@ -395,7 +389,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha-grid", default=None, help="comma-separated alphas")
     p.add_argument("--alpha-bracket", default=None, help="'lo,hi' for golden-section search")
     p.add_argument("--levels", type=int, default=1,
-                   help="number of eigenvalue columns in scan output")
+                   help="grid mode: the lowest LEVELS eigenvalues form each row; "
+                        "bracket mode: the search minimizes the sum of the lowest "
+                        "LEVELS eigenvalues, and the reported energy is still the "
+                        "ground level at alpha_star")
     p.set_defaults(func=_run_scan_alpha)
 
     p = sub.add_parser("oracle-compare", parents=[common],

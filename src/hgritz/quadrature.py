@@ -137,32 +137,3 @@ def element_oracle(spec: BasisSpec, pot: PotentialSpec, r: int, s: int,
         lambda x: pot.value(x, mass=spec.mass) * basis_value(spec, s, x),
         rule)
     return t_rs, v_rs
-
-
-def _second_derivative(spec, s, x):
-    # phi_s'' from two applications of the derivative ladder:
-    # (alpha/2) [sqrt(s(s-1)) phi_{s-2} - (2s+1) phi_s + sqrt((s+1)(s+2)) phi_{s+2}]
-    out = -(2.0 * s + 1.0) * basis_value(spec, s, x)
-    if s >= 2:
-        out = out + math.sqrt(s * (s - 1.0)) * basis_value(spec, s - 2, x)
-    out = out + math.sqrt((s + 1.0) * (s + 2.0)) * basis_value(spec, s + 2, x)
-    return 0.5 * spec.alpha * out
-
-
-def kinetic_second_form(spec: BasisSpec, r: int, s: int,
-                        rule: QuadratureRule | None = None) -> float:
-    """Kinetic element via -(hbar^2/2m) (phi_r, phi_s''), as a cross-check.
-
-    Secondary route only; the first-derivative form in element_oracle is the
-    primary oracle.
-    """
-    r = check_index(r)
-    s = check_index(s)
-    if rule is None:
-        rule = gauss_hermite_rule(r + s + 8)
-    scale = spec.hbar**2 / (2.0 * spec.mass)
-    return -scale * inner_product(
-        spec,
-        lambda x: basis_value(spec, r, x),
-        lambda x: _second_derivative(spec, s, x),
-        rule)

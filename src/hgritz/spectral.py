@@ -3,9 +3,8 @@
 Two theorem-shaped properties are verified mechanically: truncated-matrix
 eigenvalues must sit above the exact ones, decrease monotonically and
 interlace as the basis grows (upper-bound/interlacing behaviour), and the
-i-th reconstructed eigenfunction must carry exactly i certified sign changes
-(node structure).  All comparisons are non-strict with tolerance
-tol = 1e-10 (1 + |eps|).
+i-th eigenfunction must carry exactly i certified nodes (node structure).
+The spectrum comparisons are non-strict with tolerance tol = 1e-10 (1 + |eps|).
 """
 
 from __future__ import annotations
@@ -16,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisSpec, basis_table
+from .eigensolver import Spectrum
 from .errors import DegenerateInputError
 from .operators import PotentialSpec
 
@@ -28,6 +28,10 @@ DEFAULT_AMPLITUDE_FLOOR = 1e-8
 
 #: Grid used for node certification (see default_node_grid).
 NODE_GRID_POINTS = 2001
+
+#: Points of the shared half-line grid that node_counts evaluates at a time;
+#: its working set is about (dim + states) x NODE_CHUNK floats.
+NODE_CHUNK = 512
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,10 +217,92 @@ def default_node_grid(spec: BasisSpec, pot: PotentialSpec, energy: float,
                       points: int = NODE_GRID_POINTS) -> np.ndarray:
     """Uniform grid over |x| <= x_turn + 5/sqrt(alpha).
 
-    All nodes of a bound state lie inside the classically allowed region, so
-    the turning point at the state's energy plus a five-decay-length margin
-    covers them with room for the tail.
+    A bound state has no node past its outer turning point x_turn (see
+    node_counts), so the grid covers every node, with a five-decay-length
+    margin for the tail.
     """
     x_turn = pot.turning_point(energy, mass=spec.mass)
     half = x_turn + 5.0 / math.sqrt(spec.alpha)
     return np.linspace(-half, half, points)
+
+
+def _half_line_grid(spec: BasisSpec, turns: np.ndarray) -> np.ndarray:
+    """Grid k h, k = 0, 1, ..., on [0, max(turns)] and at most one step past it.
+
+    h is the spacing of the finest default_node_grid over the outer turning
+    points `turns`, so no state is sampled more coarsely than there.
+    """
+    half = float(turns.min()) + 5.0 / math.sqrt(spec.alpha)
+    step = 2.0 * half / (NODE_GRID_POINTS - 1)
+    return step * np.arange(math.ceil(float(turns.max()) / step) + 1)
+
+
+def node_counts(spec: BasisSpec, pot: PotentialSpec, spectrum: Spectrum) -> np.ndarray:
+    """Certified node count of every state of `spectrum`, from one shared sampling.
+
+    Where V > E, psi''/psi > 0, so a bound state has no node past its outer
+    turning point x_t(E) and at most one in each forbidden interval (Sturm
+    comparison; Messiah, Quantum Mechanics I, ch. III); such a node shows as
+    a sign change between the allowed pieces on either side.  State i is
+    therefore sampled only on its allowed half-line set
+    {0 <= x <= x_t(E_i), V(x) <= E_i} of one grid shared by all states
+    (_half_line_grid), and its sign changes there are counted by
+    count_nodes' rule: samples at most DEFAULT_AMPLITUDE_FLOOR times the
+    state's peak on that set are dropped, and strict sign changes between
+    the rest count.  The node count is twice that, plus one for an odd
+    state, whose node at x = 0 the parity gives.
+
+    The basis recurrence runs on NODE_CHUNK grid points at a time, twice:
+    once for each state's peak, once for its sign changes.  Raises
+    ValueError for a state whose coefficients are not exactly even or odd
+    in the index, and DegenerateInputError for a state with no nonzero
+    sample on its allowed set.
+    """
+    coeffs = spectrum.eigenvectors
+    energies = spectrum.eigenvalues
+    odd = ~coeffs[0::2].any(axis=0)
+    mixed = ~odd & coeffs[1::2].any(axis=0)
+    if mixed.any():
+        raise ValueError(f"state {int(np.argmax(mixed))} is neither exactly even "
+                         "nor exactly odd")
+    turns = np.array([pot.turning_point(e, mass=spec.mass) for e in energies])
+    grid = _half_line_grid(spec, turns)
+    # per parity: its states by ascending turning point, with their
+    # coefficients on the basis functions of that parity as rows
+    blocks = []
+    for p in range(min(2, spectrum.dim)):
+        states = np.flatnonzero(odd == p)
+        states = states[np.argsort(turns[states], kind="stable")]
+        blocks.append((p, states, turns[states], coeffs[p::2, states].T.copy()))
+
+    def samples():
+        """(states, values) per chunk; values are 0 outside each allowed set."""
+        for start in range(0, grid.size, NODE_CHUNK):
+            x = grid[start:start + NODE_CHUNK]
+            table = basis_table(spec, spectrum.dim - 1, x)
+            v = pot.value(x, mass=spec.mass)
+            for p, states, sorted_turns, rows in blocks:
+                first = int(np.searchsorted(sorted_turns, x[0]))
+                reach = states[first:]
+                values = rows[first:] @ table[p::2]
+                allowed = (x <= turns[reach, None]) & (v <= energies[reach, None])
+                yield reach, np.where(allowed, values, 0.0)
+
+    peak = np.zeros(spectrum.dim)
+    for states, values in samples():
+        peak[states] = np.maximum(peak[states], np.abs(values).max(axis=1))
+    if not peak.all():
+        raise DegenerateInputError(f"state {int(np.argmin(peak))} has no nonzero "
+                                   "sample on its allowed set")
+    floor = DEFAULT_AMPLITUDE_FLOOR * peak
+    last = np.zeros(spectrum.dim)  # sign of each state's last kept sample
+    changes = np.zeros(spectrum.dim, dtype=int)
+    for states, values in samples():
+        signs = np.where(np.abs(values) > floor[states, None], np.sign(values), 0.0)
+        signs = np.concatenate([last[states, None], signs], axis=1)
+        # carry the last kept sign over dropped samples
+        kept = np.where(signs != 0.0, np.arange(signs.shape[1]), 0)
+        signs = np.take_along_axis(signs, np.maximum.accumulate(kept, axis=1), axis=1)
+        changes[states] += np.count_nonzero(signs[:, 1:] * signs[:, :-1] < 0.0, axis=1)
+        last[states] = signs[:, -1]
+    return 2 * changes + odd

@@ -2,7 +2,9 @@
 
 Everything here deliberately avoids the library's main evaluation paths:
 closed-form eigenfunctions go through the unnormalized Hermite recurrence
-with explicit factorials, eigenvalues of tiny matrices come from bisection on
+with explicit factorials, the x-ladder coefficients and the kinetic element
+in its second-derivative form are written out from their formulas,
+eigenvalues of tiny matrices come from bisection on
 the characteristic polynomial evaluated by cofactor expansion, the harmonic
 and quartic potential matrices come from their hand-derived closed forms, and
 exact potential matrix entries come from the x ladder composed in 40-digit
@@ -14,7 +16,66 @@ import math
 
 import numpy as np
 
-from hgritz import hermite_eval
+from hgritz import basis_value, gauss_hermite_rule, inner_product
+from hgritz.basis import check_index
+
+#: Cap for the unnormalized Hermite path (textbook-value range): H_s and
+#: 2^s s! blow up long before phi_s does.
+HERMITE_EVAL_MAX = 30
+
+
+def hermite_eval(s, y):
+    """Hermite polynomial H_s(y) by the upward recurrence.
+
+    H_0 = 1, H_1 = 2y, H_{s+1} = 2 y H_s - 2 s H_{s-1}.  Accepts scalar or
+    array y; s is capped at HERMITE_EVAL_MAX.
+    """
+    s = check_index(s, cap=HERMITE_EVAL_MAX + 1)
+    arr = np.asarray(y, dtype=float)
+    yv = np.atleast_1d(arr)
+    h_prev = np.ones_like(yv)
+    h = h_prev if s == 0 else 2.0 * yv
+    for k in range(1, s):
+        h, h_prev = 2.0 * yv * h - 2.0 * k * h_prev, h
+    return float(h[0]) if arr.ndim == 0 else h
+
+
+def x_recurrence_coeffs(r, alpha):
+    """Coefficients (up, down) with x phi_r = up phi_{r+1} + down phi_{r-1}.
+
+    up = sqrt(r+1) / sqrt(2 alpha), down = sqrt(r) / sqrt(2 alpha).
+    """
+    r = check_index(r)
+    root = math.sqrt(2.0 * float(alpha))
+    return math.sqrt(r + 1) / root, math.sqrt(r) / root
+
+
+def _second_derivative(spec, s, x):
+    # phi_s'' from two applications of the derivative ladder:
+    # (alpha/2) [sqrt(s(s-1)) phi_{s-2} - (2s+1) phi_s + sqrt((s+1)(s+2)) phi_{s+2}]
+    out = -(2.0 * s + 1.0) * basis_value(spec, s, x)
+    if s >= 2:
+        out = out + math.sqrt(s * (s - 1.0)) * basis_value(spec, s - 2, x)
+    out = out + math.sqrt((s + 1.0) * (s + 2.0)) * basis_value(spec, s + 2, x)
+    return 0.5 * spec.alpha * out
+
+
+def kinetic_second_form(spec, r, s, rule=None):
+    """Kinetic element via -(hbar^2/2m) (phi_r, phi_s''), as a cross-check.
+
+    Secondary route only; the first-derivative form in element_oracle is the
+    primary oracle.
+    """
+    r = check_index(r)
+    s = check_index(s)
+    if rule is None:
+        rule = gauss_hermite_rule(r + s + 8)
+    scale = spec.hbar**2 / (2.0 * spec.mass)
+    return -scale * inner_product(
+        spec,
+        lambda x: basis_value(spec, r, x),
+        lambda x: _second_derivative(spec, s, x),
+        rule)
 
 
 def oscillator_state_closed_form(r, x, alpha=1.0):

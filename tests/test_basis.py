@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from helpers import HERMITE_EVAL_MAX, hermite_eval, x_recurrence_coeffs
+
 from hgritz import (BasisSpec, MAX_INDEX, basis_derivative, basis_table,
-                    basis_value, hermite_eval, x_recurrence_coeffs)
-from hgritz.basis import HERMITE_EVAL_MAX
+                    basis_value)
 
 SPEC1 = BasisSpec(1.0)
 

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 import hgritz.cli as cli
-from hgritz import ConvergenceTable
+import hgritz.spectral as spectral
+from hgritz import (BasisSpec, ConvergenceTable, PotentialSpec, basis_table,
+                    hamiltonian_matrix)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -84,6 +86,54 @@ class TestSolve:
         rows = [line.split(",") for line in out.splitlines()[1:11]]
         assert [row[2] for row in rows] == ["e", "o"] * 5
         assert [int(row[3]) for row in rows] == list(range(10))
+
+    @pytest.mark.parametrize("argv,pot,named", [
+        (["--potential", "quartic", "--alpha", "1.8", "--dim", "200"],
+         PotentialSpec.quartic(1.0), [39, 41]),
+        (["--potential", "even-polynomial", "--coeffs", "0,-10,0.5",
+          "--alpha", "1.59369", "--dim", "69"],
+         PotentialSpec.even_polynomial((0.0, -10.0, 0.5)), [0, 1]),
+        (["--potential", "even-polynomial", "--coeffs", "0,1.63174,0.321317,0.0370751",
+          "--alpha", "2.82865", "--dim", "87"],
+         PotentialSpec.even_polynomial((0.0, 1.63174, 0.321317, 0.0370751)),
+         [23, 24, 25, 26]),
+    ], ids=["quartic", "deep-well", "sextic"])
+    def test_converged_states_report_index_nodes_and_parity(self, capsys, argv, pot, named):
+        # converged as the benchmark checks define it: the LAPACK level at
+        # dim agrees with the one at 2 dim to 1e-12.  The node grid used to
+        # run 5/sqrt(alpha) past the turning point and into double-well
+        # barriers, where the Ritz tails ripple: 53 and 83 nodes for quartic
+        # states 39 and 41, 22 and 21 for the deep-well ground doublet
+        code, out, _ = run_cli(capsys, ["solve", *argv, "--format", "json"])
+        assert code == 0
+        rows = json.loads(out)["results"]
+        alpha, dim = float(argv[-3]), int(argv[-1])
+
+        def levels(n):
+            return np.linalg.eigvalsh(hamiltonian_matrix(BasisSpec(alpha), pot, n).to_dense())
+
+        ref, ref2 = levels(dim), levels(2 * dim)
+        converged = [i for i in range(dim)
+                     if abs(ref[i] - ref2[i]) <= 1e-12 * max(1.0, abs(ref2[i]))]
+        assert set(named) <= set(converged)
+        wrong = [(i, rows[i]["nodes"], rows[i]["parity"]) for i in converged
+                 if (rows[i]["nodes"], rows[i]["parity"]) != (i, "eo"[i % 2])]
+        assert wrong == []
+
+    def test_node_certification_cost(self, capsys, monkeypatch):
+        # one sampling shared by all states, not a basis table per state:
+        # per state, 128 recurrence rows on 2001 points
+        evaluated = []
+
+        def counted(spec, rmax, x):
+            evaluated.append((rmax + 1) * np.size(x))
+            return basis_table(spec, rmax, x)
+
+        monkeypatch.setattr(spectral, "basis_table", counted)
+        code, _, _ = run_cli(capsys, ["solve", "--potential", "quartic",
+                                      "--alpha", "1.8", "--dim", "128"])
+        assert code == 0
+        assert 0 < sum(evaluated) <= 128 * 128 * 2001 // 10
 
     def test_json_schema_and_determinism(self, capsys):
         argv = ["solve", "--alpha", "exact-diagonal", "--dim", "4", "--format", "json"]

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from helpers import hermite_eval, kinetic_second_form
+
 from hgritz import (BasisSpec, PotentialSpec, QuadratureError, QuadratureRule,
                     basis_value, element_oracle, gauss_hermite_rule,
-                    inner_product, kinetic_matrix, kinetic_second_form,
-                    potential_matrix)
-from hgritz import hermite_eval
+                    inner_product, kinetic_matrix, potential_matrix)
 from hgritz.quadrature import MAX_ORDER, minimum_order
 
 SQRT_PI = math.sqrt(math.pi)

@@ -5,9 +5,11 @@ import pytest
 
 from helpers import oscillator_state_closed_form
 
+import hgritz.spectral as spectral
 from hgritz import (BasisSpec, Constants, ConvergenceTable, DegenerateInputError,
-                    PotentialSpec, check_mhu, count_nodes, default_node_grid,
-                    parity_classify, reconstruct, solve_spectrum)
+                    PotentialSpec, Spectrum, basis_table, check_mhu, count_nodes,
+                    default_node_grid, node_counts, parity_classify, reconstruct,
+                    solve_spectrum)
 
 SPEC1 = BasisSpec(1.0)
 HARM = PotentialSpec.harmonic(1.0)
@@ -165,3 +167,87 @@ class TestNodeGrid:
             grid = default_node_grid(SPEC1, HARM, float(spectrum.eigenvalues[i]))
             w = reconstruct(SPEC1, spectrum.eigenvectors[:, i], grid)
             assert w.node_count == i
+
+
+def allowed_samples(spec, pot, spectrum):
+    """(grid indices, samples) of each state on its allowed half-line set.
+
+    The set is {0 <= x <= x_t(E_i), V(x) <= E_i} of the grid node_counts
+    shares between the states; the samples come from one full basis table.
+    """
+    energies = spectrum.eigenvalues
+    turns = np.array([pot.turning_point(e, mass=spec.mass) for e in energies])
+    grid = spectral._half_line_grid(spec, turns)
+    values = spectrum.eigenvectors.T @ basis_table(spec, spectrum.dim - 1, grid)
+    potential = pot.value(grid, mass=spec.mass)
+    out = []
+    for i, energy in enumerate(energies):
+        where = np.flatnonzero((grid <= turns[i]) & (potential <= energy))
+        out.append((where, values[i, where]))
+    return out
+
+
+class TestNodeCounts:
+    QUART = PotentialSpec.quartic(1.0)
+    DEEP = PotentialSpec.even_polynomial((0.0, -10.0, 0.5))
+
+    def test_shared_grid_no_coarser_than_default_grids(self):
+        spectrum = solve_spectrum(self.QUART, C, 1.8, 40)
+        spec = BasisSpec(1.8)
+        energies = spectrum.eigenvalues
+        turns = np.array([self.QUART.turning_point(e, mass=1.0) for e in energies])
+        grid = spectral._half_line_grid(spec, turns)
+        finest = min(np.diff(default_node_grid(spec, self.QUART, e)).min() for e in energies)
+        assert grid[0] == 0.0
+        assert np.diff(grid).max() <= finest * (1.0 + 1e-12)
+        assert grid[-1] >= turns.max()
+
+    def test_agrees_with_count_nodes_across_chunk_boundaries(self, monkeypatch):
+        spectrum = solve_spectrum(self.QUART, C, 1.8, 40)
+        spec = BasisSpec(1.8)
+        samples = allowed_samples(spec, self.QUART, spectrum)
+        odd = [parity_classify(c) == "odd" for c in spectrum.eigenvectors.T]
+
+        def reference(floor):
+            return [2 * count_nodes(values, floor) + o for (_, values), o in zip(samples, odd)]
+
+        where, values = samples[9]
+        # state 9 changes sign between samples k - 1 and k for the second time;
+        # `drop` is the smaller of the two, and `floor` drops it alone there
+        k = int(np.flatnonzero(values[1:] * values[:-1] < 0.0)[1]) + 1
+        drop = k if abs(values[k]) < abs(values[k - 1]) else k - 1
+        kept = min(abs(values[drop - 1]), abs(values[drop + 1]))
+        assert abs(values[drop]) < kept
+        floor = math.sqrt(abs(values[drop]) * kept) / np.abs(values).max()
+        default = spectral.DEFAULT_AMPLITUDE_FLOOR
+        cases = [(where[k], default),         # the change spans a chunk boundary
+                 (where[drop], floor),        # the dropped sample opens a chunk
+                 (where[drop] + 1, floor),    # the dropped sample closes a chunk
+                 (1, floor), (1, default)]    # every sample is a chunk boundary
+        for chunk, amplitude_floor in cases:
+            monkeypatch.setattr(spectral, "NODE_CHUNK", int(chunk))
+            monkeypatch.setattr(spectral, "DEFAULT_AMPLITUDE_FLOOR", amplitude_floor)
+            want = reference(amplitude_floor)
+            assert want[9] == 9
+            got = node_counts(spec, self.QUART, spectrum)
+            assert got.tolist() == want, (chunk, amplitude_floor)
+
+    def test_odd_node_at_origin_counted_once(self):
+        # harmonic phi_1: the node at 0 lies in the allowed set, sampled as 0
+        exact = Spectrum([0.5, 1.5], np.eye(2))
+        assert node_counts(SPEC1, HARM, exact).tolist() == [0, 1]
+        # deep double well: state 1's node at 0 lies inside the barrier
+        spectrum = solve_spectrum(self.DEEP, C, 1.59369, 69)
+        assert self.DEEP.value(0.0, mass=1.0) > spectrum.eigenvalues[1]
+        assert node_counts(BasisSpec(1.59369), self.DEEP, spectrum)[:2].tolist() == [0, 1]
+
+    def test_mixed_parity_rejected(self):
+        c, s = math.cos(0.3), math.sin(0.3)
+        mixed = Spectrum([0.5, 1.5], [[c, -s], [s, c]])
+        with pytest.raises(ValueError):
+            node_counts(SPEC1, HARM, mixed)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    def test_exact_diagonal_harmonic(self, dim):
+        spectrum = solve_spectrum(HARM, C, 1.0, dim)
+        assert node_counts(SPEC1, HARM, spectrum).tolist() == list(range(dim))
