@@ -12,7 +12,9 @@ through a normalized three-term recurrence acting on phi directly,
     phi_{r+1} = (x sqrt(2 alpha) phi_r - sqrt(r) phi_{r-1}) / sqrt(r + 1),
 
 seeded with phi_0 = (alpha/pi)^(1/4) exp(-alpha x^2 / 2).  H_r and 2^r r!
-separately overflow near r ~ 150 while phi_r itself stays O(1).
+separately overflow near r ~ 150 while phi_r itself stays O(1).  Where the
+seed itself would underflow (alpha x^2 above about 1416) the recurrence
+carries a binary exponent.
 """
 
 from __future__ import annotations
@@ -83,30 +85,80 @@ def _as_grid(x):
     return np.atleast_1d(arr), arr.ndim == 0
 
 
+#: Smallest normal double.  Where phi_0 falls below it (alpha x^2 above about
+#: 1416) the recurrence also runs on carried mantissas.
+_TINY = float(np.finfo(float).tiny)
+
+#: A carried mantissa that passes 2^_CARRY_STEP is scaled down by that power
+#: of two, which is exact.
+_CARRY_STEP = 256
+
+#: Lowest carried binary exponent.  A seed below 2^_MIN_EXPONENT (alpha x^2
+#: above about 1.5e9, or infinite) carries mantissa 0, as every row there is
+#: 0 in doubles.
+_MIN_EXPONENT = -(2**30)
+
+
+def _recurrence(spec, xv, stop):
+    """Yield phi_0 .. phi_{stop - 1} on xv, one recurrence row at a time.
+
+    Where phi_0 is a normal double the rows are the plain recurrence.  Past
+    x = sqrt(1416 / alpha) phi_0 goes subnormal and then 0, and would take
+    every later row with it although phi_r is O(0.1) out to its turning
+    point.  At those points the recurrence also runs on mantissas that carry
+    a binary exponent, and its rows are written back as ldexp(mantissa,
+    exponent).  A grid without such points does no extra work.
+    """
+    y = xv * math.sqrt(spec.alpha)
+    sq2y = math.sqrt(2.0) * y
+    cur = (spec.alpha / math.pi) ** 0.25 * np.exp(-0.5 * y * y)
+    deep = np.flatnonzero(cur < _TINY)
+    if deep.size:
+        with np.errstate(over="ignore"):
+            log2_phi0 = (0.25 * math.log(spec.alpha / math.pi) - 0.5 * y[deep] ** 2) / math.log(2.0)
+        exponent = np.maximum(np.floor(log2_phi0), _MIN_EXPONENT)
+        m_cur = np.exp2(log2_phi0 - exponent)
+        m_below = np.zeros_like(m_cur)
+        exponent = exponent.astype(np.int64)
+        cur[deep] = np.ldexp(m_cur, exponent)
+    below = np.zeros_like(cur)
+    for k in range(stop):
+        yield cur
+        if k + 1 == stop:
+            return
+        below, cur = cur, (sq2y * cur - math.sqrt(k) * below) / math.sqrt(k + 1)
+        if deep.size:
+            m_below, m_cur = m_cur, (sq2y[deep] * m_cur - math.sqrt(k) * m_below) / math.sqrt(k + 1)
+            big = np.abs(m_cur) > 2.0**_CARRY_STEP
+            if big.any():
+                m_cur[big] = np.ldexp(m_cur[big], -_CARRY_STEP)
+                m_below[big] = np.ldexp(m_below[big], -_CARRY_STEP)
+                exponent[big] += _CARRY_STEP
+            cur[deep] = np.ldexp(m_cur, exponent)
+
+
 def basis_table(spec: BasisSpec, rmax: int, x) -> np.ndarray:
     """Evaluate phi_0 .. phi_rmax on a grid; returns shape (rmax + 1, len(x))."""
     rmax = check_index(rmax)
     xv, _ = _as_grid(x)
-    y = xv * math.sqrt(spec.alpha)
     out = np.empty((rmax + 1, xv.size))
-    out[0] = (spec.alpha / math.pi) ** 0.25 * np.exp(-0.5 * y * y)
-    if rmax >= 1:
-        out[1] = math.sqrt(2.0) * y * out[0]
-    for k in range(1, rmax):
-        out[k + 1] = (math.sqrt(2.0) * y * out[k] - math.sqrt(k) * out[k - 1]) / math.sqrt(k + 1)
+    for k, row in enumerate(_recurrence(spec, xv, rmax + 1)):
+        out[k] = row
     return out
 
 
-def _phi_neighbours(spec, r, xv):
-    """One recurrence pass returning (phi_{r-1}, phi_r, phi_{r+1}) on xv."""
-    y = xv * math.sqrt(spec.alpha)
-    sq2 = math.sqrt(2.0)
-    below = np.zeros_like(xv)
-    cur = (spec.alpha / math.pi) ** 0.25 * np.exp(-0.5 * y * y)
-    for k in range(r):
-        below, cur = cur, (sq2 * y * cur - math.sqrt(k) * below) / math.sqrt(k + 1)
-    above = (sq2 * y * cur - math.sqrt(r) * below) / math.sqrt(r + 1)
-    return below, cur, above
+def _phi_neighbours(spec, rows, xv):
+    """(phi_{k-1}, phi_k, phi_{k+1}) on xv for each index k in rows.
+
+    One recurrence pass; returns three (len(rows), len(xv)) arrays, with
+    phi_{-1} = 0.  Only the rows asked for are kept.
+    """
+    wanted = {k + d for k in rows for d in (-1, 0, 1)}
+    kept = {-1: np.zeros_like(xv)}
+    for k, row in enumerate(_recurrence(spec, xv, max(rows) + 2)):
+        if k in wanted:
+            kept[k] = row
+    return tuple(np.array([kept[k + d] for k in rows]) for d in (-1, 0, 1))
 
 
 def basis_value(spec: BasisSpec, r, x):
@@ -117,7 +169,7 @@ def basis_value(spec: BasisSpec, r, x):
     """
     r = check_index(r)
     xv, scalar = _as_grid(x)
-    _, cur, _ = _phi_neighbours(spec, r, xv)
+    _, (cur,), _ = _phi_neighbours(spec, [r], xv)
     return float(cur[0]) if scalar else cur
 
 
@@ -128,6 +180,6 @@ def basis_derivative(spec: BasisSpec, r, x):
     """
     r = check_index(r)
     xv, scalar = _as_grid(x)
-    below, _, above = _phi_neighbours(spec, r, xv)
+    (below,), _, (above,) = _phi_neighbours(spec, [r], xv)
     out = 0.5 * math.sqrt(2.0 * spec.alpha) * (math.sqrt(r) * below - math.sqrt(r + 1) * above)
     return float(out[0]) if scalar else out

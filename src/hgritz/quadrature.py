@@ -8,6 +8,14 @@ integrates exp(-y^2) times any polynomial of degree <= 2K - 1 exactly.
 Inner products (f, g) = integral f(x) g(x) dx are evaluated by substituting
 y = x sqrt(alpha) and dividing the Gaussian factor carried by the integrand
 back out, leaving the rule a purely polynomial job.
+
+`oracle_matrices` gives the upper triangles of the quadrature T and V in the
+quadrature-matrix form (Light, Hamilton & Lill 1985, J. Chem. Phys.
+82:1400): one basis recurrence pass at the rule's nodes, and per row r one
+product over (s >= r, nodes) summed along the nodes.  It keeps `inner_product`'s
+multiplication order, ((w f) g) exp(y^2) / sqrt(alpha), so each entry is
+bitwise the per-element `element_oracle`, which runs the same row code on
+its two rows.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisSpec, basis_derivative, basis_value, check_index
+from .basis import BasisSpec, _phi_neighbours, check_index
 from .eigensolver import eigh_tridiagonal
 from .errors import QuadratureError
 from .operators import PotentialSpec
@@ -79,6 +87,24 @@ def gauss_hermite_rule(order: int) -> QuadratureRule:
     return QuadratureRule(nodes, weights, order)
 
 
+def _node_values(spec, rule):
+    """The rule's nodes y, x = y / sqrt(alpha), and the boost exp(y^2)."""
+    y = rule.nodes
+    with np.errstate(over="ignore"):
+        boost = np.exp(y * y)
+    return y, y / math.sqrt(spec.alpha), boost
+
+
+def _first_non_finite(terms, y):
+    """Raise QuadratureError for the first non-finite entry of a terms row."""
+    bad = ~np.isfinite(terms)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise QuadratureError(
+            f"non-finite integrand contribution at node {i} (y = {y[i]:.6g})",
+            node_index=i, node=float(y[i]))
+
+
 def inner_product(spec: BasisSpec, f, g, rule: QuadratureRule) -> float:
     """Integral of f(x) g(x) over the line, for f g decaying like exp(-alpha x^2).
 
@@ -86,24 +112,58 @@ def inner_product(spec: BasisSpec, f, g, rule: QuadratureRule) -> float:
     back out at the nodes, so the result is exact whenever the de-weighted
     product is a polynomial the rule can integrate.
     """
-    y = rule.nodes
-    x = y / math.sqrt(spec.alpha)
+    y, x, boost = _node_values(spec, rule)
     with np.errstate(over="ignore", invalid="ignore"):
-        boost = np.exp(y * y)
         terms = rule.weights * np.asarray(f(x), dtype=float) \
             * np.asarray(g(x), dtype=float) * boost
-    bad = ~np.isfinite(terms)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise QuadratureError(
-            f"non-finite integrand contribution at node {i} (y = {y[i]:.6g})",
-            node_index=i, node=float(y[i]))
+    _first_non_finite(terms, y)
     return float(terms.sum()) / math.sqrt(spec.alpha)
 
 
 def minimum_order(r: int, s: int, degree: int) -> int:
     """Smallest admissible rule order for the (r, s) element of a degree-d V."""
     return math.ceil((r + s + degree) / 2) + 2
+
+
+class _OracleTables:
+    """phi_k', phi_k and V phi_k at a rule's nodes, for each index k in rows.
+
+    One basis recurrence pass feeds all three; the derivative rows use
+    `basis_derivative`'s formula and operation order, so every row is
+    bitwise what the per-element evaluators give.  Rows are addressed by
+    their position in rows.
+    """
+
+    def __init__(self, spec, pot, rule, rows):
+        self.spec = spec
+        self.rule = rule
+        self.y, x, self.boost = _node_values(spec, rule)
+        below, self.phi, above = _phi_neighbours(spec, rows, x)
+        k = np.asarray(rows, dtype=float)[:, None]
+        self.dphi = 0.5 * math.sqrt(2.0 * spec.alpha) * (np.sqrt(k) * below
+                                                         - np.sqrt(k + 1.0) * above)
+        self.vphi = pot.value(x, mass=spec.mass) * self.phi
+
+    def row(self, i, cols):
+        """Oracle (t_rs, v_rs) for r at position i and s at the positions cols.
+
+        Each entry is `inner_product`'s ((w f) g) boost, summed along the
+        nodes and divided by sqrt(alpha).  A non-finite term raises the
+        QuadratureError of the first such entry in (s, kinetic before
+        potential) order.
+        """
+        spec, w = self.spec, self.rule.weights
+        with np.errstate(over="ignore", invalid="ignore"):
+            t_terms = (w * self.dphi[i]) * self.dphi[cols] * self.boost
+            v_terms = (w * self.phi[i]) * self.vphi[cols] * self.boost
+        bad_t = ~np.isfinite(t_terms).all(axis=1)
+        bad_v = ~np.isfinite(v_terms).all(axis=1)
+        if bad_t.any() or bad_v.any():
+            first = int(np.argmax(bad_t | bad_v))
+            _first_non_finite(t_terms[first] if bad_t[first] else v_terms[first], self.y)
+        scale = spec.hbar**2 / (2.0 * spec.mass)
+        root = math.sqrt(spec.alpha)
+        return scale * (t_terms.sum(axis=1) / root), v_terms.sum(axis=1) / root
 
 
 def element_oracle(spec: BasisSpec, pot: PotentialSpec, r: int, s: int,
@@ -114,7 +174,8 @@ def element_oracle(spec: BasisSpec, pot: PotentialSpec, r: int, s: int,
     (hbar^2/2m) (phi_r', phi_s'), whose integrand is manifestly polynomial
     times Gaussian.  When no rule is supplied one of order r + s + deg(V) + 4
     is built (over-provisioned); a supplied rule below the exactness threshold
-    is rejected rather than silently inexact.
+    is rejected rather than silently inexact.  It runs `oracle_matrices`'
+    row code on the rows r and s alone.
     """
     r = check_index(r)
     s = check_index(s)
@@ -125,15 +186,27 @@ def element_oracle(spec: BasisSpec, pot: PotentialSpec, r: int, s: int,
         raise ValueError(
             f"rule order {rule.order} below exactness threshold {need} "
             f"for element ({r}, {s})")
-    scale = spec.hbar**2 / (2.0 * spec.mass)
-    t_rs = scale * inner_product(
-        spec,
-        lambda x: basis_derivative(spec, r, x),
-        lambda x: basis_derivative(spec, s, x),
-        rule)
-    v_rs = inner_product(
-        spec,
-        lambda x: basis_value(spec, r, x),
-        lambda x: pot.value(x, mass=spec.mass) * basis_value(spec, s, x),
-        rule)
-    return t_rs, v_rs
+    t_row, v_row = _OracleTables(spec, pot, rule, [r, s]).row(0, slice(1, 2))
+    return float(t_row[0]), float(v_row[0])
+
+
+def oracle_matrices(spec: BasisSpec, pot: PotentialSpec,
+                    dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Upper triangles (s >= r) of the quadrature T and V, dim x dim.
+
+    The rule is the one `element_oracle` builds for the (dim-1, dim-1)
+    element, and entry (r, s) is bitwise `element_oracle` under that rule;
+    entries below the diagonal are 0.  One basis recurrence pass at the
+    rule's nodes serves every row, and row r is one product over (s >= r,
+    nodes), so the working set is O(dim x order).
+    """
+    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
+        raise ValueError(f"dim must be a positive integer, got {dim!r}")
+    last = check_index(int(dim) - 1)
+    rule = gauss_hermite_rule(2 * last + pot.degree + 4)
+    tables = _OracleTables(spec, pot, rule, range(dim))
+    t_upper = np.zeros((dim, dim))
+    v_upper = np.zeros((dim, dim))
+    for r in range(dim):
+        t_upper[r, r:], v_upper[r, r:] = tables.row(r, slice(r, dim))
+    return t_upper, v_upper

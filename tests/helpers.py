@@ -8,7 +8,9 @@ eigenvalues of tiny matrices come from bisection on
 the characteristic polynomial evaluated by cofactor expansion, the harmonic
 and quartic potential matrices come from their hand-derived closed forms, and
 exact potential matrix entries come from the x ladder composed in 40-digit
-decimal arithmetic.
+decimal arithmetic, as do reference basis tables past the point where
+exp(-alpha x^2 / 2) underflows.  The per-element quadrature oracle is also
+written out here as two `inner_product` calls on the scalar evaluators.
 """
 
 import decimal
@@ -16,7 +18,8 @@ import math
 
 import numpy as np
 
-from hgritz import basis_value, gauss_hermite_rule, inner_product
+from hgritz import (basis_derivative, basis_value, gauss_hermite_rule,
+                    inner_product)
 from hgritz.basis import check_index
 
 #: Cap for the unnormalized Hermite path (textbook-value range): H_s and
@@ -76,6 +79,26 @@ def kinetic_second_form(spec, r, s, rule=None):
         lambda x: basis_value(spec, r, x),
         lambda x: _second_derivative(spec, s, x),
         rule)
+
+
+def element_by_inner_products(spec, pot, r, s, rule):
+    """(t_rs, v_rs) as two `inner_product` calls on basis_derivative and basis_value.
+
+    The per-element definition the batched oracle rows must reproduce bit
+    for bit: kinetic (hbar^2/2m) (phi_r', phi_s'), potential (phi_r, V phi_s).
+    """
+    scale = spec.hbar**2 / (2.0 * spec.mass)
+    t_rs = scale * inner_product(
+        spec,
+        lambda x: basis_derivative(spec, r, x),
+        lambda x: basis_derivative(spec, s, x),
+        rule)
+    v_rs = inner_product(
+        spec,
+        lambda x: basis_value(spec, r, x),
+        lambda x: pot.value(x, mass=spec.mass) * basis_value(spec, s, x),
+        rule)
+    return t_rs, v_rs
 
 
 def oscillator_state_closed_form(r, x, alpha=1.0):
@@ -222,3 +245,29 @@ def exact_potential_entries(alpha, coeffs, dim, digits=40):
                     total[i, j] = ctx.add(total.get((i, j), 0),
                                           ctx.multiply(decimal.Decimal(c), value))
     return total
+
+
+def basis_table_decimal(alpha, rmax, x, digits=40):
+    """phi_0 .. phi_rmax at the points x by the normalized recurrence in decimal.
+
+    Returns a (rmax + 1, len(x)) float array.  Decimal exponents do not
+    underflow, so the seed exp(-alpha x^2 / 2) stays exact to `digits` at any
+    x; only the final conversion to float rounds (or flushes to 0).
+    """
+    ctx = decimal.Context(prec=digits, Emin=-10**6, Emax=10**6)
+    a = decimal.Decimal(repr(float(alpha)))
+    pi = decimal.Decimal("3.141592653589793238462643383279502884197169399375")
+    norm = ctx.sqrt(ctx.sqrt(ctx.divide(a, pi)))
+    roots = [ctx.sqrt(decimal.Decimal(k)) for k in range(rmax + 2)]
+    out = np.empty((rmax + 1, len(x)))
+    for j, xj in enumerate(x):
+        y = ctx.multiply(decimal.Decimal(repr(float(xj))), ctx.sqrt(a))
+        sq2y = ctx.multiply(roots[2], y)
+        below, cur = decimal.Decimal(0), ctx.multiply(norm, ctx.exp(-ctx.multiply(y, y) / 2))
+        out[0, j] = float(cur)
+        for k in range(rmax):
+            below, cur = cur, ctx.divide(ctx.subtract(ctx.multiply(sq2y, cur),
+                                                      ctx.multiply(roots[k], below)),
+                                         roots[k + 1])
+            out[k + 1, j] = float(cur)
+    return out

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from helpers import HERMITE_EVAL_MAX, hermite_eval, x_recurrence_coeffs
+from helpers import (HERMITE_EVAL_MAX, basis_table_decimal, hermite_eval,
+                     x_recurrence_coeffs)
 
 from hgritz import (BasisSpec, MAX_INDEX, basis_derivative, basis_table,
                     basis_value)
@@ -168,3 +169,60 @@ def test_index_cap():
         basis_value(SPEC1, MAX_INDEX, 0.0)
     with pytest.raises(ValueError):
         basis_derivative(SPEC1, -1, 0.0)
+
+
+def _plain_table(spec, rmax, x):
+    """The recurrence seeded with phi_0 as a plain double, for bit comparison."""
+    y = np.asarray(x, dtype=float) * math.sqrt(spec.alpha)
+    out = np.empty((rmax + 1, y.size))
+    out[0] = (spec.alpha / math.pi) ** 0.25 * np.exp(-0.5 * y * y)
+    out[1] = math.sqrt(2.0) * y * out[0]
+    for k in range(1, rmax):
+        out[k + 1] = (math.sqrt(2.0) * y * out[k] - math.sqrt(k) * out[k - 1]) / math.sqrt(k + 1)
+    return out
+
+
+def test_basis_table_past_seed_underflow_matches_decimal():
+    # alpha x^2 = 1514, 1620 and 1960: exp(-alpha x^2 / 2) is 0 in doubles,
+    # yet phi_1023 is O(0.1) out to its turning point x = 33.7
+    spec = BasisSpec(1.8)
+    x = [29.0, 30.0, 33.0]
+    got = basis_table(spec, 1023, x)
+    want = basis_table_decimal(1.8, 1023, x)
+    np.testing.assert_allclose(got[1023], [-0.13149048385, 0.19427940715, 0.15198688226],
+                               rtol=1e-10)
+    np.testing.assert_allclose(got[1023], want[1023], rtol=1e-10)
+    # every row against its running envelope, so rows near a node count too
+    envelope = np.maximum.accumulate(np.abs(want), axis=0)
+    normal = envelope > np.finfo(float).tiny
+    assert np.all(np.abs(got - want)[normal] <= 1e-10 * envelope[normal])
+    for r in (0, 700, 1022):
+        np.testing.assert_array_equal(basis_value(spec, r, x), got[r])
+
+
+def test_basis_table_bits_unchanged_where_seed_is_normal():
+    spec = BasisSpec(4.0)
+    x = np.linspace(-22.0, 22.0, 221)
+    got = basis_table(spec, 300, x)
+    plain = _plain_table(spec, 300, x)
+    normal = plain[0] >= np.finfo(float).tiny
+    assert 0 < normal.sum() < x.size
+    np.testing.assert_array_equal(got[:, normal], plain[:, normal])
+    # past the underflow the plain seed loses the rows the carried one keeps
+    want = basis_table_decimal(4.0, 300, x[~normal])
+    envelope = np.maximum.accumulate(np.abs(want), axis=0)[300]
+    assert np.all(np.abs(got[300, ~normal] - want[300]) <= 1e-10 * envelope)
+    assert not np.all(np.abs(plain[300, ~normal] - want[300]) <= 1e-10 * envelope)
+
+
+def test_far_points_give_zero():
+    # points where every row underflows, infinite ones too, carry mantissa 0
+    # and not an exponent that overflows its integer cast
+    spec = BasisSpec(1.0)
+    with np.errstate(invalid="ignore"):
+        # phi_1 is inf * 0 there, as it always was
+        assert basis_value(spec, 0, np.inf) == 0.0
+        assert basis_value(spec, 0, -np.inf) == 0.0
+    with np.errstate(over="raise", invalid="raise"):
+        np.testing.assert_array_equal(basis_table(spec, 5, [1e10, -1e10, 1e5]), 0.0)
+        assert basis_value(spec, 1023, 1e5) == 0.0

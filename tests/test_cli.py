@@ -1,13 +1,17 @@
 import json
 import math
+import sys
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import hgritz.basis as basis
 import hgritz.cli as cli
+import hgritz.quadrature as quadrature
 import hgritz.spectral as spectral
+from hgritz import numerov
 from hgritz import (BasisSpec, ConvergenceTable, PotentialSpec, basis_table,
                     hamiltonian_matrix)
 
@@ -134,6 +138,50 @@ class TestSolve:
                                       "--alpha", "1.8", "--dim", "128"])
         assert code == 0
         assert 0 < sum(evaluated) <= 128 * 128 * 2001 // 10
+
+    def test_oracle_compare_cost(self, capsys, monkeypatch):
+        # one basis recurrence pass at the rule nodes for the whole dim-64
+        # oracle, and no per-element oracle call
+        elements, passes = [], []
+        element_oracle = quadrature.element_oracle
+        recurrence = basis._recurrence
+
+        def counted_element(*args, **kwargs):
+            elements.append(1)
+            return element_oracle(*args, **kwargs)
+
+        def counted_pass(spec, xv, stop):
+            passes.append(stop)
+            return recurrence(spec, xv, stop)
+
+        monkeypatch.setattr(quadrature, "element_oracle", counted_element)
+        monkeypatch.setattr(basis, "_recurrence", counted_pass)
+        code, out, _ = run_cli(capsys, ["oracle-compare", "--potential", "quartic",
+                                        "--dim", "64"])
+        assert code in (0, 1)
+        assert out.startswith("matrix,max_discrepancy")
+        assert elements == []
+        # rows 0 .. 64: phi_63' reads phi_64
+        assert passes == [65]
+
+    def test_numerov_scan_makes_no_scalar_shoot(self, capsys, monkeypatch):
+        # the scan runs batched; scalar shoots come only from the bisection
+        # (endpoints and midpoints) and the node-count trajectories
+        callers = []
+        shoot = numerov.shoot
+
+        def counted(*args, **kwargs):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return shoot(*args, **kwargs)
+
+        monkeypatch.setattr(numerov, "shoot", counted)
+        code, _, _ = run_cli(capsys, ["verify-mhu", "--potential", "quartic", "--alpha", "2",
+                                      "--dims", "2:12:2", "--exact", "numerov",
+                                      "--exact-levels", "3", "--numerov-steps", "2000"])
+        assert code == 0
+        assert callers.count("_trajectory_nodes") == 3
+        assert callers.count("eigenvalue") > 3 * 2
+        assert set(callers) == {"eigenvalue", "_trajectory_nodes"}
 
     def test_json_schema_and_determinism(self, capsys):
         argv = ["solve", "--alpha", "exact-diagonal", "--dim", "4", "--format", "json"]

@@ -136,3 +136,45 @@ class TestSpectrumBelow:
         cfg = numerov.default_config(HARM, C, 5.0, steps=2000)
         with pytest.raises(ScanResolutionError):
             numerov.spectrum_below(HARM, C, cfg, 5.0, scan_points=2)
+
+
+class TestShootScan:
+    # 2021 steps: 2020 recurrence steps, 31 full 64-step chunks and a part one
+    @pytest.mark.parametrize("pot, e_hi", [(HARM, 5.0), (QUART, 6.0),
+                                           (PotentialSpec.even_polynomial([0.0, -10.0, 0.5]),
+                                            -20.0)])
+    def test_equals_scalar_shoots(self, pot, e_hi):
+        cfg = numerov.default_config(pot, C, e_hi, steps=2021)
+        v_min = pot.minimum(mass=1.0)
+        energies = np.linspace(v_min + 1e-3, e_hi, 37)
+        got = numerov.shoot_scan(pot, C, cfg, energies)
+        assert got.shape == (2, energies.size)
+        for row, parity in zip(got, (numerov.EVEN, numerov.ODD)):
+            cfg_p = numerov.ShootingConfig(cfg.x_max, cfg.steps, cfg.energy_bracket, parity)
+            want = [numerov.shoot(pot, C, cfg_p, e) for e in energies]
+            assert row.tolist() == want
+
+    def test_rescale_path_equals_scalar_shoots(self, monkeypatch):
+        # psi grows like exp(x^2 / 2) past the turning point: e^800 at x = 40
+        reruns = []
+        rescaled = numerov._steps_rescaled
+
+        def spy(*args):
+            reruns.append(1)
+            return rescaled(*args)
+
+        monkeypatch.setattr(numerov, "_steps_rescaled", spy)
+        energies = np.linspace(0.3, 5.0, 11)
+        cfg = numerov.ShootingConfig(40.0, 2021, (0.3, 5.0), numerov.EVEN)
+        got = numerov.shoot_scan(HARM, C, cfg, energies)
+        assert reruns
+        for row, parity in zip(got, (numerov.EVEN, numerov.ODD)):
+            cfg_p = numerov.ShootingConfig(40.0, 2021, (0.3, 5.0), parity)
+            assert row.tolist() == [numerov.shoot(HARM, C, cfg_p, e) for e in energies]
+
+    def test_domain_checked_at_every_energy(self):
+        # 0.5 is fine on [0, 5]; the turning point at 13 lies past x_max
+        cfg = numerov.ShootingConfig(5.0, 2000, (0.4, 0.6), numerov.EVEN)
+        numerov.shoot(HARM, C, cfg, 0.5)
+        with pytest.raises(ValueError, match="classically allowed"):
+            numerov.shoot_scan(HARM, C, cfg, [0.5, 13.0])

@@ -1,14 +1,16 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from helpers import hermite_eval, kinetic_second_form
+from helpers import element_by_inner_products, hermite_eval, kinetic_second_form
 
-from hgritz import (BasisSpec, PotentialSpec, QuadratureError, QuadratureRule,
+import hgritz.quadrature as quadrature
+from hgritz import (MAX_INDEX, BasisSpec, PotentialSpec, QuadratureError, QuadratureRule,
                     basis_value, element_oracle, gauss_hermite_rule,
                     inner_product, kinetic_matrix, potential_matrix)
-from hgritz.quadrature import MAX_ORDER, minimum_order
+from hgritz.quadrature import MAX_ORDER, minimum_order, oracle_matrices
 
 SQRT_PI = math.sqrt(math.pi)
 SPEC1 = BasisSpec(1.0)
@@ -169,3 +171,82 @@ class TestSecondDerivativeForm:
                 first, _ = element_oracle(spec, HARM, r, s, rule)
                 second = kinetic_second_form(spec, r, s, rule)
                 assert abs(first - second) <= 1e-8
+
+
+SEXTIC = PotentialSpec.even_polynomial([0.2, 0.4, 0.1, 0.05])
+DEEP_WELL = PotentialSpec.even_polynomial([0.0, -10.0, 0.5])
+
+
+def _checked_rows(dim):
+    """Rows compared entry by entry: all of them up to dim 21, else the ends and middle."""
+    if dim <= 21:
+        return range(dim)
+    return [0, 1, dim // 2, dim - 1]
+
+
+@functools.lru_cache(maxsize=None)
+def _rule(order):
+    return gauss_hermite_rule(order)
+
+
+class TestOracleMatrices:
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("dim", [1, 2, 21, 64])
+    @pytest.mark.parametrize("pot", [HARM, QUART, SEXTIC, DEEP_WELL],
+                             ids=["harmonic", "quartic", "sextic", "deep-well"])
+    def test_rows_bitwise_equal_element_oracle(self, pot, dim, alpha):
+        spec = BasisSpec(alpha)
+        rule = _rule(2 * (dim - 1) + pot.degree + 4)
+        t_upper, v_upper = oracle_matrices(spec, pot, dim)
+        assert not np.tril(t_upper, -1).any() and not np.tril(v_upper, -1).any()
+        for r in _checked_rows(dim):
+            for s in range(r, dim):
+                assert (t_upper[r, s], v_upper[r, s]) == element_oracle(spec, pot, r, s, rule)
+        # the last column crosses every row at dim 64 too
+        for r in range(dim):
+            assert (t_upper[r, -1], v_upper[r, -1]) == element_oracle(spec, pot, r, dim - 1, rule)
+
+    @pytest.mark.parametrize("pot", [QUART, SEXTIC, DEEP_WELL],
+                             ids=["quartic", "sextic", "deep-well"])
+    def test_element_oracle_is_the_inner_product_integral(self, pot):
+        # element_oracle shares the batched row code; the per-element route
+        # through inner_product and the scalar evaluators pins both
+        spec = BasisSpec(1.3)
+        dim = 21
+        rule = gauss_hermite_rule(2 * (dim - 1) + pot.degree + 4)
+        t_upper, v_upper = oracle_matrices(spec, pot, dim)
+        for r in range(dim):
+            for s in range(r, dim):
+                want = element_by_inner_products(spec, pot, r, s, rule)
+                assert element_oracle(spec, pot, r, s, rule) == want
+                assert (t_upper[r, s], v_upper[r, s]) == want
+
+    @pytest.mark.parametrize("dim", [0, -3, True, 2.0, MAX_INDEX + 1])
+    def test_dim_checks(self, dim):
+        with pytest.raises(ValueError):
+            oracle_matrices(SPEC1, QUART, dim)
+
+    def test_top_index_element(self):
+        # phi_1023' needs phi_1024, one past the basis table's cap
+        order = 1030
+        nodes = np.linspace(-6.0, 6.0, order)
+        rule = QuadratureRule(0.5 * (nodes - nodes[::-1]), np.full(order, SQRT_PI / order), order)
+        got = element_oracle(SPEC1, HARM, 1023, 1023, rule)
+        assert got == element_by_inner_products(SPEC1, HARM, 1023, 1023, rule)
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_first_non_finite_entry_error_matches(self, dim, monkeypatch):
+        # legal rule with outer nodes where e^(y^2) overflows
+        weights = np.array([1e-3, 0.3, SQRT_PI - 2 * (1e-3 + 0.3), 0.3, 1e-3])
+        rule = QuadratureRule(np.array([-27.0, -1.0, 0.0, 1.0, 27.0]), weights, 5)
+        monkeypatch.setattr(quadrature, "gauss_hermite_rule", lambda order: rule)
+        with pytest.raises(QuadratureError) as batched:
+            oracle_matrices(SPEC1, HARM, dim)
+        with pytest.raises(QuadratureError) as single:
+            for r in range(dim):
+                for s in range(r, dim):
+                    element_oracle(SPEC1, HARM, r, s, rule)
+        assert type(batched.value) is type(single.value)
+        assert str(batched.value) == str(single.value)
+        assert batched.value.node_index == single.value.node_index
+        assert batched.value.node == single.value.node
