@@ -18,12 +18,11 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 
-from .basis import BasisSpec, Constants
+from .basis import MAX_INDEX, BasisSpec, Constants
 from .errors import (BracketingError, ConvergenceError, QuadratureError,
                      ScanResolutionError)
 from .operators import (BAND4_LADDER, BAND4_MISINDEXED, PotentialSpec, _check_band4,
@@ -78,45 +77,11 @@ def report_schema() -> dict:
     return json.loads(text)
 
 
-@dataclass(frozen=True)
-class ProblemConfig:
-    """Resolved invocation: potential, constants, width choice and mode inputs."""
-
-    potential: PotentialSpec
-    constants: Constants
-    alpha: float | None = None
-    alpha_mode: str | None = None
-    dim: int | None = None
-    dims: tuple[int, ...] | None = None
-    alpha_grid: tuple[float, ...] | None = None
-    alpha_bracket: tuple[float, float] | None = None
-
-    def to_dict(self) -> dict:
-        pot = {"kind": self.potential.kind}
-        if self.potential.omega is not None:
-            pot["omega"] = self.potential.omega
-        if self.potential.lam is not None:
-            pot["lambda"] = self.potential.lam
-        if self.potential.coeffs is not None:
-            pot["coeffs"] = list(self.potential.coeffs)
-        out = {
-            "potential": pot,
-            "hbar": self.constants.hbar,
-            "mass": self.constants.mass,
-        }
-        if self.alpha is not None:
-            out["alpha"] = self.alpha
-        if self.alpha_mode is not None:
-            out["alpha_mode"] = self.alpha_mode
-        if self.dim is not None:
-            out["dim"] = self.dim
-        if self.dims is not None:
-            out["dims"] = list(self.dims)
-        if self.alpha_grid is not None:
-            out["alpha_grid"] = list(self.alpha_grid)
-        if self.alpha_bracket is not None:
-            out["alpha_bracket"] = list(self.alpha_bracket)
-        return out
+def _config(pot: PotentialSpec, constants: Constants, **fields) -> dict:
+    """A report's config: the potential, the constants and the runner's resolved fields."""
+    potential = {"kind": pot.kind, "omega": pot.omega, "lambda": pot.lam, "coeffs": pot.coeffs}
+    return {"potential": {k: v for k, v in potential.items() if v is not None},
+            "hbar": constants.hbar, "mass": constants.mass, **fields}
 
 
 def _parse_floats(text, parser, flag):
@@ -136,6 +101,13 @@ def _width(value: float, parser, flag) -> float:
     return value
 
 
+def _dim(value: int, parser, flag) -> int:
+    """A basis size from the command line: 1 to the index cap MAX_INDEX."""
+    if not 1 <= value <= MAX_INDEX:
+        parser.error(f"{flag} must lie in [1, {MAX_INDEX}], got {value}")
+    return value
+
+
 def _parse_dims(text, parser):
     """Dims as a comma list ("2,4,8") or an inclusive range ("2:30:2")."""
     try:
@@ -151,9 +123,9 @@ def _parse_dims(text, parser):
             dims = tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
     except ValueError:
         parser.error(f"--dims expects 'a,b,c' or 'start:stop[:step]', got {text!r}")
-    if not dims or any(d < 1 for d in dims) or any(b <= a for a, b in zip(dims, dims[1:])):
-        parser.error("--dims must be strictly increasing positive integers")
-    return dims
+    if not dims or any(b <= a for a, b in zip(dims, dims[1:])):
+        parser.error("--dims must be strictly increasing")
+    return tuple(_dim(d, parser, "--dims") for d in dims)
 
 
 def _potential_from_args(args, parser) -> PotentialSpec:
@@ -197,7 +169,7 @@ def _report(args, command, config, results, checks, table) -> int:
     failed.
     """
     if args.format == "json":
-        doc = {"command": command, "config": config.to_dict(),
+        doc = {"command": command, "config": config,
                "results": results, "checks": checks}
         text = json.dumps(_round12(doc), indent=2, sort_keys=True) + "\n"
     else:
@@ -214,10 +186,9 @@ def _run_solve(args, parser) -> int:
     pot = _potential_from_args(args, parser)
     constants = _constants_from_args(args, parser)
     alpha, mode = _alpha_from_args(args, parser, pot, constants)
-    if args.dim < 1:
-        parser.error("--dim must be a positive integer")
-    config = ProblemConfig(pot, constants, alpha=alpha, alpha_mode=mode, dim=args.dim)
-    spectrum = solve_spectrum(pot, constants, alpha, args.dim)
+    dim = _dim(args.dim, parser, "--dim")
+    config = _config(pot, constants, alpha=alpha, alpha_mode=mode, dim=dim)
+    spectrum = solve_spectrum(pot, constants, alpha, dim)
     nodes = node_counts(BasisSpec(alpha, constants.hbar, constants.mass), pot, spectrum)
     rows = [{"index": i,
              "energy": float(spectrum.eigenvalues[i]),
@@ -256,7 +227,7 @@ def _run_verify_mhu(args, parser) -> int:
     if not numerov.MIN_STEPS <= args.numerov_steps <= numerov.MAX_STEPS:
         parser.error(f"--numerov-steps must lie in [{numerov.MIN_STEPS}, "
                      f"{numerov.MAX_STEPS}], got {args.numerov_steps}")
-    config = ProblemConfig(pot, constants, alpha=alpha, alpha_mode=mode, dims=dims)
+    config = _config(pot, constants, alpha=alpha, alpha_mode=mode, dims=dims)
     table = convergence_table(pot, constants, alpha, dims)
     exact = _exact_values(args, parser, pot, constants, table)
     checks = check_mhu(table, exact).to_dicts()
@@ -273,17 +244,16 @@ def _run_scan_alpha(args, parser) -> int:
     constants = _constants_from_args(args, parser)
     if (args.alpha_grid is None) == (args.alpha_bracket is None):
         parser.error("provide exactly one of --alpha-grid or --alpha-bracket")
-    if args.dim < 1:
-        parser.error("--dim must be a positive integer")
+    dim = _dim(args.dim, parser, "--dim")
     levels = args.levels
-    if levels < 1 or levels > args.dim:
+    if levels < 1 or levels > dim:
         parser.error("--levels must lie in [1, dim]")
 
     if args.alpha_grid is not None:
         grid = tuple(_width(a, parser, "--alpha-grid")
                      for a in _parse_floats(args.alpha_grid, parser, "--alpha-grid"))
-        config = ProblemConfig(pot, constants, dim=args.dim, alpha_grid=grid)
-        scan = scan_alpha(pot, constants, args.dim, grid)
+        config = _config(pot, constants, dim=dim, alpha_grid=grid)
+        scan = scan_alpha(pot, constants, dim, grid)
         results = {
             "alphas": list(scan.alphas),
             "energies": [list(e[:levels]) for e in scan.energies],
@@ -298,8 +268,8 @@ def _run_scan_alpha(args, parser) -> int:
                     for a in _parse_floats(args.alpha_bracket, parser, "--alpha-bracket"))
     if len(bracket) != 2 or not bracket[0] < bracket[1]:
         parser.error("--alpha-bracket expects 'lo,hi' with 0 < lo < hi")
-    config = ProblemConfig(pot, constants, dim=args.dim, alpha_bracket=bracket)
-    result = minimize_alpha(pot, constants, args.dim, bracket, levels=levels)
+    config = _config(pot, constants, dim=dim, alpha_bracket=bracket)
+    result = minimize_alpha(pot, constants, dim, bracket, levels=levels)
     results = {
         "alpha_star": result.alpha_star,
         "energy": result.energy,
@@ -323,7 +293,7 @@ def _run_oracle_compare(args, parser) -> int:
     except ValueError as err:
         parser.error(str(err))
     alpha = _width(args.alpha, parser, "--alpha")
-    config = ProblemConfig(pot, constants, alpha=alpha, alpha_mode="explicit", dim=args.dim)
+    config = _config(pot, constants, alpha=alpha, alpha_mode="explicit", dim=args.dim)
     spec = BasisSpec(alpha, constants.hbar, constants.mass)
     t_matrix = kinetic_matrix(spec, args.dim)
     v_matrix = potential_matrix(spec, pot, args.dim, band4=args.band4)

@@ -1,12 +1,13 @@
 """Symmetric real eigensolver: Householder reduction plus implicit-shift QL.
 
-Solves the secular equation |A - eps I| = 0 for dense or banded symmetric
-input without outside linear-algebra routines: reduce to tridiagonal form by
-Householder reflections, then run implicit-shift QL with Wilkinson shifts
-(EISPACK tql2; Bowdler, Martin, Reinsch & Wilkinson 1968, Numer. Math.
-11:293), accumulating the eigenvectors.  A banded matrix whose odd bands are
-all zero, as every Hamiltonian of an even potential is, is solved one parity
-block at a time, so each of its eigenvectors has exact parity.  Output is
+Solves the secular equation |A - eps I| = 0 for a symmetric array without
+outside linear-algebra routines: reduce to tridiagonal form by Householder
+reflections, then run implicit-shift QL with Wilkinson shifts (EISPACK tql2;
+Bowdler, Martin, Reinsch & Wilkinson 1968, Numer. Math. 11:293),
+accumulating the eigenvectors.  A matrix with no entry coupling an even
+index to an odd one, as every Hamiltonian of an even potential is, is solved
+one parity block at a time, read from its zeros, so each of its eigenvectors
+has exact parity; a tridiagonal block skips the reduction.  Output is
 deterministic: eigenvalues ascend and each eigenvector has its
 largest-magnitude component positive.
 """
@@ -48,7 +49,8 @@ class Spectrum:
         if w.size > 1 and np.any(np.diff(w) < -1e-12 * (1.0 + np.abs(w[:-1]))):
             raise ValueError("eigenvalues must ascend")
         gram = v.T @ v
-        if float(np.abs(gram - np.eye(w.size)).max()) > 1e-10:
+        gram.flat[::w.size + 1] -= 1.0
+        if float(np.abs(gram, out=gram).max()) > 1e-10:
             raise ValueError("eigenvectors must be orthonormal within 1e-10")
         residual = float(self.residual_norm)
         if not (math.isfinite(residual) and residual >= 0.0):
@@ -187,9 +189,6 @@ def _finish(a_apply, norm_inf, d, z):
 
 def _dense(a):
     """(eigenvalues, eigenvectors, residual) of the symmetric array a."""
-    n = a.shape[0]
-    if n == 1:
-        return a[0].copy(), np.eye(1), 0.0
     d, e, q = _householder_tridiag(a.copy())
     w, z = _ql_implicit(d, e, q)
     norm_inf = float(np.abs(a).sum(axis=1).max())
@@ -198,9 +197,6 @@ def _dense(a):
 
 def _tridiag(d, e):
     """(eigenvalues, eigenvectors, residual) of the symmetric tridiagonal (d, e)."""
-    n = d.size
-    if n == 1:
-        return d.copy(), np.eye(1), 0.0
 
     def apply(v):
         out = d[:, None] * v
@@ -211,68 +207,28 @@ def _tridiag(d, e):
     row_sums = np.abs(d)
     row_sums[:-1] += np.abs(e)
     row_sums[1:] += np.abs(e)
-    w, z = _ql_implicit(d, e, np.eye(n))
+    w, z = _ql_implicit(d, e, np.eye(d.size))
     return _finish(apply, float(row_sums.max()), w, z)
 
 
-def _parity_blocks(matrix) -> Spectrum:
-    """eigh of a banded matrix whose odd bands are all zero.
-
-    Such a matrix couples index r only to indices of the same parity, so it
-    is block diagonal once the even indices are put before the odd ones.
-    Band j of a block is band 2j of the matrix taken from every second entry;
-    a block of bandwidth one goes straight to QL.  Each block's eigenvectors
-    fill its own rows of the result, exact zeros elsewhere, and the residual
-    is the larger of the two blocks' residuals, which is that of the whole
-    matrix.
-    """
-    from .operators import BandedSymMatrix
-
-    n = matrix.dim
-    values, ranks, vectors, residual = [], [], np.zeros((n, n)), 0.0
-    for p in range(min(n, 2)):
-        size = (n - p + 1) // 2
-        bands = [band[p::2] for band in matrix.bands[::2]][:size]
-        if len(bands) == 1:
-            bands.append(np.zeros(size - 1))
-        if len(bands) == 2:
-            w, v, r = _tridiag(*bands)
-        else:
-            w, v, r = _dense(BandedSymMatrix(size, len(bands) - 1, tuple(bands)).to_dense())
-        columns = slice(n - size, n) if p else slice(0, size)
-        vectors[p::2, columns] = v
-        values.append(w)
-        # by the oscillation theorem even level k is state 2k, odd level k
-        # is state 2k + 1
-        ranks.extend(range(p, 2 * size, 2))
-        residual = max(residual, r)
-    w = np.concatenate(values)
-    # Two adjacent levels of opposite parity no further apart than the
-    # ascent tolerance of Spectrum are put in the oscillation theorem's
-    # order, not in the order rounding gave them.
-    order = np.argsort(w, kind="stable").tolist()
-    levels = w.tolist()
-    for i in range(n - 1):
-        a, b = order[i], order[i + 1]
-        if ranks[a] > ranks[b] and levels[b] - levels[a] <= 1e-12 * (1.0 + abs(levels[b])):
-            order[i], order[i + 1] = b, a
-    return Spectrum(w[order], vectors[:, order], residual)
+def _solve_block(a):
+    """_dense(a), or QL alone when a has nothing past its first off-diagonal."""
+    if np.triu(a, 2).any():
+        return _dense(a)
+    return _tridiag(np.diag(a), np.diag(a, 1))
 
 
 def eigh(matrix) -> Spectrum:
     """Full spectral decomposition of a symmetric matrix.
 
-    Accepts a BandedSymMatrix or any square array-like; symmetry is required
-    up to round-off.  A BandedSymMatrix whose odd bands are all exactly zero
-    is solved by parity blocks and each of its eigenvectors is exactly even
-    or odd in the index.  Deterministic for identical input.
+    Accepts anything numpy converts to a square float array; symmetry is
+    required up to round-off.  A matrix with no entry coupling an even index
+    to an odd one, such as the Hamiltonian of an even potential, is block
+    diagonal once the even indices are put before the odd ones.  Each block
+    is solved on its own, so every eigenvector is exactly even or odd in the
+    index, and the residual is the larger block residual, which is that of
+    the whole matrix.  Deterministic for identical input.
     """
-    from .operators import BandedSymMatrix
-
-    if isinstance(matrix, BandedSymMatrix):
-        if not any(band.any() for band in matrix.bands[1::2]):
-            return _parity_blocks(matrix)
-        return Spectrum(*_dense(matrix.to_dense()))
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
@@ -283,7 +239,32 @@ def eigh(matrix) -> Spectrum:
     scale = float(np.abs(a).max())
     if float(np.abs(a - a.T).max()) > 1e-12 * (1.0 + scale):
         raise ValueError("matrix is not symmetric")
-    return Spectrum(*_dense(0.5 * (a + a.T)))
+    a += a.T
+    a *= 0.5
+    n = a.shape[0]
+    split = not a[0::2, 1::2].any()
+    parts = [slice(p, None, 2) for p in range(min(n, 2))] if split else [slice(None)]
+    rows = [np.arange(n)[part] for part in parts]
+    values, vectors, residuals = zip(*[_solve_block(a[part, part]) for part in parts])
+    del a  # free the full matrix before the n x n merge below
+    w = np.concatenate(values)
+    # by the oscillation theorem level k of a block is state rows[k]
+    ranks = np.concatenate(rows).tolist()
+    # Two adjacent levels of opposite parity no further apart than the
+    # ascent tolerance of Spectrum are put in the oscillation theorem's
+    # order, not in the order rounding gave them.
+    order = np.argsort(w, kind="stable").tolist()
+    levels = w.tolist()
+    for i in range(n - 1):
+        j, k = order[i], order[i + 1]
+        if ranks[j] > ranks[k] and levels[k] - levels[j] <= 1e-12 * (1.0 + abs(levels[k])):
+            order[i], order[i + 1] = k, j
+    columns = np.argsort(order)
+    v = np.zeros((n, n))
+    for r, z in zip(rows, vectors):
+        v[r[:, None], columns[:r.size]] = z
+        columns = columns[r.size:]
+    return Spectrum(w[order], v, max(residuals))
 
 
 def eigh_tridiagonal(diag, offdiag) -> Spectrum:

@@ -215,7 +215,9 @@ def _scan_chunk(constants, config, gap, prev, cur):
 
     The steps run unchecked first, keeping every psi; the chunk is rerun
     step by step with `shoot`'s rescaling if any |psi| in it passed
-    _RESCALE_AT.  Nothing of the chunk outlives the call.
+    _RESCALE_AT.  Nothing of the chunk outlives the call.  One loop that
+    rescales at every step gives the same bits but is slower (20,000 quartic
+    steps: about 0.1 against 0.2 s at 64 energies), so the unchecked pass stays.
     """
     pfac, al = _factors(constants, config, gap)
     block = (al[1:-1], pfac[:-2], pfac[2:])

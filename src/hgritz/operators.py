@@ -210,21 +210,6 @@ class BandedSymMatrix:
             frozen.append(arr)
         object.__setattr__(self, "bands", tuple(frozen))
 
-    @classmethod
-    def from_dense(cls, a, bandwidth: int | None = None) -> "BandedSymMatrix":
-        a = np.asarray(a, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("need a square matrix")
-        n = a.shape[0]
-        if bandwidth is None:
-            bandwidth = 0
-            for k in range(n - 1, 0, -1):
-                if np.any(np.diag(a, k) != 0.0):
-                    bandwidth = k
-                    break
-        bands = tuple(np.diag(a, k).copy() for k in range(bandwidth + 1))
-        return cls(n, bandwidth, bands)
-
     def entry(self, r: int, s: int) -> float:
         k = abs(r - s)
         if k > self.bandwidth:
@@ -232,13 +217,17 @@ class BandedSymMatrix:
         return float(self.bands[k][min(r, s)])
 
     def to_dense(self) -> np.ndarray:
-        a = np.zeros((self.dim, self.dim))
+        n = self.dim
+        a = np.zeros((n, n))
+        flat = a.reshape(-1)
         for k, band in enumerate(self.bands):
-            idx = np.arange(self.dim - k)
-            a[idx, idx + k] = band
-            if k:
-                a[idx + k, idx] = band
+            # band k runs through flat with stride n + 1, from (0, k) and from (k, 0)
+            flat[k:(n - k) * n:n + 1] = band
+            flat[k * n::n + 1] = band
         return a
+
+    def __array__(self, dtype=None, copy=None):
+        return self.to_dense().astype(float if dtype is None else dtype, copy=False)
 
     def __add__(self, other):
         if not isinstance(other, BandedSymMatrix):

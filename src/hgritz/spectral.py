@@ -23,6 +23,9 @@ EVEN = "even"
 ODD = "odd"
 MIXED = "mixed"
 
+#: Tolerance of every check_mhu comparison, relative to 1 + |reference level|.
+MHU_TOL = 1e-10
+
 #: Relative floor under which samples count as boundary tail, not signal.
 DEFAULT_AMPLITUDE_FLOOR = 1e-8
 
@@ -116,7 +119,7 @@ def _scan_check(name, comparisons):
                        f"violated at {where}: slack {slack:.3e} above tolerance")
 
 
-def check_mhu(table: ConvergenceTable, exact=None, *, tol_scale: float = 1e-10) -> MhuReport:
+def check_mhu(table: ConvergenceTable, exact=None) -> MhuReport:
     """Verify upper-bound behaviour of a truncation family.
 
     (a) monotonicity: every level can only come down as the basis grows,
@@ -126,20 +129,20 @@ def check_mhu(table: ConvergenceTable, exact=None, *, tol_scale: float = 1e-10) 
     (c) upper bound, when `exact` energies are supplied:
         eps_i(n) >= E_i - tol for every truncation n.
 
-    Each comparison uses tol = tol_scale * (1 + |reference eigenvalue|).
+    Each comparison uses tol = MHU_TOL * (1 + |reference eigenvalue|).
     """
     pairs = list(zip(table.dims, table.spectra))
 
     def monotone():
         for (dm, em), (dn, en) in zip(pairs, pairs[1:]):
             for i in range(dm):
-                yield en[i] - em[i], tol_scale * (1.0 + abs(em[i])), f"(i={i}, dim={dn})"
+                yield en[i] - em[i], MHU_TOL * (1.0 + abs(em[i])), f"(i={i}, dim={dn})"
 
     def interlace():
         for (dm, em), (dn, en) in zip(pairs, pairs[1:]):
             d = dn - dm
             for i in range(dm):
-                tol = tol_scale * (1.0 + abs(em[i]))
+                tol = MHU_TOL * (1.0 + abs(em[i]))
                 yield en[i] - em[i], tol, f"(i={i}, dim={dn}, lower)"
                 yield em[i] - en[i + d], tol, f"(i={i}, dim={dn}, upper)"
 
@@ -152,7 +155,7 @@ def check_mhu(table: ConvergenceTable, exact=None, *, tol_scale: float = 1e-10) 
         def bound():
             for dn, en in pairs:
                 for i in range(min(ref.size, dn)):
-                    yield ref[i] - en[i], tol_scale * (1.0 + abs(ref[i])), \
+                    yield ref[i] - en[i], MHU_TOL * (1.0 + abs(ref[i])), \
                         f"(i={i}, dim={dn})"
 
         checks.append(_scan_check("upper_bound", bound()))

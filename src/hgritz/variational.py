@@ -29,6 +29,11 @@ _EPS = float(np.finfo(float).eps)
 #: every eigenvalue of the stored matrix by at most the norm of that error.
 _ENTRY_ROUNDING = 4.0
 
+#: minimize_alpha stops once the bracket is narrower than
+#: max(REL_TOL * alpha, WIDTH_FLOOR).
+REL_TOL = 1e-8
+WIDTH_FLOOR = 1e-12
+
 
 @dataclass(frozen=True, eq=False)
 class AlphaScanResult:
@@ -94,16 +99,14 @@ def scan_alpha(pot: PotentialSpec, constants: Constants, dim: int,
 
 
 def minimize_alpha(pot: PotentialSpec, constants: Constants, dim: int,
-                   bracket: tuple[float, float], *, levels: int = 1,
-                   rel_tol: float = 1e-8,
-                   width_floor: float = 1e-12) -> MinimizeResult:
+                   bracket: tuple[float, float], *, levels: int = 1) -> MinimizeResult:
     """Golden-section search for the alpha minimizing the ground eigenvalue.
 
     The objective is the lowest eigenvalue (optionally the sum of the lowest
     `levels`, which is exposed but not the default) and is assumed unimodal
     on the bracket; a monotone objective converges onto an endpoint and is
     flagged as a boundary solution instead of raising.  The bracket shrinks
-    until its width falls below max(rel_tol * alpha, width_floor).
+    until its width falls below max(REL_TOL * alpha, WIDTH_FLOOR).
 
     Two widths are compared by their objective values only where these
     differ by more than the sum of their error bounds.  A computed Ritz level
@@ -153,7 +156,7 @@ def minimize_alpha(pot: PotentialSpec, constants: Constants, dim: int,
     m2 = lo + _INVPHI * (hi - lo)
     f1 = objective(m1)
     f2 = objective(m2)
-    while hi - lo > max(rel_tol * 0.5 * (lo + hi), width_floor):
+    while hi - lo > max(REL_TOL * 0.5 * (lo + hi), WIDTH_FLOOR):
         if below(f1, f2):
             hi, m2, f2 = m2, m1, f1
             m1 = hi - _INVPHI * (hi - lo)
@@ -164,7 +167,7 @@ def minimize_alpha(pot: PotentialSpec, constants: Constants, dim: int,
             f2 = objective(m2)
     alpha_star = 0.5 * (lo + hi)
     energy = float(solve_spectrum(pot, constants, alpha_star, dim).eigenvalues[0])
-    edge = 2.0 * max(rel_tol * alpha_star, width_floor)
+    edge = 2.0 * max(REL_TOL * alpha_star, WIDTH_FLOOR)
     boundary = (alpha_star - lo0) <= edge or (hi0 - alpha_star) <= edge
     return MinimizeResult(alpha_star, energy, boundary)
 

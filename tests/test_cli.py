@@ -11,6 +11,7 @@ import hgritz.basis as basis
 import hgritz.cli as cli
 import hgritz.quadrature as quadrature
 import hgritz.spectral as spectral
+import hgritz.variational as variational
 from hgritz import numerov
 from hgritz import (BasisSpec, ConvergenceTable, PotentialSpec, basis_table,
                     hamiltonian_matrix)
@@ -395,3 +396,26 @@ def test_width_must_be_positive_and_finite(capsys, argv, flag):
         cli.main(argv)
     assert err.value.code == 2
     assert f"{flag} must be positive and finite" in capsys.readouterr().err
+
+
+BAD_DIMS = [
+    (["solve", "--dim", "1025"], "--dim", 1025),
+    (["solve", "--dim", "0"], "--dim", 0),
+    (["scan-alpha", "--dim", "1025", "--alpha-grid", "1"], "--dim", 1025),
+    (["scan-alpha", "--dim", "-2", "--alpha-bracket", "1,2"], "--dim", -2),
+    (["verify-mhu", "--dims", "1024,1025"], "--dims", 1025),
+    (["verify-mhu", "--dims", "0:4:2"], "--dims", 0),
+]
+
+
+@pytest.mark.parametrize("argv,flag,dim", BAD_DIMS, ids=[" ".join(a) for a, _, _ in BAD_DIMS])
+def test_dim_must_lie_within_the_index_cap(capsys, monkeypatch, argv, flag, dim):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran before the usage error")
+
+    monkeypatch.setattr(cli, "solve_spectrum", no_solve)
+    monkeypatch.setattr(variational, "solve_spectrum", no_solve)
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    assert err.value.code == 2
+    assert f"{flag} must lie in [1, {basis.MAX_INDEX}], got {dim}" in capsys.readouterr().err

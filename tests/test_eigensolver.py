@@ -188,7 +188,30 @@ def test_nonzero_odd_band_takes_the_full_path():
     assert np.all(np.abs(v[1::2]).max(axis=0) > 0.0)
 
 
-def test_dense_input_takes_the_full_path():
+def test_dense_hamiltonian_matches_lapack():
     a = hamiltonian_matrix(BasisSpec(1.5), BLOCK_POTENTIALS["quartic"], 30).to_dense()
     res = eigh(a)
     assert_matches_lapack(res, a)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 63, 64, 256])
+@pytest.mark.parametrize("name", list(BLOCK_POTENTIALS))
+def test_banded_and_dense_input_solve_bit_identically(name, dim):
+    h = hamiltonian_matrix(BasisSpec(1.5), BLOCK_POTENTIALS[name], dim)
+    banded, dense = eigh(h), eigh(h.to_dense())
+    np.testing.assert_array_equal(banded.eigenvalues, dense.eigenvalues)
+    np.testing.assert_array_equal(banded.eigenvectors, dense.eigenvectors)
+    assert banded.residual_norm == dense.residual_norm
+
+
+def test_tridiagonal_blocks_skip_the_reduction():
+    # the harmonic parity blocks are tridiagonal, so each goes to QL alone
+    # and gives the bits of eigh_tridiagonal on the same block
+    h = hamiltonian_matrix(BasisSpec(1.5), BLOCK_POTENTIALS["harmonic"], 20)
+    res = eigh(h)
+    for p in (0, 1):
+        block = eigh_tridiagonal(h.bands[0][p::2], h.bands[2][p::2])
+        rows = res.eigenvectors[p::2]
+        cols = np.any(rows != 0.0, axis=0)
+        np.testing.assert_array_equal(res.eigenvalues[cols], block.eigenvalues)
+        np.testing.assert_array_equal(rows[:, cols], block.eigenvectors)

@@ -79,9 +79,8 @@ class TestBandedSymMatrix:
         h = hamiltonian_matrix(BasisSpec(1.7), QUART, 9)
         dense = h.to_dense()
         assert np.abs(dense - dense.T).max() == 0.0
-        back = BandedSymMatrix.from_dense(dense, h.bandwidth)
         for k in range(h.bandwidth + 1):
-            np.testing.assert_array_equal(back.bands[k], h.bands[k])
+            np.testing.assert_array_equal(np.diag(dense, k), h.bands[k])
 
     def test_entry_accessor(self):
         h = hamiltonian_matrix(SPEC1, QUART, 8)
