@@ -285,8 +285,12 @@ def eigenvalue(pot: PotentialSpec, constants: Constants,
                config: ShootingConfig) -> float:
     """Bisect the energy bracket on the sign of psi(x_max) to width 1e-10."""
     lo, hi = config.energy_bracket
-    flo = shoot(pot, constants, config, lo)
-    fhi = shoot(pot, constants, config, hi)
+    return _bisect(pot, constants, config, lo, hi,
+                   shoot(pot, constants, config, lo), shoot(pot, constants, config, hi))
+
+
+def _bisect(pot, constants, config, lo, hi, flo, fhi):
+    """`eigenvalue` on (lo, hi), given psi(x_max) at both ends as flo and fhi."""
     if flo == 0.0:
         return lo
     if fhi == 0.0:
@@ -326,9 +330,10 @@ def spectrum_below(pot: PotentialSpec, constants: Constants,
 
     The energy axis is scanned for sign changes of psi(x_max) in each
     channel, both channels in one `shoot_scan`, and every bracket is refined
-    by bisection.  Each refined state is cross-checked against its expected
-    node count; a mismatch means two eigenvalues shared one scan cell, which
-    is reported instead of silently dropping a level.
+    by bisection, starting from the scan's psi(x_max) at its ends.  Each
+    refined state is cross-checked against its expected node count; a
+    mismatch means two eigenvalues shared one scan cell, which is reported
+    instead of silently dropping a level.
     """
     e_cap = float(e_cap)
     v_min = pot.minimum(mass=constants.mass)
@@ -338,6 +343,7 @@ def spectrum_below(pot: PotentialSpec, constants: Constants,
     if scan_points is None:
         scan_points = max(64, int(8.0 * (e_cap - v_min)))
     energies = np.linspace(start, e_cap, scan_points)
+    grid = energies.tolist()
     found = []
     for parity, values in zip((EVEN, ODD), shoot_scan(pot, constants, config, energies).tolist()):
         cfg = replace(config, parity=parity)
@@ -345,8 +351,8 @@ def spectrum_below(pot: PotentialSpec, constants: Constants,
         for k in range(len(values) - 1):
             if math.copysign(1.0, values[k]) == math.copysign(1.0, values[k + 1]):
                 continue
-            refine = replace(cfg, energy_bracket=(float(energies[k]), float(energies[k + 1])))
-            e_found = eigenvalue(pot, constants, refine)
+            e_found = _bisect(pot, constants, cfg, grid[k], grid[k + 1],
+                              values[k], values[k + 1])
             nodes = _trajectory_nodes(pot, constants, cfg, e_found)
             if nodes != channel_index:
                 raise ScanResolutionError(

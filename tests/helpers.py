@@ -10,7 +10,9 @@ and quartic potential matrices come from their hand-derived closed forms, and
 exact potential matrix entries come from the x ladder composed in 40-digit
 decimal arithmetic, as do reference basis tables past the point where
 exp(-alpha x^2 / 2) underflows.  The per-element quadrature oracle is also
-written out here as two `inner_product` calls on the scalar evaluators.
+written out here as two `inner_product` calls on the scalar evaluators, and
+implicit-shift QL as the textbook loop that rotates two rows of z^T after
+every rotation.
 """
 
 import decimal
@@ -18,9 +20,10 @@ import math
 
 import numpy as np
 
-from hgritz import (basis_derivative, basis_value, gauss_hermite_rule,
-                    inner_product)
+from hgritz import (ConvergenceError, basis_derivative, basis_value,
+                    gauss_hermite_rule, inner_product)
 from hgritz.basis import check_index
+from hgritz.eigensolver import _EPS, _MAX_SWEEPS
 
 #: Cap for the unnormalized Hermite path (textbook-value range): H_s and
 #: 2^s s! blow up long before phi_s does.
@@ -271,3 +274,66 @@ def basis_table_decimal(alpha, rmax, x, digits=40):
                                          roots[k + 1])
             out[k + 1, j] = float(cur)
     return out
+
+
+def ql_rotation_by_rotation(d, e, z):
+    """Implicit-shift QL on tridiagonal (d, e), rotating z^T after every rotation.
+
+    Same contract as `hgritz.eigensolver._ql_implicit`: (unsorted
+    eigenvalues, rotated copy of z), inputs unmodified.  Each rotation
+    updates rows i, i + 1 of z^T in place before the recurrence moves on.
+    """
+    n = len(d)
+    d = d.tolist()
+    e = e.tolist() + [0.0]
+    zt = z.T.copy()
+    for l in range(n):
+        sweeps = 0
+        while True:
+            for m in range(l, n - 1):
+                dd = abs(d[m]) + abs(d[m + 1])
+                if abs(e[m]) <= _EPS * dd:
+                    break
+            else:
+                m = n - 1
+            if m == l:
+                break
+            sweeps += 1
+            if sweeps > _MAX_SWEEPS:
+                raise ConvergenceError("QL sweep budget exhausted", dim=n, index=l)
+            g = (d[l + 1] - d[l]) / (2.0 * e[l])
+            r = math.hypot(g, 1.0)
+            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
+            s = c = 1.0
+            p = 0.0
+            underflow = False
+            for i in range(m - 1, l - 1, -1):
+                f = s * e[i]
+                b = c * e[i]
+                r = math.hypot(f, g)
+                e[i + 1] = r
+                if r == 0.0:
+                    d[i + 1] -= p
+                    e[m] = 0.0
+                    underflow = True
+                    break
+                s = f / r
+                c = g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2.0 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+                # rows i, i + 1 <- c z_i - s z_j, s z_i + c z_j, in place
+                zi, zj = zt[i], zt[i + 1]
+                sj = s * zj
+                zj *= c
+                zj += s * zi
+                zi *= c
+                zi -= sj
+            if underflow:
+                continue
+            d[l] -= p
+            e[l] = g
+            e[m] = 0.0
+    return np.array(d), zt.T

@@ -166,8 +166,9 @@ class TestSolve:
         assert passes == [65]
 
     def test_numerov_scan_makes_no_scalar_shoot(self, capsys, monkeypatch):
-        # the scan runs batched; scalar shoots come only from the bisection
-        # (endpoints and midpoints) and the node-count trajectories
+        # the scan runs batched and hands each bracket psi(x_max) at its
+        # ends; scalar shoots come only from bisection midpoints and the
+        # node-count trajectories
         callers = []
         shoot = numerov.shoot
 
@@ -181,8 +182,8 @@ class TestSolve:
                                       "--exact-levels", "3", "--numerov-steps", "2000"])
         assert code == 0
         assert callers.count("_trajectory_nodes") == 3
-        assert callers.count("eigenvalue") > 3 * 2
-        assert set(callers) == {"eigenvalue", "_trajectory_nodes"}
+        assert callers.count("_bisect") > 3 * 2
+        assert set(callers) == {"_bisect", "_trajectory_nodes"}
 
     def test_json_schema_and_determinism(self, capsys):
         argv = ["solve", "--alpha", "exact-diagonal", "--dim", "4", "--format", "json"]

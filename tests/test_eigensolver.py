@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from helpers import charpoly_eigenvalues
+from helpers import charpoly_eigenvalues, ql_rotation_by_rotation
 
-from hgritz import (BandedSymMatrix, BasisSpec, PotentialSpec, eigh, eigh_tridiagonal,
-                    hamiltonian_matrix)
+from hgritz import (BandedSymMatrix, BasisSpec, ConvergenceError, PotentialSpec, eigh,
+                    eigh_tridiagonal, hamiltonian_matrix)
+from hgritz import eigensolver
 
 
 def test_two_by_two_closed_form():
@@ -215,3 +216,91 @@ def test_tridiagonal_blocks_skip_the_reduction():
         cols = np.any(rows != 0.0, axis=0)
         np.testing.assert_array_equal(res.eigenvalues[cols], block.eigenvalues)
         np.testing.assert_array_equal(rows[:, cols], block.eigenvectors)
+
+
+# -- QL rotations applied in waves --------------------------------------------
+
+
+def ql_inputs(a):
+    """(d, e, z) that eigh hands QL for the symmetric block a."""
+    if np.triu(a, 2).any():
+        return eigensolver._householder_tridiag(a.copy())
+    return np.diag(a).copy(), np.diag(a, 1).copy(), np.eye(a.shape[0])
+
+
+def assert_ql_matches_oracle(d, e, z):
+    d0, e0 = d.copy(), e.copy()
+    want_w, want_z = ql_rotation_by_rotation(d, e, z)
+    got_w, got_z = eigensolver._ql_implicit(d, e, z)
+    np.testing.assert_array_equal(d, d0)
+    np.testing.assert_array_equal(e, e0)
+    assert got_w.tobytes() == want_w.tobytes()
+    assert got_z.tobytes() == want_z.tobytes()
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5, 16, 64, 129, 256])
+@pytest.mark.parametrize("name", list(BLOCK_POTENTIALS))
+def test_wave_rotations_match_rotation_by_rotation_on_family_blocks(name, dim):
+    a = hamiltonian_matrix(BasisSpec(1.5), BLOCK_POTENTIALS[name], dim).to_dense()
+    for p in range(2):
+        assert_ql_matches_oracle(*ql_inputs(a[p::2, p::2]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 40, 100])
+def test_wave_rotations_match_rotation_by_rotation_on_random_dense(n):
+    a = np.random.default_rng(2017 + n).standard_normal((n, n))
+    assert_ql_matches_oracle(*ql_inputs(a + a.T))
+
+
+def test_wave_rotations_on_diagonal_and_split_tridiagonals():
+    rng = np.random.default_rng(11)
+    d = rng.standard_normal(30)
+    # diagonal: no rotation at all
+    assert_ql_matches_oracle(d, np.zeros(29), np.eye(30))
+    # exact zeros in e split T, so sweeps stop short of the last row
+    e = rng.standard_normal(29)
+    e[[0, 5, 17, 28]] = 0.0
+    assert_ql_matches_oracle(d, e, np.eye(30))
+    assert_ql_matches_oracle(d, e, np.linalg.qr(rng.standard_normal((30, 30)))[0])
+
+
+def test_wave_rotations_through_the_underflow_branch():
+    # subnormal entries drive hypot(f, g) to 0 mid-sweep, which ends the
+    # sweep early; the record then holds a partial sweep
+    d = np.array([1e-323, 5e-324, -5e-324, 1e-323, -5e-324, 1e-323])
+    e = np.array([1e-323, 1e-323, -5e-324, 2e-323, 5e-324])
+    assert_ql_matches_oracle(d, e, np.eye(6))
+    assert_ql_matches_oracle(np.array([5e-324, 5e-324, 0.0, 0.0]),
+                             np.array([5e-324, 5e-324, 1e-323]), np.eye(4))
+
+
+def test_wave_rotations_on_hermite_jacobi_matrix():
+    # the Jacobi matrix gauss_hermite_rule solves for oracle-compare at dim 64
+    order = 134
+    assert_ql_matches_oracle(np.zeros(order), np.sqrt(np.arange(1, order) / 2.0),
+                             np.eye(order))
+
+
+def test_wave_rotations_flushing_after_every_sweep(monkeypatch):
+    # a record of one rotation per row is applied after nearly every sweep
+    monkeypatch.setattr(eigensolver, "_RECORD_PER_ROW", 1)
+    a = hamiltonian_matrix(BasisSpec(1.5), BLOCK_POTENTIALS["double_well"], 80).to_dense()
+    assert_ql_matches_oracle(*ql_inputs(a[0::2, 0::2]))
+
+
+def test_exhausted_sweep_budget_raises_with_dim_and_index(monkeypatch):
+    # e[0] = 0 deflates level 0 at once, so the first sweep is at index 1
+    monkeypatch.setattr(eigensolver, "_MAX_SWEEPS", 0)
+    with pytest.raises(ConvergenceError) as err:
+        eigh_tridiagonal([1.0, 2.0, 3.0, 4.0], [0.0, 1.0, 1.0])
+    assert (err.value.dim, err.value.index) == (4, 1)
+
+
+def test_spectrum_checks_orthonormality_past_one_strip():
+    n = eigensolver._GRAM_STRIP + 5
+    q = np.linalg.qr(np.random.default_rng(4).standard_normal((n, n)))[0]
+    assert eigensolver.Spectrum(np.arange(n, dtype=float), q).dim == n
+    # break orthogonality between a column of the second strip and one of the first
+    q[:, n - 1] += 1e-6 * q[:, 0]
+    with pytest.raises(ValueError, match="orthonormal"):
+        eigensolver.Spectrum(np.arange(n, dtype=float), q)

@@ -282,6 +282,13 @@ class TestSpectrum:
             Spectrum(np.array([2.0, 1.0]), np.eye(2))
         with pytest.raises(ValueError):
             Spectrum(np.array([1.0, 2.0]), np.array([[1.0, 1.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError):
+            Spectrum(np.array([], dtype=float), np.zeros((0, 0)))
+        # NaN passes every comparison-based check, so it is rejected by name
+        with pytest.raises(ValueError, match="finite"):
+            Spectrum(np.array([1.0, 2.0]), np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="finite"):
+            Spectrum(np.array([np.nan, 2.0]), np.eye(2))
         s = Spectrum(np.array([1.0, 2.0]), np.eye(2))
         assert s.dim == 2
 

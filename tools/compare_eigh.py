@@ -3,10 +3,11 @@
     python tools/compare_eigh.py OLD_SRC NEW_SRC
 
 Each tree (a directory holding the hgritz package) is imported in its own
-subprocess and solves the same sweep: 300 Hamiltonians of five potential
+subprocess and solves the same sweep: 345 Hamiltonians of five potential
 families (harmonic, quartic, quartic and sextic single wells, double wells)
-at dims 1 to 100 and several widths, given as BandedSymMatrix, plus five
-random dense symmetric matrices.  The eigenvalues, eigenvectors and
+at dims 1 to 256 and several widths, given as BandedSymMatrix, five random
+dense symmetric matrices, and eigh_tridiagonal on the Hermite Jacobi
+matrices that gauss_hermite_rule solves.  The eigenvalues, eigenvectors and
 residual_norm of every solve are compared bit for bit; the exit code is 0
 exactly when all of them agree.
 """
@@ -26,12 +27,15 @@ FAMILIES = {
     "sextic_well": lambda k: ("even_polynomial", (0.0, 0.5, 0.1 * k, 0.05 * (k + 1))),
     "double_well": lambda k: ("even_polynomial", (0.0, -2.0 * (k + 1), 0.5)),
 }
-DIMS = (1, 2, 3, 4, 5, 7, 8, 13, 16, 21, 30, 31, 32, 47, 50, 63, 64, 77, 90, 100)
+DIMS = (1, 2, 3, 4, 5, 7, 8, 13, 16, 21, 30, 31, 32, 47, 50, 63, 64, 77, 90, 100,
+        128, 200, 256)
+#: Hermite Jacobi orders: 134 is oracle-compare's at dim 64, 370 the largest rule.
+JACOBI_ORDERS = (2, 3, 8, 21, 64, 134, 200, 370)
 ALPHAS = (0.7, 1.5, 2.5)
 
 
 def cases():
-    """(label, kind, parameter, alpha, dim): 5 families x 20 dims x 3 widths."""
+    """(label, kind, parameter, alpha, dim): 5 families x 23 dims x 3 widths."""
     for name, param in FAMILIES.items():
         for i, dim in enumerate(DIMS):
             for j, alpha in enumerate(ALPHAS):
@@ -41,7 +45,7 @@ def cases():
 
 def _solve_all(src):
     sys.path.insert(0, src)
-    from hgritz import BasisSpec, PotentialSpec, eigh, hamiltonian_matrix
+    from hgritz import BasisSpec, PotentialSpec, eigh, eigh_tridiagonal, hamiltonian_matrix
 
     out = []
     for label, kind, value, alpha, dim in cases():
@@ -56,6 +60,10 @@ def _solve_all(src):
     for n in (1, 2, 9, 40, 100):
         a = rng.standard_normal((n, n))
         out.append((f"random dense dim={n}", eigh(a + a.T)))
+    for order in JACOBI_ORDERS:
+        offdiag = np.sqrt(np.arange(1, order) / 2.0)
+        out.append((f"hermite jacobi order={order}",
+                    eigh_tridiagonal(np.zeros(order), offdiag)))
     return [(label, s.eigenvalues, s.eigenvectors, s.residual_norm) for label, s in out]
 
 
