@@ -55,10 +55,6 @@ class BasisSpec:
             _require_positive(name, getattr(self, name))
             object.__setattr__(self, name, float(getattr(self, name)))
 
-    @property
-    def constants(self) -> Constants:
-        return Constants(self.hbar, self.mass)
-
 
 def _require_positive(name, value):
     if isinstance(value, bool) or not isinstance(value, (int, float, np.floating, np.integer)):

@@ -149,23 +149,23 @@ def _rotate_waves(zt, tops, counts, cs):
         pairs += swapped
 
 
-def _ql_implicit(d, e, z):
+def _ql_implicit(d, e, z=None):
     """Implicit-shift QL on tridiagonal (d, e); return (eigenvalues, rotated z).
 
     d has length n and e length n - 1, e[i] coupling d[i] and d[i + 1];
-    neither is modified.  The eigenvalues come back unsorted, and column j of
-    the rotated copy of z belongs to eigenvalue j.  The scalar recurrence
-    runs on Python floats and never reads z, so it only records each
-    rotation's cosine and sine; the record is applied to z^T in dependency
-    waves (`_rotate_waves`) whenever it holds _RECORD_PER_ROW n rotations,
-    and once more at the end.  The result is bitwise that of rotating two
-    rows of z^T after every rotation, in a few numpy calls per wave instead
-    of five per rotation.
+    neither is modified.  z defaults to the identity, built in place of a
+    copy.  The eigenvalues come back unsorted, and column j of the rotated
+    copy of z belongs to eigenvalue j.  The scalar recurrence runs on Python
+    floats and never reads z, so it only records each rotation's cosine and
+    sine; the record is applied to z^T in dependency waves (`_rotate_waves`)
+    whenever it holds _RECORD_PER_ROW n rotations, and once more at the end.
+    The result is bitwise that of rotating two rows of z^T after every
+    rotation, in a few numpy calls per wave instead of five per rotation.
     """
     n = len(d)
     d = d.tolist()
     e = e.tolist() + [0.0]
-    zt = z.T.copy()
+    zt = np.eye(n) if z is None else z.T.copy()
     tops, counts, cs = [], [], array("d")
     for l in range(n):
         sweeps = 0
@@ -235,11 +235,15 @@ def _fix_signs(v):
 
 
 def _finish(a_apply, norm_inf, d, z):
-    """Sorted (eigenvalues, eigenvectors, residual) of one QL solve, residual-checked."""
+    """Sorted (eigenvalues, eigenvectors, residual) of one QL solve, residual-checked.
+
+    The columns of z are sorted in place, so no second n x n copy is live.
+    """
     n = d.size
     order = np.argsort(d, kind="stable")
     w = d[order]
-    v = _fix_signs(z[:, order])
+    z[:] = z[:, order]
+    v = _fix_signs(z)
     resid = a_apply(v) - v * w
     residual = float(np.sqrt((resid * resid).sum(axis=0)).max())
     if residual > 1e-10 * (1.0 + norm_inf):
@@ -268,7 +272,7 @@ def _tridiag(d, e):
     row_sums = np.abs(d)
     row_sums[:-1] += np.abs(e)
     row_sums[1:] += np.abs(e)
-    w, z = _ql_implicit(d, e, np.eye(d.size))
+    w, z = _ql_implicit(d, e)
     return _finish(apply, float(row_sums.max()), w, z)
 
 
@@ -327,16 +331,3 @@ def eigh(matrix) -> Spectrum:
         columns = columns[r.size:]
     return Spectrum(w[order], v, max(residuals))
 
-
-def eigh_tridiagonal(diag, offdiag) -> Spectrum:
-    """Spectral decomposition of a symmetric tridiagonal matrix.
-
-    Fast path shared with the quadrature module; same contract as eigh.
-    """
-    d = np.array(diag, dtype=float)
-    e = np.array(offdiag, dtype=float)
-    if d.ndim != 1 or e.ndim != 1 or d.size < 1 or e.size != d.size - 1:
-        raise ValueError("need len(offdiag) == len(diag) - 1 >= 0")
-    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
-        raise ValueError("matrix entries must be finite")
-    return Spectrum(*_tridiag(d, e))

@@ -21,17 +21,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import Constants
 from .errors import BracketingError, ScanResolutionError
 from .operators import PotentialSpec
-from .spectral import count_nodes
-
-EVEN = "even"
-ODD = "odd"
+from .spectral import EVEN, ODD, count_nodes
 
 #: Default number of grid intervals.  Here the recurrence's rounding, not the
 #: h^4 truncation, sets the error: about 1.4e-10 on the quartic ground level
@@ -57,12 +54,10 @@ _MIN_EFOLDS = 5.0
 
 @dataclass(frozen=True)
 class ShootingConfig:
-    """Half-line integration domain, step count, energy bracket and parity."""
+    """Numerov grid: the half-line [0, x_max] in `steps` equal intervals."""
 
     x_max: float
     steps: int
-    energy_bracket: tuple[float, float]
-    parity: str
 
     def __post_init__(self):
         if not (math.isfinite(self.x_max) and self.x_max > 0.0):
@@ -70,14 +65,8 @@ class ShootingConfig:
         if not MIN_STEPS <= self.steps <= MAX_STEPS:
             raise ValueError(
                 f"steps must lie in [{MIN_STEPS}, {MAX_STEPS}], got {self.steps!r}")
-        lo, hi = self.energy_bracket
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise ValueError(f"energy bracket must satisfy lo < hi, got {self.energy_bracket!r}")
-        if self.parity not in (EVEN, ODD):
-            raise ValueError(f"parity must be 'even' or 'odd', got {self.parity!r}")
         object.__setattr__(self, "x_max", float(self.x_max))
         object.__setattr__(self, "steps", int(self.steps))
-        object.__setattr__(self, "energy_bracket", (float(lo), float(hi)))
 
 
 def decay_length(pot: PotentialSpec, constants: Constants, energy: float) -> float:
@@ -88,16 +77,25 @@ def decay_length(pot: PotentialSpec, constants: Constants, energy: float) -> flo
     return (constants.hbar**2 / (2.0 * constants.mass * slope)) ** (1.0 / 3.0)
 
 
+def _scan_start(pot, constants):
+    """Lowest energy a spectrum scan looks at: just above min V."""
+    v_min = pot.minimum(mass=constants.mass)
+    return v_min + 1e-6 * (1.0 + abs(v_min))
+
+
 def default_config(pot: PotentialSpec, constants: Constants, e_hi: float,
-                   parity: str = EVEN, steps: int = DEFAULT_STEPS,
-                   bracket: tuple[float, float] | None = None) -> ShootingConfig:
-    """Domain sized for energies up to e_hi: turning point + 8 decay lengths."""
+                   steps: int = DEFAULT_STEPS) -> ShootingConfig:
+    """Domain sized for energies up to e_hi: turning point + 8 decay lengths.
+
+    e_hi must lie above the scan start of `spectrum_below`, just above min V;
+    below it there is no level to find.
+    """
+    start = _scan_start(pot, constants)
+    if not float(e_hi) > start:
+        raise ValueError(f"e_hi = {e_hi!r} must lie above the scan start {start!r}")
     x_t = pot.turning_point(e_hi, mass=constants.mass)
     x_max = x_t + 8.0 * decay_length(pot, constants, e_hi)
-    if bracket is None:
-        v_min = pot.minimum(mass=constants.mass)
-        bracket = (v_min + 1e-6 * (1.0 + abs(v_min)), float(e_hi))
-    return ShootingConfig(x_max, steps, bracket, parity)
+    return ShootingConfig(x_max, steps)
 
 
 def _wkb_efolds(pot, constants, energy, x_from, x_to, points=64):
@@ -175,8 +173,8 @@ def _seed(pot, constants, config, v0, energy, parity):
 
 
 def shoot(pot: PotentialSpec, constants: Constants, config: ShootingConfig,
-          energy: float, *, return_trajectory: bool = False):
-    """Integrate outward from x = 0 and return psi(x_max).
+          energy: float, parity: str, *, return_trajectory: bool = False):
+    """Integrate outward from x = 0 in the given parity channel; return psi(x_max).
 
     Even channel starts psi(0) = 1, psi'(0) = 0; odd starts psi(0) = 0,
     psi'(0) = 1; the first step comes from the parity-adapted Taylor
@@ -185,10 +183,12 @@ def shoot(pot: PotentialSpec, constants: Constants, config: ShootingConfig,
     rescaled internally when they threaten overflow (sign is preserved, so
     bracketing is unaffected).
     """
+    if parity not in (EVEN, ODD):
+        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
     energy = float(energy)
     _check_domain(pot, constants, config, energy)
     v0, al, pl = _step_lists(pot, constants, config, energy)
-    prev, cur = _seed(pot, constants, config, v0, energy, config.parity)
+    prev, cur = _seed(pot, constants, config, v0, energy, parity)
     # step i uses 12 - 10 P_i, P_{i-1} and P_{i+1}, for i = 1 .. steps - 1
     steps = zip(itertools.islice(al, 1, None), pl, itertools.islice(pl, 2, None))
     if return_trajectory:
@@ -254,11 +254,11 @@ def shoot_scan(pot: PotentialSpec, constants: Constants, config: ShootingConfig,
     """psi(x_max) at every energy in both parity channels, shape (2, len(energies)).
 
     Row 0 is the even channel and row 1 the odd one; entry [p, j] is bitwise
-    `shoot` at energies[j] with that parity (config.parity is ignored).  All
-    energies of both channels step together through one recurrence, since
-    they share every coefficient and differ only in the seed.  Coefficients
-    are formed _CHUNK steps at a time (`_scan_chunk`), so the working set
-    is O(_CHUNK x energies) at any step count.
+    `shoot` at energies[j] with that parity.  All energies of both channels
+    step together through one recurrence, since they share every coefficient
+    and differ only in the seed.  Coefficients are formed _CHUNK steps at a
+    time (`_scan_chunk`), so the working set is O(_CHUNK x energies) at any
+    step count.
     """
     energies = np.asarray(energies, dtype=float)
     for e in energies.tolist():
@@ -281,15 +281,21 @@ def shoot_scan(pot: PotentialSpec, constants: Constants, config: ShootingConfig,
     return cur.reshape(2, energies.size)
 
 
-def eigenvalue(pot: PotentialSpec, constants: Constants,
-               config: ShootingConfig) -> float:
-    """Bisect the energy bracket on the sign of psi(x_max) to width 1e-10."""
-    lo, hi = config.energy_bracket
-    return _bisect(pot, constants, config, lo, hi,
-                   shoot(pot, constants, config, lo), shoot(pot, constants, config, hi))
+def eigenvalue(pot: PotentialSpec, constants: Constants, config: ShootingConfig,
+               bracket: tuple[float, float], parity: str) -> float:
+    """Bisect bracket = (lo, hi) on the sign of psi(x_max) to width 1e-10.
+
+    lo and hi must be finite with lo < hi, and parity "even" or "odd".
+    """
+    lo, hi = (float(end) for end in bracket)
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"energy bracket must satisfy lo < hi, got {bracket!r}")
+    return _bisect(pot, constants, config, parity, lo, hi,
+                   shoot(pot, constants, config, lo, parity),
+                   shoot(pot, constants, config, hi, parity))
 
 
-def _bisect(pot, constants, config, lo, hi, flo, fhi):
+def _bisect(pot, constants, config, parity, lo, hi, flo, fhi):
     """`eigenvalue` on (lo, hi), given psi(x_max) at both ends as flo and fhi."""
     if flo == 0.0:
         return lo
@@ -298,10 +304,10 @@ def _bisect(pot, constants, config, lo, hi, flo, fhi):
     if math.copysign(1.0, flo) == math.copysign(1.0, fhi):
         raise BracketingError(
             f"psi(x_max) has the same sign at both bracket ends "
-            f"({lo:.6g}, {hi:.6g}) in the {config.parity} channel")
+            f"({lo:.6g}, {hi:.6g}) in the {parity} channel")
     while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
-        fm = shoot(pot, constants, config, mid)
+        fm = shoot(pot, constants, config, mid, parity)
         if fm == 0.0:
             return mid
         if math.copysign(1.0, fm) == math.copysign(1.0, flo):
@@ -311,9 +317,9 @@ def _bisect(pot, constants, config, lo, hi, flo, fhi):
     return 0.5 * (lo + hi)
 
 
-def _trajectory_nodes(pot, constants, config, energy):
+def _trajectory_nodes(pot, constants, config, energy, parity):
     """Certified node count of the refined state on (0, x_t + 2 ell]."""
-    _, traj = shoot(pot, constants, config, energy, return_trajectory=True)
+    _, traj = shoot(pot, constants, config, energy, parity, return_trajectory=True)
     h = config.x_max / config.steps
     x_t = pot.turning_point(energy, mass=constants.mass)
     cut = min(config.x_max, x_t + 2.0 * decay_length(pot, constants, energy))
@@ -337,7 +343,7 @@ def spectrum_below(pot: PotentialSpec, constants: Constants,
     """
     e_cap = float(e_cap)
     v_min = pot.minimum(mass=constants.mass)
-    start = v_min + 1e-6 * (1.0 + abs(v_min))
+    start = _scan_start(pot, constants)
     if e_cap <= start:
         return np.array([])
     if scan_points is None:
@@ -346,14 +352,13 @@ def spectrum_below(pot: PotentialSpec, constants: Constants,
     grid = energies.tolist()
     found = []
     for parity, values in zip((EVEN, ODD), shoot_scan(pot, constants, config, energies).tolist()):
-        cfg = replace(config, parity=parity)
         channel_index = 0
         for k in range(len(values) - 1):
             if math.copysign(1.0, values[k]) == math.copysign(1.0, values[k + 1]):
                 continue
-            e_found = _bisect(pot, constants, cfg, grid[k], grid[k + 1],
+            e_found = _bisect(pot, constants, config, parity, grid[k], grid[k + 1],
                               values[k], values[k + 1])
-            nodes = _trajectory_nodes(pot, constants, cfg, e_found)
+            nodes = _trajectory_nodes(pot, constants, config, e_found, parity)
             if nodes != channel_index:
                 raise ScanResolutionError(
                     f"{parity} channel state {channel_index} at E = {e_found:.8g} "

@@ -210,12 +210,6 @@ class BandedSymMatrix:
             frozen.append(arr)
         object.__setattr__(self, "bands", tuple(frozen))
 
-    def entry(self, r: int, s: int) -> float:
-        k = abs(r - s)
-        if k > self.bandwidth:
-            return 0.0
-        return float(self.bands[k][min(r, s)])
-
     def to_dense(self) -> np.ndarray:
         n = self.dim
         a = np.zeros((n, n))

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisSpec, _phi_neighbours, check_index
-from .eigensolver import eigh_tridiagonal
+from .eigensolver import eigh
 from .errors import QuadratureError
-from .operators import PotentialSpec
+from .operators import BandedSymMatrix, PotentialSpec
 
 #: Largest order whose weights are all normal doubles.  The smallest weight
 #: falls below the smallest normal double (2.2e-308) from order 371 and is
@@ -66,7 +66,8 @@ def gauss_hermite_rule(order: int) -> QuadratureRule:
     """Order-K rule from the Jacobi matrix of the Hermite recurrence.
 
     Nodes are the Jacobi eigenvalues; weights are sqrt(pi) times the squared
-    first components of the eigenvectors.  Exact symmetry about 0 is restored
+    first components of the eigenvectors.  `eigh` finds the matrix
+    tridiagonal and runs QL on it alone.  Exact symmetry about 0 is restored
     after the solve (the matrix is symmetric under index reversal with sign).
     """
     if isinstance(order, bool) or not isinstance(order, (int, np.integer)):
@@ -77,7 +78,7 @@ def gauss_hermite_rule(order: int) -> QuadratureRule:
     if order == 1:
         return QuadratureRule(np.zeros(1), np.array([math.sqrt(math.pi)]), 1)
     offdiag = np.sqrt(np.arange(1, order) / 2.0)
-    result = eigh_tridiagonal(np.zeros(order), offdiag)
+    result = eigh(BandedSymMatrix(order, 1, (np.zeros(order), offdiag)))
     nodes = result.eigenvalues.copy()
     weights = math.sqrt(math.pi) * result.eigenvectors[0, :] ** 2
     nodes = 0.5 * (nodes - nodes[::-1])

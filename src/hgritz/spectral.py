@@ -32,6 +32,10 @@ DEFAULT_AMPLITUDE_FLOOR = 1e-8
 #: Grid used for node certification (see default_node_grid).
 NODE_GRID_POINTS = 2001
 
+#: Largest opposite-parity coefficient of an even or odd vector, relative to
+#: its norm (see parity_classify).
+PARITY_TOL = 1e-10
+
 #: Points of the shared half-line grid that node_counts evaluates at a time;
 #: its working set is about (dim + states) x NODE_CHUNK floats.
 NODE_CHUNK = 512
@@ -43,8 +47,6 @@ class ConvergenceTable:
 
     dims: tuple[int, ...]
     spectra: tuple[np.ndarray, ...]
-    alpha: float
-    potential: PotentialSpec
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.dims)
@@ -65,7 +67,6 @@ class ConvergenceTable:
             spectra.append(arr)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "spectra", tuple(spectra))
-        object.__setattr__(self, "alpha", float(self.alpha))
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,11 +198,11 @@ def reconstruct(spec: BasisSpec, coeffs, grid,
     return WavefunctionSamples(g, values, count_nodes(values, amplitude_floor))
 
 
-def parity_classify(coeffs, tol: float = 1e-10) -> str:
+def parity_classify(coeffs) -> str:
     """Classify a coefficient vector as "even", "odd" or "mixed".
 
     Even (odd) means every odd-index (even-index) coefficient is at most
-    tol * ||c||.  The zero vector carries no parity.
+    PARITY_TOL * ||c||.  The zero vector carries no parity.
     """
     c = np.asarray(coeffs, dtype=float)
     norm = float(np.linalg.norm(c))
@@ -209,16 +210,15 @@ def parity_classify(coeffs, tol: float = 1e-10) -> str:
         raise DegenerateInputError("zero vector has no parity")
     odd_part = float(np.abs(c[1::2]).max()) if c.size > 1 else 0.0
     even_part = float(np.abs(c[0::2]).max())
-    if odd_part <= tol * norm:
+    if odd_part <= PARITY_TOL * norm:
         return EVEN
-    if even_part <= tol * norm:
+    if even_part <= PARITY_TOL * norm:
         return ODD
     return MIXED
 
 
-def default_node_grid(spec: BasisSpec, pot: PotentialSpec, energy: float,
-                      points: int = NODE_GRID_POINTS) -> np.ndarray:
-    """Uniform grid over |x| <= x_turn + 5/sqrt(alpha).
+def default_node_grid(spec: BasisSpec, pot: PotentialSpec, energy: float) -> np.ndarray:
+    """Uniform grid of NODE_GRID_POINTS points over |x| <= x_turn + 5/sqrt(alpha).
 
     A bound state has no node past its outer turning point x_turn (see
     node_counts), so the grid covers every node, with a five-decay-length
@@ -226,7 +226,7 @@ def default_node_grid(spec: BasisSpec, pot: PotentialSpec, energy: float,
     """
     x_turn = pot.turning_point(energy, mass=spec.mass)
     half = x_turn + 5.0 / math.sqrt(spec.alpha)
-    return np.linspace(-half, half, points)
+    return np.linspace(-half, half, NODE_GRID_POINTS)
 
 
 def _half_line_grid(spec: BasisSpec, turns: np.ndarray) -> np.ndarray:

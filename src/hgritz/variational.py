@@ -177,4 +177,4 @@ def convergence_table(pot: PotentialSpec, constants: Constants, alpha: float,
     """Spectra at fixed alpha across truncation sizes, ready for check_mhu."""
     dims = tuple(int(d) for d in dims)
     spectra = tuple(solve_spectrum(pot, constants, alpha, d).eigenvalues for d in dims)
-    return ConvergenceTable(dims, spectra, float(alpha), pot)
+    return ConvergenceTable(dims, spectra)

@@ -72,7 +72,7 @@ def test_criterion_3_mhu_suite():
     # negative control: a table with one level pushed below the exact energy
     dims = (2, 4)
     spectra = (np.array([0.5, 1.5]), np.array([0.5 - 1e-6, 1.5, 2.5, 3.5]))
-    control = check_mhu(ConvergenceTable(dims, spectra, 0.5, HARM), exact)
+    control = check_mhu(ConvergenceTable(dims, spectra), exact)
     control_ok = not control.passed
     all_ok = all_ok and control_ok
     details.append(f"corrupted table rejected: {control_ok}")
@@ -116,14 +116,14 @@ def test_criterion_5_oracle_equivalence():
         rule = gauss_hermite_rule(2 * (dim - 1) + pot.degree + 4)
         for alpha in (0.5, 1.0, 2.0):
             spec = BasisSpec(alpha)
-            t_matrix = kinetic_matrix(spec, dim)
-            v_matrix = potential_matrix(spec, pot, dim)
+            t_matrix = kinetic_matrix(spec, dim).to_dense()
+            v_matrix = potential_matrix(spec, pot, dim).to_dense()
             for r in range(dim):
                 for s in range(r, dim):
                     t_ref, v_ref = element_oracle(spec, pot, r, s, rule)
                     worst = max(worst,
-                                abs(t_matrix.entry(r, s) - t_ref),
-                                abs(v_matrix.entry(r, s) - v_ref))
+                                abs(t_matrix[r, s] - t_ref),
+                                abs(v_matrix[r, s] - v_ref))
     agree = worst <= 1e-10
 
     # the shifted-index band-4 variant must be caught at (0, 4), the
@@ -131,8 +131,8 @@ def test_criterion_5_oracle_equivalence():
     spec = BasisSpec(1.0)
     rule = gauss_hermite_rule(12)
     _, v_ref = element_oracle(spec, QUART, 0, 4, rule)
-    bad = potential_matrix(spec, QUART, 5, band4="misindexed").entry(0, 4)
-    good = potential_matrix(spec, QUART, 5).entry(0, 4)
+    bad = potential_matrix(spec, QUART, 5, band4="misindexed").to_dense()[0, 4]
+    good = potential_matrix(spec, QUART, 5).to_dense()[0, 4]
     bad_caught = abs(bad - v_ref) > 1e-2
     good_agrees = abs(good - v_ref) <= 1e-10
     ok = agree and bad_caught and good_agrees
@@ -148,14 +148,13 @@ def test_criterion_5_oracle_equivalence():
 def test_criterion_6_quartic_ground_state_two_routes():
     ritz = minimize_alpha(QUART, C, 40, (0.8, 4.0)).energy
 
-    base = numerov.default_config(QUART, C, 0.8, parity="even", steps=10000,
-                                  bracket=(0.5, 0.8))
-    coarse = numerov.eigenvalue(QUART, C, base)
+    base = numerov.default_config(QUART, C, 0.8, steps=10000)
+    coarse = numerov.eigenvalue(QUART, C, base, (0.5, 0.8), numerov.EVEN)
     values = {10000: coarse}
     for steps in (20000, 40000):
-        cfg = numerov.ShootingConfig(base.x_max, steps,
-                                     (coarse - 1e-4, coarse + 1e-4), "even")
-        values[steps] = numerov.eigenvalue(QUART, C, cfg)
+        cfg = numerov.ShootingConfig(base.x_max, steps)
+        values[steps] = numerov.eigenvalue(QUART, C, cfg, (coarse - 1e-4, coarse + 1e-4),
+                                           numerov.EVEN)
     rich1 = numerov.richardson4(values[10000], values[20000])
     rich2 = numerov.richardson4(values[20000], values[40000])
     converged = abs(rich2 - rich1) < 1e-8

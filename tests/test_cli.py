@@ -244,6 +244,15 @@ class TestVerifyMhu:
         doc = json.loads(out)
         np.testing.assert_allclose(doc["results"]["exact"], [0.5, 1.5], atol=1e-7)
 
+    def test_numerov_levels_below_the_scan_start_are_an_error(self, capsys):
+        # at hbar 1e-8 the wanted levels lie within 1e-6 of min V, where the
+        # Numerov scan does not look; a vacuous upper_bound check would pass
+        code, out, err = run_cli(capsys, [
+            "verify-mhu", "--hbar", "1e-8", "--alpha", "exact-diagonal", "--dims", "2,4",
+            "--exact", "numerov", "--numerov-steps", "2000"])
+        assert (code, out) == (1, "")
+        assert "scan start" in err
+
     @pytest.mark.parametrize("steps", ["0", "999", "1000001", "100000000000"])
     def test_numerov_steps_out_of_range_is_usage_error(self, capsys, steps):
         # 1e11 steps used to die on a 745 GiB allocation
@@ -272,7 +281,7 @@ class TestVerifyMhu:
                 spectra.append(s)
             spectra[-1] = spectra[-1].copy()
             spectra[-1][0] = 0.25  # below the exact ground energy
-            return ConvergenceTable(dims, tuple(spectra), alpha, pot)
+            return ConvergenceTable(dims, tuple(spectra))
 
         monkeypatch.setattr(cli, "convergence_table", corrupted)
         code, out, _ = run_cli(capsys, [

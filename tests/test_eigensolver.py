@@ -6,8 +6,13 @@ import pytest
 from helpers import charpoly_eigenvalues, ql_rotation_by_rotation
 
 from hgritz import (BandedSymMatrix, BasisSpec, ConvergenceError, PotentialSpec, eigh,
-                    eigh_tridiagonal, hamiltonian_matrix)
+                    hamiltonian_matrix)
 from hgritz import eigensolver
+
+
+def tridiagonal(diag, offdiag):
+    """The dense symmetric tridiagonal matrix with these diagonals."""
+    return np.diag(diag) + np.diag(offdiag, 1) + np.diag(offdiag, -1)
 
 
 def test_two_by_two_closed_form():
@@ -34,12 +39,12 @@ def test_harmonic_exact_diagonal_matrix():
 
 
 def test_tridiagonal_scalar():
-    res = eigh_tridiagonal([0.0], [])
+    res = eigh(tridiagonal([0.0], []))
     np.testing.assert_array_equal(res.eigenvalues, [0.0])
 
 
 def test_tridiagonal_hermite_jacobi_order_two():
-    res = eigh_tridiagonal([0.0, 0.0], [math.sqrt(0.5)])
+    res = eigh(tridiagonal([0.0, 0.0], [math.sqrt(0.5)]))
     np.testing.assert_allclose(res.eigenvalues,
                                [-1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0)],
                                atol=1e-15)
@@ -47,7 +52,7 @@ def test_tridiagonal_hermite_jacobi_order_two():
 
 def test_tridiagonal_two_by_two_closed_form():
     a, b = 1.7, -0.4
-    res = eigh_tridiagonal([a, a], [b])
+    res = eigh(tridiagonal([a, a], [b]))
     np.testing.assert_allclose(res.eigenvalues, [a - abs(b), a + abs(b)], atol=1e-14)
 
 
@@ -122,8 +127,6 @@ def test_input_validation():
         eigh(np.array([[1.0, 2.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         eigh(np.array([[np.nan]]))
-    with pytest.raises(ValueError):
-        eigh_tridiagonal([1.0, 2.0], [0.5, 0.5])
 
 
 # -- parity blocks ------------------------------------------------------------
@@ -207,15 +210,15 @@ def test_banded_and_dense_input_solve_bit_identically(name, dim):
 
 def test_tridiagonal_blocks_skip_the_reduction():
     # the harmonic parity blocks are tridiagonal, so each goes to QL alone
-    # and gives the bits of eigh_tridiagonal on the same block
+    # and gives the bits of the tridiagonal solve on the same block
     h = hamiltonian_matrix(BasisSpec(1.5), BLOCK_POTENTIALS["harmonic"], 20)
     res = eigh(h)
     for p in (0, 1):
-        block = eigh_tridiagonal(h.bands[0][p::2], h.bands[2][p::2])
+        values, vectors, _ = eigensolver._tridiag(h.bands[0][p::2], h.bands[2][p::2])
         rows = res.eigenvectors[p::2]
         cols = np.any(rows != 0.0, axis=0)
-        np.testing.assert_array_equal(res.eigenvalues[cols], block.eigenvalues)
-        np.testing.assert_array_equal(rows[:, cols], block.eigenvectors)
+        np.testing.assert_array_equal(res.eigenvalues[cols], values)
+        np.testing.assert_array_equal(rows[:, cols], vectors)
 
 
 # -- QL rotations applied in waves --------------------------------------------
@@ -292,7 +295,7 @@ def test_exhausted_sweep_budget_raises_with_dim_and_index(monkeypatch):
     # e[0] = 0 deflates level 0 at once, so the first sweep is at index 1
     monkeypatch.setattr(eigensolver, "_MAX_SWEEPS", 0)
     with pytest.raises(ConvergenceError) as err:
-        eigh_tridiagonal([1.0, 2.0, 3.0, 4.0], [0.0, 1.0, 1.0])
+        eigh(tridiagonal([1.0, 2.0, 3.0, 4.0], [0.0, 1.0, 1.0]))
     assert (err.value.dim, err.value.index) == (4, 1)
 
 

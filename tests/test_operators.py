@@ -82,12 +82,14 @@ class TestBandedSymMatrix:
         for k in range(h.bandwidth + 1):
             np.testing.assert_array_equal(np.diag(dense, k), h.bands[k])
 
-    def test_entry_accessor(self):
+    def test_array_protocol_gives_the_dense_matrix(self):
         h = hamiltonian_matrix(SPEC1, QUART, 8)
-        dense = h.to_dense()
+        dense = np.asarray(h)
         for r in range(8):
             for s in range(8):
-                assert h.entry(r, s) == dense[r, s]
+                k = abs(r - s)
+                want = h.bands[k][min(r, s)] if k <= h.bandwidth else 0.0
+                assert dense[r, s] == want
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -112,16 +114,16 @@ class TestKinetic:
         np.testing.assert_array_equal(t.to_dense(), [[0.25]])
 
     def test_band_two_entry(self):
-        t = kinetic_matrix(SPEC1, 3)
-        assert t.entry(0, 2) == pytest.approx(-0.25 * math.sqrt(2.0), rel=1e-15)
-        assert t.entry(0, 1) == 0.0
+        t = kinetic_matrix(SPEC1, 3).to_dense()
+        assert t[0, 2] == pytest.approx(-0.25 * math.sqrt(2.0), rel=1e-15)
+        assert t[0, 1] == 0.0
 
     def test_diagonal_values(self):
         spec = BasisSpec(2.0, hbar=3.0, mass=0.5)
-        t = kinetic_matrix(spec, 6)
+        t = kinetic_matrix(spec, 6).to_dense()
         coeff = 2.0 * 9.0 / (4.0 * 0.5)
         for r in range(6):
-            assert t.entry(r, r) == pytest.approx(coeff * (2 * r + 1), rel=1e-15)
+            assert t[r, r] == pytest.approx(coeff * (2 * r + 1), rel=1e-15)
 
 
 class TestPotential:
@@ -134,14 +136,14 @@ class TestPotential:
         np.testing.assert_array_equal(v.to_dense(), [[0.75]])
 
     def test_quartic_band_four_entry(self):
-        v = potential_matrix(SPEC1, QUART, 6)
-        assert v.entry(0, 4) == pytest.approx(0.25 * math.sqrt(24.0), rel=1e-15)
+        v = potential_matrix(SPEC1, QUART, 6).to_dense()
+        assert v[0, 4] == pytest.approx(0.25 * math.sqrt(24.0), rel=1e-15)
 
     def test_quartic_band_two_entry(self):
         # ladder value: 2 q (2r+3) sqrt((r+1)(r+2)) with q = lam / (4 a^2)
-        v = potential_matrix(BasisSpec(2.0), PotentialSpec.quartic(3.0), 5)
+        v = potential_matrix(BasisSpec(2.0), PotentialSpec.quartic(3.0), 5).to_dense()
         q = 3.0 / 16.0
-        assert v.entry(1, 3) == pytest.approx(2.0 * q * 5.0 * math.sqrt(6.0), rel=1e-14)
+        assert v[1, 3] == pytest.approx(2.0 * q * 5.0 * math.sqrt(6.0), rel=1e-14)
 
     def test_misindexed_band4_differs(self):
         assert quartic_band4(0, 1.0, 1.0) == pytest.approx(0.25 * math.sqrt(24.0))
@@ -150,7 +152,7 @@ class TestPotential:
         v_good = potential_matrix(SPEC1, QUART, 6)
         np.testing.assert_array_equal(v_bad.bands[4],
                                       quartic_band4_misindexed(np.arange(2), 1.0, 1.0))
-        assert abs(v_bad.entry(0, 4) - quartic_band4(0, 1.0, 1.0)) > 0.3
+        assert abs(v_bad.to_dense()[0, 4] - quartic_band4(0, 1.0, 1.0)) > 0.3
         for k in range(4):
             np.testing.assert_array_equal(v_bad.bands[k], v_good.bands[k])
 
@@ -205,12 +207,13 @@ class TestPotential:
         # exact values from the padded x ladder composed in 40-digit decimal
         alpha = 4.0
         v = potential_matrix(BasisSpec(alpha), pot, dim)
+        dense = v.to_dense()
         exact = exact_potential_entries(alpha, coeffs, dim)
         checked = 0
         for r in range(dim):
             for s in range(r, min(dim, r + v.bandwidth + 1)):
                 want = exact.get((r, s), decimal.Decimal(0))
-                got = v.entry(r, s)
+                got = float(dense[r, s])
                 if want == 0:
                     assert got == 0.0
                     continue
@@ -244,8 +247,8 @@ class TestHamiltonian:
         assert np.abs(h2.bands[2]).max() > 1e-3
 
     def test_band_two_entry_alpha_two(self):
-        h = hamiltonian_matrix(BasisSpec(2.0), HARM, 4)
-        assert h.entry(0, 2) == pytest.approx(-0.375 * math.sqrt(2.0), rel=1e-15)
+        h = hamiltonian_matrix(BasisSpec(2.0), HARM, 4).to_dense()
+        assert h[0, 2] == pytest.approx(-0.375 * math.sqrt(2.0), rel=1e-15)
 
     def test_quartic_scalar_sum(self):
         h = hamiltonian_matrix(SPEC1, QUART, 1)

@@ -149,14 +149,14 @@ class TestElementOracle:
         spec = BasisSpec(alpha)
         dim = 13
         rule = gauss_hermite_rule(2 * (dim - 1) + pot.degree + 4)
-        t_matrix = kinetic_matrix(spec, dim)
-        v_matrix = potential_matrix(spec, pot, dim)
+        t_matrix = kinetic_matrix(spec, dim).to_dense()
+        v_matrix = potential_matrix(spec, pot, dim).to_dense()
         worst_t = worst_v = 0.0
         for r in range(dim):
             for s in range(r, dim):
                 t_ref, v_ref = element_oracle(spec, pot, r, s, rule)
-                worst_t = max(worst_t, abs(t_matrix.entry(r, s) - t_ref))
-                worst_v = max(worst_v, abs(v_matrix.entry(r, s) - v_ref))
+                worst_t = max(worst_t, abs(t_matrix[r, s] - t_ref))
+                worst_v = max(worst_v, abs(v_matrix[r, s] - v_ref))
         assert worst_t <= 1e-10
         assert worst_v <= 1e-10
 

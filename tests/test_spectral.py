@@ -108,7 +108,7 @@ class TestCheckMhu:
     def test_exact_diagonal_family_zero_slack(self):
         dims = (2, 4, 8)
         spectra = tuple(np.arange(d) + 0.5 for d in dims)
-        table = ConvergenceTable(dims, spectra, 1.0, HARM)
+        table = ConvergenceTable(dims, spectra)
         report = check_mhu(table, exact=[i + 0.5 for i in range(8)])
         assert report.passed
         assert {c.name for c in report.checks} == {"monotonicity", "interlacing",
@@ -116,11 +116,11 @@ class TestCheckMhu:
 
     def test_constant_prefix_passes_with_equality(self):
         table = ConvergenceTable((2, 3), (np.array([1.0, 2.0]),
-                                          np.array([1.0, 2.0, 9.0])), 1.0, HARM)
+                                          np.array([1.0, 2.0, 9.0])))
         assert check_mhu(table).passed
 
     def test_single_truncation_vacuous_monotonicity(self):
-        table = ConvergenceTable((4,), (np.array([0.6, 1.7, 2.8, 3.9]),), 2.0, HARM)
+        table = ConvergenceTable((4,), (np.array([0.6, 1.7, 2.8, 3.9]),))
         report = check_mhu(table, exact=[0.5, 1.5, 2.5, 3.5])
         assert report.passed
         mono = next(c for c in report.checks if c.name == "monotonicity")
@@ -131,14 +131,14 @@ class TestCheckMhu:
             table_dims = tuple(range(2, 31, 2))
             spectra = tuple(solve_spectrum(HARM, C, alpha, d).eigenvalues
                             for d in table_dims)
-            table = ConvergenceTable(table_dims, spectra, alpha, HARM)
+            table = ConvergenceTable(table_dims, spectra)
             exact = [i + 0.5 for i in range(30)]
             assert check_mhu(table, exact).passed
 
     def test_tampered_table_rejected_with_location(self):
         dims = (2, 4)
         spectra = (np.array([0.5, 1.5]), np.array([0.4, 1.5, 2.5, 3.5]))
-        table = ConvergenceTable(dims, spectra, 1.0, HARM)
+        table = ConvergenceTable(dims, spectra)
         report = check_mhu(table, exact=[0.5, 1.5, 2.5, 3.5])
         assert not report.passed
         bound = next(c for c in report.checks if c.name == "upper_bound")
@@ -147,11 +147,11 @@ class TestCheckMhu:
 
     def test_table_validation(self):
         with pytest.raises(ValueError):
-            ConvergenceTable((4, 2), (np.zeros(4), np.zeros(2)), 1.0, HARM)
+            ConvergenceTable((4, 2), (np.zeros(4), np.zeros(2)))
         with pytest.raises(ValueError):
-            ConvergenceTable((2,), (np.array([2.0, 1.0]),), 1.0, HARM)
+            ConvergenceTable((2,), (np.array([2.0, 1.0]),))
         with pytest.raises(ValueError):
-            ConvergenceTable((2,), (np.array([1.0, 2.0, 3.0]),), 1.0, HARM)
+            ConvergenceTable((2,), (np.array([1.0, 2.0, 3.0]),))
 
 
 class TestNodeGrid:

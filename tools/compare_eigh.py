@@ -6,10 +6,11 @@ Each tree (a directory holding the hgritz package) is imported in its own
 subprocess and solves the same sweep: 345 Hamiltonians of five potential
 families (harmonic, quartic, quartic and sextic single wells, double wells)
 at dims 1 to 256 and several widths, given as BandedSymMatrix, five random
-dense symmetric matrices, and eigh_tridiagonal on the Hermite Jacobi
-matrices that gauss_hermite_rule solves.  The eigenvalues, eigenvectors and
-residual_norm of every solve are compared bit for bit; the exit code is 0
-exactly when all of them agree.
+dense symmetric matrices, and the Gauss-Hermite rules of every order from 1
+to 370, which solve the Hermite Jacobi matrices.  The eigenvalues,
+eigenvectors and residual_norm of every solve, and the nodes and weights of
+every rule, are compared bit for bit; the exit code is 0 exactly when all of
+them agree.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ FAMILIES = {
 }
 DIMS = (1, 2, 3, 4, 5, 7, 8, 13, 16, 21, 30, 31, 32, 47, 50, 63, 64, 77, 90, 100,
         128, 200, 256)
-#: Hermite Jacobi orders: 134 is oracle-compare's at dim 64, 370 the largest rule.
-JACOBI_ORDERS = (2, 3, 8, 21, 64, 134, 200, 370)
+#: Gauss-Hermite rule orders, up to quadrature.MAX_ORDER.
+RULE_ORDERS = range(1, 371)
 ALPHAS = (0.7, 1.5, 2.5)
 
 
@@ -45,7 +46,12 @@ def cases():
 
 def _solve_all(src):
     sys.path.insert(0, src)
-    from hgritz import BasisSpec, PotentialSpec, eigh, eigh_tridiagonal, hamiltonian_matrix
+    from hgritz import (BasisSpec, PotentialSpec, eigh, gauss_hermite_rule,
+                        hamiltonian_matrix)
+
+    def fields(s):
+        return {"eigenvalues": s.eigenvalues, "eigenvectors": s.eigenvectors,
+                "residual_norm": s.residual_norm}
 
     out = []
     for label, kind, value, alpha, dim in cases():
@@ -55,16 +61,16 @@ def _solve_all(src):
             pot = PotentialSpec.quartic(value)
         else:
             pot = PotentialSpec.even_polynomial(value)
-        out.append((label, eigh(hamiltonian_matrix(BasisSpec(alpha), pot, dim))))
+        out.append((label, fields(eigh(hamiltonian_matrix(BasisSpec(alpha), pot, dim)))))
     rng = np.random.default_rng(2017)
     for n in (1, 2, 9, 40, 100):
         a = rng.standard_normal((n, n))
-        out.append((f"random dense dim={n}", eigh(a + a.T)))
-    for order in JACOBI_ORDERS:
-        offdiag = np.sqrt(np.arange(1, order) / 2.0)
-        out.append((f"hermite jacobi order={order}",
-                    eigh_tridiagonal(np.zeros(order), offdiag)))
-    return [(label, s.eigenvalues, s.eigenvectors, s.residual_norm) for label, s in out]
+        out.append((f"random dense dim={n}", fields(eigh(a + a.T))))
+    for order in RULE_ORDERS:
+        rule = gauss_hermite_rule(order)
+        out.append((f"gauss-hermite rule order={order}",
+                    {"nodes": rule.nodes, "weights": rule.weights}))
+    return out
 
 
 def main(argv) -> int:
@@ -78,14 +84,13 @@ def main(argv) -> int:
                                         check=True, capture_output=True).stdout)
             for src in argv[1:]]
     differ = 0
-    for (label, w0, v0, r0), (_, w1, v1, r1) in zip(*runs):
-        fields = [name for name, same in (("eigenvalues", w0.tobytes() == w1.tobytes()),
-                                          ("eigenvectors", v0.tobytes() == v1.tobytes()),
-                                          ("residual_norm", r0 == r1)) if not same]
-        if fields:
+    for (label, old), (_, new) in zip(*runs):
+        differing = [name for name in old
+                     if np.asarray(old[name]).tobytes() != np.asarray(new[name]).tobytes()]
+        if differing:
             differ += 1
-            print(f"{label}: {', '.join(fields)} differ")
-    print(f"{len(runs[0]) - differ} of {len(runs[0])} solves bit-identical")
+            print(f"{label}: {', '.join(differing)} differ")
+    print(f"{len(runs[0]) - differ} of {len(runs[0])} solves and rules bit-identical")
     return 1 if differ else 0
 
 
