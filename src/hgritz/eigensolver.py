@@ -278,7 +278,7 @@ def _tridiag(d, e):
 
 def _solve_block(a):
     """_dense(a), or QL alone when a has nothing past its first off-diagonal."""
-    if np.triu(a, 2).any():
+    if any(np.diagonal(a, k).any() for k in range(2, a.shape[0])):
         return _dense(a)
     return _tridiag(np.diag(a), np.diag(a, 1))
 
@@ -294,7 +294,7 @@ def eigh(matrix) -> Spectrum:
     index, and the residual is the larger block residual, which is that of
     the whole matrix.  Deterministic for identical input.
     """
-    a = np.array(matrix, dtype=float)
+    a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     if a.size == 0:
@@ -302,16 +302,18 @@ def eigh(matrix) -> Spectrum:
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
     scale = float(np.abs(a).max())
-    if float(np.abs(a - a.T).max()) > 1e-12 * (1.0 + scale):
+    # one n x n buffer holds a - a^T, then the symmetrized copy of a
+    sym = np.subtract(a, a.T, out=np.empty_like(a))
+    if float(np.abs(sym, out=sym).max()) > 1e-12 * (1.0 + scale):
         raise ValueError("matrix is not symmetric")
-    a += a.T
+    a = np.add(a, a.T, out=sym)
     a *= 0.5
     n = a.shape[0]
     split = not a[0::2, 1::2].any()
     parts = [slice(p, None, 2) for p in range(min(n, 2))] if split else [slice(None)]
     rows = [np.arange(n)[part] for part in parts]
     values, vectors, residuals = zip(*[_solve_block(a[part, part]) for part in parts])
-    del a  # free the full matrix before the n x n merge below
+    del a, sym  # free the full matrix before the n x n merge below
     w = np.concatenate(values)
     # by the oscillation theorem level k of a block is state rows[k]
     ranks = np.concatenate(rows).tolist()
@@ -329,5 +331,6 @@ def eigh(matrix) -> Spectrum:
     for r, z in zip(rows, vectors):
         v[r[:, None], columns[:r.size]] = z
         columns = columns[r.size:]
+    del vectors, z  # free the block eigenvectors before Spectrum copies v
     return Spectrum(w[order], v, max(residuals))
 
