@@ -278,7 +278,8 @@ def _tridiag(d, e):
 
 def _solve_block(a):
     """_dense(a), or QL alone when a has nothing past its first off-diagonal."""
-    if any(np.diagonal(a, k).any() for k in range(2, a.shape[0])):
+    central = sum(np.count_nonzero(np.diagonal(a, k)) for k in (-1, 0, 1))
+    if np.count_nonzero(a) > central:
         return _dense(a)
     return _tridiag(np.diag(a), np.diag(a, 1))
 
