@@ -28,4 +28,4 @@ class QuadratureError(ArithmeticError):
 
 
 class ScanResolutionError(RuntimeError):
-    """An energy scan grid was too coarse to separate neighbouring eigenvalues."""
+    """An energy scan cannot resolve its levels: two share a cell, or one lies below it."""

@@ -13,8 +13,14 @@ default 20,000.  The CLI uses the levels as bisected at one step count;
 
 The energy scan that brackets the levels runs every scan energy of both
 channels through one vectorized recurrence (`shoot_scan`), bitwise equal
-to scalar `shoot` at each of them; bisection and node-count trajectories
-stay scalar, where one energy is cheaper in Python floats than in numpy.
+to scalar `shoot` at each of them, and counts the sign changes of each
+trajectory, a discrete Sturm count that says how many levels every scan
+cell holds.  Refinement and node-count trajectories stay scalar, where one
+energy is cheaper in Python floats than in numpy; batching a bracket's
+midpoints does not pay either, since one 20,000-step `shoot_scan` pass of
+12 energies costs about what 12 scalar shoots do.  Refinement instead
+makes fewer shoots: Brent's method narrows each cell before bisection is
+replayed on it (`_bisect`), with bisection's bits.
 """
 
 from __future__ import annotations
@@ -47,6 +53,13 @@ _RESCALE_AT = 1e250
 
 #: Steps per block of `shoot_scan`'s coefficients.
 _CHUNK = 64
+
+#: Width, relative to 1 + |E|, to which Brent's method narrows a bracket before
+#: `_bisect` replays bisection on it.
+_NARROW_WIDTH = 1e-12
+
+#: Shoots Brent's method may take beyond bisection to the same width.
+_NARROW_SLACK = 2
 
 #: Required WKB tail suppression (in e-folds) between turning point and x_max.
 _MIN_EFOLDS = 5.0
@@ -213,13 +226,20 @@ def shoot(pot: PotentialSpec, constants: Constants, config: ShootingConfig,
 def _scan_chunk(constants, config, gap, prev, cur):
     """Advance a block of energies through one chunk; gap is V - E on its points.
 
-    The steps run unchecked first, keeping every psi; the chunk is rerun
-    step by step with `shoot`'s rescaling if any |psi| in it passed
+    Returns the last two psi and how often each energy's psi changed sign in
+    the chunk.  The steps run unchecked first, keeping every psi; the chunk
+    is rerun step by step with `shoot`'s rescaling if any |psi| in it passed
     _RESCALE_AT.  Nothing of the chunk outlives the call.  One loop that
     rescales at every step gives the same bits but is slower (20,000 quartic
     steps: about 0.1 against 0.2 s at 64 energies), so the unchecked pass stays.
     """
     pfac, al = _factors(constants, config, gap)
+    if not pfac.min() > 0.0:
+        # psi and P psi must share their signs for the sign changes to count levels
+        raise ValueError(
+            f"the Numerov factor 1 - (h^2/12) (2m/hbar^2)(V - E) reaches {pfac.min():.6g} "
+            f"on the grid of {config.steps} steps over [0, {config.x_max:.6g}]; "
+            "it must stay positive, which takes more steps or a smaller x_max")
     block = (al[1:-1], pfac[:-2], pfac[2:])
     out = np.empty((len(gap) - 2, gap.shape[1]))
     ta, tb = np.empty_like(cur), np.empty_like(cur)
@@ -232,33 +252,45 @@ def _scan_chunk(constants, config, gap, prev, cur):
         p, c = c, row
     # NaN fails both comparisons too
     if out.max() <= _RESCALE_AT and out.min() >= -_RESCALE_AT:
-        return p.copy(), c.copy()
+        signs = np.signbit(out)
+        changes = np.count_nonzero(signs[1:] != signs[:-1], axis=0)
+        changes += signs[0] != np.signbit(cur)
+        return p.copy(), c.copy(), changes
     return _steps_rescaled(*block, prev, cur)
 
 
 def _steps_rescaled(al, p_below, p_above, prev, cur):
     """The same steps, rescaling each energy exactly where `shoot` would."""
     prev, cur = prev.copy(), cur.copy()
+    changes = np.zeros(cur.shape, dtype=int)
     for a, pb, pa in zip(al, p_below, p_above):
         prev, cur = cur, (a * cur - pb * prev) / pa
+        changes += np.signbit(cur) != np.signbit(prev)
         big = np.abs(cur) > _RESCALE_AT
         if big.any():
             scale = 1.0 / np.abs(cur[big])
             prev[big] *= scale
             cur[big] *= scale
-    return prev, cur
+    return prev, cur, changes
 
 
 def shoot_scan(pot: PotentialSpec, constants: Constants, config: ShootingConfig,
-               energies) -> np.ndarray:
-    """psi(x_max) at every energy in both parity channels, shape (2, len(energies)).
+               energies) -> tuple[np.ndarray, np.ndarray]:
+    """psi(x_max) and its trajectory's sign changes at every energy, in both channels.
 
-    Row 0 is the even channel and row 1 the odd one; entry [p, j] is bitwise
-    `shoot` at energies[j] with that parity.  All energies of both channels
-    step together through one recurrence, since they share every coefficient
-    and differ only in the seed.  Coefficients are formed _CHUNK steps at a
-    time (`_scan_chunk`), so the working set is O(_CHUNK x energies) at any
-    step count.
+    Returns two arrays of shape (2, len(energies)), row 0 for the even channel
+    and row 1 for the odd one.  Entry [p, j] of the first is bitwise `shoot`
+    at energies[j] with that parity.  Entry [p, j] of the second counts the
+    sign changes of psi_0, psi_1, ..., psi_steps there (a +-0.0 counts by its
+    sign bit, as `math.copysign` reads it).  This is a discrete Sturm count:
+    with u_i = P_i psi_i the recurrence is a Jacobi three-term recurrence
+    whose diagonal 12 / P_i - 10 falls as E rises, so while every P_i > 0
+    (checked) the count rises by one at each level and its difference
+    across a scan cell is the number of levels inside.  All energies of both
+    channels step together through one recurrence, since they share every
+    coefficient and differ only in the seed.  Coefficients are formed _CHUNK
+    steps at a time (`_scan_chunk`), so the working set is
+    O(_CHUNK x energies) at any step count.
     """
     energies = np.asarray(energies, dtype=float)
     for e in energies.tolist():
@@ -269,23 +301,26 @@ def shoot_scan(pot: PotentialSpec, constants: Constants, config: ShootingConfig,
         _seed(pot, constants, config, v[0], energies, parity) for parity in (EVEN, ODD))
     prev = np.repeat([prev_even, prev_odd], energies.size)
     cur = np.concatenate([cur_even, cur_odd])
+    changes = (np.signbit(prev) != np.signbit(cur)).astype(int)
     n = config.steps
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(1, n, _CHUNK):
             hi = min(lo + _CHUNK, n)
             # steps lo .. hi - 1 read P on points lo - 1 .. hi
-            prev, cur = _scan_chunk(constants, config, v[lo - 1:hi + 1, None] - both,
-                                    prev, cur)
+            prev, cur, chunk_changes = _scan_chunk(
+                constants, config, v[lo - 1:hi + 1, None] - both, prev, cur)
+            changes += chunk_changes
     if not np.isfinite(cur).all():
         raise OverflowError("propagation overflowed despite rescaling")
-    return cur.reshape(2, energies.size)
+    return cur.reshape(2, energies.size), changes.reshape(2, energies.size)
 
 
 def eigenvalue(pot: PotentialSpec, constants: Constants, config: ShootingConfig,
                bracket: tuple[float, float], parity: str) -> float:
     """Bisect bracket = (lo, hi) on the sign of psi(x_max) to width 1e-10.
 
-    lo and hi must be finite with lo < hi, and parity "even" or "odd".
+    lo and hi must be finite with lo < hi, and parity "even" or "odd".  The
+    result is bisection's, reached in fewer shoots (`_bisect`).
     """
     lo, hi = (float(end) for end in bracket)
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
@@ -296,7 +331,25 @@ def eigenvalue(pot: PotentialSpec, constants: Constants, config: ShootingConfig,
 
 
 def _bisect(pot, constants, config, parity, lo, hi, flo, fhi):
-    """`eigenvalue` on (lo, hi), given psi(x_max) at both ends as flo and fhi."""
+    """`eigenvalue` on (lo, hi), given psi(x_max) at both ends as flo and fhi.
+
+    The result is plain bisection's: halve (lo, hi) on the sign of psi(x_max)
+    at its midpoint until it is at most 1e-10 wide and return the last
+    midpoint, or the first midpoint where psi(x_max) is exactly 0.  Brent's
+    method (`_brent_point`) first narrows (lo, hi) to a sign change at most
+    _NARROW_WIDTH (1 + |E|) wide.  The bisection is then replayed, and only
+    its midpoints within _NARROW_WIDTH (1 + |E|) of that sign change are
+    shot; one below takes lo's sign and one above takes hi's.  That gives
+    bisection's bits wherever psi(x_max) changes sign once in the cell away
+    from the level, the premise bisection itself relies on.  The margin is
+    there because rounding does not keep the sign clean at the level: at
+    20,000 steps psi(x_max) was seen to change sign three times within
+    4e-12 of a level near E = 15.5.  On 434 brackets of the benchmark's
+    `certify` requests this takes 8.7 shoots per bracket where bisection
+    takes 30.8.  Where 1 + |E| <= 33 it never takes more than 11 beyond
+    bisection: ceil(log2(100)) = 7 to reach the finer width, _NARROW_SLACK,
+    and at most 2 replayed midpoints in a window under 1e-10 wide.
+    """
     if flo == 0.0:
         return lo
     if fhi == 0.0:
@@ -305,16 +358,78 @@ def _bisect(pot, constants, config, parity, lo, hi, flo, fhi):
         raise BracketingError(
             f"psi(x_max) has the same sign at both bracket ends "
             f"({lo:.6g}, {hi:.6g}) in the {parity} channel")
+    tol = 0.5 * _NARROW_WIDTH * (1.0 + max(abs(lo), abs(hi)))
+    budget = max(0, math.ceil(math.log2((hi - lo) / (2.0 * tol)))) + _NARROW_SLACK
+    # b is the estimate, c the other end of the sign change and a the previous b
+    a, fa, b, fb, c, fc = lo, flo, hi, fhi, lo, flo
+    d = e = hi - lo
+    for shots in itertools.count():
+        if math.copysign(1.0, fb) == math.copysign(1.0, fc):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, fa, b, fb, c, fc = b, fb, c, fc, b, fb
+        if abs(c - b) <= 2.0 * tol or fb == 0.0:
+            break
+        x, d, e = _brent_point(a, fa, b, fb, c, fc, d, e, tol,
+                               tol * 2.0 ** (budget - shots))
+        a, fa = b, fb
+        b, fb = x, shoot(pot, constants, config, x, parity)
+    below, above = min(b, c) - 2.0 * tol, max(b, c) + 2.0 * tol
     while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
-        fm = shoot(pot, constants, config, mid, parity)
+        if below < mid < above:
+            fm = shoot(pot, constants, config, mid, parity)
+        else:
+            fm = flo if mid <= below else fhi
         if fm == 0.0:
             return mid
         if math.copysign(1.0, fm) == math.copysign(1.0, flo):
-            lo, flo = mid, fm
+            lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def _brent_point(a, fa, b, fb, c, fc, d, e, tol, next_width):
+    """The next energy of Brent's method, with its new last two steps (d, e).
+
+    The zbrent form of Brent (1973, *Algorithms for Minimization without
+    Derivatives*, ch. 4): b is the estimate, c the other end of the sign
+    change, a the previous estimate, d and e the last two steps.  Inverse
+    quadratic interpolation, or the secant step when a == c, is taken where
+    it stays well inside the bracket and shrinks fast enough, else the
+    bisection step; no step is shorter than tol / 2.  The point is then moved
+    to within next_width - |c - b| / 2 of the bracket's midpoint, the
+    projection of the ITP method (Oliveira & Takahashi 2021, ACM TOMS
+    47(1):5), so the bracket it leaves is at most next_width wide.
+    """
+    half = 0.5 * (c - b)
+    least = 0.5 * tol
+    if abs(e) >= least and abs(fa) > abs(fb):
+        s = fb / fa
+        if a == c:
+            p, q = 2.0 * half * s, 1.0 - s
+        else:
+            q, r = fa / fc, fb / fc
+            p = s * (2.0 * half * q * (q - r) - (b - a) * (r - 1.0))
+            q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+        if p > 0.0:
+            q = -q
+        p = abs(p)
+        if 2.0 * p < min(3.0 * half * q - abs(least * q), abs(e * q)):
+            d, e = p / q, d
+        else:
+            d = e = half
+    else:
+        d = e = half
+    x = b + d if abs(d) > least else b + math.copysign(least, half)
+    mid = b + half
+    reach = max(next_width - abs(half), 0.0)
+    if abs(x - mid) > reach:
+        x = mid + math.copysign(reach, x - mid)
+        d = e = x - b
+    return x, d, e
 
 
 def _trajectory_nodes(pot, constants, config, energy, parity):
@@ -334,12 +449,14 @@ def spectrum_below(pot: PotentialSpec, constants: Constants,
                    scan_points: int | None = None) -> np.ndarray:
     """All eigenvalues below e_cap, both parity channels, ascending.
 
-    The energy axis is scanned for sign changes of psi(x_max) in each
-    channel, both channels in one `shoot_scan`, and every bracket is refined
-    by bisection, starting from the scan's psi(x_max) at its ends.  Each
-    refined state is cross-checked against its expected node count; a
-    mismatch means two eigenvalues shared one scan cell, which is reported
-    instead of silently dropping a level.
+    One `shoot_scan` of both channels gives psi(x_max) and the Sturm count
+    at every scan energy.  The count at a cell's upper end minus that at its
+    lower end is the number of levels in the cell, and each cell holding one
+    is refined by `_bisect` from the scan's psi(x_max) at its ends.  A level
+    below the scan start, or two levels sharing a cell, raise
+    ScanResolutionError from the counts alone, whatever a refinement would
+    find, so no level is dropped silently.  Each refined state is also
+    checked to carry as many nodes as the count gives levels below it.
     """
     e_cap = float(e_cap)
     v_min = pot.minimum(mass=constants.mass)
@@ -350,22 +467,31 @@ def spectrum_below(pot: PotentialSpec, constants: Constants,
         scan_points = max(64, int(8.0 * (e_cap - v_min)))
     energies = np.linspace(start, e_cap, scan_points)
     grid = energies.tolist()
+    psi, changes = shoot_scan(pot, constants, config, energies)
     found = []
-    for parity, values in zip((EVEN, ODD), shoot_scan(pot, constants, config, energies).tolist()):
-        channel_index = 0
-        for k in range(len(values) - 1):
-            if math.copysign(1.0, values[k]) == math.copysign(1.0, values[k + 1]):
+    for parity, values, counts in zip((EVEN, ODD), psi.tolist(), changes.tolist()):
+        if counts[0]:
+            raise ScanResolutionError(
+                f"an {parity}-channel level lies below the scan start E = {grid[0]:.8g} "
+                f"(Sturm count {counts[0]} there), just above min V, where the scan "
+                f"does not look")
+        for k in range(len(grid) - 1):
+            levels = counts[k + 1] - counts[k]
+            if levels == 0:
                 continue
+            if levels != 1:
+                raise ScanResolutionError(
+                    f"the {parity}-channel scan cell ({grid[k]:.8g}, {grid[k + 1]:.8g}) "
+                    f"holds {levels} levels (Sturm count {counts[k]} to {counts[k + 1]}); "
+                    f"bisection can refine only a cell that holds one")
             e_found = _bisect(pot, constants, config, parity, grid[k], grid[k + 1],
                               values[k], values[k + 1])
             nodes = _trajectory_nodes(pot, constants, config, e_found, parity)
-            if nodes != channel_index:
+            if nodes != counts[k]:
                 raise ScanResolutionError(
-                    f"{parity} channel state {channel_index} at E = {e_found:.8g} "
-                    f"carries {nodes} nodes; the scan grid is too coarse "
-                    f"(raise scan_points above {scan_points})")
+                    f"{parity} channel state {counts[k]} at E = {e_found:.8g} "
+                    f"carries {nodes} nodes")
             found.append(e_found)
-            channel_index += 1
     return np.array(sorted(found))
 
 

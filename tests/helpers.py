@@ -12,7 +12,8 @@ decimal arithmetic, as do reference basis tables past the point where
 exp(-alpha x^2 / 2) underflows.  The per-element quadrature oracle is also
 written out here as two `inner_product` calls on the scalar evaluators, and
 implicit-shift QL as the textbook loop that rotates two rows of z^T after
-every rotation.
+every rotation, and Numerov level refinement as plain bisection with one
+scalar shoot per midpoint.
 """
 
 import decimal
@@ -21,7 +22,7 @@ import math
 import numpy as np
 
 from hgritz import (ConvergenceError, basis_derivative, basis_value,
-                    gauss_hermite_rule, inner_product)
+                    gauss_hermite_rule, inner_product, numerov)
 from hgritz.basis import check_index
 from hgritz.eigensolver import _EPS, _MAX_SWEEPS
 
@@ -337,3 +338,27 @@ def ql_rotation_by_rotation(d, e, z):
             e[l] = g
             e[m] = 0.0
     return np.array(d), zt.T
+
+
+def numerov_bisection(pot, constants, config, parity, lo, hi, flo, fhi):
+    """Plain bisection of (lo, hi) on the sign of psi(x_max) to width 1e-10.
+
+    The reference for `numerov._bisect`, which must return the same bits:
+    flo and fhi are psi(x_max) at the ends, and each midpoint costs one
+    `numerov.shoot`, looked up at call time so that a test can count or
+    replace it.
+    """
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    while hi - lo > 1e-10:
+        mid = 0.5 * (lo + hi)
+        fm = numerov.shoot(pot, constants, config, mid, parity)
+        if fm == 0.0:
+            return mid
+        if math.copysign(1.0, fm) == math.copysign(1.0, flo):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

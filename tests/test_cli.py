@@ -253,6 +253,17 @@ class TestVerifyMhu:
         assert (code, out) == (1, "")
         assert "scan start" in err
 
+    def test_numerov_level_below_the_scan_start_is_named(self, capsys):
+        # at hbar 1e-6 the ground level 5e-7 lies below the scan start 1e-6;
+        # the report names that, and no option the CLI does not have
+        code, out, err = run_cli(capsys, [
+            "verify-mhu", "--potential", "harmonic", "--hbar", "1e-6",
+            "--alpha", "exact-diagonal", "--dims", "2,4", "--exact", "numerov",
+            "--numerov-steps", "2000"])
+        assert (code, out) == (1, "")
+        assert "even-channel level lies below the scan start" in err
+        assert "scan_points" not in err
+
     @pytest.mark.parametrize("steps", ["0", "999", "1000001", "100000000000"])
     def test_numerov_steps_out_of_range_is_usage_error(self, capsys, steps):
         # 1e11 steps used to die on a 745 GiB allocation

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import numerov_bisection
 from hgritz import BracketingError, Constants, PotentialSpec, ScanResolutionError
 from hgritz import numerov
 from hgritz.variational import minimize_alpha
@@ -10,6 +11,8 @@ from hgritz.variational import minimize_alpha
 C = Constants()
 HARM = PotentialSpec.harmonic(1.0)
 QUART = PotentialSpec.quartic(1.0)
+SEXTIC = PotentialSpec.even_polynomial([0.0, 0.5, 0.0, 0.1])
+DOUBLE_WELL = PotentialSpec.even_polynomial([0.0, -2.0, 0.5])
 
 #: Quartic ground state in natural units, certified by Richardson step-halving
 #: of this module's own integrator and independently by the dim-40 basis solve.
@@ -152,6 +155,98 @@ class TestSpectrumBelow:
         with pytest.raises(ScanResolutionError):
             numerov.spectrum_below(HARM, C, cfg, 5.0, scan_points=2)
 
+    def test_two_levels_in_one_cell_reported(self):
+        # 0.5 and 2.5 share the one even cell, so psi(x_max) has the same sign
+        # at both its ends; the Sturm count still sees the two levels
+        cfg = numerov.default_config(HARM, C, 5.0, steps=2000)
+        with pytest.raises(ScanResolutionError, match="holds 2 levels"):
+            numerov.spectrum_below(HARM, C, cfg, 3.0, scan_points=2)
+
+
+#: Most shoots `_bisect` takes beyond plain bisection on one bracket with
+#: 1 + |E| <= 33: ceil(log2(1e-10 / 1e-12)) = 7 for narrowing to the finer
+#: width, _NARROW_SLACK = 2, and 2 midpoints replayed inside the narrowed
+#: bracket and its margins, 3e-12 (1 + |E|) <= 1e-10 wide.
+EXTRA_SHOOTS = 11
+
+
+class TestRefinement:
+    """`_bisect` against plain bisection (`helpers.numerov_bisection`)."""
+
+    @pytest.mark.parametrize("steps", [2000, 20000])
+    @pytest.mark.parametrize("pot, e_cap", [(HARM, 4.0), (QUART, 5.0), (SEXTIC, 4.0),
+                                            (DOUBLE_WELL, 1.0)],
+                             ids=["harmonic", "quartic", "sextic", "double-well"])
+    def test_levels_are_bisections_bits(self, monkeypatch, pot, e_cap, steps):
+        cfg = numerov.default_config(pot, C, e_cap, steps=steps)
+        calls = []
+        refine = numerov._bisect
+
+        def recorded(*args):
+            calls.append((args, refine(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(numerov, "_bisect", recorded)
+        levels = numerov.spectrum_below(pot, C, cfg, e_cap)
+        monkeypatch.undo()
+        assert {args[3] for args, _ in calls} == {numerov.EVEN, numerov.ODD}
+        assert levels.tolist() == sorted(got for _, got in calls)
+        for args, got in calls:
+            assert got == numerov_bisection(*args)
+            _, _, _, parity, lo, hi, _, _ = args
+            assert numerov.eigenvalue(pot, C, cfg, (lo, hi), parity) == got
+
+    def test_rounding_noise_at_the_level(self):
+        # an odd bracket from a benchmark verify-mhu request: at 20,000 steps
+        # psi(x_max) changes sign three times within 4e-12 of the level, and
+        # a bisection midpoint falls between them just outside the narrowed
+        # bracket; the replay's margin shoots it
+        pot = PotentialSpec.even_polynomial([0.0, 1.93962, 0.761412])
+        cfg = numerov.ShootingConfig(4.012210575973266, 20000)
+        bracket = (15.53594570308352, 15.662254196604524)
+        ends = [numerov.shoot(pot, C, cfg, e, numerov.ODD) for e in bracket]
+        want = numerov_bisection(pot, C, cfg, numerov.ODD, *bracket, *ends)
+        assert want == 15.54850366836266
+        assert numerov.eigenvalue(pot, C, cfg, bracket, numerov.ODD) == want
+
+    @pytest.mark.parametrize("bracket", [(0.5, 0.7), (0.3, 0.5), (0.25, 0.75), (0.1, 0.9)],
+                             ids=["zero-at-lo", "zero-at-hi", "zero-at-first-midpoint",
+                                  "zero-at-second-midpoint"])
+    def test_exact_zero(self, monkeypatch, bracket):
+        monkeypatch.setattr(numerov, "shoot", lambda pot, constants, config, energy, parity:
+                            energy - 0.5)
+        cfg = numerov.ShootingConfig(5.0, 2000)
+        lo, hi = bracket
+        want = numerov_bisection(HARM, C, cfg, numerov.EVEN, lo, hi, lo - 0.5, hi - 0.5)
+        assert want == 0.5
+        assert numerov.eigenvalue(HARM, C, cfg, bracket, numerov.EVEN) == want
+
+    @pytest.mark.parametrize("psi", [
+        lambda x: 1.0 if x < 0.0 else -1.0,
+        lambda x: math.expm1(-60.0 * x),
+        lambda x: -x ** 3,
+        lambda x: -x * (1e250 if x < -1e-3 else 1.0),
+    ], ids=["step", "exponential", "triple-root", "rescaled-jump"])
+    def test_worst_case_shoots(self, monkeypatch, psi):
+        # psi(E - root) with one sign change: the bits of plain bisection, in
+        # at most EXTRA_SHOOTS more shoots, wherever the root falls
+        cfg = numerov.ShootingConfig(5.0, 2000)
+        rng = np.random.default_rng(11)
+        for lo, hi in [(0.0, 1.0), (0.3, 0.45), (10.0, 12.5), (-30.0, -26.0)]:
+            for root in lo + (hi - lo) * rng.random(40):
+                shoots = []
+
+                def shoot(pot, constants, config, energy, parity, root=root):
+                    shoots.append(energy)
+                    return psi(energy - root)
+
+                monkeypatch.setattr(numerov, "shoot", shoot)
+                ends = (HARM, C, cfg, numerov.EVEN, lo, hi, psi(lo - root), psi(hi - root))
+                want = numerov_bisection(*ends)
+                plain = len(shoots)
+                assert numerov._bisect(*ends) == want
+                assert len(shoots) - plain <= plain + EXTRA_SHOOTS
+
 
 class TestShootScan:
     # 2021 steps: 2020 recurrence steps, 31 full 64-step chunks and a part one
@@ -162,11 +257,15 @@ class TestShootScan:
         cfg = numerov.default_config(pot, C, e_hi, steps=2021)
         v_min = pot.minimum(mass=1.0)
         energies = np.linspace(v_min + 1e-3, e_hi, 37)
-        got = numerov.shoot_scan(pot, C, cfg, energies)
-        assert got.shape == (2, energies.size)
-        for row, parity in zip(got, (numerov.EVEN, numerov.ODD)):
+        got, changes = numerov.shoot_scan(pot, C, cfg, energies)
+        assert got.shape == changes.shape == (2, energies.size)
+        for row, counts, parity in zip(got, changes, (numerov.EVEN, numerov.ODD)):
             want = [numerov.shoot(pot, C, cfg, e, parity) for e in energies]
             assert row.tolist() == want
+            trajectories = [numerov.shoot(pot, C, cfg, e, parity, return_trajectory=True)[1]
+                            for e in energies]
+            assert counts.tolist() == [int(np.count_nonzero(np.diff(np.signbit(t))))
+                                       for t in trajectories]
 
     def test_rescale_path_equals_scalar_shoots(self, monkeypatch):
         # psi grows like exp(x^2 / 2) past the turning point: e^800 at x = 40
@@ -180,10 +279,15 @@ class TestShootScan:
         monkeypatch.setattr(numerov, "_steps_rescaled", spy)
         energies = np.linspace(0.3, 5.0, 11)
         cfg = numerov.ShootingConfig(40.0, 2021)
-        got = numerov.shoot_scan(HARM, C, cfg, energies)
+        got, changes = numerov.shoot_scan(HARM, C, cfg, energies)
         assert reruns
         for row, parity in zip(got, (numerov.EVEN, numerov.ODD)):
             assert row.tolist() == [numerov.shoot(HARM, C, cfg, e, parity) for e in energies]
+        # the Sturm count survives rescaling: levels n + 1/2 below each energy,
+        # even n in row 0 and odd n in row 1
+        for row, first in zip(changes, (0, 1)):
+            assert row.tolist() == [sum(n + 0.5 < e for n in range(first, 6, 2))
+                                    for e in energies]
 
     def test_domain_checked_at_every_energy(self):
         # 0.5 is fine on [0, 5]; the turning point at 13 lies past x_max
@@ -191,3 +295,9 @@ class TestShootScan:
         numerov.shoot(HARM, C, cfg, 0.5, numerov.EVEN)
         with pytest.raises(ValueError, match="classically allowed"):
             numerov.shoot_scan(HARM, C, cfg, [0.5, 13.0])
+
+    def test_numerov_factor_must_stay_positive(self):
+        # h = 0.1 over [0, 100]: (h^2 / 12) 2 V(100) = 8.3, so P < 0 out there
+        cfg = numerov.ShootingConfig(100.0, 1000)
+        with pytest.raises(ValueError, match="Numerov factor"):
+            numerov.shoot_scan(HARM, C, cfg, [0.5])
