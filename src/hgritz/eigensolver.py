@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, RangeError
 
 _EPS = float(np.finfo(float).eps)
 
@@ -38,6 +38,17 @@ _RECORD_PER_ROW = 32
 
 #: Rows per strip of the Gram matrix in Spectrum's orthonormality check.
 _GRAM_STRIP = 128
+
+#: eigh scales a matrix with an entry past 2^_MAX_EXPONENT down by a power of
+#: two, which is exact, until its largest entry is below that again.  Squares
+#: of the entries, and Householder's 2 / ||v||^2, then stay clear of overflow
+#: and underflow alike.
+_MAX_EXPONENT = 256
+
+
+def ascent_tolerance(level):
+    """How far a level may lie below the one before it and still count as ascending."""
+    return 1e-12 * (1.0 + abs(level))
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,7 +72,7 @@ class Spectrum:
             raise ValueError("need one eigenvector column per eigenvalue, at least one")
         if not (np.isfinite(w).all() and np.isfinite(v).all()):
             raise ValueError("eigenvalues and eigenvectors must be finite")
-        if w.size > 1 and np.any(np.diff(w) < -1e-12 * (1.0 + np.abs(w[:-1]))):
+        if w.size > 1 and np.any(np.diff(w) < -ascent_tolerance(w[:-1])):
             raise ValueError("eigenvalues must ascend")
         # the upper triangle of the Gram matrix, one strip of rows at a time
         for j in range(0, w.size, _GRAM_STRIP):
@@ -234,10 +245,14 @@ def _fix_signs(v):
     return v
 
 
-def _finish(a_apply, norm_inf, d, z):
+def _finish(a_apply, norm_inf, d, z, shift):
     """Sorted (eigenvalues, eigenvectors, residual) of one QL solve, residual-checked.
 
-    The columns of z are sorted in place, so no second n x n copy is live.
+    The block was scaled down by 2^shift, and the eigenvalues and residual
+    are scaled back.  The check is that of the unscaled block, residual <=
+    1e-10 (1 + ||A||_inf), scaled down by 2^shift on both sides, which is
+    exact.  The columns of z are sorted in place, so no second n x n copy is
+    live.
     """
     n = d.size
     order = np.argsort(d, kind="stable")
@@ -246,22 +261,28 @@ def _finish(a_apply, norm_inf, d, z):
     v = _fix_signs(z)
     resid = a_apply(v) - v * w
     residual = float(np.sqrt((resid * resid).sum(axis=0)).max())
-    if residual > 1e-10 * (1.0 + norm_inf):
+    if residual > 1e-10 * (math.ldexp(1.0, -shift) + norm_inf):
         raise ConvergenceError(
-            f"eigen residual {residual:.3e} above tolerance for dim {n}", dim=n)
-    return w, v, residual
+            f"eigen residual {math.ldexp(residual, shift):.3e} above tolerance for dim {n}",
+            dim=n)
+    try:
+        with np.errstate(over="raise"):
+            return np.ldexp(w, shift), v, math.ldexp(residual, shift)
+    except FloatingPointError:
+        raise RangeError("the largest eigenvalue", math.log10(float(np.abs(w).max()))
+                         + shift * math.log10(2.0)) from None
 
 
-def _dense(a):
-    """(eigenvalues, eigenvectors, residual) of the symmetric array a."""
+def _dense(a, shift):
+    """(eigenvalues, eigenvectors, residual) of the symmetric array 2^shift a."""
     d, e, q = _householder_tridiag(a.copy())
     w, z = _ql_implicit(d, e, q)
     norm_inf = float(np.abs(a).sum(axis=1).max())
-    return _finish(lambda v: a @ v, norm_inf, w, z)
+    return _finish(lambda v: a @ v, norm_inf, w, z, shift)
 
 
-def _tridiag(d, e):
-    """(eigenvalues, eigenvectors, residual) of the symmetric tridiagonal (d, e)."""
+def _tridiag(d, e, shift=0):
+    """(eigenvalues, eigenvectors, residual) of the symmetric tridiagonal 2^shift (d, e)."""
 
     def apply(v):
         out = d[:, None] * v
@@ -273,15 +294,15 @@ def _tridiag(d, e):
     row_sums[:-1] += np.abs(e)
     row_sums[1:] += np.abs(e)
     w, z = _ql_implicit(d, e)
-    return _finish(apply, float(row_sums.max()), w, z)
+    return _finish(apply, float(row_sums.max()), w, z, shift)
 
 
-def _solve_block(a):
-    """_dense(a), or QL alone when a has nothing past its first off-diagonal."""
+def _solve_block(a, shift):
+    """_dense(a, shift), or QL alone when a has nothing past its first off-diagonal."""
     central = sum(np.count_nonzero(np.diagonal(a, k)) for k in (-1, 0, 1))
     if np.count_nonzero(a) > central:
-        return _dense(a)
-    return _tridiag(np.diag(a), np.diag(a, 1))
+        return _dense(a, shift)
+    return _tridiag(np.diag(a), np.diag(a, 1), shift)
 
 
 def eigh(matrix) -> Spectrum:
@@ -293,7 +314,9 @@ def eigh(matrix) -> Spectrum:
     diagonal once the even indices are put before the odd ones.  Each block
     is solved on its own, so every eigenvector is exactly even or odd in the
     index, and the residual is the larger block residual, which is that of
-    the whole matrix.  Deterministic for identical input.
+    the whole matrix.  A matrix with an entry past 2^256 is solved scaled
+    down by a power of two, so that only its eigenvalues must lie in the
+    float range.  Deterministic for identical input.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -307,25 +330,28 @@ def eigh(matrix) -> Spectrum:
     sym = np.subtract(a, a.T, out=np.empty_like(a))
     if float(np.abs(sym, out=sym).max()) > 1e-12 * (1.0 + scale):
         raise ValueError("matrix is not symmetric")
+    shift = max(math.frexp(scale)[1] - _MAX_EXPONENT, 0)
+    if shift:
+        a = np.ldexp(a, -shift)
     a = np.add(a, a.T, out=sym)
     a *= 0.5
     n = a.shape[0]
     split = not a[0::2, 1::2].any()
     parts = [slice(p, None, 2) for p in range(min(n, 2))] if split else [slice(None)]
     rows = [np.arange(n)[part] for part in parts]
-    values, vectors, residuals = zip(*[_solve_block(a[part, part]) for part in parts])
+    values, vectors, residuals = zip(*[_solve_block(a[part, part], shift) for part in parts])
     del a, sym  # free the full matrix before the n x n merge below
     w = np.concatenate(values)
     # by the oscillation theorem level k of a block is state rows[k]
     ranks = np.concatenate(rows).tolist()
     # Two adjacent levels of opposite parity no further apart than the
-    # ascent tolerance of Spectrum are put in the oscillation theorem's
-    # order, not in the order rounding gave them.
+    # ascent tolerance are put in the oscillation theorem's order, not in
+    # the order rounding gave them.
     order = np.argsort(w, kind="stable").tolist()
     levels = w.tolist()
     for i in range(n - 1):
         j, k = order[i], order[i + 1]
-        if ranks[j] > ranks[k] and levels[k] - levels[j] <= 1e-12 * (1.0 + abs(levels[k])):
+        if ranks[j] > ranks[k] and levels[k] - levels[j] <= ascent_tolerance(levels[k]):
             order[i], order[i + 1] = k, j
     columns = np.argsort(order)
     v = np.zeros((n, n))

@@ -29,3 +29,12 @@ class QuadratureError(ArithmeticError):
 
 class ScanResolutionError(RuntimeError):
     """An energy scan cannot resolve its levels: two share a cell, or one lies below it."""
+
+
+class RangeError(OverflowError):
+    """A quantity of a solve lies outside the float range; the message names it and its size."""
+
+    def __init__(self, quantity, log10_size):
+        super().__init__(f"{quantity} = 10^{log10_size:.1f} lies outside the float range")
+        self.quantity = quantity
+        self.log10_size = log10_size

@@ -38,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import MAX_INDEX, BasisSpec, _require_positive
+from .errors import RangeError
 
 HARMONIC = "harmonic"
 QUARTIC = "quartic"
@@ -111,7 +112,14 @@ class PotentialSpec:
     def coefficients(self, *, mass: float) -> tuple[float, ...]:
         """c_k of V = sum_k c_k x^(2k) for every kind; mass enters only harmonic."""
         if self.kind == HARMONIC:
-            return (0.0, 0.5 * mass * self.omega**2)
+            try:
+                c = 0.5 * mass * self.omega**2
+            except OverflowError:  # omega**2 is past the float range
+                c = math.inf
+            if math.isinf(c):
+                raise RangeError("m omega^2 / 2",
+                                 math.log10(0.5 * mass) + 2.0 * math.log10(self.omega))
+            return (0.0, c)
         if self.kind == QUARTIC:
             return (0.0, 0.0, self.lam)
         return self.coeffs
@@ -125,7 +133,7 @@ class PotentialSpec:
         """V(x); mass enters only the harmonic form."""
         xv = np.asarray(x, dtype=float)
         if self.kind == HARMONIC:
-            return 0.5 * mass * self.omega**2 * xv**2
+            return self.coefficients(mass=mass)[1] * xv**2
         if self.kind == QUARTIC:
             return self.lam * xv**4
         return np.polynomial.polynomial.polyval(xv * xv, self.coeffs)
@@ -134,7 +142,7 @@ class PotentialSpec:
         """dV/dx."""
         xv = np.asarray(x, dtype=float)
         if self.kind == HARMONIC:
-            return mass * self.omega**2 * xv
+            return 2.0 * self.coefficients(mass=mass)[1] * xv
         if self.kind == QUARTIC:
             return 4.0 * self.lam * xv**3
         dcoeffs = [k * c for k, c in enumerate(self.coeffs)][1:]
@@ -251,10 +259,19 @@ def _check_dim(dim) -> int:
 def kinetic_matrix(spec: BasisSpec, dim: int) -> BandedSymMatrix:
     """Kinetic-energy matrix; only the diagonal and band 2 are nonzero."""
     dim = _check_dim(dim)
-    t = spec.alpha * spec.hbar**2 / (4.0 * spec.mass)
     r = np.arange(dim, dtype=float)
+    try:
+        with np.errstate(over="raise"):
+            t = spec.alpha * spec.hbar**2 / (4.0 * spec.mass)
+            if math.isinf(t):
+                raise OverflowError
+            diagonal = t * (2.0 * r + 1.0)
+    except (OverflowError, FloatingPointError):
+        raise RangeError("the kinetic matrix entry alpha hbar^2 (2 dim - 1) / 4m",
+                         math.log10(spec.alpha) + 2.0 * math.log10(spec.hbar)
+                         - math.log10(4.0 * spec.mass) + math.log10(2 * dim - 1)) from None
     bw = min(2, dim - 1)
-    bands = [t * (2.0 * r + 1.0)]
+    bands = [diagonal]
     if bw >= 1:
         bands.append(np.zeros(dim - 1))
     if bw >= 2:
@@ -320,6 +337,28 @@ def _ladder_tables(kmax: int, dim: int):
     return tuple(h), roots
 
 
+def _ladder_range_error(alpha, coeffs, h, roots) -> RangeError:
+    """The RangeError of a potential matrix whose build left the float range.
+
+    It names (2 alpha)^k where that power is out of range, and otherwise the
+    largest entry, estimated by its largest term c_k h_kj(r) sqrt((r+1)...(r+2j))
+    / (2 alpha)^k.
+    """
+    log_2alpha = math.log10(2.0 * alpha)
+    terms = [k for k, c in enumerate(coeffs) if c]
+    for k in terms:
+        if not -323.0 < k * log_2alpha < 308.0:
+            return RangeError(f"(2 alpha)^{k}", k * log_2alpha)
+    dim = h[0].shape[1]
+    sizes = []
+    for k in terms:
+        ladder = max([float(h[k][0].max())]
+                     + [float((h[k][j, :dim - 2 * j] * roots[j - 1, :dim - 2 * j]).max())
+                        for j in range(1, min(k, (dim - 1) // 2) + 1)])
+        sizes.append(math.log10(abs(coeffs[k])) - k * log_2alpha + math.log10(ladder))
+    return RangeError("the largest potential matrix entry", max(sizes))
+
+
 def potential_matrix(spec: BasisSpec, pot: PotentialSpec, dim: int, *,
                      band4: str = BAND4_LADDER) -> BandedSymMatrix:
     """Potential-energy matrix with bandwidth equal to the degree of V.
@@ -336,13 +375,21 @@ def potential_matrix(spec: BasisSpec, pot: PotentialSpec, dim: int, *,
     kmax = len(coeffs) - 1
     h, roots = _ladder_tables(kmax, dim)
     sums = np.zeros((kmax + 1, dim))
-    for k, c in enumerate(coeffs):
-        if c:
-            sums[:k + 1] += (c / (2.0 * spec.alpha) ** k) * h[k]
-    bands = [sums[0]]
-    for band in range(1, min(2 * kmax, dim - 1) + 1):
-        n = dim - band
-        bands.append(np.zeros(n) if band % 2 else sums[band // 2, :n] * roots[band // 2 - 1, :n])
+    try:
+        with np.errstate(over="raise"):
+            for k, c in enumerate(coeffs):
+                if c:
+                    factor = c / (2.0 * spec.alpha) ** k
+                    if math.isinf(factor):
+                        raise OverflowError
+                    sums[:k + 1] += factor * h[k]
+            bands = [sums[0]]
+            for band in range(1, min(2 * kmax, dim - 1) + 1):
+                n = dim - band
+                bands.append(np.zeros(n) if band % 2
+                             else sums[band // 2, :n] * roots[band // 2 - 1, :n])
+    except (OverflowError, ZeroDivisionError, FloatingPointError):
+        raise _ladder_range_error(spec.alpha, coeffs, h, roots) from None
     if band4 == BAND4_MISINDEXED:
         bands[4] = quartic_band4_misindexed(np.arange(dim - 4), spec.alpha, pot.lam)
     return BandedSymMatrix(dim, len(bands) - 1, tuple(bands))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisSpec, basis_table
-from .eigensolver import Spectrum
+from .eigensolver import Spectrum, ascent_tolerance
 from .errors import DegenerateInputError
 from .operators import PotentialSpec
 
@@ -61,7 +61,7 @@ class ConvergenceTable:
             arr = np.array(spec, dtype=float)
             if arr.shape != (d,):
                 raise ValueError(f"spectrum for dim {d} must have {d} entries")
-            if arr.size > 1 and np.any(np.diff(arr) < -1e-12 * (1.0 + np.abs(arr[:-1]))):
+            if arr.size > 1 and np.any(np.diff(arr) < -ascent_tolerance(arr[:-1])):
                 raise ValueError("each spectrum must ascend")
             arr.setflags(write=False)
             spectra.append(arr)

@@ -89,10 +89,10 @@ def scan_alpha(pot: PotentialSpec, constants: Constants, dim: int,
     for a in grid:
         try:
             energies.append(solve_spectrum(pot, constants, float(a), dim).eigenvalues)
-        except ConvergenceError as err:
-            raise ConvergenceError(
-                f"eigensolver failed at alpha = {a!r}: {err}",
-                dim=err.dim, index=err.index) from err
+        except (ConvergenceError, OverflowError) as err:
+            # the error keeps its type and fields, and its message gains the width
+            err.args = (f"eigensolver failed at alpha = {float(a)!r}: {err}",)
+            raise
     ground = np.array([e[0] for e in energies])
     argmin = float(grid[int(np.argmin(ground))])
     return AlphaScanResult(grid, tuple(energies), argmin)

@@ -440,3 +440,40 @@ def test_dim_must_lie_within_the_index_cap(capsys, monkeypatch, argv, flag, dim)
         cli.main(argv)
     assert err.value.code == 2
     assert f"{flag} must lie in [1, {basis.MAX_INDEX}], got {dim}" in capsys.readouterr().err
+
+
+#: Inputs whose solve leaves the float range: (argv, the error message).
+OUT_OF_RANGE = [
+    (["solve", "--potential", "harmonic", "--omega", "1e200", "--dim", "3"],
+     "m omega^2 / 2 = 10^399.7"),
+    (["solve", "--potential", "quartic", "--alpha", "1e-300", "--dim", "3"],
+     "(2 alpha)^2 = 10^-599.4"),
+    (["solve", "--potential", "quartic", "--alpha", "1e-160", "--dim", "10"],
+     "the largest potential matrix entry = 10^322.1"),
+    (["solve", "--alpha", "1e308", "--dim", "10"],
+     "the kinetic matrix entry alpha hbar^2 (2 dim - 1) / 4m = 10^308.7"),
+    (["scan-alpha", "--potential", "quartic", "--dim", "3", "--alpha-grid", "1e-300,1"],
+     "eigensolver failed at alpha = 1e-300: (2 alpha)^2 = 10^-599.4"),
+]
+
+
+@pytest.mark.parametrize("argv,quantity", OUT_OF_RANGE, ids=[" ".join(a) for a, _ in OUT_OF_RANGE])
+def test_out_of_range_quantity_is_named(capsys, argv, quantity):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {quantity} lies outside the float range\n"
+
+
+@pytest.mark.parametrize("lam,dim", [(1e300, 4), (1e200, 10), (1e150, 10)])
+def test_quartic_past_the_squares_range_solves(capsys, lam, dim):
+    # the residual's squares (lambda 1e300) and Householder's column norms
+    # (lambda 1e200) would overflow unscaled
+    code, out, err = run_cli(capsys, ["solve", "--potential", "quartic", "--lambda", repr(lam),
+                                      "--alpha", "1", "--dim", str(dim), "--format", "json"])
+    assert (code, err) == (0, "")
+    rows = json.loads(out)["results"]
+    h = hamiltonian_matrix(BasisSpec(1.0), PotentialSpec.quartic(lam), dim)
+    np.testing.assert_allclose([row["energy"] for row in rows],
+                               np.linalg.eigvalsh(h.to_dense()), rtol=1e-11)
+    assert [row["nodes"] for row in rows] == list(range(dim))

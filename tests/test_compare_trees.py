@@ -1,0 +1,137 @@
+"""The comparison rule of tools/compare_trees.py, on synthetic records only."""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "compare_trees.py"
+_spec = importlib.util.spec_from_file_location("compare_trees", TOOL)
+compare_trees = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(compare_trees)
+
+SUMMARIES = ["2 of 2 solves and rules bit-identical",
+             "2 of 2 spectra bit-identical (3 levels)",
+             "2 of 2 requests identical"]
+
+
+def records():
+    vectors = np.eye(2)
+    return {
+        "eigh": [("harmonic 0.5 alpha=0.7 dim=2",
+                  {"eigenvalues": np.array([0.5, 1.5]).tobytes(),
+                   "eigenvectors": vectors.tobytes(),
+                   "residual_norm": np.float64(0.0).tobytes()}),
+                 ("gauss-hermite rule order=1",
+                  {"nodes": np.zeros(1).tobytes(), "weights": np.ones(1).tobytes()})],
+        "numerov": [("harmonic 0.75 span=1.0 steps=2000", {"levels": [(0.375).hex()]}),
+                    ("quartic 0.5 span=3.0 steps=2000",
+                     {"levels": [(0.53).hex(), (1.9).hex()]})],
+        "cli": [("solve seed 1 request 0", {"exit code": 0, "stdout": "{}\n"}),
+                ("solve seed 1 request 1",
+                 {"exit code": "raised ValueError: no", "stdout": ""})],
+    }
+
+
+def run(capsys, old, new):
+    code = compare_trees.compare(old, new)
+    return code, capsys.readouterr().out.splitlines()
+
+
+def test_identical_records_agree(capsys):
+    code, lines = run(capsys, records(), records())
+    assert code == 0
+    assert lines == SUMMARIES
+
+
+def test_one_ulp_in_one_eigenvector_differs(capsys):
+    new = records()
+    vectors = np.eye(2)
+    vectors[1, 1] = np.nextafter(1.0, 0.0)
+    label, fields = new["eigh"][0]
+    new["eigh"][0] = (label, {**fields, "eigenvectors": vectors.tobytes()})
+    code, lines = run(capsys, records(), new)
+    assert code == 1
+    assert lines == ["harmonic 0.5 alpha=0.7 dim=2: eigenvectors differ",
+                     "1 of 2 solves and rules bit-identical", *SUMMARIES[1:]]
+
+
+def test_numerov_spectrum_raising_in_both_trees_differs(capsys):
+    old, new = records(), records()
+    for run_ in (old, new):
+        run_["numerov"][1] = ("quartic 0.5 span=3.0 steps=2000",
+                              {compare_trees.RAISED: "ScanResolutionError: shared cell"})
+    code, lines = run(capsys, old, new)
+    assert code == 1
+    assert lines[0].startswith("quartic 0.5 span=3.0 steps=2000: raised differ")
+    assert "OLD raised ScanResolutionError: shared cell" in lines[0]
+    assert "NEW raised ScanResolutionError: shared cell" in lines[0]
+    assert lines[2] == "1 of 2 spectra bit-identical (1 levels)"
+
+
+def test_cli_request_raising_the_same_text_agrees(capsys):
+    old, new = records(), records()
+    assert old["cli"][1][1]["exit code"].startswith("raised ")
+    code, lines = run(capsys, old, new)
+    assert code == 0
+    new["cli"][1][1]["exit code"] = "raised ValueError: other"
+    code, lines = run(capsys, old, new)
+    assert code == 1
+    assert lines[0] == "solve seed 1 request 1: exit code differ"
+
+
+@pytest.mark.parametrize("sweep", ["eigh", "numerov", "cli"])
+def test_shorter_record_list_is_reported(capsys, sweep):
+    new = records()
+    dropped = new[sweep].pop()[0]
+    code, lines = run(capsys, records(), new)
+    assert code == 1
+    assert lines[0] == f"{dropped}: missing in NEW"
+    code, lines = run(capsys, new, records())
+    assert code == 1
+    assert lines[0] == f"{dropped}: missing in OLD"
+
+
+def test_label_mismatch_is_reported(capsys):
+    new = records()
+    new["cli"][0] = ("solve seed 2 request 0", new["cli"][0][1])
+    code, lines = run(capsys, records(), new)
+    assert code == 1
+    assert lines[0] == "solve seed 1 request 0: labelled 'solve seed 2 request 0' in NEW"
+    assert lines[-1] == "1 of 2 requests identical"
+
+
+def test_a_failed_tree_differs_everywhere(capsys):
+    code, lines = run(capsys, records(), {})
+    assert code == 1
+    assert lines[-3:] == ["0 of 2 solves and rules bit-identical",
+                          "0 of 2 spectra bit-identical (0 levels)",
+                          "0 of 2 requests identical"]
+
+
+def test_wrong_argument_count_is_a_usage_error(capsys):
+    assert compare_trees.main(["compare_trees.py", "only-one"]) == 2
+    assert "OLD_SRC NEW_SRC" in capsys.readouterr().err
+
+
+def test_a_tree_that_fails_to_import_is_reported(capsys, tmp_path):
+    trees = []
+    for name in ("old", "new"):
+        package = tmp_path / name / "hgritz"
+        package.mkdir(parents=True)
+        (package / "__init__.py").write_text(f"raise ImportError('{name} tree is broken')\n")
+        trees.append(str(tmp_path / name))
+    assert compare_trees.main(["compare_trees.py", *trees]) == 1
+    out = capsys.readouterr().out
+    assert f"OLD tree {trees[0]}: the sweeps exited with code 1" in out
+    assert "ImportError: old tree is broken" in out
+    assert "ImportError: new tree is broken" in out
+    assert out.endswith("0 of 0 requests identical\n")
+
+
+def test_a_path_without_the_package_is_reported(capsys, monkeypatch, tmp_path):
+    # the package found on PYTHONPATH must not stand in for the missing one
+    monkeypatch.setenv("PYTHONPATH", str(TOOL.parent.parent / "src"))
+    assert compare_trees.main(["compare_trees.py", str(tmp_path), str(tmp_path)]) == 1
+    assert "holds no hgritz package" in capsys.readouterr().out

@@ -8,6 +8,7 @@ from helpers import charpoly_eigenvalues, ql_rotation_by_rotation
 from hgritz import (BandedSymMatrix, BasisSpec, ConvergenceError, PotentialSpec, eigh,
                     hamiltonian_matrix)
 from hgritz import eigensolver
+from hgritz.errors import RangeError
 
 
 def tridiagonal(diag, offdiag):
@@ -206,6 +207,23 @@ def test_banded_and_dense_input_solve_bit_identically(name, dim):
     np.testing.assert_array_equal(banded.eigenvalues, dense.eigenvalues)
     np.testing.assert_array_equal(banded.eigenvectors, dense.eigenvectors)
     assert banded.residual_norm == dense.residual_norm
+
+
+@pytest.mark.parametrize("name", list(BLOCK_POTENTIALS))
+def test_entries_past_2_256_solve_scaled_bit_for_bit(name):
+    # eigh scales such a matrix down by a power of two, which is exact, so
+    # 2^600 H gives 2^600 times the levels and residual of H and its vectors
+    h = hamiltonian_matrix(BasisSpec(1.5), BLOCK_POTENTIALS[name], 64).to_dense()
+    small, big = eigh(h), eigh(np.ldexp(h, 600))
+    np.testing.assert_array_equal(big.eigenvalues, np.ldexp(small.eigenvalues, 600))
+    np.testing.assert_array_equal(big.eigenvectors, small.eigenvectors)
+    assert big.residual_norm == math.ldexp(small.residual_norm, 600)
+
+
+def test_eigenvalue_past_the_float_range_is_named():
+    with pytest.raises(RangeError, match=r"^the largest eigenvalue = 10\^308\.3 lies "
+                                         r"outside the float range$"):
+        eigh(np.full((2, 2), 1e308))
 
 
 def test_tridiagonal_blocks_skip_the_reduction():

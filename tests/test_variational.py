@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from hgritz import (BasisSpec, Constants, PotentialSpec, check_mhu,
+import hgritz.variational as variational
+from hgritz import (BasisSpec, Constants, ConvergenceError, PotentialSpec, check_mhu,
                     convergence_table, eigh, exact_diagonal_alpha,
                     hamiltonian_matrix, minimize_alpha, scan_alpha,
                     solve_spectrum)
@@ -74,6 +75,21 @@ class TestScanAlpha:
         # hbar = mass = 2 keeps m omega / hbar = 1, so the argmin stays put
         scan = scan_alpha(HARM, Constants(hbar=2.0, mass=2.0), 1, [0.5, 1.0, 2.0])
         assert scan.argmin_alpha == 1.0
+
+    def test_range_error_names_the_width_as_a_plain_float(self):
+        with pytest.raises(OverflowError, match=r"^eigensolver failed at alpha = 1e-300: "
+                                                r"\(2 alpha\)\^2 = 10\^-599\.4 lies outside"):
+            scan_alpha(QUART, C, 3, [1e-300, 1.0])
+
+    def test_convergence_error_names_the_width_and_keeps_its_fields(self, monkeypatch):
+        def stall(matrix):
+            raise ConvergenceError("QL stalled", dim=3, index=1)
+
+        monkeypatch.setattr(variational, "eigh", stall)
+        with pytest.raises(ConvergenceError,
+                           match=r"^eigensolver failed at alpha = 0\.5: QL stalled$") as err:
+            scan_alpha(QUART, C, 3, np.array([1.0, 0.5]))
+        assert (err.value.dim, err.value.index) == (3, 1)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

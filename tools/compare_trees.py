@@ -1,0 +1,246 @@
+"""Check that two source trees give the same numbers and the same reports.
+
+    python tools/compare_trees.py OLD_SRC NEW_SRC
+
+Each tree (a directory holding the hgritz package) is imported in its own
+subprocess, and the two run at once.  Each runs three sweeps:
+
+- eigensolver: 345 Hamiltonians of five potential families (harmonic,
+  quartic, quartic and sextic single wells, double wells) at dims 1 to 256
+  and three widths, five random dense symmetric matrices, and the
+  Gauss-Hermite rules of every order from 1 to 370.  The eigenvalues,
+  eigenvectors and residual_norm of every solve and the nodes and weights
+  of every rule are compared bit for bit.
+- Numerov: `numerov.spectrum_below` on the five families at two strengths
+  each, energy caps 1, 3 and 8 above the potential minimum, and 2,000 and
+  20,000 steps, 60 spectra.  Every level is compared bit for bit, and a
+  spectrum that raises in either tree counts as differing.
+- CLI reports: the first 40 requests of each benchmark workload (solve,
+  minimize, certify) on seeds 1 to 3, as `bench/workloads.stream` makes
+  them, through `hgritz.cli.main(argv + ["--format", "json"])`, the call the
+  benchmark makes.  The exit code and the stdout bytes are compared; a
+  request that raises is compared by its exception's text.
+
+One line is printed per differing record, naming its fields, then one
+summary line per sweep.  The exit code is 0 exactly when every record agrees.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import importlib.util
+import io
+import itertools
+import pickle
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+TOOLS = Path(__file__).resolve().parent
+BENCH = TOOLS.parent / "bench"
+
+#: Each sweep and the words of its summary line after "k of n".
+SWEEPS = {"eigh": "solves and rules bit-identical",
+          "numerov": "spectra bit-identical",
+          "cli": "requests identical"}
+
+#: The field that holds the exception a Numerov spectrum raised.  It never
+#: agrees: every spectrum of the sweep is meant to solve.
+RAISED = "raised"
+
+EIGH_FAMILIES = {
+    "harmonic": lambda k: ("harmonic", 0.5 + 0.25 * k),
+    "quartic": lambda k: ("quartic", 0.1 * (k + 1)),
+    "quartic_well": lambda k: ("even_polynomial", (0.0, 0.2 * (k + 1), 0.5)),
+    "sextic_well": lambda k: ("even_polynomial", (0.0, 0.5, 0.1 * k, 0.05 * (k + 1))),
+    "double_well": lambda k: ("even_polynomial", (0.0, -2.0 * (k + 1), 0.5)),
+}
+EIGH_DIMS = (1, 2, 3, 4, 5, 7, 8, 13, 16, 21, 30, 31, 32, 47, 50, 63, 64, 77, 90,
+             100, 128, 200, 256)
+EIGH_ALPHAS = (0.7, 1.5, 2.5)
+#: Gauss-Hermite rule orders, up to quadrature.MAX_ORDER.
+RULE_ORDERS = range(1, 371)
+
+NUMEROV_FAMILIES = {
+    "harmonic": lambda k: ("harmonic", 0.75 + 0.5 * k),
+    "quartic": lambda k: ("quartic", 0.5 + k),
+    "quartic_well": lambda k: ("even_polynomial", (0.0, 0.3 + 0.4 * k, 0.5)),
+    "sextic_well": lambda k: ("even_polynomial", (0.0, 0.5, 0.1 * k, 0.05 * (k + 1))),
+    "double_well": lambda k: ("even_polynomial", (0.0, -2.0 * (k + 1), 0.5)),
+}
+#: Energy caps above the potential minimum.
+NUMEROV_SPANS = (1.0, 3.0, 8.0)
+NUMEROV_STEPS = (2000, 20000)
+
+WORKLOADS = ("solve", "minimize", "certify")
+SEEDS = (1, 2, 3)
+REQUESTS = 40
+
+#: What each subprocess runs: this module's run_sweeps on one tree.
+_CHILD = (f"import sys; sys.path.insert(0, {str(TOOLS)!r}); import compare_trees; "
+          "compare_trees.run_sweeps(sys.argv[1])")
+
+
+def _eigh_sweep():
+    from hgritz import BasisSpec, eigh, gauss_hermite_rule, hamiltonian_matrix
+    import numpy as np
+
+    def solve(label, matrix):
+        s = eigh(matrix)
+        return label, {"eigenvalues": s.eigenvalues.tobytes(),
+                       "eigenvectors": s.eigenvectors.tobytes(),
+                       "residual_norm": np.float64(s.residual_norm).tobytes()}
+
+    out = []
+    for name, param in EIGH_FAMILIES.items():
+        for i, dim in enumerate(EIGH_DIMS):
+            for j, alpha in enumerate(EIGH_ALPHAS):
+                kind, value = param((i + j) % 4)
+                matrix = hamiltonian_matrix(BasisSpec(alpha), _potential(kind, value), dim)
+                out.append(solve(f"{name} {value} alpha={alpha} dim={dim}", matrix))
+    rng = np.random.default_rng(2017)
+    for n in (1, 2, 9, 40, 100):
+        a = rng.standard_normal((n, n))
+        out.append(solve(f"random dense dim={n}", a + a.T))
+    for order in RULE_ORDERS:
+        rule = gauss_hermite_rule(order)
+        out.append((f"gauss-hermite rule order={order}",
+                    {"nodes": rule.nodes.tobytes(), "weights": rule.weights.tobytes()}))
+    return out
+
+
+def _numerov_sweep():
+    from hgritz import Constants, numerov
+
+    constants = Constants()
+    out = []
+    for name, param in NUMEROV_FAMILIES.items():
+        for k in range(2):
+            kind, value = param(k)
+            pot = _potential(kind, value)
+            for span, steps in itertools.product(NUMEROV_SPANS, NUMEROV_STEPS):
+                e_cap = pot.minimum(mass=constants.mass) + span
+                config = numerov.default_config(pot, constants, e_cap, steps=steps)
+                try:
+                    levels = numerov.spectrum_below(pot, constants, config, e_cap)
+                    fields = {"levels": [x.hex() for x in levels.tolist()]}
+                except Exception as exc:  # reported as a difference, never equal
+                    fields = {RAISED: f"{type(exc).__name__}: {exc}"}
+                out.append((f"{name} {value} span={span} steps={steps}", fields))
+    return out
+
+
+def _cli_sweep():
+    import workloads
+    from hgritz.cli import main
+
+    out = []
+    for workload, seed in itertools.product(WORKLOADS, SEEDS):
+        requests = itertools.islice(workloads.stream(workload, seed), REQUESTS)
+        for i, request in enumerate(requests):
+            text = io.StringIO()
+            with contextlib.redirect_stdout(text), contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    code = main([*request.argv, "--format", "json"])
+                except SystemExit as exc:
+                    code = exc.code
+                except Exception as exc:  # a raising request is compared too
+                    code = f"raised {type(exc).__name__}: {exc}"
+            out.append((f"{workload} seed {seed} request {i}",
+                        {"exit code": code, "stdout": text.getvalue()}))
+    return out
+
+
+def _potential(kind, value):
+    from hgritz import PotentialSpec
+
+    if kind == "harmonic":
+        return PotentialSpec.harmonic(value)
+    if kind == "quartic":
+        return PotentialSpec.quartic(value)
+    return PotentialSpec.even_polynomial(value)
+
+
+def run_sweeps(src):
+    """Write the pickled records of every sweep, run on the tree src, to stdout."""
+    sys.path[:0] = [src, str(BENCH)]
+    sys.dont_write_bytecode = True  # leave both trees and bench/ as they are
+    found = importlib.util.find_spec("hgritz")
+    if found is None or Path(found.origin).parent.parent.resolve() != Path(src).resolve():
+        raise SystemExit(f"{src} holds no hgritz package")
+    runs = {"eigh": _eigh_sweep(), "numerov": _numerov_sweep(), "cli": _cli_sweep()}
+    sys.stdout.buffer.write(pickle.dumps(runs))
+
+
+def compare(old, new) -> int:
+    """Compare two trees' records, sweep by sweep and record by record.
+
+    old and new map each sweep to its list of (label, fields) records; a
+    sweep may be missing.  Records are paired by position.  A pair differs
+    where its labels differ, where one tree has no record, or in every field
+    whose values differ or that holds a raised Numerov spectrum.  Prints one
+    line per differing record and the summary of every sweep; returns 0
+    exactly when every record agrees.
+    """
+    differ_any = False
+    summaries = []
+    for sweep, words in SWEEPS.items():
+        pairs = list(itertools.zip_longest(old.get(sweep, []), new.get(sweep, [])))
+        differ = levels = 0
+        for a, b in pairs:
+            if a is None or b is None:
+                label, tree = (b[0], "OLD") if a is None else (a[0], "NEW")
+                line = f"{label}: missing in {tree}"
+            elif a[0] != b[0]:
+                line = f"{a[0]}: labelled {b[0]!r} in NEW"
+            else:
+                fields = list(dict.fromkeys([*a[1], *b[1]]))
+                names = [name for name in fields
+                         if name == RAISED or a[1].get(name) != b[1].get(name)]
+                if not names:
+                    levels += len(a[1].get("levels", ()))
+                    continue
+                line = f"{a[0]}: {', '.join(names)} differ"
+                raised = [f"{tree} raised {run[1][RAISED]}"
+                          for tree, run in (("OLD", a), ("NEW", b)) if RAISED in run[1]]
+                if raised:
+                    line += f" ({'; '.join(raised)})"
+            differ += 1
+            print(line)
+        summary = f"{len(pairs) - differ} of {len(pairs)} {words}"
+        summaries.append(summary + (f" ({levels} levels)" if sweep == "numerov" else ""))
+        differ_any = differ_any or differ > 0
+    print("\n".join(summaries))
+    return 1 if differ_any else 0
+
+
+def main(argv) -> int:
+    if len(argv) != 3:
+        print(__doc__, file=sys.stderr)
+        return 2
+    trees = list(zip(("OLD", "NEW"), argv[1:]))
+    with contextlib.ExitStack() as stack:
+        files = [[stack.enter_context(tempfile.TemporaryFile()) for _ in range(2)]
+                 for _ in trees]
+        # both children start before either is waited on
+        children = [subprocess.Popen([sys.executable, "-c", _CHILD, src],
+                                     stdout=out, stderr=err)
+                    for (_, src), (out, err) in zip(trees, files)]
+        runs, failed = [], False
+        for (tree, src), child, (out, err) in zip(trees, children, files):
+            if child.wait() == 0:
+                out.seek(0)
+                runs.append(pickle.load(out))
+                continue
+            err.seek(0)
+            tail = err.read().decode(errors="replace").strip().splitlines()[-5:]
+            print(f"{tree} tree {src}: the sweeps exited with code {child.returncode}")
+            print("\n".join(f"    {line}" for line in tail))
+            runs.append({})
+            failed = True
+    return max(compare(*runs), int(failed))
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv))
