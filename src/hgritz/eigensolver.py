@@ -12,7 +12,8 @@ TOMS 40(3):18), in a few numpy calls per wave and with the same bits as one
 rotation at a time.  A matrix with no entry coupling an even
 index to an odd one, as every Hamiltonian of an even potential is, is solved
 one parity block at a time, read from its zeros, so each of its eigenvectors
-has exact parity; a tridiagonal block skips the reduction.  Output is
+has exact parity; Householder leaves a column that is already tridiagonal
+as it is, so a tridiagonal block goes to QL unchanged.  Output is
 deterministic: eigenvalues ascend and each eigenvector has its
 largest-magnitude component positive.
 """
@@ -95,14 +96,19 @@ class Spectrum:
 
 
 def _householder_tridiag(a):
-    """Reduce symmetric a in place to tridiagonal T = Q^T A Q; return d, e, Q."""
+    """Reduce symmetric a in place to tridiagonal T = Q^T A Q; return d, e, Q.
+
+    A column with nothing below its subdiagonal entry is already reduced and
+    is skipped.  Q is built at the first reflection and is None when there
+    was none, so a tridiagonal a comes back as it is, with no Q.
+    """
     n = a.shape[0]
-    q = np.eye(n)
+    q = None
     for k in range(n - 2):
         x = a[k + 1:, k]
-        norm_x = float(np.linalg.norm(x))
-        if norm_x == 0.0:
+        if not x[1:].any():
             continue
+        norm_x = float(np.linalg.norm(x))
         v = x.copy()
         v[0] += math.copysign(norm_x, x[0])
         vsq = float(v @ v)
@@ -118,6 +124,8 @@ def _householder_tridiag(a):
         a[k, k + 1] = head
         a[k + 2:, k] = 0.0
         a[k, k + 2:] = 0.0
+        if q is None:
+            q = np.eye(n)
         qv = q[:, k + 1:] @ v
         q[:, k + 1:] -= beta * (qv[:, None] * v)
     return np.diag(a).copy(), np.diag(a, 1).copy(), q
@@ -245,8 +253,8 @@ def _fix_signs(v):
     return v
 
 
-def _finish(a_apply, norm_inf, d, z, shift):
-    """Sorted (eigenvalues, eigenvectors, residual) of one QL solve, residual-checked.
+def _finish(a, d, z, shift):
+    """Sorted (eigenvalues, eigenvectors, residual) of a QL solve of block a.
 
     The block was scaled down by 2^shift, and the eigenvalues and residual
     are scaled back.  The check is that of the unscaled block, residual <=
@@ -259,8 +267,9 @@ def _finish(a_apply, norm_inf, d, z, shift):
     w = d[order]
     z[:] = z[:, order]
     v = _fix_signs(z)
-    resid = a_apply(v) - v * w
+    resid = a @ v - v * w
     residual = float(np.sqrt((resid * resid).sum(axis=0)).max())
+    norm_inf = float(np.abs(a).sum(axis=1).max())
     if residual > 1e-10 * (math.ldexp(1.0, -shift) + norm_inf):
         raise ConvergenceError(
             f"eigen residual {math.ldexp(residual, shift):.3e} above tolerance for dim {n}",
@@ -273,36 +282,11 @@ def _finish(a_apply, norm_inf, d, z, shift):
                          + shift * math.log10(2.0)) from None
 
 
-def _dense(a, shift):
+def _solve_block(a, shift):
     """(eigenvalues, eigenvectors, residual) of the symmetric array 2^shift a."""
     d, e, q = _householder_tridiag(a.copy())
     w, z = _ql_implicit(d, e, q)
-    norm_inf = float(np.abs(a).sum(axis=1).max())
-    return _finish(lambda v: a @ v, norm_inf, w, z, shift)
-
-
-def _tridiag(d, e, shift=0):
-    """(eigenvalues, eigenvectors, residual) of the symmetric tridiagonal 2^shift (d, e)."""
-
-    def apply(v):
-        out = d[:, None] * v
-        out[:-1] += e[:, None] * v[1:]
-        out[1:] += e[:, None] * v[:-1]
-        return out
-
-    row_sums = np.abs(d)
-    row_sums[:-1] += np.abs(e)
-    row_sums[1:] += np.abs(e)
-    w, z = _ql_implicit(d, e)
-    return _finish(apply, float(row_sums.max()), w, z, shift)
-
-
-def _solve_block(a, shift):
-    """_dense(a, shift), or QL alone when a has nothing past its first off-diagonal."""
-    central = sum(np.count_nonzero(np.diagonal(a, k)) for k in (-1, 0, 1))
-    if np.count_nonzero(a) > central:
-        return _dense(a, shift)
-    return _tridiag(np.diag(a), np.diag(a, 1), shift)
+    return _finish(a, w, z, shift)
 
 
 def eigh(matrix) -> Spectrum:

@@ -54,6 +54,11 @@ _RESCALE_AT = 1e250
 #: Steps per block of `shoot_scan`'s coefficients.
 _CHUNK = 64
 
+#: Most energies `spectrum_below` scans.  Each chunk of `shoot_scan` holds
+#: several arrays of (_CHUNK + 2) x 2 x energies floats; the cap keeps each
+#: at 64 MiB, where 10^6 energies would take 1 GiB apiece.
+MAX_SCAN_POINTS = (64 << 20) // ((_CHUNK + 2) * 2 * 8)
+
 #: Width, relative to 1 + |E|, to which Brent's method narrows a bracket before
 #: `_bisect` replays bisection on it.
 _NARROW_WIDTH = 1e-12
@@ -456,7 +461,9 @@ def spectrum_below(pot: PotentialSpec, constants: Constants,
     below the scan start, or two levels sharing a cell, raise
     ScanResolutionError from the counts alone, whatever a refinement would
     find, so no level is dropped silently.  Each refined state is also
-    checked to carry as many nodes as the count gives levels below it.
+    checked to carry as many nodes as the count gives levels below it.  A
+    scan of more than MAX_SCAN_POINTS energies raises ScanResolutionError
+    before it is allocated.
     """
     e_cap = float(e_cap)
     v_min = pot.minimum(mass=constants.mass)
@@ -464,8 +471,12 @@ def spectrum_below(pot: PotentialSpec, constants: Constants,
     if e_cap <= start:
         return np.array([])
     if scan_points is None:
-        scan_points = max(64, int(8.0 * (e_cap - v_min)))
-    energies = np.linspace(start, e_cap, scan_points)
+        scan_points = max(64.0, 8.0 * (e_cap - v_min))
+    if scan_points > MAX_SCAN_POINTS:
+        raise ScanResolutionError(
+            f"the scan of ({start:.8g}, {e_cap:.8g}) takes {scan_points:.4g} energies, "
+            f"more than the {MAX_SCAN_POINTS} one scan may hold")
+    energies = np.linspace(start, e_cap, int(scan_points))
     grid = energies.tolist()
     psi, changes = shoot_scan(pot, constants, config, energies)
     found = []

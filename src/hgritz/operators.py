@@ -171,7 +171,11 @@ class PotentialSpec:
         if self.kind == HARMONIC:
             if energy <= 0.0:
                 return 0.0
-            return math.sqrt(2.0 * energy / mass) / self.omega
+            ratio = 2.0 * energy / mass
+            if math.isinf(ratio):
+                # 2 E / m overflows although x_t may not: take its root by parts
+                return math.sqrt(2.0) * (math.sqrt(energy) / math.sqrt(mass)) / self.omega
+            return math.sqrt(ratio) / self.omega
         if self.kind == QUARTIC:
             if energy <= 0.0:
                 return 0.0

@@ -264,6 +264,20 @@ class TestVerifyMhu:
         assert "even-channel level lies below the scan start" in err
         assert "scan_points" not in err
 
+    @pytest.mark.parametrize("pot", [["--potential", "quartic", "--lambda", "1e200"],
+                                     ["--potential", "quartic", "--lambda", "1e250",
+                                      "--mass", "1e-300"],
+                                     ["--potential", "even-polynomial", "--coeffs",
+                                      "0,-1e150,1"]], ids=["1e200", "1e250-light", "coeffs"])
+    def test_numerov_scan_past_its_cap_is_named(self, capsys, pot):
+        # the scan asked np.linspace for about 1e201 energies and died in numpy
+        code, out, err = run_cli(capsys, [
+            "verify-mhu", *pot, "--dims", "2,4", "--exact", "numerov",
+            "--numerov-steps", "1000"])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: the scan of (")
+        assert f"energies, more than the {numerov.MAX_SCAN_POINTS} one scan may hold" in err
+
     @pytest.mark.parametrize("steps", ["0", "999", "1000001", "100000000000"])
     def test_numerov_steps_out_of_range_is_usage_error(self, capsys, steps):
         # 1e11 steps used to die on a 745 GiB allocation
@@ -477,3 +491,15 @@ def test_quartic_past_the_squares_range_solves(capsys, lam, dim):
     np.testing.assert_allclose([row["energy"] for row in rows],
                                np.linalg.eigvalsh(h.to_dense()), rtol=1e-11)
     assert [row["nodes"] for row in rows] == list(range(dim))
+
+
+def test_harmonic_levels_near_the_float_limit_solve(capsys):
+    # 2 E / m overflows at these levels although each turning point is finite
+    code, out, err = run_cli(capsys, ["solve", "--potential", "harmonic", "--omega", "1e154",
+                                      "--dim", "3", "--format", "json"])
+    assert (code, err) == (0, "")
+    rows = json.loads(out)["results"]
+    h = hamiltonian_matrix(BasisSpec(1.0), PotentialSpec.harmonic(1e154), 3)
+    np.testing.assert_allclose([row["energy"] for row in rows],
+                               np.linalg.eigvalsh(h.to_dense()), rtol=1e-11)
+    assert [row["nodes"] for row in rows] == [0, 1, 2]

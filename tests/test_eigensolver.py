@@ -227,16 +227,43 @@ def test_eigenvalue_past_the_float_range_is_named():
 
 
 def test_tridiagonal_blocks_skip_the_reduction():
-    # the harmonic parity blocks are tridiagonal, so each goes to QL alone
-    # and gives the bits of the tridiagonal solve on the same block
-    h = hamiltonian_matrix(BasisSpec(1.5), BLOCK_POTENTIALS["harmonic"], 20)
-    res = eigh(h)
-    for p in (0, 1):
-        values, vectors, _ = eigensolver._tridiag(h.bands[0][p::2], h.bands[2][p::2])
-        rows = res.eigenvectors[p::2]
-        cols = np.any(rows != 0.0, axis=0)
-        np.testing.assert_array_equal(res.eigenvalues[cols], values)
-        np.testing.assert_array_equal(rows[:, cols], vectors)
+    # Householder hands a tridiagonal block to QL as it is, with no Q, so
+    # eigh's columns for that block are those of QL run alone.  The harmonic
+    # parity blocks, the Hermite Jacobi matrix and a 2 x 2 block are each
+    # tridiagonal.
+    harmonic = hamiltonian_matrix(BasisSpec(1.5), BLOCK_POTENTIALS["harmonic"], 20)
+    jacobi = tridiagonal(np.zeros(30), np.sqrt(np.arange(1, 30) / 2.0))
+    pair = np.array([[0.3, -1.2], [-1.2, 2.0]])
+    for a, step in ((harmonic.to_dense(), 2), (jacobi, 1), (pair, 1)):
+        res = eigh(a)
+        for p in range(step):
+            block = a[p::step, p::step]
+            d, e, q = eigensolver._householder_tridiag(block.copy())
+            assert q is None
+            assert d.tobytes() == np.diag(block).tobytes()
+            assert e.tobytes() == np.diag(block, 1).tobytes()
+            values, vectors = eigensolver._ql_implicit(d, e)
+            order = np.argsort(values, kind="stable")
+            rows = res.eigenvectors[p::step]
+            cols = np.any(rows != 0.0, axis=0)
+            np.testing.assert_array_equal(res.eigenvalues[cols], values[order])
+            np.testing.assert_array_equal(rows[:, cols], eigensolver._fix_signs(vectors[:, order]))
+
+
+def test_tridiagonal_leading_columns_then_dense():
+    # Householder skips the leading columns and builds Q at its first
+    # reflection, in the dense trailing block
+    rng = np.random.default_rng(13)
+    n, lead = 14, 5
+    a = tridiagonal(rng.standard_normal(n), rng.standard_normal(n - 1))
+    tail = rng.standard_normal((n - lead, n - lead))
+    a[lead:, lead:] += tail + tail.T
+    res = eigh(a)
+    assert_matches_lapack(res, a)
+    assert res.residual_norm <= 1e-10 * (1.0 + np.abs(a).sum(axis=1).max())
+    d, e, q = eigensolver._householder_tridiag(a.copy())
+    np.testing.assert_array_equal(q[:, :lead + 1], np.eye(n)[:, :lead + 1])
+    np.testing.assert_array_equal(d[:lead], np.diag(a)[:lead])
 
 
 # -- QL rotations applied in waves --------------------------------------------
@@ -244,14 +271,12 @@ def test_tridiagonal_blocks_skip_the_reduction():
 
 def ql_inputs(a):
     """(d, e, z) that eigh hands QL for the symmetric block a."""
-    if np.triu(a, 2).any():
-        return eigensolver._householder_tridiag(a.copy())
-    return np.diag(a).copy(), np.diag(a, 1).copy(), np.eye(a.shape[0])
+    return eigensolver._householder_tridiag(a.copy())
 
 
 def assert_ql_matches_oracle(d, e, z):
     d0, e0 = d.copy(), e.copy()
-    want_w, want_z = ql_rotation_by_rotation(d, e, z)
+    want_w, want_z = ql_rotation_by_rotation(d, e, np.eye(d.size) if z is None else z)
     got_w, got_z = eigensolver._ql_implicit(d, e, z)
     np.testing.assert_array_equal(d, d0)
     np.testing.assert_array_equal(e, e0)
