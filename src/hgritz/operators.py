@@ -179,9 +179,20 @@ class PotentialSpec:
         if self.kind == QUARTIC:
             if energy <= 0.0:
                 return 0.0
-            return (energy / self.lam) ** 0.25
+            ratio = energy / self.lam
+            if math.isinf(ratio):
+                # E / lam overflows although x_t may not: take its root by parts
+                return energy**0.25 / self.lam**0.25
+            return ratio**0.25
         shifted = list(self.coeffs)
         shifted[0] -= energy
+        # polyroots divides every coefficient by the leading one
+        n = len(shifted) - 1
+        for k, c in enumerate(shifted[:-1]):
+            if math.isinf(c / shifted[n]):
+                raise RangeError(f"the turning-point coefficient "
+                                 f"{'(c_0 - E)' if k == 0 else f'c_{k}'} / c_{n}",
+                                 math.log10(abs(c)) - math.log10(shifted[n]))
         roots = np.polynomial.polynomial.polyroots(shifted)
         best = 0.0
         for u in roots:

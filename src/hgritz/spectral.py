@@ -36,8 +36,8 @@ NODE_GRID_POINTS = 2001
 #: its norm (see parity_classify).
 PARITY_TOL = 1e-10
 
-#: Points of the shared half-line grid that node_counts evaluates at a time;
-#: its working set is about (dim + states) x NODE_CHUNK floats.
+#: Points of the shared half-line grid that node_counts evaluates at a time,
+#: each point once; its working set is about (dim + states) x NODE_CHUNK floats.
 NODE_CHUNK = 512
 
 
@@ -229,14 +229,24 @@ def default_node_grid(spec: BasisSpec, pot: PotentialSpec, energy: float) -> np.
     return np.linspace(-half, half, NODE_GRID_POINTS)
 
 
-def _half_line_grid(spec: BasisSpec, turns: np.ndarray) -> np.ndarray:
+def _half_line_grid(spec: BasisSpec, turns: np.ndarray, dim: int) -> np.ndarray:
     """Grid k h, k = 0, 1, ..., on [0, max(turns)] and at most one step past it.
 
     h is the spacing of the finest default_node_grid over the outer turning
-    points `turns`, so no state is sampled more coarsely than there.
+    points `turns`, so no state is sampled more coarsely than there.  A
+    turning point far past where the dim basis functions live makes h too
+    coarse to resolve them: DegenerateInputError is raised where h exceeds
+    pi / sqrt(alpha (2 dim - 1)), the spacing of the nodes of phi_{dim-1}
+    near x = 0.
     """
     half = float(turns.min()) + 5.0 / math.sqrt(spec.alpha)
     step = 2.0 * half / (NODE_GRID_POINTS - 1)
+    spacing = math.pi / (math.sqrt(spec.alpha) * math.sqrt(2 * dim - 1))
+    if step > spacing:
+        raise DegenerateInputError(
+            f"the node grid step {step:.3g}, set by the turning point {turns.min():.3g}, "
+            f"is coarser than the node spacing {spacing:.3g} of phi_{dim - 1} "
+            f"(basis width 1/sqrt(alpha) = {1.0 / math.sqrt(spec.alpha):.3g})")
     return step * np.arange(math.ceil(float(turns.max()) / step) + 1)
 
 
@@ -255,11 +265,19 @@ def node_counts(spec: BasisSpec, pot: PotentialSpec, spectrum: Spectrum) -> np.n
     the rest count.  The node count is twice that, plus one for an odd
     state, whose node at x = 0 the parity gives.
 
-    The basis recurrence runs on NODE_CHUNK grid points at a time, twice:
-    once for each state's peak, once for its sign changes.  Raises
-    ValueError for a state whose coefficients are not exactly even or odd
-    in the index, and DegenerateInputError for a state with no nonzero
-    sample on its allowed set.
+    One pass evaluates the basis recurrence on NODE_CHUNK grid points at a
+    time, each point once.  The floor is known only when the pass ends, but
+    the peak only grows, so a sample at or under the floor of the peak so
+    far can never be kept.  Each chunk therefore keeps, per state, the
+    samples above that running floor as runs of one sign, and stores each
+    run as its sign and its largest |value|.  At the end a run survives
+    exactly when that value exceeds the final floor, so the sign changes
+    between kept samples are the changes of sign between consecutive
+    surviving runs: count_nodes' count bit for bit, in storage that grows
+    with the nodes, not with the grid.  Raises ValueError for a state whose
+    coefficients are not exactly even or odd in the index, and
+    DegenerateInputError for a state with no nonzero sample on its allowed
+    set.
     """
     coeffs = spectrum.eigenvectors
     energies = spectrum.eigenvalues
@@ -269,7 +287,7 @@ def node_counts(spec: BasisSpec, pot: PotentialSpec, spectrum: Spectrum) -> np.n
         raise ValueError(f"state {int(np.argmax(mixed))} is neither exactly even "
                          "nor exactly odd")
     turns = np.array([pot.turning_point(e, mass=spec.mass) for e in energies])
-    grid = _half_line_grid(spec, turns)
+    grid = _half_line_grid(spec, turns, spectrum.dim)
     # per parity: its states by ascending turning point, with their
     # coefficients on the basis functions of that parity as rows
     blocks = []
@@ -278,34 +296,49 @@ def node_counts(spec: BasisSpec, pot: PotentialSpec, spectrum: Spectrum) -> np.n
         states = states[np.argsort(turns[states], kind="stable")]
         blocks.append((p, states, turns[states], coeffs[p::2, states].T.copy()))
 
-    def samples():
-        """(states, values) per chunk; values are 0 outside each allowed set."""
-        for start in range(0, grid.size, NODE_CHUNK):
-            x = grid[start:start + NODE_CHUNK]
-            table = basis_table(spec, spectrum.dim - 1, x)
-            v = pot.value(x, mass=spec.mass)
-            for p, states, sorted_turns, rows in blocks:
-                first = int(np.searchsorted(sorted_turns, x[0]))
-                reach = states[first:]
-                values = rows[first:] @ table[p::2]
-                allowed = (x <= turns[reach, None]) & (v <= energies[reach, None])
-                yield reach, np.where(allowed, values, 0.0)
-
     peak = np.zeros(spectrum.dim)
-    for states, values in samples():
-        peak[states] = np.maximum(peak[states], np.abs(values).max(axis=1))
+    run_states, run_signs, run_tops = [], [], []
+    for start in range(0, grid.size, NODE_CHUNK):
+        x = grid[start:start + NODE_CHUNK]
+        table = basis_table(spec, spectrum.dim - 1, x)
+        v = pot.value(x, mass=spec.mass)
+        for p, states, sorted_turns, rows in blocks:
+            first = int(np.searchsorted(sorted_turns, x[0]))
+            reach = states[first:]
+            values = rows[first:] @ table[p::2]
+            positive = values > 0.0
+            # |values| on each allowed set, 0 elsewhere
+            size = np.abs(values, out=values)
+            size *= (x <= turns[reach, None]) & (v <= energies[reach, None])
+            peak[reach] = np.maximum(peak[reach], size.max(axis=1))
+            above = size > DEFAULT_AMPLITUDE_FLOOR * peak[reach, None]
+            size *= above
+            above = np.flatnonzero(above)
+            if above.size == 0:
+                continue
+            # a run opens at each state's first sample above its running floor
+            # and at each change of sign; it ends where the next run opens,
+            # and the samples between are 0 in size
+            positive = positive.ravel()[above]
+            # (a state with none points at a later state's first, or at the
+            # spare last slot)
+            opens = np.zeros(above.size + 1, dtype=bool)
+            opens[np.searchsorted(above, x.size * np.arange(reach.size))] = True
+            opens[1:-1] |= positive[1:] != positive[:-1]
+            opens = np.flatnonzero(opens[:-1])
+            at = above[opens]
+            run_states.append(reach[at // x.size])
+            run_signs.append(positive[opens])
+            run_tops.append(np.maximum.reduceat(size.ravel(), at))
     if not peak.all():
         raise DegenerateInputError(f"state {int(np.argmin(peak))} has no nonzero "
                                    "sample on its allowed set")
-    floor = DEFAULT_AMPLITUDE_FLOOR * peak
-    last = np.zeros(spectrum.dim)  # sign of each state's last kept sample
-    changes = np.zeros(spectrum.dim, dtype=int)
-    for states, values in samples():
-        signs = np.where(np.abs(values) > floor[states, None], np.sign(values), 0.0)
-        signs = np.concatenate([last[states, None], signs], axis=1)
-        # carry the last kept sign over dropped samples
-        kept = np.where(signs != 0.0, np.arange(signs.shape[1]), 0)
-        signs = np.take_along_axis(signs, np.maximum.accumulate(kept, axis=1), axis=1)
-        changes[states] += np.count_nonzero(signs[:, 1:] * signs[:, :-1] < 0.0, axis=1)
-        last[states] = signs[:, -1]
+    # each state's runs in grid order, then those above its final floor
+    states = np.concatenate(run_states)
+    order = np.argsort(states, kind="stable")
+    states = states[order]
+    kept = np.concatenate(run_tops)[order] > DEFAULT_AMPLITUDE_FLOOR * peak[states]
+    states, signs = states[kept], np.concatenate(run_signs)[order][kept]
+    flips = (states[1:] == states[:-1]) & (signs[1:] != signs[:-1])
+    changes = np.bincount(states[1:][flips], minlength=spectrum.dim)
     return 2 * changes + odd

@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -503,3 +504,30 @@ def test_harmonic_levels_near_the_float_limit_solve(capsys):
     np.testing.assert_allclose([row["energy"] for row in rows],
                                np.linalg.eigvalsh(h.to_dense()), rtol=1e-11)
     assert [row["nodes"] for row in rows] == [0, 1, 2]
+
+
+@pytest.mark.parametrize("argv,turn", [(["--alpha", "1e10", "--dim", "3"], "1.93e+77"),
+                                       (["--dim", "6"], "5.55e+74")],
+                         ids=["e-over-lambda-overflows", "dim-6"])
+def test_turning_point_far_past_the_basis_is_named(capsys, argv, turn):
+    # lambda 1e-300: the Ritz levels put the turning point near 1e75 or past,
+    # which sets a node grid step far coarser than the basis functions
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, ["solve", "--potential", "quartic",
+                                          "--lambda", "1e-300", *argv])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: the node grid step ")
+    assert f"set by the turning point {turn}, is coarser than the node spacing" in err
+    assert "basis width 1/sqrt(alpha) = " in err
+
+
+def test_even_polynomial_turning_point_overflow_is_named(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, ["solve", "--potential", "even-polynomial",
+                                          "--coeffs", "0,0,1e-300", "--mass", "1e-300",
+                                          "--dim", "6"])
+    assert (code, out) == (1, "")
+    assert err == ("error: the turning-point coefficient (c_0 - E) / c_2 = 10^599.0 "
+                   "lies outside the float range\n")

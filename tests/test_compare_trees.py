@@ -13,6 +13,7 @@ _spec.loader.exec_module(compare_trees)
 
 SUMMARIES = ["2 of 2 solves and rules bit-identical",
              "2 of 2 spectra bit-identical (3 levels)",
+             "2 of 2 node counts identical",
              "2 of 2 requests identical"]
 
 
@@ -28,6 +29,9 @@ def records():
         "numerov": [("harmonic 0.75 span=1.0 steps=2000", {"levels": [(0.375).hex()]}),
                     ("quartic 0.5 span=3.0 steps=2000",
                      {"levels": [(0.53).hex(), (1.9).hex()]})],
+        "nodes": [("quartic alpha=1.8 dim=512", {"nodes": list(range(512))}),
+                  ("deep_double_well alpha=1.59369 dim=512",
+                   {"nodes": "raised DegenerateInputError: state 1 has no nonzero sample"})],
         "cli": [("solve seed 1 request 0", {"exit code": 0, "stdout": "{}\n"}),
                 ("solve seed 1 request 1",
                  {"exit code": "raised ValueError: no", "stdout": ""})],
@@ -81,7 +85,19 @@ def test_cli_request_raising_the_same_text_agrees(capsys):
     assert lines[0] == "solve seed 1 request 1: exit code differ"
 
 
-@pytest.mark.parametrize("sweep", ["eigh", "numerov", "cli"])
+def test_one_node_count_differs(capsys):
+    new = records()
+    label, fields = new["nodes"][0]
+    nodes = list(fields["nodes"])
+    nodes[300] += 2
+    new["nodes"][0] = (label, {"nodes": nodes})
+    code, lines = run(capsys, records(), new)
+    assert code == 1
+    assert lines == ["quartic alpha=1.8 dim=512: nodes differ",
+                     *SUMMARIES[:2], "1 of 2 node counts identical", SUMMARIES[3]]
+
+
+@pytest.mark.parametrize("sweep", ["eigh", "numerov", "nodes", "cli"])
 def test_shorter_record_list_is_reported(capsys, sweep):
     new = records()
     dropped = new[sweep].pop()[0]
@@ -105,8 +121,9 @@ def test_label_mismatch_is_reported(capsys):
 def test_a_failed_tree_differs_everywhere(capsys):
     code, lines = run(capsys, records(), {})
     assert code == 1
-    assert lines[-3:] == ["0 of 2 solves and rules bit-identical",
+    assert lines[-4:] == ["0 of 2 solves and rules bit-identical",
                           "0 of 2 spectra bit-identical (0 levels)",
+                          "0 of 2 node counts identical",
                           "0 of 2 requests identical"]
 
 

@@ -8,6 +8,7 @@ from helpers import (exact_potential_entries, harmonic_bands, quartic_band4,
                      quartic_bands)
 from hgritz import (BandedSymMatrix, BasisSpec, PotentialSpec, Spectrum,
                     hamiltonian_matrix, kinetic_matrix, potential_matrix)
+from hgritz.errors import RangeError
 from hgritz.operators import quartic_band4_misindexed
 
 SPEC1 = BasisSpec(1.0)
@@ -65,6 +66,21 @@ class TestPotentialSpec:
         poly = PotentialSpec.even_polynomial([0.0, 0.0, 1.0])
         assert poly.turning_point(16.0, mass=1.0) == pytest.approx(2.0, rel=1e-10)
         assert HARM.turning_point(-1.0, mass=1.0) == 0.0
+
+    def test_quartic_turning_point_past_the_float_range_of_e_over_lam(self):
+        # E / lam = 1e310 overflows; x_t = 1e77.5 does not
+        tiny = PotentialSpec.quartic(1e-300)
+        assert tiny.turning_point(1e10, mass=1.0) == pytest.approx(10.0**77.5, rel=1e-14)
+        assert tiny.turning_point(1e-10, mass=1.0) == (1e-10 / 1e-300) ** 0.25
+
+    def test_even_polynomial_turning_point_overflow_names_the_ratio(self):
+        # the companion matrix of (c_0 - E) + c_2 u^2 holds (c_0 - E) / c_2 = -1e310
+        poly = PotentialSpec.even_polynomial([0.0, 0.0, 1e-300])
+        with pytest.raises(RangeError, match=r"^the turning-point coefficient \(c_0 - E\) / c_2 = 10\^310\.0 "):
+            poly.turning_point(1e10, mass=1.0)
+        poly = PotentialSpec.even_polynomial([0.0, 1e300, 1e-300])
+        with pytest.raises(RangeError, match=r"^the turning-point coefficient c_1 / c_2 = 10\^600\.0 "):
+            poly.turning_point(1.0, mass=1.0)
 
 
 class TestBandedSymMatrix:

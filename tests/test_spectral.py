@@ -177,7 +177,7 @@ def allowed_samples(spec, pot, spectrum):
     """
     energies = spectrum.eigenvalues
     turns = np.array([pot.turning_point(e, mass=spec.mass) for e in energies])
-    grid = spectral._half_line_grid(spec, turns)
+    grid = spectral._half_line_grid(spec, turns, spectrum.dim)
     values = spectrum.eigenvectors.T @ basis_table(spec, spectrum.dim - 1, grid)
     potential = pot.value(grid, mass=spec.mass)
     out = []
@@ -196,7 +196,7 @@ class TestNodeCounts:
         spec = BasisSpec(1.8)
         energies = spectrum.eigenvalues
         turns = np.array([self.QUART.turning_point(e, mass=1.0) for e in energies])
-        grid = spectral._half_line_grid(spec, turns)
+        grid = spectral._half_line_grid(spec, turns, spectrum.dim)
         finest = min(np.diff(default_node_grid(spec, self.QUART, e)).min() for e in energies)
         assert grid[0] == 0.0
         assert np.diff(grid).max() <= finest * (1.0 + 1e-12)
@@ -231,6 +231,50 @@ class TestNodeCounts:
             assert want[9] == 9
             got = node_counts(spec, self.QUART, spectrum)
             assert got.tolist() == want, (chunk, amplitude_floor)
+
+    def test_run_dropped_by_the_final_floor_before_the_peak(self, monkeypatch):
+        spectrum = solve_spectrum(self.QUART, C, 1.8, 40)
+        spec = BasisSpec(1.8)
+        samples = allowed_samples(spec, self.QUART, spectrum)
+        odd = [parity_classify(c) == "odd" for c in spectrum.eigenvectors.T]
+        where, values = samples[4]
+        size = np.abs(values)
+        # state 4's first run of one sign, samples [0, end), is its smallest;
+        # `floor` drops it and keeps the second run, the chunk holds it alone
+        end, end2 = (np.flatnonzero(values[1:] * values[:-1] < 0.0) + 1)[:2]
+        first, second = size[:end].max(), size[end:end2].max()
+        floor = math.sqrt(first * second) / size.max()
+        chunk = int(where[end])
+        drop = int(np.argmax(size[:end]))
+        assert where[drop] // chunk < where[np.argmax(size)] // chunk
+        assert size[drop] > floor * size[where < chunk].max()  # above the running floor
+        assert size[drop] <= floor * size.max()                # below the final floor
+        kept = size > floor * size.max()
+        changes = [np.count_nonzero(np.diff(np.sign(values[k])))
+                   for k in (kept, kept | (np.arange(values.size) == drop))]
+        assert changes[0] == changes[1] - 1
+        monkeypatch.setattr(spectral, "NODE_CHUNK", chunk)
+        monkeypatch.setattr(spectral, "DEFAULT_AMPLITUDE_FLOOR", floor)
+        got = node_counts(spec, self.QUART, spectrum)
+        want = [2 * count_nodes(v, floor) + o for (_, v), o in zip(samples, odd)]
+        assert got.tolist() == want
+        assert got[4] == 2 * changes[0] == 2
+
+    def test_basis_table_called_once_per_chunk(self, monkeypatch):
+        spectrum = solve_spectrum(self.DEEP, C, 1.59369, 69)
+        spec = BasisSpec(1.59369)
+        turns = np.array([self.DEEP.turning_point(e, mass=1.0) for e in spectrum.eigenvalues])
+        grid = spectral._half_line_grid(spec, turns, spectrum.dim)
+        chunks = []
+
+        def table(spec_, rmax, x):
+            chunks.append(np.array(x))
+            return basis_table(spec_, rmax, x)
+
+        monkeypatch.setattr(spectral, "basis_table", table)
+        node_counts(spec, self.DEEP, spectrum)
+        assert len(chunks) == math.ceil(grid.size / spectral.NODE_CHUNK) > 1
+        assert np.array_equal(np.concatenate(chunks), grid)
 
     def test_odd_node_at_origin_counted_once(self):
         # harmonic phi_1: the node at 0 lies in the allowed set, sampled as 0

@@ -3,7 +3,7 @@
     python tools/compare_trees.py OLD_SRC NEW_SRC
 
 Each tree (a directory holding the hgritz package) is imported in its own
-subprocess, and the two run at once.  Each runs three sweeps:
+subprocess, and the two run at once.  Each runs four sweeps:
 
 - eigensolver: 345 Hamiltonians of five potential families (harmonic,
   quartic, quartic and sextic single wells, double wells) at dims 1 to 256
@@ -15,6 +15,9 @@ subprocess, and the two run at once.  Each runs three sweeps:
   each, energy caps 1, 3 and 8 above the potential minimum, and 2,000 and
   20,000 steps, 60 spectra.  Every level is compared bit for bit, and a
   spectrum that raises in either tree counts as differing.
+- node counts: `spectral.node_counts` on the quartic (lam 1) and the deep
+  double well 0,-10,0.5 at dims 512 and 1024, four cases whose shared grids
+  span many NODE_CHUNK chunks.  The counts are compared exactly.
 - CLI reports: the first 40 requests of each benchmark workload (solve,
   minimize, certify) on seeds 1 to 3, as `bench/workloads.stream` makes
   them, through `hgritz.cli.main(argv + ["--format", "json"])`, the call the
@@ -43,6 +46,7 @@ BENCH = TOOLS.parent / "bench"
 #: Each sweep and the words of its summary line after "k of n".
 SWEEPS = {"eigh": "solves and rules bit-identical",
           "numerov": "spectra bit-identical",
+          "nodes": "node counts identical",
           "cli": "requests identical"}
 
 #: The field that holds the exception a Numerov spectrum raised.  It never
@@ -72,6 +76,10 @@ NUMEROV_FAMILIES = {
 #: Energy caps above the potential minimum.
 NUMEROV_SPANS = (1.0, 3.0, 8.0)
 NUMEROV_STEPS = (2000, 20000)
+
+NODE_CASES = (("quartic", "quartic", 1.0, 1.8),
+              ("deep_double_well", "even_polynomial", (0.0, -10.0, 0.5), 1.59369))
+NODE_DIMS = (512, 1024)
 
 WORKLOADS = ("solve", "minimize", "certify")
 SEEDS = (1, 2, 3)
@@ -131,6 +139,21 @@ def _numerov_sweep():
     return out
 
 
+def _node_sweep():
+    from hgritz import BasisSpec, Constants, node_counts, solve_spectrum
+
+    out = []
+    for (name, kind, value, alpha), dim in itertools.product(NODE_CASES, NODE_DIMS):
+        pot = _potential(kind, value)
+        spectrum = solve_spectrum(pot, Constants(), alpha, dim)
+        try:
+            fields = {"nodes": node_counts(BasisSpec(alpha), pot, spectrum).tolist()}
+        except Exception as exc:  # a raising case is compared by its text
+            fields = {"nodes": f"raised {type(exc).__name__}: {exc}"}
+        out.append((f"{name} alpha={alpha} dim={dim}", fields))
+    return out
+
+
 def _cli_sweep():
     import workloads
     from hgritz.cli import main
@@ -169,7 +192,8 @@ def run_sweeps(src):
     found = importlib.util.find_spec("hgritz")
     if found is None or Path(found.origin).parent.parent.resolve() != Path(src).resolve():
         raise SystemExit(f"{src} holds no hgritz package")
-    runs = {"eigh": _eigh_sweep(), "numerov": _numerov_sweep(), "cli": _cli_sweep()}
+    runs = {"eigh": _eigh_sweep(), "numerov": _numerov_sweep(), "nodes": _node_sweep(),
+            "cli": _cli_sweep()}
     sys.stdout.buffer.write(pickle.dumps(runs))
 
 
