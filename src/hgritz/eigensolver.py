@@ -1,15 +1,16 @@
-"""Symmetric real eigensolver: Householder reduction plus implicit-shift QL.
+"""Symmetric real eigensolver: Householder, QL eigenvalues, twisted eigenvectors.
 
 Solves the secular equation |A - eps I| = 0 for a symmetric array without
-outside linear-algebra routines: reduce to tridiagonal form by Householder
-reflections, then run implicit-shift QL with Wilkinson shifts (EISPACK tql2;
-Bowdler, Martin, Reinsch & Wilkinson 1968, Numer. Math. 11:293),
-accumulating the eigenvectors.  QL's scalar recurrence never reads the
-eigenvectors, so it only records its Givens rotations; they are applied
-afterwards in dependency waves, each wave a set of rotations on disjoint
-row pairs that commute (Van Zee, van de Geijn & Quintana-Orti 2014, ACM
-TOMS 40(3):18), in a few numpy calls per wave and with the same bits as one
-rotation at a time.  A matrix with no entry coupling an even
+outside linear-algebra routines.  Householder reflections reduce A to
+tridiagonal T = Q^T A Q and keep their reflectors; Q is never formed.
+Implicit-shift QL with Wilkinson shifts (EISPACK tql2; Bowdler, Martin,
+Reinsch & Wilkinson 1968, Numer. Math. 11:293) finds the eigenvalues of T
+alone.  The eigenvectors of each unreduced piece of T come from twisted
+factorizations of T - lambda, for all of the piece's eigenvalues at once;
+eigenvalues that lie too close together for that take inverse iteration and
+Gram-Schmidt within their cluster, as LAPACK dstein does.  One Newton-Schulz
+step orthogonalizes each piece's vectors, and the reflectors carry them back
+to A in compact-WY blocks.  A matrix with no entry coupling an even
 index to an odd one, as every Hamiltonian of an even potential is, is solved
 one parity block at a time, read from its zeros, so each of its eigenvectors
 has exact parity; Householder leaves a column that is already tridiagonal
@@ -21,7 +22,6 @@ largest-magnitude component positive.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,9 +33,23 @@ _EPS = float(np.finfo(float).eps)
 #: QL sweep budget per eigenvalue; a full solve uses at most dim times this.
 _MAX_SWEEPS = 30
 
-#: Rotations per row of z that QL records before applying them: the record
-#: and a flush's index arrays stay O(n) while a wave still holds many pairs.
-_RECORD_PER_ROW = 32
+#: Two eigenvalues of one unreduced piece of T closer than this times the
+#: piece's norm share a cluster.  A twisted vector for an eigenvalue that QL
+#: found to within c eps ||T|| lies off its eigenvector by an angle of about
+#: c eps ||T|| / gap, so two of them are orthogonal to within
+#: delta = 2 c eps ||T|| / gap.  One Newton-Schulz step leaves an error of
+#: about (3/4) delta^2.  Holding that 100 times under Spectrum's Gram gate of
+#: 1e-10 needs delta <= 1.15e-6, which this gap keeps for c up to 2,600,
+#: several times the largest parity block (513) of a basis up to MAX_INDEX.
+#: Every clustered level costs a factored solve per iteration, so the gap is
+#: no wider than that.
+_CLUSTER_GAP = 1e-6
+
+#: Inverse-iteration solves per cluster vector.
+_INVERSE_STEPS = 3
+
+#: Reflectors per compact-WY block of the back-transform.
+_WY_BLOCK = 32
 
 #: Rows per strip of the Gram matrix in Spectrum's orthonormality check.
 _GRAM_STRIP = 128
@@ -96,20 +110,23 @@ class Spectrum:
 
 
 def _householder_tridiag(a):
-    """Reduce symmetric a in place to tridiagonal T = Q^T A Q; return d, e, Q.
+    """Reduce symmetric a in place to tridiagonal T = Q^T A Q; return d, e, betas.
 
-    A column with nothing below its subdiagonal entry is already reduced and
-    is skipped.  Q is built at the first reflection and is None when there
-    was none, so a tridiagonal a comes back as it is, with no Q.
+    Q = H_0 H_1 ... H_{n-3} is never formed.  H_k = I - betas[k] v v^T acts
+    on rows k + 1 on, and its v is kept below the diagonal, in a[k + 1:, k];
+    the entries above the superdiagonal are stale and never read.
+    A column with nothing below its subdiagonal entry is already reduced: it
+    is skipped and its beta is 0, so a tridiagonal a comes back as it is,
+    with every beta 0.
     """
     n = a.shape[0]
-    q = None
+    betas = np.zeros(max(n - 2, 0))
     for k in range(n - 2):
         x = a[k + 1:, k]
         if not x[1:].any():
             continue
-        norm_x = float(np.linalg.norm(x))
         v = x.copy()
+        norm_x = math.sqrt(float(v @ v))
         v[0] += math.copysign(norm_x, x[0])
         vsq = float(v @ v)
         if vsq == 0.0:
@@ -118,74 +135,56 @@ def _householder_tridiag(a):
         sub = a[k + 1:, k + 1:]
         p = beta * (sub @ v)
         w = p - (0.5 * beta * float(p @ v)) * v
-        sub -= w[:, None] * v + v[:, None] * w
-        head = -math.copysign(norm_x, x[0])
-        a[k + 1, k] = head
-        a[k, k + 1] = head
-        a[k + 2:, k] = 0.0
-        a[k, k + 2:] = 0.0
-        if q is None:
-            q = np.eye(n)
-        qv = q[:, k + 1:] @ v
-        q[:, k + 1:] -= beta * (qv[:, None] * v)
-    return np.diag(a).copy(), np.diag(a, 1).copy(), q
+        # w v^T + v w^T: the transpose of w v^T holds each v_i w_j
+        update = np.multiply.outer(w, v)
+        update += update.T
+        sub -= update
+        a[k, k + 1] = -math.copysign(norm_x, x[0])
+        x[0] = v[0]
+        betas[k] = beta
+    return np.diag(a).copy(), np.diag(a, 1).copy(), betas
 
 
-def _rotate_waves(zt, tops, counts, cs):
-    """Apply a record of QL rotations to the rows of zt, one wave at a time.
+def _back_transform(a, betas, z):
+    """z <- Q z in place, for the Q whose reflectors _householder_tridiag left in a.
 
-    Sweep k of the record rotated rows (i, i + 1) of zt for i = tops[k],
-    tops[k] - 1, ..., counts[k] rotations in all; cs holds each rotation's
-    cosine and sine in record order.  Rotation (k, i) goes in wave 2k - i.
-    Two rotations share a row only if their i differ by at most 1, and then
-    the later one in the record is in the later wave: within a sweep the
-    wave rises by one per rotation, and (k, i) and (k', j) with k < k' are
-    2(k' - k) - (j - i) >= 1 waves apart.  So the rotations of one wave
-    touch disjoint rows and commute, and every element of zt gets the same
-    operations in the same order as under rotation-by-rotation application.
-    A wave's rotations at i, i + 2, i + 4, ... fill the contiguous rows from
-    i and are applied together as one (pairs, 2, n) view.
+    Q = H_0 H_1 ... H_{n-3}, so blocks of _WY_BLOCK consecutive reflectors
+    are applied last block first, each as I - V T V^T (compact WY; Schreiber
+    & Van Loan 1989, SIAM J. Sci. Stat. Comput. 10:53), with T upper
+    triangular as LAPACK dlarft builds it.  A skipped column has beta 0,
+    which zeroes its row and column of T.
     """
-    n = zt.shape[1]
-    counts = np.array(counts)
-    total = int(counts.sum())
-    rows = np.repeat(np.array(tops) + np.cumsum(counts) - counts, counts) - np.arange(total)
-    # key = 2n wave + row; in key order a run's rows, and keys, step by 2
-    key = np.repeat(np.arange(0, 2 * counts.size, 2), counts) - rows
-    key *= 2 * n
-    key += rows
-    order = np.argsort(key)
-    bounds = [0, *(np.flatnonzero(np.diff(key[order]) != 2) + 1).tolist(), total]
-    lows = rows[order[bounds[:-1]]].tolist()
-    cs = np.frombuffer(cs).reshape(total, 2)[order]
-    cos = cs[:, :1, None]  # c for both rows of a pair
-    sin = np.stack([-cs[:, 1], cs[:, 1]], axis=1)[:, :, None]  # -s, s
-    for lo, a, b in zip(lows, bounds, bounds[1:]):
-        # rows i, i + 1 <- c z_i - s z_j, c z_j + s z_i
-        pairs = zt[lo:lo + 2 * (b - a)].reshape(b - a, 2, n)
-        swapped = pairs[:, ::-1] * sin[a:b]
-        pairs *= cos[a:b]
-        pairs += swapped
+    made = np.flatnonzero(betas)
+    if not made.size:
+        return
+    first, stop = int(made[0]), int(made[-1]) + 1
+    for k0 in reversed(range(first, stop, _WY_BLOCK)):
+        k1 = min(k0 + _WY_BLOCK, stop)
+        v = np.tril(a[k0 + 1:, k0:k1])
+        beta = betas[k0:k1]
+        gram = v.T @ v
+        t = np.zeros((k1 - k0, k1 - k0))
+        for j in range(k1 - k0):
+            t[:j, j] = -beta[j] * (t[:j, :j] @ gram[:j, j])
+            t[j, j] = beta[j]
+        rows = z[k0 + 1:]
+        rows -= v @ (t @ (v.T @ rows))
 
 
-def _ql_implicit(d, e, z=None):
-    """Implicit-shift QL on tridiagonal (d, e); return (eigenvalues, rotated z).
+def _ql_implicit(d, e, row=False):
+    """Implicit-shift QL on tridiagonal (d, e); return (eigenvalues, row).
 
     d has length n and e length n - 1, e[i] coupling d[i] and d[i + 1];
-    neither is modified.  z defaults to the identity, built in place of a
-    copy.  The eigenvalues come back unsorted, and column j of the rotated
-    copy of z belongs to eigenvalue j.  The scalar recurrence runs on Python
-    floats and never reads z, so it only records each rotation's cosine and
-    sine; the record is applied to z^T in dependency waves (`_rotate_waves`)
-    whenever it holds _RECORD_PER_ROW n rotations, and once more at the end.
-    The result is bitwise that of rotating two rows of z^T after every
-    rotation, in a few numpy calls per wave instead of five per rotation.
+    neither is modified.  The eigenvalues come back unsorted.  The scalar
+    recurrence runs on Python floats.  With row, each rotation is also
+    applied to a list that starts as row 0 of the identity, and that list
+    comes back as row 0 of the eigenvector matrix, entry j belonging to
+    eigenvalue j; without it, row is None.
     """
     n = len(d)
     d = d.tolist()
     e = e.tolist() + [0.0]
-    zt = np.eye(n) if z is None else z.T.copy()
-    tops, counts, cs = [], [], array("d")
+    u = [1.0] + [0.0] * (n - 1) if row else None
     for l in range(n):
         sweeps = 0
         while True:
@@ -209,8 +208,6 @@ def _ql_implicit(d, e, z=None):
             s = c = 1.0
             p = 0.0
             underflow = False
-            recorded = len(cs)
-            record = cs.append
             for i in range(m - 1, l - 1, -1):
                 f = s * e[i]
                 b = c * e[i]
@@ -228,21 +225,193 @@ def _ql_implicit(d, e, z=None):
                 p = s * r
                 d[i + 1] = g + p
                 g = c * r - b
-                record(c)
-                record(s)
-            tops.append(m - 1)
-            counts.append((len(cs) - recorded) // 2)
-            if len(cs) >= 2 * _RECORD_PER_ROW * n:
-                _rotate_waves(zt, tops, counts, cs)
-                tops, counts, cs = [], [], array("d")
+                if u is not None:
+                    # entries i, i + 1 <- c u_i - s u_j, c u_j + s u_i
+                    ui, uj = u[i], u[i + 1]
+                    u[i] = c * ui - s * uj
+                    u[i + 1] = c * uj + s * ui
             if underflow:
                 continue
             d[l] -= p
             e[l] = g
             e[m] = 0.0
-    if cs:
-        _rotate_waves(zt, tops, counts, cs)
-    return np.array(d), zt.T
+    return np.array(d), u
+
+
+def _floored(x, pivmin):
+    """x with every entry of magnitude below pivmin replaced by -pivmin."""
+    return np.where(np.abs(x) < pivmin, -pivmin, x)
+
+
+def _twisted_vectors(d, e, lam):
+    """Unit vectors of unreduced tridiagonal (d, e) at the eigenvalues lam, by twist.
+
+    For each l of lam, T - l = L+ D+ L+^T = U- D- U-^T, factored top down
+    and bottom up.  The twist r minimizing
+    |gamma_r| = |D+_r + D-_r - (d_r - l)| gives z with z_r = 1,
+    z_i = -e_i z_(i+1) / D+_i above r and z_i = -e_(i-1) z_(i-1) / D-_i
+    below it, which solves (T - l) z = gamma_r e_r (Dhillon & Parlett 2004,
+    Linear Algebra Appl. 387:1).  T has a norm under 1, and a pivot under
+    eps^2 in magnitude is replaced by -eps^2, as LAPACK dlar1v does with its
+    pivmin; then e^2 / pivot stays finite.  Each recurrence runs for all of
+    lam at once, and the bottom-up one beside the top-down one on reversed
+    rows.
+    """
+    m, k = d.size, lam.size
+    pivmin = _EPS * _EPS
+    shifted = d[:, None] - lam
+    # pivots[:, 0] holds D+ in row order and pivots[:, 1] D- in reversed order
+    pivots = np.stack([shifted, shifted[::-1]], axis=1)
+    coupling = np.stack([e * e, (e * e)[::-1]], axis=1)[:, :, None]
+    for i in range(m - 1):
+        pivots[i] = _floored(pivots[i], pivmin)
+        pivots[i + 1] -= coupling[i] / pivots[i]
+    pivots[m - 1] = _floored(pivots[m - 1], pivmin)
+    twist = np.abs(pivots[:, 0] + pivots[::-1, 1] - shifted).argmin(axis=0)
+    # each buffer is dropped after its last read and the ratios reuse the
+    # pivots' buffer: a block's peak memory in eigh is reached here
+    del shifted
+    # halves[:, 0] holds z from the twist up, in reversed order, and
+    # halves[:, 1] z from the twist down; each recurrence
+    # halves[i + 1] += ratio halves[i] leaves the other side of the twist at
+    # 0.  The ratios -e / pivot are stored in recurrence order.
+    ratios = pivots[-2::-1]
+    np.divide(-np.stack([e[::-1], e], axis=1)[:, :, None], ratios, out=ratios)
+    halves = np.zeros((m, 2, k))
+    cols = np.arange(k)
+    halves[m - 1 - twist, 0, cols] = 1.0
+    halves[twist, 1, cols] = 1.0
+    for i in range(m - 1):
+        halves[i + 1] += ratios[i] * halves[i]
+    del pivots, ratios
+    z = halves[:, 1] + halves[::-1, 0]
+    z[twist, cols] = 1.0
+    z /= np.sqrt((z * z).sum(axis=0))
+    return z
+
+
+def _start_vectors(m, k):
+    """k fixed pseudo-random columns of length m, entries in [-1/2, 1/2)."""
+    x = np.sin(np.arange(1.0, m + 1.0)[:, None] * 12.9898 + np.arange(1.0, k + 1.0) * 78.233)
+    x *= 43758.5453
+    return x - np.floor(x) - 0.5
+
+
+def _cluster_vectors(d, e, lam, bounds):
+    """Orthonormal vectors of unreduced tridiagonal (d, e) at clustered eigenvalues.
+
+    T has a norm under 1.  lam ascends, and lam[bounds[c]:bounds[c + 1]] is
+    cluster c.  As LAPACK dstein does (Jessup & Ipsen 1992, SIAM J. Sci.
+    Stat. Comput. 13:550), each shift is moved up to 10 eps above the one
+    before it, T - shift is factored with partial pivoting (dlagtf), and
+    inverse iteration (dlagts, with pivots under eps raised to eps) runs
+    from fixed start vectors, each iterate orthogonalized against the
+    earlier ones of its cluster by twice-repeated Gram-Schmidt.  Every shift
+    is factored and solved at once.
+    """
+    m, k = d.size, lam.size
+    lift = 10.0 * _EPS * np.arange(k)
+    shifts = np.maximum.accumulate(lam - lift) + lift
+    # LU with partial pivoting: U has diagonal `diag` and superdiagonals
+    # sup, sup2; `mult` holds L and `swap` the row exchanges
+    diag = d[:, None] - shifts
+    sup = np.empty((m - 1, k))
+    sup2 = np.zeros((m - 1, k))
+    mult = np.empty((m - 1, k))
+    swap = np.empty((m - 1, k), dtype=bool)
+    carry = np.full(k, e[0])  # the pending row's entry right of its diagonal
+    for i in range(m - 1):
+        below = e[i + 1] if i + 2 < m else 0.0
+        pending, nxt = diag[i], diag[i + 1]
+        swap[i] = np.abs(pending) < abs(e[i])
+        pivot = np.where(swap[i], e[i], pending)
+        mult[i] = np.where(swap[i], pending, e[i]) / pivot
+        sup[i] = np.where(swap[i], nxt, carry)
+        sup2[i] = np.where(swap[i], below, 0.0)
+        diag[i + 1] = np.where(swap[i], carry - mult[i] * nxt, nxt - mult[i] * carry)
+        carry = np.where(swap[i], -mult[i] * below, below)
+        diag[i] = pivot
+    diag = np.where(np.abs(diag) < _EPS, np.where(diag < 0.0, -_EPS, _EPS), diag)
+    x = _start_vectors(m, k)
+    for _ in range(_INVERSE_STEPS):
+        x /= np.sqrt((x * x).sum(axis=0))
+        for i in range(m - 1):
+            top = np.where(swap[i], x[i + 1], x[i])
+            x[i + 1] = np.where(swap[i], x[i], x[i + 1]) - mult[i] * top
+            x[i] = top
+        x[m - 1] /= diag[m - 1]
+        x[m - 2] -= sup[m - 2] * x[m - 1]
+        x[m - 2] /= diag[m - 2]
+        for i in range(m - 3, -1, -1):
+            x[i] -= sup[i] * x[i + 1] + sup2[i] * x[i + 2]
+            x[i] /= diag[i]
+        for lo, hi in zip(bounds, bounds[1:]):
+            for j in range(lo, hi):
+                xj, earlier = x[:, j], x[:, lo:j]
+                for _ in range(2):
+                    xj -= earlier @ (earlier.T @ xj)
+                xj /= math.sqrt(float(xj @ xj))
+    return x
+
+
+def _piece_vectors(d, e, lam):
+    """Orthonormal eigenvectors of unreduced tridiagonal (d, e) at its ascending eigenvalues lam.
+
+    Levels closer than _CLUSTER_GAP ||T|| to a neighbour take
+    `_cluster_vectors`, the rest `_twisted_vectors`.  One Newton-Schulz step,
+    Z <- Z (3I - Z^T Z) / 2 (Bjorck & Bowie 1971, SIAM J. Numer. Anal.
+    8:358), then orthogonalizes all of them together.
+    """
+    m = d.size
+    if m == 1:
+        return np.ones((1, 1))
+    # scaled by a power of two to a norm in [1/2, 1), which is exact and
+    # keeps every pivot and solve of a tiny or huge piece in range
+    shift = math.frexp(max(abs(float(lam[0])), abs(float(lam[-1]))))[1]
+    d, e, lam = np.ldexp(d, -shift), np.ldexp(e, -shift), np.ldexp(lam, -shift)
+    close = np.diff(lam) < _CLUSTER_GAP
+    clustered = np.zeros(m, dtype=bool)
+    clustered[1:] = close
+    clustered[:-1] |= close
+    z = np.empty((m, m))
+    if not clustered.all():
+        z[:, ~clustered] = _twisted_vectors(d, e, lam[~clustered])
+    if clustered.any():
+        members = np.flatnonzero(clustered)
+        bounds = [0, *(np.flatnonzero(~close[members[1:] - 1]) + 1).tolist(), members.size]
+        z[:, members] = _cluster_vectors(d, e, lam[members], bounds)
+    step = z.T @ z
+    step *= -0.5
+    step.flat[::m + 1] += 1.5
+    return z @ step
+
+
+def _tridiagonal_eigh(d, e):
+    """Ascending eigenvalues and eigenvector columns of tridiagonal (d, e).
+
+    T splits where QL's own test finds e negligible, and QL runs on the
+    whole of T with e set to 0 there, so no sweep crosses a split: each
+    piece's eigenvalues sit at its positions, and its vectors fill its rows
+    of the columns of its eigenvalues.  QL reads e at a split only in that
+    test, so its eigenvalues are bitwise those of QL on the unsplit T
+    whenever that run, too, splits there at every look.
+    """
+    n = d.size
+    cuts = np.flatnonzero(np.abs(e) <= _EPS * (np.abs(d[:-1]) + np.abs(d[1:])))
+    split = e.copy()
+    split[cuts] = 0.0
+    values = _ql_implicit(d, split)[0]
+    order = np.argsort(values, kind="stable")
+    if not cuts.size:
+        return values[order], _piece_vectors(d, e, values[order])
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    bounds = [0, *(cuts + 1).tolist(), n]
+    z = np.zeros((n, n))
+    for lo, hi in zip(bounds, bounds[1:]):
+        cols = np.sort(rank[lo:hi])
+        z[lo:hi, cols] = _piece_vectors(d[lo:hi], e[lo:hi - 1], values[order[cols]])
+    return values[order], z
 
 
 def _fix_signs(v):
@@ -253,19 +422,15 @@ def _fix_signs(v):
     return v
 
 
-def _finish(a, d, z, shift):
-    """Sorted (eigenvalues, eigenvectors, residual) of a QL solve of block a.
+def _finish(a, w, z, shift):
+    """(eigenvalues, eigenvectors, residual) of a solve of block a, checked.
 
-    The block was scaled down by 2^shift, and the eigenvalues and residual
-    are scaled back.  The check is that of the unscaled block, residual <=
-    1e-10 (1 + ||A||_inf), scaled down by 2^shift on both sides, which is
-    exact.  The columns of z are sorted in place, so no second n x n copy is
-    live.
+    w ascends and column j of z belongs to w[j].  The block was scaled down
+    by 2^shift, and the eigenvalues and residual are scaled back.  The check
+    is that of the unscaled block, residual <= 1e-10 (1 + ||A||_inf), scaled
+    down by 2^shift on both sides, which is exact.
     """
-    n = d.size
-    order = np.argsort(d, kind="stable")
-    w = d[order]
-    z[:] = z[:, order]
+    n = w.size
     v = _fix_signs(z)
     resid = a @ v - v * w
     residual = float(np.sqrt((resid * resid).sum(axis=0)).max())
@@ -284,8 +449,10 @@ def _finish(a, d, z, shift):
 
 def _solve_block(a, shift):
     """(eigenvalues, eigenvectors, residual) of the symmetric array 2^shift a."""
-    d, e, q = _householder_tridiag(a.copy())
-    w, z = _ql_implicit(d, e, q)
+    reduced = a.copy()
+    d, e, betas = _householder_tridiag(reduced)
+    w, z = _tridiagonal_eigh(d, e)
+    _back_transform(reduced, betas, z)
     return _finish(a, w, z, shift)
 
 

@@ -1,9 +1,10 @@
 """Gauss-Hermite quadrature oracle for inner products and matrix elements.
 
 Independent cross-check route for every analytic matrix element: nodes and
-weights come from the eigen-decomposition of the Jacobi matrix of the Hermite
-recurrence (zero diagonal, off-diagonals sqrt(k/2)), so a rule of order K
-integrates exp(-y^2) times any polynomial of degree <= 2K - 1 exactly.
+weights come from the eigenvalues and first eigenvector row of the Jacobi
+matrix of the Hermite recurrence (zero diagonal, off-diagonals sqrt(k/2)),
+so a rule of order K integrates exp(-y^2) times any polynomial of degree
+<= 2K - 1 exactly.
 
 Inner products (f, g) = integral f(x) g(x) dx are evaluated by substituting
 y = x sqrt(alpha) and dividing the Gaussian factor carried by the integrand
@@ -26,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisSpec, _phi_neighbours, check_index
-from .eigensolver import eigh
-from .errors import QuadratureError
-from .operators import BandedSymMatrix, PotentialSpec
+from .eigensolver import _ql_implicit
+from .errors import ConvergenceError, QuadratureError
+from .operators import PotentialSpec
 
 #: Largest order whose weights are all normal doubles.  The smallest weight
 #: falls below the smallest normal double (2.2e-308) from order 371 and is
@@ -66,9 +67,12 @@ def gauss_hermite_rule(order: int) -> QuadratureRule:
     """Order-K rule from the Jacobi matrix of the Hermite recurrence.
 
     Nodes are the Jacobi eigenvalues; weights are sqrt(pi) times the squared
-    first components of the eigenvectors.  `eigh` finds the matrix
-    tridiagonal and runs QL on it alone.  Exact symmetry about 0 is restored
-    after the solve (the matrix is symmetric under index reversal with sign).
+    first components of the eigenvectors (Golub & Welsch 1969, Math. Comp.
+    23:221).  Both come from the eigensolver's QL routine run on the Jacobi
+    matrix with row 0 of its eigenvectors tracked, O(K^2) work with no K x K
+    array.  Exact symmetry about 0 is restored after the solve (the matrix
+    is symmetric under index reversal with sign).  The rule must integrate
+    y^2 to sqrt(pi) / 2 within 1e-12, or ConvergenceError is raised.
     """
     if isinstance(order, bool) or not isinstance(order, (int, np.integer)):
         raise ValueError(f"order must be an integer, got {order!r}")
@@ -78,13 +82,19 @@ def gauss_hermite_rule(order: int) -> QuadratureRule:
     if order == 1:
         return QuadratureRule(np.zeros(1), np.array([math.sqrt(math.pi)]), 1)
     offdiag = np.sqrt(np.arange(1, order) / 2.0)
-    result = eigh(BandedSymMatrix(order, 1, (np.zeros(order), offdiag)))
-    nodes = result.eigenvalues.copy()
-    weights = math.sqrt(math.pi) * result.eigenvectors[0, :] ** 2
+    values, first = _ql_implicit(np.zeros(order), offdiag, row=True)
+    ranks = np.argsort(values, kind="stable")
+    nodes = values[ranks]
+    weights = math.sqrt(math.pi) * np.array(first)[ranks] ** 2
     nodes = 0.5 * (nodes - nodes[::-1])
     weights = 0.5 * (weights + weights[::-1])
     if order % 2 == 1:
         nodes[order // 2] = 0.0
+    second = float((weights * nodes * nodes).sum())
+    if abs(second - 0.5 * math.sqrt(math.pi)) > 1e-12:
+        raise ConvergenceError(
+            f"Gauss-Hermite rule of order {order} integrates y^2 to {second!r}, "
+            "not sqrt(pi) / 2", dim=order)
     return QuadratureRule(nodes, weights, order)
 
 

@@ -1,6 +1,7 @@
 """The comparison rule of tools/compare_trees.py, on synthetic records only."""
 
 import importlib.util
+import math
 from pathlib import Path
 
 import numpy as np
@@ -57,8 +58,31 @@ def test_one_ulp_in_one_eigenvector_differs(capsys):
     new["eigh"][0] = (label, {**fields, "eigenvectors": vectors.tobytes()})
     code, lines = run(capsys, records(), new)
     assert code == 1
-    assert lines == ["harmonic 0.5 alpha=0.7 dim=2: eigenvectors differ",
-                     "1 of 2 solves and rules bit-identical", *SUMMARIES[1:]]
+    assert lines == ["harmonic 0.5 alpha=0.7 dim=2: eigenvectors differ "
+                     "(eigenvalues bitwise; vectors within 1.1e-16)",
+                     "1 of 2 solves and rules bit-identical "
+                     "(1 with bitwise eigenvalues have vectors within 1.1e-16)", *SUMMARIES[1:]]
+
+
+def test_rotated_eigenvectors_report_the_largest_angle(capsys):
+    # 1 - |<v_old, v_new>| ignores a column's sign; with the eigenvalues
+    # changed too no angle is given
+    new = records()
+    c, s = math.cos(1e-3), math.sin(1e-3)
+    vectors = np.array([[c, s], [s, -c]])
+    label, fields = new["eigh"][0]
+    new["eigh"][0] = (label, {**fields, "eigenvectors": vectors.tobytes(),
+                              "residual_norm": np.float64(1e-16).tobytes()})
+    code, lines = run(capsys, records(), new)
+    assert code == 1
+    assert lines[:2] == [f"{label}: eigenvectors, residual_norm differ "
+                         f"(eigenvalues bitwise; vectors within {1.0 - c:.1e})",
+                         "1 of 2 solves and rules bit-identical "
+                         f"(1 with bitwise eigenvalues have vectors within {1.0 - c:.1e})"]
+    new["eigh"][0][1]["eigenvalues"] = np.array([0.5, 1.25]).tobytes()
+    code, lines = run(capsys, records(), new)
+    assert lines[:2] == [f"{label}: eigenvalues, eigenvectors, residual_norm differ",
+                         "1 of 2 solves and rules bit-identical"]
 
 
 def test_numerov_spectrum_raising_in_both_trees_differs(capsys):

@@ -227,32 +227,24 @@ def test_eigenvalue_past_the_float_range_is_named():
 
 
 def test_tridiagonal_blocks_skip_the_reduction():
-    # Householder hands a tridiagonal block to QL as it is, with no Q, so
-    # eigh's columns for that block are those of QL run alone.  The harmonic
-    # parity blocks, the Hermite Jacobi matrix and a 2 x 2 block are each
-    # tridiagonal.
+    # Householder makes no reflector for a tridiagonal block and hands its
+    # diagonals to QL bit for bit.  The harmonic parity blocks, the Hermite
+    # Jacobi matrix and a 2 x 2 block are each tridiagonal.
     harmonic = hamiltonian_matrix(BasisSpec(1.5), BLOCK_POTENTIALS["harmonic"], 20)
     jacobi = tridiagonal(np.zeros(30), np.sqrt(np.arange(1, 30) / 2.0))
     pair = np.array([[0.3, -1.2], [-1.2, 2.0]])
     for a, step in ((harmonic.to_dense(), 2), (jacobi, 1), (pair, 1)):
-        res = eigh(a)
         for p in range(step):
             block = a[p::step, p::step]
-            d, e, q = eigensolver._householder_tridiag(block.copy())
-            assert q is None
+            d, e, betas = eigensolver._householder_tridiag(block.copy())
+            assert not betas.any()
             assert d.tobytes() == np.diag(block).tobytes()
             assert e.tobytes() == np.diag(block, 1).tobytes()
-            values, vectors = eigensolver._ql_implicit(d, e)
-            order = np.argsort(values, kind="stable")
-            rows = res.eigenvectors[p::step]
-            cols = np.any(rows != 0.0, axis=0)
-            np.testing.assert_array_equal(res.eigenvalues[cols], values[order])
-            np.testing.assert_array_equal(rows[:, cols], eigensolver._fix_signs(vectors[:, order]))
 
 
 def test_tridiagonal_leading_columns_then_dense():
-    # Householder skips the leading columns and builds Q at its first
-    # reflection, in the dense trailing block
+    # Householder skips the leading columns and makes its first reflector
+    # in the dense trailing block
     rng = np.random.default_rng(13)
     n, lead = 14, 5
     a = tridiagonal(rng.standard_normal(n), rng.standard_normal(n - 1))
@@ -261,27 +253,30 @@ def test_tridiagonal_leading_columns_then_dense():
     res = eigh(a)
     assert_matches_lapack(res, a)
     assert res.residual_norm <= 1e-10 * (1.0 + np.abs(a).sum(axis=1).max())
-    d, e, q = eigensolver._householder_tridiag(a.copy())
-    np.testing.assert_array_equal(q[:, :lead + 1], np.eye(n)[:, :lead + 1])
+    d, e, betas = eigensolver._householder_tridiag(a.copy())
+    assert not betas[:lead].any() and betas[lead] > 0.0
     np.testing.assert_array_equal(d[:lead], np.diag(a)[:lead])
 
 
-# -- QL rotations applied in waves --------------------------------------------
+# -- QL against the rotation-by-rotation reference ----------------------------
 
 
 def ql_inputs(a):
-    """(d, e, z) that eigh hands QL for the symmetric block a."""
-    return eigensolver._householder_tridiag(a.copy())
+    """(d, e) that eigh hands QL for the symmetric block a."""
+    return eigensolver._householder_tridiag(a.copy())[:2]
 
 
-def assert_ql_matches_oracle(d, e, z):
+def assert_ql_matches_oracle(d, e):
+    # QL's eigenvalues and its tracked row 0 are bitwise those of the
+    # reference, which rotates row 0 of the identity after every rotation
     d0, e0 = d.copy(), e.copy()
-    want_w, want_z = ql_rotation_by_rotation(d, e, np.eye(d.size) if z is None else z)
-    got_w, got_z = eigensolver._ql_implicit(d, e, z)
+    want_w, want_row = ql_rotation_by_rotation(d, e, np.eye(d.size)[:1])
+    got_w, got_row = eigensolver._ql_implicit(d, e, row=True)
     np.testing.assert_array_equal(d, d0)
     np.testing.assert_array_equal(e, e0)
     assert got_w.tobytes() == want_w.tobytes()
-    assert got_z.tobytes() == want_z.tobytes()
+    assert np.array(got_row).tobytes() == want_row[0].tobytes()
+    assert eigensolver._ql_implicit(d, e)[0].tobytes() == want_w.tobytes()
 
 
 @pytest.mark.parametrize("dim", [2, 3, 5, 16, 64, 129, 256])
@@ -302,36 +297,100 @@ def test_wave_rotations_on_diagonal_and_split_tridiagonals():
     rng = np.random.default_rng(11)
     d = rng.standard_normal(30)
     # diagonal: no rotation at all
-    assert_ql_matches_oracle(d, np.zeros(29), np.eye(30))
+    assert_ql_matches_oracle(d, np.zeros(29))
     # exact zeros in e split T, so sweeps stop short of the last row
     e = rng.standard_normal(29)
     e[[0, 5, 17, 28]] = 0.0
-    assert_ql_matches_oracle(d, e, np.eye(30))
-    assert_ql_matches_oracle(d, e, np.linalg.qr(rng.standard_normal((30, 30)))[0])
+    assert_ql_matches_oracle(d, e)
 
 
 def test_wave_rotations_through_the_underflow_branch():
     # subnormal entries drive hypot(f, g) to 0 mid-sweep, which ends the
-    # sweep early; the record then holds a partial sweep
-    d = np.array([1e-323, 5e-324, -5e-324, 1e-323, -5e-324, 1e-323])
-    e = np.array([1e-323, 1e-323, -5e-324, 2e-323, 5e-324])
-    assert_ql_matches_oracle(d, e, np.eye(6))
+    # sweep early, before its rotation reaches the tracked row
+    assert_ql_matches_oracle(np.array([1e-323, 5e-324, -5e-324, 1e-323, -5e-324, 1e-323]),
+                             np.array([1e-323, 1e-323, -5e-324, 2e-323, 5e-324]))
     assert_ql_matches_oracle(np.array([5e-324, 5e-324, 0.0, 0.0]),
-                             np.array([5e-324, 5e-324, 1e-323]), np.eye(4))
+                             np.array([5e-324, 5e-324, 1e-323]))
 
 
 def test_wave_rotations_on_hermite_jacobi_matrix():
     # the Jacobi matrix gauss_hermite_rule solves for oracle-compare at dim 64
     order = 134
-    assert_ql_matches_oracle(np.zeros(order), np.sqrt(np.arange(1, order) / 2.0),
-                             np.eye(order))
+    assert_ql_matches_oracle(np.zeros(order), np.sqrt(np.arange(1, order) / 2.0))
 
 
-def test_wave_rotations_flushing_after_every_sweep(monkeypatch):
-    # a record of one rotation per row is applied after nearly every sweep
-    monkeypatch.setattr(eigensolver, "_RECORD_PER_ROW", 1)
-    a = hamiltonian_matrix(BasisSpec(1.5), BLOCK_POTENTIALS["double_well"], 80).to_dense()
-    assert_ql_matches_oracle(*ql_inputs(a[0::2, 0::2]))
+# -- clusters of close eigenvalues --------------------------------------------
+
+
+def wilkinson_plus(copies=1, glue=0.0):
+    """W21+ (diagonal |10 - i|, off-diagonals 1), or copies of it glued by glue."""
+    d = np.tile(np.abs(np.arange(-10.0, 11.0)), copies)
+    e = np.ones(21 * copies - 1)
+    e[20::21] = glue
+    return tridiagonal(d, e)
+
+
+def random_symmetric(n, seed):
+    a = np.random.default_rng(seed).standard_normal((n, n))
+    return a + a.T
+
+
+def sextic_block(parity, alpha):
+    h = hamiltonian_matrix(BasisSpec(alpha), BLOCK_POTENTIALS["degree6"], 512).to_dense()
+    return h[parity::2, parity::2]
+
+
+# each matrix, and how many clusters of close eigenvalues its solve sends to
+# inverse iteration: W21+ pairs its top levels to 1e-14, gluing copies of it
+# repeats every level, and a sextic block's norm of 3e8 groups its low levels
+CLUSTER_CASES = {
+    "W21+": (lambda: wilkinson_plus(), 4),
+    "glued W21+ 1e-10": (lambda: wilkinson_plus(5, 1e-10), 17),
+    "glued W21+ 1e-14": (lambda: wilkinson_plus(5, 1e-14), 17),
+    "repeated diagonal": (lambda: np.diag([1.0, 2.0, 1.0, 3.0, 2.0, 1.0, 1.0]), 0),
+    "all ones": (lambda: np.ones((40, 40)), 0),
+    "random dense": (lambda: random_symmetric(120, 31), 0),
+    "sextic even 256 block": (lambda: sextic_block(0, 0.7), 1),
+    "sextic odd 256 block": (lambda: sextic_block(1, 0.7), 1),
+}
+
+
+def ql_levels(a):
+    """Ascending values-only QL eigenvalues of each parity block of a, or of a."""
+    step = 2 if a.shape[0] > 1 and not a[0::2, 1::2].any() else 1
+    levels = [eigensolver._ql_implicit(*ql_inputs(a[p::step, p::step]))[0] for p in range(step)]
+    return np.sort(np.concatenate(levels))
+
+
+@pytest.mark.parametrize("name", list(CLUSTER_CASES))
+def test_clustered_spectra_pass_every_gate(name, monkeypatch):
+    build, clusters = CLUSTER_CASES[name]
+    a = build()
+    seen = []
+    cluster_vectors = eigensolver._cluster_vectors
+
+    def spy(d, e, lam, bounds):
+        seen.append(len(bounds) - 1)
+        return cluster_vectors(d, e, lam, bounds)
+
+    monkeypatch.setattr(eigensolver, "_cluster_vectors", spy)
+    res = eigh(a)
+    assert sum(seen) == clusters
+    assert_matches_lapack(res, a)
+    assert res.residual_norm <= 1e-10 * (1.0 + np.abs(a).sum(axis=1).max())
+    v = res.eigenvectors
+    assert np.abs(v.T @ v - np.eye(a.shape[0])).max() <= 1e-10
+    assert res.eigenvalues.tobytes() == ql_levels(a).tobytes()
+
+
+def test_tiny_clustered_matrix_solves_scaled_bit_for_bit():
+    # each piece of T is solved scaled by a power of two to a norm near 1,
+    # so inverse iteration on 2^-900 times glued W21+ cannot overflow, and
+    # it gives the same vectors
+    a = wilkinson_plus(5, 1e-14)
+    small, tiny = eigh(a), eigh(np.ldexp(a, -900))
+    assert tiny.eigenvalues.tobytes() == np.ldexp(small.eigenvalues, -900).tobytes()
+    assert tiny.eigenvectors.tobytes() == small.eigenvectors.tobytes()
 
 
 def test_exhausted_sweep_budget_raises_with_dim_and_index(monkeypatch):

@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from helpers import element_by_inner_products, hermite_eval, kinetic_second_form
+from helpers import (element_by_inner_products, hermite_eval, kinetic_second_form,
+                     ql_rotation_by_rotation)
 
 import hgritz.quadrature as quadrature
-from hgritz import (MAX_INDEX, BasisSpec, PotentialSpec, QuadratureError, QuadratureRule,
+from hgritz import (MAX_INDEX, BasisSpec, ConvergenceError, PotentialSpec, QuadratureError,
+                    QuadratureRule,
                     basis_value, element_oracle, gauss_hermite_rule,
                     inner_product, kinetic_matrix, potential_matrix)
 from hgritz.quadrature import MAX_ORDER, minimum_order, oracle_matrices
@@ -72,6 +74,28 @@ class TestRule:
         assert float(rule.weights.min()) >= np.finfo(float).tiny
         with pytest.raises(ValueError, match="order must lie in"):
             gauss_hermite_rule(MAX_ORDER + 1)
+
+    @pytest.mark.parametrize("order", [*range(2, 41), 64, 100, 134, 200, MAX_ORDER])
+    def test_tracked_row_is_the_rotation_by_rotation_row(self, order):
+        # the rule's QL run rotates row 0 of its eigenvectors as Python
+        # floats; the reference rotates row 0 of the identity as an array
+        d, e = np.zeros(order), np.sqrt(np.arange(1, order) / 2.0)
+        want_values, want_row = ql_rotation_by_rotation(d, e, np.eye(order)[:1])
+        values, row = quadrature._ql_implicit(d, e, row=True)
+        assert values.tobytes() == want_values.tobytes()
+        assert np.array(row).tobytes() == want_row[0].tobytes()
+
+    def test_rule_off_its_second_moment_raises(self, monkeypatch):
+        ql = quadrature._ql_implicit
+
+        def skewed(d, e, row=False):
+            values, first = ql(d, e, row)
+            return values, [x * (1.0 + 1e-9) for x in first]
+
+        monkeypatch.setattr(quadrature, "_ql_implicit", skewed)
+        with pytest.raises(ConvergenceError, match="integrates y\\^2") as err:
+            gauss_hermite_rule(12)
+        assert err.value.dim == 12
 
     def test_order_validation(self):
         with pytest.raises(ValueError):

@@ -25,7 +25,10 @@ subprocess, and the two run at once.  Each runs four sweeps:
   request that raises is compared by its exception's text.
 
 One line is printed per differing record, naming its fields, then one
-summary line per sweep.  The exit code is 0 exactly when every record agrees.
+summary line per sweep.  Where an eigen solve's eigenvalues agree bit for
+bit and its eigenvectors do not, the line and the summary also give the
+largest 1 - |<v_old, v_new>| over the eigenvector columns.  The exit code
+is 0 exactly when every record agrees.
 """
 
 from __future__ import annotations
@@ -197,6 +200,16 @@ def run_sweeps(src):
     sys.stdout.buffer.write(pickle.dumps(runs))
 
 
+def _vector_angle(old, new):
+    """max_j 1 - |<v_old_j, v_new_j>| over the eigenvector columns of two eigen records."""
+    import numpy as np
+
+    n = len(old["eigenvalues"]) // 8
+    v_old = np.frombuffer(old["eigenvectors"]).reshape(n, n)
+    v_new = np.frombuffer(new["eigenvectors"]).reshape(n, n)
+    return float((1.0 - np.abs((v_old * v_new).sum(axis=0))).max())
+
+
 def compare(old, new) -> int:
     """Compare two trees' records, sweep by sweep and record by record.
 
@@ -205,13 +218,17 @@ def compare(old, new) -> int:
     where its labels differ, where one tree has no record, or in every field
     whose values differ or that holds a raised Numerov spectrum.  Prints one
     line per differing record and the summary of every sweep; returns 0
-    exactly when every record agrees.
+    exactly when every record agrees.  An eigen record whose eigenvalues
+    agree bit for bit but whose eigenvectors differ also gets the largest
+    1 - |<v_old, v_new>| over its columns, and its sweep's summary the
+    largest of those.
     """
     differ_any = False
     summaries = []
     for sweep, words in SWEEPS.items():
         pairs = list(itertools.zip_longest(old.get(sweep, []), new.get(sweep, [])))
         differ = levels = 0
+        angles = []
         for a, b in pairs:
             if a is None or b is None:
                 label, tree = (b[0], "OLD") if a is None else (a[0], "NEW")
@@ -226,6 +243,9 @@ def compare(old, new) -> int:
                     levels += len(a[1].get("levels", ()))
                     continue
                 line = f"{a[0]}: {', '.join(names)} differ"
+                if "eigenvectors" in names and "eigenvalues" not in names:
+                    angles.append(_vector_angle(a[1], b[1]))
+                    line += f" (eigenvalues bitwise; vectors within {angles[-1]:.1e})"
                 raised = [f"{tree} raised {run[1][RAISED]}"
                           for tree, run in (("OLD", a), ("NEW", b)) if RAISED in run[1]]
                 if raised:
@@ -233,7 +253,12 @@ def compare(old, new) -> int:
             differ += 1
             print(line)
         summary = f"{len(pairs) - differ} of {len(pairs)} {words}"
-        summaries.append(summary + (f" ({levels} levels)" if sweep == "numerov" else ""))
+        if sweep == "numerov":
+            summary += f" ({levels} levels)"
+        if angles:
+            summary += (f" ({len(angles)} with bitwise eigenvalues have vectors within "
+                        f"{max(angles):.1e})")
+        summaries.append(summary)
         differ_any = differ_any or differ > 0
     print("\n".join(summaries))
     return 1 if differ_any else 0
