@@ -15,6 +15,7 @@ digits, scientific below 1e-3), fixed row order, sorted JSON keys.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -28,7 +29,7 @@ from .errors import (BracketingError, ConvergenceError, QuadratureError,
 from .operators import (BAND4_LADDER, BAND4_MISINDEXED, PotentialSpec, _check_band4,
                         kinetic_matrix, potential_matrix)
 from .quadrature import oracle_matrices
-from .spectral import check_mhu, node_counts, parity_classify
+from .spectral import check_mhu, node_counts
 from .variational import (convergence_table, exact_diagonal_alpha,
                           minimize_alpha, scan_alpha, solve_spectrum)
 from . import numerov
@@ -39,8 +40,6 @@ ORACLE_TOLERANCE = 1e-10
 #: rule order, and no a-priori bound for it exists yet to replace the fixed
 #: tolerance; past this dim it would outgrow that tolerance further still.
 ORACLE_MAX_DIM = 64
-
-_PARITY_LETTER = {"even": "e", "odd": "o", "mixed": "m"}
 
 
 def fmt_float(v: float) -> str:
@@ -182,17 +181,16 @@ def _report(args, command, config, results, checks, table) -> int:
     return 0 if all(c["pass"] for c in checks) else 1
 
 
-def _run_solve(args, parser) -> int:
-    pot = _potential_from_args(args, parser)
-    constants = _constants_from_args(args, parser)
+def _run_solve(args, parser, pot, constants) -> int:
     alpha, mode = _alpha_from_args(args, parser, pot, constants)
     dim = _dim(args.dim, parser, "--dim")
     config = _config(pot, constants, alpha=alpha, alpha_mode=mode, dim=dim)
     spectrum = solve_spectrum(pot, constants, alpha, dim)
+    # node_counts has checked each state exactly even or odd; only odd counts are odd
     nodes = node_counts(BasisSpec(alpha, constants.hbar, constants.mass), pot, spectrum)
     rows = [{"index": i,
              "energy": float(spectrum.eigenvalues[i]),
-             "parity": _PARITY_LETTER[parity_classify(spectrum.eigenvectors[:, i])],
+             "parity": "eo"[nodes[i] % 2],
              "nodes": int(nodes[i])}
             for i in range(spectrum.dim)]
     header = ["index", "energy", "parity", "nodes"]
@@ -219,9 +217,7 @@ def _exact_values(args, parser, pot, constants, table):
     return list(exact[:levels])
 
 
-def _run_verify_mhu(args, parser) -> int:
-    pot = _potential_from_args(args, parser)
-    constants = _constants_from_args(args, parser)
+def _run_verify_mhu(args, parser, pot, constants) -> int:
     alpha, mode = _alpha_from_args(args, parser, pot, constants)
     dims = _parse_dims(args.dims, parser)
     if not numerov.MIN_STEPS <= args.numerov_steps <= numerov.MAX_STEPS:
@@ -239,9 +235,7 @@ def _run_verify_mhu(args, parser) -> int:
     return _report(args, "verify-mhu", config, results, checks, rows)
 
 
-def _run_scan_alpha(args, parser) -> int:
-    pot = _potential_from_args(args, parser)
-    constants = _constants_from_args(args, parser)
+def _run_scan_alpha(args, parser, pot, constants) -> int:
     if (args.alpha_grid is None) == (args.alpha_bracket is None):
         parser.error("provide exactly one of --alpha-grid or --alpha-bracket")
     dim = _dim(args.dim, parser, "--dim")
@@ -282,9 +276,7 @@ def _run_scan_alpha(args, parser) -> int:
     return _report(args, "scan-alpha", config, results, [], rows)
 
 
-def _run_oracle_compare(args, parser) -> int:
-    pot = _potential_from_args(args, parser)
-    constants = _constants_from_args(args, parser)
+def _run_oracle_compare(args, parser, pot, constants) -> int:
     if not 1 <= args.dim <= ORACLE_MAX_DIM:
         parser.error(f"--dim must lie in [1, {ORACLE_MAX_DIM}] (the oracle's rounding "
                      f"error grows with dim and has no bound past it)")
@@ -322,7 +314,9 @@ def _run_oracle_compare(args, parser) -> int:
     return _report(args, "oracle-compare", config, results, checks, rows)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--potential", choices=["harmonic", "quartic", "even-polynomial"],
                         default="harmonic")
@@ -388,7 +382,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, parser)
+        return args.func(args, parser, _potential_from_args(args, parser),
+                         _constants_from_args(args, parser))
     except (ConvergenceError, BracketingError, ScanResolutionError,
             QuadratureError, OverflowError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)

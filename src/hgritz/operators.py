@@ -1,7 +1,8 @@
 """Analytic matrix representations of T, V and H = T + V in the basis.
 
 All in-scope potentials are even polynomials, so every matrix is symmetric and
-banded with zero odd bands (parity selection rule).  T has the closed form
+banded with zero odd bands (parity selection rule).  T has the closed form,
+whose integers 2r + 1 and roots are the x^2 row of the ladder below,
 
     T_rr      = (alpha hbar^2 / 4m) (2r + 1)
     T_{r,r+2} = -(alpha hbar^2 / 4m) sqrt((r+1)(r+2))
@@ -246,22 +247,6 @@ class BandedSymMatrix:
     def __array__(self, dtype=None, copy=None):
         return self.to_dense().astype(float if dtype is None else dtype, copy=False)
 
-    def __add__(self, other):
-        if not isinstance(other, BandedSymMatrix):
-            return NotImplemented
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        bw = max(self.bandwidth, other.bandwidth)
-        bands = []
-        for k in range(bw + 1):
-            band = np.zeros(self.dim - k)
-            if k <= self.bandwidth:
-                band = band + self.bands[k]
-            if k <= other.bandwidth:
-                band = band + other.bands[k]
-            bands.append(band)
-        return BandedSymMatrix(self.dim, bw, tuple(bands))
-
 
 def _check_dim(dim) -> int:
     if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
@@ -269,30 +254,6 @@ def _check_dim(dim) -> int:
     if dim > MAX_INDEX:
         raise ValueError(f"dim {dim} above index cap {MAX_INDEX}")
     return int(dim)
-
-
-def kinetic_matrix(spec: BasisSpec, dim: int) -> BandedSymMatrix:
-    """Kinetic-energy matrix; only the diagonal and band 2 are nonzero."""
-    dim = _check_dim(dim)
-    r = np.arange(dim, dtype=float)
-    try:
-        with np.errstate(over="raise"):
-            t = spec.alpha * spec.hbar**2 / (4.0 * spec.mass)
-            if math.isinf(t):
-                raise OverflowError
-            diagonal = t * (2.0 * r + 1.0)
-    except (OverflowError, FloatingPointError):
-        raise RangeError("the kinetic matrix entry alpha hbar^2 (2 dim - 1) / 4m",
-                         math.log10(spec.alpha) + 2.0 * math.log10(spec.hbar)
-                         - math.log10(4.0 * spec.mass) + math.log10(2 * dim - 1)) from None
-    bw = min(2, dim - 1)
-    bands = [diagonal]
-    if bw >= 1:
-        bands.append(np.zeros(dim - 1))
-    if bw >= 2:
-        rr = np.arange(dim - 2, dtype=float)
-        bands.append(-t * np.sqrt((rr + 1.0) * (rr + 2.0)))
-    return BandedSymMatrix(dim, bw, tuple(bands))
 
 
 def quartic_band4_misindexed(r, alpha: float, lam: float):
@@ -374,6 +335,56 @@ def _ladder_range_error(alpha, coeffs, h, roots) -> RangeError:
     return RangeError("the largest potential matrix entry", max(sizes))
 
 
+def _potential_bands(alpha: float, coeffs, h, roots) -> list[np.ndarray]:
+    """V's bands: band 2j is sum_k c_k h_kj / (2 alpha)^k times roots[j-1]."""
+    kmax = len(coeffs) - 1
+    dim = h[0].shape[1]
+    sums = np.zeros((kmax + 1, dim))
+    try:
+        with np.errstate(over="raise"):
+            for k, c in enumerate(coeffs):
+                if c:
+                    factor = c / (2.0 * alpha) ** k
+                    if math.isinf(factor):
+                        raise OverflowError
+                    sums[:k + 1] += factor * h[k]
+            bands = [sums[0]]
+            for band in range(1, min(2 * kmax, dim - 1) + 1):
+                n = dim - band
+                bands.append(np.zeros(n) if band % 2
+                             else sums[band // 2, :n] * roots[band // 2 - 1, :n])
+    except (OverflowError, ZeroDivisionError, FloatingPointError):
+        raise _ladder_range_error(alpha, coeffs, h, roots) from None
+    return bands
+
+
+def _kinetic_scale(spec: BasisSpec, dim: int) -> float:
+    """t = alpha hbar^2 / 4m, checked so that T's largest entry t (2 dim - 1) is finite."""
+    try:
+        t = spec.alpha * spec.hbar**2 / (4.0 * spec.mass)
+    except OverflowError:  # hbar**2 is past the float range
+        t = math.inf
+    if math.isinf(t * (2 * dim - 1)):
+        raise RangeError("the kinetic matrix entry alpha hbar^2 (2 dim - 1) / 4m",
+                         math.log10(spec.alpha) + 2.0 * math.log10(spec.hbar)
+                         - math.log10(4.0 * spec.mass) + math.log10(2 * dim - 1))
+    return t
+
+
+def _kinetic_bands(t: float, h, roots) -> list[np.ndarray]:
+    """T's bands from the x^2 row of the ladder: h_10(r) = 2r + 1 and roots[0]."""
+    dim = h[1].shape[1]
+    bands = [t * h[1][0], np.zeros(dim - 1), -t * roots[0, :dim - 2]]
+    return bands[:min(3, dim)]
+
+
+def kinetic_matrix(spec: BasisSpec, dim: int) -> BandedSymMatrix:
+    """Kinetic-energy matrix; only the diagonal and band 2 are nonzero."""
+    dim = _check_dim(dim)
+    bands = _kinetic_bands(_kinetic_scale(spec, dim), *_ladder_tables(1, dim))
+    return BandedSymMatrix(dim, len(bands) - 1, tuple(bands))
+
+
 def potential_matrix(spec: BasisSpec, pot: PotentialSpec, dim: int, *,
                      band4: str = BAND4_LADDER) -> BandedSymMatrix:
     """Potential-energy matrix with bandwidth equal to the degree of V.
@@ -387,29 +398,19 @@ def potential_matrix(spec: BasisSpec, pot: PotentialSpec, dim: int, *,
     dim = _check_dim(dim)
     _check_band4(pot, dim, band4)
     coeffs = pot.coefficients(mass=spec.mass)
-    kmax = len(coeffs) - 1
-    h, roots = _ladder_tables(kmax, dim)
-    sums = np.zeros((kmax + 1, dim))
-    try:
-        with np.errstate(over="raise"):
-            for k, c in enumerate(coeffs):
-                if c:
-                    factor = c / (2.0 * spec.alpha) ** k
-                    if math.isinf(factor):
-                        raise OverflowError
-                    sums[:k + 1] += factor * h[k]
-            bands = [sums[0]]
-            for band in range(1, min(2 * kmax, dim - 1) + 1):
-                n = dim - band
-                bands.append(np.zeros(n) if band % 2
-                             else sums[band // 2, :n] * roots[band // 2 - 1, :n])
-    except (OverflowError, ZeroDivisionError, FloatingPointError):
-        raise _ladder_range_error(spec.alpha, coeffs, h, roots) from None
+    bands = _potential_bands(spec.alpha, coeffs, *_ladder_tables(len(coeffs) - 1, dim))
     if band4 == BAND4_MISINDEXED:
         bands[4] = quartic_band4_misindexed(np.arange(dim - 4), spec.alpha, pot.lam)
     return BandedSymMatrix(dim, len(bands) - 1, tuple(bands))
 
 
 def hamiltonian_matrix(spec: BasisSpec, pot: PotentialSpec, dim: int) -> BandedSymMatrix:
-    """H = T + V, entrywise exact sum of the two banded builders."""
-    return kinetic_matrix(spec, dim) + potential_matrix(spec, pot, dim)
+    """H = T + V in one pass: T's bands added into V's, both from one ladder."""
+    dim = _check_dim(dim)
+    t = _kinetic_scale(spec, dim)
+    coeffs = pot.coefficients(mass=spec.mass)
+    h, roots = _ladder_tables(len(coeffs) - 1, dim)
+    bands = _potential_bands(spec.alpha, coeffs, h, roots)
+    for band, kinetic in zip(bands, _kinetic_bands(t, h, roots)):
+        band += kinetic
+    return BandedSymMatrix(dim, len(bands) - 1, tuple(bands))

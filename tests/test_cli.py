@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -125,6 +127,34 @@ class TestSolve:
         wrong = [(i, rows[i]["nodes"], rows[i]["parity"]) for i in converged
                  if (rows[i]["nodes"], rows[i]["parity"]) != (i, "eo"[i % 2])]
         assert wrong == []
+
+    @pytest.mark.parametrize("argv", [
+        ["--potential", "even-polynomial", "--coeffs", "0,-10,0.5",
+         "--alpha", "4", "--dim", "120"],
+        ["--potential", "even-polynomial", "--coeffs", "0,-10,0.5",
+         "--alpha", "1.43181", "--dim", "147"],
+        ["--potential", "even-polynomial", "--coeffs", "0,1.63174,0.321317,0.0370751",
+         "--alpha", "2.82865", "--dim", "64"],
+        ["--alpha", "exact-diagonal", "--dim", "1"],
+        ["--alpha", "exact-diagonal", "--dim", "2"],
+    ], ids=["deep-well-120", "deep-well-147", "sextic-64", "harmonic-1", "harmonic-2"])
+    def test_parity_column_is_each_vector_parity(self, capsys, monkeypatch, argv):
+        # solve reads the letter from the parity of the certified node
+        # count; it must be the parity of the eigenvector itself
+        spectra = []
+
+        def spy(spec, pot, spectrum):
+            spectra.append(spectrum)
+            return spectral.node_counts(spec, pot, spectrum)
+
+        monkeypatch.setattr(cli, "node_counts", spy)
+        code, out, _ = run_cli(capsys, ["solve", *argv, "--format", "json"])
+        assert code == 0
+        (spectrum,) = spectra
+        letter = {"even": "e", "odd": "o", "mixed": "m"}
+        want = [letter[spectral.parity_classify(spectrum.eigenvectors[:, i])]
+                for i in range(spectrum.dim)]
+        assert [row["parity"] for row in json.loads(out)["results"]] == want
 
     def test_node_certification_cost(self, capsys, monkeypatch):
         # one sampling shared by all states, not a basis table per state:
@@ -531,3 +561,24 @@ def test_even_polynomial_turning_point_overflow_is_named(capsys):
     assert (code, out) == (1, "")
     assert err == ("error: the turning-point coefficient (c_0 - E) / c_2 = 10^599.0 "
                    "lies outside the float range\n")
+
+
+@pytest.mark.parametrize("argv,want", [
+    (["solve", "--potential", "quartic", "--alpha", "1.8", "--dim", "8"], 0),
+    (["solve", "--alpha", "1", "--dim", "0"], 2),
+], ids=["solve", "usage-error"])
+def test_module_entry_matches_main(capsys, argv, want):
+    # `python -m hgritz.cli` goes through entry(), which exits with main's code
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "hgritz.cli", *argv], env=env,
+                          capture_output=True, timeout=120)
+    assert proc.returncode == code == want
+    assert proc.stdout == captured.out.encode()
+    assert proc.stderr == captured.err.encode()
