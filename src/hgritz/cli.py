@@ -220,9 +220,10 @@ def _exact_values(args, parser, pot, constants, table):
 def _run_verify_mhu(args, parser, pot, constants) -> int:
     alpha, mode = _alpha_from_args(args, parser, pot, constants)
     dims = _parse_dims(args.dims, parser)
-    if not numerov.MIN_STEPS <= args.numerov_steps <= numerov.MAX_STEPS:
+    steps = args.numerov_steps
+    if steps is not None and not numerov.MIN_STEPS <= steps <= numerov.MAX_STEPS:
         parser.error(f"--numerov-steps must lie in [{numerov.MIN_STEPS}, "
-                     f"{numerov.MAX_STEPS}], got {args.numerov_steps}")
+                     f"{numerov.MAX_STEPS}], got {steps}")
     config = _config(pot, constants, alpha=alpha, alpha_mode=mode, dims=dims)
     table = convergence_table(pot, constants, alpha, dims)
     exact = _exact_values(args, parser, pot, constants, table)
@@ -350,8 +351,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exact", choices=["none", "analytic", "numerov"], default="none",
                    help="reference energies for the upper-bound check")
     p.add_argument("--exact-levels", type=int, default=5)
-    p.add_argument("--numerov-steps", type=int, default=numerov.DEFAULT_STEPS,
-                   help=f"Numerov grid intervals, {numerov.MIN_STEPS} to {numerov.MAX_STEPS}")
+    p.add_argument("--numerov-steps", type=int, default=None,
+                   help=f"Numerov grid intervals, {numerov.MIN_STEPS} to {numerov.MAX_STEPS}; "
+                        "derived from the top wanted level by default")
     p.set_defaults(func=_run_verify_mhu)
 
     p = sub.add_parser("scan-alpha", parents=[common],

@@ -28,7 +28,8 @@ class QuadratureError(ArithmeticError):
 
 
 class ScanResolutionError(RuntimeError):
-    """An energy scan cannot resolve its levels: two share a cell, or one lies below it."""
+    """An energy scan cannot resolve its levels: two share a cell, one lies below it,
+    or the grid they need is past the step cap."""
 
 
 class RangeError(OverflowError):

@@ -1,26 +1,32 @@
-"""Reference eigensolver by Numerov integration with bisection shooting.
+"""Reference eigensolver by Numerov integration with shooting.
 
 Brute-force route to the exact bound-state energies, fully independent of
 the basis-set machinery: integrate psi'' = (2m/hbar^2)(V - E) psi outward
 from x = 0 with parity initial conditions (the potentials in scope are even,
-so the even and odd channels decouple), and bisect on the sign of
-psi(x_max).  The three-point scheme is fourth order in the step, but past a
-few thousand steps rounding in the long recurrence outgrows the h^4 term:
-bisected to full precision, the ground level of the quartic lambda x^4
-(lambda = 1.06739) is off by 9.2e-13 at 5,000 steps but by 1.4e-10 at the
-default 20,000.  The CLI uses the levels as bisected at one step count;
-`richardson4` is not applied to them.
+so the even and odd channels decouple), and refine each level on the sign
+of psi(x_max).  The three-point scheme is fourth order in the step: its
+eigenvalue error grows as (h k)^4 with the local wave number
+k = sqrt(2m (E - V)) / hbar (Cooley 1961, Math. Comp. 15:363).  Past a few
+thousand steps, rounding in the long recurrence outgrows the h^4 term:
+refined to full precision, the ground level of the quartic lambda x^4
+(lambda = 1.06739) is off by 9.2e-13 at 5,000 steps but by 1.4e-10 at
+20,000.  `default_config` therefore takes the fewest steps, at least
+DEFAULT_STEPS, that keep h k_max <= MAX_STEP_PHASE at the top wanted level:
+5,000 for every level up to x_max k_max = 50, and 9,186 for the 40th
+quartic level at alpha 3, where 5,000 steps leave that level 2.5e-10 off.
+The CLI uses the levels as refined at one step count; `richardson4` is not
+applied to them.
 
 The energy scan that brackets the levels runs every scan energy of both
 channels through one vectorized recurrence (`shoot_scan`), bitwise equal
 to scalar `shoot` at each of them, and counts the sign changes of each
 trajectory, a discrete Sturm count that says how many levels every scan
 cell holds.  Refinement and node-count trajectories stay scalar, where one
-energy is cheaper in Python floats than in numpy; batching a bracket's
-midpoints does not pay either, since one 20,000-step `shoot_scan` pass of
-12 energies costs about what 12 scalar shoots do.  Refinement instead
-makes fewer shoots: Brent's method narrows each cell before bisection is
-replayed on it (`_bisect`), with bisection's bits.
+energy is cheaper in Python floats than in numpy.  Each one-level cell is
+refined by Brent's method with the ITP projection (`_bisect`): a sign change
+of psi(x_max) at most 1e-10 wide, in no more shoots than bisection would
+take.  `spectrum_below` computes V on the grid once and hands it to the
+scan and to every shoot.
 """
 
 from __future__ import annotations
@@ -36,10 +42,18 @@ from .errors import BracketingError, ScanResolutionError
 from .operators import PotentialSpec
 from .spectral import EVEN, ODD, count_nodes
 
-#: Default number of grid intervals.  Here the recurrence's rounding, not the
-#: h^4 truncation, sets the error: about 1.4e-10 on the quartic ground level
-#: of the module docstring, against 9.2e-13 at 5,000 steps.
-DEFAULT_STEPS = 20000
+#: Fewest grid intervals `default_config` derives.  Near this count the h^4
+#: truncation and the recurrence's rounding balance: the quartic ground level
+#: of the module docstring is off by 9.2e-13 here, against 9.8e-11 at 10,000
+#: steps and 1.4e-10 at 20,000, where rounding has taken over.
+DEFAULT_STEPS = 5000
+
+#: Largest phase h k_max per step that `default_config` allows at the top
+#: wanted level, k_max = sqrt(2m (e_hi - min V)) / hbar.  The h^4 error of
+#: the level grows as (h k)^4: on the 40th quartic level at alpha 3
+#: (x_max k_max = 91.9), 5,000 steps (h k_max = 0.018) left 2.5e-10 and
+#: 10,000 steps 2.5e-11.
+MAX_STEP_PHASE = 0.01
 
 #: Accepted range of grid intervals.  Below the floor the fourth-order error
 #: is no longer small.  At the cap each shoot holds several 8 MB arrays and
@@ -59,12 +73,12 @@ _CHUNK = 64
 #: at 64 MiB, where 10^6 energies would take 1 GiB apiece.
 MAX_SCAN_POINTS = (64 << 20) // ((_CHUNK + 2) * 2 * 8)
 
-#: Width, relative to 1 + |E|, to which Brent's method narrows a bracket before
-#: `_bisect` replays bisection on it.
-_NARROW_WIDTH = 1e-12
+#: Width of the sign change `_bisect` returns each level in.
+_LEVEL_WIDTH = 1e-10
 
-#: Shoots Brent's method may take beyond bisection to the same width.
-_NARROW_SLACK = 2
+#: Factor on `_bisect`'s ITP targets, so that rounding the projected point
+#: cannot leave the last bracket wider than the level width.
+_ITP_MARGIN = 1.0 - 2.0**-10
 
 #: Required WKB tail suppression (in e-folds) between turning point and x_max.
 _MIN_EFOLDS = 5.0
@@ -95,25 +109,42 @@ def decay_length(pot: PotentialSpec, constants: Constants, energy: float) -> flo
     return (constants.hbar**2 / (2.0 * constants.mass * slope)) ** (1.0 / 3.0)
 
 
-def _scan_start(pot, constants):
-    """Lowest energy a spectrum scan looks at: just above min V."""
-    v_min = pot.minimum(mass=constants.mass)
-    return v_min + 1e-6 * (1.0 + abs(v_min))
-
-
 def default_config(pot: PotentialSpec, constants: Constants, e_hi: float,
-                   steps: int = DEFAULT_STEPS) -> ShootingConfig:
+                   steps: int | None = None) -> ShootingConfig:
     """Domain sized for energies up to e_hi: turning point + 8 decay lengths.
 
-    e_hi must lie above the scan start of `spectrum_below`, just above min V;
-    below it there is no level to find.
+    e_hi must lie above min V, where `spectrum_below` starts its scan; at or
+    below it there is no level to find.  `steps` None derives the grid from
+    e_hi: the fewest steps, at least DEFAULT_STEPS, with h k_max at most
+    MAX_STEP_PHASE, where h = x_max / steps and
+    k_max = sqrt(2m (e_hi - min V)) / hbar.  A derived count past MAX_STEPS
+    raises ScanResolutionError.  An explicit `steps` is used as given.
     """
-    start = _scan_start(pot, constants)
-    if not float(e_hi) > start:
-        raise ValueError(f"e_hi = {e_hi!r} must lie above the scan start {start!r}")
+    v_min = pot.minimum(mass=constants.mass)
+    if not float(e_hi) > v_min:
+        raise ValueError(f"e_hi = {e_hi!r} must lie above the scan start, min V = {v_min!r}")
     x_t = pot.turning_point(e_hi, mass=constants.mass)
     x_max = x_t + 8.0 * decay_length(pot, constants, e_hi)
+    if steps is None:
+        steps = _derived_steps(constants, x_max, float(e_hi) - v_min)
     return ShootingConfig(x_max, steps)
+
+
+def _derived_steps(constants, x_max, depth):
+    """Fewest steps >= DEFAULT_STEPS over [0, x_max] with h k <= MAX_STEP_PHASE.
+
+    k = sqrt(2m depth) / hbar is the largest wave number of a level depth
+    above min V; its root is taken by parts, so 2m depth cannot overflow.
+    """
+    k_max = math.sqrt(2.0) * math.sqrt(constants.mass) * math.sqrt(depth) / constants.hbar
+    phase = x_max * k_max
+    needed = phase / MAX_STEP_PHASE
+    if not needed <= MAX_STEPS:
+        raise ScanResolutionError(
+            f"levels {depth:.6g} above min V span a phase x_max k_max = {phase:.6g}; "
+            f"keeping h k_max <= {MAX_STEP_PHASE} takes {needed:.4g} steps, more than "
+            f"MAX_STEPS = {MAX_STEPS}")
+    return max(DEFAULT_STEPS, math.ceil(needed))
 
 
 def _wkb_efolds(pot, constants, energy, x_from, x_to, points=64):
@@ -140,8 +171,16 @@ def _check_domain(pot, constants, config, energy):
             f"tail suppression at E = {energy:.6g}; need >= {_MIN_EFOLDS}")
 
 
-def _grid_potential(pot, constants, config):
-    """V on the Numerov grid x_i = i x_max / steps, i = 0 .. steps."""
+def _grid_potential(pot, constants, config, given=None):
+    """V on the Numerov grid x_i = i x_max / steps, i = 0 .. steps.
+
+    A caller's `given` array is taken for it once its length is checked.
+    """
+    if given is not None:
+        if np.shape(given) != (config.steps + 1,):
+            raise ValueError(f"potential must hold V at the {config.steps + 1} grid points, "
+                             f"got shape {np.shape(given)}")
+        return given
     x = np.linspace(0.0, config.x_max, config.steps + 1)
     return np.asarray(pot.value(x, mass=constants.mass), dtype=float)
 
@@ -162,17 +201,14 @@ def _factors(constants, config, gap):
     return pfac, al
 
 
-def _step_lists(pot, constants, config, energy):
-    """V(0), and 12 - 10 P_i and P_i on the whole grid as lists of floats.
+def _step_lists(constants, config, potential, energy):
+    """12 - 10 P_i and P_i on the whole grid as lists of floats; potential is V there.
 
     `shoot`'s loop runs on Python floats, where one energy is cheaper than in
-    numpy; no grid array outlives this call.
+    numpy; no grid array made here outlives this call.
     """
-    gap = _grid_potential(pot, constants, config)
-    v0 = float(gap[0])
-    gap -= energy
-    pfac, al = _factors(constants, config, gap)
-    return v0, al.tolist(), pfac.tolist()
+    pfac, al = _factors(constants, config, potential - energy)
+    return al.tolist(), pfac.tolist()
 
 
 def _seed(pot, constants, config, v0, energy, parity):
@@ -191,7 +227,8 @@ def _seed(pot, constants, config, v0, energy, parity):
 
 
 def shoot(pot: PotentialSpec, constants: Constants, config: ShootingConfig,
-          energy: float, parity: str, *, return_trajectory: bool = False):
+          energy: float, parity: str, *, return_trajectory: bool = False,
+          potential: np.ndarray | None = None):
     """Integrate outward from x = 0 in the given parity channel; return psi(x_max).
 
     Even channel starts psi(0) = 1, psi'(0) = 0; odd starts psi(0) = 0,
@@ -199,14 +236,16 @@ def shoot(pot: PotentialSpec, constants: Constants, config: ShootingConfig,
     expansion so the seed error stays below the scheme's order.  Sign changes of
     the returned value in E bracket eigenvalues.  Growing solutions are
     rescaled internally when they threaten overflow (sign is preserved, so
-    bracketing is unaffected).
+    bracketing is unaffected).  `potential` is V on the grid, as
+    `spectrum_below` shares it between its shoots; None computes it here.
     """
     if parity not in (EVEN, ODD):
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
     energy = float(energy)
     _check_domain(pot, constants, config, energy)
-    v0, al, pl = _step_lists(pot, constants, config, energy)
-    prev, cur = _seed(pot, constants, config, v0, energy, parity)
+    potential = _grid_potential(pot, constants, config, potential)
+    al, pl = _step_lists(constants, config, potential, energy)
+    prev, cur = _seed(pot, constants, config, float(potential[0]), energy, parity)
     # step i uses 12 - 10 P_i, P_{i-1} and P_{i+1}, for i = 1 .. steps - 1
     steps = zip(itertools.islice(al, 1, None), pl, itertools.islice(pl, 2, None))
     if return_trajectory:
@@ -280,7 +319,8 @@ def _steps_rescaled(al, p_below, p_above, prev, cur):
 
 
 def shoot_scan(pot: PotentialSpec, constants: Constants, config: ShootingConfig,
-               energies) -> tuple[np.ndarray, np.ndarray]:
+               energies, *, potential: np.ndarray | None = None
+               ) -> tuple[np.ndarray, np.ndarray]:
     """psi(x_max) and its trajectory's sign changes at every energy, in both channels.
 
     Returns two arrays of shape (2, len(energies)), row 0 for the even channel
@@ -295,13 +335,14 @@ def shoot_scan(pot: PotentialSpec, constants: Constants, config: ShootingConfig,
     channels step together through one recurrence, since they share every
     coefficient and differ only in the seed.  Coefficients are formed _CHUNK
     steps at a time (`_scan_chunk`), so the working set is
-    O(_CHUNK x energies) at any step count.
+    O(_CHUNK x energies) at any step count.  `potential` is V on the grid,
+    as for `shoot`.
     """
     energies = np.asarray(energies, dtype=float)
     for e in energies.tolist():
         _check_domain(pot, constants, config, e)
     both = np.concatenate([energies, energies])
-    v = _grid_potential(pot, constants, config)
+    v = _grid_potential(pot, constants, config, potential)
     (prev_even, cur_even), (prev_odd, cur_odd) = (
         _seed(pot, constants, config, v[0], energies, parity) for parity in (EVEN, ODD))
     prev = np.repeat([prev_even, prev_odd], energies.size)
@@ -322,38 +363,38 @@ def shoot_scan(pot: PotentialSpec, constants: Constants, config: ShootingConfig,
 
 def eigenvalue(pot: PotentialSpec, constants: Constants, config: ShootingConfig,
                bracket: tuple[float, float], parity: str) -> float:
-    """Bisect bracket = (lo, hi) on the sign of psi(x_max) to width 1e-10.
+    """Refine bracket = (lo, hi) to a sign change of psi(x_max) at most 1e-10 wide.
 
     lo and hi must be finite with lo < hi, and parity "even" or "odd".  The
-    result is bisection's, reached in fewer shoots (`_bisect`).
+    result is `_bisect`'s, as `spectrum_below` gets it for a scan cell
+    (lo, hi).
     """
     lo, hi = (float(end) for end in bracket)
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"energy bracket must satisfy lo < hi, got {bracket!r}")
-    return _bisect(pot, constants, config, parity, lo, hi,
-                   shoot(pot, constants, config, lo, parity),
-                   shoot(pot, constants, config, hi, parity))
+    potential = _grid_potential(pot, constants, config)
+    flo, fhi = (shoot(pot, constants, config, end, parity, potential=potential)
+                for end in (lo, hi))
+    return _bisect(pot, constants, config, parity, lo, hi, flo, fhi, potential)
 
 
-def _bisect(pot, constants, config, parity, lo, hi, flo, fhi):
+def _bisect(pot, constants, config, parity, lo, hi, flo, fhi, potential):
     """`eigenvalue` on (lo, hi), given psi(x_max) at both ends as flo and fhi.
 
-    The result is plain bisection's: halve (lo, hi) on the sign of psi(x_max)
-    at its midpoint until it is at most 1e-10 wide and return the last
-    midpoint, or the first midpoint where psi(x_max) is exactly 0.  Brent's
-    method (`_brent_point`) first narrows (lo, hi) to a sign change at most
-    _NARROW_WIDTH (1 + |E|) wide.  The bisection is then replayed, and only
-    its midpoints within _NARROW_WIDTH (1 + |E|) of that sign change are
-    shot; one below takes lo's sign and one above takes hi's.  That gives
-    bisection's bits wherever psi(x_max) changes sign once in the cell away
-    from the level, the premise bisection itself relies on.  The margin is
-    there because rounding does not keep the sign clean at the level: at
-    20,000 steps psi(x_max) was seen to change sign three times within
-    4e-12 of a level near E = 15.5.  On 434 brackets of the benchmark's
-    `certify` requests this takes 8.7 shoots per bracket where bisection
-    takes 30.8.  Where 1 + |E| <= 33 it never takes more than 11 beyond
-    bisection: ceil(log2(100)) = 7 to reach the finer width, _NARROW_SLACK,
-    and at most 2 replayed midpoints in a window under 1e-10 wide.
+    Brent's method (`_brent_point`) narrows (lo, hi) on the sign of
+    psi(x_max) until the sign change is at most width = _LEVEL_WIDTH wide,
+    or 8 ulp of E where those are wider, and returns the end of it where
+    |psi(x_max)| is smaller, or the first energy where psi(x_max) is exactly
+    0.  Bisection takes budget = ceil(log2((hi - lo) / width)) shoots to
+    that width.  Each shoot is projected toward the bracket's midpoint as the
+    ITP method does, so that shoot k (from 0) leaves a bracket no wider than
+    the larger of _ITP_MARGIN width 2^(budget - 1 - k) and half the one
+    before it; so no more than budget shoots are taken, and fewer wherever Brent's
+    interpolation converges first.  Rounding can make psi(x_max) change sign
+    more than once within a few 1e-12 (1 + |E|) of a level (three times
+    within 4e-12 near E = 15.5 at 20,000 steps); the result then lies at one
+    of those sign changes, within the width of the others.  `potential` is
+    V on the grid, shared by every shoot.
     """
     if flo == 0.0:
         return lo
@@ -363,8 +404,10 @@ def _bisect(pot, constants, config, parity, lo, hi, flo, fhi):
         raise BracketingError(
             f"psi(x_max) has the same sign at both bracket ends "
             f"({lo:.6g}, {hi:.6g}) in the {parity} channel")
-    tol = 0.5 * _NARROW_WIDTH * (1.0 + max(abs(lo), abs(hi)))
-    budget = max(0, math.ceil(math.log2((hi - lo) / (2.0 * tol)))) + _NARROW_SLACK
+    # from |E| = 2^16 up, 8 ulp of E are wider than _LEVEL_WIDTH
+    width = max(_LEVEL_WIDTH, 8.0 * math.ulp(max(abs(lo), abs(hi))))
+    tol = 0.5 * width
+    budget = max(0, math.ceil(math.log2((hi - lo) / width)))
     # b is the estimate, c the other end of the sign change and a the previous b
     a, fa, b, fb, c, fc = lo, flo, hi, fhi, lo, flo
     d = e = hi - lo
@@ -374,26 +417,12 @@ def _bisect(pot, constants, config, parity, lo, hi, flo, fhi):
             d = e = b - a
         if abs(fc) < abs(fb):
             a, fa, b, fb, c, fc = b, fb, c, fc, b, fb
-        if abs(c - b) <= 2.0 * tol or fb == 0.0:
-            break
+        if abs(c - b) <= width or fb == 0.0:
+            return b
         x, d, e = _brent_point(a, fa, b, fb, c, fc, d, e, tol,
-                               tol * 2.0 ** (budget - shots))
+                               _ITP_MARGIN * width * 2.0 ** (budget - 1 - shots))
         a, fa = b, fb
-        b, fb = x, shoot(pot, constants, config, x, parity)
-    below, above = min(b, c) - 2.0 * tol, max(b, c) + 2.0 * tol
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
-        if below < mid < above:
-            fm = shoot(pot, constants, config, mid, parity)
-        else:
-            fm = flo if mid <= below else fhi
-        if fm == 0.0:
-            return mid
-        if math.copysign(1.0, fm) == math.copysign(1.0, flo):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        b, fb = x, shoot(pot, constants, config, x, parity, potential=potential)
 
 
 def _brent_point(a, fa, b, fb, c, fc, d, e, tol, next_width):
@@ -437,9 +466,10 @@ def _brent_point(a, fa, b, fb, c, fc, d, e, tol, next_width):
     return x, d, e
 
 
-def _trajectory_nodes(pot, constants, config, energy, parity):
-    """Certified node count of the refined state on (0, x_t + 2 ell]."""
-    _, traj = shoot(pot, constants, config, energy, parity, return_trajectory=True)
+def _trajectory_nodes(pot, constants, config, energy, parity, potential):
+    """Certified node count of the refined state on (0, x_t + 2 ell]; potential is V on the grid."""
+    _, traj = shoot(pot, constants, config, energy, parity, return_trajectory=True,
+                    potential=potential)
     h = config.x_max / config.steps
     x_t = pot.turning_point(energy, mass=constants.mass)
     cut = min(config.x_max, x_t + 2.0 * decay_length(pot, constants, energy))
@@ -454,38 +484,40 @@ def spectrum_below(pot: PotentialSpec, constants: Constants,
                    scan_points: int | None = None) -> np.ndarray:
     """All eigenvalues below e_cap, both parity channels, ascending.
 
+    The scan starts at min V, where no level lies, and takes
+    max(64, 8 (e_cap - min V)) energies unless `scan_points` says otherwise.
     One `shoot_scan` of both channels gives psi(x_max) and the Sturm count
     at every scan energy.  The count at a cell's upper end minus that at its
     lower end is the number of levels in the cell, and each cell holding one
-    is refined by `_bisect` from the scan's psi(x_max) at its ends.  A level
-    below the scan start, or two levels sharing a cell, raise
+    is refined by `_bisect` from the scan's psi(x_max) at its ends.  A
+    nonzero count at min V, or two levels sharing a cell, raise
     ScanResolutionError from the counts alone, whatever a refinement would
     find, so no level is dropped silently.  Each refined state is also
     checked to carry as many nodes as the count gives levels below it.  A
     scan of more than MAX_SCAN_POINTS energies raises ScanResolutionError
-    before it is allocated.
+    before it is allocated.  V on the grid is computed once, for the scan
+    and every shoot.
     """
     e_cap = float(e_cap)
     v_min = pot.minimum(mass=constants.mass)
-    start = _scan_start(pot, constants)
-    if e_cap <= start:
+    if e_cap <= v_min:
         return np.array([])
     if scan_points is None:
         scan_points = max(64.0, 8.0 * (e_cap - v_min))
     if scan_points > MAX_SCAN_POINTS:
         raise ScanResolutionError(
-            f"the scan of ({start:.8g}, {e_cap:.8g}) takes {scan_points:.4g} energies, "
+            f"the scan of ({v_min:.8g}, {e_cap:.8g}) takes {scan_points:.4g} energies, "
             f"more than the {MAX_SCAN_POINTS} one scan may hold")
-    energies = np.linspace(start, e_cap, int(scan_points))
+    energies = np.linspace(v_min, e_cap, int(scan_points))
     grid = energies.tolist()
-    psi, changes = shoot_scan(pot, constants, config, energies)
+    potential = _grid_potential(pot, constants, config)
+    psi, changes = shoot_scan(pot, constants, config, energies, potential=potential)
     found = []
     for parity, values, counts in zip((EVEN, ODD), psi.tolist(), changes.tolist()):
         if counts[0]:
             raise ScanResolutionError(
-                f"an {parity}-channel level lies below the scan start E = {grid[0]:.8g} "
-                f"(Sturm count {counts[0]} there), just above min V, where the scan "
-                f"does not look")
+                f"the {parity}-channel Sturm count is {counts[0]} at min V = {grid[0]:.8g}, "
+                f"where no level lies")
         for k in range(len(grid) - 1):
             levels = counts[k + 1] - counts[k]
             if levels == 0:
@@ -494,10 +526,10 @@ def spectrum_below(pot: PotentialSpec, constants: Constants,
                 raise ScanResolutionError(
                     f"the {parity}-channel scan cell ({grid[k]:.8g}, {grid[k + 1]:.8g}) "
                     f"holds {levels} levels (Sturm count {counts[k]} to {counts[k + 1]}); "
-                    f"bisection can refine only a cell that holds one")
+                    f"refinement can take only a cell that holds one")
             e_found = _bisect(pot, constants, config, parity, grid[k], grid[k + 1],
-                              values[k], values[k + 1])
-            nodes = _trajectory_nodes(pot, constants, config, e_found, parity)
+                              values[k], values[k + 1], potential)
+            nodes = _trajectory_nodes(pot, constants, config, e_found, parity, potential)
             if nodes != counts[k]:
                 raise ScanResolutionError(
                     f"{parity} channel state {counts[k]} at E = {e_found:.8g} "

@@ -359,11 +359,23 @@ def _potential_bands(alpha: float, coeffs, h, roots) -> list[np.ndarray]:
 
 
 def _kinetic_scale(spec: BasisSpec, dim: int) -> float:
-    """t = alpha hbar^2 / 4m, checked so that T's largest entry t (2 dim - 1) is finite."""
+    """t = alpha hbar^2 / 4m, checked so that T's largest entry t (2 dim - 1) is finite.
+
+    Where hbar^2 or alpha hbar^2 passes the float range, or hbar^2 underflows,
+    while t need not, t is formed again from the mantissas and the binary
+    exponents apart; every other t keeps the bits of alpha hbar^2 / (4m).
+    """
     try:
         t = spec.alpha * spec.hbar**2 / (4.0 * spec.mass)
     except OverflowError:  # hbar**2 is past the float range
-        t = math.inf
+        t = math.nan
+    if not 0.0 < t < math.inf:
+        (ma, ea), (mh, eh), (mm, em) = (math.frexp(v)
+                                        for v in (spec.alpha, spec.hbar, spec.mass))
+        try:
+            t = math.ldexp(ma * mh * mh / (4.0 * mm), ea + 2 * eh - em)
+        except OverflowError:  # t itself is past the float range
+            t = math.inf
     if math.isinf(t * (2 * dim - 1)):
         raise RangeError("the kinetic matrix entry alpha hbar^2 (2 dim - 1) / 4m",
                          math.log10(spec.alpha) + 2.0 * math.log10(spec.hbar)

@@ -17,7 +17,7 @@ import hgritz.spectral as spectral
 import hgritz.variational as variational
 from hgritz import numerov
 from hgritz import (BasisSpec, ConvergenceTable, PotentialSpec, basis_table,
-                    hamiltonian_matrix)
+                    hamiltonian_matrix, kinetic_matrix)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -198,7 +198,7 @@ class TestSolve:
 
     def test_numerov_scan_makes_no_scalar_shoot(self, capsys, monkeypatch):
         # the scan runs batched and hands each bracket psi(x_max) at its
-        # ends; scalar shoots come only from bisection midpoints and the
+        # ends; scalar shoots come only from the refinement and the
         # node-count trajectories
         callers = []
         shoot = numerov.shoot
@@ -275,25 +275,31 @@ class TestVerifyMhu:
         doc = json.loads(out)
         np.testing.assert_allclose(doc["results"]["exact"], [0.5, 1.5], atol=1e-7)
 
-    def test_numerov_levels_below_the_scan_start_are_an_error(self, capsys):
-        # at hbar 1e-8 the wanted levels lie within 1e-6 of min V, where the
-        # Numerov scan does not look; a vacuous upper_bound check would pass
-        code, out, err = run_cli(capsys, [
-            "verify-mhu", "--hbar", "1e-8", "--alpha", "exact-diagonal", "--dims", "2,4",
-            "--exact", "numerov", "--numerov-steps", "2000"])
-        assert (code, out) == (1, "")
-        assert "scan start" in err
-
-    def test_numerov_level_below_the_scan_start_is_named(self, capsys):
-        # at hbar 1e-6 the ground level 5e-7 lies below the scan start 1e-6;
-        # the report names that, and no option the CLI does not have
-        code, out, err = run_cli(capsys, [
-            "verify-mhu", "--potential", "harmonic", "--hbar", "1e-6",
+    @pytest.mark.parametrize("hbar", ["1e-6", "1e-8"])
+    def test_numerov_levels_near_min_v_are_found(self, capsys, hbar):
+        # the scan used to start 1e-6 (1 + |min V|) above min V, past the
+        # ground level hbar / 2, and exited 1 naming it; it starts at min V now
+        code, out, _ = run_cli(capsys, [
+            "verify-mhu", "--potential", "harmonic", "--hbar", hbar,
             "--alpha", "exact-diagonal", "--dims", "2,4", "--exact", "numerov",
-            "--numerov-steps", "2000"])
-        assert (code, out) == (1, "")
-        assert "even-channel level lies below the scan start" in err
-        assert "scan_points" not in err
+            "--numerov-steps", "2000", "--format", "json"])
+        assert code == 0
+        doc = json.loads(out)
+        assert [c["pass"] for c in doc["checks"]] == [True, True, True]
+        np.testing.assert_allclose(doc["results"]["exact"],
+                                   [(n + 0.5) * float(hbar) for n in range(4)],
+                                   rtol=0.0, atol=1e-10)
+
+    def test_numerov_reference_within_the_upper_bound_tolerance(self, capsys):
+        # at the fixed 20,000 steps the reference's rounding put the ground
+        # level 2.083e-10 above tolerance; the derived 5,000 steps leave slack
+        code, out, _ = run_cli(capsys, [
+            "verify-mhu", "--potential", "quartic", "--lambda", "1.06739",
+            "--alpha", "2.80778", "--dims", "2:26:2", "--exact", "numerov",
+            "--exact-levels", "7", "--format", "json"])
+        assert code == 0
+        upper = next(c for c in json.loads(out)["checks"] if c["name"] == "upper_bound")
+        assert upper["pass"]
 
     @pytest.mark.parametrize("pot", [["--potential", "quartic", "--lambda", "1e200"],
                                      ["--potential", "quartic", "--lambda", "1e250",
@@ -531,6 +537,24 @@ def test_harmonic_levels_near_the_float_limit_solve(capsys):
     assert (code, err) == (0, "")
     rows = json.loads(out)["results"]
     h = hamiltonian_matrix(BasisSpec(1.0), PotentialSpec.harmonic(1e154), 3)
+    np.testing.assert_allclose([row["energy"] for row in rows],
+                               np.linalg.eigvalsh(h.to_dense()), rtol=1e-11)
+    assert [row["nodes"] for row in rows] == [0, 1, 2]
+
+
+@pytest.mark.parametrize("mass,hbar,alpha,t", [(1e308, 1e154, 10.0, 2.5),
+                                               (1e300, 1e200, 1.0, 2.5e99)],
+                         ids=["both-halves-overflow", "hbar-squared-overflows"])
+def test_kinetic_scale_past_the_squares_range_solves(capsys, mass, hbar, alpha, t):
+    # alpha hbar^2 and 4m both overflowed, and their ratio was NaN; or hbar^2
+    # raised, and a finite t was reported out of range
+    code, out, err = run_cli(capsys, ["solve", "--mass", repr(mass), "--hbar", repr(hbar),
+                                      "--alpha", repr(alpha), "--dim", "3", "--format", "json"])
+    assert (code, err) == (0, "")
+    rows = json.loads(out)["results"]
+    spec = BasisSpec(alpha, hbar, mass)
+    assert kinetic_matrix(spec, 3).bands[0][0] == pytest.approx(t, rel=1e-15)
+    h = hamiltonian_matrix(spec, PotentialSpec.harmonic(1.0), 3)
     np.testing.assert_allclose([row["energy"] for row in rows],
                                np.linalg.eigvalsh(h.to_dense()), rtol=1e-11)
     assert [row["nodes"] for row in rows] == [0, 1, 2]

@@ -98,6 +98,32 @@ def test_numerov_spectrum_raising_in_both_trees_differs(capsys):
     assert lines[2] == "1 of 2 spectra bit-identical (1 levels)"
 
 
+def test_numerov_sweep_covers_the_default_step_count(monkeypatch):
+    # verify-mhu runs default_config's own step count unless given one; the
+    # sweep runs it beside the explicit 2,000 and 20,000 steps
+    from hgritz import numerov
+
+    configs = []
+    default_config = numerov.default_config
+
+    def spy(*args, **kwargs):
+        configs.append(("steps" in kwargs, default_config(*args, **kwargs)))
+        return configs[-1][1]
+
+    monkeypatch.setattr(numerov, "default_config", spy)
+    monkeypatch.setattr(numerov, "spectrum_below",
+                        lambda pot, constants, config, e_cap: np.array([float(config.steps)]))
+    sweep = compare_trees._numerov_sweep()
+    assert len(sweep) == len(configs) == 90
+    steps = [label.rsplit("steps=", 1)[1] for label, _ in sweep]
+    assert {s: steps.count(s) for s in steps} == {"2000": 30, "20000": 30, "default": 30}
+    for (label, fields), (explicit, config) in zip(sweep, configs):
+        assert explicit == (not label.endswith("steps=default"))
+        assert fields["levels"] == [float(config.steps).hex()]
+        if not explicit:
+            assert config.steps >= numerov.DEFAULT_STEPS
+
+
 def test_cli_request_raising_the_same_text_agrees(capsys):
     old, new = records(), records()
     assert old["cli"][1][1]["exit code"].startswith("raised ")

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from helpers import numerov_bisection
-from hgritz import BracketingError, Constants, PotentialSpec, ScanResolutionError
+from hgritz import (BasisSpec, BracketingError, Constants, PotentialSpec,
+                    ScanResolutionError, hamiltonian_matrix)
 from hgritz import numerov
 from hgritz.variational import minimize_alpha
 
@@ -13,6 +13,8 @@ HARM = PotentialSpec.harmonic(1.0)
 QUART = PotentialSpec.quartic(1.0)
 SEXTIC = PotentialSpec.even_polynomial([0.0, 0.5, 0.0, 0.1])
 DOUBLE_WELL = PotentialSpec.even_polynomial([0.0, -2.0, 0.5])
+#: A steep sextic whose 30 levels at alpha 3 derive 6,772 steps.
+STEEP_SEXTIC = PotentialSpec.even_polynomial([0.0, 1.0, 0.0, 0.3])
 
 #: Quartic ground state in natural units, certified by Richardson step-halving
 #: of this module's own integrator and independently by the dim-40 basis solve.
@@ -34,11 +36,32 @@ class TestConfig:
         assert cfg.x_max > x_t + 5.0 * numerov.decay_length(HARM, C, 0.6)
 
     def test_default_config_needs_e_hi_above_the_scan_start(self):
-        # the scan starts 1e-6 (1 + |min V|) above min V = 0
-        with pytest.raises(ValueError, match="scan start"):
-            numerov.default_config(HARM, C, 1e-6, steps=2000)
-        with pytest.raises(ValueError, match="scan start"):
-            numerov.default_config(HARM, C, math.nan, steps=2000)
+        # the scan starts at min V = 0; no level lies at or below it
+        for e_hi in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="scan start"):
+                numerov.default_config(HARM, C, e_hi, steps=2000)
+        assert numerov.default_config(HARM, C, 1e-6, steps=2000).steps == 2000
+
+    @pytest.mark.parametrize("pot, e_hi, want", [
+        (HARM, 0.6, numerov.DEFAULT_STEPS),
+        # the 40th quartic level at alpha 3, and the 30th of 0,1,0,0.3
+        (QUART, 185.17592507775424, 9186),
+        (STEEP_SEXTIC, 163.20997725634425, 6772),
+    ], ids=["harmonic-floor", "quartic-40", "sextic-30"])
+    def test_derived_steps(self, pot, e_hi, want):
+        # the fewest steps, at least DEFAULT_STEPS, with h k_max <= MAX_STEP_PHASE
+        cfg = numerov.default_config(pot, C, e_hi)
+        assert cfg.steps == want
+        k_max = math.sqrt(2.0 * (e_hi - pot.minimum(mass=1.0)))
+        assert cfg.x_max / cfg.steps * k_max <= numerov.MAX_STEP_PHASE
+        if want > numerov.DEFAULT_STEPS:
+            assert cfg.x_max / (cfg.steps - 1) * k_max > numerov.MAX_STEP_PHASE
+
+    def test_derived_steps_past_the_cap_are_named(self):
+        # 10^6 harmonic quanta below e_hi: x_max k_max is about 3e6, so keeping
+        # h k_max <= 0.01 would take some 3e8 steps
+        with pytest.raises(ScanResolutionError, match="more than MAX_STEPS = 1000000"):
+            numerov.default_config(HARM, Constants(hbar=1e-6), 1.0)
 
     def test_shallow_domain_rejected(self):
         bad = numerov.ShootingConfig(1.0, 2000)
@@ -65,6 +88,18 @@ class TestShoot:
         _, traj = numerov.shoot(HARM, C, cfg, 1.5, numerov.ODD, return_trajectory=True)
         assert traj[0] == 0.0
         assert traj.size == cfg.steps + 1
+
+    def test_shared_grid_potential(self):
+        # spectrum_below hands every shoot V on the grid; the bits are the same
+        cfg = numerov.default_config(HARM, C, 1.8, steps=2000)
+        v = numerov._grid_potential(HARM, C, cfg)
+        for parity in (numerov.EVEN, numerov.ODD):
+            assert (numerov.shoot(HARM, C, cfg, 1.2, parity, potential=v)
+                    == numerov.shoot(HARM, C, cfg, 1.2, parity))
+        with pytest.raises(ValueError, match="V at the 2001 grid points, got shape"):
+            numerov.shoot(HARM, C, cfg, 1.2, numerov.EVEN, potential=v[:-1])
+        with pytest.raises(ValueError, match="V at the 2001 grid points, got shape"):
+            numerov.shoot_scan(HARM, C, cfg, [1.2], potential=v[:-1])
 
     def test_unknown_parity_rejected(self):
         cfg = numerov.default_config(HARM, C, 0.6, steps=2000)
@@ -155,6 +190,21 @@ class TestSpectrumBelow:
         with pytest.raises(ScanResolutionError):
             numerov.spectrum_below(HARM, C, cfg, 5.0, scan_points=2)
 
+    def test_a_level_at_min_v_is_reported(self, monkeypatch):
+        # no level lies at or below min V, where the scan starts; a Sturm count
+        # there says the integration has failed, and it is not passed over
+        scan = numerov.shoot_scan
+
+        def counted_once_more(*args, **kwargs):
+            psi, changes = scan(*args, **kwargs)
+            return psi, changes + 1
+
+        monkeypatch.setattr(numerov, "shoot_scan", counted_once_more)
+        cfg = numerov.default_config(HARM, C, 3.0, steps=2000)
+        with pytest.raises(ScanResolutionError,
+                           match="even-channel Sturm count is 1 at min V = 0, where no level"):
+            numerov.spectrum_below(HARM, C, cfg, 3.0)
+
     def test_two_levels_in_one_cell_reported(self):
         # 0.5 and 2.5 share the one even cell, so psi(x_max) has the same sign
         # at both its ends; the Sturm count still sees the two levels
@@ -163,63 +213,103 @@ class TestSpectrumBelow:
             numerov.spectrum_below(HARM, C, cfg, 3.0, scan_points=2)
 
 
-#: Most shoots `_bisect` takes beyond plain bisection on one bracket with
-#: 1 + |E| <= 33: ceil(log2(1e-10 / 1e-12)) = 7 for narrowing to the finer
-#: width, _NARROW_SLACK = 2, and 2 midpoints replayed inside the narrowed
-#: bracket and its margins, 3e-12 (1 + |E|) <= 1e-10 wide.
-EXTRA_SHOOTS = 11
+def bisection_shoots(lo, hi):
+    """Shoots plain bisection takes to halve (lo, hi) down to width 1e-10."""
+    return max(0, math.ceil(math.log2((hi - lo) / 1e-10)))
+
+
+def assert_at_a_sign_change(level, shots):
+    """psi(x_max) is exactly 0 at level, or has the other sign within 1e-10 of it.
+
+    shots holds (energy, psi(x_max)) at every energy refinement looked at,
+    the ends of its bracket included; level must be one of them.
+    """
+    psi = dict(shots)
+    assert level in psi
+    if psi[level] == 0.0:
+        return
+    sign = math.copysign(1.0, psi[level])
+    assert any(abs(energy - level) <= 1e-10 and math.copysign(1.0, value) != sign
+               for energy, value in shots)
+
+
+class RecordedShoots:
+    """`numerov.shoot` replaced by itself, recording the (energy, psi(x_max)) of every call.
+
+    `psi` stands in for the integration where given, as psi(energy).
+    Trajectory shoots are not recorded.
+    """
+
+    def __init__(self, monkeypatch, psi=None):
+        self.shots = []
+        shoot = numerov.shoot
+
+        def recorded(pot, constants, config, energy, parity, **kwargs):
+            value = (shoot(pot, constants, config, energy, parity, **kwargs)
+                     if psi is None else psi(energy))
+            if not kwargs.get("return_trajectory"):
+                self.shots.append((energy, value))
+            return value
+
+        monkeypatch.setattr(numerov, "shoot", recorded)
 
 
 class TestRefinement:
-    """`_bisect` against plain bisection (`helpers.numerov_bisection`)."""
+    """`_bisect`: a sign change of psi(x_max) at most 1e-10 wide, in no more shoots
+    than plain bisection takes to that width."""
 
-    @pytest.mark.parametrize("steps", [2000, 20000])
+    @pytest.mark.parametrize("steps", [2000, 5000, 20000])
     @pytest.mark.parametrize("pot, e_cap", [(HARM, 4.0), (QUART, 5.0), (SEXTIC, 4.0),
                                             (DOUBLE_WELL, 1.0)],
                              ids=["harmonic", "quartic", "sextic", "double-well"])
     def test_levels_are_bisections_bits(self, monkeypatch, pot, e_cap, steps):
+        # every level lies at a sign change as narrow as bisection to 1e-10
+        # would leave it, and eigenvalue on its scan cell returns it again
         cfg = numerov.default_config(pot, C, e_cap, steps=steps)
+        recorder = RecordedShoots(monkeypatch)
         calls = []
         refine = numerov._bisect
 
         def recorded(*args):
-            calls.append((args, refine(*args)))
-            return calls[-1][1]
+            start = len(recorder.shots)
+            got = refine(*args)
+            calls.append((args, got, recorder.shots[start:]))
+            return got
 
         monkeypatch.setattr(numerov, "_bisect", recorded)
         levels = numerov.spectrum_below(pot, C, cfg, e_cap)
         monkeypatch.undo()
-        assert {args[3] for args, _ in calls} == {numerov.EVEN, numerov.ODD}
-        assert levels.tolist() == sorted(got for _, got in calls)
-        for args, got in calls:
-            assert got == numerov_bisection(*args)
-            _, _, _, parity, lo, hi, _, _ = args
+        assert {args[3] for args, _, _ in calls} == {numerov.EVEN, numerov.ODD}
+        assert levels.tolist() == sorted(got for _, got, _ in calls)
+        for args, got, shots in calls:
+            _, _, _, parity, lo, hi, flo, fhi, _ = args
+            assert_at_a_sign_change(got, [(lo, flo), (hi, fhi), *shots])
+            assert len(shots) <= bisection_shoots(lo, hi)
             assert numerov.eigenvalue(pot, C, cfg, (lo, hi), parity) == got
 
-    def test_rounding_noise_at_the_level(self):
+    def test_rounding_noise_at_the_level(self, monkeypatch):
         # an odd bracket from a benchmark verify-mhu request: at 20,000 steps
-        # psi(x_max) changes sign three times within 4e-12 of the level, and
-        # a bisection midpoint falls between them just outside the narrowed
-        # bracket; the replay's margin shoots it
+        # psi(x_max) changes sign three times within 4e-12 of the level; the
+        # result lies at one of those sign changes, within 1e-10 of where
+        # plain bisection put it (15.54850366836266)
         pot = PotentialSpec.even_polynomial([0.0, 1.93962, 0.761412])
         cfg = numerov.ShootingConfig(4.012210575973266, 20000)
         bracket = (15.53594570308352, 15.662254196604524)
-        ends = [numerov.shoot(pot, C, cfg, e, numerov.ODD) for e in bracket]
-        want = numerov_bisection(pot, C, cfg, numerov.ODD, *bracket, *ends)
-        assert want == 15.54850366836266
-        assert numerov.eigenvalue(pot, C, cfg, bracket, numerov.ODD) == want
+        recorder = RecordedShoots(monkeypatch)
+        got = numerov.eigenvalue(pot, C, cfg, bracket, numerov.ODD)
+        assert_at_a_sign_change(got, recorder.shots)
+        # two shoots at the ends, then the refinement
+        assert len(recorder.shots) - 2 <= bisection_shoots(*bracket)
+        assert abs(got - 15.54850366836266) <= 1e-10
 
     @pytest.mark.parametrize("bracket", [(0.5, 0.7), (0.3, 0.5), (0.25, 0.75), (0.1, 0.9)],
                              ids=["zero-at-lo", "zero-at-hi", "zero-at-first-midpoint",
                                   "zero-at-second-midpoint"])
     def test_exact_zero(self, monkeypatch, bracket):
-        monkeypatch.setattr(numerov, "shoot", lambda pot, constants, config, energy, parity:
-                            energy - 0.5)
+        recorder = RecordedShoots(monkeypatch, psi=lambda energy: energy - 0.5)
         cfg = numerov.ShootingConfig(5.0, 2000)
-        lo, hi = bracket
-        want = numerov_bisection(HARM, C, cfg, numerov.EVEN, lo, hi, lo - 0.5, hi - 0.5)
-        assert want == 0.5
-        assert numerov.eigenvalue(HARM, C, cfg, bracket, numerov.EVEN) == want
+        assert numerov.eigenvalue(HARM, C, cfg, bracket, numerov.EVEN) == 0.5
+        assert len(recorder.shots) - 2 <= bisection_shoots(*bracket)
 
     @pytest.mark.parametrize("psi", [
         lambda x: 1.0 if x < 0.0 else -1.0,
@@ -228,24 +318,47 @@ class TestRefinement:
         lambda x: -x * (1e250 if x < -1e-3 else 1.0),
     ], ids=["step", "exponential", "triple-root", "rescaled-jump"])
     def test_worst_case_shoots(self, monkeypatch, psi):
-        # psi(E - root) with one sign change: the bits of plain bisection, in
-        # at most EXTRA_SHOOTS more shoots, wherever the root falls
+        # psi(E - root) with one sign change: a sign change at most 1e-10 wide,
+        # in no more shoots than plain bisection, wherever the root falls
         cfg = numerov.ShootingConfig(5.0, 2000)
         rng = np.random.default_rng(11)
+        recorder = RecordedShoots(monkeypatch, psi=lambda energy: psi(energy - root))
         for lo, hi in [(0.0, 1.0), (0.3, 0.45), (10.0, 12.5), (-30.0, -26.0)]:
             for root in lo + (hi - lo) * rng.random(40):
-                shoots = []
+                recorder.shots.clear()
+                ends = [(lo, psi(lo - root)), (hi, psi(hi - root))]
+                got = numerov._bisect(HARM, C, cfg, numerov.EVEN, lo, hi,
+                                      ends[0][1], ends[1][1], None)
+                assert_at_a_sign_change(got, ends + recorder.shots)
+                assert abs(got - root) <= 1e-10
+                assert len(recorder.shots) <= bisection_shoots(lo, hi)
 
-                def shoot(pot, constants, config, energy, parity, root=root):
-                    shoots.append(energy)
-                    return psi(energy - root)
+    def test_width_follows_the_float_spacing_at_large_energies(self, monkeypatch):
+        # at |E| = 1e6 floats lie 1.16e-10 apart, so no bracket is 1e-10 wide;
+        # the refinement stops at 8 ulp instead of looping.  psi is never 0
+        recorder = RecordedShoots(monkeypatch,
+                                  psi=lambda energy: 1.0 if energy < 1e6 + 0.3 else -1.0)
+        cfg = numerov.ShootingConfig(5.0, 2000)
+        got = numerov.eigenvalue(HARM, C, cfg, (1e6, 1e6 + 1.0), numerov.EVEN)
+        assert abs(got - (1e6 + 0.3)) <= 8.0 * math.ulp(1e6)
+        assert len(recorder.shots) - 2 <= bisection_shoots(0.0, 1.0)
 
-                monkeypatch.setattr(numerov, "shoot", shoot)
-                ends = (HARM, C, cfg, numerov.EVEN, lo, hi, psi(lo - root), psi(hi - root))
-                want = numerov_bisection(*ends)
-                plain = len(shoots)
-                assert numerov._bisect(*ends) == want
-                assert len(shoots) - plain <= plain + EXTRA_SHOOTS
+
+class TestDerivedStepsAccuracy:
+    """Levels at the derived step count against LAPACK on a large basis."""
+
+    @pytest.mark.parametrize("pot, levels, dim", [
+        (QUART, 40, 600),
+        (STEEP_SEXTIC, 30, 300),
+    ], ids=["quartic-40", "sextic-30"])
+    def test_levels_within_1e10(self, pot, levels, dim):
+        # the cap sits just above the top wanted level, as verify-mhu sets it
+        matrix = hamiltonian_matrix(BasisSpec(3.0), pot, dim).to_dense()
+        want = np.linalg.eigvalsh(matrix)[:levels]
+        e_cap = float(want[-1]) + 1e-9
+        got = numerov.spectrum_below(pot, C, numerov.default_config(pot, C, e_cap), e_cap)
+        assert got.size == levels
+        assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
 
 
 class TestShootScan:

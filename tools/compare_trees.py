@@ -13,8 +13,9 @@ subprocess, and the two run at once.  Each runs four sweeps:
   of every rule are compared bit for bit.
 - Numerov: `numerov.spectrum_below` on the five families at two strengths
   each, energy caps 1, 3 and 8 above the potential minimum, and 2,000 and
-  20,000 steps, 60 spectra.  Every level is compared bit for bit, and a
-  spectrum that raises in either tree counts as differing.
+  20,000 steps and the step count `numerov.default_config` takes by default,
+  which `verify-mhu` runs: 90 spectra.  Every level is compared bit for
+  bit, and a spectrum that raises in either tree counts as differing.
 - node counts: `spectral.node_counts` on the quartic (lam 1) and the deep
   double well 0,-10,0.5 at dims 512 and 1024, four cases whose shared grids
   span many NODE_CHUNK chunks.  The counts are compared exactly.
@@ -78,7 +79,9 @@ NUMEROV_FAMILIES = {
 }
 #: Energy caps above the potential minimum.
 NUMEROV_SPANS = (1.0, 3.0, 8.0)
-NUMEROV_STEPS = (2000, 20000)
+#: Step counts; None is `numerov.default_config`'s default, which `verify-mhu`
+#: runs unless --numerov-steps is given.
+NUMEROV_STEPS = (2000, 20000, None)
 
 NODE_CASES = (("quartic", "quartic", 1.0, 1.8),
               ("deep_double_well", "even_polynomial", (0.0, -10.0, 0.5), 1.59369))
@@ -132,13 +135,16 @@ def _numerov_sweep():
             pot = _potential(kind, value)
             for span, steps in itertools.product(NUMEROV_SPANS, NUMEROV_STEPS):
                 e_cap = pot.minimum(mass=constants.mass) + span
-                config = numerov.default_config(pot, constants, e_cap, steps=steps)
+                # None leaves the count to the tree's own default_config
+                given = {} if steps is None else {"steps": steps}
                 try:
+                    config = numerov.default_config(pot, constants, e_cap, **given)
                     levels = numerov.spectrum_below(pot, constants, config, e_cap)
                     fields = {"levels": [x.hex() for x in levels.tolist()]}
                 except Exception as exc:  # reported as a difference, never equal
                     fields = {RAISED: f"{type(exc).__name__}: {exc}"}
-                out.append((f"{name} {value} span={span} steps={steps}", fields))
+                out.append((f"{name} {value} span={span} steps={steps or 'default'}",
+                            fields))
     return out
 
 
