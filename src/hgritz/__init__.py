@@ -11,7 +11,7 @@ shooting solver supplies independent reference energies.
 
 from .basis import (BasisSpec, Constants, MAX_INDEX, basis_derivative,
                     basis_table, basis_value)
-from .eigensolver import Spectrum, eigh
+from .eigensolver import Spectrum, eigh, eigvalsh
 from .errors import (BracketingError, ConvergenceError, DegenerateInputError,
                      QuadratureError, ScanResolutionError)
 from .operators import (BandedSymMatrix, PotentialSpec, hamiltonian_matrix,
@@ -32,7 +32,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BasisSpec", "Constants", "MAX_INDEX", "basis_derivative", "basis_table",
     "basis_value",
-    "Spectrum", "eigh",
+    "Spectrum", "eigh", "eigvalsh",
     "BracketingError", "ConvergenceError", "DegenerateInputError",
     "QuadratureError", "ScanResolutionError",
     "BandedSymMatrix", "PotentialSpec", "hamiltonian_matrix",

@@ -17,6 +17,15 @@ has exact parity; Householder leaves a column that is already tridiagonal
 as it is, so a tridiagonal block goes to QL unchanged.  Output is
 deterministic: eigenvalues ascend and each eigenvector has its
 largest-magnitude component positive.
+
+There are two entries.  `eigh` returns the eigenvalues and eigenvectors as
+a `Spectrum` and checks each block by its eigen residual.  `eigvalsh`
+returns the same eigenvalues bit for bit, from the same validation,
+scaling, parity split, reduction, QL and level order, but forms no vector.
+Without vectors there is no residual, so each of its blocks is certified
+instead: the reduction must keep the Frobenius norm, and Sturm counts of T
+at every level plus and minus the residual gate must put an eigenvalue of
+T of the level's own index within that gate.
 """
 
 from __future__ import annotations
@@ -386,32 +395,46 @@ def _piece_vectors(d, e, lam):
     return z @ step
 
 
-def _tridiagonal_eigh(d, e):
-    """Ascending eigenvalues and eigenvector columns of tridiagonal (d, e).
+def _tridiagonal_levels(a):
+    """Householder and QL on a copy of the symmetric block a.
 
-    T splits where QL's own test finds e negligible, and QL runs on the
-    whole of T with e set to 0 there, so no sweep crosses a split: each
-    piece's eigenvalues sit at its positions, and its vectors fill its rows
-    of the columns of its eigenvalues.  QL reads e at a split only in that
-    test, so its eigenvalues are bitwise those of QL on the unsplit T
-    whenever that run, too, splits there at every look.
+    Returns (reduced, betas, d, e, cuts, w, order): `_householder_tridiag`'s
+    reflectors in reduced and betas, T's diagonals (d, e), the indices of e
+    where T splits, and T's eigenvalues w ascending, w[k] being entry
+    order[k] of QL's own output.  T splits where QL's own test finds e
+    negligible, and QL runs on the whole of T with e set to 0 there, so no
+    sweep crosses a split: each piece's eigenvalues sit at its positions.
+    QL reads e at a split only in that test, so its eigenvalues are bitwise
+    those of QL on the unsplit T whenever that run, too, splits there at
+    every look.
     """
-    n = d.size
+    reduced = a.copy()
+    d, e, betas = _householder_tridiag(reduced)
     cuts = np.flatnonzero(np.abs(e) <= _EPS * (np.abs(d[:-1]) + np.abs(d[1:])))
     split = e.copy()
     split[cuts] = 0.0
     values = _ql_implicit(d, split)[0]
     order = np.argsort(values, kind="stable")
+    return reduced, betas, d, e, cuts, values[order], order
+
+
+def _tridiagonal_vectors(d, e, cuts, w, order):
+    """Eigenvector columns of tridiagonal (d, e) at the levels of `_tridiagonal_levels`.
+
+    Each piece of T between the cuts fills its rows of the columns of its
+    own eigenvalues, which QL left at its positions.
+    """
+    n = d.size
     if not cuts.size:
-        return values[order], _piece_vectors(d, e, values[order])
+        return _piece_vectors(d, e, w)
     rank = np.empty(n, dtype=np.intp)
     rank[order] = np.arange(n)
     bounds = [0, *(cuts + 1).tolist(), n]
     z = np.zeros((n, n))
     for lo, hi in zip(bounds, bounds[1:]):
         cols = np.sort(rank[lo:hi])
-        z[lo:hi, cols] = _piece_vectors(d[lo:hi], e[lo:hi - 1], values[order[cols]])
-    return values[order], z
+        z[lo:hi, cols] = _piece_vectors(d[lo:hi], e[lo:hi - 1], w[cols])
+    return z
 
 
 def _fix_signs(v):
@@ -422,52 +445,136 @@ def _fix_signs(v):
     return v
 
 
-def _finish(a, w, z, shift):
-    """(eigenvalues, eigenvectors, residual) of a solve of block a, checked.
+def _gate(a, shift):
+    """The residual gate 1e-10 (1 + ||A||_inf) of block 2^shift a, scaled down by 2^shift.
 
-    w ascends and column j of z belongs to w[j].  The block was scaled down
-    by 2^shift, and the eigenvalues and residual are scaled back.  The check
-    is that of the unscaled block, residual <= 1e-10 (1 + ||A||_inf), scaled
-    down by 2^shift on both sides, which is exact.
+    Scaling by a power of two is exact, so this is the gate of the unscaled
+    block on the scale of a.
     """
-    n = w.size
-    v = _fix_signs(z)
-    resid = a @ v - v * w
-    residual = float(np.sqrt((resid * resid).sum(axis=0)).max())
-    norm_inf = float(np.abs(a).sum(axis=1).max())
-    if residual > 1e-10 * (math.ldexp(1.0, -shift) + norm_inf):
-        raise ConvergenceError(
-            f"eigen residual {math.ldexp(residual, shift):.3e} above tolerance for dim {n}",
-            dim=n)
+    return 1e-10 * (math.ldexp(1.0, -shift) + float(np.abs(a).sum(axis=1).max()))
+
+
+def _unscaled(w, shift):
+    """The levels w of a block scaled down by 2^shift, scaled back up."""
     try:
         with np.errstate(over="raise"):
-            return np.ldexp(w, shift), v, math.ldexp(residual, shift)
+            return np.ldexp(w, shift)
     except FloatingPointError:
         raise RangeError("the largest eigenvalue", math.log10(float(np.abs(w).max()))
                          + shift * math.log10(2.0)) from None
 
 
+def _finish(a, w, z, shift):
+    """(eigenvalues, eigenvectors, residual) of a solve of block a, checked.
+
+    w ascends and column j of z belongs to w[j].  The block was scaled down
+    by 2^shift, and the eigenvalues and residual are scaled back.  The check
+    is that of the unscaled block, residual <= 1e-10 (1 + ||A||_inf).
+    """
+    n = w.size
+    v = _fix_signs(z)
+    resid = a @ v - v * w
+    residual = float(np.sqrt((resid * resid).sum(axis=0)).max())
+    if residual > _gate(a, shift):
+        raise ConvergenceError(
+            f"eigen residual {math.ldexp(residual, shift):.3e} above tolerance for dim {n}",
+            dim=n)
+    return _unscaled(w, shift), v, math.ldexp(residual, shift)
+
+
 def _solve_block(a, shift):
     """(eigenvalues, eigenvectors, residual) of the symmetric array 2^shift a."""
-    reduced = a.copy()
-    d, e, betas = _householder_tridiag(reduced)
-    w, z = _tridiagonal_eigh(d, e)
+    reduced, betas, d, e, cuts, w, order = _tridiagonal_levels(a)
+    z = _tridiagonal_vectors(d, e, cuts, w, order)
     _back_transform(reduced, betas, z)
     return _finish(a, w, z, shift)
 
 
-def eigh(matrix) -> Spectrum:
-    """Full spectral decomposition of a symmetric matrix.
+def _sturm_counts(d, e, x):
+    """How many eigenvalues of tridiagonal (d, e) lie below each entry of x.
 
-    Accepts anything numpy converts to a square float array; symmetry is
-    required up to round-off.  A matrix with no entry coupling an even index
-    to an odd one, such as the Hamiltonian of an even potential, is block
-    diagonal once the even indices are put before the odd ones.  Each block
-    is solved on its own, so every eigenvector is exactly even or odd in the
-    index, and the residual is the larger block residual, which is that of
-    the whole matrix.  A matrix with an entry past 2^256 is solved scaled
-    down by a power of two, so that only its eigenvalues must lie in the
-    float range.  Deterministic for identical input.
+    Each count is the number of negative pivots of T - x = L D L^T (Barth,
+    Martin & Wilkinson 1967, Numer. Math. 9:386), one recurrence running for
+    every x at once, after T and x are scaled by a power of two to a largest
+    entry of T below 1, which is exact.  As LAPACK dlaneg does, the
+    recurrence first runs unguarded and counts a pivot by its sign bit: a
+    zero pivot then sends the next one to an infinity of the other sign, so
+    of the two exactly one counts, as if the zero were a tiny negative
+    pivot.  Only where that made a NaN (0 / 0, from an e of 0) is the
+    recurrence run again with every pivot smaller in magnitude than the
+    smallest normal float replaced by minus that, dlaneg's pivmin.
+    """
+    top = max(float(np.abs(d).max()), float(np.abs(e).max(initial=0.0)))
+    shift = math.frexp(top)[1]
+    d, x, e2 = np.ldexp(d, -shift), np.ldexp(x, -shift), np.square(np.ldexp(e, -shift))
+    pivots = np.subtract.outer(d, x)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for i in range(1, d.size):
+            pivots[i] -= e2[i - 1] / pivots[i - 1]
+    # a zero last pivot has no successor to carry its count: it counts as
+    # negative, as dlaneg's pivmin makes it
+    last = pivots[-1]
+    last[last == 0.0] = -0.0
+    if not np.isnan(last).any():
+        return np.signbit(pivots).sum(axis=0)
+    pivmin = float(np.finfo(float).tiny)
+    pivot = _floored(d[0] - x, pivmin)
+    count = (pivot < 0.0).astype(np.intp)
+    for i in range(1, d.size):
+        pivot = _floored(d[i] - x - e2[i - 1] / pivot, pivmin)
+        count += pivot < 0.0
+    return count
+
+
+def _certify(a, d, e, w, shift):
+    """Check the values-only solve of block a, which has no eigen residual.
+
+    (d, e) is the tridiagonal T that a was reduced to and w its ascending
+    QL eigenvalues.  Two checks, each raising ConvergenceError naming the
+    dim:
+
+    - the reduction.  An orthogonal similarity keeps the Frobenius norm, so
+      the gap between ||T||_F and ||A||_F is at most the norm of
+      Householder's backward error E, with T = Q^T (A + E) Q.  That is
+      first order in eps and grows at worst as n^2 eps ||A||_F (Higham
+      2002, ch. 19), which is 5.8e-11 ||A||_F for the largest parity block
+      of MAX_INDEX (513); the gate is 1e-10 (1 + ||A||_F).
+    - the levels.  With tol the residual gate 1e-10 (1 + ||A||_inf), level i
+      (from 0) must satisfy count(w_i - tol) <= i < count(w_i + tol), where
+      count(x) is the Sturm count of T below x: T then has its i-th
+      eigenvalue within tol of w_i.  A residual under that gate would bound
+      the error of each level by the same tol.
+    """
+    n = w.size
+    norm_a = math.sqrt(float((a * a).sum()))
+    norm_t = math.sqrt(float(d @ d) + 2.0 * float(e @ e))
+    if abs(norm_t - norm_a) > 1e-10 * (math.ldexp(1.0, -shift) + norm_a):
+        raise ConvergenceError(
+            f"tridiagonal reduction moved the Frobenius norm by "
+            f"{math.ldexp(abs(norm_t - norm_a), shift):.3e} for dim {n}", dim=n)
+    tol = _gate(a, shift)
+    counts = _sturm_counts(d, e, np.concatenate([w - tol, w + tol]))
+    index = np.arange(n)
+    bad = np.flatnonzero((counts[:n] > index) | (counts[n:] <= index))
+    if bad.size:
+        raise ConvergenceError(
+            f"Sturm count puts no eigenvalue within {math.ldexp(tol, shift):.3e} of "
+            f"level {int(bad[0])} for dim {n}", dim=n, index=int(bad[0]))
+
+
+def _block_levels(a, shift):
+    """Ascending eigenvalues of the symmetric array 2^shift a, certified."""
+    _, _, d, e, _, w, _ = _tridiagonal_levels(a)
+    _certify(a, d, e, w, shift)
+    return _unscaled(w, shift)
+
+
+def _prepared(matrix):
+    """(a, shift): matrix checked, scaled down by 2^shift and symmetrized.
+
+    matrix must convert to a square, finite float array that is symmetric
+    up to round-off.  One with an entry past 2^_MAX_EXPONENT is scaled down
+    by a power of two, which is exact.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -486,24 +593,58 @@ def eigh(matrix) -> Spectrum:
         a = np.ldexp(a, -shift)
     a = np.add(a, a.T, out=sym)
     a *= 0.5
-    n = a.shape[0]
-    split = not a[0::2, 1::2].any()
-    parts = [slice(p, None, 2) for p in range(min(n, 2))] if split else [slice(None)]
-    rows = [np.arange(n)[part] for part in parts]
-    values, vectors, residuals = zip(*[_solve_block(a[part, part], shift) for part in parts])
-    del a, sym  # free the full matrix before the n x n merge below
-    w = np.concatenate(values)
-    # by the oscillation theorem level k of a block is state rows[k]
+    return a, shift
+
+
+def _parity_parts(a):
+    """Slices of a's parity blocks, even indices first, or one slice for all of a.
+
+    a splits when no entry couples an even index to an odd one.
+    """
+    if a[0::2, 1::2].any():
+        return [slice(None)]
+    return [slice(p, None, 2) for p in range(min(a.shape[0], 2))]
+
+
+def _level_order(w, rows):
+    """The order of the concatenated block levels w, where block k holds rows[k].
+
+    By the oscillation theorem level k of a block is state rows[k].  Two
+    adjacent levels of opposite parity no further apart than the ascent
+    tolerance are put in the oscillation theorem's order, not in the order
+    rounding gave them.
+    """
     ranks = np.concatenate(rows).tolist()
-    # Two adjacent levels of opposite parity no further apart than the
-    # ascent tolerance are put in the oscillation theorem's order, not in
-    # the order rounding gave them.
     order = np.argsort(w, kind="stable").tolist()
     levels = w.tolist()
-    for i in range(n - 1):
+    for i in range(len(order) - 1):
         j, k = order[i], order[i + 1]
         if ranks[j] > ranks[k] and levels[k] - levels[j] <= ascent_tolerance(levels[k]):
             order[i], order[i + 1] = k, j
+    return order
+
+
+def eigh(matrix) -> Spectrum:
+    """Full spectral decomposition of a symmetric matrix.
+
+    Accepts anything numpy converts to a square float array; symmetry is
+    required up to round-off.  A matrix with no entry coupling an even index
+    to an odd one, such as the Hamiltonian of an even potential, is block
+    diagonal once the even indices are put before the odd ones.  Each block
+    is solved on its own, so every eigenvector is exactly even or odd in the
+    index, and the residual is the larger block residual, which is that of
+    the whole matrix.  A matrix with an entry past 2^256 is solved scaled
+    down by a power of two, so that only its eigenvalues must lie in the
+    float range.  Deterministic for identical input.
+    """
+    a, shift = _prepared(matrix)
+    n = a.shape[0]
+    parts = _parity_parts(a)
+    rows = [np.arange(n)[part] for part in parts]
+    values, vectors, residuals = zip(*[_solve_block(a[part, part], shift) for part in parts])
+    del a  # free the full matrix before the n x n merge below
+    w = np.concatenate(values)
+    order = _level_order(w, rows)
     columns = np.argsort(order)
     v = np.zeros((n, n))
     for r, z in zip(rows, vectors):
@@ -512,3 +653,19 @@ def eigh(matrix) -> Spectrum:
     del vectors, z  # free the block eigenvectors before Spectrum copies v
     return Spectrum(w[order], v, max(residuals))
 
+
+def eigvalsh(matrix) -> np.ndarray:
+    """The eigenvalues of a symmetric matrix, bitwise eigh's and in its order.
+
+    Takes the same input as `eigh`, splits it into the same parity blocks
+    and runs the same Householder reduction and QL on each, but forms no
+    eigenvector.  Without vectors there is no eigen residual to check, so
+    each block is certified by `_certify` instead: a Frobenius-norm check
+    of the reduction and a Sturm count that puts each level within eigh's
+    residual gate of an eigenvalue of T, of its own index.
+    """
+    a, shift = _prepared(matrix)
+    parts = _parity_parts(a)
+    rows = [np.arange(a.shape[0])[part] for part in parts]
+    w = np.concatenate([_block_levels(a[part, part], shift) for part in parts])
+    return w[_level_order(w, rows)]

@@ -243,7 +243,13 @@ def shoot(pot: PotentialSpec, constants: Constants, config: ShootingConfig,
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
     energy = float(energy)
     _check_domain(pot, constants, config, energy)
-    potential = _grid_potential(pot, constants, config, potential)
+    return _shoot(pot, constants, config, energy, parity,
+                  _grid_potential(pot, constants, config, potential),
+                  return_trajectory=return_trajectory)
+
+
+def _shoot(pot, constants, config, energy, parity, potential, return_trajectory=False):
+    """`shoot` at a float energy whose domain is already checked; potential is V on the grid."""
     al, pl = _step_lists(constants, config, potential, energy)
     prev, cur = _seed(pot, constants, config, float(potential[0]), energy, parity)
     # step i uses 12 - 10 P_i, P_{i-1} and P_{i+1}, for i = 1 .. steps - 1
@@ -395,6 +401,12 @@ def _bisect(pot, constants, config, parity, lo, hi, flo, fhi, potential):
     within 4e-12 near E = 15.5 at 20,000 steps); the result then lies at one
     of those sign changes, within the width of the others.  `potential` is
     V on the grid, shared by every shoot.
+
+    The shoots inside (lo, hi) skip `shoot`'s domain check: the callers
+    have checked both ends, and the check holds at every energy between
+    them.  The turning point rises with E, so it stays below x_max, and the
+    e-fold count of the tail falls with E, so it stays at or above its
+    value at hi.
     """
     if flo == 0.0:
         return lo
@@ -422,7 +434,7 @@ def _bisect(pot, constants, config, parity, lo, hi, flo, fhi, potential):
         x, d, e = _brent_point(a, fa, b, fb, c, fc, d, e, tol,
                                _ITP_MARGIN * width * 2.0 ** (budget - 1 - shots))
         a, fa = b, fb
-        b, fb = x, shoot(pot, constants, config, x, parity, potential=potential)
+        b, fb = x, _shoot(pot, constants, config, x, parity, potential)
 
 
 def _brent_point(a, fa, b, fb, c, fc, d, e, tol, next_width):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisSpec, Constants, _require_positive
-from .eigensolver import Spectrum, eigh
+from .eigensolver import Spectrum, eigh, eigvalsh
 from .errors import ConvergenceError
 from .operators import PotentialSpec, hamiltonian_matrix
 from .spectral import ConvergenceTable
@@ -33,6 +33,42 @@ _ENTRY_ROUNDING = 4.0
 #: max(REL_TOL * alpha, WIDTH_FLOOR).
 REL_TOL = 1e-8
 WIDTH_FLOOR = 1e-12
+
+
+def _level_error(dim):
+    """A-priori bound on the error of every computed level, in units of eps ||H||_2.
+
+    c = n_b^2 / 2 + 5 n_b + _ENTRY_ROUNDING, n_b = ceil(dim / 2) being the
+    larger parity block of H, which every even potential splits into.  Each
+    term is a first-order bound on a backward error, carried to the levels
+    by Weyl's inequality; u = eps / 2 is the unit roundoff:
+
+    - Householder, n_b^2 / 2.  Reflector k (k = 0 .. n_b - 3) has length
+      m_k = n_b - 1 - k, and applied from one side it is exact for a
+      perturbation of gamma_(m_k) = m_k u times the norm (Higham 2002,
+      Lemma 19.3).  The reduction applies it from both sides, m_k eps,
+      and the m_k sum to n_b (n_b - 1) / 2 - 1.
+    - QL, 5 n_b.  Each implicit sweep is an exact orthogonal similarity of
+      T perturbed by a few roundings of each tridiagonal entry it touches,
+      at most 4 u = 2 eps times ||T||.  QL took at most 2.3 sweeps per
+      level on every parity block of four Hamiltonian families at dims
+      4 to 256 and on random dense matrices to dim 200; 2.5 per level is
+      taken (_MAX_SWEEPS = 30 is only the eigensolver's hard cap).
+    - the entries of H, _ENTRY_ROUNDING.
+
+    On the harmonic, quartic, sextic and double-well Hamiltonians at dims 8
+    to 64 and three widths, every level lay within 3.8 eps ||H|| of the
+    exact level of the stored matrix (40-digit arithmetic), an eighth of c
+    or less.
+    """
+    n_b = (dim + 1) // 2
+    return 0.5 * n_b * n_b + 5.0 * n_b + _ENTRY_ROUNDING
+
+
+def _levels(pot, constants, alpha, dim):
+    """The Ritz levels at width alpha, in eigh's order, from a values-only solve."""
+    spec = BasisSpec(alpha, constants.hbar, constants.mass)
+    return eigvalsh(hamiltonian_matrix(spec, pot, dim))
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,7 +114,7 @@ def exact_diagonal_alpha(omega: float, constants: Constants = Constants()) -> fl
 
 def scan_alpha(pot: PotentialSpec, constants: Constants, dim: int,
                alphas) -> AlphaScanResult:
-    """Full spectrum per alpha over a grid; argmin is over the ground level."""
+    """All Ritz levels per alpha over a grid; argmin is over the ground level."""
     grid = np.asarray(alphas, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("need a non-empty alpha grid")
@@ -88,7 +124,7 @@ def scan_alpha(pot: PotentialSpec, constants: Constants, dim: int,
     energies = []
     for a in grid:
         try:
-            energies.append(solve_spectrum(pot, constants, float(a), dim).eigenvalues)
+            energies.append(_levels(pot, constants, float(a), dim))
         except (ConvergenceError, OverflowError) as err:
             # the error keeps its type and fields, and its message gains the width
             err.args = (f"eigensolver failed at alpha = {float(a)!r}: {err}",)
@@ -110,13 +146,15 @@ def minimize_alpha(pot: PotentialSpec, constants: Constants, dim: int,
 
     Two widths are compared by their objective values only where these
     differ by more than the sum of their error bounds.  A computed Ritz level
-    lies within r + 4 eps ||H|| of the exact one: for a symmetric matrix
-    |computed - exact eigenvalue| <= ||H v - lambda v||, the eigen
-    residual_norm r of the solve, and rounding the entries of H moves each
-    eigenvalue by up to about 4 eps ||H|| more, ||H|| being the largest
-    |level|.  The summed objective of `levels` levels gets `levels` times
-    that bound.  A tie is broken by the next Ritz levels in ascending order,
-    the first pair that differs by more than its bounds deciding; a width
+    lies within c eps ||H|| of the exact one, ||H|| being the largest |level|
+    and c = n_b^2 / 2 + 5 n_b + 4 for the larger parity block
+    n_b = ceil(dim / 2): the backward errors of Householder's reduction and
+    of QL and the rounding of H's entries, each carried to the levels by
+    Weyl's inequality (`_level_error` derives it).  The levels come from
+    `eigvalsh`, which forms no eigenvector, so no eigen residual enters the
+    bound.  The summed objective of `levels` levels gets `levels` times that
+    bound.  A tie is broken by the next Ritz levels in ascending order, the
+    first pair that differs by more than its bounds deciding; a width
     where every level ties with the other loses the left part of the
     bracket.  By the Hylleraas-Undheim-MacDonald theorem each Ritz level is
     an upper bound on its exact level, so on a ground level that is flat to
@@ -126,9 +164,11 @@ def minimize_alpha(pot: PotentialSpec, constants: Constants, dim: int,
     A fixed tolerance in ulps of each value is not used: the error of every
     level grows with the norm of H, and a 4-ulp tolerance misreads the
     rounding of the higher levels as order (alpha_star = 1.544 for that
-    harmonic case).  Nor is the residual alone: it leaves out the rounding of
-    H, and ranked by it the harmonic search misses alpha = 1 by up to 9e-5
-    (dim 42 on (0.8, 5)).
+    harmonic case).  Nor is a bound that leaves out the rounding of H:
+    ranked by the eigen residual alone the harmonic search misses alpha = 1
+    by up to 9e-5 (dim 42 on (0.8, 5)).  A bound too wide ties real order:
+    with n_b^3 in place of the n_b^2 term that search misses alpha = 1 as
+    well.
     """
     lo, hi = (float(bracket[0]), float(bracket[1]))
     if not (0.0 < lo < hi):
@@ -136,12 +176,12 @@ def minimize_alpha(pot: PotentialSpec, constants: Constants, dim: int,
     if levels < 1 or levels > dim:
         raise ValueError("levels must lie in [1, dim]")
 
+    error = _level_error(dim) * _EPS
+
     def objective(a):
-        spectrum = solve_spectrum(pot, constants, a, dim)
-        w = spectrum.eigenvalues
+        w = _levels(pot, constants, a, dim)
         key = np.concatenate(([w[:levels].sum()], w[levels:]))
-        norm = max(abs(w[0]), abs(w[-1]))
-        bound = np.full(key.size, spectrum.residual_norm + _ENTRY_ROUNDING * _EPS * norm)
+        bound = np.full(key.size, error * max(abs(w[0]), abs(w[-1])))
         bound[0] *= levels
         return key, bound
 
@@ -166,7 +206,7 @@ def minimize_alpha(pot: PotentialSpec, constants: Constants, dim: int,
             m2 = lo + _INVPHI * (hi - lo)
             f2 = objective(m2)
     alpha_star = 0.5 * (lo + hi)
-    energy = float(solve_spectrum(pot, constants, alpha_star, dim).eigenvalues[0])
+    energy = float(_levels(pot, constants, alpha_star, dim)[0])
     edge = 2.0 * max(REL_TOL * alpha_star, WIDTH_FLOOR)
     boundary = (alpha_star - lo0) <= edge or (hi0 - alpha_star) <= edge
     return MinimizeResult(alpha_star, energy, boundary)
@@ -176,5 +216,5 @@ def convergence_table(pot: PotentialSpec, constants: Constants, alpha: float,
                       dims) -> ConvergenceTable:
     """Spectra at fixed alpha across truncation sizes, ready for check_mhu."""
     dims = tuple(int(d) for d in dims)
-    spectra = tuple(solve_spectrum(pot, constants, alpha, d).eigenvalues for d in dims)
+    spectra = tuple(_levels(pot, constants, alpha, d) for d in dims)
     return ConvergenceTable(dims, spectra)

@@ -198,23 +198,28 @@ class TestSolve:
 
     def test_numerov_scan_makes_no_scalar_shoot(self, capsys, monkeypatch):
         # the scan runs batched and hands each bracket psi(x_max) at its
-        # ends; scalar shoots come only from the refinement and the
-        # node-count trajectories
-        callers = []
-        shoot = numerov.shoot
+        # ends; scalar shoots come only from the refinement, through the
+        # unchecked core _shoot, and the node-count trajectories
+        callers = {"shoot": [], "_shoot": []}
 
-        def counted(*args, **kwargs):
-            callers.append(sys._getframe(1).f_code.co_name)
-            return shoot(*args, **kwargs)
+        def counted(name):
+            shoot = getattr(numerov, name)
 
-        monkeypatch.setattr(numerov, "shoot", counted)
+            def count(*args, **kwargs):
+                callers[name].append(sys._getframe(1).f_code.co_name)
+                return shoot(*args, **kwargs)
+            return count
+
+        for name in callers:
+            monkeypatch.setattr(numerov, name, counted(name))
         code, _, _ = run_cli(capsys, ["verify-mhu", "--potential", "quartic", "--alpha", "2",
                                       "--dims", "2:12:2", "--exact", "numerov",
                                       "--exact-levels", "3", "--numerov-steps", "2000"])
         assert code == 0
-        assert callers.count("_trajectory_nodes") == 3
-        assert callers.count("_bisect") > 3 * 2
-        assert set(callers) == {"_bisect", "_trajectory_nodes"}
+        assert callers["shoot"] == ["_trajectory_nodes"] * 3
+        assert callers["_shoot"].count("shoot") == 3
+        assert callers["_shoot"].count("_bisect") > 3 * 2
+        assert set(callers["_shoot"]) == {"_bisect", "shoot"}
 
     def test_json_schema_and_determinism(self, capsys):
         argv = ["solve", "--alpha", "exact-diagonal", "--dim", "4", "--format", "json"]

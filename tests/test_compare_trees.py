@@ -1,6 +1,7 @@
 """The comparison rule of tools/compare_trees.py, on synthetic records only."""
 
 import importlib.util
+import json
 import math
 from pathlib import Path
 
@@ -133,6 +134,51 @@ def test_cli_request_raising_the_same_text_agrees(capsys):
     code, lines = run(capsys, old, new)
     assert code == 1
     assert lines[0] == "solve seed 1 request 1: exit code differ"
+
+
+def report(**results):
+    return json.dumps({"command": "scan-alpha", "results": results}, indent=2) + "\n"
+
+
+def test_cli_report_names_its_moved_results_keys(capsys):
+    # two minimize requests and a certify one: alpha_star moves on both
+    # minimize reports, energy on neither, and a spectrum entry on the certify one
+    labels = ["minimize seed 1 request 0", "minimize seed 2 request 5",
+              "certify seed 1 request 3"]
+    before = [report(alpha_star=1.5, energy=0.5, boundary=False),
+              report(alpha_star=2.0, energy=0.75, boundary=False),
+              report(dims=[2, 4], spectra=[[1.0, 3.0], [0.5, 2.5]])]
+    after = [report(alpha_star=1.5 * (1.0 + 3e-8), energy=0.5, boundary=False),
+             report(alpha_star=2.0 * (1.0 - 1e-7), energy=0.75, boundary=False),
+             report(dims=[2, 4], spectra=[[1.0, 3.0], [0.5, 2.5 * (1.0 + 2e-9)]])]
+    old, new = records(), records()
+    old["cli"] = [(label, {"exit code": 0, "stdout": text}) for label, text in zip(labels, before)]
+    new["cli"] = [(label, {"exit code": 0, "stdout": text}) for label, text in zip(labels, after)]
+    code, lines = run(capsys, old, new)
+    assert code == 1
+    assert lines[:3] == ["minimize seed 1 request 0: stdout differ (results: alpha_star by 3.0e-08)",
+                         "minimize seed 2 request 5: stdout differ (results: alpha_star by 1.0e-07)",
+                         "certify seed 1 request 3: stdout differ (results: spectra by 2.0e-09)"]
+    assert lines[-1] == ("0 of 3 requests identical (results moved: alpha_star on 2 minimize "
+                         "requests, largest relative change 1.0e-07; spectra on 1 certify "
+                         "requests, largest relative change 2.0e-09)")
+
+
+def test_cli_stdout_that_is_no_report_names_no_keys(capsys):
+    new = records()
+    new["cli"][0] = (new["cli"][0][0], {"exit code": 0, "stdout": "alpha_star,energy\n"})
+    code, lines = run(capsys, records(), new)
+    assert code == 1
+    assert lines[0] == "solve seed 1 request 0: stdout differ"
+    assert lines[-1] == "1 of 2 requests identical"
+
+
+@pytest.mark.parametrize("old, new, change", [
+    (2.0, 2.5, 0.25), ([1.0, [4.0, 8.0]], [1.0, [5.0, 8.0]], 0.25), (3, 3, 0.0),
+    (0.0, 1e-300, math.inf), (True, False, math.inf), ([1.0], [1.0, 2.0], math.inf),
+    ("a", "b", math.inf), (1.0, None, math.inf)])
+def test_relative_change(old, new, change):
+    assert compare_trees._relative_change(old, new) == change
 
 
 def test_one_node_count_differs(capsys):

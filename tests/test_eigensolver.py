@@ -409,3 +409,112 @@ def test_spectrum_checks_orthonormality_past_one_strip():
     q[:, n - 1] += 1e-6 * q[:, 0]
     with pytest.raises(ValueError, match="orthonormal"):
         eigensolver.Spectrum(np.arange(n, dtype=float), q)
+
+
+# -- eigvalsh: eigh's eigenvalues without eigenvectors -------------------------
+
+
+def assert_eigvalsh_is_eighs(a):
+    w = eigensolver.eigvalsh(a)
+    assert w.tobytes() == eigh(a).eigenvalues.tobytes()
+    return w
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.8, 3.0])
+@pytest.mark.parametrize("name", list(BLOCK_POTENTIALS))
+def test_eigvalsh_is_eighs_bit_for_bit_on_hamiltonians(name, alpha):
+    for dim in [*range(1, 17), 21, 30, 31, 32, 42, 47, 63, 64]:
+        assert_eigvalsh_is_eighs(hamiltonian_matrix(BasisSpec(alpha), BLOCK_POTENTIALS[name],
+                                                    dim))
+
+
+@pytest.mark.parametrize("n", [2, 9, 40, 100])
+def test_eigvalsh_is_eighs_on_dense_random_matrices(n):
+    a = random_symmetric(n, 100 + n)
+    assert a[0::2, 1::2].any()  # no parity split: one block
+    assert_eigvalsh_is_eighs(a)
+
+
+@pytest.mark.parametrize("name", list(BLOCK_POTENTIALS))
+def test_eigvalsh_past_2_256_is_scaled_bit_for_bit(name):
+    h = hamiltonian_matrix(BasisSpec(1.5), BLOCK_POTENTIALS[name], 64).to_dense()
+    big = assert_eigvalsh_is_eighs(np.ldexp(h, 600))
+    assert big.tobytes() == np.ldexp(eigensolver.eigvalsh(h), 600).tobytes()
+
+
+def test_eigvalsh_of_the_harmonic_oscillator_at_the_exact_diagonal_width():
+    h = hamiltonian_matrix(BasisSpec(1.0), BLOCK_POTENTIALS["harmonic"], 40)
+    np.testing.assert_array_equal(assert_eigvalsh_is_eighs(h), np.arange(40) + 0.5)
+
+
+def test_eigvalsh_keeps_eighs_doublet_order_and_errors():
+    d = np.array([1.0, 1.0 - 4e-16, 2.0, 2.0 - 1e-9])
+    assert_eigvalsh_is_eighs(BandedSymMatrix(4, 2, (d, np.zeros(3), np.zeros(2))))
+    with pytest.raises(RangeError, match=r"^the largest eigenvalue = 10\^308\.3"):
+        eigensolver.eigvalsh(np.full((2, 2), 1e308))
+    for bad in (np.ones((2, 3)), np.array([[1.0, 2.0], [0.0, 1.0]]), np.array([[np.nan]])):
+        with pytest.raises(ValueError):
+            eigensolver.eigvalsh(bad)
+
+
+def test_eigvalsh_on_clustered_and_split_spectra():
+    for build, _ in CLUSTER_CASES.values():
+        assert_eigvalsh_is_eighs(build())
+
+
+def test_certificate_rejects_a_level_moved_by_1e6_of_the_norm(monkeypatch):
+    a = hamiltonian_matrix(BasisSpec(1.5), BLOCK_POTENTIALS["quartic"], 30).to_dense()
+    ql = eigensolver._ql_implicit
+    norm = float(np.abs(np.linalg.eigvalsh(a)).max())
+
+    def moved(d, e, row=False):
+        values, u = ql(d, e, row)
+        values[3] += 1e-6 * norm
+        return values, u
+
+    monkeypatch.setattr(eigensolver, "_ql_implicit", moved)
+    with pytest.raises(ConvergenceError, match=r"Sturm count .* for dim 15$") as err:
+        eigensolver.eigvalsh(a)
+    assert err.value.dim == 15
+
+
+def test_certificate_rejects_a_reduction_that_moves_the_norm(monkeypatch):
+    reduce = eigensolver._householder_tridiag
+
+    def stretched(a):
+        d, e, betas = reduce(a)
+        return d, e * (1.0 + 1e-6), betas
+
+    monkeypatch.setattr(eigensolver, "_householder_tridiag", stretched)
+    with pytest.raises(ConvergenceError, match=r"Frobenius norm .* for dim 40$") as err:
+        eigensolver.eigvalsh(random_symmetric(40, 3))
+    assert err.value.dim == 40
+
+
+@pytest.mark.parametrize("case", ["random", "zero pivots", "split with zero pivots", "tiny"])
+def test_sturm_counts_match_lapack(case, monkeypatch):
+    rng = np.random.default_rng(8)
+    d, e = rng.standard_normal(12), rng.standard_normal(11)
+    if case == "zero pivots":
+        # x = d[0] makes the first pivot exactly 0 and the second infinite
+        d[:] = 0.5
+    if case == "split with zero pivots":
+        # e[0] = 0 after that zero pivot: 0 / 0 sends the count to the guarded pass
+        e[0] = 0.0
+    guarded = []
+    floored = eigensolver._floored
+    monkeypatch.setattr(eigensolver, "_floored",
+                        lambda x, pivmin: guarded.append(1) or floored(x, pivmin))
+    if case == "tiny":
+        d, e = np.ldexp(d, -1000), np.ldexp(e, -1000)
+    a = tridiagonal(d, e)
+    levels = np.linalg.eigvalsh(a)
+    x = np.concatenate([levels - 1e-9 * np.abs(levels).max(), d[:1], [0.0],
+                        levels + 1e-9 * np.abs(levels).max()])
+    expect = (levels[:, None] < x).sum(axis=0)
+    if case == "split with zero pivots":
+        # x = d[0] is the level of the split-off 1 x 1 piece, which counts as
+        # below x, as a zero pivot counts as negative
+        expect[levels.size] = 1 + (np.linalg.eigvalsh(a[1:, 1:]) < d[0]).sum()
+    np.testing.assert_array_equal(eigensolver._sturm_counts(d, e, x), expect)
+    assert bool(guarded) == (case == "split with zero pivots")

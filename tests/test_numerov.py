@@ -234,24 +234,25 @@ def assert_at_a_sign_change(level, shots):
 
 
 class RecordedShoots:
-    """`numerov.shoot` replaced by itself, recording the (energy, psi(x_max)) of every call.
+    """`numerov._shoot` replaced by itself, recording the (energy, psi(x_max)) of every call.
 
-    `psi` stands in for the integration where given, as psi(energy).
+    `_shoot` is the integration behind `shoot` and every refinement shoot of
+    `_bisect`.  `psi` stands in for it where given, as psi(energy).
     Trajectory shoots are not recorded.
     """
 
     def __init__(self, monkeypatch, psi=None):
         self.shots = []
-        shoot = numerov.shoot
+        shoot = numerov._shoot
 
-        def recorded(pot, constants, config, energy, parity, **kwargs):
-            value = (shoot(pot, constants, config, energy, parity, **kwargs)
+        def recorded(pot, constants, config, energy, parity, *args, **kwargs):
+            value = (shoot(pot, constants, config, energy, parity, *args, **kwargs)
                      if psi is None else psi(energy))
             if not kwargs.get("return_trajectory"):
                 self.shots.append((energy, value))
             return value
 
-        monkeypatch.setattr(numerov, "shoot", recorded)
+        monkeypatch.setattr(numerov, "_shoot", recorded)
 
 
 class TestRefinement:
@@ -338,10 +339,12 @@ class TestRefinement:
         # the refinement stops at 8 ulp instead of looping.  psi is never 0
         recorder = RecordedShoots(monkeypatch,
                                   psi=lambda energy: 1.0 if energy < 1e6 + 0.3 else -1.0)
+        # (called on the bracket directly: x_max = 5 lies inside the allowed
+        # region at 1e6, which `eigenvalue` rejects at the bracket ends)
         cfg = numerov.ShootingConfig(5.0, 2000)
-        got = numerov.eigenvalue(HARM, C, cfg, (1e6, 1e6 + 1.0), numerov.EVEN)
+        got = numerov._bisect(HARM, C, cfg, numerov.EVEN, 1e6, 1e6 + 1.0, 1.0, -1.0, None)
         assert abs(got - (1e6 + 0.3)) <= 8.0 * math.ulp(1e6)
-        assert len(recorder.shots) - 2 <= bisection_shoots(0.0, 1.0)
+        assert len(recorder.shots) <= bisection_shoots(0.0, 1.0)
 
 
 class TestDerivedStepsAccuracy:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import hgritz.eigensolver as eigensolver
 import hgritz.variational as variational
 from hgritz import (BasisSpec, Constants, ConvergenceError, PotentialSpec, check_mhu,
                     convergence_table, eigh, exact_diagonal_alpha,
@@ -53,6 +54,31 @@ def test_solve_spectrum_keeps_the_eigen_residual():
     assert solve_spectrum(QUART, C, 1.3, 12).residual_norm == expected
 
 
+def test_level_searches_solve_for_values_only(monkeypatch):
+    # scan_alpha, minimize_alpha and convergence_table read only levels:
+    # every solve is an eigvalsh, and none forms eigenvectors through eigh
+    solves = []
+    eigvalsh = variational.eigvalsh
+
+    def no_eigh(matrix):
+        raise AssertionError("eigh called")
+
+    def counted(matrix):
+        solves.append(matrix.dim)
+        return eigvalsh(matrix)
+
+    monkeypatch.setattr(variational, "eigh", no_eigh)
+    monkeypatch.setattr(eigensolver, "eigh", no_eigh)
+    monkeypatch.setattr(variational, "eigvalsh", counted)
+    scan_alpha(QUART, C, 6, [0.8, 1.6])
+    assert solves == [6, 6]
+    minimize_alpha(QUART, C, 5, (0.5, 4.0))
+    assert len(solves) > 10 and set(solves) == {6, 5}
+    solves.clear()
+    convergence_table(QUART, C, 1.3, (2, 4, 8))
+    assert solves == [2, 4, 8]
+
+
 class TestScanAlpha:
     def test_harmonic_dim1_closed_form(self):
         scan = scan_alpha(HARM, C, 1, [0.5, 1.0, 2.0])
@@ -85,7 +111,7 @@ class TestScanAlpha:
         def stall(matrix):
             raise ConvergenceError("QL stalled", dim=3, index=1)
 
-        monkeypatch.setattr(variational, "eigh", stall)
+        monkeypatch.setattr(variational, "eigvalsh", stall)
         with pytest.raises(ConvergenceError,
                            match=r"^eigensolver failed at alpha = 0\.5: QL stalled$") as err:
             scan_alpha(QUART, C, 3, np.array([1.0, 0.5]))

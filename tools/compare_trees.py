@@ -28,16 +28,22 @@ subprocess, and the two run at once.  Each runs four sweeps:
 One line is printed per differing record, naming its fields, then one
 summary line per sweep.  Where an eigen solve's eigenvalues agree bit for
 bit and its eigenvectors do not, the line and the summary also give the
-largest 1 - |<v_old, v_new>| over the eigenvector columns.  The exit code
-is 0 exactly when every record agrees.
+largest 1 - |<v_old, v_new>| over the eigenvector columns.  Where a CLI
+request's stdout differs and both are JSON reports, the line names the
+`results` keys that differ, each with its largest relative change, and the
+summary counts the requests each key moved on, per workload.  The exit
+code is 0 exactly when every record agrees.
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import importlib.util
 import io
 import itertools
+import json
+import math
 import pickle
 import subprocess
 import sys
@@ -216,6 +222,38 @@ def _vector_angle(old, new):
     return float((1.0 - np.abs((v_old * v_new).sum(axis=0))).max())
 
 
+def _relative_change(old, new):
+    """Largest |new - old| / |old| between two JSON values; inf where they do not pair up.
+
+    Lists pair entry by entry and must have one length; numbers (not
+    booleans) compare by relative change, inf from 0 to anything else;
+    anything else is 0 when equal and inf when not.
+    """
+    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        return max((_relative_change(a, b) for a, b in zip(old, new)), default=0.0)
+    if old == new:
+        return 0.0
+    numbers = [isinstance(x, (int, float)) and not isinstance(x, bool) for x in (old, new)]
+    if all(numbers) and old != 0:
+        return abs(new - old) / abs(old)
+    return math.inf
+
+
+def _results_changes(old, new):
+    """{key: largest relative change} over the differing `results` keys of two reports.
+
+    None where either stdout is not a JSON report with a `results` object.
+    """
+    try:
+        a, b = (json.loads(text)["results"] for text in (old, new))
+    except (ValueError, KeyError, TypeError):
+        return None
+    if not (isinstance(a, dict) and isinstance(b, dict)):
+        return None
+    return {key: _relative_change(a.get(key), b.get(key))
+            for key in dict.fromkeys([*a, *b]) if a.get(key) != b.get(key)}
+
+
 def compare(old, new) -> int:
     """Compare two trees' records, sweep by sweep and record by record.
 
@@ -227,7 +265,10 @@ def compare(old, new) -> int:
     exactly when every record agrees.  An eigen record whose eigenvalues
     agree bit for bit but whose eigenvectors differ also gets the largest
     1 - |<v_old, v_new>| over its columns, and its sweep's summary the
-    largest of those.
+    largest of those.  A CLI record whose stdout differs between two JSON
+    reports also gets its differing `results` keys and the largest relative
+    change of each (`_results_changes`), and the CLI summary the number of
+    requests each key moved on, per workload, with its largest change.
     """
     differ_any = False
     summaries = []
@@ -235,6 +276,9 @@ def compare(old, new) -> int:
         pairs = list(itertools.zip_longest(old.get(sweep, []), new.get(sweep, [])))
         differ = levels = 0
         angles = []
+        # results key -> workloads of the requests it moved on, and its largest change
+        moved = collections.defaultdict(collections.Counter)
+        largest = {}
         for a, b in pairs:
             if a is None or b is None:
                 label, tree = (b[0], "OLD") if a is None else (a[0], "NEW")
@@ -252,6 +296,14 @@ def compare(old, new) -> int:
                 if "eigenvectors" in names and "eigenvalues" not in names:
                     angles.append(_vector_angle(a[1], b[1]))
                     line += f" (eigenvalues bitwise; vectors within {angles[-1]:.1e})"
+                changes = (_results_changes(a[1]["stdout"], b[1]["stdout"])
+                           if sweep == "cli" and "stdout" in names else None)
+                if changes:
+                    line += " (results: " + ", ".join(
+                        f"{key} by {change:.1e}" for key, change in changes.items()) + ")"
+                    for key, change in changes.items():
+                        moved[key][a[0].split()[0]] += 1
+                        largest[key] = max(largest.get(key, 0.0), change)
                 raised = [f"{tree} raised {run[1][RAISED]}"
                           for tree, run in (("OLD", a), ("NEW", b)) if RAISED in run[1]]
                 if raised:
@@ -264,6 +316,12 @@ def compare(old, new) -> int:
         if angles:
             summary += (f" ({len(angles)} with bitwise eigenvalues have vectors within "
                         f"{max(angles):.1e})")
+        if moved:
+            summary += " (results moved: " + "; ".join(
+                f"{key} on " + ", ".join(f"{count} {workload}" for workload, count
+                                         in sorted(moved[key].items()))
+                + f" requests, largest relative change {largest[key]:.1e}"
+                for key in moved) + ")"
         summaries.append(summary)
         differ_any = differ_any or differ > 0
     print("\n".join(summaries))
