@@ -21,8 +21,9 @@ The energy scan that brackets the levels runs every scan energy of both
 channels through one vectorized recurrence (`shoot_scan`), bitwise equal
 to scalar `shoot` at each of them, and counts the sign changes of each
 trajectory, a discrete Sturm count that says how many levels every scan
-cell holds.  Refinement and node-count trajectories stay scalar, where one
-energy is cheaper in Python floats than in numpy.  Each one-level cell is
+cell holds.  Refinement shoots and node-count trajectories stay scalar, where
+one energy is cheaper in Python floats than in numpy; a node-count trajectory
+is integrated only up to the cut its count reads.  Each one-level cell is
 refined by Brent's method with the ITP projection (`_bisect`): a sign change
 of psi(x_max) at most 1e-10 wide, in no more shoots than bisection would
 take.  `spectrum_below` computes V on the grid once and hands it to the
@@ -103,7 +104,11 @@ class ShootingConfig:
 
 def decay_length(pot: PotentialSpec, constants: Constants, energy: float) -> float:
     """Airy length scale at the turning point, (hbar^2 / 2m V'(x_t))^(1/3)."""
-    x_t = pot.turning_point(energy, mass=constants.mass)
+    return _airy_length(pot, constants, pot.turning_point(energy, mass=constants.mass))
+
+
+def _airy_length(pot, constants, x_t):
+    """`decay_length` at the turning point x_t."""
     slope = float(pot.derivative(x_t, mass=constants.mass))
     slope = max(slope, 1e-10)
     return (constants.hbar**2 / (2.0 * constants.mass * slope)) ** (1.0 / 3.0)
@@ -124,7 +129,7 @@ def default_config(pot: PotentialSpec, constants: Constants, e_hi: float,
     if not float(e_hi) > v_min:
         raise ValueError(f"e_hi = {e_hi!r} must lie above the scan start, min V = {v_min!r}")
     x_t = pot.turning_point(e_hi, mass=constants.mass)
-    x_max = x_t + 8.0 * decay_length(pot, constants, e_hi)
+    x_max = x_t + 8.0 * _airy_length(pot, constants, x_t)
     if steps is None:
         steps = _derived_steps(constants, x_max, float(e_hi) - v_min)
     return ShootingConfig(x_max, steps)
@@ -147,24 +152,21 @@ def _derived_steps(constants, x_max, depth):
     return max(DEFAULT_STEPS, math.ceil(needed))
 
 
-def _wkb_efolds(pot, constants, energy, x_from, x_to, points=64):
-    """Integral of sqrt(2m(V - E))/hbar over [x_from, x_to], midpoint rule."""
-    if x_to <= x_from:
-        return 0.0
-    h = (x_to - x_from) / points
-    x = x_from + h * (np.arange(points) + 0.5)
-    gap = pot.value(x, mass=constants.mass) - energy
-    kappa = np.sqrt(2.0 * constants.mass * np.maximum(gap, 0.0)) / constants.hbar
-    return float(kappa.sum() * h)
-
-
 def _check_domain(pot, constants, config, energy):
+    """Require x_max past x_t(E) by _MIN_EFOLDS e-folds of sqrt(2m(V - E))/hbar (midpoint rule).
+
+    Passing at E implies passing below E: x_t(E), the outermost root of
+    V = E, rises with E, and V - E > 0 past it falls as E rises.
+    """
     x_t = pot.turning_point(energy, mass=constants.mass)
     if x_t >= config.x_max:
         raise ValueError(
             f"x_max = {config.x_max:.6g} lies inside the classically allowed "
             f"region at E = {energy:.6g} (turning point {x_t:.6g})")
-    efolds = _wkb_efolds(pot, constants, energy, x_t, config.x_max)
+    h = (config.x_max - x_t) / 64
+    gap = pot.value(x_t + h * (np.arange(64) + 0.5), mass=constants.mass) - energy
+    kappa = np.sqrt(2.0 * constants.mass * np.maximum(gap, 0.0)) / constants.hbar
+    efolds = float(kappa.sum() * h)
     if efolds < _MIN_EFOLDS:
         raise ValueError(
             f"x_max = {config.x_max:.6g} gives only {efolds:.2f} e-folds of "
@@ -202,11 +204,7 @@ def _factors(constants, config, gap):
 
 
 def _step_lists(constants, config, potential, energy):
-    """12 - 10 P_i and P_i on the whole grid as lists of floats; potential is V there.
-
-    `shoot`'s loop runs on Python floats, where one energy is cheaper than in
-    numpy; no grid array made here outlives this call.
-    """
+    """12 - 10 P_i and P_i as float lists where `potential` gives V; no array outlives the call."""
     pfac, al = _factors(constants, config, potential - energy)
     return al.tolist(), pfac.tolist()
 
@@ -227,8 +225,7 @@ def _seed(pot, constants, config, v0, energy, parity):
 
 
 def shoot(pot: PotentialSpec, constants: Constants, config: ShootingConfig,
-          energy: float, parity: str, *, return_trajectory: bool = False,
-          potential: np.ndarray | None = None):
+          energy: float, parity: str, *, potential: np.ndarray | None = None):
     """Integrate outward from x = 0 in the given parity channel; return psi(x_max).
 
     Even channel starts psi(0) = 1, psi'(0) = 0; odd starts psi(0) = 0,
@@ -244,24 +241,15 @@ def shoot(pot: PotentialSpec, constants: Constants, config: ShootingConfig,
     energy = float(energy)
     _check_domain(pot, constants, config, energy)
     return _shoot(pot, constants, config, energy, parity,
-                  _grid_potential(pot, constants, config, potential),
-                  return_trajectory=return_trajectory)
+                  _grid_potential(pot, constants, config, potential))
 
 
-def _shoot(pot, constants, config, energy, parity, potential, return_trajectory=False):
+def _shoot(pot, constants, config, energy, parity, potential):
     """`shoot` at a float energy whose domain is already checked; potential is V on the grid."""
     al, pl = _step_lists(constants, config, potential, energy)
     prev, cur = _seed(pot, constants, config, float(potential[0]), energy, parity)
     # step i uses 12 - 10 P_i, P_{i-1} and P_{i+1}, for i = 1 .. steps - 1
     steps = zip(itertools.islice(al, 1, None), pl, itertools.islice(pl, 2, None))
-    if return_trajectory:
-        traj = [prev, cur]
-        for a, p_below, p_above in steps:
-            prev, cur = cur, (a * cur - p_below * prev) / p_above
-            traj.append(cur)
-        if not math.isfinite(cur):
-            raise OverflowError("propagation overflowed in trajectory mode")
-        return cur, np.asarray(traj)
     for a, p_below, p_above in steps:
         prev, cur = cur, (a * cur - p_below * prev) / p_above
         if abs(cur) > _RESCALE_AT:
@@ -271,6 +259,22 @@ def _shoot(pot, constants, config, energy, parity, potential, return_trajectory=
     if not math.isfinite(cur):
         raise OverflowError("propagation overflowed despite rescaling")
     return cur
+
+
+def _trajectory(pot, constants, config, energy, parity, potential, stop):
+    """psi_0 .. psi_{stop - 1} of `shoot`'s recurrence, unscaled and unchecked.
+
+    The coefficients are formed elementwise from V on those points alone, so
+    the samples are those of a whole-grid integration, bit for bit.
+    """
+    al, pl = _step_lists(constants, config, potential[:stop], energy)
+    traj = list(_seed(pot, constants, config, float(potential[0]), energy, parity))
+    steps = zip(itertools.islice(al, 1, None), pl, itertools.islice(pl, 2, None))
+    for a, p_below, p_above in steps:
+        traj.append((a * traj[-1] - p_below * traj[-2]) / p_above)
+    if not math.isfinite(traj[-1]):
+        raise OverflowError("propagation overflowed before the node cut")
+    return np.asarray(traj[:stop])
 
 
 def _scan_chunk(constants, config, gap, prev, cur):
@@ -345,8 +349,7 @@ def shoot_scan(pot: PotentialSpec, constants: Constants, config: ShootingConfig,
     as for `shoot`.
     """
     energies = np.asarray(energies, dtype=float)
-    for e in energies.tolist():
-        _check_domain(pot, constants, config, e)
+    _check_domain(pot, constants, config, float(energies.max()))
     both = np.concatenate([energies, energies])
     v = _grid_potential(pot, constants, config, potential)
     (prev_even, cur_even), (prev_odd, cur_odd) = (
@@ -403,10 +406,8 @@ def _bisect(pot, constants, config, parity, lo, hi, flo, fhi, potential):
     V on the grid, shared by every shoot.
 
     The shoots inside (lo, hi) skip `shoot`'s domain check: the callers
-    have checked both ends, and the check holds at every energy between
-    them.  The turning point rises with E, so it stays below x_max, and the
-    e-fold count of the tail falls with E, so it stays at or above its
-    value at hi.
+    have checked it at hi or above, which covers every energy below (see
+    `_check_domain`).
     """
     if flo == 0.0:
         return lo
@@ -480,15 +481,13 @@ def _brent_point(a, fa, b, fb, c, fc, d, e, tol, next_width):
 
 def _trajectory_nodes(pot, constants, config, energy, parity, potential):
     """Certified node count of the refined state on (0, x_t + 2 ell]; potential is V on the grid."""
-    _, traj = shoot(pot, constants, config, energy, parity, return_trajectory=True,
-                    potential=potential)
     h = config.x_max / config.steps
     x_t = pot.turning_point(energy, mass=constants.mass)
-    cut = min(config.x_max, x_t + 2.0 * decay_length(pot, constants, energy))
-    stop = min(traj.size, int(cut / h) + 1)
+    cut = min(config.x_max, x_t + 2.0 * _airy_length(pot, constants, x_t))
     # index 0 is x = 0; a node there belongs to the odd-channel boundary
     # condition, not to the half-line count, and is dropped by the floor.
-    return count_nodes(traj[:stop])
+    return count_nodes(_trajectory(pot, constants, config, energy, parity, potential,
+                                   int(cut / h) + 1))
 
 
 def spectrum_below(pot: PotentialSpec, constants: Constants,

@@ -257,13 +257,13 @@ def node_counts(spec: BasisSpec, pot: PotentialSpec, spectrum: Spectrum) -> np.n
     turning point x_t(E) and at most one in each forbidden interval (Sturm
     comparison; Messiah, Quantum Mechanics I, ch. III); such a node shows as
     a sign change between the allowed pieces on either side.  State i is
-    therefore sampled only on its allowed half-line set
-    {0 <= x <= x_t(E_i), V(x) <= E_i} of one grid shared by all states
-    (_half_line_grid), and its sign changes there are counted by
-    count_nodes' rule: samples at most DEFAULT_AMPLITUDE_FLOOR times the
-    state's peak on that set are dropped, and strict sign changes between
-    the rest count.  The node count is twice that, plus one for an odd
-    state, whose node at x = 0 the parity gives.
+    therefore sampled only on its allowed half-line set {x >= 0 : V(x) <= E_i}
+    of one grid shared by all states (_half_line_grid), which lies in
+    [0, x_t(E_i)] as x_t(E) is the outermost root of V = E.  Its sign
+    changes there are counted by count_nodes' rule: samples at most
+    DEFAULT_AMPLITUDE_FLOOR times the state's peak on that set are dropped,
+    and strict sign changes between the rest count.  The node count is twice
+    that, plus one for an odd state, whose node at x = 0 the parity gives.
 
     One pass evaluates the basis recurrence on NODE_CHUNK grid points at a
     time, each point once.  The floor is known only when the pass ends, but
@@ -286,15 +286,16 @@ def node_counts(spec: BasisSpec, pot: PotentialSpec, spectrum: Spectrum) -> np.n
     if mixed.any():
         raise ValueError(f"state {int(np.argmax(mixed))} is neither exactly even "
                          "nor exactly odd")
-    turns = np.array([pot.turning_point(e, mass=spec.mass) for e in energies])
-    grid = _half_line_grid(spec, turns, spectrum.dim)
-    # per parity: its states by ascending turning point, with their
-    # coefficients on the basis functions of that parity as rows
+    # per parity: its states by ascending energy, with their coefficients on
+    # the basis functions of that parity as rows
     blocks = []
     for p in range(min(2, spectrum.dim)):
         states = np.flatnonzero(odd == p)
-        states = states[np.argsort(turns[states], kind="stable")]
-        blocks.append((p, states, turns[states], coeffs[p::2, states].T.copy()))
+        states = states[np.argsort(energies[states], kind="stable")]
+        blocks.append((p, states, energies[states], coeffs[p::2, states].T.copy()))
+    # x_t rises with E: each parity's lowest and highest level bound the grid
+    turns = [pot.turning_point(e[end], mass=spec.mass) for _, _, e, _ in blocks for end in (0, -1)]
+    grid = _half_line_grid(spec, np.array(turns), spectrum.dim)
 
     peak = np.zeros(spectrum.dim)
     run_states, run_signs, run_tops = [], [], []
@@ -302,14 +303,14 @@ def node_counts(spec: BasisSpec, pot: PotentialSpec, spectrum: Spectrum) -> np.n
         x = grid[start:start + NODE_CHUNK]
         table = basis_table(spec, spectrum.dim - 1, x)
         v = pot.value(x, mass=spec.mass)
-        for p, states, sorted_turns, rows in blocks:
-            first = int(np.searchsorted(sorted_turns, x[0]))
+        for p, states, sorted_energies, rows in blocks:
+            first = int(np.searchsorted(sorted_energies, v.min()))
             reach = states[first:]
             values = rows[first:] @ table[p::2]
             positive = values > 0.0
             # |values| on each allowed set, 0 elsewhere
             size = np.abs(values, out=values)
-            size *= (x <= turns[reach, None]) & (v <= energies[reach, None])
+            size *= v <= energies[reach, None]
             peak[reach] = np.maximum(peak[reach], size.max(axis=1))
             above = size > DEFAULT_AMPLITUDE_FLOOR * peak[reach, None]
             size *= above

@@ -200,7 +200,7 @@ class TestSolve:
         # the scan runs batched and hands each bracket psi(x_max) at its
         # ends; scalar shoots come only from the refinement, through the
         # unchecked core _shoot, and the node-count trajectories
-        callers = {"shoot": [], "_shoot": []}
+        callers = {"shoot": [], "_shoot": [], "_trajectory": []}
 
         def counted(name):
             shoot = getattr(numerov, name)
@@ -216,10 +216,10 @@ class TestSolve:
                                       "--dims", "2:12:2", "--exact", "numerov",
                                       "--exact-levels", "3", "--numerov-steps", "2000"])
         assert code == 0
-        assert callers["shoot"] == ["_trajectory_nodes"] * 3
-        assert callers["_shoot"].count("shoot") == 3
+        assert callers["shoot"] == []
+        assert callers["_trajectory"] == ["_trajectory_nodes"] * 3
         assert callers["_shoot"].count("_bisect") > 3 * 2
-        assert set(callers["_shoot"]) == {"_bisect", "shoot"}
+        assert set(callers["_shoot"]) == {"_bisect"}
 
     def test_json_schema_and_determinism(self, capsys):
         argv = ["solve", "--alpha", "exact-diagonal", "--dim", "4", "--format", "json"]

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -85,7 +86,8 @@ class TestShoot:
 
     def test_odd_channel_starts_at_zero(self):
         cfg = numerov.default_config(HARM, C, 1.8, steps=2000)
-        _, traj = numerov.shoot(HARM, C, cfg, 1.5, numerov.ODD, return_trajectory=True)
+        traj = numerov._trajectory(HARM, C, cfg, 1.5, numerov.ODD,
+                                   numerov._grid_potential(HARM, C, cfg), cfg.steps + 1)
         assert traj[0] == 0.0
         assert traj.size == cfg.steps + 1
 
@@ -161,6 +163,36 @@ class TestSpectrumBelow:
         cfg = numerov.default_config(HARM, C, 5.0, steps=6000)
         out = numerov.spectrum_below(HARM, C, cfg, 5.0)
         np.testing.assert_allclose(out, [0.5, 1.5, 2.5, 3.5, 4.5], atol=1e-8)
+
+    def test_domain_far_past_the_levels(self):
+        # psi grows like exp(x^2 / 2) past the turning point, e^800 at x = 40;
+        # the node counts read their trajectories up to x_t + 2 ell only.
+        # The levels are those of the same step h = 0.01 on [0, 20]
+        far = numerov.spectrum_below(HARM, C, numerov.ShootingConfig(40.0, 4000), 5.0)
+        near = numerov.spectrum_below(HARM, C, numerov.ShootingConfig(20.0, 2000), 5.0)
+        assert np.abs(far - near).max() <= 1e-10
+        assert np.abs(far - [0.5, 1.5, 2.5, 3.5, 4.5]).max() <= 1e-8
+
+    @pytest.mark.parametrize("pot, e_cap", [(HARM, 5.0), (DOUBLE_WELL, 1.0)],
+                             ids=["harmonic", "double-well"])
+    def test_node_trajectories_stop_at_their_cut(self, monkeypatch, pot, e_cap):
+        cfg = numerov.default_config(pot, C, e_cap)
+        built = []
+        step_lists = numerov._step_lists
+
+        def spy(constants, config, potential, energy):
+            if sys._getframe(1).f_code.co_name == "_trajectory":
+                built.append((energy, len(potential)))
+            return step_lists(constants, config, potential, energy)
+
+        monkeypatch.setattr(numerov, "_step_lists", spy)
+        levels = numerov.spectrum_below(pot, C, cfg, e_cap)
+        assert sorted(energy for energy, _ in built) == levels.tolist()
+        h = cfg.x_max / cfg.steps
+        for energy, points in built:
+            x_t = pot.turning_point(energy, mass=1.0)
+            cut = x_t + 2.0 * numerov.decay_length(pot, C, energy)
+            assert points <= int(cut / h) + 2 < cfg.steps
 
     def test_cap_below_ground_state(self):
         cfg = numerov.default_config(HARM, C, 5.0, steps=2000)
@@ -238,7 +270,6 @@ class RecordedShoots:
 
     `_shoot` is the integration behind `shoot` and every refinement shoot of
     `_bisect`.  `psi` stands in for it where given, as psi(energy).
-    Trajectory shoots are not recorded.
     """
 
     def __init__(self, monkeypatch, psi=None):
@@ -248,8 +279,7 @@ class RecordedShoots:
         def recorded(pot, constants, config, energy, parity, *args, **kwargs):
             value = (shoot(pot, constants, config, energy, parity, *args, **kwargs)
                      if psi is None else psi(energy))
-            if not kwargs.get("return_trajectory"):
-                self.shots.append((energy, value))
+            self.shots.append((energy, value))
             return value
 
         monkeypatch.setattr(numerov, "_shoot", recorded)
@@ -378,7 +408,8 @@ class TestShootScan:
         for row, counts, parity in zip(got, changes, (numerov.EVEN, numerov.ODD)):
             want = [numerov.shoot(pot, C, cfg, e, parity) for e in energies]
             assert row.tolist() == want
-            trajectories = [numerov.shoot(pot, C, cfg, e, parity, return_trajectory=True)[1]
+            v = numerov._grid_potential(pot, C, cfg)
+            trajectories = [numerov._trajectory(pot, C, cfg, e, parity, v, cfg.steps + 1)
                             for e in energies]
             assert counts.tolist() == [int(np.count_nonzero(np.diff(np.signbit(t))))
                                        for t in trajectories]
@@ -404,6 +435,20 @@ class TestShootScan:
         for row, first in zip(changes, (0, 1)):
             assert row.tolist() == [sum(n + 0.5 < e for n in range(first, 6, 2))
                                     for e in energies]
+
+    def test_domain_checked_once_at_the_largest_energy(self, monkeypatch):
+        checked = []
+        check = numerov._check_domain
+
+        def spy(pot, constants, config, energy):
+            checked.append(energy)
+            check(pot, constants, config, energy)
+
+        monkeypatch.setattr(numerov, "_check_domain", spy)
+        cfg = numerov.default_config(HARM, C, 5.0, steps=2021)
+        energies = np.random.default_rng(3).permutation(np.linspace(1e-3, 5.0, 37))
+        numerov.shoot_scan(HARM, C, cfg, energies)
+        assert checked == [5.0]
 
     def test_domain_checked_at_every_energy(self):
         # 0.5 is fine on [0, 5]; the turning point at 13 lies past x_max

@@ -174,6 +174,8 @@ def allowed_samples(spec, pot, spectrum):
 
     The set is {0 <= x <= x_t(E_i), V(x) <= E_i} of the grid node_counts
     shares between the states; the samples come from one full basis table.
+    node_counts reads the set from V alone, so these references check that
+    V selects the same samples.
     """
     energies = spectrum.eigenvalues
     turns = np.array([pot.turning_point(e, mass=spec.mass) for e in energies])
@@ -231,6 +233,17 @@ class TestNodeCounts:
             assert want[9] == 9
             got = node_counts(spec, self.QUART, spectrum)
             assert got.tolist() == want, (chunk, amplitude_floor)
+        # deep double well at 16-point chunks: whole chunks lie inside the
+        # barrier for its lowest states, and reach none of them
+        deep = solve_spectrum(self.DEEP, C, 1.59369, 69)
+        spec = BasisSpec(1.59369)
+        samples = allowed_samples(spec, self.DEEP, deep)
+        odd = [parity_classify(c) == "odd" for c in deep.eigenvectors.T]
+        assert samples[0][0][0] >= 2 * 16 and samples[1][0][0] >= 2 * 16
+        monkeypatch.setattr(spectral, "NODE_CHUNK", 16)
+        monkeypatch.setattr(spectral, "DEFAULT_AMPLITUDE_FLOOR", default)
+        want = [2 * count_nodes(v, default) + o for (_, v), o in zip(samples, odd)]
+        assert node_counts(spec, self.DEEP, deep).tolist() == want
 
     def test_run_dropped_by_the_final_floor_before_the_peak(self, monkeypatch):
         spectrum = solve_spectrum(self.QUART, C, 1.8, 40)
@@ -275,6 +288,19 @@ class TestNodeCounts:
         node_counts(spec, self.DEEP, spectrum)
         assert len(chunks) == math.ceil(grid.size / spectral.NODE_CHUNK) > 1
         assert np.array_equal(np.concatenate(chunks), grid)
+
+    def test_turning_points_only_at_the_parity_ends(self, monkeypatch):
+        spectrum = solve_spectrum(self.DEEP, C, 1.59369, 69)
+        calls = []
+        turning_point = PotentialSpec.turning_point
+
+        def spy(pot, energy, *, mass):
+            calls.append(energy)
+            return turning_point(pot, energy, mass=mass)
+
+        monkeypatch.setattr(PotentialSpec, "turning_point", spy)
+        node_counts(BasisSpec(1.59369), self.DEEP, spectrum)
+        assert 0 < len(calls) <= 4
 
     def test_odd_node_at_origin_counted_once(self):
         # harmonic phi_1: the node at 0 lies in the allowed set, sampled as 0
