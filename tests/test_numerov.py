@@ -405,10 +405,10 @@ class TestShootScan:
         energies = np.linspace(v_min + 1e-3, e_hi, 37)
         got, changes = numerov.shoot_scan(pot, C, cfg, energies)
         assert got.shape == changes.shape == (2, energies.size)
+        v = numerov._grid_potential(pot, C, cfg)
         for row, counts, parity in zip(got, changes, (numerov.EVEN, numerov.ODD)):
             want = [numerov.shoot(pot, C, cfg, e, parity) for e in energies]
             assert row.tolist() == want
-            v = numerov._grid_potential(pot, C, cfg)
             trajectories = [numerov._trajectory(pot, C, cfg, e, parity, v, cfg.steps + 1)
                             for e in energies]
             assert counts.tolist() == [int(np.count_nonzero(np.diff(np.signbit(t))))
