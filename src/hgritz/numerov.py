@@ -6,16 +6,26 @@ from x = 0 with parity initial conditions (the potentials in scope are even,
 so the even and odd channels decouple), and refine each level on the sign
 of psi(x_max).  The three-point scheme is fourth order in the step: its
 eigenvalue error grows as (h k)^4 with the local wave number
-k = sqrt(2m (E - V)) / hbar (Cooley 1961, Math. Comp. 15:363).  Past a few
-thousand steps, rounding in the long recurrence outgrows the h^4 term:
-refined to full precision, the ground level of the quartic lambda x^4
-(lambda = 1.06739) is off by 9.2e-13 at 5,000 steps but by 1.4e-10 at
-20,000.  `default_config` therefore takes the fewest steps, at least
-DEFAULT_STEPS, that keep h k_max <= MAX_STEP_PHASE at the top wanted level:
-5,000 for every level up to x_max k_max = 50, and 9,186 for the 40th
-quartic level at alpha 3, where 5,000 steps leave that level 2.5e-10 off.
-The CLI uses the levels as refined at one step count; `richardson4` is not
-applied to them.
+k = sqrt(2m (E - V)) / hbar (Cooley 1961, Math. Comp. 15:363).
+`default_config` takes the fewest steps, at least DEFAULT_STEPS, that keep
+h k_max <= MAX_STEP_PHASE at the top wanted level: 5,000 for every level up
+to x_max k_max = 50, and 9,186 for the 40th quartic level at alpha 3, where
+5,000 steps leave that level 2.5e-10 off.  The CLI uses the levels as
+refined at one step count; `richardson4` is not applied to them.
+
+Every integration runs the recurrence in summed form (Blatt 1967, J. Comput.
+Phys. 1:382) on u = P psi, P = 1 - (h^2/12)(2m/hbar^2)(V - E): with
+delta_i = 12 / P_i - 12, formed from V - E (`_factors`), each step is
+d += delta_i u; u += d, one product and two sums, and psi = u / P is read
+wherever a value leaves the loop.  The three-term form
+P_{i+1} psi_{i+1} = (12 - 10 P_i) psi_i - P_{i-1} psi_{i-1} rounds its
+coefficient near 2 at every step, an error of eps relative to 2 in a term
+of size h^2 (2m/hbar^2)|V - E|, and that gave it a rounding floor: refined
+to the float spacing, the ground level of the quartic lambda x^4
+(lambda = 1.06739) on [0, 4.96] moved by 5.5e-10 between 10,000 and 40,000
+steps.  delta carries eps relative to itself, and the same level now stays
+within 8e-14 of LAPACK from 5,000 to 40,000 steps, so more steps cost only
+time.
 
 The energy scan that brackets the levels runs every scan energy of both
 channels through one vectorized recurrence (`shoot_scan`), bitwise equal
@@ -25,9 +35,9 @@ cell holds.  Refinement shoots and node-count trajectories stay scalar, where
 one energy is cheaper in Python floats than in numpy; a node-count trajectory
 is integrated only up to the cut its count reads.  Each one-level cell is
 refined by Brent's method with the ITP projection (`_bisect`): a sign change
-of psi(x_max) at most 1e-10 wide, in no more shoots than bisection would
-take.  `spectrum_below` computes V on the grid once and hands it to the
-scan and to every shoot.
+of psi(x_max) at most 1e-10 wide, in at most one shoot more than bisection
+would take.  `spectrum_below` computes V on the grid once and hands it to
+the scan and to every shoot.
 """
 
 from __future__ import annotations
@@ -43,17 +53,17 @@ from .errors import BracketingError, ScanResolutionError
 from .operators import PotentialSpec
 from .spectral import EVEN, ODD, count_nodes
 
-#: Fewest grid intervals `default_config` derives.  Near this count the h^4
-#: truncation and the recurrence's rounding balance: the quartic ground level
-#: of the module docstring is off by 9.2e-13 here, against 9.8e-11 at 10,000
-#: steps and 1.4e-10 at 20,000, where rounding has taken over.
+#: Fewest grid intervals `default_config` derives.  The h^4 error of the low
+#: levels is far below the 1e-10 refinement width here: the quartic ground
+#: level of the module docstring is off by 1.6e-14, and the ground level of
+#: 0,1,0,0.3 by 1.6e-13.
 DEFAULT_STEPS = 5000
 
 #: Largest phase h k_max per step that `default_config` allows at the top
 #: wanted level, k_max = sqrt(2m (e_hi - min V)) / hbar.  The h^4 error of
 #: the level grows as (h k)^4: on the 40th quartic level at alpha 3
-#: (x_max k_max = 91.9), 5,000 steps (h k_max = 0.018) left 2.5e-10 and
-#: 10,000 steps 2.5e-11.
+#: (x_max k_max = 91.9), 5,000 steps (h k_max = 0.018) leave 2.5e-10,
+#: the 9,186 derived here 2.2e-11 and 20,000 steps 1.1e-12.
 MAX_STEP_PHASE = 0.01
 
 #: Accepted range of grid intervals.  Below the floor the fourth-order error
@@ -70,8 +80,8 @@ _RESCALE_AT = 1e250
 _CHUNK = 64
 
 #: Most energies `spectrum_below` scans.  Each chunk of `shoot_scan` holds
-#: several arrays of (_CHUNK + 2) x 2 x energies floats; the cap keeps each
-#: at 64 MiB, where 10^6 energies would take 1 GiB apiece.
+#: several arrays of up to (_CHUNK + 2) x 2 x energies floats; the cap keeps
+#: each under 64 MiB, where 10^6 energies would take 1 GiB apiece.
 MAX_SCAN_POINTS = (64 << 20) // ((_CHUNK + 2) * 2 * 8)
 
 #: Width of the sign change `_bisect` returns each level in.
@@ -188,32 +198,47 @@ def _grid_potential(pot, constants, config, given=None):
 
 
 def _factors(constants, config, gap):
-    """P = 1 - (h^2/12) f and 12 - 10 P for f = (2m/hbar^2) gap, gap = V - E.
+    """P = 1 - g and delta = 12 g / P for g = (h^2/12) (2m/hbar^2) gap, gap = V - E.
 
-    psi'' = f psi gives P_{n+1} psi_{n+1} = (12 - 10 P_n) psi_n - P_{n-1} psi_{n-1}.
-    P overwrites gap.  Every entry is formed by the same operations whether
-    gap is one energy's column or a block of energies.
+    With u_i = P_i psi_i, Numerov's P_{i+1} psi_{i+1} + P_{i-1} psi_{i-1} =
+    (12 - 10 P_i) psi_i reads u_{i+1} - 2 u_i + u_{i-1} = delta_i u_i.  delta
+    equals 12 / P - 12, but formed from g it keeps every digit that the
+    difference would cancel.  delta overwrites gap.  Every entry is formed by
+    the same operations whether gap is one energy's column or a block of
+    energies.
     """
     h = config.x_max / config.steps
     gap *= 2.0 * constants.mass / constants.hbar**2
     gap *= h * h / 12.0
-    pfac = np.subtract(1.0, gap, out=gap)
-    al = pfac * 10.0
-    np.subtract(12.0, al, out=al)
-    return pfac, al
+    pfac = np.subtract(1.0, gap)
+    gap *= 12.0
+    return pfac, np.divide(gap, pfac, out=gap)
+
+
+def _check_factor(config, pfac):
+    """Raise unless every P is positive, so that u = P psi and psi share their signs."""
+    if not pfac.min() > 0.0:
+        raise ValueError(
+            f"the Numerov factor 1 - (h^2/12) (2m/hbar^2)(V - E) reaches {pfac.min():.6g} "
+            f"on the grid of {config.steps} steps over [0, {config.x_max:.6g}]; "
+            "it must stay positive, which takes more steps or a smaller x_max")
 
 
 def _step_lists(constants, config, potential, energy):
-    """12 - 10 P_i and P_i as float lists where `potential` gives V; no array outlives the call."""
-    pfac, al = _factors(constants, config, potential - energy)
-    return al.tolist(), pfac.tolist()
+    """delta_i of the steps i = 1 .. len - 2 as a float list, and P on every point.
+
+    `potential` gives V on the points; no array but P outlives the call.
+    """
+    pfac, delta = _factors(constants, config, potential - energy)
+    return delta[1:-1].tolist(), pfac
 
 
 def _seed(pot, constants, config, v0, energy, parity):
     """(psi_0, psi_1) from the parity-adapted Taylor expansion about x = 0.
 
     Even starts psi(0) = 1, psi'(0) = 0; odd starts psi(0) = 0, psi'(0) = 1.
-    v0 is V(0); energy is a float or an array of energies.
+    v0 is V(0); energy is a float or an array of energies.  The recurrence
+    starts from u_0 = P_0 psi_0 and u_1 = P_1 psi_1.
     """
     h = config.x_max / config.steps
     c = 2.0 * constants.mass / constants.hbar**2
@@ -246,86 +271,86 @@ def shoot(pot: PotentialSpec, constants: Constants, config: ShootingConfig,
 
 def _shoot(pot, constants, config, energy, parity, potential):
     """`shoot` at a float energy whose domain is already checked; potential is V on the grid."""
-    al, pl = _step_lists(constants, config, potential, energy)
-    prev, cur = _seed(pot, constants, config, float(potential[0]), energy, parity)
-    # step i uses 12 - 10 P_i, P_{i-1} and P_{i+1}, for i = 1 .. steps - 1
-    steps = zip(itertools.islice(al, 1, None), pl, itertools.islice(pl, 2, None))
-    for a, p_below, p_above in steps:
-        prev, cur = cur, (a * cur - p_below * prev) / p_above
-        if abs(cur) > _RESCALE_AT:
-            scale = 1.0 / abs(cur)
-            prev *= scale
-            cur *= scale
-    if not math.isfinite(cur):
+    deltas, pfac = _step_lists(constants, config, potential, energy)
+    psi_0, psi_1 = _seed(pot, constants, config, float(potential[0]), energy, parity)
+    u = float(pfac[1]) * psi_1
+    d = u - float(pfac[0]) * psi_0
+    for delta in deltas:
+        d += delta * u
+        u += d
+        if abs(u) > _RESCALE_AT:
+            scale = 1.0 / abs(u)
+            d *= scale
+            u *= scale
+    psi = u / float(pfac[-1])
+    if not math.isfinite(psi):
         raise OverflowError("propagation overflowed despite rescaling")
-    return cur
+    return psi
 
 
 def _trajectory(pot, constants, config, energy, parity, potential, stop):
     """psi_0 .. psi_{stop - 1} of `shoot`'s recurrence, unscaled and unchecked.
 
-    The coefficients are formed elementwise from V on those points alone, so
-    the samples are those of a whole-grid integration, bit for bit.
+    Each sample is read as u_i / P_i.  The coefficients are formed
+    elementwise from V on those points alone, so the samples are those of a
+    whole-grid integration, bit for bit.
     """
-    al, pl = _step_lists(constants, config, potential[:stop], energy)
-    traj = list(_seed(pot, constants, config, float(potential[0]), energy, parity))
-    steps = zip(itertools.islice(al, 1, None), pl, itertools.islice(pl, 2, None))
-    for a, p_below, p_above in steps:
-        traj.append((a * traj[-1] - p_below * traj[-2]) / p_above)
-    if not math.isfinite(traj[-1]):
+    deltas, pfac = _step_lists(constants, config, potential[:max(stop, 2)], energy)
+    psi_0, psi_1 = _seed(pot, constants, config, float(potential[0]), energy, parity)
+    u = float(pfac[1]) * psi_1
+    traj = [float(pfac[0]) * psi_0, u]
+    d = u - traj[0]
+    for delta in deltas:
+        d += delta * u
+        u += d
+        traj.append(u)
+    if not math.isfinite(u):
         raise OverflowError("propagation overflowed before the node cut")
-    return np.asarray(traj[:stop])
+    return np.asarray(traj[:stop]) / pfac[:stop]
 
 
-def _scan_chunk(constants, config, gap, prev, cur):
-    """Advance a block of energies through one chunk; gap is V - E on its points.
+def _scan_chunk(constants, config, gap, d, u):
+    """Advance a block of energies through one chunk; gap is V - E at its steps' points.
 
-    Returns the last two psi and how often each energy's psi changed sign in
-    the chunk.  The steps run unchecked first, keeping every psi; the chunk
-    is rerun step by step with `shoot`'s rescaling if any |psi| in it passed
+    Returns d and u after the chunk and how often each energy's u changed
+    sign in it.  The steps run unchecked first, keeping every u; the chunk
+    is rerun step by step with `shoot`'s rescaling if any |u| in it passed
     _RESCALE_AT.  Nothing of the chunk outlives the call.  One loop that
     rescales at every step gives the same bits but is slower (20,000 quartic
-    steps: about 0.1 against 0.2 s at 64 energies), so the unchecked pass stays.
+    steps at 64 energies: 0.17 against 0.055 s), so the unchecked pass stays.
     """
-    pfac, al = _factors(constants, config, gap)
-    if not pfac.min() > 0.0:
-        # psi and P psi must share their signs for the sign changes to count levels
-        raise ValueError(
-            f"the Numerov factor 1 - (h^2/12) (2m/hbar^2)(V - E) reaches {pfac.min():.6g} "
-            f"on the grid of {config.steps} steps over [0, {config.x_max:.6g}]; "
-            "it must stay positive, which takes more steps or a smaller x_max")
-    block = (al[1:-1], pfac[:-2], pfac[2:])
-    out = np.empty((len(gap) - 2, gap.shape[1]))
-    ta, tb = np.empty_like(cur), np.empty_like(cur)
-    p, c = prev, cur
-    for a, pb, pa, row in zip(*block, out):
-        np.multiply(a, c, out=ta)
-        np.multiply(pb, p, out=tb)
-        np.subtract(ta, tb, out=ta)
-        np.divide(ta, pa, out=row)
-        p, c = c, row
+    pfac, delta = _factors(constants, config, gap)
+    _check_factor(config, pfac)
+    out = np.empty_like(delta)
+    step, diff, cur = np.empty_like(u), d.copy(), u
+    for dl, row in zip(delta, out):
+        np.multiply(dl, cur, out=step)
+        np.add(diff, step, out=diff)
+        np.add(cur, diff, out=row)
+        cur = row
     # NaN fails both comparisons too
     if out.max() <= _RESCALE_AT and out.min() >= -_RESCALE_AT:
         signs = np.signbit(out)
         changes = np.count_nonzero(signs[1:] != signs[:-1], axis=0)
-        changes += signs[0] != np.signbit(cur)
-        return p.copy(), c.copy(), changes
-    return _steps_rescaled(*block, prev, cur)
+        changes += signs[0] != np.signbit(u)
+        return diff, cur.copy(), changes
+    return _steps_rescaled(delta, d, u)
 
 
-def _steps_rescaled(al, p_below, p_above, prev, cur):
+def _steps_rescaled(delta, d, u):
     """The same steps, rescaling each energy exactly where `shoot` would."""
-    prev, cur = prev.copy(), cur.copy()
-    changes = np.zeros(cur.shape, dtype=int)
-    for a, pb, pa in zip(al, p_below, p_above):
-        prev, cur = cur, (a * cur - pb * prev) / pa
-        changes += np.signbit(cur) != np.signbit(prev)
-        big = np.abs(cur) > _RESCALE_AT
+    d, u = d.copy(), u.copy()
+    changes = np.zeros(u.shape, dtype=int)
+    for dl in delta:
+        d += dl * u
+        prev, u = u, u + d
+        changes += np.signbit(u) != np.signbit(prev)
+        big = np.abs(u) > _RESCALE_AT
         if big.any():
-            scale = 1.0 / np.abs(cur[big])
-            prev[big] *= scale
-            cur[big] *= scale
-    return prev, cur, changes
+            scale = 1.0 / np.abs(u[big])
+            d[big] *= scale
+            u[big] *= scale
+    return d, u, changes
 
 
 def shoot_scan(pot: PotentialSpec, constants: Constants, config: ShootingConfig,
@@ -336,38 +361,42 @@ def shoot_scan(pot: PotentialSpec, constants: Constants, config: ShootingConfig,
     Returns two arrays of shape (2, len(energies)), row 0 for the even channel
     and row 1 for the odd one.  Entry [p, j] of the first is bitwise `shoot`
     at energies[j] with that parity.  Entry [p, j] of the second counts the
-    sign changes of psi_0, psi_1, ..., psi_steps there (a +-0.0 counts by its
-    sign bit, as `math.copysign` reads it).  This is a discrete Sturm count:
-    with u_i = P_i psi_i the recurrence is a Jacobi three-term recurrence
-    whose diagonal 12 / P_i - 10 falls as E rises, so while every P_i > 0
-    (checked) the count rises by one at each level and its difference
-    across a scan cell is the number of levels inside.  All energies of both
-    channels step together through one recurrence, since they share every
-    coefficient and differ only in the seed.  Coefficients are formed _CHUNK
-    steps at a time (`_scan_chunk`), so the working set is
-    O(_CHUNK x energies) at any step count.  `potential` is V on the grid,
-    as for `shoot`.
+    sign changes of u_0, u_1, ..., u_steps there (a +-0.0 counts by its sign
+    bit, as `math.copysign` reads it).  This is a discrete Sturm count: the
+    recurrence u_{i+1} + u_{i-1} = (2 + delta_i) u_i is a Jacobi three-term
+    recurrence whose diagonal 2 + delta_i = 12 / P_i - 10 falls as E rises,
+    so the count rises by one at each level and its difference across a scan
+    cell is the number of levels inside.  Every P_i is checked positive, so
+    the sign changes of u are those of psi.  All energies of both channels
+    step together through one recurrence, since they share every coefficient
+    and differ only in the seed.  Coefficients are formed _CHUNK steps at a
+    time (`_scan_chunk`), so the working set is O(_CHUNK x energies) at any
+    step count.  `potential` is V on the grid, as for `shoot`.
     """
     energies = np.asarray(energies, dtype=float)
     _check_domain(pot, constants, config, float(energies.max()))
     both = np.concatenate([energies, energies])
     v = _grid_potential(pot, constants, config, potential)
-    (prev_even, cur_even), (prev_odd, cur_odd) = (
-        _seed(pot, constants, config, v[0], energies, parity) for parity in (EVEN, ODD))
-    prev = np.repeat([prev_even, prev_odd], energies.size)
-    cur = np.concatenate([cur_even, cur_odd])
-    changes = (np.signbit(prev) != np.signbit(cur)).astype(int)
     n = config.steps
+    (psi_0e, psi_1e), (psi_0o, psi_1o) = (
+        _seed(pot, constants, config, v[0], energies, parity) for parity in (EVEN, ODD))
+    # P on the points 0 and 1, which start u, and n, which reads psi(x_max) off it
+    ends, _ = _factors(constants, config, v[[0, 1, n], None] - both)
+    _check_factor(config, ends)
+    u_0 = ends[0] * np.repeat([psi_0e, psi_0o], energies.size)
+    u = ends[1] * np.concatenate([psi_1e, psi_1o])
+    d = u - u_0
+    changes = (np.signbit(u_0) != np.signbit(u)).astype(int)
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(1, n, _CHUNK):
             hi = min(lo + _CHUNK, n)
-            # steps lo .. hi - 1 read P on points lo - 1 .. hi
-            prev, cur, chunk_changes = _scan_chunk(
-                constants, config, v[lo - 1:hi + 1, None] - both, prev, cur)
+            d, u, chunk_changes = _scan_chunk(
+                constants, config, v[lo:hi, None] - both, d, u)
             changes += chunk_changes
-    if not np.isfinite(cur).all():
+        psi = u / ends[2]
+    if not np.isfinite(psi).all():
         raise OverflowError("propagation overflowed despite rescaling")
-    return cur.reshape(2, energies.size), changes.reshape(2, energies.size)
+    return psi.reshape(2, energies.size), changes.reshape(2, energies.size)
 
 
 def eigenvalue(pot: PotentialSpec, constants: Constants, config: ShootingConfig,
@@ -396,14 +425,17 @@ def _bisect(pot, constants, config, parity, lo, hi, flo, fhi, potential):
     |psi(x_max)| is smaller, or the first energy where psi(x_max) is exactly
     0.  Bisection takes budget = ceil(log2((hi - lo) / width)) shoots to
     that width.  Each shoot is projected toward the bracket's midpoint as the
-    ITP method does, so that shoot k (from 0) leaves a bracket no wider than
-    the larger of _ITP_MARGIN width 2^(budget - 1 - k) and half the one
-    before it; so no more than budget shoots are taken, and fewer wherever Brent's
-    interpolation converges first.  Rounding can make psi(x_max) change sign
-    more than once within a few 1e-12 (1 + |E|) of a level (three times
-    within 4e-12 near E = 15.5 at 20,000 steps); the result then lies at one
-    of those sign changes, within the width of the others.  `potential` is
-    V on the grid, shared by every shoot.
+    ITP method does with one step of slack (n0 = 1), so that shoot k (from
+    0) leaves a bracket no wider than the larger of _ITP_MARGIN width
+    2^(budget - k) and half the one before it.  A level so takes at most
+    budget + 1 shoots, one more than bisection, and fewer wherever Brent's
+    interpolation converges first: the slack lets the interpolation run a
+    step longer before the projection cuts it back, which took 627 shoots
+    where no slack took 992 over the 24 Numerov requests among the first 48
+    of the benchmark's certify seeds 1-3.  Should rounding make psi(x_max)
+    change sign more than once near a level, the result lies at one of those
+    sign changes, within the width of the others.  `potential` is V on the
+    grid, shared by every shoot.
 
     The shoots inside (lo, hi) skip `shoot`'s domain check: the callers
     have checked it at hi or above, which covers every energy below (see
@@ -433,7 +465,7 @@ def _bisect(pot, constants, config, parity, lo, hi, flo, fhi, potential):
         if abs(c - b) <= width or fb == 0.0:
             return b
         x, d, e = _brent_point(a, fa, b, fb, c, fc, d, e, tol,
-                               _ITP_MARGIN * width * 2.0 ** (budget - 1 - shots))
+                               _ITP_MARGIN * width * 2.0 ** (budget - shots))
         a, fa = b, fb
         b, fb = x, _shoot(pot, constants, config, x, parity, potential)
 
@@ -496,7 +528,9 @@ def spectrum_below(pot: PotentialSpec, constants: Constants,
     """All eigenvalues below e_cap, both parity channels, ascending.
 
     The scan starts at min V, where no level lies, and takes
-    max(64, 8 (e_cap - min V)) energies unless `scan_points` says otherwise.
+    max(64, 8 (e_cap - min V)) energies unless `scan_points` says otherwise;
+    an explicit `scan_points` must be finite and at least 2, since one
+    energy makes no cell, and int(scan_points) energies are scanned.
     One `shoot_scan` of both channels gives psi(x_max) and the Sturm count
     at every scan energy.  The count at a cell's upper end minus that at its
     lower end is the number of levels in the cell, and each cell holding one
@@ -509,6 +543,8 @@ def spectrum_below(pot: PotentialSpec, constants: Constants,
     before it is allocated.  V on the grid is computed once, for the scan
     and every shoot.
     """
+    if scan_points is not None and not (math.isfinite(scan_points) and scan_points >= 2):
+        raise ValueError(f"scan_points must be a finite number >= 2, got {scan_points!r}")
     e_cap = float(e_cap)
     v_min = pot.minimum(mass=constants.mass)
     if e_cap <= v_min:

@@ -99,6 +99,37 @@ def test_numerov_spectrum_raising_in_both_trees_differs(capsys):
     assert lines[2] == "1 of 2 spectra bit-identical (1 levels)"
 
 
+def test_moved_numerov_levels_report_their_largest_change(capsys):
+    # |dE| / max(1, |E|): 1.9 moved by 3.8e-11 gives 2.0e-11, and 0.53 moved
+    # by 1e-11 gives 1.0e-11 (below 1 the change is taken as absolute)
+    new = records()
+    new["numerov"][1] = ("quartic 0.5 span=3.0 steps=2000",
+                         {"levels": [(0.53 + 1e-11).hex(), (1.9 + 3.8e-11).hex()]})
+    code, lines = run(capsys, records(), new)
+    assert code == 1
+    assert lines[0] == ("quartic 0.5 span=3.0 steps=2000: levels differ "
+                        "(largest |dE| / max(1, |E|) 2.0e-11)")
+    assert lines[2] == ("1 of 2 spectra bit-identical (1 levels) (1 with moved levels, "
+                        "largest |dE| / max(1, |E|) 2.0e-11; 0 with a changed level count)")
+
+
+def test_a_changed_numerov_level_count_is_reported(capsys):
+    # levels pair by position; the extra level adds no change of its own
+    new = records()
+    new["numerov"][0] = ("harmonic 0.75 span=1.0 steps=2000",
+                         {"levels": [(0.375).hex(), (1.125).hex()]})
+    new["numerov"][1] = ("quartic 0.5 span=3.0 steps=2000",
+                         {"levels": [(0.53).hex(), (1.9 * (1.0 + 5e-11)).hex()]})
+    code, lines = run(capsys, records(), new)
+    assert code == 1
+    assert lines[:2] == ["harmonic 0.75 span=1.0 steps=2000: levels differ "
+                         "(largest |dE| / max(1, |E|) 0.0e+00; 1 levels in OLD, 2 in NEW)",
+                         "quartic 0.5 span=3.0 steps=2000: levels differ "
+                         "(largest |dE| / max(1, |E|) 5.0e-11)"]
+    assert lines[3] == ("0 of 2 spectra bit-identical (0 levels) (2 with moved levels, "
+                        "largest |dE| / max(1, |E|) 5.0e-11; 1 with a changed level count)")
+
+
 def test_numerov_sweep_covers_the_default_step_count(monkeypatch):
     # verify-mhu runs default_config's own step count unless given one; the
     # sweep runs it beside the explicit 2,000 and 20,000 steps

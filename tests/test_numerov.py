@@ -21,6 +21,22 @@ STEEP_SEXTIC = PotentialSpec.even_polynomial([0.0, 1.0, 0.0, 0.3])
 #: of this module's own integrator and independently by the dim-40 basis solve.
 QUARTIC_E0 = 0.667986
 
+#: The odd level near 15.5485 of 0,1.93962,0.761412 (state 5), with the domain
+#: and scan cell of a benchmark verify-mhu request.
+ODD_LEVEL_POT = PotentialSpec.even_polynomial([0.0, 1.93962, 0.761412])
+ODD_LEVEL = 5
+ODD_LEVEL_X_MAX = 4.012210575973266
+ODD_LEVEL_BRACKET = (15.53594570308352, 15.662254196604524)
+
+
+def lapack_level(pot, level):
+    """Level `level` of LAPACK's dense solve at alpha 3 and dim 200.
+
+    For the levels read here, widths 1.5-4 and dims 100-300 agree to 3e-12.
+    """
+    matrix = hamiltonian_matrix(BasisSpec(3.0), pot, 200).to_dense()
+    return float(np.linalg.eigvalsh(matrix)[level])
+
 
 class TestConfig:
     def test_validation(self):
@@ -237,6 +253,18 @@ class TestSpectrumBelow:
                            match="even-channel Sturm count is 1 at min V = 0, where no level"):
             numerov.spectrum_below(HARM, C, cfg, 3.0)
 
+    @pytest.mark.parametrize("scan_points", [1, 0.5, 1.999, 0, -3, math.nan, math.inf])
+    def test_scan_points_below_two_named(self, monkeypatch, scan_points):
+        # one scan energy makes no cell, so every level would be dropped; the
+        # value is refused before the scan or any shoot
+        recorder = RecordedShoots(monkeypatch)
+        scans = []
+        monkeypatch.setattr(numerov, "shoot_scan", lambda *args, **kwargs: scans.append(1))
+        cfg = numerov.default_config(HARM, C, 5.0, steps=2000)
+        with pytest.raises(ValueError, match="scan_points"):
+            numerov.spectrum_below(HARM, C, cfg, 5.0, scan_points=scan_points)
+        assert not scans and not recorder.shots
+
     def test_two_levels_in_one_cell_reported(self):
         # 0.5 and 2.5 share the one even cell, so psi(x_max) has the same sign
         # at both its ends; the Sturm count still sees the two levels
@@ -286,8 +314,8 @@ class RecordedShoots:
 
 
 class TestRefinement:
-    """`_bisect`: a sign change of psi(x_max) at most 1e-10 wide, in no more shoots
-    than plain bisection takes to that width."""
+    """`_bisect`: a sign change of psi(x_max) at most 1e-10 wide, in at most one
+    shoot more than plain bisection takes to that width."""
 
     @pytest.mark.parametrize("steps", [2000, 5000, 20000])
     @pytest.mark.parametrize("pot, e_cap", [(HARM, 4.0), (QUART, 5.0), (SEXTIC, 4.0),
@@ -320,18 +348,16 @@ class TestRefinement:
 
     def test_rounding_noise_at_the_level(self, monkeypatch):
         # an odd bracket from a benchmark verify-mhu request: at 20,000 steps
-        # psi(x_max) changes sign three times within 4e-12 of the level; the
-        # result lies at one of those sign changes, within 1e-10 of where
-        # plain bisection put it (15.54850366836266)
-        pot = PotentialSpec.even_polynomial([0.0, 1.93962, 0.761412])
-        cfg = numerov.ShootingConfig(4.012210575973266, 20000)
-        bracket = (15.53594570308352, 15.662254196604524)
+        # the three-term recurrence of psi changed sign three times within
+        # 4e-12 of the level and put it 1.4e-10 above LAPACK; the summed
+        # recurrence puts it within 1e-11 of LAPACK
+        cfg = numerov.ShootingConfig(ODD_LEVEL_X_MAX, 20000)
         recorder = RecordedShoots(monkeypatch)
-        got = numerov.eigenvalue(pot, C, cfg, bracket, numerov.ODD)
+        got = numerov.eigenvalue(ODD_LEVEL_POT, C, cfg, ODD_LEVEL_BRACKET, numerov.ODD)
         assert_at_a_sign_change(got, recorder.shots)
         # two shoots at the ends, then the refinement
-        assert len(recorder.shots) - 2 <= bisection_shoots(*bracket)
-        assert abs(got - 15.54850366836266) <= 1e-10
+        assert len(recorder.shots) - 2 <= bisection_shoots(*ODD_LEVEL_BRACKET)
+        assert abs(got - lapack_level(ODD_LEVEL_POT, ODD_LEVEL)) <= 1e-11
 
     @pytest.mark.parametrize("bracket", [(0.5, 0.7), (0.3, 0.5), (0.25, 0.75), (0.1, 0.9)],
                              ids=["zero-at-lo", "zero-at-hi", "zero-at-first-midpoint",
@@ -350,7 +376,8 @@ class TestRefinement:
     ], ids=["step", "exponential", "triple-root", "rescaled-jump"])
     def test_worst_case_shoots(self, monkeypatch, psi):
         # psi(E - root) with one sign change: a sign change at most 1e-10 wide,
-        # in no more shoots than plain bisection, wherever the root falls
+        # in at most one shoot more than plain bisection (the ITP slack n0 = 1),
+        # wherever the root falls
         cfg = numerov.ShootingConfig(5.0, 2000)
         rng = np.random.default_rng(11)
         recorder = RecordedShoots(monkeypatch, psi=lambda energy: psi(energy - root))
@@ -362,7 +389,22 @@ class TestRefinement:
                                       ends[0][1], ends[1][1], None)
                 assert_at_a_sign_change(got, ends + recorder.shots)
                 assert abs(got - root) <= 1e-10
-                assert len(recorder.shots) <= bisection_shoots(lo, hi)
+                assert len(recorder.shots) <= bisection_shoots(lo, hi) + 1
+
+    def test_fewer_shoots_than_before(self, monkeypatch):
+        # the three-term recurrence with no ITP slack took 56, 52 and 141
+        # refinement shoots on these spectra (7, 8 and 19 levels at 5,000 steps)
+        before = {"quartic": 56, "sextic": 52, "deep-well": 141}
+        recorder = RecordedShoots(monkeypatch)
+        taken = {}
+        for name, pot, e_cap in [("quartic", QUART, 20.0), ("sextic", SEXTIC, 20.0),
+                                 ("deep-well", PotentialSpec.even_polynomial([0.0, -10.0, 0.5]),
+                                  0.0)]:
+            recorder.shots.clear()
+            numerov.spectrum_below(pot, C, numerov.default_config(pot, C, e_cap), e_cap)
+            taken[name] = len(recorder.shots)
+        assert all(taken[name] < before[name] for name in before)
+        assert sum(taken.values()) <= 0.7 * sum(before.values())
 
     def test_width_follows_the_float_spacing_at_large_energies(self, monkeypatch):
         # at |E| = 1e6 floats lie 1.16e-10 apart, so no bracket is 1e-10 wide;
@@ -392,6 +434,37 @@ class TestDerivedStepsAccuracy:
         got = numerov.spectrum_below(pot, C, numerov.default_config(pot, C, e_cap), e_cap)
         assert got.size == levels
         assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
+
+
+def sign_change(pot, cfg, bracket, parity):
+    """The lower end of a sign change of psi(x_max) in bracket, refined by bisection to adjacent floats."""
+    v = numerov._grid_potential(pot, C, cfg)
+    lo, hi = bracket
+    sign = math.copysign(1.0, numerov.shoot(pot, C, cfg, lo, parity, potential=v))
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if math.copysign(1.0, numerov.shoot(pot, C, cfg, mid, parity, potential=v)) == sign:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+class TestRoundingFloor:
+    """Refined to the float spacing, a level holds still as the step count
+    doubles past 10,000: the summed recurrence has no rounding floor.  The
+    three-term recurrence of psi moved these levels by 5.5e-10 and 6.9e-10
+    between 10,000 and 40,000 steps."""
+
+    @pytest.mark.parametrize("pot, level, x_max, bracket, parity", [
+        (PotentialSpec.quartic(1.06739), 0, 4.962148248076327, (0.6, 0.8), numerov.EVEN),
+        (ODD_LEVEL_POT, ODD_LEVEL, ODD_LEVEL_X_MAX, ODD_LEVEL_BRACKET, numerov.ODD),
+    ], ids=["quartic-ground", "odd-level-15.5"])
+    def test_level_holds_as_the_steps_double(self, pot, level, x_max, bracket, parity):
+        got = [sign_change(pot, numerov.ShootingConfig(x_max, steps), bracket, parity)
+               for steps in (10000, 20000, 40000)]
+        assert max(got) - min(got) <= 1e-12
+        want = lapack_level(pot, level)
+        assert all(abs(energy - want) <= 1e-11 for energy in got)
 
 
 class TestShootScan:

@@ -15,7 +15,9 @@ subprocess, and the two run at once.  Each runs four sweeps:
   each, energy caps 1, 3 and 8 above the potential minimum, and 2,000 and
   20,000 steps and the step count `numerov.default_config` takes by default,
   which `verify-mhu` runs: 90 spectra.  Every level is compared bit for
-  bit, and a spectrum that raises in either tree counts as differing.
+  bit, and a spectrum that raises in either tree counts as differing.  A
+  differing spectrum's line gives its largest |dE| / max(1, |E|), levels
+  paired by position, and its level counts where they changed.
 - node counts: `spectral.node_counts` on the quartic (lam 1) and the deep
   double well 0,-10,0.5 at dims 512 and 1024, four cases whose shared grids
   span many NODE_CHUNK chunks.  The counts are compared exactly.
@@ -28,7 +30,9 @@ subprocess, and the two run at once.  Each runs four sweeps:
 One line is printed per differing record, naming its fields, then one
 summary line per sweep.  Where an eigen solve's eigenvalues agree bit for
 bit and its eigenvectors do not, the line and the summary also give the
-largest 1 - |<v_old, v_new>| over the eigenvector columns.  Where a CLI
+largest 1 - |<v_old, v_new>| over the eigenvector columns.  The Numerov
+summary gives the largest level change over its differing spectra and how
+many changed their level count.  Where a CLI
 request's stdout differs and both are JSON reports, the line names the
 `results` keys that differ, each with its largest relative change, and the
 summary counts the requests each key moved on, per workload.  The exit
@@ -222,6 +226,16 @@ def _vector_angle(old, new):
     return float((1.0 - np.abs((v_old * v_new).sum(axis=0))).max())
 
 
+def _level_change(old, new):
+    """Largest |E_new - E_old| / max(1, |E_old|) over two spectra's levels, paired by position.
+
+    old and new are Numerov records' level lists, as float hex strings; 0.0
+    where either is empty.
+    """
+    return max((abs(float.fromhex(b) - float.fromhex(a)) / max(1.0, abs(float.fromhex(a)))
+                for a, b in zip(old, new)), default=0.0)
+
+
 def _relative_change(old, new):
     """Largest |new - old| / |old| between two JSON values; inf where they do not pair up.
 
@@ -265,7 +279,10 @@ def compare(old, new) -> int:
     exactly when every record agrees.  An eigen record whose eigenvalues
     agree bit for bit but whose eigenvectors differ also gets the largest
     1 - |<v_old, v_new>| over its columns, and its sweep's summary the
-    largest of those.  A CLI record whose stdout differs between two JSON
+    largest of those.  A Numerov record whose levels differ in both trees
+    gets the largest level change (`_level_change`) and its level counts
+    where they changed, and the Numerov summary the largest of those changes
+    and the number of changed counts.  A CLI record whose stdout differs between two JSON
     reports also gets its differing `results` keys and the largest relative
     change of each (`_results_changes`), and the CLI summary the number of
     requests each key moved on, per workload, with its largest change.
@@ -274,8 +291,8 @@ def compare(old, new) -> int:
     summaries = []
     for sweep, words in SWEEPS.items():
         pairs = list(itertools.zip_longest(old.get(sweep, []), new.get(sweep, [])))
-        differ = levels = 0
-        angles = []
+        differ = levels = recounted = 0
+        angles, level_changes = [], []
         # results key -> workloads of the requests it moved on, and its largest change
         moved = collections.defaultdict(collections.Counter)
         largest = {}
@@ -296,6 +313,14 @@ def compare(old, new) -> int:
                 if "eigenvectors" in names and "eigenvalues" not in names:
                     angles.append(_vector_angle(a[1], b[1]))
                     line += f" (eigenvalues bitwise; vectors within {angles[-1]:.1e})"
+                if "levels" in names and all("levels" in run[1] for run in (a, b)):
+                    old_levels, new_levels = a[1]["levels"], b[1]["levels"]
+                    level_changes.append(_level_change(old_levels, new_levels))
+                    line += f" (largest |dE| / max(1, |E|) {level_changes[-1]:.1e}"
+                    if len(old_levels) != len(new_levels):
+                        recounted += 1
+                        line += f"; {len(old_levels)} levels in OLD, {len(new_levels)} in NEW"
+                    line += ")"
                 changes = (_results_changes(a[1]["stdout"], b[1]["stdout"])
                            if sweep == "cli" and "stdout" in names else None)
                 if changes:
@@ -313,6 +338,9 @@ def compare(old, new) -> int:
         summary = f"{len(pairs) - differ} of {len(pairs)} {words}"
         if sweep == "numerov":
             summary += f" ({levels} levels)"
+        if level_changes:
+            summary += (f" ({len(level_changes)} with moved levels, largest |dE| / max(1, |E|) "
+                        f"{max(level_changes):.1e}; {recounted} with a changed level count)")
         if angles:
             summary += (f" ({len(angles)} with bitwise eigenvalues have vectors within "
                         f"{max(angles):.1e})")
