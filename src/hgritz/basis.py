@@ -95,20 +95,31 @@ _CARRY_STEP = 256
 _MIN_EXPONENT = -(2**30)
 
 
-def _recurrence(spec, xv, stop):
-    """Yield phi_0 .. phi_{stop - 1} on xv, one recurrence row at a time.
+def _recurrence(spec, xv, stop, out):
+    """Write phi_0 .. phi_{stop - 1} on xv into the rows of out, one at a time.
+
+    phi_k goes to out[k % len(out)], and its row is yielded once written:
+    a table of stop rows keeps them all, a ring of 3 rows the last three.
+    Each row is written in place with the same IEEE operations in the same
+    order as (sq2y * phi_k - sqrt(k) * phi_{k-1}) / sqrt(k + 1), so every
+    row is bitwise the same whatever out holds.
 
     Where phi_0 is a normal double the rows are the plain recurrence.  Past
     x = sqrt(1416 / alpha) phi_0 goes subnormal and then 0, and would take
     every later row with it although phi_r is O(0.1) out to its turning
     point.  At those points the recurrence also runs on mantissas that carry
-    a binary exponent, and its rows are written back as ldexp(mantissa,
-    exponent).  A grid without such points does no extra work.
+    a binary exponent, and the deep columns of each row are written back as
+    ldexp(mantissa, exponent).  A grid without such points does no extra
+    work.
     """
+    rows = list(out)
+    n_rows = len(rows)
     y = xv * math.sqrt(spec.alpha)
     sq2y = math.sqrt(2.0) * y
-    cur = (spec.alpha / math.pi) ** 0.25 * np.exp(-0.5 * y * y)
-    deep = np.flatnonzero(cur < _TINY)
+    row = rows[0]
+    np.exp(-0.5 * y * y, out=row)
+    row *= (spec.alpha / math.pi) ** 0.25
+    deep = np.flatnonzero(row < _TINY)
     if deep.size:
         with np.errstate(over="ignore"):
             log2_phi0 = (0.25 * math.log(spec.alpha / math.pi) - 0.5 * y[deep] ** 2) / math.log(2.0)
@@ -116,21 +127,34 @@ def _recurrence(spec, xv, stop):
         m_cur = np.exp2(log2_phi0 - exponent)
         m_below = np.zeros_like(m_cur)
         exponent = exponent.astype(np.int64)
-        cur[deep] = np.ldexp(m_cur, exponent)
-    below = np.zeros_like(cur)
+        row[deep] = np.ldexp(m_cur, exponent)
+        sq2y_deep = sq2y[deep]
+    term = np.empty_like(row)
+    # sqrt(k) as 0-d arrays, which ufuncs take faster than floats; np.sqrt
+    # and math.sqrt are both correctly rounded, so their bits agree
+    roots = np.sqrt(np.arange(stop, dtype=float))
+    root_next = roots[0, ...]
     for k in range(stop):
-        yield cur
+        yield rows[k % n_rows]
         if k + 1 == stop:
             return
-        below, cur = cur, (sq2y * cur - math.sqrt(k) * below) / math.sqrt(k + 1)
+        row = rows[(k + 1) % n_rows]
+        root, root_next = root_next, roots[k + 1, ...]
+        # each ufunc writes to its last argument
+        np.multiply(sq2y, rows[k % n_rows], row)
+        if k:
+            # at k = 0 the subtracted sqrt(0) phi_{-1} is 0 and the divisor 1
+            np.multiply(rows[(k - 1) % n_rows], root, term)
+            np.subtract(row, term, row)
+            np.divide(row, root_next, row)
         if deep.size:
-            m_below, m_cur = m_cur, (sq2y[deep] * m_cur - math.sqrt(k) * m_below) / math.sqrt(k + 1)
+            m_below, m_cur = m_cur, (sq2y_deep * m_cur - root * m_below) / root_next
             big = np.abs(m_cur) > 2.0**_CARRY_STEP
             if big.any():
                 m_cur[big] = np.ldexp(m_cur[big], -_CARRY_STEP)
                 m_below[big] = np.ldexp(m_below[big], -_CARRY_STEP)
                 exponent[big] += _CARRY_STEP
-            cur[deep] = np.ldexp(m_cur, exponent)
+            row[deep] = np.ldexp(m_cur, exponent)
 
 
 def basis_table(spec: BasisSpec, rmax: int, x) -> np.ndarray:
@@ -138,22 +162,24 @@ def basis_table(spec: BasisSpec, rmax: int, x) -> np.ndarray:
     rmax = check_index(rmax)
     xv, _ = _as_grid(x)
     out = np.empty((rmax + 1, xv.size))
-    for k, row in enumerate(_recurrence(spec, xv, rmax + 1)):
-        out[k] = row
+    for _ in _recurrence(spec, xv, rmax + 1, out):
+        pass
     return out
 
 
 def _phi_neighbours(spec, rows, xv):
     """(phi_{k-1}, phi_k, phi_{k+1}) on xv for each index k in rows.
 
-    One recurrence pass; returns three (len(rows), len(xv)) arrays, with
-    phi_{-1} = 0.  Only the rows asked for are kept.
+    One recurrence pass through a ring of three rows; returns three
+    (len(rows), len(xv)) arrays, with phi_{-1} = 0.  Only the rows asked for
+    are kept.
     """
     wanted = {k + d for k in rows for d in (-1, 0, 1)}
     kept = {-1: np.zeros_like(xv)}
-    for k, row in enumerate(_recurrence(spec, xv, max(rows) + 2)):
+    ring = np.empty((3, xv.size))
+    for k, row in enumerate(_recurrence(spec, xv, max(rows) + 2, ring)):
         if k in wanted:
-            kept[k] = row
+            kept[k] = row.copy()
     return tuple(np.array([kept[k + d] for k in rows]) for d in (-1, 0, 1))
 
 

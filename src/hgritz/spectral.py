@@ -36,9 +36,11 @@ NODE_GRID_POINTS = 2001
 #: its norm (see parity_classify).
 PARITY_TOL = 1e-10
 
-#: Points of the shared half-line grid that node_counts evaluates at a time,
-#: each point once; its working set is about (dim + states) x NODE_CHUNK floats.
-NODE_CHUNK = 512
+#: Basis-table entries of one node_counts chunk: a chunk takes
+#: NODE_TABLE_ENTRIES // min(dim, 256) points of the shared half-line grid,
+#: each point once, so a dim-256 chunk has 512 points and every dim past 256
+#: keeps 512.  Its working set is about (dim + states) x points floats.
+NODE_TABLE_ENTRIES = 512 * 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,25 +231,22 @@ def default_node_grid(spec: BasisSpec, pot: PotentialSpec, energy: float) -> np.
     return np.linspace(-half, half, NODE_GRID_POINTS)
 
 
-def _half_line_grid(spec: BasisSpec, turns: np.ndarray, dim: int) -> np.ndarray:
-    """Grid k h, k = 0, 1, ..., on [0, max(turns)] and at most one step past it.
+def _half_line_grid(spec: BasisSpec, turns: np.ndarray, dim: int) -> tuple[float, float]:
+    """(h, n): the grid k h, 0 <= k < n, spans [0, max(turns)] and at most a step more.
 
     h is the spacing of the finest default_node_grid over the outer turning
-    points `turns`, so no state is sampled more coarsely than there.  A
-    turning point far past where the dim basis functions live makes h too
-    coarse to resolve them: DegenerateInputError is raised where h exceeds
-    pi / sqrt(alpha (2 dim - 1)), the spacing of the nodes of phi_{dim-1}
-    near x = 0.
+    points `turns`, so no state is sampled more coarsely than there, and at
+    most pi / sqrt(alpha (2 dim - 1)), the spacing of the nodes of
+    phi_{dim-1} near x = 0, so no basis function is sampled more coarsely
+    than its nodes where a turning point lies far past them.  n is
+    math.inf where max(turns) / h overflows; node_counts builds the grid one
+    chunk at a time and ends it at its tail cut.
     """
     half = float(turns.min()) + 5.0 / math.sqrt(spec.alpha)
-    step = 2.0 * half / (NODE_GRID_POINTS - 1)
-    spacing = math.pi / (math.sqrt(spec.alpha) * math.sqrt(2 * dim - 1))
-    if step > spacing:
-        raise DegenerateInputError(
-            f"the node grid step {step:.3g}, set by the turning point {turns.min():.3g}, "
-            f"is coarser than the node spacing {spacing:.3g} of phi_{dim - 1} "
-            f"(basis width 1/sqrt(alpha) = {1.0 / math.sqrt(spec.alpha):.3g})")
-    return step * np.arange(math.ceil(float(turns.max()) / step) + 1)
+    step = min(2.0 * half / (NODE_GRID_POINTS - 1),
+               math.pi / (math.sqrt(spec.alpha) * math.sqrt(2 * dim - 1)))
+    end = float(turns.max()) / step
+    return step, (math.ceil(end) + 1 if math.isfinite(end) else math.inf)
 
 
 def node_counts(spec: BasisSpec, pot: PotentialSpec, spectrum: Spectrum) -> np.ndarray:
@@ -265,19 +264,40 @@ def node_counts(spec: BasisSpec, pot: PotentialSpec, spectrum: Spectrum) -> np.n
     and strict sign changes between the rest count.  The node count is twice
     that, plus one for an odd state, whose node at x = 0 the parity gives.
 
-    One pass evaluates the basis recurrence on NODE_CHUNK grid points at a
-    time, each point once.  The floor is known only when the pass ends, but
-    the peak only grows, so a sample at or under the floor of the peak so
-    far can never be kept.  Each chunk therefore keeps, per state, the
-    samples above that running floor as runs of one sign, and stores each
-    run as its sign and its largest |value|.  At the end a run survives
-    exactly when that value exceeds the final floor, so the sign changes
-    between kept samples are the changes of sign between consecutive
-    surviving runs: count_nodes' count bit for bit, in storage that grows
-    with the nodes, not with the grid.  Raises ValueError for a state whose
-    coefficients are not exactly even or odd in the index, and
-    DegenerateInputError for a state with no nonzero sample on its allowed
-    set.
+    One pass evaluates the basis recurrence on the grid a chunk at a time,
+    NODE_TABLE_ENTRIES // min(dim, 256) points each, each point once.  The
+    floor is known only when the pass ends, but the peak only grows, so a
+    sample at or under the floor of the peak so far can never be kept.
+    Each chunk therefore keeps, per state, the samples above that running
+    floor as runs of one sign, and stores each run as its sign and its
+    largest |value|.  At the end a run survives exactly when that value
+    exceeds the final floor, so the sign changes between kept samples are
+    the changes of sign between consecutive surviving runs: count_nodes'
+    count bit for bit, in storage that grows with the nodes, not with the
+    grid.
+
+    The pass ends early, at a tail cut.  phi_r solves
+    phi'' = alpha (alpha x^2 - (2 r + 1)) phi, so past
+    x_r = sqrt((2 r + 1) / alpha) it has no zero and phi_r phi_r'' > 0; as
+    phi_r -> 0, |phi_r| decreases there (from its last extremum, which lies
+    inside x_r).  For x >= x_c >= x_{dim-1} = sqrt((2 dim - 1) / alpha)
+    every |phi_r(x)|, r < dim, is then at most |phi_r(x_c)|, and
+    Cauchy-Schwarz gives |psi_i(x)| <= ||c_i|| sqrt(sum_r phi_r(x_c)^2),
+    with ||c_i||^2 <= 1 + 1e-10 by Spectrum's Gram check.  Where a chunk
+    ends at such an x_c and twice that bound is at most the running floor
+    of every state, the pass stops.  The factor 2 covers rounding: past
+    every x_r the computed phi_r and psi_i carry relative errors far below
+    1/3 wherever they are normal doubles.  Every sample dropped so lies at
+    or under its state's running floor, which is at or under its final one,
+    so count_nodes keeps none of them and the count is bit for bit its count
+    on the whole grid.  The bound is 0.0 where every phi_r(x_c) is, and
+    then every later sample is 0 too; so the pass ends within a bounded
+    number of chunks past x_{dim-1} on every input, however far the
+    turning points lie.
+
+    Raises ValueError for a state whose coefficients are not exactly even
+    or odd in the index, and DegenerateInputError for a state with no
+    nonzero sample on its allowed set.
     """
     coeffs = spectrum.eigenvectors
     energies = spectrum.eigenvalues
@@ -295,12 +315,17 @@ def node_counts(spec: BasisSpec, pot: PotentialSpec, spectrum: Spectrum) -> np.n
         blocks.append((p, states, energies[states], coeffs[p::2, states].T.copy()))
     # x_t rises with E: each parity's lowest and highest level bound the grid
     turns = [pot.turning_point(e[end], mass=spec.mass) for _, _, e, _ in blocks for end in (0, -1)]
-    grid = _half_line_grid(spec, np.array(turns), spectrum.dim)
+    step, stop = _half_line_grid(spec, np.array(turns), spectrum.dim)
+    points = NODE_TABLE_ENTRIES // min(spectrum.dim, 256)
+    x_top = math.sqrt((2 * spectrum.dim - 1) / spec.alpha)
 
     peak = np.zeros(spectrum.dim)
     run_states, run_signs, run_tops = [], [], []
-    for start in range(0, grid.size, NODE_CHUNK):
-        x = grid[start:start + NODE_CHUNK]
+    start = 0
+    while start < stop:
+        # bitwise the slice [start, start + points) of step * np.arange(stop)
+        x = step * np.arange(start, min(start + points, stop))
+        start += x.size
         table = basis_table(spec, spectrum.dim - 1, x)
         v = pot.value(x, mass=spec.mass)
         for p, states, sorted_energies, rows in blocks:
@@ -331,6 +356,11 @@ def node_counts(spec: BasisSpec, pot: PotentialSpec, spectrum: Spectrum) -> np.n
             run_states.append(reach[at // x.size])
             run_signs.append(positive[opens])
             run_tops.append(np.maximum.reduceat(size.ravel(), at))
+        if x[-1] >= x_top:
+            # the tail cut; math.hypot scales, so no square underflows
+            bound = 2.0 * math.sqrt(1.0 + 1e-10) * math.hypot(*table[:, -1].tolist())
+            if bound <= DEFAULT_AMPLITUDE_FLOOR * peak.min():
+                break
     if not peak.all():
         raise DegenerateInputError(f"state {int(np.argmin(peak))} has no nonzero "
                                    "sample on its allowed set")

@@ -6,6 +6,7 @@ import pytest
 from helpers import (HERMITE_EVAL_MAX, basis_table_decimal, hermite_eval,
                      x_recurrence_coeffs)
 
+import hgritz.basis as basis
 from hgritz import (BasisSpec, MAX_INDEX, basis_derivative, basis_table,
                     basis_value)
 
@@ -213,6 +214,56 @@ def test_basis_table_bits_unchanged_where_seed_is_normal():
     envelope = np.maximum.accumulate(np.abs(want), axis=0)[300]
     assert np.all(np.abs(got[300, ~normal] - want[300]) <= 1e-10 * envelope)
     assert not np.all(np.abs(plain[300, ~normal] - want[300]) <= 1e-10 * envelope)
+
+
+def _stacked_rows(spec, rmax, x):
+    """The recurrence row by row in fresh arrays, with the carried exponent, stacked.
+
+    The reference for basis_table's in-place rows: each row is
+    (sq2y * phi_k - sqrt(k) * phi_{k-1}) / sqrt(k + 1) in its own temporaries.
+    """
+    y = np.asarray(x, dtype=float) * math.sqrt(spec.alpha)
+    sq2y = math.sqrt(2.0) * y
+    cur = (spec.alpha / math.pi) ** 0.25 * np.exp(-0.5 * y * y)
+    deep = np.flatnonzero(cur < np.finfo(float).tiny)
+    with np.errstate(over="ignore"):
+        log2_phi0 = (0.25 * math.log(spec.alpha / math.pi) - 0.5 * y[deep] ** 2) / math.log(2.0)
+    exponent = np.maximum(np.floor(log2_phi0), -(2**30))
+    m_cur = np.exp2(log2_phi0 - exponent)
+    m_below = np.zeros_like(m_cur)
+    exponent = exponent.astype(np.int64)
+    cur[deep] = np.ldexp(m_cur, exponent)
+    below = np.zeros_like(cur)
+    rows = [cur]
+    for k in range(rmax):
+        below, cur = cur, (sq2y * cur - math.sqrt(k) * below) / math.sqrt(k + 1)
+        m_below, m_cur = m_cur, (sq2y[deep] * m_cur - math.sqrt(k) * m_below) / math.sqrt(k + 1)
+        big = np.abs(m_cur) > 2.0**256
+        m_cur[big] = np.ldexp(m_cur[big], -256)
+        m_below[big] = np.ldexp(m_below[big], -256)
+        exponent[big] += 256
+        cur[deep] = np.ldexp(m_cur, exponent)
+        rows.append(cur)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("alpha, x, rmax", [
+    (1.8, np.linspace(-20.0, 20.0, 161), 300),     # alpha x^2 <= 720: no carried point
+    (1.8, np.linspace(-40.0, 40.0, 161), 300),     # straddles alpha x^2 = 1416
+    (4.0, np.linspace(19.0, 60.0, 83), 300),       # alpha x^2 >= 1444: every point carried
+    (0.7, np.linspace(-60.0, 60.0, 13), MAX_INDEX - 1),
+], ids=["below", "straddling", "above", "index-cap"])
+def test_basis_table_rows_bitwise_equal_the_stacked_recurrence(alpha, x, rmax):
+    spec = BasisSpec(alpha)
+    got = basis_table(spec, rmax, x)
+    want = _stacked_rows(spec, rmax, x)
+    assert got.tobytes() == want.tobytes()
+    # a ring of three rows yields the same rows as the whole table
+    ring = np.empty((3, x.size))
+    rows = [row.copy() for row in basis._recurrence(spec, x, rmax + 1, ring)]
+    assert np.array(rows).tobytes() == got.tobytes()
+    for r in (0, 1, rmax):
+        assert basis_value(spec, r, x).tobytes() == got[r].tobytes()
 
 
 def test_far_points_give_zero():

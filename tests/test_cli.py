@@ -182,9 +182,9 @@ class TestSolve:
             elements.append(1)
             return element_oracle(*args, **kwargs)
 
-        def counted_pass(spec, xv, stop):
+        def counted_pass(spec, xv, stop, out):
             passes.append(stop)
-            return recurrence(spec, xv, stop)
+            return recurrence(spec, xv, stop, out)
 
         monkeypatch.setattr(quadrature, "element_oracle", counted_element)
         monkeypatch.setattr(basis, "_recurrence", counted_pass)
@@ -565,20 +565,23 @@ def test_kinetic_scale_past_the_squares_range_solves(capsys, mass, hbar, alpha, 
     assert [row["nodes"] for row in rows] == [0, 1, 2]
 
 
-@pytest.mark.parametrize("argv,turn", [(["--alpha", "1e10", "--dim", "3"], "1.93e+77"),
-                                       (["--dim", "6"], "5.55e+74")],
-                         ids=["e-over-lambda-overflows", "dim-6"])
-def test_turning_point_far_past_the_basis_is_named(capsys, argv, turn):
-    # lambda 1e-300: the Ritz levels put the turning point near 1e75 or past,
-    # which sets a node grid step far coarser than the basis functions
+@pytest.mark.parametrize("argv", [
+    ["--potential", "quartic", "--lambda", "1e-300", "--alpha", "1e10", "--dim", "3"],
+    ["--potential", "quartic", "--lambda", "1e-300", "--dim", "6"],
+    ["--potential", "harmonic", "--omega", "0.000867646", "--alpha", "5.04458", "--dim", "3"],
+    ["--potential", "harmonic", "--omega", "1e-9", "--dim", "8"],
+], ids=["e-over-lambda-overflows", "dim-6", "harmonic-turning-point-1.8e+03",
+        "harmonic-omega-1e-9"])
+def test_turning_point_far_past_the_basis_is_answered(capsys, argv):
+    # the Ritz levels put the turning point near 1e3 to 1e77, far past the
+    # basis functions: the node grid keeps their node spacing, the tail cut
+    # ends it past the basis top, and every state gets its count
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, out, err = run_cli(capsys, ["solve", "--potential", "quartic",
-                                          "--lambda", "1e-300", *argv])
-    assert (code, out) == (1, "")
-    assert err.startswith("error: the node grid step ")
-    assert f"set by the turning point {turn}, is coarser than the node spacing" in err
-    assert "basis width 1/sqrt(alpha) = " in err
+        code, out, err = run_cli(capsys, ["solve", *argv, "--format", "json"])
+    assert (code, err) == (0, "")
+    rows = json.loads(out)["results"]
+    assert [row["nodes"] for row in rows] == list(range(len(rows)))
 
 
 def test_even_polynomial_turning_point_overflow_is_named(capsys):

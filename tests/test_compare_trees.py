@@ -206,8 +206,10 @@ def test_cli_stdout_that_is_no_report_names_no_keys(capsys):
 
 @pytest.mark.parametrize("old, new, change", [
     (2.0, 2.5, 0.25), ([1.0, [4.0, 8.0]], [1.0, [5.0, 8.0]], 0.25), (3, 3, 0.0),
-    (0.0, 1e-300, math.inf), (True, False, math.inf), ([1.0], [1.0, 2.0], math.inf),
-    ("a", "b", math.inf), (1.0, None, math.inf)])
+    (0.0, 1e-300, 1e-300), (True, False, math.inf), ([1.0], [1.0, 2.0], math.inf),
+    ("a", "b", math.inf), (1.0, None, math.inf),
+    # below 1 in size the change is absolute: a level near 0 is not magnified
+    (0.5, 0.75, 0.25), (-0.25, 0.25, 0.5)])
 def test_relative_change(old, new, change):
     assert compare_trees._relative_change(old, new) == change
 

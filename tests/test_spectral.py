@@ -179,7 +179,8 @@ def allowed_samples(spec, pot, spectrum):
     """
     energies = spectrum.eigenvalues
     turns = np.array([pot.turning_point(e, mass=spec.mass) for e in energies])
-    grid = spectral._half_line_grid(spec, turns, spectrum.dim)
+    step, size = spectral._half_line_grid(spec, turns, spectrum.dim)
+    grid = step * np.arange(size)
     values = spectrum.eigenvectors.T @ basis_table(spec, spectrum.dim - 1, grid)
     potential = pot.value(grid, mass=spec.mass)
     out = []
@@ -192,13 +193,15 @@ def allowed_samples(spec, pot, spectrum):
 class TestNodeCounts:
     QUART = PotentialSpec.quartic(1.0)
     DEEP = PotentialSpec.even_polynomial((0.0, -10.0, 0.5))
+    FAR = PotentialSpec.harmonic(0.513853)
 
     def test_shared_grid_no_coarser_than_default_grids(self):
         spectrum = solve_spectrum(self.QUART, C, 1.8, 40)
         spec = BasisSpec(1.8)
         energies = spectrum.eigenvalues
         turns = np.array([self.QUART.turning_point(e, mass=1.0) for e in energies])
-        grid = spectral._half_line_grid(spec, turns, spectrum.dim)
+        step, size = spectral._half_line_grid(spec, turns, spectrum.dim)
+        grid = step * np.arange(size)
         finest = min(np.diff(default_node_grid(spec, self.QUART, e)).min() for e in energies)
         assert grid[0] == 0.0
         assert np.diff(grid).max() <= finest * (1.0 + 1e-12)
@@ -227,7 +230,7 @@ class TestNodeCounts:
                  (where[drop] + 1, floor),    # the dropped sample closes a chunk
                  (1, floor), (1, default)]    # every sample is a chunk boundary
         for chunk, amplitude_floor in cases:
-            monkeypatch.setattr(spectral, "NODE_CHUNK", int(chunk))
+            monkeypatch.setattr(spectral, "NODE_TABLE_ENTRIES", int(chunk) * spectrum.dim)
             monkeypatch.setattr(spectral, "DEFAULT_AMPLITUDE_FLOOR", amplitude_floor)
             want = reference(amplitude_floor)
             assert want[9] == 9
@@ -240,7 +243,7 @@ class TestNodeCounts:
         samples = allowed_samples(spec, self.DEEP, deep)
         odd = [parity_classify(c) == "odd" for c in deep.eigenvectors.T]
         assert samples[0][0][0] >= 2 * 16 and samples[1][0][0] >= 2 * 16
-        monkeypatch.setattr(spectral, "NODE_CHUNK", 16)
+        monkeypatch.setattr(spectral, "NODE_TABLE_ENTRIES", 16 * deep.dim)
         monkeypatch.setattr(spectral, "DEFAULT_AMPLITUDE_FLOOR", default)
         want = [2 * count_nodes(v, default) + o for (_, v), o in zip(samples, odd)]
         assert node_counts(spec, self.DEEP, deep).tolist() == want
@@ -266,7 +269,7 @@ class TestNodeCounts:
         changes = [np.count_nonzero(np.diff(np.sign(values[k])))
                    for k in (kept, kept | (np.arange(values.size) == drop))]
         assert changes[0] == changes[1] - 1
-        monkeypatch.setattr(spectral, "NODE_CHUNK", chunk)
+        monkeypatch.setattr(spectral, "NODE_TABLE_ENTRIES", chunk * spectrum.dim)
         monkeypatch.setattr(spectral, "DEFAULT_AMPLITUDE_FLOOR", floor)
         got = node_counts(spec, self.QUART, spectrum)
         want = [2 * count_nodes(v, floor) + o for (_, v), o in zip(samples, odd)]
@@ -277,7 +280,10 @@ class TestNodeCounts:
         spectrum = solve_spectrum(self.DEEP, C, 1.59369, 69)
         spec = BasisSpec(1.59369)
         turns = np.array([self.DEEP.turning_point(e, mass=1.0) for e in spectrum.eigenvalues])
-        grid = spectral._half_line_grid(spec, turns, spectrum.dim)
+        step, size = spectral._half_line_grid(spec, turns, spectrum.dim)
+        grid = step * np.arange(size)
+        # the grid ends inside the basis top, so the pass covers all of it
+        assert grid[-1] < math.sqrt((2 * 69 - 1) / 1.59369)
         chunks = []
 
         def table(spec_, rmax, x):
@@ -285,9 +291,64 @@ class TestNodeCounts:
             return basis_table(spec_, rmax, x)
 
         monkeypatch.setattr(spectral, "basis_table", table)
+        monkeypatch.setattr(spectral, "NODE_TABLE_ENTRIES", 512 * 69)
         node_counts(spec, self.DEEP, spectrum)
-        assert len(chunks) == math.ceil(grid.size / spectral.NODE_CHUNK) > 1
+        assert len(chunks) == math.ceil(grid.size / 512) > 1
         assert np.array_equal(np.concatenate(chunks), grid)
+
+    def test_tail_cut_counts_equal_the_whole_grid(self, monkeypatch):
+        # the harmonic turning points lie near 22, the basis top near 6.5:
+        # at any chunk size the pass evaluates a prefix of the grid that ends
+        # past the basis top, and its counts are those of the whole grid
+        spectrum = solve_spectrum(self.FAR, C, 1.87333, 40)
+        spec = BasisSpec(1.87333)
+        samples = allowed_samples(spec, self.FAR, spectrum)
+        turns = np.array([self.FAR.turning_point(e, mass=1.0) for e in spectrum.eigenvalues])
+        step, size = spectral._half_line_grid(spec, turns, spectrum.dim)
+        grid = step * np.arange(size)
+        odd = [parity_classify(c) == "odd" for c in spectrum.eigenvectors.T]
+        chunks = []
+
+        def table(spec_, rmax, x):
+            chunks.append(np.array(x))
+            return basis_table(spec_, rmax, x)
+
+        monkeypatch.setattr(spectral, "basis_table", table)
+        want = [2 * count_nodes(values) + o for (_, values), o in zip(samples, odd)]
+        assert want == list(range(40))
+        for chunk in (None, 700, 16, 1):
+            if chunk is not None:
+                monkeypatch.setattr(spectral, "NODE_TABLE_ENTRIES", chunk * 40)
+            chunks.clear()
+            assert node_counts(spec, self.FAR, spectrum).tolist() == want, chunk
+            seen = np.concatenate(chunks)
+            assert seen.size < grid.size and np.array_equal(seen, grid[:seen.size]), chunk
+            assert seen[-1] >= math.sqrt((2 * 40 - 1) / 1.87333), chunk
+            # every sample left out lies at or under its state's floor
+            for where, values in samples:
+                floor = spectral.DEFAULT_AMPLITUDE_FLOOR * np.abs(values).max()
+                assert np.all(np.abs(values[where >= seen.size]) <= floor), chunk
+        # point by point the pass stops short of half the grid
+        assert seen.size < grid.size / 2
+
+    @pytest.mark.parametrize("dim, points", [(8, 16384), (40, 3276), (255, 514),
+                                             (256, 512), (300, 512)])
+    def test_chunks_follow_the_dim_budget(self, monkeypatch, dim, points):
+        # a chunk's table holds at most 512 x 256 entries up to dim 256, and
+        # larger dims keep 512 points; omega 1e-6 puts the turning points
+        # near 1e6, so the grid holds far more points than any chunk
+        assert spectral.NODE_TABLE_ENTRIES == 512 * 256
+        pot = PotentialSpec.harmonic(1e-6)
+        spectrum = solve_spectrum(pot, C, 1.0, dim)
+        sizes = []
+
+        def table(spec_, rmax, x):
+            sizes.append(np.size(x))
+            return basis_table(spec_, rmax, x)
+
+        monkeypatch.setattr(spectral, "basis_table", table)
+        assert node_counts(SPEC1, pot, spectrum).tolist() == list(range(dim))
+        assert sizes == [points] * len(sizes)
 
     def test_turning_points_only_at_the_parity_ends(self, monkeypatch):
         spectrum = solve_spectrum(self.DEEP, C, 1.59369, 69)

@@ -19,8 +19,12 @@ subprocess, and the two run at once.  Each runs four sweeps:
   differing spectrum's line gives its largest |dE| / max(1, |E|), levels
   paired by position, and its level counts where they changed.
 - node counts: `spectral.node_counts` on the quartic (lam 1) and the deep
-  double well 0,-10,0.5 at dims 512 and 1024, four cases whose shared grids
-  span many NODE_CHUNK chunks.  The counts are compared exactly.
+  double well 0,-10,0.5 at dims 512 and 1024, whose shared grids span many
+  chunks; on two harmonic wells whose turning points lie far past the basis
+  functions, so that the tail cut ends the pass; and on a harmonic dim-3
+  request whose turning point, near 1.8e3, once made the grid step too
+  coarse and the count raise.  The counts are compared exactly, and a case
+  that raises is compared by its exception's text.
 - CLI reports: the first 40 requests of each benchmark workload (solve,
   minimize, certify) on seeds 1 to 3, as `bench/workloads.stream` makes
   them, through `hgritz.cli.main(argv + ["--format", "json"])`, the call the
@@ -34,8 +38,9 @@ largest 1 - |<v_old, v_new>| over the eigenvector columns.  The Numerov
 summary gives the largest level change over its differing spectra and how
 many changed their level count.  Where a CLI
 request's stdout differs and both are JSON reports, the line names the
-`results` keys that differ, each with its largest relative change, and the
-summary counts the requests each key moved on, per workload.  The exit
+`results` keys that differ, each with its largest relative change
+|new - old| / max(1, |old|), the scale of the Numerov sweep, and the summary
+counts the requests each key moved on, per workload.  The exit
 code is 0 exactly when every record agrees.
 """
 
@@ -93,9 +98,16 @@ NUMEROV_SPANS = (1.0, 3.0, 8.0)
 #: runs unless --numerov-steps is given.
 NUMEROV_STEPS = (2000, 20000, None)
 
-NODE_CASES = (("quartic", "quartic", 1.0, 1.8),
-              ("deep_double_well", "even_polynomial", (0.0, -10.0, 0.5), 1.59369))
-NODE_DIMS = (512, 1024)
+#: (name, potential kind, its parameter, alpha, dim) of each node count.
+NODE_CASES = (
+    ("quartic", "quartic", 1.0, 1.8, 512),
+    ("quartic", "quartic", 1.0, 1.8, 1024),
+    ("deep_double_well", "even_polynomial", (0.0, -10.0, 0.5), 1.59369, 512),
+    ("deep_double_well", "even_polynomial", (0.0, -10.0, 0.5), 1.59369, 1024),
+    ("far_harmonic", "harmonic", 0.513853, 1.87333, 247),
+    ("far_harmonic", "harmonic", 0.05, 2.0, 100),
+    ("farthest_harmonic", "harmonic", 0.000867646, 5.04458, 3),
+)
 
 WORKLOADS = ("solve", "minimize", "certify")
 SEEDS = (1, 2, 3)
@@ -162,7 +174,7 @@ def _node_sweep():
     from hgritz import BasisSpec, Constants, node_counts, solve_spectrum
 
     out = []
-    for (name, kind, value, alpha), dim in itertools.product(NODE_CASES, NODE_DIMS):
+    for name, kind, value, alpha, dim in NODE_CASES:
         pot = _potential(kind, value)
         spectrum = solve_spectrum(pot, Constants(), alpha, dim)
         try:
@@ -237,19 +249,19 @@ def _level_change(old, new):
 
 
 def _relative_change(old, new):
-    """Largest |new - old| / |old| between two JSON values; inf where they do not pair up.
+    """Largest |new - old| / max(1, |old|) of two JSON values; inf where they do not pair up.
 
     Lists pair entry by entry and must have one length; numbers (not
-    booleans) compare by relative change, inf from 0 to anything else;
-    anything else is 0 when equal and inf when not.
+    booleans) compare by that change, as `_level_change` does, so a level
+    near 0 is not magnified; anything else is 0 when equal and inf when not.
     """
     if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
         return max((_relative_change(a, b) for a, b in zip(old, new)), default=0.0)
     if old == new:
         return 0.0
     numbers = [isinstance(x, (int, float)) and not isinstance(x, bool) for x in (old, new)]
-    if all(numbers) and old != 0:
-        return abs(new - old) / abs(old)
+    if all(numbers):
+        return abs(new - old) / max(1.0, abs(old))
     return math.inf
 
 
