@@ -210,11 +210,17 @@ def _exact_values(args, parser, pot, constants, table):
             parser.error("--exact analytic applies only to the harmonic potential")
         return [(i + 0.5) * constants.hbar * pot.omega for i in range(levels)]
     # numerov reference values: scan just past the highest wanted Ritz level,
-    # which bounds the exact one from above
+    # which bounds the exact one from above.  Where the scan finds fewer (the
+    # table breaks that bound), it is widened until the reference is whole:
+    # the bound check must see every wanted level.
+    v_min = pot.minimum(mass=constants.mass)
     e_cap = float(table.spectra[-1][levels - 1]) + 1e-9
-    cfg = numerov.default_config(pot, constants, e_cap, steps=args.numerov_steps)
-    exact = numerov.spectrum_below(pot, constants, cfg, e_cap)
-    return list(exact[:levels])
+    while True:
+        cfg = numerov.default_config(pot, constants, e_cap, steps=args.numerov_steps)
+        exact = numerov.spectrum_below(pot, constants, cfg, e_cap)
+        if exact.size >= levels:
+            return list(exact[:levels])
+        e_cap = v_min + 2.0 * (e_cap - v_min)
 
 
 def _run_verify_mhu(args, parser, pot, constants) -> int:

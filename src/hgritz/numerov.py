@@ -7,11 +7,11 @@ so the even and odd channels decouple), and refine each level on the sign
 of psi(x_max).  The three-point scheme is fourth order in the step: its
 eigenvalue error grows as (h k)^4 with the local wave number
 k = sqrt(2m (E - V)) / hbar (Cooley 1961, Math. Comp. 15:363).
-`default_config` takes the fewest steps, at least DEFAULT_STEPS, that keep
+`spectrum_below` is the one entry that returns levels; `default_config`
+sizes its grid, taking the fewest steps, at least DEFAULT_STEPS, that keep
 h k_max <= MAX_STEP_PHASE at the top wanted level: 5,000 for every level up
 to x_max k_max = 50, and 9,186 for the 40th quartic level at alpha 3, where
-5,000 steps leave that level 2.5e-10 off.  The CLI uses the levels as
-refined at one step count; `richardson4` is not applied to them.
+5,000 steps leave that level 2.5e-10 off.
 
 Every integration runs the recurrence in summed form (Blatt 1967, J. Comput.
 Phys. 1:382) on u = P psi, P = 1 - (h^2/12)(2m/hbar^2)(V - E): with
@@ -29,15 +29,15 @@ time.
 
 The energy scan that brackets the levels runs every scan energy of both
 channels through one vectorized recurrence (`shoot_scan`), bitwise equal
-to scalar `shoot` at each of them, and counts the sign changes of each
-trajectory, a discrete Sturm count that says how many levels every scan
-cell holds.  Refinement shoots and node-count trajectories stay scalar, where
-one energy is cheaper in Python floats than in numpy; a node-count trajectory
-is integrated only up to the cut its count reads.  Each one-level cell is
-refined by Brent's method with the ITP projection (`_bisect`): a sign change
-of psi(x_max) at most 1e-10 wide, in at most one shoot more than bisection
-would take.  `spectrum_below` computes V on the grid once and hands it to
-the scan and to every shoot.
+to the scalar integration `_shoot` at each of them, and counts the sign
+changes of each trajectory, a discrete Sturm count that says how many levels
+every scan cell holds.  Refinement shoots and node-count trajectories stay
+scalar, where one energy is cheaper in Python floats than in numpy; a
+node-count trajectory is integrated only up to the cut its count reads.
+Each one-level cell is refined by Brent's method with the ITP projection
+(`_bisect`): a sign change of psi(x_max) at most 1e-10 wide, in at most one
+shoot more than bisection would take.  `spectrum_below` computes V on the
+grid once and hands it to the scan and to every shoot.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ MAX_STEPS = 1_000_000
 #: Magnitude threshold that triggers internal rescaling during propagation.
 _RESCALE_AT = 1e250
 
-#: Steps per block of `shoot_scan`'s coefficients.
+#: Most steps per block of `shoot_scan`'s coefficients.
 _CHUNK = 64
 
 #: Most energies `spectrum_below` scans.  Each chunk of `shoot_scan` holds
@@ -249,28 +249,15 @@ def _seed(pot, constants, config, v0, energy, parity):
     return 0.0, h * (1.0 + h * h * f0 / 6.0 + (h**4 / 120.0) * (f0 * f0 + 3.0 * fpp0))
 
 
-def shoot(pot: PotentialSpec, constants: Constants, config: ShootingConfig,
-          energy: float, parity: str, *, potential: np.ndarray | None = None):
-    """Integrate outward from x = 0 in the given parity channel; return psi(x_max).
-
-    Even channel starts psi(0) = 1, psi'(0) = 0; odd starts psi(0) = 0,
-    psi'(0) = 1; the first step comes from the parity-adapted Taylor
-    expansion so the seed error stays below the scheme's order.  Sign changes of
-    the returned value in E bracket eigenvalues.  Growing solutions are
-    rescaled internally when they threaten overflow (sign is preserved, so
-    bracketing is unaffected).  `potential` is V on the grid, as
-    `spectrum_below` shares it between its shoots; None computes it here.
-    """
-    if parity not in (EVEN, ODD):
-        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    energy = float(energy)
-    _check_domain(pot, constants, config, energy)
-    return _shoot(pot, constants, config, energy, parity,
-                  _grid_potential(pot, constants, config, potential))
-
-
 def _shoot(pot, constants, config, energy, parity, potential):
-    """`shoot` at a float energy whose domain is already checked; potential is V on the grid."""
+    """psi(x_max) of one parity channel at a float energy; potential is V on the grid.
+
+    Even starts psi(0) = 1, psi'(0) = 0 and odd psi(0) = 0, psi'(0) = 1, the
+    first step from the Taylor expansion of `_seed`.  Sign changes of the
+    value in E bracket levels.  u and d are scaled by 1 / |u| wherever |u|
+    passes _RESCALE_AT, which keeps every sign.  The caller has checked the
+    domain at this energy or above (`_check_domain`).
+    """
     deltas, pfac = _step_lists(constants, config, potential, energy)
     psi_0, psi_1 = _seed(pot, constants, config, float(potential[0]), energy, parity)
     u = float(pfac[1]) * psi_1
@@ -289,11 +276,14 @@ def _shoot(pot, constants, config, energy, parity, potential):
 
 
 def _trajectory(pot, constants, config, energy, parity, potential, stop):
-    """psi_0 .. psi_{stop - 1} of `shoot`'s recurrence, unscaled and unchecked.
+    """psi_0 .. psi_{stop - 1} of `_shoot`'s recurrence, up to one power of two.
 
     Each sample is read as u_i / P_i.  The coefficients are formed
     elementwise from V on those points alone, so the samples are those of a
-    whole-grid integration, bit for bit.
+    whole-grid integration.  Where |u| passes _RESCALE_AT, u, d and every
+    sample so far are scaled by one power of two: exact, but for samples some
+    10^-250 under |u| that may underflow, far below any node-count floor.  So
+    counts read the unscaled samples' bits wherever those stay finite.
     """
     deltas, pfac = _step_lists(constants, config, potential[:max(stop, 2)], energy)
     psi_0, psi_1 = _seed(pot, constants, config, float(potential[0]), energy, parity)
@@ -304,6 +294,10 @@ def _trajectory(pot, constants, config, energy, parity, potential, stop):
         d += delta * u
         u += d
         traj.append(u)
+        if abs(u) > _RESCALE_AT:
+            shift = -math.frexp(u)[1]
+            d, u = math.ldexp(d, shift), math.ldexp(u, shift)
+            traj = [math.ldexp(sample, shift) for sample in traj]
     if not math.isfinite(u):
         raise OverflowError("propagation overflowed before the node cut")
     return np.asarray(traj[:stop]) / pfac[:stop]
@@ -314,7 +308,7 @@ def _scan_chunk(constants, config, gap, d, u):
 
     Returns d and u after the chunk and how often each energy's u changed
     sign in it.  The steps run unchecked first, keeping every u; the chunk
-    is rerun step by step with `shoot`'s rescaling if any |u| in it passed
+    is rerun step by step with `_shoot`'s rescaling if any |u| in it passed
     _RESCALE_AT.  Nothing of the chunk outlives the call.  One loop that
     rescales at every step gives the same bits but is slower (20,000 quartic
     steps at 64 energies: 0.17 against 0.055 s), so the unchecked pass stays.
@@ -338,7 +332,7 @@ def _scan_chunk(constants, config, gap, d, u):
 
 
 def _steps_rescaled(delta, d, u):
-    """The same steps, rescaling each energy exactly where `shoot` would."""
+    """The same steps, rescaling each energy exactly where `_shoot` would."""
     d, u = d.copy(), u.copy()
     changes = np.zeros(u.shape, dtype=int)
     for dl in delta:
@@ -359,7 +353,7 @@ def shoot_scan(pot: PotentialSpec, constants: Constants, config: ShootingConfig,
     """psi(x_max) and its trajectory's sign changes at every energy, in both channels.
 
     Returns two arrays of shape (2, len(energies)), row 0 for the even channel
-    and row 1 for the odd one.  Entry [p, j] of the first is bitwise `shoot`
+    and row 1 for the odd one.  Entry [p, j] of the first is bitwise `_shoot`
     at energies[j] with that parity.  Entry [p, j] of the second counts the
     sign changes of u_0, u_1, ..., u_steps there (a +-0.0 counts by its sign
     bit, as `math.copysign` reads it).  This is a discrete Sturm count: the
@@ -369,9 +363,11 @@ def shoot_scan(pot: PotentialSpec, constants: Constants, config: ShootingConfig,
     cell is the number of levels inside.  Every P_i is checked positive, so
     the sign changes of u are those of psi.  All energies of both channels
     step together through one recurrence, since they share every coefficient
-    and differ only in the seed.  Coefficients are formed _CHUNK steps at a
-    time (`_scan_chunk`), so the working set is O(_CHUNK x energies) at any
-    step count.  `potential` is V on the grid, as for `shoot`.
+    and differ only in the seed.  Coefficients are formed a block of steps at
+    a time (`_scan_chunk`): _CHUNK steps up to _CHUNK energies, and fewer
+    past that, down to 8, so that a block holds about _CHUNK^2 entries per
+    channel and stays in cache.  The working set is O(_CHUNK x energies) at
+    any step count.  `potential` is V on the grid; None computes it here.
     """
     energies = np.asarray(energies, dtype=float)
     _check_domain(pot, constants, config, float(energies.max()))
@@ -387,9 +383,10 @@ def shoot_scan(pot: PotentialSpec, constants: Constants, config: ShootingConfig,
     u = ends[1] * np.concatenate([psi_1e, psi_1o])
     d = u - u_0
     changes = (np.signbit(u_0) != np.signbit(u)).astype(int)
+    rows = min(_CHUNK, max(8, _CHUNK * _CHUNK // energies.size))
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(1, n, _CHUNK):
-            hi = min(lo + _CHUNK, n)
+        for lo in range(1, n, rows):
+            hi = min(lo + rows, n)
             d, u, chunk_changes = _scan_chunk(
                 constants, config, v[lo:hi, None] - both, d, u)
             changes += chunk_changes
@@ -399,25 +396,8 @@ def shoot_scan(pot: PotentialSpec, constants: Constants, config: ShootingConfig,
     return psi.reshape(2, energies.size), changes.reshape(2, energies.size)
 
 
-def eigenvalue(pot: PotentialSpec, constants: Constants, config: ShootingConfig,
-               bracket: tuple[float, float], parity: str) -> float:
-    """Refine bracket = (lo, hi) to a sign change of psi(x_max) at most 1e-10 wide.
-
-    lo and hi must be finite with lo < hi, and parity "even" or "odd".  The
-    result is `_bisect`'s, as `spectrum_below` gets it for a scan cell
-    (lo, hi).
-    """
-    lo, hi = (float(end) for end in bracket)
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise ValueError(f"energy bracket must satisfy lo < hi, got {bracket!r}")
-    potential = _grid_potential(pot, constants, config)
-    flo, fhi = (shoot(pot, constants, config, end, parity, potential=potential)
-                for end in (lo, hi))
-    return _bisect(pot, constants, config, parity, lo, hi, flo, fhi, potential)
-
-
 def _bisect(pot, constants, config, parity, lo, hi, flo, fhi, potential):
-    """`eigenvalue` on (lo, hi), given psi(x_max) at both ends as flo and fhi.
+    """A sign change of psi(x_max) in (lo, hi), given psi(x_max) at both ends as flo and fhi.
 
     Brent's method (`_brent_point`) narrows (lo, hi) on the sign of
     psi(x_max) until the sign change is at most width = _LEVEL_WIDTH wide,
@@ -437,9 +417,9 @@ def _bisect(pot, constants, config, parity, lo, hi, flo, fhi, potential):
     sign changes, within the width of the others.  `potential` is V on the
     grid, shared by every shoot.
 
-    The shoots inside (lo, hi) skip `shoot`'s domain check: the callers
-    have checked it at hi or above, which covers every energy below (see
-    `_check_domain`).
+    The shoots inside (lo, hi) check no domain: the callers have checked
+    it at hi or above, which covers every energy below (see
+    `_check_domain`).  Ends of one sign raise BracketingError.
     """
     if flo == 0.0:
         return lo
@@ -523,34 +503,27 @@ def _trajectory_nodes(pot, constants, config, energy, parity, potential):
 
 
 def spectrum_below(pot: PotentialSpec, constants: Constants,
-                   config: ShootingConfig, e_cap: float, *,
-                   scan_points: int | None = None) -> np.ndarray:
+                   config: ShootingConfig, e_cap: float) -> np.ndarray:
     """All eigenvalues below e_cap, both parity channels, ascending.
 
     The scan starts at min V, where no level lies, and takes
-    max(64, 8 (e_cap - min V)) energies unless `scan_points` says otherwise;
-    an explicit `scan_points` must be finite and at least 2, since one
-    energy makes no cell, and int(scan_points) energies are scanned.
-    One `shoot_scan` of both channels gives psi(x_max) and the Sturm count
-    at every scan energy.  The count at a cell's upper end minus that at its
-    lower end is the number of levels in the cell, and each cell holding one
-    is refined by `_bisect` from the scan's psi(x_max) at its ends.  A
-    nonzero count at min V, or two levels sharing a cell, raise
-    ScanResolutionError from the counts alone, whatever a refinement would
-    find, so no level is dropped silently.  Each refined state is also
-    checked to carry as many nodes as the count gives levels below it.  A
-    scan of more than MAX_SCAN_POINTS energies raises ScanResolutionError
-    before it is allocated.  V on the grid is computed once, for the scan
-    and every shoot.
+    max(64, 8 (e_cap - min V)) energies.  One `shoot_scan` of both channels
+    gives psi(x_max) and the Sturm count at every scan energy.  The count at
+    a cell's upper end minus that at its lower end is the number of levels
+    in the cell, and each cell holding one is refined by `_bisect` from the
+    scan's psi(x_max) at its ends.  A nonzero count at min V, or two levels
+    sharing a cell, raise ScanResolutionError from the counts alone, whatever
+    a refinement would find, so no level is dropped silently.  Each refined
+    state is also checked to carry as many nodes as the count gives levels
+    below it.  A scan of more than MAX_SCAN_POINTS energies raises
+    ScanResolutionError before it is allocated.  V on the grid is computed
+    once, for the scan and every shoot.
     """
-    if scan_points is not None and not (math.isfinite(scan_points) and scan_points >= 2):
-        raise ValueError(f"scan_points must be a finite number >= 2, got {scan_points!r}")
     e_cap = float(e_cap)
     v_min = pot.minimum(mass=constants.mass)
     if e_cap <= v_min:
         return np.array([])
-    if scan_points is None:
-        scan_points = max(64.0, 8.0 * (e_cap - v_min))
+    scan_points = max(64.0, 8.0 * (e_cap - v_min))
     if scan_points > MAX_SCAN_POINTS:
         raise ScanResolutionError(
             f"the scan of ({v_min:.8g}, {e_cap:.8g}) takes {scan_points:.4g} energies, "
@@ -583,8 +556,3 @@ def spectrum_below(pot: PotentialSpec, constants: Constants,
                     f"carries {nodes} nodes")
             found.append(e_found)
     return np.array(sorted(found))
-
-
-def richardson4(coarse: float, fine: float) -> float:
-    """Cancel the leading h^4 error from estimates at steps h and h/2."""
-    return fine + (fine - coarse) / 15.0

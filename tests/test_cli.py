@@ -200,7 +200,7 @@ class TestSolve:
         # the scan runs batched and hands each bracket psi(x_max) at its
         # ends; scalar shoots come only from the refinement, through the
         # unchecked core _shoot, and the node-count trajectories
-        callers = {"shoot": [], "_shoot": [], "_trajectory": []}
+        callers = {"_shoot": [], "_trajectory": []}
 
         def counted(name):
             shoot = getattr(numerov, name)
@@ -216,7 +216,6 @@ class TestSolve:
                                       "--dims", "2:12:2", "--exact", "numerov",
                                       "--exact-levels", "3", "--numerov-steps", "2000"])
         assert code == 0
-        assert callers["shoot"] == []
         assert callers["_trajectory"] == ["_trajectory_nodes"] * 3
         assert callers["_shoot"].count("_bisect") > 3 * 2
         assert set(callers["_shoot"]) == {"_bisect"}
@@ -305,6 +304,31 @@ class TestVerifyMhu:
         assert code == 0
         upper = next(c for c in json.loads(out)["checks"] if c["name"] == "upper_bound")
         assert upper["pass"]
+
+    def test_numerov_reference_holds_every_wanted_level(self, capsys, monkeypatch):
+        # a table whose level 3 lies 1e-6 under the exact 7.33572999523 breaks
+        # the upper bound; the scan to just past it finds only levels 0-2, and
+        # the reference is widened until it holds level 3 too
+        table = cli.convergence_table
+
+        def corrupted(*args):
+            good = table(*args)
+            spectra = [np.array(s) for s in good.spectra]
+            for s in spectra:
+                s[3] = 7.33572999523 - 1e-6
+            return ConvergenceTable(good.dims, tuple(spectra))
+
+        monkeypatch.setattr(cli, "convergence_table", corrupted)
+        code, out, _ = run_cli(capsys, [
+            "verify-mhu", "--potential", "quartic", "--alpha", "2", "--dims", "20,30",
+            "--exact", "numerov", "--exact-levels", "4", "--format", "json"])
+        assert code == 1
+        doc = json.loads(out)
+        assert len(doc["results"]["exact"]) == 4
+        assert doc["results"]["exact"][3] == pytest.approx(7.33572999523, abs=1e-9)
+        upper = next(c for c in doc["checks"] if c["name"] == "upper_bound")
+        assert not upper["pass"]
+        assert "(i=3, dim=20)" in upper["detail"]
 
     @pytest.mark.parametrize("pot", [["--potential", "quartic", "--lambda", "1e200"],
                                      ["--potential", "quartic", "--lambda", "1e250",

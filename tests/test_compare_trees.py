@@ -132,7 +132,8 @@ def test_a_changed_numerov_level_count_is_reported(capsys):
 
 def test_numerov_sweep_covers_the_default_step_count(monkeypatch):
     # verify-mhu runs default_config's own step count unless given one; the
-    # sweep runs it beside the explicit 2,000 and 20,000 steps
+    # sweep runs it beside the explicit 2,000 and 20,000 steps, and alone on
+    # the heavy-mass case
     from hgritz import numerov
 
     configs = []
@@ -146,9 +147,11 @@ def test_numerov_sweep_covers_the_default_step_count(monkeypatch):
     monkeypatch.setattr(numerov, "spectrum_below",
                         lambda pot, constants, config, e_cap: np.array([float(config.steps)]))
     sweep = compare_trees._numerov_sweep()
-    assert len(sweep) == len(configs) == 90
+    assert len(sweep) == len(configs) == 91
     steps = [label.rsplit("steps=", 1)[1] for label, _ in sweep]
-    assert {s: steps.count(s) for s in steps} == {"2000": 30, "20000": 30, "default": 30}
+    assert {s: steps.count(s) for s in steps} == {"2000": 30, "20000": 30, "default": 31}
+    assert sweep[-1][0] == ("heavy_double_well (0.0, -10.0, 0.5) mass=1500.0 span=0.294 "
+                            "steps=default")
     for (label, fields), (explicit, config) in zip(sweep, configs):
         assert explicit == (not label.endswith("steps=default"))
         assert fields["levels"] == [float(config.steps).hex()]

@@ -7,6 +7,7 @@ import pytest
 from hgritz import (BasisSpec, BracketingError, Constants, PotentialSpec,
                     ScanResolutionError, hamiltonian_matrix)
 from hgritz import numerov
+from hgritz.spectral import count_nodes
 from hgritz.variational import minimize_alpha
 
 C = Constants()
@@ -14,6 +15,9 @@ HARM = PotentialSpec.harmonic(1.0)
 QUART = PotentialSpec.quartic(1.0)
 SEXTIC = PotentialSpec.even_polynomial([0.0, 0.5, 0.0, 0.1])
 DOUBLE_WELL = PotentialSpec.even_polynomial([0.0, -2.0, 0.5])
+DEEP_WELL = PotentialSpec.even_polynomial([0.0, -10.0, 0.5])
+#: Levels 0.05 apart, two per even scan cell below 10.
+CROWDED = PotentialSpec.harmonic(0.05)
 #: A steep sextic whose 30 levels at alpha 3 derive 6,772 steps.
 STEEP_SEXTIC = PotentialSpec.even_polynomial([0.0, 1.0, 0.0, 0.3])
 
@@ -83,21 +87,18 @@ class TestConfig:
     def test_shallow_domain_rejected(self):
         bad = numerov.ShootingConfig(1.0, 2000)
         with pytest.raises(ValueError):
-            numerov.shoot(HARM, C, bad, 0.5, numerov.EVEN)
+            numerov.shoot_scan(HARM, C, bad, [0.5])
 
 
 class TestShoot:
     def test_true_eigenvalue_gives_small_boundary_value(self):
         cfg = numerov.default_config(HARM, C, 0.6, steps=6000)
-        at_eigen = abs(numerov.shoot(HARM, C, cfg, 0.5, numerov.EVEN))
-        off_lo = abs(numerov.shoot(HARM, C, cfg, 0.4, numerov.EVEN))
-        off_hi = abs(numerov.shoot(HARM, C, cfg, 0.6, numerov.EVEN))
+        off_lo, at_eigen, off_hi = np.abs(numerov.shoot_scan(HARM, C, cfg, [0.4, 0.5, 0.6])[0][0])
         assert at_eigen < 1e-6 * min(off_lo, off_hi)
 
     def test_bracketing_signs(self):
         cfg = numerov.default_config(HARM, C, 0.6, steps=6000)
-        lo = numerov.shoot(HARM, C, cfg, 0.4, numerov.EVEN)
-        hi = numerov.shoot(HARM, C, cfg, 0.6, numerov.EVEN)
+        lo, hi = numerov.shoot_scan(HARM, C, cfg, [0.4, 0.6])[0][0]
         assert math.copysign(1.0, lo) != math.copysign(1.0, hi)
 
     def test_odd_channel_starts_at_zero(self):
@@ -111,52 +112,40 @@ class TestShoot:
         # spectrum_below hands every shoot V on the grid; the bits are the same
         cfg = numerov.default_config(HARM, C, 1.8, steps=2000)
         v = numerov._grid_potential(HARM, C, cfg)
-        for parity in (numerov.EVEN, numerov.ODD):
-            assert (numerov.shoot(HARM, C, cfg, 1.2, parity, potential=v)
-                    == numerov.shoot(HARM, C, cfg, 1.2, parity))
-        with pytest.raises(ValueError, match="V at the 2001 grid points, got shape"):
-            numerov.shoot(HARM, C, cfg, 1.2, numerov.EVEN, potential=v[:-1])
+        energies = [0.7, 1.2]
+        shared = numerov.shoot_scan(HARM, C, cfg, energies, potential=v)
+        own = numerov.shoot_scan(HARM, C, cfg, energies)
+        assert all(a.tolist() == b.tolist() for a, b in zip(shared, own))
         with pytest.raises(ValueError, match="V at the 2001 grid points, got shape"):
             numerov.shoot_scan(HARM, C, cfg, [1.2], potential=v[:-1])
 
-    def test_unknown_parity_rejected(self):
-        cfg = numerov.default_config(HARM, C, 0.6, steps=2000)
-        with pytest.raises(ValueError, match="parity"):
-            numerov.shoot(HARM, C, cfg, 0.5, "both")
+
+def refine(pot, cfg, bracket, parity):
+    """`_bisect` on bracket, given psi(x_max) at both ends from `_shoot`."""
+    v = numerov._grid_potential(pot, C, cfg)
+    ends = [numerov._shoot(pot, C, cfg, end, parity, v) for end in bracket]
+    return numerov._bisect(pot, C, cfg, parity, *bracket, *ends, v)
 
 
 class TestEigenvalue:
     def test_harmonic_ground(self):
         cfg = numerov.default_config(HARM, C, 0.6, steps=6000)
-        assert numerov.eigenvalue(HARM, C, cfg, (0.4, 0.6), numerov.EVEN) == \
-            pytest.approx(0.5, abs=1e-8)
+        assert numerov.spectrum_below(HARM, C, cfg, 0.6).tolist() == \
+            [pytest.approx(0.5, abs=1e-8)]
 
     def test_harmonic_first_excited(self):
         cfg = numerov.default_config(HARM, C, 1.8, steps=6000)
-        assert numerov.eigenvalue(HARM, C, cfg, (1.2, 1.8), numerov.ODD) == \
-            pytest.approx(1.5, abs=1e-8)
+        assert numerov.spectrum_below(HARM, C, cfg, 1.8)[1] == pytest.approx(1.5, abs=1e-8)
 
     def test_quartic_ground(self):
         cfg = numerov.default_config(QUART, C, 0.8, steps=6000)
-        assert numerov.eigenvalue(QUART, C, cfg, (0.5, 0.8), numerov.EVEN) == \
-            pytest.approx(QUARTIC_E0, abs=1e-6)
+        assert numerov.spectrum_below(QUART, C, cfg, 0.8).tolist() == \
+            [pytest.approx(QUARTIC_E0, abs=1e-6)]
 
     def test_no_sign_change_reported(self):
         cfg = numerov.default_config(HARM, C, 1.2, steps=2000)
         with pytest.raises(BracketingError):
-            numerov.eigenvalue(HARM, C, cfg, (0.6, 1.2), numerov.EVEN)
-
-    @pytest.mark.parametrize("bracket, parity", [
-        ((0.4, 0.6), "both"),
-        ((0.6, 0.4), numerov.EVEN),
-        ((0.5, 0.5), numerov.EVEN),
-        ((0.4, math.inf), numerov.EVEN),
-        ((math.nan, 0.6), numerov.EVEN),
-    ], ids=["unknown-parity", "lo-above-hi", "lo-equals-hi", "infinite-end", "nan-end"])
-    def test_bracket_and_parity_validation(self, bracket, parity):
-        cfg = numerov.default_config(HARM, C, 0.6, steps=2000)
-        with pytest.raises(ValueError):
-            numerov.eigenvalue(HARM, C, cfg, bracket, parity)
+            refine(HARM, cfg, (0.6, 1.2), numerov.EVEN)
 
 
 class TestConvergenceOrder:
@@ -167,10 +156,11 @@ class TestConvergenceOrder:
         vals = {}
         for steps in (1000, 2000, 4000):
             cfg = numerov.ShootingConfig(base.x_max, steps)
-            vals[steps] = numerov.eigenvalue(HARM, C, cfg, (15.2, 15.8), numerov.ODD)
+            vals[steps] = numerov.spectrum_below(HARM, C, cfg, 16.0)[15]
         ratio = (vals[1000] - vals[2000]) / (vals[2000] - vals[4000])
         assert 13.0 < ratio < 19.0
-        rich = numerov.richardson4(vals[1000], vals[2000])
+        # Richardson's step: the h^4 error of the 2,000-step level is 1/15 of the change
+        rich = vals[2000] + (vals[2000] - vals[1000]) / 15.0
         assert rich == pytest.approx(15.5, abs=1e-9)
 
 
@@ -188,6 +178,37 @@ class TestSpectrumBelow:
         near = numerov.spectrum_below(HARM, C, numerov.ShootingConfig(20.0, 2000), 5.0)
         assert np.abs(far - near).max() <= 1e-10
         assert np.abs(far - [0.5, 1.5, 2.5, 3.5, 4.5]).max() <= 1e-8
+
+    def test_heavy_mass_deep_well_is_answered(self):
+        # at mass 1500 psi grows by some e^800 across the central barrier, and
+        # the node-count trajectories overflowed before their cut
+        heavy = Constants(mass=1500.0)
+        e_cap = DEEP_WELL.minimum(mass=1500.0) + 0.294
+        cfg = numerov.default_config(DEEP_WELL, heavy, e_cap)
+        levels = numerov.spectrum_below(DEEP_WELL, heavy, cfg, e_cap)
+        # the two wells pair an even and an odd level, 1e-13 apart
+        np.testing.assert_allclose(levels, [-49.91836702, -49.91836702,
+                                            -49.7551678, -49.7551678], rtol=0.0, atol=1e-8)
+        finer = numerov.ShootingConfig(cfg.x_max, 2 * cfg.steps)
+        assert np.abs(numerov.spectrum_below(DEEP_WELL, heavy, finer, e_cap)
+                      - levels).max() <= 1e-10
+
+    def test_trajectory_scaling_keeps_the_counts(self, monkeypatch):
+        # psi grows like exp(x^2 / 2) past the turning point, e^648 at x = 36:
+        # past 1e250 but finite, so the unscaled samples are at hand to compare
+        cfg = numerov.ShootingConfig(36.0, 3600)
+        v = numerov._grid_potential(HARM, C, cfg)
+        for energy, parity in [(2.5, numerov.EVEN), (3.5, numerov.ODD), (4.2, numerov.EVEN)]:
+            scaled = numerov._trajectory(HARM, C, cfg, energy, parity, v, cfg.steps + 1)
+            monkeypatch.setattr(numerov, "_RESCALE_AT", math.inf)
+            unscaled = numerov._trajectory(HARM, C, cfg, energy, parity, v, cfg.steps + 1)
+            monkeypatch.undo()
+            assert np.abs(unscaled).max() > 1e250
+            shift = math.frexp(np.abs(scaled).max())[1] - math.frexp(np.abs(unscaled).max())[1]
+            assert shift < -800
+            big = np.abs(unscaled) > 1e-8 * np.abs(unscaled).max()
+            assert scaled[big].tolist() == np.ldexp(unscaled[big], shift).tolist()
+            assert count_nodes(scaled) == count_nodes(unscaled)
 
     @pytest.mark.parametrize("pot, e_cap", [(HARM, 5.0), (DOUBLE_WELL, 1.0)],
                              ids=["harmonic", "double-well"])
@@ -217,12 +238,11 @@ class TestSpectrumBelow:
     def test_parity_channels_alternate(self):
         cfg = numerov.default_config(HARM, C, 4.0, steps=4000)
         merged = numerov.spectrum_below(HARM, C, cfg, 4.0)
-        even = numerov.spectrum_below(HARM, C, cfg, 4.0, scan_points=64)
         # channel structure: merged levels alternate even/odd, so consecutive
         # gaps stay near one quantum and never collapse to duplicates
         gaps = np.diff(merged)
         assert np.all(gaps > 0.5)
-        np.testing.assert_allclose(merged, even, atol=1e-10)
+        np.testing.assert_allclose(merged, [0.5, 1.5, 2.5, 3.5], atol=1e-8)
 
     def test_quartic_matches_basis_solver(self):
         cfg = numerov.default_config(QUART, C, 3.0, steps=6000)
@@ -233,10 +253,15 @@ class TestSpectrumBelow:
         assert out.size == 2
         np.testing.assert_allclose(out, ritz[:2], atol=1e-6)
 
-    def test_coarse_scan_grid_reported(self):
-        cfg = numerov.default_config(HARM, C, 5.0, steps=2000)
+    def test_coarse_scan_grid_reported(self, monkeypatch):
+        # omega 0.05: 100 even levels below 10 and 79 scan cells 0.127 wide,
+        # so the first even cell holds 0.025 and 0.125; the Sturm count refuses
+        # it before any refinement shoot
+        recorder = RecordedShoots(monkeypatch)
+        cfg = numerov.default_config(CROWDED, C, 10.0)
         with pytest.raises(ScanResolutionError):
-            numerov.spectrum_below(HARM, C, cfg, 5.0, scan_points=2)
+            numerov.spectrum_below(CROWDED, C, cfg, 10.0)
+        assert not recorder.shots
 
     def test_a_level_at_min_v_is_reported(self, monkeypatch):
         # no level lies at or below min V, where the scan starts; a Sturm count
@@ -253,24 +278,12 @@ class TestSpectrumBelow:
                            match="even-channel Sturm count is 1 at min V = 0, where no level"):
             numerov.spectrum_below(HARM, C, cfg, 3.0)
 
-    @pytest.mark.parametrize("scan_points", [1, 0.5, 1.999, 0, -3, math.nan, math.inf])
-    def test_scan_points_below_two_named(self, monkeypatch, scan_points):
-        # one scan energy makes no cell, so every level would be dropped; the
-        # value is refused before the scan or any shoot
-        recorder = RecordedShoots(monkeypatch)
-        scans = []
-        monkeypatch.setattr(numerov, "shoot_scan", lambda *args, **kwargs: scans.append(1))
-        cfg = numerov.default_config(HARM, C, 5.0, steps=2000)
-        with pytest.raises(ValueError, match="scan_points"):
-            numerov.spectrum_below(HARM, C, cfg, 5.0, scan_points=scan_points)
-        assert not scans and not recorder.shots
-
     def test_two_levels_in_one_cell_reported(self):
-        # 0.5 and 2.5 share the one even cell, so psi(x_max) has the same sign
-        # at both its ends; the Sturm count still sees the two levels
-        cfg = numerov.default_config(HARM, C, 5.0, steps=2000)
+        # 0.025 and 0.125 share the first even cell, so psi(x_max) has the
+        # same sign at both its ends; the Sturm count still sees the two levels
+        cfg = numerov.default_config(CROWDED, C, 10.0)
         with pytest.raises(ScanResolutionError, match="holds 2 levels"):
-            numerov.spectrum_below(HARM, C, cfg, 3.0, scan_points=2)
+            numerov.spectrum_below(CROWDED, C, cfg, 10.0)
 
 
 def bisection_shoots(lo, hi):
@@ -296,7 +309,7 @@ def assert_at_a_sign_change(level, shots):
 class RecordedShoots:
     """`numerov._shoot` replaced by itself, recording the (energy, psi(x_max)) of every call.
 
-    `_shoot` is the integration behind `shoot` and every refinement shoot of
+    `_shoot` is the scalar integration behind every refinement shoot of
     `_bisect`.  `psi` stands in for it where given, as psi(energy).
     """
 
@@ -323,7 +336,7 @@ class TestRefinement:
                              ids=["harmonic", "quartic", "sextic", "double-well"])
     def test_levels_are_bisections_bits(self, monkeypatch, pot, e_cap, steps):
         # every level lies at a sign change as narrow as bisection to 1e-10
-        # would leave it, and eigenvalue on its scan cell returns it again
+        # would leave it
         cfg = numerov.default_config(pot, C, e_cap, steps=steps)
         recorder = RecordedShoots(monkeypatch)
         calls = []
@@ -344,7 +357,6 @@ class TestRefinement:
             _, _, _, parity, lo, hi, flo, fhi, _ = args
             assert_at_a_sign_change(got, [(lo, flo), (hi, fhi), *shots])
             assert len(shots) <= bisection_shoots(lo, hi)
-            assert numerov.eigenvalue(pot, C, cfg, (lo, hi), parity) == got
 
     def test_rounding_noise_at_the_level(self, monkeypatch):
         # an odd bracket from a benchmark verify-mhu request: at 20,000 steps
@@ -353,7 +365,7 @@ class TestRefinement:
         # recurrence puts it within 1e-11 of LAPACK
         cfg = numerov.ShootingConfig(ODD_LEVEL_X_MAX, 20000)
         recorder = RecordedShoots(monkeypatch)
-        got = numerov.eigenvalue(ODD_LEVEL_POT, C, cfg, ODD_LEVEL_BRACKET, numerov.ODD)
+        got = refine(ODD_LEVEL_POT, cfg, ODD_LEVEL_BRACKET, numerov.ODD)
         assert_at_a_sign_change(got, recorder.shots)
         # two shoots at the ends, then the refinement
         assert len(recorder.shots) - 2 <= bisection_shoots(*ODD_LEVEL_BRACKET)
@@ -365,7 +377,7 @@ class TestRefinement:
     def test_exact_zero(self, monkeypatch, bracket):
         recorder = RecordedShoots(monkeypatch, psi=lambda energy: energy - 0.5)
         cfg = numerov.ShootingConfig(5.0, 2000)
-        assert numerov.eigenvalue(HARM, C, cfg, bracket, numerov.EVEN) == 0.5
+        assert refine(HARM, cfg, bracket, numerov.EVEN) == 0.5
         assert len(recorder.shots) - 2 <= bisection_shoots(*bracket)
 
     @pytest.mark.parametrize("psi", [
@@ -411,8 +423,8 @@ class TestRefinement:
         # the refinement stops at 8 ulp instead of looping.  psi is never 0
         recorder = RecordedShoots(monkeypatch,
                                   psi=lambda energy: 1.0 if energy < 1e6 + 0.3 else -1.0)
-        # (called on the bracket directly: x_max = 5 lies inside the allowed
-        # region at 1e6, which `eigenvalue` rejects at the bracket ends)
+        # (x_max = 5 lies inside the allowed region at 1e6; _bisect checks
+        # no domain)
         cfg = numerov.ShootingConfig(5.0, 2000)
         got = numerov._bisect(HARM, C, cfg, numerov.EVEN, 1e6, 1e6 + 1.0, 1.0, -1.0, None)
         assert abs(got - (1e6 + 0.3)) <= 8.0 * math.ulp(1e6)
@@ -440,9 +452,9 @@ def sign_change(pot, cfg, bracket, parity):
     """The lower end of a sign change of psi(x_max) in bracket, refined by bisection to adjacent floats."""
     v = numerov._grid_potential(pot, C, cfg)
     lo, hi = bracket
-    sign = math.copysign(1.0, numerov.shoot(pot, C, cfg, lo, parity, potential=v))
+    sign = math.copysign(1.0, numerov._shoot(pot, C, cfg, lo, parity, v))
     while (mid := 0.5 * (lo + hi)) not in (lo, hi):
-        if math.copysign(1.0, numerov.shoot(pot, C, cfg, mid, parity, potential=v)) == sign:
+        if math.copysign(1.0, numerov._shoot(pot, C, cfg, mid, parity, v)) == sign:
             lo = mid
         else:
             hi = mid
@@ -468,24 +480,24 @@ class TestRoundingFloor:
 
 
 class TestShootScan:
-    # 2021 steps: 2020 recurrence steps, 31 full 64-step chunks and a part one
-    @pytest.mark.parametrize("pot, e_hi", [(HARM, 5.0), (QUART, 6.0),
-                                           (PotentialSpec.even_polynomial([0.0, -10.0, 0.5]),
-                                            -20.0)])
+    # 2021 steps: 2020 recurrence steps.  37 energies take 31 full 64-step
+    # blocks and a part one, 129 energies 65 full 31-step blocks and a part one
+    @pytest.mark.parametrize("pot, e_hi", [(HARM, 5.0), (QUART, 6.0), (DEEP_WELL, -20.0)])
     def test_equals_scalar_shoots(self, pot, e_hi):
         cfg = numerov.default_config(pot, C, e_hi, steps=2021)
         v_min = pot.minimum(mass=1.0)
-        energies = np.linspace(v_min + 1e-3, e_hi, 37)
-        got, changes = numerov.shoot_scan(pot, C, cfg, energies)
-        assert got.shape == changes.shape == (2, energies.size)
         v = numerov._grid_potential(pot, C, cfg)
-        for row, counts, parity in zip(got, changes, (numerov.EVEN, numerov.ODD)):
-            want = [numerov.shoot(pot, C, cfg, e, parity) for e in energies]
-            assert row.tolist() == want
-            trajectories = [numerov._trajectory(pot, C, cfg, e, parity, v, cfg.steps + 1)
-                            for e in energies]
-            assert counts.tolist() == [int(np.count_nonzero(np.diff(np.signbit(t))))
-                                       for t in trajectories]
+        for count in (37, 129):
+            energies = np.linspace(v_min + 1e-3, e_hi, count)
+            got, changes = numerov.shoot_scan(pot, C, cfg, energies)
+            assert got.shape == changes.shape == (2, energies.size)
+            for row, counts, parity in zip(got, changes, (numerov.EVEN, numerov.ODD)):
+                want = [numerov._shoot(pot, C, cfg, e, parity, v) for e in energies.tolist()]
+                assert row.tolist() == want
+                trajectories = [numerov._trajectory(pot, C, cfg, e, parity, v, cfg.steps + 1)
+                                for e in energies.tolist()]
+                assert counts.tolist() == [int(np.count_nonzero(np.diff(np.signbit(t))))
+                                           for t in trajectories]
 
     def test_rescale_path_equals_scalar_shoots(self, monkeypatch):
         # psi grows like exp(x^2 / 2) past the turning point: e^800 at x = 40
@@ -497,17 +509,21 @@ class TestShootScan:
             return rescaled(*args)
 
         monkeypatch.setattr(numerov, "_steps_rescaled", spy)
-        energies = np.linspace(0.3, 5.0, 11)
         cfg = numerov.ShootingConfig(40.0, 2021)
-        got, changes = numerov.shoot_scan(HARM, C, cfg, energies)
-        assert reruns
-        for row, parity in zip(got, (numerov.EVEN, numerov.ODD)):
-            assert row.tolist() == [numerov.shoot(HARM, C, cfg, e, parity) for e in energies]
-        # the Sturm count survives rescaling: levels n + 1/2 below each energy,
-        # even n in row 0 and odd n in row 1
-        for row, first in zip(changes, (0, 1)):
-            assert row.tolist() == [sum(n + 0.5 < e for n in range(first, 6, 2))
-                                    for e in energies]
+        v = numerov._grid_potential(HARM, C, cfg)
+        for count in (11, 129):
+            energies = np.linspace(0.3, 5.0, count).tolist()
+            reruns.clear()
+            got, changes = numerov.shoot_scan(HARM, C, cfg, energies)
+            assert reruns
+            for row, parity in zip(got, (numerov.EVEN, numerov.ODD)):
+                assert row.tolist() == [numerov._shoot(HARM, C, cfg, e, parity, v)
+                                        for e in energies]
+            # the Sturm count survives rescaling: levels n + 1/2 below each
+            # energy, even n in row 0 and odd n in row 1
+            for row, first in zip(changes, (0, 1)):
+                assert row.tolist() == [sum(n + 0.5 < e for n in range(first, 6, 2))
+                                        for e in energies]
 
     def test_domain_checked_once_at_the_largest_energy(self, monkeypatch):
         checked = []
@@ -526,7 +542,7 @@ class TestShootScan:
     def test_domain_checked_at_every_energy(self):
         # 0.5 is fine on [0, 5]; the turning point at 13 lies past x_max
         cfg = numerov.ShootingConfig(5.0, 2000)
-        numerov.shoot(HARM, C, cfg, 0.5, numerov.EVEN)
+        numerov.shoot_scan(HARM, C, cfg, [0.5])
         with pytest.raises(ValueError, match="classically allowed"):
             numerov.shoot_scan(HARM, C, cfg, [0.5, 13.0])
 

@@ -14,7 +14,9 @@ subprocess, and the two run at once.  Each runs four sweeps:
 - Numerov: `numerov.spectrum_below` on the five families at two strengths
   each, energy caps 1, 3 and 8 above the potential minimum, and 2,000 and
   20,000 steps and the step count `numerov.default_config` takes by default,
-  which `verify-mhu` runs: 90 spectra.  Every level is compared bit for
+  which `verify-mhu` runs: 90 spectra; and the deep double well 0,-10,0.5 at
+  mass 1500, whose node-count trajectories grow past the float range before
+  their cut, at the default step count.  Every level is compared bit for
   bit, and a spectrum that raises in either tree counts as differing.  A
   differing spectrum's line gives its largest |dE| / max(1, |E|), levels
   paired by position, and its level counts where they changed.
@@ -97,6 +99,11 @@ NUMEROV_SPANS = (1.0, 3.0, 8.0)
 #: Step counts; None is `numerov.default_config`'s default, which `verify-mhu`
 #: runs unless --numerov-steps is given.
 NUMEROV_STEPS = (2000, 20000, None)
+#: (name, potential kind, its parameter, mass, energy cap above the minimum) of
+#: each spectrum run beside the families, at the default step count.
+NUMEROV_CASES = (
+    ("heavy_double_well", "even_polynomial", (0.0, -10.0, 0.5), 1500.0, 0.294),
+)
 
 #: (name, potential kind, its parameter, alpha, dim) of each node count.
 NODE_CASES = (
@@ -149,24 +156,28 @@ def _eigh_sweep():
 def _numerov_sweep():
     from hgritz import Constants, numerov
 
-    constants = Constants()
+    def spectrum(label, pot, constants, span, steps):
+        e_cap = pot.minimum(mass=constants.mass) + span
+        # None leaves the count to the tree's own default_config
+        given = {} if steps is None else {"steps": steps}
+        try:
+            config = numerov.default_config(pot, constants, e_cap, **given)
+            levels = numerov.spectrum_below(pot, constants, config, e_cap)
+            fields = {"levels": [x.hex() for x in levels.tolist()]}
+        except Exception as exc:  # reported as a difference, never equal
+            fields = {RAISED: f"{type(exc).__name__}: {exc}"}
+        return f"{label} span={span} steps={steps or 'default'}", fields
+
     out = []
     for name, param in NUMEROV_FAMILIES.items():
         for k in range(2):
             kind, value = param(k)
             pot = _potential(kind, value)
             for span, steps in itertools.product(NUMEROV_SPANS, NUMEROV_STEPS):
-                e_cap = pot.minimum(mass=constants.mass) + span
-                # None leaves the count to the tree's own default_config
-                given = {} if steps is None else {"steps": steps}
-                try:
-                    config = numerov.default_config(pot, constants, e_cap, **given)
-                    levels = numerov.spectrum_below(pot, constants, config, e_cap)
-                    fields = {"levels": [x.hex() for x in levels.tolist()]}
-                except Exception as exc:  # reported as a difference, never equal
-                    fields = {RAISED: f"{type(exc).__name__}: {exc}"}
-                out.append((f"{name} {value} span={span} steps={steps or 'default'}",
-                            fields))
+                out.append(spectrum(f"{name} {value}", pot, Constants(), span, steps))
+    for name, kind, value, mass, span in NUMEROV_CASES:
+        out.append(spectrum(f"{name} {value} mass={mass}", _potential(kind, value),
+                            Constants(mass=mass), span, None))
     return out
 
 
