@@ -18,10 +18,8 @@ from .operators import (BandedSymMatrix, PotentialSpec, hamiltonian_matrix,
                         kinetic_matrix, potential_matrix)
 from .quadrature import (QuadratureRule, element_oracle, gauss_hermite_rule,
                          inner_product)
-from .spectral import (CheckResult, ConvergenceTable, MhuReport,
-                       WavefunctionSamples, check_mhu, count_nodes,
-                       default_node_grid, node_counts, parity_classify,
-                       reconstruct)
+from .spectral import (ConvergenceTable, check_mhu, count_nodes,
+                       default_node_grid, node_counts)
 from .variational import (AlphaScanResult, MinimizeResult, convergence_table,
                           exact_diagonal_alpha, minimize_alpha, scan_alpha,
                           solve_spectrum)
@@ -38,9 +36,8 @@ __all__ = [
     "BandedSymMatrix", "PotentialSpec", "hamiltonian_matrix",
     "kinetic_matrix", "potential_matrix",
     "QuadratureRule", "element_oracle", "gauss_hermite_rule", "inner_product",
-    "CheckResult", "ConvergenceTable", "MhuReport", "WavefunctionSamples",
-    "check_mhu", "count_nodes", "default_node_grid", "node_counts",
-    "parity_classify", "reconstruct",
+    "ConvergenceTable", "check_mhu", "count_nodes", "default_node_grid",
+    "node_counts",
     "AlphaScanResult", "MinimizeResult", "convergence_table",
     "exact_diagonal_alpha", "minimize_alpha", "scan_alpha", "solve_spectrum",
     "numerov",

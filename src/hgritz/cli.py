@@ -233,7 +233,7 @@ def _run_verify_mhu(args, parser, pot, constants) -> int:
     config = _config(pot, constants, alpha=alpha, alpha_mode=mode, dims=dims)
     table = convergence_table(pot, constants, alpha, dims)
     exact = _exact_values(args, parser, pot, constants, table)
-    checks = check_mhu(table, exact).to_dicts()
+    checks = check_mhu(table, exact)
     results = {"dims": list(dims), "spectra": [list(s) for s in table.spectra]}
     if exact is not None:
         results["exact"] = exact

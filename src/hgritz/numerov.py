@@ -517,12 +517,15 @@ def spectrum_below(pot: PotentialSpec, constants: Constants,
     state is also checked to carry as many nodes as the count gives levels
     below it.  A scan of more than MAX_SCAN_POINTS energies raises
     ScanResolutionError before it is allocated.  V on the grid is computed
-    once, for the scan and every shoot.
+    once, for the scan and every shoot.  An e_cap at or below min V gives no
+    levels; a NaN or +inf e_cap raises ValueError.
     """
     e_cap = float(e_cap)
     v_min = pot.minimum(mass=constants.mass)
     if e_cap <= v_min:
         return np.array([])
+    if not math.isfinite(e_cap):
+        raise ValueError(f"e_cap must be finite, got {e_cap}")
     scan_points = max(64.0, 8.0 * (e_cap - v_min))
     if scan_points > MAX_SCAN_POINTS:
         raise ScanResolutionError(

@@ -1,10 +1,12 @@
-"""Structural checks on computed spectra and position-space reconstruction.
+"""Structural checks on computed spectra: MHU bounds and node counts.
 
 Two theorem-shaped properties are verified mechanically: truncated-matrix
 eigenvalues must sit above the exact ones, decrease monotonically and
 interlace as the basis grows (upper-bound/interlacing behaviour), and the
 i-th eigenfunction must carry exactly i certified nodes (node structure).
 The spectrum comparisons are non-strict with tolerance tol = 1e-10 (1 + |eps|).
+node_counts certifies every state of a spectrum from one shared sampling;
+count_nodes is its sign-change rule, applied to one sampled function.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .operators import PotentialSpec
 
 EVEN = "even"
 ODD = "odd"
-MIXED = "mixed"
 
 #: Tolerance of every check_mhu comparison, relative to 1 + |reference level|.
 MHU_TOL = 1e-10
@@ -31,10 +32,6 @@ DEFAULT_AMPLITUDE_FLOOR = 1e-8
 
 #: Grid used for node certification (see default_node_grid).
 NODE_GRID_POINTS = 2001
-
-#: Largest opposite-parity coefficient of an even or odd vector, relative to
-#: its norm (see parity_classify).
-PARITY_TOL = 1e-10
 
 #: Basis-table entries of one node_counts chunk: a chunk takes
 #: NODE_TABLE_ENTRIES // min(dim, 256) points of the shared half-line grid,
@@ -71,41 +68,8 @@ class ConvergenceTable:
         object.__setattr__(self, "spectra", tuple(spectra))
 
 
-@dataclass(frozen=True, eq=False)
-class WavefunctionSamples:
-    """Wavefunction sampled on an ascending grid, with certified node count."""
-
-    grid: np.ndarray
-    values: np.ndarray
-    node_count: int
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "pass": self.passed, "detail": self.detail}
-
-
-@dataclass(frozen=True)
-class MhuReport:
-    """Outcome of the upper-bound/monotonicity/interlacing checks."""
-
-    checks: tuple[CheckResult, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def to_dicts(self) -> list[dict]:
-        return [c.to_dict() for c in self.checks]
-
-
 def _scan_check(name, comparisons):
-    """Fold (slack, tol, where) triples into a CheckResult; pass iff slack <= tol."""
+    """Fold (slack, tol, where) triples into a report check; pass iff slack <= tol."""
     worst = None
     count = 0
     for slack, tol, where in comparisons:
@@ -114,15 +78,16 @@ def _scan_check(name, comparisons):
         if worst is None or margin > worst[0]:
             worst = (margin, slack, where)
     if count == 0:
-        return CheckResult(name, True, "vacuous: single truncation")
+        return {"name": name, "pass": True, "detail": "vacuous: single truncation"}
     margin, slack, where = worst
     if margin <= 0.0:
-        return CheckResult(name, True, f"ok; worst slack {slack:.3e} at {where}")
-    return CheckResult(name, False,
-                       f"violated at {where}: slack {slack:.3e} above tolerance")
+        return {"name": name, "pass": True,
+                "detail": f"ok; worst slack {slack:.3e} at {where}"}
+    return {"name": name, "pass": False,
+            "detail": f"violated at {where}: slack {slack:.3e} above tolerance"}
 
 
-def check_mhu(table: ConvergenceTable, exact=None) -> MhuReport:
+def check_mhu(table: ConvergenceTable, exact=None) -> list[dict]:
     """Verify upper-bound behaviour of a truncation family.
 
     (a) monotonicity: every level can only come down as the basis grows,
@@ -133,6 +98,7 @@ def check_mhu(table: ConvergenceTable, exact=None) -> MhuReport:
         eps_i(n) >= E_i - tol for every truncation n.
 
     Each comparison uses tol = MHU_TOL * (1 + |reference eigenvalue|).
+    Returns one {"name", "pass", "detail"} dict per check, in that order.
     """
     pairs = list(zip(table.dims, table.spectra))
 
@@ -163,7 +129,7 @@ def check_mhu(table: ConvergenceTable, exact=None) -> MhuReport:
 
         checks.append(_scan_check("upper_bound", bound()))
 
-    return MhuReport(tuple(checks))
+    return checks
 
 
 def count_nodes(values, amplitude_floor: float = DEFAULT_AMPLITUDE_FLOOR) -> int:
@@ -172,11 +138,16 @@ def count_nodes(values, amplitude_floor: float = DEFAULT_AMPLITUDE_FLOOR) -> int
     Samples whose magnitude stays below amplitude_floor * max|values| are
     dropped first (boundary tails and grazing zeros carry no sign
     information); the count is over strict sign changes between consecutive
-    surviving samples.
+    surviving samples.  Non-finite samples raise ValueError.
     """
     v = np.asarray(values, dtype=float)
     if v.size == 0:
         raise DegenerateInputError("no samples")
+    finite = np.isfinite(v)
+    if not finite.all():
+        bad = np.flatnonzero(~finite)
+        raise ValueError(f"{bad.size} of {v.size} samples are not finite, the first "
+                         f"{v[bad[0]]} at index {bad[0]}")
     peak = float(np.abs(v).max())
     if peak == 0.0:
         raise DegenerateInputError("all samples are zero")
@@ -185,38 +156,6 @@ def count_nodes(values, amplitude_floor: float = DEFAULT_AMPLITUDE_FLOOR) -> int
         raise DegenerateInputError("all samples below the amplitude floor")
     signs = np.sign(kept)
     return int(np.count_nonzero(signs[1:] != signs[:-1]))
-
-
-def reconstruct(spec: BasisSpec, coeffs, grid,
-                amplitude_floor: float = DEFAULT_AMPLITUDE_FLOOR) -> WavefunctionSamples:
-    """Sample psi = sum_r coeffs[r] phi_r on the grid and certify its nodes."""
-    c = np.asarray(coeffs, dtype=float)
-    if c.ndim != 1 or c.size == 0:
-        raise ValueError("coefficients must be a non-empty vector")
-    if not np.all(np.isfinite(c)):
-        raise ValueError("coefficients must be finite")
-    g = np.asarray(grid, dtype=float)
-    values = c @ basis_table(spec, c.size - 1, g)
-    return WavefunctionSamples(g, values, count_nodes(values, amplitude_floor))
-
-
-def parity_classify(coeffs) -> str:
-    """Classify a coefficient vector as "even", "odd" or "mixed".
-
-    Even (odd) means every odd-index (even-index) coefficient is at most
-    PARITY_TOL * ||c||.  The zero vector carries no parity.
-    """
-    c = np.asarray(coeffs, dtype=float)
-    norm = float(np.linalg.norm(c))
-    if norm == 0.0:
-        raise DegenerateInputError("zero vector has no parity")
-    odd_part = float(np.abs(c[1::2]).max()) if c.size > 1 else 0.0
-    even_part = float(np.abs(c[0::2]).max())
-    if odd_part <= PARITY_TOL * norm:
-        return EVEN
-    if even_part <= PARITY_TOL * norm:
-        return ODD
-    return MIXED
 
 
 def default_node_grid(spec: BasisSpec, pot: PotentialSpec, energy: float) -> np.ndarray:

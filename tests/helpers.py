@@ -46,6 +46,19 @@ def hermite_eval(s, y):
     return float(h[0]) if arr.ndim == 0 else h
 
 
+def exact_parity(coeffs):
+    """"even" or "odd" by exact zeros, else "mixed".
+
+    A vector is even (odd) when every coefficient on an odd (even) index is
+    exactly 0.0 and one on its own parity's indices is not.
+    """
+    c = np.asarray(coeffs, dtype=float)
+    even, odd = bool(c[0::2].any()), bool(c[1::2].any())
+    if even != odd:
+        return "even" if even else "odd"
+    return "mixed"
+
+
 def x_recurrence_coeffs(r, alpha):
     """Coefficients (up, down) with x phi_r = up phi_{r+1} + down phi_{r-1}.
 

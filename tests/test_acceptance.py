@@ -6,13 +6,13 @@ criterion.  Tolerances are pinned here and nowhere else.
 
 import numpy as np
 
-from helpers import charpoly_eigenvalues, oscillator_state_closed_form
+from helpers import charpoly_eigenvalues, exact_parity, oscillator_state_closed_form
 
 from hgritz import (BasisSpec, Constants, ConvergenceTable, PotentialSpec,
-                    check_mhu, convergence_table, default_node_grid, eigh,
-                    element_oracle, gauss_hermite_rule, hamiltonian_matrix,
-                    kinetic_matrix, minimize_alpha, parity_classify,
-                    potential_matrix, reconstruct, solve_spectrum)
+                    basis_table, check_mhu, convergence_table, default_node_grid,
+                    eigh, element_oracle, gauss_hermite_rule, hamiltonian_matrix,
+                    kinetic_matrix, minimize_alpha, node_counts, potential_matrix,
+                    solve_spectrum)
 from hgritz import numerov
 
 C = Constants()
@@ -45,7 +45,7 @@ def test_criterion_2_eigenfunctions_match_closed_form():
     worst = 0.0
     for r in range(11):
         grid = default_node_grid(spec, HARM, float(spectrum.eigenvalues[r]))
-        values = reconstruct(spec, spectrum.eigenvectors[:, r], grid).values
+        values = spectrum.eigenvectors[:, r] @ basis_table(spec, 29, grid)
         direct = oscillator_state_closed_form(r, grid)
         err = min(np.abs(values - direct).max(), np.abs(values + direct).max())
         worst = max(worst, err)
@@ -61,11 +61,11 @@ def test_criterion_3_mhu_suite():
     exact = [i + 0.5 for i in range(30)]
     for alpha in (0.5, 2.0):
         table = convergence_table(HARM, C, alpha, tuple(range(2, 31, 2)))
-        report = check_mhu(table, exact)
+        checks = check_mhu(table, exact)
         # bound also at the criterion's absolute tolerance
         bound_slack = max(float((np.asarray(exact[:d]) - s).max())
                           for d, s in zip(table.dims, table.spectra))
-        ok = report.passed and bound_slack <= 1e-10
+        ok = all(c["pass"] for c in checks) and bound_slack <= 1e-10
         all_ok = all_ok and ok
         details.append(f"alpha={alpha}: checks {'pass' if ok else 'FAIL'}, "
                        f"bound slack {bound_slack:.2e}")
@@ -73,7 +73,7 @@ def test_criterion_3_mhu_suite():
     dims = (2, 4)
     spectra = (np.array([0.5, 1.5]), np.array([0.5 - 1e-6, 1.5, 2.5, 3.5]))
     control = check_mhu(ConvergenceTable(dims, spectra), exact)
-    control_ok = not control.passed
+    control_ok = not all(c["pass"] for c in control)
     all_ok = all_ok and control_ok
     details.append(f"corrupted table rejected: {control_ok}")
     _report(3, all_ok, "upper bound, monotonicity, interlacing over dims 2..30; "
@@ -82,28 +82,16 @@ def test_criterion_3_mhu_suite():
 
 
 def test_criterion_4_node_theorem_suite():
-    failures = []
-    for dim in (12, 25):
-        spectrum = solve_spectrum(HARM, C, 1.0, dim)
-        spec = BasisSpec(1.0)
-        for i in range(11):
-            grid = default_node_grid(spec, HARM, float(spectrum.eigenvalues[i]))
-            nodes = reconstruct(spec, spectrum.eigenvectors[:, i], grid).node_count
-            if nodes != i:
-                failures.append(f"harmonic dim={dim} state {i}: {nodes} nodes")
     opt = minimize_alpha(QUART, C, 40, (0.8, 4.0))
-    spec = BasisSpec(opt.alpha_star)
-    spectrum = solve_spectrum(QUART, C, opt.alpha_star, 40)
-    for i in range(11):
-        grid = default_node_grid(spec, QUART, float(spectrum.eigenvalues[i]))
-        # the dim-40 expansion's tail wiggle sits near 1e-8 of the peak, far
-        # below the ~1e-3 amplitudes at true crossings; certify above it
-        nodes = reconstruct(spec, spectrum.eigenvectors[:, i], grid,
-                            amplitude_floor=1e-6).node_count
-        if nodes != i:
-            failures.append(f"quartic state {i}: {nodes} nodes")
+    cases = [("harmonic dim=12", HARM, 1.0, 12), ("harmonic dim=25", HARM, 1.0, 25),
+             ("quartic dim=40", QUART, opt.alpha_star, 40)]
+    failures = []
+    for name, pot, alpha, dim in cases:
+        spectrum = solve_spectrum(pot, C, alpha, dim)
+        nodes = node_counts(BasisSpec(alpha), pot, spectrum)
+        failures += [f"{name} state {i}: {n} nodes" for i, n in enumerate(nodes) if n != i]
     ok = not failures
-    _report(4, ok, "node counts equal the state index for i <= 10, harmonic "
+    _report(4, ok, "node counts equal the state index for every state, harmonic "
                    f"(dims 12, 25) and quartic (dim 40, alpha = {opt.alpha_star:.4f})"
                    + ("" if ok else f"; failures: {failures}"))
     assert ok, failures
@@ -229,12 +217,13 @@ def test_criterion_9_parity_suite():
     for pot, alpha in cases:
         spectrum = solve_spectrum(pot, C, alpha, 14)
         for i in range(14):
-            parity = parity_classify(spectrum.eigenvectors[:, i])
+            parity = exact_parity(spectrum.eigenvectors[:, i])
             expected = "even" if i % 2 == 0 else "odd"
             if parity != expected:
                 bad.append((pot.kind, alpha, i, parity))
     ok = not bad
-    _report(9, ok, "every eigenvector classifies strictly even/odd with "
-                   "alternating parity across the potential/alpha suite"
+    _report(9, ok, "every eigenvector is exactly even or odd (coefficients on the "
+                   "other parity exactly 0.0), alternating with the index, across "
+                   "the potential/alpha suite"
                    + ("" if ok else f"; failures: {bad}"))
     assert ok, bad

@@ -10,6 +10,8 @@ import jsonschema
 import numpy as np
 import pytest
 
+from helpers import exact_parity
+
 import hgritz.basis as basis
 import hgritz.cli as cli
 import hgritz.quadrature as quadrature
@@ -152,7 +154,7 @@ class TestSolve:
         assert code == 0
         (spectrum,) = spectra
         letter = {"even": "e", "odd": "o", "mixed": "m"}
-        want = [letter[spectral.parity_classify(spectrum.eigenvectors[:, i])]
+        want = [letter[exact_parity(spectrum.eigenvectors[:, i])]
                 for i in range(spectrum.dim)]
         assert [row["parity"] for row in json.loads(out)["results"]] == want
 

@@ -235,6 +235,24 @@ class TestSpectrumBelow:
         cfg = numerov.default_config(HARM, C, 5.0, steps=2000)
         assert numerov.spectrum_below(HARM, C, cfg, 0.3).size == 0
 
+    def test_non_finite_cap(self, monkeypatch):
+        # -inf lies below min V, so it finds no level; NaN and +inf name the
+        # cap before the grid potential or the scan is built
+        cfg = numerov.default_config(HARM, C, 5.0, steps=2000)
+        assert numerov.spectrum_below(HARM, C, cfg, -math.inf).tolist() == []
+        built = []
+        grid_potential = numerov._grid_potential
+
+        def spy(*args):
+            built.append(args)
+            return grid_potential(*args)
+
+        monkeypatch.setattr(numerov, "_grid_potential", spy)
+        for e_cap in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="e_cap must be finite"):
+                numerov.spectrum_below(HARM, C, cfg, e_cap)
+        assert not built
+
     def test_parity_channels_alternate(self):
         cfg = numerov.default_config(HARM, C, 4.0, steps=4000)
         merged = numerov.spectrum_below(HARM, C, cfg, 4.0)
