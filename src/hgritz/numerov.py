@@ -27,13 +27,17 @@ steps.  delta carries eps relative to itself, and the same level now stays
 within 8e-14 of LAPACK from 5,000 to 40,000 steps, so more steps cost only
 time.
 
+The recurrence is written twice, once scalar and once vectorized, and both
+follow one rescaling rule: after every _CHUNK steps and after the last, u
+and d are scaled by a power of two wherever |u| has passed _RESCALE_AT.
 The energy scan that brackets the levels runs every scan energy of both
-channels through one vectorized recurrence (`shoot_scan`), bitwise equal
+channels through the vectorized recurrence (`shoot_scan`), bitwise equal
 to the scalar integration `_shoot` at each of them, and counts the sign
 changes of each trajectory, a discrete Sturm count that says how many levels
-every scan cell holds.  Refinement shoots and node-count trajectories stay
-scalar, where one energy is cheaper in Python floats than in numpy; a
-node-count trajectory is integrated only up to the cut its count reads.
+every scan cell holds.  Refinement shoots and node-count trajectories both
+run the scalar `_shoot`, where one energy is cheaper in Python floats than
+in numpy; a node-count trajectory runs only up to the cut its count reads
+and keeps its samples.
 Each one-level cell is refined by Brent's method with the ITP projection
 (`_bisect`): a sign change of psi(x_max) at most 1e-10 wide, in at most one
 shoot more than bisection would take.  `spectrum_below` computes V on the
@@ -73,11 +77,22 @@ MAX_STEP_PHASE = 0.01
 MIN_STEPS = 1000
 MAX_STEPS = 1_000_000
 
-#: Magnitude threshold that triggers internal rescaling during propagation.
+#: Steps between two rescaling checks, and most steps per block of
+#: `shoot_scan`'s coefficients; a power of two.
+_CHUNK = 64
+
+#: |u| past which an integration scales u and d by one power of two, checked
+#: once per _CHUNK steps.  Each step grows m_i = max(|u_i|, |u_{i-1}|) by at
+#: most 3 + |delta_i|, so a block whose steps keep |delta| <= 5 grows m by at
+#: most 8^64 = 6.3e57, under the 1.8e58 between _RESCALE_AT and the float
+#: range: a block that starts with m <= _RESCALE_AT stays finite.  The grids
+#: of `default_config` keep |delta| far below that (h kappa << 1 at x_max);
+#: past it |u| can overflow inside a block, and the integration raises.
 _RESCALE_AT = 1e250
 
-#: Most steps per block of `shoot_scan`'s coefficients.
-_CHUNK = 64
+#: What an integration that overflowed between two checks raises.
+_OVERFLOW = (f"the Numerov integration overflowed within {_CHUNK} steps, between two "
+             "rescaling checks; it takes more steps or a smaller x_max")
 
 #: Most energies `spectrum_below` scans.  Each chunk of `shoot_scan` holds
 #: several arrays of up to (_CHUNK + 2) x 2 x energies floats; the cap keeps
@@ -224,15 +239,6 @@ def _check_factor(config, pfac):
             "it must stay positive, which takes more steps or a smaller x_max")
 
 
-def _step_lists(constants, config, potential, energy):
-    """delta_i of the steps i = 1 .. len - 2 as a float list, and P on every point.
-
-    `potential` gives V on the points; no array but P outlives the call.
-    """
-    pfac, delta = _factors(constants, config, potential - energy)
-    return delta[1:-1].tolist(), pfac
-
-
 def _seed(pot, constants, config, v0, energy, parity):
     """(psi_0, psi_1) from the parity-adapted Taylor expansion about x = 0.
 
@@ -249,69 +255,55 @@ def _seed(pot, constants, config, v0, energy, parity):
     return 0.0, h * (1.0 + h * h * f0 / 6.0 + (h**4 / 120.0) * (f0 * f0 + 3.0 * fpp0))
 
 
-def _shoot(pot, constants, config, energy, parity, potential):
-    """psi(x_max) of one parity channel at a float energy; potential is V on the grid.
+def _shoot(pot, constants, config, energy, parity, potential, keep=None):
+    """psi at the last point of `potential`, V on a grid prefix, for one channel at a float energy.
 
     Even starts psi(0) = 1, psi'(0) = 0 and odd psi(0) = 0, psi'(0) = 1, the
     first step from the Taylor expansion of `_seed`.  Sign changes of the
-    value in E bracket levels.  u and d are scaled by 1 / |u| wherever |u|
-    passes _RESCALE_AT, which keeps every sign.  The caller has checked the
-    domain at this energy or above (`_check_domain`).
+    value in E bracket levels.  After every _CHUNK steps and after the last,
+    u and d are scaled by one power of two wherever |u| has passed
+    _RESCALE_AT, at the steps where `shoot_scan` scales them; that is exact
+    and keeps every sign.  A list `keep` receives psi_0 .. psi_last, scaled
+    along with u, so that they are the samples of one integration up to one
+    power of two: samples some 10^-250 under |u| may underflow, far below
+    any node-count floor.  The coefficients are formed elementwise from V on
+    the given points alone, so a prefix of the grid gives the samples of a
+    whole-grid integration.  The caller has checked the domain at this
+    energy or above (`_check_domain`).
     """
-    deltas, pfac = _step_lists(constants, config, potential, energy)
+    pfac, deltas = _factors(constants, config, potential - energy)
+    # delta_i of the steps i = 1 .. len - 2, as Python floats
+    deltas = deltas[1:-1].tolist()
     psi_0, psi_1 = _seed(pot, constants, config, float(potential[0]), energy, parity)
-    u = float(pfac[1]) * psi_1
-    d = u - float(pfac[0]) * psi_0
-    for delta in deltas:
-        d += delta * u
-        u += d
-        if abs(u) > _RESCALE_AT:
-            scale = 1.0 / abs(u)
-            d *= scale
-            u *= scale
-    psi = u / float(pfac[-1])
-    if not math.isfinite(psi):
-        raise OverflowError("propagation overflowed despite rescaling")
-    return psi
-
-
-def _trajectory(pot, constants, config, energy, parity, potential, stop):
-    """psi_0 .. psi_{stop - 1} of `_shoot`'s recurrence, up to one power of two.
-
-    Each sample is read as u_i / P_i.  The coefficients are formed
-    elementwise from V on those points alone, so the samples are those of a
-    whole-grid integration.  Where |u| passes _RESCALE_AT, u, d and every
-    sample so far are scaled by one power of two: exact, but for samples some
-    10^-250 under |u| that may underflow, far below any node-count floor.  So
-    counts read the unscaled samples' bits wherever those stay finite.
-    """
-    deltas, pfac = _step_lists(constants, config, potential[:max(stop, 2)], energy)
-    psi_0, psi_1 = _seed(pot, constants, config, float(potential[0]), energy, parity)
-    u = float(pfac[1]) * psi_1
-    traj = [float(pfac[0]) * psi_0, u]
-    d = u - traj[0]
-    for delta in deltas:
-        d += delta * u
-        u += d
-        traj.append(u)
+    u_0, u = float(pfac[0]) * psi_0, float(pfac[1]) * psi_1
+    d = u - u_0
+    if keep is not None:
+        keep += [u_0, u]
+    for lo in range(0, len(deltas), _CHUNK):
+        for delta in deltas[lo:lo + _CHUNK]:
+            d += delta * u
+            u += d
+            if keep is not None:
+                keep.append(u)
         if abs(u) > _RESCALE_AT:
             shift = -math.frexp(u)[1]
             d, u = math.ldexp(d, shift), math.ldexp(u, shift)
-            traj = [math.ldexp(sample, shift) for sample in traj]
-    if not math.isfinite(u):
-        raise OverflowError("propagation overflowed before the node cut")
-    return np.asarray(traj[:stop]) / pfac[:stop]
+            if keep is not None:
+                keep[:] = [math.ldexp(sample, shift) for sample in keep]
+    psi = u / float(pfac[-1])
+    if not math.isfinite(psi):
+        raise OverflowError(_OVERFLOW)
+    if keep is not None:
+        keep[:] = (np.asarray(keep) / pfac).tolist()
+    return psi
 
 
 def _scan_chunk(constants, config, gap, d, u):
     """Advance a block of energies through one chunk; gap is V - E at its steps' points.
 
     Returns d and u after the chunk and how often each energy's u changed
-    sign in it.  The steps run unchecked first, keeping every u; the chunk
-    is rerun step by step with `_shoot`'s rescaling if any |u| in it passed
-    _RESCALE_AT.  Nothing of the chunk outlives the call.  One loop that
-    rescales at every step gives the same bits but is slower (20,000 quartic
-    steps at 64 energies: 0.17 against 0.055 s), so the unchecked pass stays.
+    sign in it.  The steps run unchecked; `shoot_scan` rescales between
+    chunks by `_shoot`'s rule.  Nothing of the chunk outlives the call.
     """
     pfac, delta = _factors(constants, config, gap)
     _check_factor(config, pfac)
@@ -322,29 +314,10 @@ def _scan_chunk(constants, config, gap, d, u):
         np.add(diff, step, out=diff)
         np.add(cur, diff, out=row)
         cur = row
-    # NaN fails both comparisons too
-    if out.max() <= _RESCALE_AT and out.min() >= -_RESCALE_AT:
-        signs = np.signbit(out)
-        changes = np.count_nonzero(signs[1:] != signs[:-1], axis=0)
-        changes += signs[0] != np.signbit(u)
-        return diff, cur.copy(), changes
-    return _steps_rescaled(delta, d, u)
-
-
-def _steps_rescaled(delta, d, u):
-    """The same steps, rescaling each energy exactly where `_shoot` would."""
-    d, u = d.copy(), u.copy()
-    changes = np.zeros(u.shape, dtype=int)
-    for dl in delta:
-        d += dl * u
-        prev, u = u, u + d
-        changes += np.signbit(u) != np.signbit(prev)
-        big = np.abs(u) > _RESCALE_AT
-        if big.any():
-            scale = 1.0 / np.abs(u[big])
-            d[big] *= scale
-            u[big] *= scale
-    return d, u, changes
+    signs = np.signbit(out)
+    changes = np.count_nonzero(signs[1:] != signs[:-1], axis=0)
+    changes += signs[0] != np.signbit(u)
+    return diff, cur.copy(), changes
 
 
 def shoot_scan(pot: PotentialSpec, constants: Constants, config: ShootingConfig,
@@ -365,11 +338,17 @@ def shoot_scan(pot: PotentialSpec, constants: Constants, config: ShootingConfig,
     step together through one recurrence, since they share every coefficient
     and differ only in the seed.  Coefficients are formed a block of steps at
     a time (`_scan_chunk`): _CHUNK steps up to _CHUNK energies, and fewer
-    past that, down to 8, so that a block holds about _CHUNK^2 entries per
-    channel and stays in cache.  The working set is O(_CHUNK x energies) at
-    any step count.  `potential` is V on the grid; None computes it here.
+    past that, the power of two nearest _CHUNK^2 / energies down to 8, so
+    that a block holds about _CHUNK^2 entries per channel and stays in
+    cache, and blocks end at every
+    step where `_shoot` checks its rescaling.  The working set is
+    O(_CHUNK x energies) at any step count.  `potential` is V on the grid;
+    None computes it here.  An empty `energies`, or one that is not finite,
+    raises ValueError before any grid work.
     """
     energies = np.asarray(energies, dtype=float)
+    if energies.size == 0 or not np.isfinite(energies).all():
+        raise ValueError(f"energies must be finite and at least one, got {energies!r}")
     _check_domain(pot, constants, config, float(energies.max()))
     both = np.concatenate([energies, energies])
     v = _grid_potential(pot, constants, config, potential)
@@ -383,16 +362,23 @@ def shoot_scan(pot: PotentialSpec, constants: Constants, config: ShootingConfig,
     u = ends[1] * np.concatenate([psi_1e, psi_1o])
     d = u - u_0
     changes = (np.signbit(u_0) != np.signbit(u)).astype(int)
-    rows = min(_CHUNK, max(8, _CHUNK * _CHUNK // energies.size))
+    # a power of two that divides _CHUNK, so that blocks end at `_shoot`'s checks
+    rows = min(_CHUNK, 2 ** max(3, round(math.log2(_CHUNK * _CHUNK / energies.size))))
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(1, n, rows):
             hi = min(lo + rows, n)
             d, u, chunk_changes = _scan_chunk(
                 constants, config, v[lo:hi, None] - both, d, u)
             changes += chunk_changes
+            # hi - 1 steps are done: check where `_shoot` does
+            if (hi - 1) % _CHUNK == 0 or hi == n:
+                big = np.abs(u) > _RESCALE_AT
+                if big.any():
+                    shift = -np.frexp(u[big])[1]
+                    d[big], u[big] = np.ldexp(d[big], shift), np.ldexp(u[big], shift)
         psi = u / ends[2]
     if not np.isfinite(psi).all():
-        raise OverflowError("propagation overflowed despite rescaling")
+        raise OverflowError(_OVERFLOW)
     return psi.reshape(2, energies.size), changes.reshape(2, energies.size)
 
 
@@ -496,10 +482,12 @@ def _trajectory_nodes(pot, constants, config, energy, parity, potential):
     h = config.x_max / config.steps
     x_t = pot.turning_point(energy, mass=constants.mass)
     cut = min(config.x_max, x_t + 2.0 * _airy_length(pot, constants, x_t))
+    stop = int(cut / h) + 1
+    samples = []
+    _shoot(pot, constants, config, energy, parity, potential[:max(stop, 2)], samples)
     # index 0 is x = 0; a node there belongs to the odd-channel boundary
     # condition, not to the half-line count, and is dropped by the floor.
-    return count_nodes(_trajectory(pot, constants, config, energy, parity, potential,
-                                   int(cut / h) + 1))
+    return count_nodes(samples[:stop])
 
 
 def spectrum_below(pot: PotentialSpec, constants: Constants,

@@ -60,12 +60,21 @@ class ConvergenceTable:
             arr = np.array(spec, dtype=float)
             if arr.shape != (d,):
                 raise ValueError(f"spectrum for dim {d} must have {d} entries")
+            _check_finite(arr, f"spectrum for dim {d}")
             if arr.size > 1 and np.any(np.diff(arr) < -ascent_tolerance(arr[:-1])):
                 raise ValueError("each spectrum must ascend")
             arr.setflags(write=False)
             spectra.append(arr)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "spectra", tuple(spectra))
+
+
+def _check_finite(levels, name):
+    """Raise ValueError naming the first non-finite entry of levels."""
+    bad = np.flatnonzero(~np.isfinite(levels))
+    if bad.size:
+        raise ValueError(f"{name} holds {levels[bad[0]]} at index {bad[0]}; "
+                         "levels must be finite")
 
 
 def _scan_check(name, comparisons):
@@ -99,6 +108,7 @@ def check_mhu(table: ConvergenceTable, exact=None) -> list[dict]:
 
     Each comparison uses tol = MHU_TOL * (1 + |reference eigenvalue|).
     Returns one {"name", "pass", "detail"} dict per check, in that order.
+    A non-finite exact level raises ValueError naming its index.
     """
     pairs = list(zip(table.dims, table.spectra))
 
@@ -120,6 +130,7 @@ def check_mhu(table: ConvergenceTable, exact=None) -> list[dict]:
 
     if exact is not None:
         ref = np.asarray(exact, dtype=float)
+        _check_finite(ref, "exact")
 
         def bound():
             for dn, en in pairs:

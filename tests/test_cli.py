@@ -23,6 +23,12 @@ from hgritz import (BasisSpec, ConvergenceTable, PotentialSpec, basis_table,
 
 GOLDEN = Path(__file__).parent / "golden"
 
+#: A Numerov reference that needs rescaling: at mass 1500 psi grows by some
+#: e^800 across the central barrier of the deep double well 0,-10,0.5.
+RESCALED_MHU = ["verify-mhu", "--potential", "even-polynomial", "--coeffs", "0,-10,0.5",
+                "--mass", "1500", "--alpha", "4", "--dims", "20:40:10", "--exact", "numerov",
+                "--exact-levels", "2"]
+
 #: One invocation per report shape: (golden name, exit code, argv).  The
 #: expected stdout of each is tests/golden/<name>.csv and <name>.json.
 REPORTS = [
@@ -32,6 +38,7 @@ REPORTS = [
                        "--exact", "analytic", "--exact-levels", "2"]),
     ("verify_mhu_vacuous", 0, ["verify-mhu", "--alpha", "1", "--dims", "3",
                                "--exact", "analytic", "--exact-levels", "2"]),
+    ("verify_mhu_rescaled", 0, RESCALED_MHU),
     ("scan_grid", 0, ["scan-alpha", "--potential", "quartic", "--dim", "4",
                       "--alpha-grid", "0.5,1.5,3", "--levels", "3"]),
     ("scan_bracket", 0, ["scan-alpha", "--potential", "quartic", "--dim", "1",
@@ -200,27 +207,23 @@ class TestSolve:
 
     def test_numerov_scan_makes_no_scalar_shoot(self, capsys, monkeypatch):
         # the scan runs batched and hands each bracket psi(x_max) at its
-        # ends; scalar shoots come only from the refinement, through the
-        # unchecked core _shoot, and the node-count trajectories
-        callers = {"_shoot": [], "_trajectory": []}
+        # ends; scalar shoots (_shoot) come only from the refinement and
+        # the node-count trajectories
+        callers = []
+        shoot = numerov._shoot
 
-        def counted(name):
-            shoot = getattr(numerov, name)
+        def count(*args, **kwargs):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return shoot(*args, **kwargs)
 
-            def count(*args, **kwargs):
-                callers[name].append(sys._getframe(1).f_code.co_name)
-                return shoot(*args, **kwargs)
-            return count
-
-        for name in callers:
-            monkeypatch.setattr(numerov, name, counted(name))
+        monkeypatch.setattr(numerov, "_shoot", count)
         code, _, _ = run_cli(capsys, ["verify-mhu", "--potential", "quartic", "--alpha", "2",
                                       "--dims", "2:12:2", "--exact", "numerov",
                                       "--exact-levels", "3", "--numerov-steps", "2000"])
         assert code == 0
-        assert callers["_trajectory"] == ["_trajectory_nodes"] * 3
-        assert callers["_shoot"].count("_bisect") > 3 * 2
-        assert set(callers["_shoot"]) == {"_bisect"}
+        assert callers.count("_trajectory_nodes") == 3
+        assert callers.count("_bisect") > 3 * 2
+        assert set(callers) == {"_bisect", "_trajectory_nodes"}
 
     def test_json_schema_and_determinism(self, capsys):
         argv = ["solve", "--alpha", "exact-diagonal", "--dim", "4", "--format", "json"]
@@ -271,6 +274,18 @@ class TestVerifyMhu:
         assert all(c["pass"] for c in doc["checks"])
         assert {c["name"] for c in doc["checks"]} == {"monotonicity", "interlacing",
                                                       "upper_bound"}
+
+    def test_numerov_reference_that_rescales(self, capsys, monkeypatch):
+        # the bytes are pinned in tests/golden/verify_mhu_rescaled.*; with no
+        # rescaling the same request overflows
+        argv = RESCALED_MHU + ["--format", "json"]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert json.loads(out)["results"]["exact"] == [-49.9183670162] * 2
+        monkeypatch.setattr(numerov, "_RESCALE_AT", math.inf)
+        code, _, err = run_cli(capsys, argv)
+        assert code == 1
+        assert "overflowed" in err
 
     def test_numerov_exact_values(self, capsys):
         code, out, _ = run_cli(capsys, [

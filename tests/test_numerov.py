@@ -103,10 +103,23 @@ class TestShoot:
 
     def test_odd_channel_starts_at_zero(self):
         cfg = numerov.default_config(HARM, C, 1.8, steps=2000)
-        traj = numerov._trajectory(HARM, C, cfg, 1.5, numerov.ODD,
-                                   numerov._grid_potential(HARM, C, cfg), cfg.steps + 1)
+        traj = trajectory(HARM, cfg, 1.5, numerov.ODD)
         assert traj[0] == 0.0
         assert traj.size == cfg.steps + 1
+
+    def test_overflow_inside_a_block_is_named(self):
+        # h = 0.058 over [0, 58]: delta reaches 199 near x_max, where |u|
+        # grows by far more than 1.8e58 within one block of _CHUNK steps
+        # between two rescaling checks; no level is returned
+        cfg = numerov.ShootingConfig(58.0, 1000)
+        v = numerov._grid_potential(HARM, C, cfg)
+        match = "overflowed within 64 steps, between two rescaling checks"
+        with pytest.raises(OverflowError, match=match):
+            numerov._shoot(HARM, C, cfg, 0.5, numerov.EVEN, v)
+        with pytest.raises(OverflowError, match=match):
+            numerov.shoot_scan(HARM, C, cfg, [0.5, 1.0])
+        with pytest.raises(OverflowError, match=match):
+            numerov.spectrum_below(HARM, C, cfg, 5.0)
 
     def test_shared_grid_potential(self):
         # spectrum_below hands every shoot V on the grid; the bits are the same
@@ -118,6 +131,15 @@ class TestShoot:
         assert all(a.tolist() == b.tolist() for a, b in zip(shared, own))
         with pytest.raises(ValueError, match="V at the 2001 grid points, got shape"):
             numerov.shoot_scan(HARM, C, cfg, [1.2], potential=v[:-1])
+
+
+def trajectory(pot, cfg, energy, parity, potential=None):
+    """psi_0 .. psi_steps of `_shoot` at energy, as its `keep` list receives them."""
+    if potential is None:
+        potential = numerov._grid_potential(pot, C, cfg)
+    samples = []
+    numerov._shoot(pot, C, cfg, energy, parity, potential, samples)
+    return np.array(samples)
 
 
 def refine(pot, cfg, bracket, parity):
@@ -199,9 +221,9 @@ class TestSpectrumBelow:
         cfg = numerov.ShootingConfig(36.0, 3600)
         v = numerov._grid_potential(HARM, C, cfg)
         for energy, parity in [(2.5, numerov.EVEN), (3.5, numerov.ODD), (4.2, numerov.EVEN)]:
-            scaled = numerov._trajectory(HARM, C, cfg, energy, parity, v, cfg.steps + 1)
+            scaled = trajectory(HARM, cfg, energy, parity, v)
             monkeypatch.setattr(numerov, "_RESCALE_AT", math.inf)
-            unscaled = numerov._trajectory(HARM, C, cfg, energy, parity, v, cfg.steps + 1)
+            unscaled = trajectory(HARM, cfg, energy, parity, v)
             monkeypatch.undo()
             assert np.abs(unscaled).max() > 1e250
             shift = math.frexp(np.abs(scaled).max())[1] - math.frexp(np.abs(unscaled).max())[1]
@@ -215,14 +237,14 @@ class TestSpectrumBelow:
     def test_node_trajectories_stop_at_their_cut(self, monkeypatch, pot, e_cap):
         cfg = numerov.default_config(pot, C, e_cap)
         built = []
-        step_lists = numerov._step_lists
+        shoot = numerov._shoot
 
-        def spy(constants, config, potential, energy):
-            if sys._getframe(1).f_code.co_name == "_trajectory":
+        def spy(pot, constants, config, energy, parity, potential, keep=None):
+            if sys._getframe(1).f_code.co_name == "_trajectory_nodes":
                 built.append((energy, len(potential)))
-            return step_lists(constants, config, potential, energy)
+            return shoot(pot, constants, config, energy, parity, potential, keep)
 
-        monkeypatch.setattr(numerov, "_step_lists", spy)
+        monkeypatch.setattr(numerov, "_shoot", spy)
         levels = numerov.spectrum_below(pot, C, cfg, e_cap)
         assert sorted(energy for energy, _ in built) == levels.tolist()
         h = cfg.x_max / cfg.steps
@@ -325,18 +347,22 @@ def assert_at_a_sign_change(level, shots):
 
 
 class RecordedShoots:
-    """`numerov._shoot` replaced by itself, recording the (energy, psi(x_max)) of every call.
+    """`numerov._shoot` replaced by itself, recording the (energy, psi(x_max)) of every refinement shoot.
 
     `_shoot` is the scalar integration behind every refinement shoot of
-    `_bisect`.  `psi` stands in for it where given, as psi(energy).
+    `_bisect`, and behind every node-count trajectory, which passes a `keep`
+    list and is not recorded.  `psi` stands in for the refinement shoots
+    where given, as psi(energy).
     """
 
     def __init__(self, monkeypatch, psi=None):
         self.shots = []
         shoot = numerov._shoot
 
-        def recorded(pot, constants, config, energy, parity, *args, **kwargs):
-            value = (shoot(pot, constants, config, energy, parity, *args, **kwargs)
+        def recorded(pot, constants, config, energy, parity, potential, keep=None):
+            if keep is not None:
+                return shoot(pot, constants, config, energy, parity, potential, keep)
+            value = (shoot(pot, constants, config, energy, parity, potential)
                      if psi is None else psi(energy))
             self.shots.append((energy, value))
             return value
@@ -499,7 +525,7 @@ class TestRoundingFloor:
 
 class TestShootScan:
     # 2021 steps: 2020 recurrence steps.  37 energies take 31 full 64-step
-    # blocks and a part one, 129 energies 65 full 31-step blocks and a part one
+    # blocks and a part one, 129 energies 63 full 32-step blocks and a part one
     @pytest.mark.parametrize("pot, e_hi", [(HARM, 5.0), (QUART, 6.0), (DEEP_WELL, -20.0)])
     def test_equals_scalar_shoots(self, pot, e_hi):
         cfg = numerov.default_config(pot, C, e_hi, steps=2021)
@@ -512,28 +538,22 @@ class TestShootScan:
             for row, counts, parity in zip(got, changes, (numerov.EVEN, numerov.ODD)):
                 want = [numerov._shoot(pot, C, cfg, e, parity, v) for e in energies.tolist()]
                 assert row.tolist() == want
-                trajectories = [numerov._trajectory(pot, C, cfg, e, parity, v, cfg.steps + 1)
-                                for e in energies.tolist()]
+                trajectories = [trajectory(pot, cfg, e, parity, v) for e in energies.tolist()]
                 assert counts.tolist() == [int(np.count_nonzero(np.diff(np.signbit(t))))
                                            for t in trajectories]
 
     def test_rescale_path_equals_scalar_shoots(self, monkeypatch):
-        # psi grows like exp(x^2 / 2) past the turning point: e^800 at x = 40
-        reruns = []
-        rescaled = numerov._steps_rescaled
-
-        def spy(*args):
-            reruns.append(1)
-            return rescaled(*args)
-
-        monkeypatch.setattr(numerov, "_steps_rescaled", spy)
+        # psi grows like exp(x^2 / 2) past the turning point: e^800 at x = 40,
+        # so both integrations rescale, at the same steps
         cfg = numerov.ShootingConfig(40.0, 2021)
         v = numerov._grid_potential(HARM, C, cfg)
         for count in (11, 129):
             energies = np.linspace(0.3, 5.0, count).tolist()
-            reruns.clear()
             got, changes = numerov.shoot_scan(HARM, C, cfg, energies)
-            assert reruns
+            with monkeypatch.context() as unscaled:
+                unscaled.setattr(numerov, "_RESCALE_AT", math.inf)
+                with pytest.raises(OverflowError):
+                    numerov.shoot_scan(HARM, C, cfg, energies)
             for row, parity in zip(got, (numerov.EVEN, numerov.ODD)):
                 assert row.tolist() == [numerov._shoot(HARM, C, cfg, e, parity, v)
                                         for e in energies]
@@ -563,6 +583,18 @@ class TestShootScan:
         numerov.shoot_scan(HARM, C, cfg, [0.5])
         with pytest.raises(ValueError, match="classically allowed"):
             numerov.shoot_scan(HARM, C, cfg, [0.5, 13.0])
+
+    @pytest.mark.parametrize("energies", [[], [0.5, math.nan], [math.inf]],
+                             ids=["empty", "nan", "inf"])
+    def test_energies_must_be_finite_and_given(self, monkeypatch, energies):
+        # named before the domain check or any grid work
+        called = []
+        for name in ("_check_domain", "_grid_potential"):
+            monkeypatch.setattr(numerov, name, lambda *args, name=name: called.append(name))
+        cfg = numerov.ShootingConfig(5.0, 2000)
+        with pytest.raises(ValueError, match="energies must be finite and at least one"):
+            numerov.shoot_scan(HARM, C, cfg, energies)
+        assert not called
 
     def test_numerov_factor_must_stay_positive(self):
         # h = 0.1 over [0, 100]: (h^2 / 12) 2 V(100) = 8.3, so P < 0 out there

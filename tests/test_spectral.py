@@ -105,6 +105,19 @@ class TestCheckMhu:
         with pytest.raises(ValueError):
             ConvergenceTable((2,), (np.array([1.0, 2.0, 3.0]),))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_spectrum_named(self, bad):
+        # a NaN level once passed the ascent test and all three checks
+        with pytest.raises(ValueError, match=f"spectrum for dim 4 holds {bad} at index 1"):
+            ConvergenceTable((2, 4), ([0.5, 1.5], [0.5, bad, 2.5, 3.5]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_exact_named(self, bad):
+        # a NaN exact level once passed upper_bound
+        table = ConvergenceTable((2, 4), ([0.5, 1.5], [0.5, 1.5, 2.5, 3.5]))
+        with pytest.raises(ValueError, match=f"exact holds {bad} at index 1"):
+            check_mhu(table, [0.5, bad])
+
 
 class TestNodeGrid:
     def test_covers_turning_point_with_margin(self):
