@@ -198,29 +198,17 @@ def _run_solve(args, parser, pot, constants) -> int:
     return _report(args, "solve", config, rows, [], table)
 
 
-def _exact_values(args, parser, pot, constants, table):
+def _exact_values(args, parser, pot, constants, dims):
     if args.exact == "none":
         return None
-    levels = args.exact_levels
-    if levels < 1:
+    if args.exact_levels < 1:
         parser.error("--exact-levels must be positive")
-    levels = min(levels, table.dims[-1])
+    levels = min(args.exact_levels, dims[-1])
     if args.exact == "analytic":
         if pot.kind != "harmonic":
             parser.error("--exact analytic applies only to the harmonic potential")
         return [(i + 0.5) * constants.hbar * pot.omega for i in range(levels)]
-    # numerov reference values: scan just past the highest wanted Ritz level,
-    # which bounds the exact one from above.  Where the scan finds fewer (the
-    # table breaks that bound), it is widened until the reference is whole:
-    # the bound check must see every wanted level.
-    v_min = pot.minimum(mass=constants.mass)
-    e_cap = float(table.spectra[-1][levels - 1]) + 1e-9
-    while True:
-        cfg = numerov.default_config(pot, constants, e_cap, steps=args.numerov_steps)
-        exact = numerov.spectrum_below(pot, constants, cfg, e_cap)
-        if exact.size >= levels:
-            return list(exact[:levels])
-        e_cap = v_min + 2.0 * (e_cap - v_min)
+    return list(numerov.lowest_levels(pot, constants, levels, steps=args.numerov_steps))
 
 
 def _run_verify_mhu(args, parser, pot, constants) -> int:
@@ -232,7 +220,7 @@ def _run_verify_mhu(args, parser, pot, constants) -> int:
                      f"{numerov.MAX_STEPS}], got {steps}")
     config = _config(pot, constants, alpha=alpha, alpha_mode=mode, dims=dims)
     table = convergence_table(pot, constants, alpha, dims)
-    exact = _exact_values(args, parser, pot, constants, table)
+    exact = _exact_values(args, parser, pot, constants, dims)
     checks = check_mhu(table, exact)
     results = {"dims": list(dims), "spectra": [list(s) for s in table.spectra]}
     if exact is not None:
@@ -359,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exact-levels", type=int, default=5)
     p.add_argument("--numerov-steps", type=int, default=None,
                    help=f"Numerov grid intervals, {numerov.MIN_STEPS} to {numerov.MAX_STEPS}; "
-                        "derived from the top wanted level by default")
+                        "derived from the range of the wanted levels by default")
     p.set_defaults(func=_run_verify_mhu)
 
     p = sub.add_parser("scan-alpha", parents=[common],

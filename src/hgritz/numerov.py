@@ -7,41 +7,30 @@ so the even and odd channels decouple), and refine each level on the sign
 of psi(x_max).  The three-point scheme is fourth order in the step: its
 eigenvalue error grows as (h k)^4 with the local wave number
 k = sqrt(2m (E - V)) / hbar (Cooley 1961, Math. Comp. 15:363).
-`spectrum_below` is the one entry that returns levels; `default_config`
-sizes its grid, taking the fewest steps, at least DEFAULT_STEPS, that keep
-h k_max <= MAX_STEP_PHASE at the top wanted level: 5,000 for every level up
-to x_max k_max = 50, and 9,186 for the 40th quartic level at alpha 3, where
-5,000 steps leave that level 2.5e-10 off.
+`lowest_levels` is the one entry that returns levels, asked for by count
+(state n has n nodes).  It scans from min V to the Bohr-Sommerfeld estimate
+of the first level not wanted, found from an energy scale of the potential's
+own constants, so that range, grid and scan follow the levels in any units;
+`default_config` sizes the grid there, h k_max <= MAX_STEP_PHASE.
 
 Every integration runs the recurrence in summed form (Blatt 1967, J. Comput.
 Phys. 1:382) on u = P psi, P = 1 - (h^2/12)(2m/hbar^2)(V - E): with
 delta_i = 12 / P_i - 12, formed from V - E (`_factors`), each step is
-d += delta_i u; u += d, one product and two sums, and psi = u / P is read
-wherever a value leaves the loop.  The three-term form
-P_{i+1} psi_{i+1} = (12 - 10 P_i) psi_i - P_{i-1} psi_{i-1} rounds its
-coefficient near 2 at every step, an error of eps relative to 2 in a term
-of size h^2 (2m/hbar^2)|V - E|, and that gave it a rounding floor: refined
-to the float spacing, the ground level of the quartic lambda x^4
-(lambda = 1.06739) on [0, 4.96] moved by 5.5e-10 between 10,000 and 40,000
-steps.  delta carries eps relative to itself, and the same level now stays
-within 8e-14 of LAPACK from 5,000 to 40,000 steps, so more steps cost only
-time.
+d += delta_i u; u += d, and psi = u / P is read wherever a value leaves the
+loop.  delta carries eps relative to itself, where the three-term form
+P_{i+1} psi_{i+1} = (12 - 10 P_i) psi_i - P_{i-1} psi_{i-1} rounds a
+coefficient near 2 at every step: refined to the float spacing, the quartic
+ground level (lambda = 1.06739, x_max = 4.96) stays within 8e-14 of LAPACK
+from 5,000 to 40,000 steps, where the three-term form moved it by 5.5e-10.
 
-The recurrence is written twice, once scalar and once vectorized, and both
-follow one rescaling rule: after every _CHUNK steps and after the last, u
-and d are scaled by a power of two wherever |u| has passed _RESCALE_AT.
-The energy scan that brackets the levels runs every scan energy of both
-channels through the vectorized recurrence (`shoot_scan`), bitwise equal
-to the scalar integration `_shoot` at each of them, and counts the sign
-changes of each trajectory, a discrete Sturm count that says how many levels
-every scan cell holds.  Refinement shoots and node-count trajectories both
-run the scalar `_shoot`, where one energy is cheaper in Python floats than
-in numpy; a node-count trajectory runs only up to the cut its count reads
-and keeps its samples.
-Each one-level cell is refined by Brent's method with the ITP projection
-(`_bisect`): a sign change of psi(x_max) at most 1e-10 wide, in at most one
-shoot more than bisection would take.  `spectrum_below` computes V on the
-grid once and hands it to the scan and to every shoot.
+The recurrence is written once scalar (`_shoot`: refinement shoots and
+node-count trajectories) and once vectorized over every scan energy of both
+channels (`shoot_scan`), bitwise equal to `_shoot` at each; both scale u and
+d by a power of two wherever |u| has passed _RESCALE_AT, after every _CHUNK
+steps and after the last.  The scan's sign changes per trajectory are a
+discrete Sturm count of the levels in every scan cell.  Each one-level cell
+is refined by Brent's method with the ITP projection (`_bisect`) to a sign
+change of psi(x_max) at most 1e-10 wide.
 """
 
 from __future__ import annotations
@@ -52,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import Constants
+from .basis import MAX_INDEX, Constants
 from .errors import BracketingError, ScanResolutionError
 from .operators import PotentialSpec
 from .spectral import EVEN, ODD, count_nodes
@@ -63,17 +52,17 @@ from .spectral import EVEN, ODD, count_nodes
 #: 0,1,0,0.3 by 1.6e-13.
 DEFAULT_STEPS = 5000
 
-#: Largest phase h k_max per step that `default_config` allows at the top
-#: wanted level, k_max = sqrt(2m (e_hi - min V)) / hbar.  The h^4 error of
-#: the level grows as (h k)^4: on the 40th quartic level at alpha 3
+#: Largest phase h k_max per step that `default_config` allows at the top of
+#: the scan, k_max = sqrt(2m (e_hi - min V)) / hbar.  The h^4 error of a
+#: level grows as (h k)^4: with e_hi just past the 40th quartic level
 #: (x_max k_max = 91.9), 5,000 steps (h k_max = 0.018) leave 2.5e-10,
 #: the 9,186 derived here 2.2e-11 and 20,000 steps 1.1e-12.
 MAX_STEP_PHASE = 0.01
 
 #: Accepted range of grid intervals.  Below the floor the fourth-order error
 #: is no longer small.  At the cap each shoot holds several 8 MB arrays and
-#: its pure-Python recurrence takes about 0.3 s, and a spectrum scan makes
-#: hundreds of shoots; past it a typo can exhaust memory.
+#: its pure-Python recurrence takes about 0.3 s; past it a typo can exhaust
+#: memory.
 MIN_STEPS = 1000
 MAX_STEPS = 1_000_000
 
@@ -94,10 +83,15 @@ _RESCALE_AT = 1e250
 _OVERFLOW = (f"the Numerov integration overflowed within {_CHUNK} steps, between two "
              "rescaling checks; it takes more steps or a smaller x_max")
 
-#: Most energies `spectrum_below` scans.  Each chunk of `shoot_scan` holds
-#: several arrays of up to (_CHUNK + 2) x 2 x energies floats; the cap keeps
-#: each under 64 MiB, where 10^6 energies would take 1 GiB apiece.
-MAX_SCAN_POINTS = (64 << 20) // ((_CHUNK + 2) * 2 * 8)
+#: Scan energies `lowest_levels` places per wanted level, and fewest per scan.
+#: More narrow the cells refinement starts from, but cost more: at 5,000 steps
+#: on a shared 2-core machine 160 energies per channel took 15 ms, 256 35 ms.
+_SCAN_PER_LEVEL = 16
+_MIN_SCAN = 64
+
+#: Midpoints of `_cap`'s integral, and most steps of its search.
+_COUNT_POINTS = 256
+_CAP_STEPS = 64
 
 #: Width of the sign change `_bisect` returns each level in.
 _LEVEL_WIDTH = 1e-10
@@ -143,12 +137,11 @@ def default_config(pot: PotentialSpec, constants: Constants, e_hi: float,
                    steps: int | None = None) -> ShootingConfig:
     """Domain sized for energies up to e_hi: turning point + 8 decay lengths.
 
-    e_hi must lie above min V, where `spectrum_below` starts its scan; at or
-    below it there is no level to find.  `steps` None derives the grid from
-    e_hi: the fewest steps, at least DEFAULT_STEPS, with h k_max at most
-    MAX_STEP_PHASE, where h = x_max / steps and
-    k_max = sqrt(2m (e_hi - min V)) / hbar.  A derived count past MAX_STEPS
-    raises ScanResolutionError.  An explicit `steps` is used as given.
+    e_hi must lie above min V, where `lowest_levels` starts its scan.
+    `steps` None derives the fewest steps, at least DEFAULT_STEPS, with
+    h k_max <= MAX_STEP_PHASE, h = x_max / steps and
+    k_max = sqrt(2m (e_hi - min V)) / hbar; past MAX_STEPS that raises
+    ScanResolutionError.  An explicit `steps` is used as given.
     """
     v_min = pot.minimum(mass=constants.mass)
     if not float(e_hi) > v_min:
@@ -199,10 +192,7 @@ def _check_domain(pot, constants, config, energy):
 
 
 def _grid_potential(pot, constants, config, given=None):
-    """V on the Numerov grid x_i = i x_max / steps, i = 0 .. steps.
-
-    A caller's `given` array is taken for it once its length is checked.
-    """
+    """V on the grid x_i = i x_max / steps, or `given` once its length is checked."""
     if given is not None:
         if np.shape(given) != (config.steps + 1,):
             raise ValueError(f"potential must hold V at the {config.steps + 1} grid points, "
@@ -242,9 +232,8 @@ def _check_factor(config, pfac):
 def _seed(pot, constants, config, v0, energy, parity):
     """(psi_0, psi_1) from the parity-adapted Taylor expansion about x = 0.
 
-    Even starts psi(0) = 1, psi'(0) = 0; odd starts psi(0) = 0, psi'(0) = 1.
-    v0 is V(0); energy is a float or an array of energies.  The recurrence
-    starts from u_0 = P_0 psi_0 and u_1 = P_1 psi_1.
+    Even starts psi(0) = 1, psi'(0) = 0; odd psi(0) = 0, psi'(0) = 1.  v0 is
+    V(0); energy is a float or an array.  u starts from P_0 psi_0, P_1 psi_1.
     """
     h = config.x_max / config.steps
     c = 2.0 * constants.mass / constants.hbar**2
@@ -258,18 +247,14 @@ def _seed(pot, constants, config, v0, energy, parity):
 def _shoot(pot, constants, config, energy, parity, potential, keep=None):
     """psi at the last point of `potential`, V on a grid prefix, for one channel at a float energy.
 
-    Even starts psi(0) = 1, psi'(0) = 0 and odd psi(0) = 0, psi'(0) = 1, the
-    first step from the Taylor expansion of `_seed`.  Sign changes of the
-    value in E bracket levels.  After every _CHUNK steps and after the last,
-    u and d are scaled by one power of two wherever |u| has passed
-    _RESCALE_AT, at the steps where `shoot_scan` scales them; that is exact
-    and keeps every sign.  A list `keep` receives psi_0 .. psi_last, scaled
-    along with u, so that they are the samples of one integration up to one
-    power of two: samples some 10^-250 under |u| may underflow, far below
-    any node-count floor.  The coefficients are formed elementwise from V on
-    the given points alone, so a prefix of the grid gives the samples of a
-    whole-grid integration.  The caller has checked the domain at this
-    energy or above (`_check_domain`).
+    The first step comes from `_seed`.  Sign changes of the value in E
+    bracket levels.  u and d are rescaled at the steps where `shoot_scan`
+    rescales them, exactly and keeping every sign.  A list `keep` receives
+    psi_0 .. psi_last, scaled along with u: the samples of one integration up
+    to one power of two (samples some 10^-250 under |u| may underflow, far
+    below any node-count floor).  The coefficients are formed elementwise, so
+    a prefix of the grid gives the samples of a whole-grid integration.  The
+    caller has checked the domain at this energy or above (`_check_domain`).
     """
     pfac, deltas = _factors(constants, config, potential - energy)
     # delta_i of the steps i = 1 .. len - 2, as Python floats
@@ -337,18 +322,17 @@ def shoot_scan(pot: PotentialSpec, constants: Constants, config: ShootingConfig,
     the sign changes of u are those of psi.  All energies of both channels
     step together through one recurrence, since they share every coefficient
     and differ only in the seed.  Coefficients are formed a block of steps at
-    a time (`_scan_chunk`): _CHUNK steps up to _CHUNK energies, and fewer
-    past that, the power of two nearest _CHUNK^2 / energies down to 8, so
-    that a block holds about _CHUNK^2 entries per channel and stays in
-    cache, and blocks end at every
-    step where `_shoot` checks its rescaling.  The working set is
-    O(_CHUNK x energies) at any step count.  `potential` is V on the grid;
-    None computes it here.  An empty `energies`, or one that is not finite,
-    raises ValueError before any grid work.
+    a time (`_scan_chunk`): _CHUNK steps up to _CHUNK energies, and past that
+    the power of two nearest _CHUNK^2 / energies down to 8, so that a block
+    stays in cache and blocks end at every step where `_shoot` checks its
+    rescaling.  The working set is O(_CHUNK x energies) at any step count.
+    `potential` is V on the grid; None computes it here.  An `energies` that
+    is empty, not finite or not one-dimensional raises ValueError first.
     """
     energies = np.asarray(energies, dtype=float)
-    if energies.size == 0 or not np.isfinite(energies).all():
-        raise ValueError(f"energies must be finite and at least one, got {energies!r}")
+    if energies.ndim != 1 or energies.size == 0 or not np.isfinite(energies).all():
+        raise ValueError(f"energies must be finite and at least one, in one dimension, "
+                         f"got {energies!r}")
     _check_domain(pot, constants, config, float(energies.max()))
     both = np.concatenate([energies, energies])
     v = _grid_potential(pot, constants, config, potential)
@@ -393,19 +377,13 @@ def _bisect(pot, constants, config, parity, lo, hi, flo, fhi, potential):
     that width.  Each shoot is projected toward the bracket's midpoint as the
     ITP method does with one step of slack (n0 = 1), so that shoot k (from
     0) leaves a bracket no wider than the larger of _ITP_MARGIN width
-    2^(budget - k) and half the one before it.  A level so takes at most
-    budget + 1 shoots, one more than bisection, and fewer wherever Brent's
-    interpolation converges first: the slack lets the interpolation run a
-    step longer before the projection cuts it back, which took 627 shoots
-    where no slack took 992 over the 24 Numerov requests among the first 48
-    of the benchmark's certify seeds 1-3.  Should rounding make psi(x_max)
-    change sign more than once near a level, the result lies at one of those
-    sign changes, within the width of the others.  `potential` is V on the
-    grid, shared by every shoot.
-
-    The shoots inside (lo, hi) check no domain: the callers have checked
-    it at hi or above, which covers every energy below (see
-    `_check_domain`).  Ends of one sign raise BracketingError.
+    2^(budget - k) and half the one before it: at most budget + 1 shoots,
+    and fewer wherever Brent's interpolation converges first.  Should
+    rounding make psi(x_max) change sign more than once near a level, the
+    result lies at one of those sign changes, within the width of the others.
+    `potential` is V on the grid.  The shoots check no domain: the callers
+    have checked it at hi or above, which covers every energy below
+    (`_check_domain`).  Ends of one sign raise BracketingError.
     """
     if flo == 0.0:
         return lo
@@ -490,46 +468,79 @@ def _trajectory_nodes(pot, constants, config, energy, parity, potential):
     return count_nodes(samples[:stop])
 
 
-def spectrum_below(pot: PotentialSpec, constants: Constants,
-                   config: ShootingConfig, e_cap: float) -> np.ndarray:
-    """All eigenvalues below e_cap, both parity channels, ascending.
+def _cap(pot, constants, v_min, count):
+    """An energy where the Bohr-Sommerfeld count N(E) is count + 1/2, within 1/4.
 
-    The scan starts at min V, where no level lies, and takes
-    max(64, 8 (e_cap - min V)) energies.  One `shoot_scan` of both channels
-    gives psi(x_max) and the Sturm count at every scan energy.  The count at
-    a cell's upper end minus that at its lower end is the number of levels
-    in the cell, and each cell holding one is refined by `_bisect` from the
-    scan's psi(x_max) at its ends.  A nonzero count at min V, or two levels
-    sharing a cell, raise ScanResolutionError from the counts alone, whatever
-    a refinement would find, so no level is dropped silently.  Each refined
-    state is also checked to carry as many nodes as the count gives levels
-    below it.  A scan of more than MAX_SCAN_POINTS energies raises
-    ScanResolutionError before it is allocated.  V on the grid is computed
-    once, for the scan and every shoot.  An e_cap at or below min V gives no
-    levels; a NaN or +inf e_cap raises ValueError.
+    N(E) = (2/pi hbar) int_0^x_t sqrt(2m (E - V)) dx (midpoint rule); level n
+    lies near N = n + 1/2, so the cap estimates level `count`, half a level
+    past the last wanted one even in a double well's doublets.  The search
+    takes secant steps on log N against log(E - min V), nearly a line, from
+    slope 1 and the largest scale |c_k|^(1/(k+1)) (hbar^2/2m)^(k/(k+1)) of a
+    term c_k x^(2k) (hbar omega / 2 if harmonic), which follows the levels
+    in any units; a count of 0 doubles the depth.  A scale that rounds to
+    min V raises ScanResolutionError.
     """
-    e_cap = float(e_cap)
+    def count_below(energy):
+        h = pot.turning_point(energy, mass=constants.mass) / _COUNT_POINTS
+        gap = energy - pot.value(h * (np.arange(_COUNT_POINTS) + 0.5), mass=constants.mass)
+        action = h * float(np.sqrt(np.maximum(gap, 0.0)).sum())
+        return math.sqrt(8.0) * math.sqrt(constants.mass) * action / (math.pi * constants.hbar)
+
+    kinetic = 2.0 * math.log(constants.hbar) - math.log(2.0) - math.log(constants.mass)
+    depth = max(math.exp((math.log(abs(c)) + k * kinetic) / (k + 1))
+                for k, c in enumerate(pot.coefficients(mass=constants.mass)) if k and c)
+    if not v_min + depth > v_min:
+        raise ScanResolutionError(f"the energy scale {depth:.6g} of the potential's constants "
+                                  f"rounds to min V = {v_min:.8g}; no scan can resolve its levels")
+    target, n, slope = count + 0.5, count_below(v_min + depth), 1.0
+    for _ in range(_CAP_STEPS):
+        if abs(n - target) <= 0.25:
+            break
+        step = math.log(target / n) / slope if n > 0.0 else math.log(2.0)
+        next_n = count_below(v_min + depth * math.exp(step))
+        if n > 0.0 and next_n > 0.0 and next_n != n:
+            slope = min(max(math.log(next_n / n) / step, 0.25), 4.0)
+        depth, n = depth * math.exp(step), next_n
+    return v_min + depth
+
+
+def lowest_levels(pot: PotentialSpec, constants: Constants, count: int, *,
+                  steps: int | None = None) -> np.ndarray:
+    """The `count` lowest levels of both parity channels together, ascending.
+
+    `shoot_scan` runs from min V to `_cap`, on the grid `default_config`
+    builds there (`steps` None derives its count), at _SCAN_PER_LEVEL
+    energies per wanted level, at least _MIN_SCAN; a cell holds as many
+    levels as the Sturm count rises across it.  Where both channels hold
+    fewer than `count`, the depth above min V doubles and the scan reruns.
+    `_bisect` refines the cells below the first energy whose summed count
+    reaches `count`, and each state must carry as many nodes as its count.
+    A nonzero count at min V or a cell of two levels raises
+    ScanResolutionError, so no level is dropped silently; a count outside
+    [1, MAX_INDEX] raises ValueError.
+    """
+    if not (isinstance(count, (int, np.integer)) and 1 <= count <= MAX_INDEX):
+        raise ValueError(f"count must be an integer in [1, {MAX_INDEX}], got {count!r}")
     v_min = pot.minimum(mass=constants.mass)
-    if e_cap <= v_min:
-        return np.array([])
-    if not math.isfinite(e_cap):
-        raise ValueError(f"e_cap must be finite, got {e_cap}")
-    scan_points = max(64.0, 8.0 * (e_cap - v_min))
-    if scan_points > MAX_SCAN_POINTS:
-        raise ScanResolutionError(
-            f"the scan of ({v_min:.8g}, {e_cap:.8g}) takes {scan_points:.4g} energies, "
-            f"more than the {MAX_SCAN_POINTS} one scan may hold")
-    energies = np.linspace(v_min, e_cap, int(scan_points))
+    e_cap = _cap(pot, constants, v_min, count)
+    while True:
+        config = default_config(pot, constants, e_cap, steps)
+        energies = np.linspace(v_min, e_cap, max(_MIN_SCAN, _SCAN_PER_LEVEL * count))
+        potential = _grid_potential(pot, constants, config)
+        psi, changes = shoot_scan(pot, constants, config, energies, potential=potential)
+        total = changes.sum(axis=0)
+        if total[-1] >= count:
+            break
+        e_cap = v_min + 2.0 * (e_cap - v_min)
+    top = int(np.argmax(total >= count))
     grid = energies.tolist()
-    potential = _grid_potential(pot, constants, config)
-    psi, changes = shoot_scan(pot, constants, config, energies, potential=potential)
     found = []
     for parity, values, counts in zip((EVEN, ODD), psi.tolist(), changes.tolist()):
         if counts[0]:
             raise ScanResolutionError(
                 f"the {parity}-channel Sturm count is {counts[0]} at min V = {grid[0]:.8g}, "
                 f"where no level lies")
-        for k in range(len(grid) - 1):
+        for k in range(top):
             levels = counts[k + 1] - counts[k]
             if levels == 0:
                 continue
@@ -542,8 +553,7 @@ def spectrum_below(pot: PotentialSpec, constants: Constants,
                               values[k], values[k + 1], potential)
             nodes = _trajectory_nodes(pot, constants, config, e_found, parity, potential)
             if nodes != counts[k]:
-                raise ScanResolutionError(
-                    f"{parity} channel state {counts[k]} at E = {e_found:.8g} "
-                    f"carries {nodes} nodes")
+                raise ScanResolutionError(f"{parity} channel state {counts[k]} at "
+                                          f"E = {e_found:.8g} carries {nodes} nodes")
             found.append(e_found)
-    return np.array(sorted(found))
+    return np.array(sorted(found)[:count])

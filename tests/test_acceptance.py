@@ -137,11 +137,8 @@ def test_criterion_6_quartic_ground_state_two_routes():
     ritz = minimize_alpha(QUART, C, 40, (0.8, 4.0)).energy
 
     # the ground level as the CLI's Numerov reference gets it, at three step counts
-    base = numerov.default_config(QUART, C, 0.8, steps=10000)
-    values = {}
-    for steps in (10000, 20000, 40000):
-        cfg = numerov.ShootingConfig(base.x_max, steps)
-        values[steps] = float(numerov.spectrum_below(QUART, C, cfg, 0.8)[0])
+    values = {steps: float(numerov.lowest_levels(QUART, C, 1, steps=steps)[0])
+              for steps in (10000, 20000, 40000)}
     # Richardson's step cancels the h^4 error: E_fine + (E_fine - E_coarse) / 15
     rich1 = values[20000] + (values[20000] - values[10000]) / 15.0
     rich2 = values[40000] + (values[40000] - values[20000]) / 15.0

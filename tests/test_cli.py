@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -324,8 +325,8 @@ class TestVerifyMhu:
 
     def test_numerov_reference_holds_every_wanted_level(self, capsys, monkeypatch):
         # a table whose level 3 lies 1e-6 under the exact 7.33572999523 breaks
-        # the upper bound; the scan to just past it finds only levels 0-2, and
-        # the reference is widened until it holds level 3 too
+        # the upper bound; the reference is taken by level count, so it holds
+        # level 3 whatever the table says
         table = cli.convergence_table
 
         def corrupted(*args):
@@ -347,19 +348,66 @@ class TestVerifyMhu:
         assert not upper["pass"]
         assert "(i=3, dim=20)" in upper["detail"]
 
-    @pytest.mark.parametrize("pot", [["--potential", "quartic", "--lambda", "1e200"],
-                                     ["--potential", "quartic", "--lambda", "1e250",
-                                      "--mass", "1e-300"],
-                                     ["--potential", "even-polynomial", "--coeffs",
-                                      "0,-1e150,1"]], ids=["1e200", "1e250-light", "coeffs"])
-    def test_numerov_scan_past_its_cap_is_named(self, capsys, pot):
-        # the scan asked np.linspace for about 1e201 energies and died in numpy
+    @pytest.mark.parametrize("pot, scale", [
+        (["--lambda", "1e200"], 1e200 ** (1.0 / 3.0)),
+        (["--lambda", "1e250", "--mass", "1e-300"], 1e250 ** (1.0 / 3.0) * 1e200),
+    ], ids=["1e200", "1e250-light"])
+    def test_numerov_extreme_quartic_is_answered(self, capsys, pot, scale):
+        # a scan of 8 energies per unit energy asked for about 1e201 energies
+        # here and was refused; taken by level count it scans 64.  Levels
+        # scale as lam^(1/3) (hbar^2 / m)^(2/3), and on the same number of
+        # steps they are those of lam = 1 to the refinement width
+        levels = []
+        for argv in (pot, []):
+            code, out, _ = run_cli(capsys, [
+                "verify-mhu", "--potential", "quartic", *argv, "--dims", "2,4",
+                "--exact", "numerov", "--numerov-steps", "1000", "--format", "json"])
+            assert code == 0
+            levels.append(json.loads(out)["results"]["exact"])
+        np.testing.assert_allclose(np.array(levels[0]) / scale, levels[1], rtol=1e-10)
+
+    def test_numerov_levels_within_the_rounding_of_min_v_are_named(self, capsys):
+        # min V = -2.5e299, whose float spacing is some 1e209 times the
+        # level spacing; the search for the cap once never ended
+        start = time.perf_counter()
         code, out, err = run_cli(capsys, [
-            "verify-mhu", *pot, "--dims", "2,4", "--exact", "numerov",
-            "--numerov-steps", "1000"])
+            "verify-mhu", "--potential", "even-polynomial", "--coeffs", "0,-1e150,1",
+            "--dims", "2,4", "--exact", "numerov", "--numerov-steps", "1000"])
+        assert time.perf_counter() - start < 1.0
         assert (code, out) == (1, "")
-        assert err.startswith("error: the scan of (")
-        assert f"energies, more than the {numerov.MAX_SCAN_POINTS} one scan may hold" in err
+        assert err.startswith("error: the energy scale 7.07107e+74 of the potential's "
+                              "constants rounds to min V = -2.5e+299")
+
+    def test_numerov_levels_scale_with_hbar(self, capsys):
+        # quartic levels scale as hbar^(4/3): the scan of 8 energies per unit
+        # energy up to the Ritz levels at alpha 1 took 1.4e6 steps and exited 1
+        levels = []
+        for hbar in ("1e-3", "1"):
+            code, out, _ = run_cli(capsys, [
+                "verify-mhu", "--potential", "quartic", "--hbar", hbar, "--dims", "2,4",
+                "--exact", "numerov", "--format", "json"])
+            assert code == 0
+            levels.append(json.loads(out)["results"]["exact"])
+        assert len(levels[0]) == 4
+        np.testing.assert_allclose(levels[0], np.array(levels[1]) * 1e-4, rtol=0.0, atol=1e-10)
+
+    def test_numerov_reference_in_a_deep_double_well(self, capsys):
+        # the Ritz cap sat 591 above min V, and every level of both wells
+        # below it was refined: this ran past 10 minutes
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, [
+            "verify-mhu", "--potential", "even-polynomial", "--coeffs", "0,-41.8479,0.530985",
+            "--mass", "265.871", "--alpha", "2.32961", "--dims", "3,10,19",
+            "--exact", "numerov", "--exact-levels", "6", "--format", "json"])
+        assert time.perf_counter() - start < 5.0
+        assert code == 0
+        doc = json.loads(out)
+        jsonschema.validate(doc, cli.report_schema())
+        exact = doc["results"]["exact"]
+        # three doublets, each an even and an odd level of the two wells
+        assert len(exact) == 6
+        assert exact == sorted(exact)
+        assert all(c["pass"] for c in doc["checks"])
 
     @pytest.mark.parametrize("steps", ["0", "999", "1000001", "100000000000"])
     def test_numerov_steps_out_of_range_is_usage_error(self, capsys, steps):

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import math
+import types
 from pathlib import Path
 
 import numpy as np
@@ -28,8 +29,8 @@ def records():
                    "residual_norm": np.float64(0.0).tobytes()}),
                  ("gauss-hermite rule order=1",
                   {"nodes": np.zeros(1).tobytes(), "weights": np.ones(1).tobytes()})],
-        "numerov": [("harmonic 0.75 span=1.0 steps=2000", {"levels": [(0.375).hex()]}),
-                    ("quartic 0.5 span=3.0 steps=2000",
+        "numerov": [("harmonic 0.75 count=1 steps=2000", {"levels": [(0.375).hex()]}),
+                    ("quartic 0.5 count=4 steps=2000",
                      {"levels": [(0.53).hex(), (1.9).hex()]})],
         "nodes": [("quartic alpha=1.8 dim=512", {"nodes": list(range(512))}),
                   ("deep_double_well alpha=1.59369 dim=512",
@@ -89,11 +90,11 @@ def test_rotated_eigenvectors_report_the_largest_angle(capsys):
 def test_numerov_spectrum_raising_in_both_trees_differs(capsys):
     old, new = records(), records()
     for run_ in (old, new):
-        run_["numerov"][1] = ("quartic 0.5 span=3.0 steps=2000",
+        run_["numerov"][1] = ("quartic 0.5 count=4 steps=2000",
                               {compare_trees.RAISED: "ScanResolutionError: shared cell"})
     code, lines = run(capsys, old, new)
     assert code == 1
-    assert lines[0].startswith("quartic 0.5 span=3.0 steps=2000: raised differ")
+    assert lines[0].startswith("quartic 0.5 count=4 steps=2000: raised differ")
     assert "OLD raised ScanResolutionError: shared cell" in lines[0]
     assert "NEW raised ScanResolutionError: shared cell" in lines[0]
     assert lines[2] == "1 of 2 spectra bit-identical (1 levels)"
@@ -103,11 +104,11 @@ def test_moved_numerov_levels_report_their_largest_change(capsys):
     # |dE| / max(1, |E|): 1.9 moved by 3.8e-11 gives 2.0e-11, and 0.53 moved
     # by 1e-11 gives 1.0e-11 (below 1 the change is taken as absolute)
     new = records()
-    new["numerov"][1] = ("quartic 0.5 span=3.0 steps=2000",
+    new["numerov"][1] = ("quartic 0.5 count=4 steps=2000",
                          {"levels": [(0.53 + 1e-11).hex(), (1.9 + 3.8e-11).hex()]})
     code, lines = run(capsys, records(), new)
     assert code == 1
-    assert lines[0] == ("quartic 0.5 span=3.0 steps=2000: levels differ "
+    assert lines[0] == ("quartic 0.5 count=4 steps=2000: levels differ "
                         "(largest |dE| / max(1, |E|) 2.0e-11)")
     assert lines[2] == ("1 of 2 spectra bit-identical (1 levels) (1 with moved levels, "
                         "largest |dE| / max(1, |E|) 2.0e-11; 0 with a changed level count)")
@@ -116,15 +117,15 @@ def test_moved_numerov_levels_report_their_largest_change(capsys):
 def test_a_changed_numerov_level_count_is_reported(capsys):
     # levels pair by position; the extra level adds no change of its own
     new = records()
-    new["numerov"][0] = ("harmonic 0.75 span=1.0 steps=2000",
+    new["numerov"][0] = ("harmonic 0.75 count=1 steps=2000",
                          {"levels": [(0.375).hex(), (1.125).hex()]})
-    new["numerov"][1] = ("quartic 0.5 span=3.0 steps=2000",
+    new["numerov"][1] = ("quartic 0.5 count=4 steps=2000",
                          {"levels": [(0.53).hex(), (1.9 * (1.0 + 5e-11)).hex()]})
     code, lines = run(capsys, records(), new)
     assert code == 1
-    assert lines[:2] == ["harmonic 0.75 span=1.0 steps=2000: levels differ "
+    assert lines[:2] == ["harmonic 0.75 count=1 steps=2000: levels differ "
                          "(largest |dE| / max(1, |E|) 0.0e+00; 1 levels in OLD, 2 in NEW)",
-                         "quartic 0.5 span=3.0 steps=2000: levels differ "
+                         "quartic 0.5 count=4 steps=2000: levels differ "
                          "(largest |dE| / max(1, |E|) 5.0e-11)"]
     assert lines[3] == ("0 of 2 spectra bit-identical (0 levels) (2 with moved levels, "
                         "largest |dE| / max(1, |E|) 5.0e-11; 1 with a changed level count)")
@@ -136,27 +137,45 @@ def test_numerov_sweep_covers_the_default_step_count(monkeypatch):
     # the heavy-mass case
     from hgritz import numerov
 
-    configs = []
-    default_config = numerov.default_config
+    calls = []
 
-    def spy(*args, **kwargs):
-        configs.append(("steps" in kwargs, default_config(*args, **kwargs)))
-        return configs[-1][1]
+    def lowest_levels(pot, constants, count, **given):
+        calls.append((count, given))
+        return np.arange(count, dtype=float)
 
-    monkeypatch.setattr(numerov, "default_config", spy)
-    monkeypatch.setattr(numerov, "spectrum_below",
-                        lambda pot, constants, config, e_cap: np.array([float(config.steps)]))
+    monkeypatch.setattr(numerov, "lowest_levels", lowest_levels)
     sweep = compare_trees._numerov_sweep()
-    assert len(sweep) == len(configs) == 91
+    assert len(sweep) == len(calls) == 91
     steps = [label.rsplit("steps=", 1)[1] for label, _ in sweep]
     assert {s: steps.count(s) for s in steps} == {"2000": 30, "20000": 30, "default": 31}
-    assert sweep[-1][0] == ("heavy_double_well (0.0, -10.0, 0.5) mass=1500.0 span=0.294 "
+    counts = [int(label.split("count=")[1].split()[0]) for label, _ in sweep]
+    assert {c: counts.count(c) for c in counts} == {1: 30, 4: 31, 10: 30}
+    assert sweep[-1][0] == ("heavy_double_well (0.0, -10.0, 0.5) mass=1500.0 count=4 "
                             "steps=default")
-    for (label, fields), (explicit, config) in zip(sweep, configs):
-        assert explicit == (not label.endswith("steps=default"))
-        assert fields["levels"] == [float(config.steps).hex()]
-        if not explicit:
-            assert config.steps >= numerov.DEFAULT_STEPS
+    for (label, fields), count, (asked, given) in zip(sweep, counts, calls):
+        assert asked == count
+        assert given == ({} if label.endswith("steps=default")
+                         else {"steps": int(label.rsplit("=", 1)[1])})
+        assert fields["levels"] == [float(n).hex() for n in range(count)]
+
+
+def test_numerov_levels_of_a_tree_without_lowest_levels():
+    # its spectrum_below's cap starts 1 above min V and doubles its depth
+    # until the spectrum below it holds the levels asked for
+    from hgritz import Constants, PotentialSpec
+
+    caps = []
+
+    def spectrum_below(pot, constants, config, e_cap):
+        caps.append((config, e_cap))
+        return np.arange(0.5, e_cap)  # the harmonic levels below e_cap
+
+    older = types.SimpleNamespace(spectrum_below=spectrum_below,
+                                  default_config=lambda pot, constants, e_hi, steps: steps)
+    levels = compare_trees._lowest_levels(older, PotentialSpec.harmonic(1.0), Constants(), 4,
+                                          {"steps": 2000})
+    assert levels.tolist() == [0.5, 1.5, 2.5, 3.5]
+    assert caps == [(2000, 1.0), (2000, 2.0), (2000, 4.0)]
 
 
 def test_cli_request_raising_the_same_text_agrees(capsys):

@@ -16,8 +16,6 @@ QUART = PotentialSpec.quartic(1.0)
 SEXTIC = PotentialSpec.even_polynomial([0.0, 0.5, 0.0, 0.1])
 DOUBLE_WELL = PotentialSpec.even_polynomial([0.0, -2.0, 0.5])
 DEEP_WELL = PotentialSpec.even_polynomial([0.0, -10.0, 0.5])
-#: Levels 0.05 apart, two per even scan cell below 10.
-CROWDED = PotentialSpec.harmonic(0.05)
 #: A steep sextic whose 30 levels at alpha 3 derive 6,772 steps.
 STEEP_SEXTIC = PotentialSpec.even_polynomial([0.0, 1.0, 0.0, 0.3])
 
@@ -118,11 +116,9 @@ class TestShoot:
             numerov._shoot(HARM, C, cfg, 0.5, numerov.EVEN, v)
         with pytest.raises(OverflowError, match=match):
             numerov.shoot_scan(HARM, C, cfg, [0.5, 1.0])
-        with pytest.raises(OverflowError, match=match):
-            numerov.spectrum_below(HARM, C, cfg, 5.0)
 
     def test_shared_grid_potential(self):
-        # spectrum_below hands every shoot V on the grid; the bits are the same
+        # lowest_levels hands every shoot V on the grid; the bits are the same
         cfg = numerov.default_config(HARM, C, 1.8, steps=2000)
         v = numerov._grid_potential(HARM, C, cfg)
         energies = [0.7, 1.2]
@@ -151,17 +147,14 @@ def refine(pot, cfg, bracket, parity):
 
 class TestEigenvalue:
     def test_harmonic_ground(self):
-        cfg = numerov.default_config(HARM, C, 0.6, steps=6000)
-        assert numerov.spectrum_below(HARM, C, cfg, 0.6).tolist() == \
+        assert numerov.lowest_levels(HARM, C, 1, steps=6000).tolist() == \
             [pytest.approx(0.5, abs=1e-8)]
 
     def test_harmonic_first_excited(self):
-        cfg = numerov.default_config(HARM, C, 1.8, steps=6000)
-        assert numerov.spectrum_below(HARM, C, cfg, 1.8)[1] == pytest.approx(1.5, abs=1e-8)
+        assert numerov.lowest_levels(HARM, C, 2, steps=6000)[1] == pytest.approx(1.5, abs=1e-8)
 
     def test_quartic_ground(self):
-        cfg = numerov.default_config(QUART, C, 0.8, steps=6000)
-        assert numerov.spectrum_below(QUART, C, cfg, 0.8).tolist() == \
+        assert numerov.lowest_levels(QUART, C, 1, steps=6000).tolist() == \
             [pytest.approx(QUARTIC_E0, abs=1e-6)]
 
     def test_no_sign_change_reported(self):
@@ -173,12 +166,10 @@ class TestEigenvalue:
 class TestConvergenceOrder:
     def test_step_halving_is_fourth_order(self):
         # state 15 carries enough truncation error at coarse steps that the
-        # h^4 signature is visible above the bisection quantization
-        base = numerov.default_config(HARM, C, 16.0, steps=1000)
-        vals = {}
-        for steps in (1000, 2000, 4000):
-            cfg = numerov.ShootingConfig(base.x_max, steps)
-            vals[steps] = numerov.spectrum_below(HARM, C, cfg, 16.0)[15]
+        # h^4 signature is visible above the bisection quantization; the cap,
+        # and so x_max, does not depend on the step count
+        vals = {steps: numerov.lowest_levels(HARM, C, 16, steps=steps)[15]
+                for steps in (1000, 2000, 4000)}
         ratio = (vals[1000] - vals[2000]) / (vals[2000] - vals[4000])
         assert 13.0 < ratio < 19.0
         # Richardson's step: the h^4 error of the 2,000-step level is 1/15 of the change
@@ -186,34 +177,39 @@ class TestConvergenceOrder:
         assert rich == pytest.approx(15.5, abs=1e-9)
 
 
+def scan_configs(monkeypatch):
+    """The configs `lowest_levels` scans on, in order, as `default_config` hands them out."""
+    configs = []
+    default_config = numerov.default_config
+
+    def spy(*args, **kwargs):
+        configs.append(default_config(*args, **kwargs))
+        return configs[-1]
+
+    monkeypatch.setattr(numerov, "default_config", spy)
+    return configs
+
+
 class TestSpectrumBelow:
+    """The spectrum below the cap that `lowest_levels` derives."""
+
     def test_harmonic_below_five(self):
-        cfg = numerov.default_config(HARM, C, 5.0, steps=6000)
-        out = numerov.spectrum_below(HARM, C, cfg, 5.0)
+        out = numerov.lowest_levels(HARM, C, 5, steps=6000)
         np.testing.assert_allclose(out, [0.5, 1.5, 2.5, 3.5, 4.5], atol=1e-8)
 
-    def test_domain_far_past_the_levels(self):
-        # psi grows like exp(x^2 / 2) past the turning point, e^800 at x = 40;
-        # the node counts read their trajectories up to x_t + 2 ell only.
-        # The levels are those of the same step h = 0.01 on [0, 20]
-        far = numerov.spectrum_below(HARM, C, numerov.ShootingConfig(40.0, 4000), 5.0)
-        near = numerov.spectrum_below(HARM, C, numerov.ShootingConfig(20.0, 2000), 5.0)
-        assert np.abs(far - near).max() <= 1e-10
-        assert np.abs(far - [0.5, 1.5, 2.5, 3.5, 4.5]).max() <= 1e-8
-
-    def test_heavy_mass_deep_well_is_answered(self):
+    def test_heavy_mass_deep_well_is_answered(self, monkeypatch):
         # at mass 1500 psi grows by some e^800 across the central barrier, and
         # the node-count trajectories overflowed before their cut
         heavy = Constants(mass=1500.0)
-        e_cap = DEEP_WELL.minimum(mass=1500.0) + 0.294
-        cfg = numerov.default_config(DEEP_WELL, heavy, e_cap)
-        levels = numerov.spectrum_below(DEEP_WELL, heavy, cfg, e_cap)
+        configs = scan_configs(monkeypatch)
+        levels = numerov.lowest_levels(DEEP_WELL, heavy, 4)
         # the two wells pair an even and an odd level, 1e-13 apart
         np.testing.assert_allclose(levels, [-49.91836702, -49.91836702,
                                             -49.7551678, -49.7551678], rtol=0.0, atol=1e-8)
-        finer = numerov.ShootingConfig(cfg.x_max, 2 * cfg.steps)
-        assert np.abs(numerov.spectrum_below(DEEP_WELL, heavy, finer, e_cap)
-                      - levels).max() <= 1e-10
+        derived = configs[-1]
+        finer = numerov.lowest_levels(DEEP_WELL, heavy, 4, steps=2 * derived.steps)
+        assert configs[-1].x_max == derived.x_max
+        assert np.abs(finer - levels).max() <= 1e-10
 
     def test_trajectory_scaling_keeps_the_counts(self, monkeypatch):
         # psi grows like exp(x^2 / 2) past the turning point, e^648 at x = 36:
@@ -232,10 +228,10 @@ class TestSpectrumBelow:
             assert scaled[big].tolist() == np.ldexp(unscaled[big], shift).tolist()
             assert count_nodes(scaled) == count_nodes(unscaled)
 
-    @pytest.mark.parametrize("pot, e_cap", [(HARM, 5.0), (DOUBLE_WELL, 1.0)],
+    @pytest.mark.parametrize("pot, count", [(HARM, 5), (DOUBLE_WELL, 3)],
                              ids=["harmonic", "double-well"])
-    def test_node_trajectories_stop_at_their_cut(self, monkeypatch, pot, e_cap):
-        cfg = numerov.default_config(pot, C, e_cap)
+    def test_node_trajectories_stop_at_their_cut(self, monkeypatch, pot, count):
+        configs = scan_configs(monkeypatch)
         built = []
         shoot = numerov._shoot
 
@@ -245,39 +241,27 @@ class TestSpectrumBelow:
             return shoot(pot, constants, config, energy, parity, potential, keep)
 
         monkeypatch.setattr(numerov, "_shoot", spy)
-        levels = numerov.spectrum_below(pot, C, cfg, e_cap)
+        levels = numerov.lowest_levels(pot, C, count)
         assert sorted(energy for energy, _ in built) == levels.tolist()
+        cfg = configs[-1]
         h = cfg.x_max / cfg.steps
         for energy, points in built:
             x_t = pot.turning_point(energy, mass=1.0)
             cut = x_t + 2.0 * numerov.decay_length(pot, C, energy)
             assert points <= int(cut / h) + 2 < cfg.steps
 
-    def test_cap_below_ground_state(self):
-        cfg = numerov.default_config(HARM, C, 5.0, steps=2000)
-        assert numerov.spectrum_below(HARM, C, cfg, 0.3).size == 0
-
-    def test_non_finite_cap(self, monkeypatch):
-        # -inf lies below min V, so it finds no level; NaN and +inf name the
-        # cap before the grid potential or the scan is built
-        cfg = numerov.default_config(HARM, C, 5.0, steps=2000)
-        assert numerov.spectrum_below(HARM, C, cfg, -math.inf).tolist() == []
+    def test_count_outside_its_range_is_refused(self, monkeypatch):
+        # named before the cap, the grid potential or the scan is built
         built = []
-        grid_potential = numerov._grid_potential
-
-        def spy(*args):
-            built.append(args)
-            return grid_potential(*args)
-
-        monkeypatch.setattr(numerov, "_grid_potential", spy)
-        for e_cap in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="e_cap must be finite"):
-                numerov.spectrum_below(HARM, C, cfg, e_cap)
+        for name in ("_cap", "_grid_potential"):
+            monkeypatch.setattr(numerov, name, lambda *args, name=name: built.append(name))
+        for count in (0, -1, numerov.MAX_INDEX + 1, 2.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="count must be an integer in"):
+                numerov.lowest_levels(HARM, C, count)
         assert not built
 
     def test_parity_channels_alternate(self):
-        cfg = numerov.default_config(HARM, C, 4.0, steps=4000)
-        merged = numerov.spectrum_below(HARM, C, cfg, 4.0)
+        merged = numerov.lowest_levels(HARM, C, 4, steps=4000)
         # channel structure: merged levels alternate even/odd, so consecutive
         # gaps stay near one quantum and never collapse to duplicates
         gaps = np.diff(merged)
@@ -285,8 +269,7 @@ class TestSpectrumBelow:
         np.testing.assert_allclose(merged, [0.5, 1.5, 2.5, 3.5], atol=1e-8)
 
     def test_quartic_matches_basis_solver(self):
-        cfg = numerov.default_config(QUART, C, 3.0, steps=6000)
-        out = numerov.spectrum_below(QUART, C, cfg, 3.0)
+        out = numerov.lowest_levels(QUART, C, 2, steps=6000)
         res = minimize_alpha(QUART, C, 40, (0.8, 4.0))
         from hgritz import solve_spectrum
         ritz = solve_spectrum(QUART, C, res.alpha_star, 40).eigenvalues
@@ -294,13 +277,13 @@ class TestSpectrumBelow:
         np.testing.assert_allclose(out, ritz[:2], atol=1e-6)
 
     def test_coarse_scan_grid_reported(self, monkeypatch):
-        # omega 0.05: 100 even levels below 10 and 79 scan cells 0.127 wide,
-        # so the first even cell holds 0.025 and 0.125; the Sturm count refuses
-        # it before any refinement shoot
+        # Sturm counts doubled, as if every level came with a twin in its
+        # cell: the first cell that holds a level is refused before any
+        # refinement shoot
+        counted_twice(monkeypatch)
         recorder = RecordedShoots(monkeypatch)
-        cfg = numerov.default_config(CROWDED, C, 10.0)
         with pytest.raises(ScanResolutionError):
-            numerov.spectrum_below(CROWDED, C, cfg, 10.0)
+            numerov.lowest_levels(HARM, C, 5, steps=2000)
         assert not recorder.shots
 
     def test_a_level_at_min_v_is_reported(self, monkeypatch):
@@ -313,17 +296,48 @@ class TestSpectrumBelow:
             return psi, changes + 1
 
         monkeypatch.setattr(numerov, "shoot_scan", counted_once_more)
-        cfg = numerov.default_config(HARM, C, 3.0, steps=2000)
         with pytest.raises(ScanResolutionError,
                            match="even-channel Sturm count is 1 at min V = 0, where no level"):
-            numerov.spectrum_below(HARM, C, cfg, 3.0)
+            numerov.lowest_levels(HARM, C, 3, steps=2000)
 
-    def test_two_levels_in_one_cell_reported(self):
-        # 0.025 and 0.125 share the first even cell, so psi(x_max) has the
-        # same sign at both its ends; the Sturm count still sees the two levels
-        cfg = numerov.default_config(CROWDED, C, 10.0)
-        with pytest.raises(ScanResolutionError, match="holds 2 levels"):
-            numerov.spectrum_below(CROWDED, C, cfg, 10.0)
+    def test_two_levels_in_one_cell_reported(self, monkeypatch):
+        # with twice its Sturm count the cell of the ground level holds two
+        # levels, although psi(x_max) changes sign once across it
+        counted_twice(monkeypatch)
+        with pytest.raises(ScanResolutionError, match=r"even-channel scan cell \(.*\) holds 2 "
+                                                      r"levels \(Sturm count 0 to 2\)"):
+            numerov.lowest_levels(HARM, C, 5, steps=2000)
+
+
+def counted_twice(monkeypatch):
+    """`numerov.shoot_scan` replaced by itself with every Sturm count doubled."""
+    scan = numerov.shoot_scan
+
+    def doubled(*args, **kwargs):
+        psi, changes = scan(*args, **kwargs)
+        return psi, 2 * changes
+
+    monkeypatch.setattr(numerov, "shoot_scan", doubled)
+
+
+class TestUnitInvariance:
+    """The quartic's levels in units where hbar or the mass is not 1."""
+
+    @pytest.mark.parametrize("constants", [Constants(hbar=2.0**-10), Constants(hbar=2.0**10),
+                                           Constants(mass=8.0)],
+                             ids=["hbar-2^-10", "hbar-2^10", "mass-8"])
+    def test_quartic_levels_scale(self, monkeypatch, constants):
+        # levels scale as lam^(1/3) (hbar^2 / m)^(2/3), and the cap, the grid
+        # and the scan with them; each level is refined to a sign change
+        # _LEVEL_WIDTH wide in its own units, so the scaled levels agree
+        # within that width at both scales
+        scale = (constants.hbar**2 / constants.mass) ** (2.0 / 3.0)
+        configs = scan_configs(monkeypatch)
+        want = numerov.lowest_levels(QUART, C, 8)
+        got = numerov.lowest_levels(QUART, constants, 8)
+        assert got.size == want.size == 8
+        assert [cfg.steps for cfg in configs] == [numerov.DEFAULT_STEPS] * 2
+        assert np.abs(got / scale - want).max() <= numerov._LEVEL_WIDTH * (1.0 + 1.0 / scale)
 
 
 def bisection_shoots(lo, hi):
@@ -375,13 +389,12 @@ class TestRefinement:
     shoot more than plain bisection takes to that width."""
 
     @pytest.mark.parametrize("steps", [2000, 5000, 20000])
-    @pytest.mark.parametrize("pot, e_cap", [(HARM, 4.0), (QUART, 5.0), (SEXTIC, 4.0),
-                                            (DOUBLE_WELL, 1.0)],
+    @pytest.mark.parametrize("pot, count", [(HARM, 4), (QUART, 3), (SEXTIC, 3),
+                                            (DOUBLE_WELL, 3)],
                              ids=["harmonic", "quartic", "sextic", "double-well"])
-    def test_levels_are_bisections_bits(self, monkeypatch, pot, e_cap, steps):
+    def test_levels_are_bisections_bits(self, monkeypatch, pot, count, steps):
         # every level lies at a sign change as narrow as bisection to 1e-10
         # would leave it
-        cfg = numerov.default_config(pot, C, e_cap, steps=steps)
         recorder = RecordedShoots(monkeypatch)
         calls = []
         refine = numerov._bisect
@@ -393,7 +406,7 @@ class TestRefinement:
             return got
 
         monkeypatch.setattr(numerov, "_bisect", recorded)
-        levels = numerov.spectrum_below(pot, C, cfg, e_cap)
+        levels = numerov.lowest_levels(pot, C, count, steps=steps)
         monkeypatch.undo()
         assert {args[3] for args, _, _ in calls} == {numerov.EVEN, numerov.ODD}
         assert levels.tolist() == sorted(got for _, got, _ in calls)
@@ -449,15 +462,27 @@ class TestRefinement:
 
     def test_fewer_shoots_than_before(self, monkeypatch):
         # the three-term recurrence with no ITP slack took 56, 52 and 141
-        # refinement shoots on these spectra (7, 8 and 19 levels at 5,000 steps)
+        # refinement shoots on these spectra (7, 8 and 19 levels at 5,000
+        # steps), from the cells of max(64, 8 (e_cap - min V)) scan energies
+        # over [min V, e_cap]; the same cells are refined here
         before = {"quartic": 56, "sextic": 52, "deep-well": 141}
         recorder = RecordedShoots(monkeypatch)
         taken = {}
         for name, pot, e_cap in [("quartic", QUART, 20.0), ("sextic", SEXTIC, 20.0),
-                                 ("deep-well", PotentialSpec.even_polynomial([0.0, -10.0, 0.5]),
-                                  0.0)]:
+                                 ("deep-well", DEEP_WELL, 0.0)]:
             recorder.shots.clear()
-            numerov.spectrum_below(pot, C, numerov.default_config(pot, C, e_cap), e_cap)
+            cfg = numerov.default_config(pot, C, e_cap)
+            v = numerov._grid_potential(pot, C, cfg)
+            v_min = pot.minimum(mass=1.0)
+            energies = np.linspace(v_min, e_cap, int(max(64.0, 8.0 * (e_cap - v_min))))
+            psi, changes = numerov.shoot_scan(pot, C, cfg, energies, potential=v)
+            grid = energies.tolist()
+            for parity, values, counts in zip((numerov.EVEN, numerov.ODD), psi.tolist(),
+                                              changes.tolist()):
+                for k in range(len(grid) - 1):
+                    if counts[k + 1] != counts[k]:
+                        numerov._bisect(pot, C, cfg, parity, grid[k], grid[k + 1],
+                                        values[k], values[k + 1], v)
             taken[name] = len(recorder.shots)
         assert all(taken[name] < before[name] for name in before)
         assert sum(taken.values()) <= 0.7 * sum(before.values())
@@ -483,11 +508,9 @@ class TestDerivedStepsAccuracy:
         (STEEP_SEXTIC, 30, 300),
     ], ids=["quartic-40", "sextic-30"])
     def test_levels_within_1e10(self, pot, levels, dim):
-        # the cap sits just above the top wanted level, as verify-mhu sets it
         matrix = hamiltonian_matrix(BasisSpec(3.0), pot, dim).to_dense()
         want = np.linalg.eigvalsh(matrix)[:levels]
-        e_cap = float(want[-1]) + 1e-9
-        got = numerov.spectrum_below(pot, C, numerov.default_config(pot, C, e_cap), e_cap)
+        got = numerov.lowest_levels(pot, C, levels)
         assert got.size == levels
         assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
 
@@ -584,8 +607,8 @@ class TestShootScan:
         with pytest.raises(ValueError, match="classically allowed"):
             numerov.shoot_scan(HARM, C, cfg, [0.5, 13.0])
 
-    @pytest.mark.parametrize("energies", [[], [0.5, math.nan], [math.inf]],
-                             ids=["empty", "nan", "inf"])
+    @pytest.mark.parametrize("energies", [[], [0.5, math.nan], [math.inf], 0.5, [[0.5, 1.0]]],
+                             ids=["empty", "nan", "inf", "scalar", "two-dimensional"])
     def test_energies_must_be_finite_and_given(self, monkeypatch, energies):
         # named before the domain check or any grid work
         called = []

@@ -11,12 +11,15 @@ subprocess, and the two run at once.  Each runs four sweeps:
   Gauss-Hermite rules of every order from 1 to 370.  The eigenvalues,
   eigenvectors and residual_norm of every solve and the nodes and weights
   of every rule are compared bit for bit.
-- Numerov: `numerov.spectrum_below` on the five families at two strengths
-  each, energy caps 1, 3 and 8 above the potential minimum, and 2,000 and
-  20,000 steps and the step count `numerov.default_config` takes by default,
-  which `verify-mhu` runs: 90 spectra; and the deep double well 0,-10,0.5 at
-  mass 1500, whose node-count trajectories grow past the float range before
-  their cut, at the default step count.  Every level is compared bit for
+- Numerov: `numerov.lowest_levels` on the five families at two strengths
+  each, for the lowest 1, 4 and 10 levels, at 2,000 and 20,000 steps and at
+  the step count `numerov.default_config` takes by default, which
+  `verify-mhu` runs: 90 spectra; and the lowest 4 levels of the deep double
+  well 0,-10,0.5 at mass 1500, whose node-count trajectories grow past the
+  float range before their cut, at the default step count.  A tree without
+  `lowest_levels` gives the lowest levels of `numerov.spectrum_below` under
+  a cap 1 above the potential minimum, its depth doubled until the cap holds
+  as many.  Every level is compared bit for
   bit, and a spectrum that raises in either tree counts as differing.  A
   differing spectrum's line gives its largest |dE| / max(1, |E|), levels
   paired by position, and its level counts where they changed.
@@ -94,15 +97,15 @@ NUMEROV_FAMILIES = {
     "sextic_well": lambda k: ("even_polynomial", (0.0, 0.5, 0.1 * k, 0.05 * (k + 1))),
     "double_well": lambda k: ("even_polynomial", (0.0, -2.0 * (k + 1), 0.5)),
 }
-#: Energy caps above the potential minimum.
-NUMEROV_SPANS = (1.0, 3.0, 8.0)
+#: How many of the lowest levels each spectrum holds.
+NUMEROV_COUNTS = (1, 4, 10)
 #: Step counts; None is `numerov.default_config`'s default, which `verify-mhu`
 #: runs unless --numerov-steps is given.
 NUMEROV_STEPS = (2000, 20000, None)
-#: (name, potential kind, its parameter, mass, energy cap above the minimum) of
-#: each spectrum run beside the families, at the default step count.
+#: (name, potential kind, its parameter, mass, level count) of each spectrum
+#: run beside the families, at the default step count.
 NUMEROV_CASES = (
-    ("heavy_double_well", "even_polynomial", (0.0, -10.0, 0.5), 1500.0, 0.294),
+    ("heavy_double_well", "even_polynomial", (0.0, -10.0, 0.5), 1500.0, 4),
 )
 
 #: (name, potential kind, its parameter, alpha, dim) of each node count.
@@ -156,29 +159,48 @@ def _eigh_sweep():
 def _numerov_sweep():
     from hgritz import Constants, numerov
 
-    def spectrum(label, pot, constants, span, steps):
-        e_cap = pot.minimum(mass=constants.mass) + span
-        # None leaves the count to the tree's own default_config
+    def spectrum(label, pot, constants, count, steps):
+        # None leaves the step count to the tree's own default_config
         given = {} if steps is None else {"steps": steps}
         try:
-            config = numerov.default_config(pot, constants, e_cap, **given)
-            levels = numerov.spectrum_below(pot, constants, config, e_cap)
+            levels = _lowest_levels(numerov, pot, constants, count, given)
             fields = {"levels": [x.hex() for x in levels.tolist()]}
         except Exception as exc:  # reported as a difference, never equal
             fields = {RAISED: f"{type(exc).__name__}: {exc}"}
-        return f"{label} span={span} steps={steps or 'default'}", fields
+        return f"{label} count={count} steps={steps or 'default'}", fields
 
     out = []
     for name, param in NUMEROV_FAMILIES.items():
         for k in range(2):
             kind, value = param(k)
             pot = _potential(kind, value)
-            for span, steps in itertools.product(NUMEROV_SPANS, NUMEROV_STEPS):
-                out.append(spectrum(f"{name} {value}", pot, Constants(), span, steps))
-    for name, kind, value, mass, span in NUMEROV_CASES:
+            for count, steps in itertools.product(NUMEROV_COUNTS, NUMEROV_STEPS):
+                out.append(spectrum(f"{name} {value}", pot, Constants(), count, steps))
+    for name, kind, value, mass, count in NUMEROV_CASES:
         out.append(spectrum(f"{name} {value} mass={mass}", _potential(kind, value),
-                            Constants(mass=mass), span, None))
+                            Constants(mass=mass), count, None))
     return out
+
+
+def _lowest_levels(numerov, pot, constants, count, given):
+    """The `count` lowest levels from a tree's numerov module; `given` holds its steps, if any.
+
+    A tree without `numerov.lowest_levels` takes them from
+    `numerov.spectrum_below` under a cap 1 above min V whose depth doubles
+    until the spectrum below it holds `count` levels.  That branch serves
+    only trees older than `lowest_levels`.
+    """
+    if hasattr(numerov, "lowest_levels"):
+        return numerov.lowest_levels(pot, constants, count, **given)
+    v_min = pot.minimum(mass=constants.mass)
+    depth = 1.0
+    while True:
+        e_cap = v_min + depth
+        config = numerov.default_config(pot, constants, e_cap, **given)
+        levels = numerov.spectrum_below(pot, constants, config, e_cap)
+        if levels.size >= count:
+            return levels[:count]
+        depth *= 2.0
 
 
 def _node_sweep():
