@@ -260,6 +260,34 @@ class TestSpectrumBelow:
                 numerov.lowest_levels(HARM, C, count)
         assert not built
 
+    def test_cap_below_ground_state(self, monkeypatch):
+        # a cap short of the ground state finds no level; the depth above
+        # min V doubles until the scan holds the wanted count
+        caps = []
+        default_config = numerov.default_config
+
+        def spy(pot, constants, e_hi, steps=None):
+            caps.append(e_hi)
+            return default_config(pot, constants, e_hi, steps)
+
+        monkeypatch.setattr(numerov, "default_config", spy)
+        monkeypatch.setattr(numerov, "_cap", lambda *args: 0.3)
+        levels = numerov.lowest_levels(HARM, C, 3, steps=2000)
+        np.testing.assert_allclose(levels, [0.5, 1.5, 2.5], atol=1e-8)
+        assert caps == [0.3, 0.6, 1.2, 2.4, 4.8]
+
+    def test_non_finite_cap(self):
+        # the derived cap is finite and lies within a quarter level of level
+        # `count`, (count + 1/2) hbar omega, in any units; a scale that rounds
+        # to min V is named instead of a cap that cannot be scanned
+        for constants in (C, Constants(hbar=1e-3), Constants(mass=1e4)):
+            for count in (1, 5, 40):
+                cap = numerov._cap(HARM, constants, 0.0, count)
+                assert math.isfinite(cap)
+                assert abs(cap / constants.hbar - (count + 0.5)) <= 0.25
+        with pytest.raises(ScanResolutionError, match="rounds to min V"):
+            numerov._cap(PotentialSpec.even_polynomial([0.0, -1e150, 1.0]), C, -2.5e299, 3)
+
     def test_parity_channels_alternate(self):
         merged = numerov.lowest_levels(HARM, C, 4, steps=4000)
         # channel structure: merged levels alternate even/odd, so consecutive
