@@ -180,20 +180,15 @@ def _back_transform(a, betas, z):
         rows -= v @ (t @ (v.T @ rows))
 
 
-def _ql_implicit(d, e, row=False):
-    """Implicit-shift QL on tridiagonal (d, e); return (eigenvalues, row).
+def _ql_implicit(d, e):
+    """Eigenvalues of tridiagonal (d, e) by implicit-shift QL, unsorted.
 
     d has length n and e length n - 1, e[i] coupling d[i] and d[i + 1];
-    neither is modified.  The eigenvalues come back unsorted.  The scalar
-    recurrence runs on Python floats.  With row, each rotation is also
-    applied to a list that starts as row 0 of the identity, and that list
-    comes back as row 0 of the eigenvector matrix, entry j belonging to
-    eigenvalue j; without it, row is None.
+    neither is modified.  The scalar recurrence runs on Python floats.
     """
     n = len(d)
     d = d.tolist()
     e = e.tolist() + [0.0]
-    u = [1.0] + [0.0] * (n - 1) if row else None
     for l in range(n):
         sweeps = 0
         while True:
@@ -234,17 +229,12 @@ def _ql_implicit(d, e, row=False):
                 p = s * r
                 d[i + 1] = g + p
                 g = c * r - b
-                if u is not None:
-                    # entries i, i + 1 <- c u_i - s u_j, c u_j + s u_i
-                    ui, uj = u[i], u[i + 1]
-                    u[i] = c * ui - s * uj
-                    u[i + 1] = c * uj + s * ui
             if underflow:
                 continue
             d[l] -= p
             e[l] = g
             e[m] = 0.0
-    return np.array(d), u
+    return np.array(d)
 
 
 def _floored(x, pivmin):
@@ -413,7 +403,7 @@ def _tridiagonal_levels(a):
     cuts = np.flatnonzero(np.abs(e) <= _EPS * (np.abs(d[:-1]) + np.abs(d[1:])))
     split = e.copy()
     split[cuts] = 0.0
-    values = _ql_implicit(d, split)[0]
+    values = _ql_implicit(d, split)
     order = np.argsort(values, kind="stable")
     return reduced, betas, d, e, cuts, values[order], order
 

@@ -122,14 +122,24 @@ class ShootingConfig:
 
 
 def decay_length(pot: PotentialSpec, constants: Constants, energy: float) -> float:
-    """Airy length scale at the turning point, (hbar^2 / 2m V'(x_t))^(1/3)."""
-    return _airy_length(pot, constants, pot.turning_point(energy, mass=constants.mass))
+    """Airy length scale at the turning point, (hbar^2 / 2m V'(x_t))^(1/3).
+
+    energy must lie above min V, so that the turning point x_t is positive.
+    """
+    x_t = pot.turning_point(energy, mass=constants.mass)
+    if not x_t > 0.0:
+        raise ValueError(f"energy = {energy!r} has no turning point above x = 0")
+    return _airy_length(pot, constants, x_t, energy - pot.minimum(mass=constants.mass))
 
 
-def _airy_length(pot, constants, x_t):
-    """`decay_length` at the turning point x_t."""
-    slope = float(pot.derivative(x_t, mass=constants.mass))
-    slope = max(slope, 1e-10)
+def _airy_length(pot, constants, x_t, depth):
+    """`decay_length` at the turning point x_t > 0 of a level depth above min V.
+
+    V'(x_t) is floored at the mean slope depth / x_t, the request's own
+    slope scale, so that a flat turning point still gives a finite length
+    in every system of units.  On a convex well the floor never binds.
+    """
+    slope = max(float(pot.derivative(x_t, mass=constants.mass)), depth / x_t)
     return (constants.hbar**2 / (2.0 * constants.mass * slope)) ** (1.0 / 3.0)
 
 
@@ -147,7 +157,7 @@ def default_config(pot: PotentialSpec, constants: Constants, e_hi: float,
     if not float(e_hi) > v_min:
         raise ValueError(f"e_hi = {e_hi!r} must lie above the scan start, min V = {v_min!r}")
     x_t = pot.turning_point(e_hi, mass=constants.mass)
-    x_max = x_t + 8.0 * _airy_length(pot, constants, x_t)
+    x_max = x_t + 8.0 * _airy_length(pot, constants, x_t, float(e_hi) - v_min)
     if steps is None:
         steps = _derived_steps(constants, x_max, float(e_hi) - v_min)
     return ShootingConfig(x_max, steps)
@@ -455,11 +465,11 @@ def _brent_point(a, fa, b, fb, c, fc, d, e, tol, next_width):
     return x, d, e
 
 
-def _trajectory_nodes(pot, constants, config, energy, parity, potential):
+def _trajectory_nodes(pot, constants, config, energy, parity, potential, v_min):
     """Certified node count of the refined state on (0, x_t + 2 ell]; potential is V on the grid."""
     h = config.x_max / config.steps
     x_t = pot.turning_point(energy, mass=constants.mass)
-    cut = min(config.x_max, x_t + 2.0 * _airy_length(pot, constants, x_t))
+    cut = min(config.x_max, x_t + 2.0 * _airy_length(pot, constants, x_t, energy - v_min))
     stop = int(cut / h) + 1
     samples = []
     _shoot(pot, constants, config, energy, parity, potential[:max(stop, 2)], samples)
@@ -551,7 +561,8 @@ def lowest_levels(pot: PotentialSpec, constants: Constants, count: int, *,
                     f"refinement can take only a cell that holds one")
             e_found = _bisect(pot, constants, config, parity, grid[k], grid[k + 1],
                               values[k], values[k + 1], potential)
-            nodes = _trajectory_nodes(pot, constants, config, e_found, parity, potential)
+            nodes = _trajectory_nodes(pot, constants, config, e_found, parity, potential,
+                                      v_min)
             if nodes != counts[k]:
                 raise ScanResolutionError(f"{parity} channel state {counts[k]} at "
                                           f"E = {e_found:.8g} carries {nodes} nodes")

@@ -1,10 +1,11 @@
 """Gauss-Hermite quadrature oracle for inner products and matrix elements.
 
-Independent cross-check route for every analytic matrix element: nodes and
-weights come from the eigenvalues and first eigenvector row of the Jacobi
-matrix of the Hermite recurrence (zero diagonal, off-diagonals sqrt(k/2)),
-so a rule of order K integrates exp(-y^2) times any polynomial of degree
-<= 2K - 1 exactly.
+Independent cross-check route for every analytic matrix element: the nodes
+of a rule of order K are the zeros of the K-th oscillator eigenfunction,
+found by Newton's method on the Hermite-function recurrence, and its weights
+follow from the Christoffel-Darboux formula, so a rule of order K integrates
+exp(-y^2) times any polynomial of degree <= 2K - 1 exactly.  No eigensolver
+is involved, so the oracle shares no code with the solver it checks.
 
 Inner products (f, g) = integral f(x) g(x) dx are evaluated by substituting
 y = x sqrt(alpha) and dividing the Gaussian factor carried by the integrand
@@ -27,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisSpec, _phi_neighbours, check_index
-from .eigensolver import _ql_implicit
 from .errors import ConvergenceError, QuadratureError
 from .operators import PotentialSpec
 
@@ -36,6 +36,8 @@ from .operators import PotentialSpec
 #: 1e-323 at order 388; from 389 on it underflows to 0 and the rule fails its
 #: positivity check.
 MAX_ORDER = 370
+
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,16 +65,96 @@ class QuadratureRule:
         object.__setattr__(self, "weights", weights)
 
 
-def gauss_hermite_rule(order: int) -> QuadratureRule:
-    """Order-K rule from the Jacobi matrix of the Hermite recurrence.
+#: Newton stops once every node's correction is at most this many ulps of
+#: max(1, |y|).  Its rounding floor stays under one ulp at orders 2 to 370.
+_NEWTON_ULPS = 4
+#: Newton passes allowed before a rule is refused; orders 2 to 370 settle
+#: within 4.
+_NEWTON_PASSES = 10
 
-    Nodes are the Jacobi eigenvalues; weights are sqrt(pi) times the squared
-    first components of the eigenvectors (Golub & Welsch 1969, Math. Comp.
-    23:221).  Both come from the eigensolver's QL routine run on the Jacobi
-    matrix with row 0 of its eigenvectors tracked, O(K^2) work with no K x K
-    array.  Exact symmetry about 0 is restored after the solve (the matrix
-    is symmetric under index reversal with sign).  The rule must integrate
-    y^2 to sqrt(pi) / 2 within 1e-12, or ConvergenceError is raised.
+
+def _airy_zeros(count):
+    """The first `count` zeros of Ai, descending from -2.338, asymptotically.
+
+    a_k = -T(3 pi (4k - 1) / 8) with T(t) = t^(2/3) (1 + 5/48 t^-2 - 5/36 t^-4
+    + 77125/82944 t^-6 - 108056875/6967296 t^-8) (Abramowitz & Stegun
+    10.4.94 and 10.4.105): 9e-4 off at k = 1, 8e-7 at k = 2 and closer
+    beyond, enough for a starting point.
+    """
+    t = 3.0 * math.pi / 8.0 * (4.0 * np.arange(1, count + 1) - 1.0)
+    return -t ** (2.0 / 3.0) * (1.0 + 5.0 / 48.0 * t**-2 - 5.0 / 36.0 * t**-4
+                                + 77125.0 / 82944.0 * t**-6
+                                - 108056875.0 / 6967296.0 * t**-8)
+
+
+def _starting_nodes(order):
+    """Estimates of the ceil(K/2) nonnegative Gauss-Hermite nodes, ascending.
+
+    The positive zeros of H_K are the square roots of the m = floor(K/2)
+    zeros of the Laguerre polynomial L_m^(a), a = -1/2 for even K and 1/2
+    for odd K, and nu = 4m + 2a + 2 = 2K + 1.  The lower half of those zeros
+    comes from Tricomi's formula, x = nu t - (5 / (4 (1 - t)^2) - 1 / (1 - t)
+    - 1 + 3 a^2) / (3 nu) with t = cos^2(theta / 2) and theta - sin(theta) =
+    (4m - 4k + 3) pi / nu for the k-th smallest; the upper half from
+    Gatteschi's expansion in the Airy zeros a_j, j-th largest first
+    (Gatteschi 2002, J. Comput. Appl. Math. 144:7).  Townsend, Trogdon &
+    Olver (2016, IMA J. Numer. Anal. 36:337) start Newton from the same
+    pair.  For odd K the node 0 leads, exactly.
+    """
+    m = order // 2
+    a = 0.5 if order % 2 else -0.5
+    nu = 2.0 * order + 1.0
+    inner = m // 2
+    rhs = (4.0 * m - 4.0 * np.arange(1, inner + 1) + 3.0) * math.pi / nu
+    theta = np.full(inner, 0.5 * math.pi)
+    for _ in range(8):
+        theta -= (theta - np.sin(theta) - rhs) / (1.0 - np.cos(theta))
+    t = np.cos(0.5 * theta) ** 2
+    tricomi = nu * t - (5.0 / (4.0 * (1.0 - t) ** 2) - 1.0 / (1.0 - t) - 1.0
+                        + 3.0 * a * a) / (3.0 * nu)
+    z = _airy_zeros(m - inner)[::-1]
+    gatteschi = (nu + 2.0 ** (2.0 / 3.0) * z * nu ** (1.0 / 3.0)
+                 + 0.2 * 2.0 ** (4.0 / 3.0) * z**2 * nu ** (-1.0 / 3.0)
+                 + (11.0 / 35.0 - a * a - 12.0 / 175.0 * z**3) / nu
+                 + (16.0 / 1575.0 * z + 92.0 / 7875.0 * z**4) * 2.0 ** (2.0 / 3.0)
+                 * nu ** (-5.0 / 3.0)
+                 - (15152.0 / 3031875.0 * z**5 + 1088.0 / 121275.0 * z**2)
+                 * 2.0 ** (1.0 / 3.0) * nu ** (-7.0 / 3.0))
+    roots = np.sqrt(np.concatenate((tricomi, gatteschi)))
+    return np.concatenate(([0.0], roots)) if order % 2 else roots
+
+
+def _hermite_functions(y, top):
+    """(h_0, h_{top-1}, h_top) at y, for the orthonormal Hermite functions.
+
+    h_0 = pi^(-1/4) exp(-y^2 / 2), h_1 = sqrt(2) y h_0 and
+    h_{k+1} = sqrt(2 / (k + 1)) y h_k - sqrt(k / (k + 1)) h_{k-1}: the
+    oscillator eigenfunctions in y, one recurrence pass vectorized over y.
+    """
+    h0 = math.pi**-0.25 * np.exp(-0.5 * y * y)
+    below, h = np.zeros_like(y), h0
+    for k in range(top):
+        above = y * h
+        above *= math.sqrt(2.0 / (k + 1))
+        above -= math.sqrt(k / (k + 1)) * below
+        below, h = h, above
+    return h0, below, h
+
+
+def gauss_hermite_rule(order: int) -> QuadratureRule:
+    """Order-K rule whose nodes are the zeros of the oscillator eigenfunction h_K.
+
+    Newton's method runs once, vectorized over the ceil(K/2) nonnegative
+    nodes from `_starting_nodes`, with the step h_K / h_K' =
+    h_K / (sqrt(2K) h_{K-1} - y h_K), until every step is at most
+    `_NEWTON_ULPS` ulps of max(1, |y|) (Townsend, Trogdon & Olver 2016).  The
+    weights are Christoffel-Darboux's w = exp(-y^2) / (K h_{K-1}(y)^2),
+    formed as sqrt(pi) (h_0 / h_{K-1})^2 / K so that exp(-y^2) never
+    underflows; O(K^2) work with no eigensolver.  The rule is symmetric by
+    construction: the negative half mirrors the nonnegative one.
+    ConvergenceError is raised if Newton has not settled within
+    `_NEWTON_PASSES` passes, if the nodes are not strictly ascending, or if
+    the rule does not integrate y^2 to sqrt(pi) / 2 within 1e-12.
     """
     if isinstance(order, bool) or not isinstance(order, (int, np.integer)):
         raise ValueError(f"order must be an integer, got {order!r}")
@@ -81,15 +163,27 @@ def gauss_hermite_rule(order: int) -> QuadratureRule:
     order = int(order)
     if order == 1:
         return QuadratureRule(np.zeros(1), np.array([math.sqrt(math.pi)]), 1)
-    offdiag = np.sqrt(np.arange(1, order) / 2.0)
-    values, first = _ql_implicit(np.zeros(order), offdiag, row=True)
-    ranks = np.argsort(values, kind="stable")
-    nodes = values[ranks]
-    weights = math.sqrt(math.pi) * np.array(first)[ranks] ** 2
-    nodes = 0.5 * (nodes - nodes[::-1])
-    weights = 0.5 * (weights + weights[::-1])
-    if order % 2 == 1:
-        nodes[order // 2] = 0.0
+    y = _starting_nodes(order)
+    root = math.sqrt(2.0 * order)
+    for _ in range(_NEWTON_PASSES):
+        _, below, h = _hermite_functions(y, order)
+        step = h / (root * below - y * h)
+        y = y - step
+        if np.all(np.abs(step) <= _NEWTON_ULPS * _EPS * np.maximum(1.0, y)):
+            break
+    else:
+        raise ConvergenceError(
+            f"Newton's method for the Gauss-Hermite nodes of order {order} did not "
+            f"settle within {_NEWTON_PASSES} passes", dim=order)
+    h0, _, last = _hermite_functions(y, order - 1)
+    half = math.sqrt(math.pi) * (h0 / last) ** 2 / order
+    # an odd rule's middle node 0 is not mirrored
+    mirror = slice(None, 0, -1) if order % 2 else slice(None, None, -1)
+    nodes = np.concatenate((-y[mirror], y))
+    weights = np.concatenate((half[mirror], half))
+    if not np.all(np.diff(nodes) > 0.0):
+        raise ConvergenceError(
+            f"Gauss-Hermite nodes of order {order} are not strictly ascending", dim=order)
     second = float((weights * nodes * nodes).sum())
     if abs(second - 0.5 * math.sqrt(math.pi)) > 1e-12:
         raise ConvergenceError(

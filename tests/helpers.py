@@ -292,9 +292,10 @@ def basis_table_decimal(alpha, rmax, x, digits=40):
 def ql_rotation_by_rotation(d, e, z):
     """Implicit-shift QL on tridiagonal (d, e), rotating z^T after every rotation.
 
-    Same contract as `hgritz.eigensolver._ql_implicit`: (unsorted
-    eigenvalues, rotated copy of z), inputs unmodified.  Each rotation
-    updates rows i, i + 1 of z^T in place before the recurrence moves on.
+    Returns (unsorted eigenvalues, rotated copy of z), inputs unmodified;
+    the eigenvalues are bitwise `hgritz.eigensolver._ql_implicit`'s.  Each
+    rotation updates rows i, i + 1 of z^T in place before the recurrence
+    moves on.
     """
     n = len(d)
     d = d.tolist()

@@ -409,6 +409,20 @@ class TestVerifyMhu:
         assert exact == sorted(exact)
         assert all(c["pass"] for c in doc["checks"])
 
+    def test_numerov_reference_at_a_slope_below_1e_10(self, capsys):
+        # V'(x_t) is 9.5e-14 at hbar omega = 1e-9: an absolute slope floor of
+        # 1e-10 made the decay length and x_max 10 times too short, and the
+        # domain check refused the request with 0.47 e-folds
+        code, out, _ = run_cli(capsys, [
+            "verify-mhu", "--potential", "harmonic", "--omega", "1e-9", "--alpha", "1e-9",
+            "--dims", "2,4", "--exact", "numerov", "--format", "json"])
+        assert code == 0
+        doc = json.loads(out)
+        assert all(c["pass"] for c in doc["checks"])
+        # the refinement width is an absolute 1e-10, a tenth of hbar omega
+        assert doc["results"]["exact"] == pytest.approx([0.5e-9, 1.5e-9, 2.5e-9, 3.5e-9],
+                                                        rel=1e-4)
+
     @pytest.mark.parametrize("steps", ["0", "999", "1000001", "100000000000"])
     def test_numerov_steps_out_of_range_is_usage_error(self, capsys, steps):
         # 1e11 steps used to die on a 745 GiB allocation

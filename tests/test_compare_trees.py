@@ -3,7 +3,6 @@
 import importlib.util
 import json
 import math
-import types
 from pathlib import Path
 
 import numpy as np
@@ -87,6 +86,28 @@ def test_rotated_eigenvectors_report_the_largest_angle(capsys):
                          "1 of 2 solves and rules bit-identical"]
 
 
+def test_moved_rule_reports_its_largest_node_and_weight_changes(capsys):
+    # |dy| / max(1, |y|): 0.5 moved by 1e-12 gives 1.0e-12, 3 moved by 6e-12
+    # gives 2.0e-12; |dw| / w: 0.25 moved by 1e-13 gives 4.0e-13
+    old, new = records(), records()
+    rule = ("gauss-hermite rule order=2",
+            {"nodes": np.array([-3.0, 0.5]).tobytes(), "weights": np.array([0.25, 0.5]).tobytes()})
+    old["eigh"][1] = rule
+    new["eigh"][1] = (rule[0], {"nodes": np.array([-3.0 - 6e-12, 0.5 + 1e-12]).tobytes(),
+                                "weights": np.array([0.25 + 1e-13, 0.5]).tobytes()})
+    code, lines = run(capsys, old, new)
+    assert code == 1
+    assert lines[:2] == ["gauss-hermite rule order=2: nodes, weights differ "
+                         "(largest |dy| / max(1, |y|) 2.0e-12, |dw| / w 4.0e-13)",
+                         "1 of 2 solves and rules bit-identical (1 rules moved, largest "
+                         "|dy| / max(1, |y|) 2.0e-12, |dw| / w 4.0e-13)"]
+    # weights alone: the nodes give 0
+    new["eigh"][1] = (rule[0], {**rule[1], "weights": np.array([0.25, 0.5 * 1.5]).tobytes()})
+    code, lines = run(capsys, old, new)
+    assert lines[0] == ("gauss-hermite rule order=2: weights differ "
+                        "(largest |dy| / max(1, |y|) 0.0e+00, |dw| / w 5.0e-01)")
+
+
 def test_numerov_spectrum_raising_in_both_trees_differs(capsys):
     old, new = records(), records()
     for run_ in (old, new):
@@ -157,25 +178,6 @@ def test_numerov_sweep_covers_the_default_step_count(monkeypatch):
         assert given == ({} if label.endswith("steps=default")
                          else {"steps": int(label.rsplit("=", 1)[1])})
         assert fields["levels"] == [float(n).hex() for n in range(count)]
-
-
-def test_numerov_levels_of_a_tree_without_lowest_levels():
-    # its spectrum_below's cap starts 1 above min V and doubles its depth
-    # until the spectrum below it holds the levels asked for
-    from hgritz import Constants, PotentialSpec
-
-    caps = []
-
-    def spectrum_below(pot, constants, config, e_cap):
-        caps.append((config, e_cap))
-        return np.arange(0.5, e_cap)  # the harmonic levels below e_cap
-
-    older = types.SimpleNamespace(spectrum_below=spectrum_below,
-                                  default_config=lambda pot, constants, e_hi, steps: steps)
-    levels = compare_trees._lowest_levels(older, PotentialSpec.harmonic(1.0), Constants(), 4,
-                                          {"steps": 2000})
-    assert levels.tolist() == [0.5, 1.5, 2.5, 3.5]
-    assert caps == [(2000, 1.0), (2000, 2.0), (2000, 4.0)]
 
 
 def test_cli_request_raising_the_same_text_agrees(capsys):

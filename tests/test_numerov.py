@@ -54,6 +54,12 @@ class TestConfig:
         x_t = HARM.turning_point(0.6, mass=1.0)
         assert cfg.x_max > x_t + 5.0 * numerov.decay_length(HARM, C, 0.6)
 
+    def test_decay_length_needs_a_turning_point(self):
+        # its slope floor, (V(x_t) - min V) / x_t, needs x_t > 0
+        for energy in (0.0, -1.0):
+            with pytest.raises(ValueError, match="no turning point"):
+                numerov.decay_length(HARM, C, energy)
+
     def test_default_config_needs_e_hi_above_the_scan_start(self):
         # the scan starts at min V = 0; no level lies at or below it
         for e_hi in (0.0, -1.0, math.nan):

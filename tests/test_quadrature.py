@@ -1,12 +1,16 @@
 import functools
 import math
+import sys
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite import hermgauss
 
 from helpers import (element_by_inner_products, hermite_eval, kinetic_second_form,
                      ql_rotation_by_rotation)
 
+import hgritz.cli as cli
+import hgritz.eigensolver as eigensolver
 import hgritz.quadrature as quadrature
 from hgritz import (MAX_INDEX, BasisSpec, ConvergenceError, PotentialSpec, QuadratureError,
                     QuadratureRule,
@@ -15,6 +19,7 @@ from hgritz import (MAX_INDEX, BasisSpec, ConvergenceError, PotentialSpec, Quadr
 from hgritz.quadrature import MAX_ORDER, minimum_order, oracle_matrices
 
 SQRT_PI = math.sqrt(math.pi)
+EPS = np.finfo(float).eps
 SPEC1 = BasisSpec(1.0)
 HARM = PotentialSpec.harmonic(1.0)
 QUART = PotentialSpec.quartic(1.0)
@@ -26,6 +31,26 @@ def double_factorial_moment(j):
     for k in range(1, j + 1):
         val *= (2 * k - 1) / 2.0
     return val
+
+
+@functools.lru_cache(maxsize=None)
+def golub_welsch(order):
+    """(QL's unsorted eigenvalues, nodes, weights) of the order-K Golub-Welsch rule.
+
+    The reference QL rotates row 0 of the identity with the Jacobi matrix
+    of the Hermite recurrence (zero diagonal, off-diagonals sqrt(k / 2));
+    the nodes are its eigenvalues ascending, the weights sqrt(pi) times the
+    squares of that row (Golub & Welsch 1969, Math. Comp. 23:221).
+    """
+    d, e = np.zeros(order), np.sqrt(np.arange(1, order) / 2.0)
+    values, row = ql_rotation_by_rotation(d, e, np.eye(order)[:1])
+    ranks = np.argsort(values, kind="stable")
+    return values, values[ranks], SQRT_PI * row[0][ranks] ** 2
+
+
+#: Orders compared with the Golub-Welsch reference, whose rotation-by-rotation
+#: QL takes seconds at the largest orders.
+GOLUB_WELSCH_ORDERS = [*range(2, 41), 64, 100, 134, 200, MAX_ORDER]
 
 
 class TestRule:
@@ -75,27 +100,76 @@ class TestRule:
         with pytest.raises(ValueError, match="order must lie in"):
             gauss_hermite_rule(MAX_ORDER + 1)
 
-    @pytest.mark.parametrize("order", [*range(2, 41), 64, 100, 134, 200, MAX_ORDER])
+    @pytest.mark.parametrize("order", GOLUB_WELSCH_ORDERS)
     def test_tracked_row_is_the_rotation_by_rotation_row(self, order):
-        # the rule's QL run rotates row 0 of its eigenvectors as Python
-        # floats; the reference rotates row 0 of the identity as an array
+        # QL's eigenvalues of the Jacobi matrix are bitwise the reference's;
+        # QL no longer tracks a row, and the rule no longer runs QL
         d, e = np.zeros(order), np.sqrt(np.arange(1, order) / 2.0)
-        want_values, want_row = ql_rotation_by_rotation(d, e, np.eye(order)[:1])
-        values, row = quadrature._ql_implicit(d, e, row=True)
-        assert values.tobytes() == want_values.tobytes()
-        assert np.array(row).tobytes() == want_row[0].tobytes()
+        assert eigensolver._ql_implicit(d, e).tobytes() == golub_welsch(order)[0].tobytes()
+
+    @pytest.mark.parametrize("order", GOLUB_WELSCH_ORDERS)
+    def test_rule_matches_golub_welsch(self, order):
+        # QL is backward stable: each eigenvalue lies within a small multiple
+        # of K eps ||J|| of the exact node, ||J|| < sqrt(2K + 1), and its
+        # eigenvectors are orthonormal to K eps, so each weight sqrt(pi) u_0^2
+        # is within K eps sqrt(pi).  The Newton rule is a few ulps from the
+        # exact rule (test_rule_matches_hermgauss); 4 more eps cover the
+        # rounding of both rules' last operations at small K
+        _, nodes, weights = golub_welsch(order)
+        rule = gauss_hermite_rule(order)
+        slack = (order + 4) * EPS
+        assert np.abs(rule.nodes - nodes).max() <= slack * math.sqrt(2 * order + 1)
+        assert np.abs(rule.weights - weights).max() <= slack * SQRT_PI
+
+    @pytest.mark.parametrize("order", range(1, MAX_ORDER + 1))
+    def test_rule_matches_hermgauss(self, order, monkeypatch):
+        # hermgauss polishes LAPACK's eigenvalues by one Newton step, and the
+        # rule stops Newton once its correction is at most 4 ulps: each node
+        # is within 4 ulps of max(1, |y|) of the exact one.  At a zero of h_K,
+        # d log w / dy = -4y for the Christoffel weight
+        # w = sqrt(pi) (h_0 / h_{K-1})^2 / K, so those node errors move w by
+        # at most 4 |y| times theirs; the recurrence adds O(K eps) of its own.
+        # Every order settles within 4 Newton passes of its starting points
+        monkeypatch.setattr(quadrature, "_NEWTON_PASSES", 4)
+        rule = gauss_hermite_rule(order)
+        nodes, weights = hermgauss(order)
+        node_tol = 8.0 * EPS * np.maximum(1.0, np.abs(nodes))
+        assert np.all(np.abs(rule.nodes - nodes) <= node_tol)
+        weight_tol = 4.0 * np.abs(nodes) * node_tol + 4.0 * order * EPS
+        assert np.all(np.abs(rule.weights - weights) <= weight_tol * weights)
 
     def test_rule_off_its_second_moment_raises(self, monkeypatch):
-        ql = quadrature._ql_implicit
+        # h_0 enters the rule only through the weights
+        functions = quadrature._hermite_functions
 
-        def skewed(d, e, row=False):
-            values, first = ql(d, e, row)
-            return values, [x * (1.0 + 1e-9) for x in first]
+        def skewed(y, top):
+            h0, below, h = functions(y, top)
+            return h0 * (1.0 + 1e-9), below, h
 
-        monkeypatch.setattr(quadrature, "_ql_implicit", skewed)
+        monkeypatch.setattr(quadrature, "_hermite_functions", skewed)
         with pytest.raises(ConvergenceError, match="integrates y\\^2") as err:
             gauss_hermite_rule(12)
         assert err.value.dim == 12
+
+    def test_colliding_nodes_raise(self, monkeypatch):
+        # two starting points on one zero: Newton takes both to it
+        starts = quadrature._starting_nodes
+
+        def doubled(order):
+            y = starts(order)
+            y[1] = y[2]
+            return y
+
+        monkeypatch.setattr(quadrature, "_starting_nodes", doubled)
+        with pytest.raises(ConvergenceError, match="not strictly ascending") as err:
+            gauss_hermite_rule(12)
+        assert err.value.dim == 12
+
+    def test_newton_out_of_passes_raises(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_NEWTON_PASSES", 1)
+        with pytest.raises(ConvergenceError, match="did not settle within 1 passes") as err:
+            gauss_hermite_rule(13)
+        assert err.value.dim == 13
 
     def test_order_validation(self):
         with pytest.raises(ValueError):
@@ -274,3 +348,26 @@ class TestOracleMatrices:
         assert str(batched.value) == str(single.value)
         assert batched.value.node_index == single.value.node_index
         assert batched.value.node == single.value.node
+
+
+def test_oracle_runs_without_the_eigensolver(monkeypatch, capsys):
+    # the oracle checks the eigensolver's matrices, so it must not run it:
+    # every binding of QL, eigh and eigvalsh in the package raises
+    solver = {id(f) for f in (eigensolver._ql_implicit, eigensolver.eigh,
+                              eigensolver.eigvalsh)}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the quadrature oracle ran the eigensolver")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "hgritz":
+            for attr, value in list(vars(module).items()):
+                if id(value) in solver:
+                    monkeypatch.setattr(module, attr, refuse)
+    assert gauss_hermite_rule(MAX_ORDER).order == MAX_ORDER
+    assert element_oracle(SPEC1, QUART, 0, 4)[1] == pytest.approx(0.25 * math.sqrt(24.0),
+                                                                   abs=1e-10)
+    t_upper, v_upper = oracle_matrices(SPEC1, QUART, 21)
+    assert (t_upper[3, 5], v_upper[3, 5]) == element_oracle(SPEC1, QUART, 3, 5, _rule(48))
+    assert cli.main(["oracle-compare", "--potential", "quartic", "--dim", "21"]) == 0
+    assert capsys.readouterr().out.startswith("matrix,max_discrepancy")

@@ -16,13 +16,11 @@ subprocess, and the two run at once.  Each runs four sweeps:
   the step count `numerov.default_config` takes by default, which
   `verify-mhu` runs: 90 spectra; and the lowest 4 levels of the deep double
   well 0,-10,0.5 at mass 1500, whose node-count trajectories grow past the
-  float range before their cut, at the default step count.  A tree without
-  `lowest_levels` gives the lowest levels of `numerov.spectrum_below` under
-  a cap 1 above the potential minimum, its depth doubled until the cap holds
-  as many.  Every level is compared bit for
-  bit, and a spectrum that raises in either tree counts as differing.  A
-  differing spectrum's line gives its largest |dE| / max(1, |E|), levels
-  paired by position, and its level counts where they changed.
+  float range before their cut, at the default step count.  Every level is
+  compared bit for bit, and a spectrum that raises in either tree counts as
+  differing.  A differing spectrum's line gives its largest
+  |dE| / max(1, |E|), levels paired by position, and its level counts where
+  they changed.
 - node counts: `spectral.node_counts` on the quartic (lam 1) and the deep
   double well 0,-10,0.5 at dims 512 and 1024, whose shared grids span many
   chunks; on two harmonic wells whose turning points lie far past the basis
@@ -39,9 +37,11 @@ subprocess, and the two run at once.  Each runs four sweeps:
 One line is printed per differing record, naming its fields, then one
 summary line per sweep.  Where an eigen solve's eigenvalues agree bit for
 bit and its eigenvectors do not, the line and the summary also give the
-largest 1 - |<v_old, v_new>| over the eigenvector columns.  The Numerov
-summary gives the largest level change over its differing spectra and how
-many changed their level count.  Where a CLI
+largest 1 - |<v_old, v_new>| over the eigenvector columns.  A differing
+rule's line and the summary give its largest |dy| / max(1, |y|) over the
+nodes and |dw| / w over the weights.  The Numerov summary gives the largest
+level change over its differing spectra and how many changed their level
+count.  Where a CLI
 request's stdout differs and both are JSON reports, the line names the
 `results` keys that differ, each with its largest relative change
 |new - old| / max(1, |old|), the scale of the Numerov sweep, and the summary
@@ -163,7 +163,7 @@ def _numerov_sweep():
         # None leaves the step count to the tree's own default_config
         given = {} if steps is None else {"steps": steps}
         try:
-            levels = _lowest_levels(numerov, pot, constants, count, given)
+            levels = numerov.lowest_levels(pot, constants, count, **given)
             fields = {"levels": [x.hex() for x in levels.tolist()]}
         except Exception as exc:  # reported as a difference, never equal
             fields = {RAISED: f"{type(exc).__name__}: {exc}"}
@@ -180,27 +180,6 @@ def _numerov_sweep():
         out.append(spectrum(f"{name} {value} mass={mass}", _potential(kind, value),
                             Constants(mass=mass), count, None))
     return out
-
-
-def _lowest_levels(numerov, pot, constants, count, given):
-    """The `count` lowest levels from a tree's numerov module; `given` holds its steps, if any.
-
-    A tree without `numerov.lowest_levels` takes them from
-    `numerov.spectrum_below` under a cap 1 above min V whose depth doubles
-    until the spectrum below it holds `count` levels.  That branch serves
-    only trees older than `lowest_levels`.
-    """
-    if hasattr(numerov, "lowest_levels"):
-        return numerov.lowest_levels(pot, constants, count, **given)
-    v_min = pot.minimum(mass=constants.mass)
-    depth = 1.0
-    while True:
-        e_cap = v_min + depth
-        config = numerov.default_config(pot, constants, e_cap, **given)
-        levels = numerov.spectrum_below(pot, constants, config, e_cap)
-        if levels.size >= count:
-            return levels[:count]
-        depth *= 2.0
 
 
 def _node_sweep():
@@ -271,6 +250,19 @@ def _vector_angle(old, new):
     return float((1.0 - np.abs((v_old * v_new).sum(axis=0))).max())
 
 
+def _rule_change(old, new):
+    """(largest |dy| / max(1, |y|), largest |dw| / w) of two rule records of one order.
+
+    y and w are OLD's nodes and weights.
+    """
+    import numpy as np
+
+    y_old, y_new, w_old, w_new = (np.frombuffer(run[name]) for name in ("nodes", "weights")
+                                  for run in (old, new))
+    return (float((np.abs(y_new - y_old) / np.maximum(1.0, np.abs(y_old))).max()),
+            float((np.abs(w_new - w_old) / w_old).max()))
+
+
 def _level_change(old, new):
     """Largest |E_new - E_old| / max(1, |E_old|) over two spectra's levels, paired by position.
 
@@ -324,10 +316,12 @@ def compare(old, new) -> int:
     exactly when every record agrees.  An eigen record whose eigenvalues
     agree bit for bit but whose eigenvectors differ also gets the largest
     1 - |<v_old, v_new>| over its columns, and its sweep's summary the
-    largest of those.  A Numerov record whose levels differ in both trees
-    gets the largest level change (`_level_change`) and its level counts
-    where they changed, and the Numerov summary the largest of those changes
-    and the number of changed counts.  A CLI record whose stdout differs between two JSON
+    largest of those.  A rule record whose nodes or weights differ gets its
+    `_rule_change`, and the summary the largest of each.  A Numerov record
+    whose levels differ in both trees gets the largest level change
+    (`_level_change`) and its level counts where they changed, and the
+    Numerov summary the largest of those changes and the number of changed
+    counts.  A CLI record whose stdout differs between two JSON
     reports also gets its differing `results` keys and the largest relative
     change of each (`_results_changes`), and the CLI summary the number of
     requests each key moved on, per workload, with its largest change.
@@ -337,7 +331,7 @@ def compare(old, new) -> int:
     for sweep, words in SWEEPS.items():
         pairs = list(itertools.zip_longest(old.get(sweep, []), new.get(sweep, [])))
         differ = levels = recounted = 0
-        angles, level_changes = [], []
+        angles, level_changes, rule_changes = [], [], []
         # results key -> workloads of the requests it moved on, and its largest change
         moved = collections.defaultdict(collections.Counter)
         largest = {}
@@ -358,6 +352,10 @@ def compare(old, new) -> int:
                 if "eigenvectors" in names and "eigenvalues" not in names:
                     angles.append(_vector_angle(a[1], b[1]))
                     line += f" (eigenvalues bitwise; vectors within {angles[-1]:.1e})"
+                if sweep == "eigh" and ("nodes" in names or "weights" in names):
+                    rule_changes.append(_rule_change(a[1], b[1]))
+                    line += (f" (largest |dy| / max(1, |y|) {rule_changes[-1][0]:.1e}, "
+                             f"|dw| / w {rule_changes[-1][1]:.1e})")
                 if "levels" in names and all("levels" in run[1] for run in (a, b)):
                     old_levels, new_levels = a[1]["levels"], b[1]["levels"]
                     level_changes.append(_level_change(old_levels, new_levels))
@@ -389,6 +387,10 @@ def compare(old, new) -> int:
         if angles:
             summary += (f" ({len(angles)} with bitwise eigenvalues have vectors within "
                         f"{max(angles):.1e})")
+        if rule_changes:
+            summary += (f" ({len(rule_changes)} rules moved, largest |dy| / max(1, |y|) "
+                        f"{max(c[0] for c in rule_changes):.1e}, |dw| / w "
+                        f"{max(c[1] for c in rule_changes):.1e})")
         if moved:
             summary += " (results moved: " + "; ".join(
                 f"{key} on " + ", ".join(f"{count} {workload}" for workload, count
