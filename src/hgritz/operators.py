@@ -32,7 +32,6 @@ catch wrong matrix elements.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -279,7 +278,10 @@ def _check_band4(pot: PotentialSpec, dim: int, band4: str) -> None:
                          "anywhere else it would leave the matrix unchanged")
 
 
-@functools.lru_cache(maxsize=8)
+#: kmax -> (h, roots) of `_ladder_tables`, at the largest dim asked so far.
+_LADDERS = {}
+
+
 def _ladder_tables(kmax: int, dim: int):
     """h_kj(r) for k <= kmax as arrays h[k][j], and sqrt((r+1)...(r+2j)) as roots[j-1].
 
@@ -291,8 +293,19 @@ def _ladder_tables(kmax: int, dim: int):
 
     where for j = 0 the first term is r(r-1) h_{k-1,1}(r-2).  The h_kj are
     integers, held exactly in floats while below 2^53.  Neither table depends
-    on alpha or the coefficients, so both are built once per (kmax, dim).
+    on alpha or the coefficients, and column r of each depends on r alone, so
+    one read-only pair per kmax is kept, built at the largest dim asked so
+    far, and every call gets its first dim columns.
     """
+    tables = _LADDERS.get(kmax)
+    if tables is None or tables[1].shape[1] < dim:
+        tables = _LADDERS[kmax] = _build_ladder_tables(kmax, dim)
+    h, roots = tables
+    return tuple(hk[:, :dim] for hk in h), roots[:, :dim]
+
+
+def _build_ladder_tables(kmax, dim):
+    """`_ladder_tables` at (kmax, dim), built from the recurrence."""
     r = np.arange(dim, dtype=float)
     j = np.arange(kmax + 1)[:, None]
     up = 2.0 * r + (4 * j + 1)

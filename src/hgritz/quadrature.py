@@ -13,10 +13,11 @@ back out, leaving the rule a purely polynomial job.
 
 `oracle_matrices` gives the upper triangles of the quadrature T and V in the
 quadrature-matrix form (Light, Hamilton & Lill 1985, J. Chem. Phys.
-82:1400): one basis recurrence pass at the rule's nodes, and per row r one
-product over (s >= r, nodes) summed along the nodes.  It keeps `inner_product`'s
+82:1400): one basis recurrence pass at the rule's nodes, then the rows in
+blocks of `_BLOCK_ROWS`, each block one product over (rows, s >= its first
+row, nodes) summed along the nodes.  It keeps `inner_product`'s
 multiplication order, ((w f) g) exp(y^2) / sqrt(alpha), so each entry is
-bitwise the per-element `element_oracle`, which runs the same row code on
+bitwise the per-element `element_oracle`, which runs the same block code on
 its two rows.
 """
 
@@ -150,8 +151,12 @@ def gauss_hermite_rule(order: int) -> QuadratureRule:
     `_NEWTON_ULPS` ulps of max(1, |y|) (Townsend, Trogdon & Olver 2016).  The
     weights are Christoffel-Darboux's w = exp(-y^2) / (K h_{K-1}(y)^2),
     formed as sqrt(pi) (h_0 / h_{K-1})^2 / K so that exp(-y^2) never
-    underflows; O(K^2) work with no eigensolver.  The rule is symmetric by
-    construction: the negative half mirrors the nonnegative one.
+    underflows.  They come from the pass whose step passed that test: its
+    h_0 and h_{K-1} are carried across that last step of at most 4 ulps to
+    first order, h_0' = -y h_0 and h_{K-1}' = y h_{K-1} - sqrt(2K) h_K, so
+    no recurrence pass is run for the weights alone.  O(K^2) work with no
+    eigensolver.  The rule is symmetric by construction: the negative half
+    mirrors the nonnegative one.
     ConvergenceError is raised if Newton has not settled within
     `_NEWTON_PASSES` passes, if the nodes are not strictly ascending, or if
     the rule does not integrate y^2 to sqrt(pi) / 2 within 1e-12.
@@ -166,17 +171,21 @@ def gauss_hermite_rule(order: int) -> QuadratureRule:
     y = _starting_nodes(order)
     root = math.sqrt(2.0 * order)
     for _ in range(_NEWTON_PASSES):
-        _, below, h = _hermite_functions(y, order)
+        h0, below, h = _hermite_functions(y, order)
         step = h / (root * below - y * h)
-        y = y - step
-        if np.all(np.abs(step) <= _NEWTON_ULPS * _EPS * np.maximum(1.0, y)):
+        y_next = y - step
+        if np.all(np.abs(step) <= _NEWTON_ULPS * _EPS * np.maximum(1.0, y_next)):
             break
+        y = y_next
     else:
         raise ConvergenceError(
             f"Newton's method for the Gauss-Hermite nodes of order {order} did not "
             f"settle within {_NEWTON_PASSES} passes", dim=order)
-    h0, _, last = _hermite_functions(y, order - 1)
-    half = math.sqrt(math.pi) * (h0 / last) ** 2 / order
+    # h_0 and h_{K-1} carried from y to y - step to first order
+    h0 = h0 + (y * h0) * step
+    below = below - (y * below - root * h) * step
+    half = math.sqrt(math.pi) * (h0 / below) ** 2 / order
+    y = y_next
     # an odd rule's middle node 0 is not mirrored
     mirror = slice(None, 0, -1) if order % 2 else slice(None, None, -1)
     nodes = np.concatenate((-y[mirror], y))
@@ -230,6 +239,13 @@ def minimum_order(r: int, s: int, degree: int) -> int:
     return math.ceil((r + s + degree) / 2) + 2
 
 
+#: Rows of one `_OracleTables.block`, whose terms are formed together.
+_BLOCK_ROWS = 16
+#: Floats in the one terms buffer of an `_OracleTables`: a block's columns
+#: are taken in as few equal passes as keep rows x columns x order within it.
+_BUFFER_TERMS = 1 << 14
+
+
 class _OracleTables:
     """phi_k', phi_k and V phi_k at a rule's nodes, for each index k in rows.
 
@@ -241,34 +257,62 @@ class _OracleTables:
 
     def __init__(self, spec, pot, rule, rows):
         self.spec = spec
-        self.rule = rule
         self.y, x, self.boost = _node_values(spec, rule)
-        below, self.phi, above = _phi_neighbours(spec, rows, x)
+        below, phi, above = _phi_neighbours(spec, rows, x)
         k = np.asarray(rows, dtype=float)[:, None]
         self.dphi = 0.5 * math.sqrt(2.0 * spec.alpha) * (np.sqrt(k) * below
                                                          - np.sqrt(k + 1.0) * above)
-        self.vphi = pot.value(x, mass=spec.mass) * self.phi
+        self.vphi = pot.value(x, mass=spec.mass) * phi
+        # inner_product's first factor w f, for f = phi_r' and f = phi_r
+        self.w_dphi = rule.weights * self.dphi
+        self.w_phi = rule.weights * phi
+        height = min(_BLOCK_ROWS, len(k))
+        self.width = min(len(k), max(1, _BUFFER_TERMS // (height * rule.order)))
+        self.terms = np.empty((height, self.width, rule.order))
 
-    def row(self, i, cols):
-        """Oracle (t_rs, v_rs) for r at position i and s at the positions cols.
+    def block(self, first, stop, lead):
+        """Oracle (t_rs, v_rs) for r at positions first..stop-1 and s at lead.. on.
 
-        Each entry is `inner_product`'s ((w f) g) boost, summed along the
-        nodes and divided by sqrt(alpha).  A non-finite term raises the
-        QuadratureError of the first such entry in (s, kinetic before
-        potential) order.
+        At most `_BLOCK_ROWS` rows.  Each entry is `inner_product`'s
+        ((w f) g) boost, summed along the nodes and divided by sqrt(alpha).
+        Entry (r, s) counts only where s >= r, as in an upper triangle: a
+        non-finite term among those raises the QuadratureError of the first
+        such entry in (r, s, kinetic before potential) order, and entries
+        with s < r are left for the caller to discard.
         """
-        spec, w = self.spec, self.rule.weights
+        rows, count = slice(first, stop), stop - first
+        size = self.dphi.shape[0] - lead
+        passes = -(-size // self.width)
+        width = -(-size // passes)
+        t_sums, v_sums = np.empty((count, size)), np.empty((count, size))
         with np.errstate(over="ignore", invalid="ignore"):
-            t_terms = (w * self.dphi[i]) * self.dphi[cols] * self.boost
-            v_terms = (w * self.phi[i]) * self.vphi[cols] * self.boost
+            for start in range(0, size, width):
+                end = min(start + width, size)
+                cols, out = slice(lead + start, lead + end), slice(start, end)
+                terms = self.terms[:count, :end - start]
+                for sums, f, g in ((t_sums, self.w_dphi, self.dphi),
+                                   (v_sums, self.w_phi, self.vphi)):
+                    np.multiply(f[rows, None], g[cols], out=terms)
+                    terms *= self.boost
+                    terms.sum(axis=2, out=sums[:, out])
+        # a non-finite term makes its sum non-finite; only then are the rows rerun
+        if not (np.isfinite(t_sums).all() and np.isfinite(v_sums).all()):
+            for r in range(first, stop):
+                self._check_row(r, slice(max(r, lead), None))
+        scale = self.spec.hbar**2 / (2.0 * self.spec.mass)
+        root = math.sqrt(self.spec.alpha)
+        return scale * (t_sums / root), v_sums / root
+
+    def _check_row(self, r, cols):
+        """Raise QuadratureError for the first non-finite entry (r, s), s at cols."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            t_terms = self.w_dphi[r] * self.dphi[cols] * self.boost
+            v_terms = self.w_phi[r] * self.vphi[cols] * self.boost
         bad_t = ~np.isfinite(t_terms).all(axis=1)
         bad_v = ~np.isfinite(v_terms).all(axis=1)
         if bad_t.any() or bad_v.any():
-            first = int(np.argmax(bad_t | bad_v))
-            _first_non_finite(t_terms[first] if bad_t[first] else v_terms[first], self.y)
-        scale = spec.hbar**2 / (2.0 * spec.mass)
-        root = math.sqrt(spec.alpha)
-        return scale * (t_terms.sum(axis=1) / root), v_terms.sum(axis=1) / root
+            s = int(np.argmax(bad_t | bad_v))
+            _first_non_finite(t_terms[s] if bad_t[s] else v_terms[s], self.y)
 
 
 def element_oracle(spec: BasisSpec, pot: PotentialSpec, r: int, s: int,
@@ -280,7 +324,7 @@ def element_oracle(spec: BasisSpec, pot: PotentialSpec, r: int, s: int,
     times Gaussian.  When no rule is supplied one of order r + s + deg(V) + 4
     is built (over-provisioned); a supplied rule below the exactness threshold
     is rejected rather than silently inexact.  It runs `oracle_matrices`'
-    row code on the rows r and s alone.
+    block code on the rows r and s alone.
     """
     r = check_index(r)
     s = check_index(s)
@@ -291,8 +335,8 @@ def element_oracle(spec: BasisSpec, pot: PotentialSpec, r: int, s: int,
         raise ValueError(
             f"rule order {rule.order} below exactness threshold {need} "
             f"for element ({r}, {s})")
-    t_row, v_row = _OracleTables(spec, pot, rule, [r, s]).row(0, slice(1, 2))
-    return float(t_row[0]), float(v_row[0])
+    t, v = _OracleTables(spec, pot, rule, [r, s]).block(0, 1, 1)
+    return float(t[0, 0]), float(v[0, 0])
 
 
 def oracle_matrices(spec: BasisSpec, pot: PotentialSpec,
@@ -302,8 +346,13 @@ def oracle_matrices(spec: BasisSpec, pot: PotentialSpec,
     The rule is the one `element_oracle` builds for the (dim-1, dim-1)
     element, and entry (r, s) is bitwise `element_oracle` under that rule;
     entries below the diagonal are 0.  One basis recurrence pass at the
-    rule's nodes serves every row, and row r is one product over (s >= r,
-    nodes), so the working set is O(dim x order).
+    rule's nodes serves every row.  The rows go in blocks of `_BLOCK_ROWS`,
+    each against the columns from its first row on, so the few entries
+    below the diagonal inside a block are formed and then zeroed; the terms
+    pass through one buffer of at most `_BUFFER_TERMS` floats, so the
+    working set is O(dim x order).  Only a block with a non-finite sum has
+    its rows rerun one by one, to raise the error of the first entry with
+    a non-finite term.
     """
     if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
         raise ValueError(f"dim must be a positive integer, got {dim!r}")
@@ -312,6 +361,9 @@ def oracle_matrices(spec: BasisSpec, pot: PotentialSpec,
     tables = _OracleTables(spec, pot, rule, range(dim))
     t_upper = np.zeros((dim, dim))
     v_upper = np.zeros((dim, dim))
-    for r in range(dim):
-        t_upper[r, r:], v_upper[r, r:] = tables.row(r, slice(r, dim))
-    return t_upper, v_upper
+    for first in range(0, dim, _BLOCK_ROWS):
+        stop = min(first + _BLOCK_ROWS, dim)
+        t_upper[first:stop, first:], v_upper[first:stop, first:] = \
+            tables.block(first, stop, first)
+    # a block's columns begin at its first row: its entries s < r go
+    return np.triu(t_upper), np.triu(v_upper)

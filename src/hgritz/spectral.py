@@ -77,23 +77,32 @@ def _check_finite(levels, name):
                          "levels must be finite")
 
 
+def _tol(levels):
+    """MHU_TOL (1 + |level|) for each reference level."""
+    return MHU_TOL * (1.0 + np.abs(levels))
+
+
 def _scan_check(name, comparisons):
-    """Fold (slack, tol, where) triples into a report check; pass iff slack <= tol."""
-    worst = None
-    count = 0
-    for slack, tol, where in comparisons:
-        count += 1
-        margin = slack - tol
-        if worst is None or margin > worst[0]:
-            worst = (margin, slack, where)
-    if count == 0:
+    """Fold comparison blocks into a report check; pass iff every slack <= its tol.
+
+    comparisons holds (slacks, tols, where) blocks in scan order: two arrays
+    of one length, and where(j), the place of entry j of the block.  The
+    worst comparison is the first one of largest slack - tol.
+    """
+    blocks = [(slacks, slacks - tols, where) for slacks, tols, where in comparisons
+              if slacks.size]
+    if not blocks:
         return {"name": name, "pass": True, "detail": "vacuous: single truncation"}
-    margin, slack, where = worst
-    if margin <= 0.0:
+    firsts = [int(np.argmax(margins)) for _, margins, _ in blocks]
+    # max keeps the first block of the largest margin, argmax its first entry
+    b = max(range(len(blocks)), key=lambda k: blocks[k][1][firsts[k]])
+    slacks, margins, where = blocks[b]
+    j = firsts[b]
+    if margins[j] <= 0.0:
         return {"name": name, "pass": True,
-                "detail": f"ok; worst slack {slack:.3e} at {where}"}
+                "detail": f"ok; worst slack {slacks[j]:.3e} at {where(j)}"}
     return {"name": name, "pass": False,
-            "detail": f"violated at {where}: slack {slack:.3e} above tolerance"}
+            "detail": f"violated at {where(j)}: slack {slacks[j]:.3e} above tolerance"}
 
 
 def check_mhu(table: ConvergenceTable, exact=None) -> list[dict]:
@@ -111,34 +120,23 @@ def check_mhu(table: ConvergenceTable, exact=None) -> list[dict]:
     A non-finite exact level raises ValueError naming its index.
     """
     pairs = list(zip(table.dims, table.spectra))
-
-    def monotone():
-        for (dm, em), (dn, en) in zip(pairs, pairs[1:]):
-            for i in range(dm):
-                yield en[i] - em[i], MHU_TOL * (1.0 + abs(em[i])), f"(i={i}, dim={dn})"
-
-    def interlace():
-        for (dm, em), (dn, en) in zip(pairs, pairs[1:]):
-            d = dn - dm
-            for i in range(dm):
-                tol = MHU_TOL * (1.0 + abs(em[i]))
-                yield en[i] - em[i], tol, f"(i={i}, dim={dn}, lower)"
-                yield em[i] - en[i + d], tol, f"(i={i}, dim={dn}, upper)"
-
-    checks = [_scan_check("monotonicity", monotone()),
-              _scan_check("interlacing", interlace())]
+    steps = [(dm, em, dn, en) for (dm, em), (dn, en) in zip(pairs, pairs[1:])]
+    monotone = [(en[:dm] - em, _tol(em), lambda i, dn=dn: f"(i={i}, dim={dn})")
+                for dm, em, dn, en in steps]
+    # old level i is compared below, then above: entries 2i and 2i + 1
+    interlace = [(np.stack((en[:dm] - em, em - en[dn - dm:]), axis=1).ravel(),
+                  np.repeat(_tol(em), 2),
+                  lambda j, dn=dn: f"(i={j // 2}, dim={dn}, {('lower', 'upper')[j % 2]})")
+                 for dm, em, dn, en in steps]
+    checks = [_scan_check("monotonicity", monotone),
+              _scan_check("interlacing", interlace)]
 
     if exact is not None:
         ref = np.asarray(exact, dtype=float)
         _check_finite(ref, "exact")
-
-        def bound():
-            for dn, en in pairs:
-                for i in range(min(ref.size, dn)):
-                    yield ref[i] - en[i], MHU_TOL * (1.0 + abs(ref[i])), \
-                        f"(i={i}, dim={dn})"
-
-        checks.append(_scan_check("upper_bound", bound()))
+        bound = [(ref[:dn] - en[:ref.size], _tol(ref[:dn]),
+                  lambda i, dn=dn: f"(i={i}, dim={dn})") for dn, en in pairs]
+        checks.append(_scan_check("upper_bound", bound))
 
     return checks
 

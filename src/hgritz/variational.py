@@ -214,7 +214,23 @@ def minimize_alpha(pot: PotentialSpec, constants: Constants, dim: int,
 
 def convergence_table(pot: PotentialSpec, constants: Constants, alpha: float,
                       dims) -> ConvergenceTable:
-    """Spectra at fixed alpha across truncation sizes, ready for check_mhu."""
+    """Spectra at fixed alpha across truncation sizes, ready for check_mhu.
+
+    H is built and densified once, at the largest dim, and each truncation
+    d is solved on its leading d x d block.  Every band of H is elementwise
+    in the row index, so that block is bitwise the matrix built at d and
+    each spectrum is bitwise `eigvalsh(hamiltonian_matrix(spec, pot, d))`.
+    Where a dim is invalid or the largest H leaves the float range, the
+    matrices are built dim by dim instead, which raises what that dim raises.
+    """
     dims = tuple(int(d) for d in dims)
-    spectra = tuple(_levels(pot, constants, alpha, d) for d in dims)
-    return ConvergenceTable(dims, spectra)
+    if dims and min(dims) >= 1:
+        try:
+            spec = BasisSpec(alpha, constants.hbar, constants.mass)
+            whole = np.asarray(hamiltonian_matrix(spec, pot, max(dims)))
+            whole.setflags(write=False)
+        except (ValueError, OverflowError):
+            pass  # built dim by dim below, where each dim raises what it raises alone
+        else:
+            return ConvergenceTable(dims, tuple(eigvalsh(whole[:d, :d]) for d in dims))
+    return ConvergenceTable(dims, tuple(_levels(pot, constants, alpha, d) for d in dims))

@@ -219,6 +219,30 @@ def test_cli_report_names_its_moved_results_keys(capsys):
                          "requests, largest relative change 2.0e-09)")
 
 
+def test_moved_oracle_report_names_its_discrepancy_change(capsys):
+    # results.potential is an object: its keys are reported by dotted path, so
+    # the discrepancy's change reads as a number, apart from the moved entry
+    before = json.dumps({"command": "oracle-compare", "results": {
+        "band4": "ladder",
+        "kinetic": {"max_discrepancy": 2e-15, "worst_entry": [3, 3]},
+        "potential": {"max_discrepancy": 4e-10, "worst_entry": [55, 55]}}})
+    after = json.dumps({"command": "oracle-compare", "results": {
+        "band4": "ladder",
+        "kinetic": {"max_discrepancy": 2e-15, "worst_entry": [3, 3]},
+        "potential": {"max_discrepancy": 3e-10, "worst_entry": [44, 55]}}})
+    old, new = records(), records()
+    old["cli"] = [("certify seed 1 request 2", {"exit code": 0, "stdout": before})]
+    new["cli"] = [("certify seed 1 request 2", {"exit code": 0, "stdout": after})]
+    code, lines = run(capsys, old, new)
+    assert code == 1
+    assert lines[0] == ("certify seed 1 request 2: stdout differ (results: "
+                        "potential.max_discrepancy by 1.0e-10, potential.worst_entry by 2.0e-01)")
+    assert lines[-1] == ("0 of 1 requests identical (results moved: potential.max_discrepancy "
+                         "on 1 certify requests, largest relative change 1.0e-10; "
+                         "potential.worst_entry on 1 certify requests, largest relative "
+                         "change 2.0e-01)")
+
+
 def test_cli_stdout_that_is_no_report_names_no_keys(capsys):
     new = records()
     new["cli"][0] = (new["cli"][0][0], {"exit code": 0, "stdout": "alpha_star,energy\n"})

@@ -9,6 +9,7 @@ from helpers import (exact_potential_entries, harmonic_bands, quartic_band4,
 from hgritz import (BandedSymMatrix, BasisSpec, PotentialSpec, Spectrum,
                     hamiltonian_matrix, kinetic_matrix, potential_matrix)
 from hgritz.errors import RangeError
+import hgritz.operators as operators
 from hgritz.operators import quartic_band4_misindexed
 
 SPEC1 = BasisSpec(1.0)
@@ -231,6 +232,18 @@ class TestPotential:
                 assert ulps <= 3, f"V[{r},{s}] = {got!r} is {float(ulps):.2f} ulp from {want}"
                 checked += 1
         assert checked == len([w for w in exact.values() if w != 0])
+
+    def test_ladder_tables_are_cut_from_the_largest_dim_asked(self):
+        # one read-only table per kmax, grown on demand: each call's first dim
+        # columns are bitwise the tables built at that dim
+        for kmax in (1, 2, 4):
+            for dim in (3, 70, 5, 130, 1, 64):
+                h, roots = operators._ladder_tables(kmax, dim)
+                want_h, want_roots = operators._build_ladder_tables(kmax, dim)
+                for got, want in zip((*h, roots), (*want_h, want_roots)):
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                    assert not got.flags.writeable
+            assert operators._LADDERS[kmax][1].shape[1] >= 130
 
     def test_even_polynomial_constant_term_shifts_diagonal(self):
         spec = BasisSpec(1.0)

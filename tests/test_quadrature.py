@@ -289,7 +289,8 @@ def _rule(order):
 
 class TestOracleMatrices:
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
-    @pytest.mark.parametrize("dim", [1, 2, 21, 64])
+    # 37 and 64 rows split into row blocks unevenly and evenly
+    @pytest.mark.parametrize("dim", [1, 2, 21, 37, 64])
     @pytest.mark.parametrize("pot", [HARM, QUART, SEXTIC, DEEP_WELL],
                              ids=["harmonic", "quartic", "sextic", "deep-well"])
     def test_rows_bitwise_equal_element_oracle(self, pot, dim, alpha):
@@ -345,6 +346,30 @@ class TestOracleMatrices:
                 for s in range(r, dim):
                     element_oracle(SPEC1, HARM, r, s, rule)
         assert type(batched.value) is type(single.value)
+        assert str(batched.value) == str(single.value)
+        assert batched.value.node_index == single.value.node_index
+        assert batched.value.node == single.value.node
+
+    @pytest.mark.parametrize("y0, coeff, dim, entry", [(12.0, 1e280, 20, (18, 19)),
+                                                      (24.0, 1e250, 32, (27, 31))])
+    def test_non_finite_term_in_a_later_block(self, y0, coeff, dim, entry, monkeypatch):
+        # V phi_s e^(y^2) overflows at the outer nodes only once r + s is
+        # large: every entry of the first row block is finite, and the first
+        # non-finite one lies in a later block
+        order = 81
+        nodes = np.linspace(-y0, y0, order)
+        rule = QuadratureRule(0.5 * (nodes - nodes[::-1]), np.full(order, SQRT_PI / order), order)
+        pot = PotentialSpec.even_polynomial([0.0, coeff])
+        monkeypatch.setattr(quadrature, "gauss_hermite_rule", lambda order: rule)
+        with pytest.raises(QuadratureError) as batched:
+            oracle_matrices(SPEC1, pot, dim)
+        first = None
+        with pytest.raises(QuadratureError) as single:
+            for r in range(dim):
+                for s in range(r, dim):
+                    first = (r, s)
+                    element_oracle(SPEC1, pot, r, s, rule)
+        assert first == entry and entry[0] >= quadrature._BLOCK_ROWS
         assert str(batched.value) == str(single.value)
         assert batched.value.node_index == single.value.node_index
         assert batched.value.node == single.value.node

@@ -3,10 +3,11 @@ import pytest
 
 import hgritz.eigensolver as eigensolver
 import hgritz.variational as variational
-from hgritz import (BasisSpec, Constants, ConvergenceError, PotentialSpec, check_mhu,
-                    convergence_table, eigh, exact_diagonal_alpha,
+from hgritz import (MAX_INDEX, BasisSpec, Constants, ConvergenceError, PotentialSpec,
+                    check_mhu, convergence_table, eigh, exact_diagonal_alpha,
                     hamiltonian_matrix, minimize_alpha, scan_alpha,
                     solve_spectrum)
+from hgritz.spectral import ConvergenceTable
 
 C = Constants()
 HARM = PotentialSpec.harmonic(1.0)
@@ -64,7 +65,7 @@ def test_level_searches_solve_for_values_only(monkeypatch):
         raise AssertionError("eigh called")
 
     def counted(matrix):
-        solves.append(matrix.dim)
+        solves.append(np.shape(matrix)[0])
         return eigvalsh(matrix)
 
     monkeypatch.setattr(variational, "eigh", no_eigh)
@@ -195,6 +196,43 @@ class TestConvergenceTable:
     def test_single_dim_table(self):
         table = convergence_table(HARM, C, 1.3, (6,))
         assert all(c["pass"] for c in check_mhu(table))
+
+    @pytest.mark.parametrize("pot, constants, alpha, dims", [
+        (QUART, C, 1.3, tuple(range(1, 25))),
+        (PotentialSpec.even_polynomial([0.2, 0.4, 0.1, 0.05]), C, 0.7, tuple(range(2, 41, 2))),
+        (PotentialSpec.even_polynomial([0.0, -41.8479, 0.530985]), Constants(mass=265.871),
+         2.32961, (3, 10, 19)),
+        # entries past 2^256: eigvalsh solves every truncation scaled down
+        (PotentialSpec.quartic(1e75), C, 0.01, (3, 8, 13)),
+    ], ids=["quartic-every-dim", "sextic-even-dims", "deep-double-well", "scaled"])
+    def test_spectra_are_the_per_dim_solves(self, pot, constants, alpha, dims):
+        # each truncation is the leading block of the largest H, bit for bit
+        spec = BasisSpec(alpha, constants.hbar, constants.mass)
+        table = convergence_table(pot, constants, alpha, dims)
+        for d, levels in zip(dims, table.spectra):
+            h = hamiltonian_matrix(spec, pot, d)
+            assert levels.tobytes() == eigensolver.eigvalsh(h).tobytes()
+        if pot.kind == "quartic" and pot.lam > 1.0:
+            assert np.abs(np.asarray(h)).max() > 2.0**256
+
+    @pytest.mark.parametrize("dims", [(0, 2), (2, -1), (), (4, 2), (2, MAX_INDEX + 1)])
+    def test_invalid_dims_raise_as_the_per_dim_builds(self, dims):
+        with pytest.raises(ValueError) as got:
+            convergence_table(QUART, C, 1.3, dims)
+        with pytest.raises(ValueError) as want:
+            ConvergenceTable(dims, tuple(variational._levels(QUART, C, 1.3, d) for d in dims))
+        assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("dims", [(4, 12), (8, 11, 12)])
+    def test_range_error_is_the_first_failing_dims(self, dims):
+        # V leaves the float range at dim 12, and the levels already at dim 11
+        pot = PotentialSpec.quartic(1e300)
+        with pytest.raises(OverflowError) as got:
+            convergence_table(pot, C, 1e-3, dims)
+        with pytest.raises(OverflowError) as want:
+            for d in dims:
+                variational._levels(pot, C, 1e-3, d)
+        assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
 
     def test_monotone_improvement_fixed_alpha(self):
         energies = [solve_spectrum(HARM, C, 0.7, d).eigenvalues[0]

@@ -43,10 +43,10 @@ nodes and |dw| / w over the weights.  The Numerov summary gives the largest
 level change over its differing spectra and how many changed their level
 count.  Where a CLI
 request's stdout differs and both are JSON reports, the line names the
-`results` keys that differ, each with its largest relative change
-|new - old| / max(1, |old|), the scale of the Numerov sweep, and the summary
-counts the requests each key moved on, per workload.  The exit
-code is 0 exactly when every record agrees.
+`results` keys that differ (a nested key by its dotted path), each with its
+largest relative change |new - old| / max(1, |old|), the scale of the
+Numerov sweep, and the summary counts the requests each key moved on, per
+workload.  The exit code is 0 exactly when every record agrees.
 """
 
 from __future__ import annotations
@@ -290,10 +290,23 @@ def _relative_change(old, new):
     return math.inf
 
 
+def _leaves(results, prefix=""):
+    """{dotted key: value} of a results object, descending into nested objects."""
+    out = {}
+    for key, value in results.items():
+        if isinstance(value, dict):
+            out.update(_leaves(value, f"{prefix}{key}."))
+        else:
+            out[prefix + key] = value
+    return out
+
+
 def _results_changes(old, new):
     """{key: largest relative change} over the differing `results` keys of two reports.
 
-    None where either stdout is not a JSON report with a `results` object.
+    A key of a nested object is named by its dotted path, such as
+    `potential.max_discrepancy` of an `oracle-compare` report.  None where
+    either stdout is not a JSON report with a `results` object.
     """
     try:
         a, b = (json.loads(text)["results"] for text in (old, new))
@@ -301,6 +314,7 @@ def _results_changes(old, new):
         return None
     if not (isinstance(a, dict) and isinstance(b, dict)):
         return None
+    a, b = _leaves(a), _leaves(b)
     return {key: _relative_change(a.get(key), b.get(key))
             for key in dict.fromkeys([*a, *b]) if a.get(key) != b.get(key)}
 
