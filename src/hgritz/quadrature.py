@@ -142,8 +142,19 @@ def _hermite_functions(y, top):
     return h0, below, h
 
 
+#: order -> its read-only `gauss_hermite_rule`, built on the first request.
+_RULES = {}
+
+
 def gauss_hermite_rule(order: int) -> QuadratureRule:
     """Order-K rule whose nodes are the zeros of the oscillator eigenfunction h_K.
+
+    A rule depends on K alone, so each order is built once per process, on
+    its first request, and that read-only rule is returned to every later
+    caller; a build that raises stores nothing.  At most `MAX_ORDER` rules
+    are kept, about 1.1 MB if every order is asked for.  The order is
+    checked before the lookup: a bool, a non-integer or an order outside
+    [1, `MAX_ORDER`] raises ValueError.
 
     Newton's method runs once, vectorized over the ceil(K/2) nonnegative
     nodes from `_starting_nodes`, with the step h_K / h_K' =
@@ -166,6 +177,14 @@ def gauss_hermite_rule(order: int) -> QuadratureRule:
     if not 1 <= order <= MAX_ORDER:
         raise ValueError(f"order must lie in [1, {MAX_ORDER}], got {order}")
     order = int(order)
+    rule = _RULES.get(order)
+    if rule is None:
+        rule = _RULES[order] = _build_rule(order)
+    return rule
+
+
+def _build_rule(order):
+    """`gauss_hermite_rule` at a checked order, built by Newton's method."""
     if order == 1:
         return QuadratureRule(np.zeros(1), np.array([math.sqrt(math.pi)]), 1)
     y = _starting_nodes(order)
@@ -315,14 +334,24 @@ class _OracleTables:
             _first_non_finite(t_terms[s] if bad_t[s] else v_terms[s], self.y)
 
 
+def _oracle_rule(order, what):
+    """`gauss_hermite_rule(order)` for `what`, which is refused past `MAX_ORDER`."""
+    if order > MAX_ORDER:
+        raise ValueError(f"{what} needs a rule of order {order}, "
+                         f"above MAX_ORDER = {MAX_ORDER}")
+    return gauss_hermite_rule(order)
+
+
 def element_oracle(spec: BasisSpec, pot: PotentialSpec, r: int, s: int,
                    rule: QuadratureRule | None = None) -> tuple[float, float]:
     """Quadrature values (t_rs, v_rs) of the kinetic and potential elements.
 
     The kinetic element uses the integrated-by-parts first-derivative form
     (hbar^2/2m) (phi_r', phi_s'), whose integrand is manifestly polynomial
-    times Gaussian.  When no rule is supplied one of order r + s + deg(V) + 4
-    is built (over-provisioned); a supplied rule below the exactness threshold
+    times Gaussian.  When no rule is supplied the one of order
+    r + s + deg(V) + 4 (over-provisioned) is taken from `gauss_hermite_rule`,
+    and an element that needs an order past `MAX_ORDER` raises ValueError
+    before anything is built; a supplied rule below the exactness threshold
     is rejected rather than silently inexact.  It runs `oracle_matrices`'
     block code on the rows r and s alone.
     """
@@ -330,7 +359,7 @@ def element_oracle(spec: BasisSpec, pot: PotentialSpec, r: int, s: int,
     s = check_index(s)
     need = minimum_order(r, s, pot.degree)
     if rule is None:
-        rule = gauss_hermite_rule(r + s + pot.degree + 4)
+        rule = _oracle_rule(r + s + pot.degree + 4, f"element ({r}, {s})")
     elif rule.order < need:
         raise ValueError(
             f"rule order {rule.order} below exactness threshold {need} "
@@ -343,21 +372,22 @@ def oracle_matrices(spec: BasisSpec, pot: PotentialSpec,
                     dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Upper triangles (s >= r) of the quadrature T and V, dim x dim.
 
-    The rule is the one `element_oracle` builds for the (dim-1, dim-1)
-    element, and entry (r, s) is bitwise `element_oracle` under that rule;
-    entries below the diagonal are 0.  One basis recurrence pass at the
-    rule's nodes serves every row.  The rows go in blocks of `_BLOCK_ROWS`,
-    each against the columns from its first row on, so the few entries
-    below the diagonal inside a block are formed and then zeroed; the terms
-    pass through one buffer of at most `_BUFFER_TERMS` floats, so the
-    working set is O(dim x order).  Only a block with a non-finite sum has
-    its rows rerun one by one, to raise the error of the first entry with
-    a non-finite term.
+    The rule is the one `element_oracle` takes for the (dim-1, dim-1)
+    element, the same object, and entry (r, s) is bitwise `element_oracle`
+    under that rule; entries below the diagonal are 0.  A dim whose rule
+    order would pass `MAX_ORDER` raises ValueError before anything is
+    built.  One basis recurrence pass at the rule's nodes serves every row.
+    The rows go in blocks of `_BLOCK_ROWS`, each against the columns from
+    its first row on, so the few entries below the diagonal inside a block
+    are formed and then zeroed; the terms pass through one buffer of at
+    most `_BUFFER_TERMS` floats, so the working set is O(dim x order).  Only
+    a block with a non-finite sum has its rows rerun one by one, to raise
+    the error of the first entry with a non-finite term.
     """
     if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
         raise ValueError(f"dim must be a positive integer, got {dim!r}")
     last = check_index(int(dim) - 1)
-    rule = gauss_hermite_rule(2 * last + pot.degree + 4)
+    rule = _oracle_rule(2 * last + pot.degree + 4, f"dim {dim}")
     tables = _OracleTables(spec, pot, rule, range(dim))
     t_upper = np.zeros((dim, dim))
     v_upper = np.zeros((dim, dim))

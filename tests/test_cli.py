@@ -521,6 +521,32 @@ class TestOracleCompare:
         jsonschema.validate(doc, cli.report_schema())
         assert all(c["pass"] for c in doc["checks"])
 
+    def test_stored_rule_gives_the_golden_report(self, capsys, monkeypatch):
+        # from an empty store of rules, the first run builds the order-18 rule
+        # and the second reuses it; the (5, 5) element takes that same rule
+        monkeypatch.setattr(quadrature, "_RULES", {})
+        built = []
+        build = quadrature._build_rule
+
+        def counted(order):
+            built.append(order)
+            return build(order)
+
+        monkeypatch.setattr(quadrature, "_build_rule", counted)
+        argv = next(argv for name, _, argv in REPORTS if name == "oracle")
+        golden = (GOLDEN / "oracle.json").read_bytes()
+        for _ in range(2):
+            code, out, _ = run_cli(capsys, argv + ["--format", "json"])
+            assert code == 0
+            assert out.encode("utf-8") == golden
+        assert built == [18]
+        spec, pot = BasisSpec(1.5), PotentialSpec.quartic(1.0)
+        for r, s in [(5, 5), (0, 4), (2, 7), (30, 31)]:
+            rule = quadrature.gauss_hermite_rule(r + s + pot.degree + 4)
+            assert quadrature.element_oracle(spec, pot, r, s) == \
+                quadrature.element_oracle(spec, pot, r, s, rule=rule)
+        assert built == [18, 12, 17, 69]
+
     def test_scalar_case_trivially_passes(self, capsys):
         code, _, _ = run_cli(capsys, ["oracle-compare", "--dim", "1"])
         assert code == 0

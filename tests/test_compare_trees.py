@@ -219,28 +219,56 @@ def test_cli_report_names_its_moved_results_keys(capsys):
                          "requests, largest relative change 2.0e-09)")
 
 
+def oracle_report(kinetic, potential):
+    """An oracle-compare report of two (max_discrepancy, worst_entry) pairs."""
+    return json.dumps({"command": "oracle-compare", "results": {
+        "band4": "ladder",
+        "kinetic": {"max_discrepancy": kinetic[0], "worst_entry": kinetic[1]},
+        "potential": {"max_discrepancy": potential[0], "worst_entry": potential[1]}}})
+
+
 def test_moved_oracle_report_names_its_discrepancy_change(capsys):
     # results.potential is an object: its keys are reported by dotted path, so
-    # the discrepancy's change reads as a number, apart from the moved entry
-    before = json.dumps({"command": "oracle-compare", "results": {
-        "band4": "ladder",
-        "kinetic": {"max_discrepancy": 2e-15, "worst_entry": [3, 3]},
-        "potential": {"max_discrepancy": 4e-10, "worst_entry": [55, 55]}}})
-    after = json.dumps({"command": "oracle-compare", "results": {
-        "band4": "ladder",
-        "kinetic": {"max_discrepancy": 2e-15, "worst_entry": [3, 3]},
-        "potential": {"max_discrepancy": 3e-10, "worst_entry": [44, 55]}}})
+    # the discrepancy's change reads as a number, and the moved entry as its
+    # old and new index pair
+    before = oracle_report((2e-15, [3, 3]), (4e-10, [55, 55]))
+    after = oracle_report((2e-15, [3, 3]), (3e-10, [44, 55]))
     old, new = records(), records()
     old["cli"] = [("certify seed 1 request 2", {"exit code": 0, "stdout": before})]
     new["cli"] = [("certify seed 1 request 2", {"exit code": 0, "stdout": after})]
     code, lines = run(capsys, old, new)
     assert code == 1
     assert lines[0] == ("certify seed 1 request 2: stdout differ (results: "
-                        "potential.max_discrepancy by 1.0e-10, potential.worst_entry by 2.0e-01)")
+                        "potential.max_discrepancy by 1.0e-10, "
+                        "potential.worst_entry (55, 55) -> (44, 55))")
     assert lines[-1] == ("0 of 1 requests identical (results moved: potential.max_discrepancy "
                          "on 1 certify requests, largest relative change 1.0e-10; "
-                         "potential.worst_entry on 1 certify requests, largest relative "
-                         "change 2.0e-01)")
+                         "potential.worst_entry on 1 certify requests)")
+
+
+def test_moved_worst_entry_is_named_by_its_pairs(capsys):
+    # a worst entry that moves on two requests, with the discrepancy moving on
+    # one: the pairs are no number, so only the discrepancy has a largest
+    # relative change; an entry missing from a report reads None
+    labels = ["certify seed 1 request 2", "certify seed 2 request 7"]
+    before = [oracle_report((2e-15, [3, 3]), (6.9e-11, [62, 62])),
+              oracle_report((2e-15, [3, 3]), (1e-14, [5, 5]))]
+    after = [oracle_report((2e-15, [3, 5]), (9.5e-11, [63, 63])),
+             oracle_report((2e-15, None), (1e-14, [5, 5]))]
+    old, new = records(), records()
+    old["cli"] = [(label, {"exit code": 0, "stdout": text}) for label, text in zip(labels, before)]
+    new["cli"] = [(label, {"exit code": 0, "stdout": text}) for label, text in zip(labels, after)]
+    code, lines = run(capsys, old, new)
+    assert code == 1
+    assert lines[:2] == ["certify seed 1 request 2: stdout differ (results: "
+                         "kinetic.worst_entry (3, 3) -> (3, 5), potential.max_discrepancy "
+                         "by 2.6e-11, potential.worst_entry (62, 62) -> (63, 63))",
+                         "certify seed 2 request 7: stdout differ (results: "
+                         "kinetic.worst_entry (3, 3) -> None)"]
+    assert lines[-1] == ("0 of 2 requests identical (results moved: kinetic.worst_entry on "
+                         "2 certify requests; potential.max_discrepancy on 1 certify requests, "
+                         "largest relative change 2.6e-11; potential.worst_entry on 1 certify "
+                         "requests)")
 
 
 def test_cli_stdout_that_is_no_report_names_no_keys(capsys):

@@ -48,6 +48,15 @@ def golub_welsch(order):
     return values, values[ranks], SQRT_PI * row[0][ranks] ** 2
 
 
+@pytest.fixture
+def unbuilt_rules(monkeypatch):
+    """An empty store of rules for one test, so that every order is built anew.
+
+    The process's own store is put back afterwards.
+    """
+    monkeypatch.setattr(quadrature, "_RULES", {})
+
+
 #: Orders compared with the Golub-Welsch reference, whose rotation-by-rotation
 #: QL takes seconds at the largest orders.
 GOLUB_WELSCH_ORDERS = [*range(2, 41), 64, 100, 134, 200, MAX_ORDER]
@@ -122,7 +131,7 @@ class TestRule:
         assert np.abs(rule.weights - weights).max() <= slack * SQRT_PI
 
     @pytest.mark.parametrize("order", range(1, MAX_ORDER + 1))
-    def test_rule_matches_hermgauss(self, order, monkeypatch):
+    def test_rule_matches_hermgauss(self, order, monkeypatch, unbuilt_rules):
         # hermgauss polishes LAPACK's eigenvalues by one Newton step, and the
         # rule stops Newton once its correction is at most 4 ulps: each node
         # is within 4 ulps of max(1, |y|) of the exact one.  At a zero of h_K,
@@ -138,7 +147,7 @@ class TestRule:
         weight_tol = 4.0 * np.abs(nodes) * node_tol + 4.0 * order * EPS
         assert np.all(np.abs(rule.weights - weights) <= weight_tol * weights)
 
-    def test_rule_off_its_second_moment_raises(self, monkeypatch):
+    def test_rule_off_its_second_moment_raises(self, monkeypatch, unbuilt_rules):
         # h_0 enters the rule only through the weights
         functions = quadrature._hermite_functions
 
@@ -151,7 +160,7 @@ class TestRule:
             gauss_hermite_rule(12)
         assert err.value.dim == 12
 
-    def test_colliding_nodes_raise(self, monkeypatch):
+    def test_colliding_nodes_raise(self, monkeypatch, unbuilt_rules):
         # two starting points on one zero: Newton takes both to it
         starts = quadrature._starting_nodes
 
@@ -165,7 +174,7 @@ class TestRule:
             gauss_hermite_rule(12)
         assert err.value.dim == 12
 
-    def test_newton_out_of_passes_raises(self, monkeypatch):
+    def test_newton_out_of_passes_raises(self, monkeypatch, unbuilt_rules):
         monkeypatch.setattr(quadrature, "_NEWTON_PASSES", 1)
         with pytest.raises(ConvergenceError, match="did not settle within 1 passes") as err:
             gauss_hermite_rule(13)
@@ -178,6 +187,35 @@ class TestRule:
             gauss_hermite_rule(513)
         with pytest.raises(ValueError):
             gauss_hermite_rule(2.5)
+
+    def test_one_rule_per_order(self):
+        rule = gauss_hermite_rule(40)
+        assert gauss_hermite_rule(np.int64(40)) is rule
+        assert quadrature._RULES[40] is rule
+        for array in (rule.nodes, rule.weights):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    @pytest.mark.parametrize("order", [True, 2.5, 0, MAX_ORDER + 1])
+    def test_invalid_order_raises_with_order_one_stored(self, order):
+        # True == 1 as a key: the order is checked before the lookup
+        assert gauss_hermite_rule(1) is quadrature._RULES[1]
+        with pytest.raises(ValueError):
+            gauss_hermite_rule(order)
+
+    def test_failed_build_stores_nothing(self, monkeypatch, unbuilt_rules):
+        with monkeypatch.context() as patch:
+            patch.setattr(quadrature, "_NEWTON_PASSES", 1)
+            for _ in range(2):
+                with pytest.raises(ConvergenceError, match="within 1 passes"):
+                    gauss_hermite_rule(13)
+                assert quadrature._RULES == {}
+        rule = gauss_hermite_rule(13)
+        assert quadrature._RULES == {13: rule}
+        fresh = quadrature._build_rule(13)
+        np.testing.assert_array_equal(rule.nodes, fresh.nodes)
+        np.testing.assert_array_equal(rule.weights, fresh.weights)
 
 
 class TestInnerProduct:
@@ -234,6 +272,14 @@ class TestElementOracle:
         _, v = element_oracle(SPEC1, QUART, 0, 4)
         assert v == pytest.approx(0.25 * math.sqrt(24.0), abs=1e-10)
 
+    def test_element_past_the_order_cap_names_itself(self, monkeypatch):
+        # element (200, 200) of a quartic needs order 408; nothing is built
+        monkeypatch.setattr(quadrature, "_build_rule", None)
+        monkeypatch.setattr(quadrature, "_OracleTables", None)
+        with pytest.raises(ValueError, match=r"^element \(200, 200\) needs a rule of order "
+                           r"408, above MAX_ORDER = 370$"):
+            element_oracle(SPEC1, QUART, 200, 200)
+
     def test_insufficient_order_rejected(self):
         rule = gauss_hermite_rule(5)
         assert minimum_order(6, 6, 4) > 5
@@ -282,11 +328,6 @@ def _checked_rows(dim):
     return [0, 1, dim // 2, dim - 1]
 
 
-@functools.lru_cache(maxsize=None)
-def _rule(order):
-    return gauss_hermite_rule(order)
-
-
 class TestOracleMatrices:
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     # 37 and 64 rows split into row blocks unevenly and evenly
@@ -295,7 +336,7 @@ class TestOracleMatrices:
                              ids=["harmonic", "quartic", "sextic", "deep-well"])
     def test_rows_bitwise_equal_element_oracle(self, pot, dim, alpha):
         spec = BasisSpec(alpha)
-        rule = _rule(2 * (dim - 1) + pot.degree + 4)
+        rule = gauss_hermite_rule(2 * (dim - 1) + pot.degree + 4)
         t_upper, v_upper = oracle_matrices(spec, pot, dim)
         assert not np.tril(t_upper, -1).any() and not np.tril(v_upper, -1).any()
         for r in _checked_rows(dim):
@@ -324,6 +365,17 @@ class TestOracleMatrices:
     def test_dim_checks(self, dim):
         with pytest.raises(ValueError):
             oracle_matrices(SPEC1, QUART, dim)
+
+    def test_dim_past_the_order_cap_names_itself(self, monkeypatch):
+        # dim 200 of a quartic needs order 406, and dim 183, one past the
+        # largest dim, order 372
+        monkeypatch.setattr(quadrature, "_build_rule", None)
+        monkeypatch.setattr(quadrature, "_OracleTables", None)
+        with pytest.raises(ValueError, match=r"^dim 200 needs a rule of order 406, "
+                           r"above MAX_ORDER = 370$"):
+            oracle_matrices(SPEC1, QUART, 200)
+        with pytest.raises(ValueError, match="dim 183 needs a rule of order 372"):
+            oracle_matrices(SPEC1, QUART, 183)
 
     def test_top_index_element(self):
         # phi_1023' needs phi_1024, one past the basis table's cap
@@ -393,6 +445,7 @@ def test_oracle_runs_without_the_eigensolver(monkeypatch, capsys):
     assert element_oracle(SPEC1, QUART, 0, 4)[1] == pytest.approx(0.25 * math.sqrt(24.0),
                                                                    abs=1e-10)
     t_upper, v_upper = oracle_matrices(SPEC1, QUART, 21)
-    assert (t_upper[3, 5], v_upper[3, 5]) == element_oracle(SPEC1, QUART, 3, 5, _rule(48))
+    assert (t_upper[3, 5], v_upper[3, 5]) == element_oracle(SPEC1, QUART, 3, 5,
+                                                            gauss_hermite_rule(48))
     assert cli.main(["oracle-compare", "--potential", "quartic", "--dim", "21"]) == 0
     assert capsys.readouterr().out.startswith("matrix,max_discrepancy")

@@ -45,8 +45,10 @@ count.  Where a CLI
 request's stdout differs and both are JSON reports, the line names the
 `results` keys that differ (a nested key by its dotted path), each with its
 largest relative change |new - old| / max(1, |old|), the scale of the
-Numerov sweep, and the summary counts the requests each key moved on, per
-workload.  The exit code is 0 exactly when every record agrees.
+Numerov sweep, or, for an index pair such as `potential.worst_entry`, its
+old and new pair; the summary counts the requests each key moved on, per
+workload, with the largest relative change of each key that is no index
+pair.  The exit code is 0 exactly when every record agrees.
 """
 
 from __future__ import annotations
@@ -118,6 +120,11 @@ NODE_CASES = (
     ("far_harmonic", "harmonic", 0.05, 2.0, 100),
     ("farthest_harmonic", "harmonic", 0.000867646, 5.04458, 3),
 )
+
+#: Last parts of the `results` keys that hold an index pair, such as the
+#: (r, s) of an oracle report's largest discrepancy: a moved one is named by
+#: its old and new pair, not by a relative change.
+INDEX_KEYS = ("worst_entry",)
 
 WORKLOADS = ("solve", "minimize", "certify")
 SEEDS = (1, 2, 3)
@@ -301,10 +308,17 @@ def _leaves(results, prefix=""):
     return out
 
 
-def _results_changes(old, new):
-    """{key: largest relative change} over the differing `results` keys of two reports.
+def _index_move(old, new):
+    """'(62, 62) -> (63, 63)': an index pair's old and new value."""
+    return " -> ".join(str(tuple(v)) if isinstance(v, list) else str(v) for v in (old, new))
 
-    A key of a nested object is named by its dotted path, such as
+
+def _results_changes(old, new):
+    """{key: change} over the differing `results` keys of two reports.
+
+    The change is the largest relative change (`_relative_change`), or, for
+    a key in `INDEX_KEYS`, the text of its move (`_index_move`).  A key of
+    a nested object is named by its dotted path, such as
     `potential.max_discrepancy` of an `oracle-compare` report.  None where
     either stdout is not a JSON report with a `results` object.
     """
@@ -315,8 +329,12 @@ def _results_changes(old, new):
     if not (isinstance(a, dict) and isinstance(b, dict)):
         return None
     a, b = _leaves(a), _leaves(b)
-    return {key: _relative_change(a.get(key), b.get(key))
-            for key in dict.fromkeys([*a, *b]) if a.get(key) != b.get(key)}
+    changes = {}
+    for key in dict.fromkeys([*a, *b]):
+        if a.get(key) != b.get(key):
+            change = _index_move if key.rsplit(".", 1)[-1] in INDEX_KEYS else _relative_change
+            changes[key] = change(a.get(key), b.get(key))
+    return changes
 
 
 def compare(old, new) -> int:
@@ -336,9 +354,10 @@ def compare(old, new) -> int:
     (`_level_change`) and its level counts where they changed, and the
     Numerov summary the largest of those changes and the number of changed
     counts.  A CLI record whose stdout differs between two JSON
-    reports also gets its differing `results` keys and the largest relative
-    change of each (`_results_changes`), and the CLI summary the number of
-    requests each key moved on, per workload, with its largest change.
+    reports also gets its differing `results` keys and the change of each
+    (`_results_changes`), and the CLI summary the number of requests each
+    key moved on, per workload, with its largest relative change where it
+    holds no index pair.
     """
     differ_any = False
     summaries = []
@@ -382,10 +401,12 @@ def compare(old, new) -> int:
                            if sweep == "cli" and "stdout" in names else None)
                 if changes:
                     line += " (results: " + ", ".join(
-                        f"{key} by {change:.1e}" for key, change in changes.items()) + ")"
+                        f"{key} {change}" if isinstance(change, str) else f"{key} by {change:.1e}"
+                        for key, change in changes.items()) + ")"
                     for key, change in changes.items():
                         moved[key][a[0].split()[0]] += 1
-                        largest[key] = max(largest.get(key, 0.0), change)
+                        if not isinstance(change, str):
+                            largest[key] = max(largest.get(key, 0.0), change)
                 raised = [f"{tree} raised {run[1][RAISED]}"
                           for tree, run in (("OLD", a), ("NEW", b)) if RAISED in run[1]]
                 if raised:
@@ -408,8 +429,8 @@ def compare(old, new) -> int:
         if moved:
             summary += " (results moved: " + "; ".join(
                 f"{key} on " + ", ".join(f"{count} {workload}" for workload, count
-                                         in sorted(moved[key].items()))
-                + f" requests, largest relative change {largest[key]:.1e}"
+                                         in sorted(moved[key].items())) + " requests"
+                + (f", largest relative change {largest[key]:.1e}" if key in largest else "")
                 for key in moved) + ")"
         summaries.append(summary)
         differ_any = differ_any or differ > 0
