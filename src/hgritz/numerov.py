@@ -23,14 +23,45 @@ coefficient near 2 at every step: refined to the float spacing, the quartic
 ground level (lambda = 1.06739, x_max = 4.96) stays within 8e-14 of LAPACK
 from 5,000 to 40,000 steps, where the three-term form moved it by 5.5e-10.
 
-The recurrence is written once scalar (`_shoot`: refinement shoots and
-node-count trajectories) and once vectorized over every scan energy of both
+The recurrence is written once scalar (`_shoot`: counted, refinement and
+node-count shoots) and once vectorized over every scan energy of both
 channels (`shoot_scan`), bitwise equal to `_shoot` at each; both scale u and
 d by a power of two wherever |u| has passed _RESCALE_AT, after every _CHUNK
 steps and after the last.  The scan's sign changes per trajectory are a
-discrete Sturm count of the levels in every scan cell.  Each one-level cell
-is refined by Brent's method with the ITP projection (`_bisect`) to a sign
-change of psi(x_max) at most 1e-10 wide.
+discrete Sturm count of the levels in every scan cell (Atkinson 1964,
+*Discrete and Continuous Boundary Problems*), nondecreasing in E.
+
+`lowest_levels` takes its levels in three steps.  Locate: `shoot_scan` runs
+on a coarse grid, the same x_max and scan energies at a fifth of the steps
+(at least MIN_STEPS), and picks each channel's one-level cells below `top`,
+the first energy whose summed count reaches the wanted count.  Certify:
+each channel is shot once on the fine grid, counting sign changes, at min V,
+at both ends of every picked cell and at `top`.  Where every fine count
+equals the coarse one, the fine counts equal the coarse ones at every scan
+energy up to `top`, since both are nondecreasing and agree at the ends of
+every run of constant count; the picked cells are the fine scan's cells, and
+the psi(x_max) of their ends its bits.  Refine: `_bisect` narrows each cell
+by Brent's method with the ITP projection to a sign change of psi(x_max) at
+most 1e-10 wide, and `_trajectory_nodes` checks each state's nodes.
+Otherwise (a grid raises, a count differs, a coarse cell holds two levels
+or its count falls, the coarse total falls short, or the fine grid is at
+MIN_STEPS or has h k_max past _COUNT_PHASE), `shoot_scan` runs on the fine
+grid itself; refinement and every refusal are the same on either route.
+
+`_shoot` counts sign changes only at its rescaling checks, once per _CHUNK
+steps, which is exact while at most one falls between two checks.  With
+u_{i+1} - 2 u_i + u_{i-1} = delta_i u_i, delta_i >= -(h k_i)^2 where
+E > V_i (k_i the local wave number; delta_i >= 0 elsewhere), so at every
+scan energy each delta_i is at least -c, c = (h k_max)^2 with k_max =
+sqrt(2m (e_hi - min V)) / hbar at the last scan energy e_hi.  By the
+discrete Sturm comparison theorem, between two sign changes of u every
+solution of v_{i+1} - 2 v_i + v_{i-1} = -c v_i changes sign; v_i =
+sin(i theta + phi) with c = 4 sin^2(theta / 2) changes sign once every
+pi / theta steps, so u's sign changes lie pi / theta steps apart, up to a
+step at either end.  h k_max <= 2 sin(pi / (4 _CHUNK))
+= _COUNT_PHASE = 0.0245 gives theta <= pi / (2 _CHUNK), 2 _CHUNK = 128 steps
+per sign change, twice the checks' spacing; the derived grids keep h k_max
+<= MAX_STEP_PHASE = 0.01 (Cooley 1961), some 314 steps per sign change.
 """
 
 from __future__ import annotations
@@ -83,6 +114,14 @@ _RESCALE_AT = 1e250
 _OVERFLOW = (f"the Numerov integration overflowed within {_CHUNK} steps, between two "
              "rescaling checks; it takes more steps or a smaller x_max")
 
+#: Steps of the fine grid per step of the coarse grid `_located_cells` scans.
+_COARSEN = 5
+
+#: Largest h k_max at which `_shoot`'s count at its checks is the Sturm count,
+#: 2 sin(pi / (4 _CHUNK)) = 0.0245: between two checks at most one sign change
+#: (module docstring).
+_COUNT_PHASE = 2.0 * math.sin(math.pi / (4 * _CHUNK))
+
 #: Scan energies `lowest_levels` places per wanted level, and fewest per scan.
 #: More narrow the cells refinement starts from, but cost more: at 5,000 steps
 #: on a shared 2-core machine 160 energies per channel took 15 ms, 256 35 ms.
@@ -114,11 +153,16 @@ class ShootingConfig:
     def __post_init__(self):
         if not (math.isfinite(self.x_max) and self.x_max > 0.0):
             raise ValueError(f"x_max must be positive, got {self.x_max!r}")
-        if not MIN_STEPS <= self.steps <= MAX_STEPS:
+        if not (_is_integer(self.steps) and MIN_STEPS <= self.steps <= MAX_STEPS):
             raise ValueError(
-                f"steps must lie in [{MIN_STEPS}, {MAX_STEPS}], got {self.steps!r}")
+                f"steps must be an integer in [{MIN_STEPS}, {MAX_STEPS}], got {self.steps!r}")
         object.__setattr__(self, "x_max", float(self.x_max))
         object.__setattr__(self, "steps", int(self.steps))
+
+
+def _is_integer(value):
+    """True for a Python or numpy integer that is no bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def decay_length(pot: PotentialSpec, constants: Constants, energy: float) -> float:
@@ -166,11 +210,10 @@ def default_config(pot: PotentialSpec, constants: Constants, e_hi: float,
 def _derived_steps(constants, x_max, depth):
     """Fewest steps >= DEFAULT_STEPS over [0, x_max] with h k <= MAX_STEP_PHASE.
 
-    k = sqrt(2m depth) / hbar is the largest wave number of a level depth
-    above min V; its root is taken by parts, so 2m depth cannot overflow.
+    k = sqrt(2m depth) / hbar (`_wave_number`) is the largest wave number of
+    a level depth above min V.
     """
-    k_max = math.sqrt(2.0) * math.sqrt(constants.mass) * math.sqrt(depth) / constants.hbar
-    phase = x_max * k_max
+    phase = x_max * _wave_number(constants, depth)
     needed = phase / MAX_STEP_PHASE
     if not needed <= MAX_STEPS:
         raise ScanResolutionError(
@@ -178,6 +221,11 @@ def _derived_steps(constants, x_max, depth):
             f"keeping h k_max <= {MAX_STEP_PHASE} takes {needed:.4g} steps, more than "
             f"MAX_STEPS = {MAX_STEPS}")
     return max(DEFAULT_STEPS, math.ceil(needed))
+
+
+def _wave_number(constants, depth):
+    """sqrt(2m depth) / hbar, the root taken by parts so that 2m depth cannot overflow."""
+    return math.sqrt(2.0) * math.sqrt(constants.mass) * math.sqrt(depth) / constants.hbar
 
 
 def _check_domain(pot, constants, config, energy):
@@ -254,19 +302,26 @@ def _seed(pot, constants, config, v0, energy, parity):
     return 0.0, h * (1.0 + h * h * f0 / 6.0 + (h**4 / 120.0) * (f0 * f0 + 3.0 * fpp0))
 
 
-def _shoot(pot, constants, config, energy, parity, potential, keep=None):
+def _shoot(pot, constants, config, energy, parity, potential, keep=None, *, sturm=None):
     """psi at the last point of `potential`, V on a grid prefix, for one channel at a float energy.
 
     The first step comes from `_seed`.  Sign changes of the value in E
-    bracket levels.  u and d are rescaled at the steps where `shoot_scan`
-    rescales them, exactly and keeping every sign.  A list `keep` receives
-    psi_0 .. psi_last, scaled along with u: the samples of one integration up
-    to one power of two (samples some 10^-250 under |u| may underflow, far
-    below any node-count floor).  The coefficients are formed elementwise, so
-    a prefix of the grid gives the samples of a whole-grid integration.  The
-    caller has checked the domain at this energy or above (`_check_domain`).
+    bracket levels.  Every P is checked positive (`_check_factor`).  u and d
+    are rescaled at the steps where `shoot_scan` rescales them, exactly and
+    keeping every sign.  A list `keep` receives psi_0 .. psi_last, scaled
+    along with u: the samples of one integration up to one power of two
+    (samples some 10^-250 under |u| may underflow, far below any node-count
+    floor).  A list `sturm` receives the sign changes of u counted at those
+    checks: u_0 against u_1, then u at each check against u at the one
+    before (a +-0.0 by its sign bit).  That is `shoot_scan`'s Sturm count
+    wherever at most one sign change falls between two checks, which
+    h k_max <= _COUNT_PHASE guarantees (module docstring).  The coefficients
+    are formed elementwise, so a prefix of the grid gives the samples of a
+    whole-grid integration.  The caller has checked the domain at this
+    energy or above (`_check_domain`).
     """
     pfac, deltas = _factors(constants, config, potential - energy)
+    _check_factor(config, pfac)
     # delta_i of the steps i = 1 .. len - 2, as Python floats
     deltas = deltas[1:-1].tolist()
     psi_0, psi_1 = _seed(pot, constants, config, float(potential[0]), energy, parity)
@@ -274,6 +329,8 @@ def _shoot(pot, constants, config, energy, parity, potential, keep=None):
     d = u - u_0
     if keep is not None:
         keep += [u_0, u]
+    sign = math.copysign(1.0, u)
+    changes = int(sign != math.copysign(1.0, u_0))
     for lo in range(0, len(deltas), _CHUNK):
         for delta in deltas[lo:lo + _CHUNK]:
             d += delta * u
@@ -285,6 +342,11 @@ def _shoot(pot, constants, config, energy, parity, potential, keep=None):
             d, u = math.ldexp(d, shift), math.ldexp(u, shift)
             if keep is not None:
                 keep[:] = [math.ldexp(sample, shift) for sample in keep]
+        if math.copysign(1.0, u) != sign:
+            sign = -sign
+            changes += 1
+    if sturm is not None:
+        sturm.append(changes)
     psi = u / float(pfac[-1])
     if not math.isfinite(psi):
         raise OverflowError(_OVERFLOW)
@@ -514,22 +576,96 @@ def _cap(pot, constants, v_min, count):
     return v_min + depth
 
 
+def _top(changes, count):
+    """The first scan energy whose Sturm counts, summed over both channels, reach `count`.
+
+    None where the last one falls short.
+    """
+    total = changes.sum(axis=0)
+    return int(np.argmax(total >= count)) if total[-1] >= count else None
+
+
+def _cells(grid, psi, changes, top):
+    """Per channel, its Sturm count at min V and the scan cells below `top` that hold levels.
+
+    A cell is (lo, hi, psi(x_max) at lo and at hi, Sturm count at lo and at
+    hi).  grid[k] is scan energy k; psi[p][k] and changes[p][k] are read in
+    channel p at the ends of the cells that hold levels and, for the count,
+    at k = 0.
+    """
+    return [(counts[0], [(grid[k], grid[k + 1], values[k], values[k + 1],
+                          counts[k], counts[k + 1])
+                         for k in range(top) if counts[k + 1] != counts[k]])
+            for values, counts in zip(psi, changes)]
+
+
+def _located_cells(pot, constants, config, energies, count, potential):
+    """`_cells` of the scan on config's grid, found without that scan, or None.
+
+    `shoot_scan` runs on a coarse grid, the same x_max at a fifth of the
+    steps (_COARSEN, at least MIN_STEPS), over the same energies, and gives
+    the first energy `top` whose summed count reaches `count`.  Each channel
+    is then shot on config's grid (`_shoot`, counted) at min V, at both ends
+    of every coarse cell below `top` that holds a level, and at `top`.
+    Where every count equals the coarse one, the counts of the whole scan
+    equal them too (module docstring), so the cells and `top` are the scan's
+    and the psi values its bits.  None asks for the scan itself: where the
+    fine grid is at MIN_STEPS or has h k_max > _COUNT_PHASE, where either
+    grid raises, where the coarse total falls short of `count`, where a
+    coarse cell holds two levels or the count falls, or where a count
+    differs.  `potential` is V on config's grid.
+    """
+    steps = max(MIN_STEPS, config.steps // _COARSEN)
+    k_max = _wave_number(constants, float(energies[-1] - energies[0]))
+    if steps == config.steps or config.x_max / config.steps * k_max > _COUNT_PHASE:
+        return None
+    try:
+        _, changes = shoot_scan(pot, constants, ShootingConfig(config.x_max, steps), energies)
+    except (ValueError, OverflowError):
+        return None
+    top = _top(changes, count)
+    if top is None:
+        return None
+    rises = np.diff(changes[:, :top + 1], axis=1)
+    if ((rises != 0) & (rises != 1)).any():
+        return None
+    grid, changes = energies.tolist(), changes.tolist()
+    psi = []
+    for parity, counts in zip((EVEN, ODD), changes):
+        cells = [k for k in range(top) if counts[k + 1] != counts[k]]
+        values = {}
+        for k in sorted({0, top, *cells, *(k + 1 for k in cells)}):
+            sturm = []
+            try:
+                values[k] = _shoot(pot, constants, config, grid[k], parity, potential,
+                                   sturm=sturm)
+            except (ValueError, OverflowError):
+                return None
+            if sturm != [counts[k]]:
+                return None
+        psi.append(values)
+    return _cells(grid, psi, changes, top)
+
+
 def lowest_levels(pot: PotentialSpec, constants: Constants, count: int, *,
                   steps: int | None = None) -> np.ndarray:
     """The `count` lowest levels of both parity channels together, ascending.
 
-    `shoot_scan` runs from min V to `_cap`, on the grid `default_config`
-    builds there (`steps` None derives its count), at _SCAN_PER_LEVEL
-    energies per wanted level, at least _MIN_SCAN; a cell holds as many
-    levels as the Sturm count rises across it.  Where both channels hold
+    The scan runs from min V to `_cap`, on the grid `default_config` builds
+    there (`steps` None derives its count), at _SCAN_PER_LEVEL energies per
+    wanted level, at least _MIN_SCAN; a cell holds as many levels as the
+    Sturm count rises across it.  Its cells come from a coarse grid,
+    certified by counted shoots on this one (`_located_cells`), or where
+    that fails from `shoot_scan` on this grid; either way they are the same
+    cells with the same bits (module docstring).  Where both channels hold
     fewer than `count`, the depth above min V doubles and the scan reruns.
     `_bisect` refines the cells below the first energy whose summed count
     reaches `count`, and each state must carry as many nodes as its count.
     A nonzero count at min V or a cell of two levels raises
-    ScanResolutionError, so no level is dropped silently; a count outside
-    [1, MAX_INDEX] raises ValueError.
+    ScanResolutionError, so no level is dropped silently; a count that is
+    no integer, a bool, or outside [1, MAX_INDEX] raises ValueError.
     """
-    if not (isinstance(count, (int, np.integer)) and 1 <= count <= MAX_INDEX):
+    if not (_is_integer(count) and 1 <= count <= MAX_INDEX):
         raise ValueError(f"count must be an integer in [1, {MAX_INDEX}], got {count!r}")
     v_min = pot.minimum(mass=constants.mass)
     e_cap = _cap(pot, constants, v_min, count)
@@ -537,34 +673,32 @@ def lowest_levels(pot: PotentialSpec, constants: Constants, count: int, *,
         config = default_config(pot, constants, e_cap, steps)
         energies = np.linspace(v_min, e_cap, max(_MIN_SCAN, _SCAN_PER_LEVEL * count))
         potential = _grid_potential(pot, constants, config)
+        cells = _located_cells(pot, constants, config, energies, count, potential)
+        if cells is not None:
+            break
         psi, changes = shoot_scan(pot, constants, config, energies, potential=potential)
-        total = changes.sum(axis=0)
-        if total[-1] >= count:
+        top = _top(changes, count)
+        if top is not None:
+            cells = _cells(energies.tolist(), psi.tolist(), changes.tolist(), top)
             break
         e_cap = v_min + 2.0 * (e_cap - v_min)
-    top = int(np.argmax(total >= count))
-    grid = energies.tolist()
     found = []
-    for parity, values, counts in zip((EVEN, ODD), psi.tolist(), changes.tolist()):
-        if counts[0]:
+    for parity, (start, channel) in zip((EVEN, ODD), cells):
+        if start:
             raise ScanResolutionError(
-                f"the {parity}-channel Sturm count is {counts[0]} at min V = {grid[0]:.8g}, "
+                f"the {parity}-channel Sturm count is {start} at min V = {v_min:.8g}, "
                 f"where no level lies")
-        for k in range(top):
-            levels = counts[k + 1] - counts[k]
-            if levels == 0:
-                continue
-            if levels != 1:
+        for lo, hi, flo, fhi, below, above in channel:
+            if above - below != 1:
                 raise ScanResolutionError(
-                    f"the {parity}-channel scan cell ({grid[k]:.8g}, {grid[k + 1]:.8g}) "
-                    f"holds {levels} levels (Sturm count {counts[k]} to {counts[k + 1]}); "
+                    f"the {parity}-channel scan cell ({lo:.8g}, {hi:.8g}) "
+                    f"holds {above - below} levels (Sturm count {below} to {above}); "
                     f"refinement can take only a cell that holds one")
-            e_found = _bisect(pot, constants, config, parity, grid[k], grid[k + 1],
-                              values[k], values[k + 1], potential)
+            e_found = _bisect(pot, constants, config, parity, lo, hi, flo, fhi, potential)
             nodes = _trajectory_nodes(pot, constants, config, e_found, parity, potential,
                                       v_min)
-            if nodes != counts[k]:
-                raise ScanResolutionError(f"{parity} channel state {counts[k]} at "
+            if nodes != below:
+                raise ScanResolutionError(f"{parity} channel state {below} at "
                                           f"E = {e_found:.8g} carries {nodes} nodes")
             found.append(e_found)
     return np.array(sorted(found)[:count])

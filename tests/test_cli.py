@@ -207,9 +207,10 @@ class TestSolve:
         assert passes == [65]
 
     def test_numerov_scan_makes_no_scalar_shoot(self, capsys, monkeypatch):
-        # the scan runs batched and hands each bracket psi(x_max) at its
-        # ends; scalar shoots (_shoot) come only from the refinement and
-        # the node-count trajectories
+        # the scans run batched; scalar shoots (_shoot) come only from the
+        # counted shoots that certify the coarse scan's cells and hand each
+        # bracket psi(x_max) at its ends, the refinement and the node-count
+        # trajectories
         callers = []
         shoot = numerov._shoot
 
@@ -224,7 +225,7 @@ class TestSolve:
         assert code == 0
         assert callers.count("_trajectory_nodes") == 3
         assert callers.count("_bisect") > 3 * 2
-        assert set(callers) == {"_bisect", "_trajectory_nodes"}
+        assert set(callers) == {"_located_cells", "_bisect", "_trajectory_nodes"}
 
     def test_json_schema_and_determinism(self, capsys):
         argv = ["solve", "--alpha", "exact-diagonal", "--dim", "4", "--format", "json"]

@@ -154,8 +154,8 @@ def test_a_changed_numerov_level_count_is_reported(capsys):
 
 def test_numerov_sweep_covers_the_default_step_count(monkeypatch):
     # verify-mhu runs default_config's own step count unless given one; the
-    # sweep runs it beside the explicit 2,000 and 20,000 steps, and alone on
-    # the heavy-mass case
+    # sweep runs it beside the explicit 1,000 (MIN_STEPS), 2,000 and 20,000
+    # steps, and alone on the heavy-mass and tunnelling cases
     from hgritz import numerov
 
     calls = []
@@ -166,13 +166,16 @@ def test_numerov_sweep_covers_the_default_step_count(monkeypatch):
 
     monkeypatch.setattr(numerov, "lowest_levels", lowest_levels)
     sweep = compare_trees._numerov_sweep()
-    assert len(sweep) == len(calls) == 91
+    assert len(sweep) == len(calls) == 122
     steps = [label.rsplit("steps=", 1)[1] for label, _ in sweep]
-    assert {s: steps.count(s) for s in steps} == {"2000": 30, "20000": 30, "default": 31}
+    assert {s: steps.count(s) for s in steps} == {"1000": 30, "2000": 30, "20000": 30,
+                                                  "default": 32}
+    assert numerov.MIN_STEPS == 1000
     counts = [int(label.split("count=")[1].split()[0]) for label, _ in sweep]
-    assert {c: counts.count(c) for c in counts} == {1: 30, 4: 31, 10: 30}
-    assert sweep[-1][0] == ("heavy_double_well (0.0, -10.0, 0.5) mass=1500.0 count=4 "
-                            "steps=default")
+    assert {c: counts.count(c) for c in counts} == {1: 40, 4: 41, 6: 1, 10: 40}
+    assert [label for label, _ in sweep[-2:]] == [
+        "heavy_double_well (0.0, -10.0, 0.5) mass=1500.0 count=4 steps=default",
+        "tunnelling_double_well (0.0, -41.8479, 0.530985) mass=265.871 count=6 steps=default"]
     for (label, fields), count, (asked, given) in zip(sweep, counts, calls):
         assert asked == count
         assert given == ({} if label.endswith("steps=default")

@@ -49,6 +49,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             numerov.ShootingConfig(-1.0, 2000)
 
+    def test_steps_must_be_an_integer(self):
+        # int(1000.7) once made 1,000 steps silently, and a bool or a float
+        # step count passed; numpy integers stay accepted
+        for steps in (1000.7, 5000.0, True, np.float64(2000.0)):
+            with pytest.raises(ValueError, match=r"steps must be an integer in \[1000, "):
+                numerov.ShootingConfig(5.0, steps)
+        assert numerov.ShootingConfig(5.0, np.int64(2000)).steps == 2000
+        with pytest.raises(ValueError, match="steps must be an integer"):
+            numerov.lowest_levels(HARM, C, 2, steps=5000.0)
+
     def test_default_config_domain(self):
         cfg = numerov.default_config(HARM, C, 0.6, steps=2000)
         x_t = HARM.turning_point(0.6, mass=1.0)
@@ -241,10 +251,10 @@ class TestSpectrumBelow:
         built = []
         shoot = numerov._shoot
 
-        def spy(pot, constants, config, energy, parity, potential, keep=None):
+        def spy(pot, constants, config, energy, parity, potential, keep=None, **counted):
             if sys._getframe(1).f_code.co_name == "_trajectory_nodes":
                 built.append((energy, len(potential)))
-            return shoot(pot, constants, config, energy, parity, potential, keep)
+            return shoot(pot, constants, config, energy, parity, potential, keep, **counted)
 
         monkeypatch.setattr(numerov, "_shoot", spy)
         levels = numerov.lowest_levels(pot, C, count)
@@ -265,6 +275,12 @@ class TestSpectrumBelow:
             with pytest.raises(ValueError, match="count must be an integer in"):
                 numerov.lowest_levels(HARM, C, count)
         assert not built
+
+    def test_bool_count_is_refused(self):
+        # True once returned one level
+        for count in (True, False, np.True_):
+            with pytest.raises(ValueError, match="count must be an integer in"):
+                numerov.lowest_levels(HARM, C, count)
 
     def test_cap_below_ground_state(self, monkeypatch):
         # a cap short of the ground state finds no level; the depth above
@@ -395,22 +411,22 @@ def assert_at_a_sign_change(level, shots):
 
 
 class RecordedShoots:
-    """`numerov._shoot` replaced by itself, recording the (energy, psi(x_max)) of every refinement shoot.
+    """`numerov._shoot` replaced by itself, recording (energy, psi(x_max)) of every shoot to x_max.
 
-    `_shoot` is the scalar integration behind every refinement shoot of
-    `_bisect`, and behind every node-count trajectory, which passes a `keep`
-    list and is not recorded.  `psi` stands in for the refinement shoots
-    where given, as psi(energy).
+    `_shoot` is the scalar integration behind every counted shoot of
+    `_located_cells`, every refinement shoot of `_bisect`, and every
+    node-count trajectory, which passes a `keep` list and is not recorded.
+    `psi` stands in for the refinement shoots where given, as psi(energy).
     """
 
     def __init__(self, monkeypatch, psi=None):
         self.shots = []
         shoot = numerov._shoot
 
-        def recorded(pot, constants, config, energy, parity, potential, keep=None):
+        def recorded(pot, constants, config, energy, parity, potential, keep=None, **counted):
             if keep is not None:
                 return shoot(pot, constants, config, energy, parity, potential, keep)
-            value = (shoot(pot, constants, config, energy, parity, potential)
+            value = (shoot(pot, constants, config, energy, parity, potential, **counted)
                      if psi is None else psi(energy))
             self.shots.append((energy, value))
             return value
@@ -658,3 +674,185 @@ class TestShootScan:
         cfg = numerov.ShootingConfig(100.0, 1000)
         with pytest.raises(ValueError, match="Numerov factor"):
             numerov.shoot_scan(HARM, C, cfg, [0.5])
+
+
+#: (potential, constants, level count) of the spectra the located route is
+#: checked on; at mass 1500 psi grows by some e^800 across the deep well's
+#: barrier, so its shoots rescale (unscaled, they overflow).
+LOCATED = [(HARM, C, 5), (QUART, C, 8), (SEXTIC, C, 6), (DOUBLE_WELL, C, 6),
+           (DEEP_WELL, C, 8), (DEEP_WELL, Constants(mass=1500.0), 4)]
+LOCATED_IDS = ["harmonic", "quartic", "sextic", "double-well", "deep-well", "deep-well-mass-1500"]
+
+
+def first_scan(pot, constants, count, steps=None):
+    """The grid, its V and the scan energies of `lowest_levels`' first scan."""
+    v_min = pot.minimum(mass=constants.mass)
+    e_cap = numerov._cap(pot, constants, v_min, count)
+    cfg = numerov.default_config(pot, constants, e_cap, steps)
+    energies = np.linspace(v_min, e_cap, max(numerov._MIN_SCAN, numerov._SCAN_PER_LEVEL * count))
+    return cfg, numerov._grid_potential(pot, constants, cfg), energies
+
+
+def outcome(call):
+    """The levels call() returns, as hex, or the text of what it raises."""
+    try:
+        return [level.hex() for level in call().tolist()]
+    except (ValueError, ArithmeticError, RuntimeError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def fine_route(monkeypatch, pot, constants, count, **given):
+    """`outcome` of `lowest_levels` with every scan on the grid itself, no cell located."""
+    with monkeypatch.context() as fine:
+        fine.setattr(numerov, "_located_cells", lambda *args: None)
+        return outcome(lambda: numerov.lowest_levels(pot, constants, count, **given))
+
+
+def scanned_steps(monkeypatch, fault=None, everywhere=False):
+    """The step count of every `shoot_scan` run, in order.
+
+    `fault` replaces what the scans of `_located_cells`, or with
+    `everywhere` all scans, return: fault(psi, changes).
+    """
+    steps = []
+    scan = numerov.shoot_scan
+
+    def spy(pot, constants, config, energies, **kwargs):
+        steps.append(config.steps)
+        got = scan(pot, constants, config, energies, **kwargs)
+        if fault is not None and (everywhere
+                                  or sys._getframe(1).f_code.co_name == "_located_cells"):
+            return fault(*got)
+        return got
+
+    monkeypatch.setattr(numerov, "shoot_scan", spy)
+    return steps
+
+
+def raise_overflow(psi, changes):
+    raise OverflowError(numerov._OVERFLOW)
+
+
+def raise_factor(psi, changes):
+    raise ValueError("the Numerov factor reaches -1 on the coarse grid")
+
+
+#: How a test corrupts a scan's (psi, changes), by the fallback it triggers.
+SCAN_FAULTS = {
+    "grid-overflows": raise_overflow,
+    "grid-factor": raise_factor,
+    "total-short": lambda psi, changes: (psi, 0 * changes),
+    "two-levels-in-a-cell": lambda psi, changes: (psi, 2 * changes),
+    "count-falls": lambda psi, changes: (psi, changes - (np.arange(changes.shape[1]) == 20)),
+    "count-at-min-v": lambda psi, changes: (psi, changes + 1),
+    "counts-one-energy-late": lambda psi, changes: (psi, np.concatenate(
+        [changes[:, :1], changes[:, :-1]], axis=1)),
+}
+
+
+class TestLocatedCells:
+    """Levels located on a coarse grid and certified by counted shoots on the
+    fine one, or the fine scan wherever that certificate fails."""
+
+    @pytest.mark.parametrize("pot, constants, count", LOCATED, ids=LOCATED_IDS)
+    def test_counted_shoots_equal_the_scan(self, pot, constants, count):
+        # at every scan energy, on the derived grid and on the coarsest grid
+        # whose h k_max the count at the checks allows
+        cfg, _, energies = first_scan(pot, constants, count)
+        k_max = numerov._wave_number(constants, float(energies[-1] - energies[0]))
+        coarsest = math.ceil(cfg.x_max * k_max / numerov._COUNT_PHASE)
+        for steps in (cfg.steps, max(numerov.MIN_STEPS, coarsest)):
+            grid = numerov.ShootingConfig(cfg.x_max, steps)
+            v = numerov._grid_potential(pot, constants, grid)
+            psi, changes = numerov.shoot_scan(pot, constants, grid, energies, potential=v)
+            assert changes.max() >= 2
+            for parity, row, counts in zip((numerov.EVEN, numerov.ODD), psi.tolist(),
+                                           changes.tolist()):
+                for energy, value, want in zip(energies.tolist(), row, counts):
+                    sturm = []
+                    assert numerov._shoot(pot, constants, grid, energy, parity, v,
+                                          sturm=sturm) == value
+                    assert sturm == [want]
+
+    def test_counted_shoot_counts_its_trajectory(self):
+        # psi oscillates up to x_max = 5 at these energies; at h k_max just
+        # under _COUNT_PHASE its sign changes lie some 128 steps apart, and
+        # the count at the checks is every one of them, also where the last
+        # falls in the part block after the last check (steps 961 .. 999)
+        cfg = numerov.ShootingConfig(5.0, 1000)
+        v = numerov._grid_potential(HARM, C, cfg)
+        energies = np.linspace(0.3, 12.0, 200)
+        assert 0.024 < cfg.x_max / cfg.steps * math.sqrt(2.0 * 12.0) <= numerov._COUNT_PHASE
+        in_the_last_block = 0
+        for energy in energies.tolist():
+            for parity in (numerov.EVEN, numerov.ODD):
+                samples, sturm = [], []
+                numerov._shoot(HARM, C, cfg, energy, parity, v, samples, sturm=sturm)
+                signs = np.signbit(samples)
+                changes = np.flatnonzero(signs[1:] != signs[:-1])
+                assert sturm == [changes.size]
+                in_the_last_block += bool(changes.size) and changes[-1] >= 961
+        assert in_the_last_block >= 3
+
+    @pytest.mark.parametrize("pot, constants, count", LOCATED, ids=LOCATED_IDS)
+    def test_located_cells_are_the_scans(self, monkeypatch, pot, constants, count):
+        # the coarse scan alone picks the cells; the levels keep their bits
+        cfg, v, energies = first_scan(pot, constants, count)
+        psi, changes = numerov.shoot_scan(pot, constants, cfg, energies, potential=v)
+        total = changes.sum(axis=0)
+        want = numerov._cells(energies.tolist(), psi.tolist(), changes.tolist(),
+                              int(np.argmax(total >= count)))
+        assert numerov._located_cells(pot, constants, cfg, energies, count, v) == want
+        steps = scanned_steps(monkeypatch)
+        got = outcome(lambda: numerov.lowest_levels(pot, constants, count))
+        assert steps == [max(numerov.MIN_STEPS, cfg.steps // 5)]
+        monkeypatch.undo()
+        assert len(got) == count
+        assert got == fine_route(monkeypatch, pot, constants, count)
+
+    # a total short in every scan would double the depth up to MAX_STEPS
+    @pytest.mark.parametrize("fault, everywhere", [
+        *((fault, False) for fault in SCAN_FAULTS),
+        *((fault, True) for fault in SCAN_FAULTS if fault != "total-short")],
+        ids=[*(f"{fault}-coarse" for fault in SCAN_FAULTS),
+             *(f"{fault}-both" for fault in SCAN_FAULTS if fault != "total-short")])
+    def test_a_failed_certificate_runs_the_scan(self, monkeypatch, fault, everywhere):
+        # a fault in the coarse scan alone leaves the fine route's levels; in
+        # both scans, the fine route's levels or its error, with its text
+        steps = scanned_steps(monkeypatch, SCAN_FAULTS[fault], everywhere)
+        got = outcome(lambda: numerov.lowest_levels(QUART, C, 6))
+        assert steps == [1000, numerov.DEFAULT_STEPS]
+        assert got == fine_route(monkeypatch, QUART, C, 6)
+        if not everywhere:
+            assert len(got) == 6
+
+    def test_a_counted_shoot_that_raises_runs_the_scan(self, monkeypatch):
+        shoot = numerov._shoot
+
+        def overflowing(*args, sturm=None, **kwargs):
+            if sturm is not None:
+                raise OverflowError(numerov._OVERFLOW)
+            return shoot(*args, **kwargs)
+
+        monkeypatch.setattr(numerov, "_shoot", overflowing)
+        steps = scanned_steps(monkeypatch)
+        got = outcome(lambda: numerov.lowest_levels(QUART, C, 6))
+        assert steps == [1000, numerov.DEFAULT_STEPS]
+        monkeypatch.undo()
+        assert got == fine_route(monkeypatch, QUART, C, 6)
+
+    @pytest.mark.parametrize("count, steps", [(3, numerov.MIN_STEPS), (16, 2000)],
+                             ids=["min-steps", "too-coarse-to-count"])
+    def test_a_grid_the_count_cannot_use_runs_the_scan(self, monkeypatch, count, steps):
+        # at MIN_STEPS no coarser grid is allowed; at 2,000 steps the 16th
+        # harmonic level puts h k_max past _COUNT_PHASE, where two sign
+        # changes could fall between two checks
+        e_cap = numerov._cap(HARM, C, 0.0, count)
+        cfg = numerov.default_config(HARM, C, e_cap, steps)
+        phase = cfg.x_max / steps * math.sqrt(2.0 * e_cap)
+        assert (steps == numerov.MIN_STEPS) != (phase > numerov._COUNT_PHASE)
+        scanned = scanned_steps(monkeypatch)
+        got = outcome(lambda: numerov.lowest_levels(HARM, C, count, steps=steps))
+        assert scanned == [steps]
+        np.testing.assert_allclose([float.fromhex(x) for x in got], np.arange(count) + 0.5,
+                                   atol=1e-5)

@@ -12,15 +12,18 @@ subprocess, and the two run at once.  Each runs four sweeps:
   eigenvectors and residual_norm of every solve and the nodes and weights
   of every rule are compared bit for bit.
 - Numerov: `numerov.lowest_levels` on the five families at two strengths
-  each, for the lowest 1, 4 and 10 levels, at 2,000 and 20,000 steps and at
-  the step count `numerov.default_config` takes by default, which
-  `verify-mhu` runs: 90 spectra; and the lowest 4 levels of the deep double
-  well 0,-10,0.5 at mass 1500, whose node-count trajectories grow past the
-  float range before their cut, at the default step count.  Every level is
-  compared bit for bit, and a spectrum that raises in either tree counts as
-  differing.  A differing spectrum's line gives its largest
-  |dE| / max(1, |E|), levels paired by position, and its level counts where
-  they changed.
+  each, for the lowest 1, 4 and 10 levels, at 1,000 (`numerov.MIN_STEPS`,
+  where the levels come from the scan on the grid itself), 2,000 and 20,000
+  steps and at the step count `numerov.default_config` takes by default,
+  which `verify-mhu` runs: 120 spectra, those past MIN_STEPS located on a
+  coarser grid first; the lowest 4 levels of the deep double well
+  0,-10,0.5 at mass 1500, whose node-count trajectories grow past the float
+  range before their cut; and the lowest 6 levels of the tunnelling double
+  well 0,-41.8479,0.530985 at mass 265.871, whose doublets no float splits,
+  both at the default step count: 122 spectra.  Every level is compared bit
+  for bit, and a spectrum that raises in either tree counts as differing.
+  A differing spectrum's line gives its largest |dE| / max(1, |E|), levels
+  paired by position, and its level counts where they changed.
 - node counts: `spectral.node_counts` on the quartic (lam 1) and the deep
   double well 0,-10,0.5 at dims 512 and 1024, whose shared grids span many
   chunks; on two harmonic wells whose turning points lie far past the basis
@@ -101,13 +104,14 @@ NUMEROV_FAMILIES = {
 }
 #: How many of the lowest levels each spectrum holds.
 NUMEROV_COUNTS = (1, 4, 10)
-#: Step counts; None is `numerov.default_config`'s default, which `verify-mhu`
-#: runs unless --numerov-steps is given.
-NUMEROV_STEPS = (2000, 20000, None)
+#: Step counts; 1,000 is `numerov.MIN_STEPS`, None `numerov.default_config`'s
+#: default, which `verify-mhu` runs unless --numerov-steps is given.
+NUMEROV_STEPS = (1000, 2000, 20000, None)
 #: (name, potential kind, its parameter, mass, level count) of each spectrum
 #: run beside the families, at the default step count.
 NUMEROV_CASES = (
     ("heavy_double_well", "even_polynomial", (0.0, -10.0, 0.5), 1500.0, 4),
+    ("tunnelling_double_well", "even_polynomial", (0.0, -41.8479, 0.530985), 265.871, 6),
 )
 
 #: (name, potential kind, its parameter, alpha, dim) of each node count.
