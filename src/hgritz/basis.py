@@ -63,9 +63,14 @@ def _require_positive(name, value):
         raise ValueError(f"{name} must be a positive finite real, got {value!r}")
 
 
+def _is_integer(value):
+    """True for a Python or numpy integer that is no bool: the rule for every size and count."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def check_index(r, *, cap: int = MAX_INDEX) -> int:
     """Validate a basis-function index: integer, 0 <= r < cap."""
-    if isinstance(r, bool) or not isinstance(r, (int, np.integer)):
+    if not _is_integer(r):
         raise TypeError(f"index must be an integer, got {r!r}")
     r = int(r)
     if r < 0:

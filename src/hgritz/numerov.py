@@ -29,7 +29,8 @@ channels (`shoot_scan`), bitwise equal to `_shoot` at each; both scale u and
 d by a power of two wherever |u| has passed _RESCALE_AT, after every _CHUNK
 steps and after the last.  The scan's sign changes per trajectory are a
 discrete Sturm count of the levels in every scan cell (Atkinson 1964,
-*Discrete and Continuous Boundary Problems*), nondecreasing in E.
+*Discrete and Continuous Boundary Problems*), nondecreasing in E; `_shoot`
+returns the same count with psi.
 
 `lowest_levels` takes its levels in three steps.  Locate: `shoot_scan` runs
 on a coarse grid, the same x_max and scan energies at a fifth of the steps
@@ -42,26 +43,33 @@ energy up to `top`, since both are nondecreasing and agree at the ends of
 every run of constant count; the picked cells are the fine scan's cells, and
 the psi(x_max) of their ends its bits.  Refine: `_bisect` narrows each cell
 by Brent's method with the ITP projection to a sign change of psi(x_max) at
-most 1e-10 wide, and `_trajectory_nodes` checks each state's nodes.
-Otherwise (a grid raises, a count differs, a coarse cell holds two levels
-or its count falls, the coarse total falls short, or the fine grid is at
-MIN_STEPS or has h k_max past _COUNT_PHASE), `shoot_scan` runs on the fine
-grid itself; refinement and every refusal are the same on either route.
+most 1e-10 wide, and `_trajectory_nodes` counts each state's nodes as the
+Sturm count of one shoot on the grid prefix up to x_t + 2 ell, past which a
+bound state has no node; the state in the cell of counts n to n + 1 must
+carry n.  Otherwise (a grid raises, a count differs, a coarse cell holds two
+levels or its count falls, the coarse total falls short, or the fine grid is
+at MIN_STEPS or has h k_max past _COUNT_PHASE), `shoot_scan` runs on the
+fine grid itself; refinement and every refusal are the same on either route.
 
-`_shoot` counts sign changes only at its rescaling checks, once per _CHUNK
-steps, which is exact while at most one falls between two checks.  With
+`_shoot` counts sign changes only at its rescaling checks, s steps apart,
+which is exact while at most one falls between two checks.  With
 u_{i+1} - 2 u_i + u_{i-1} = delta_i u_i, delta_i >= -(h k_i)^2 where
-E > V_i (k_i the local wave number; delta_i >= 0 elsewhere), so at every
-scan energy each delta_i is at least -c, c = (h k_max)^2 with k_max =
-sqrt(2m (e_hi - min V)) / hbar at the last scan energy e_hi.  By the
-discrete Sturm comparison theorem, between two sign changes of u every
-solution of v_{i+1} - 2 v_i + v_{i-1} = -c v_i changes sign; v_i =
-sin(i theta + phi) with c = 4 sin^2(theta / 2) changes sign once every
+E > V_i (k_i the local wave number; delta_i >= 0 elsewhere), so at energy E
+each delta_i is at least -c, c = (h k)^2 with k = sqrt(2m (E - min V)) /
+hbar.  By the discrete Sturm comparison theorem, between two sign changes
+of u every solution of v_{i+1} - 2 v_i + v_{i-1} = -c v_i changes sign;
+v_i = sin(i theta + phi) with c = 4 sin^2(theta / 2) changes sign once every
 pi / theta steps, so u's sign changes lie pi / theta steps apart, up to a
-step at either end.  h k_max <= 2 sin(pi / (4 _CHUNK))
-= _COUNT_PHASE = 0.0245 gives theta <= pi / (2 _CHUNK), 2 _CHUNK = 128 steps
-per sign change, twice the checks' spacing; the derived grids keep h k_max
-<= MAX_STEP_PHASE = 0.01 (Cooley 1961), some 314 steps per sign change.
+step at either end.  h k <= 2 sin(pi / (4 s)) gives theta <= pi / (2 s):
+sign changes at least 2 s - 2 steps apart, and for s >= 2 no s steps
+between two checks hold two of them; at s = 1 every step is a check.  The
+counted and refinement shoots check every s = _CHUNK steps, where the scan
+rescales, so their psi is the scan's bits: exact for h k_max <= _COUNT_PHASE
+= 2 sin(pi / (4 _CHUNK)) = 0.0245 at the last scan energy, some 128 steps
+per sign change; the derived grids keep h k_max <= MAX_STEP_PHASE = 0.01
+(Cooley 1961), some 314.  A grid given by its step count can be coarser; on
+it `_trajectory_nodes` halves s from _CHUNK until h k(E) at the state's
+energy allows it, down to s = 1.
 """
 
 from __future__ import annotations
@@ -72,10 +80,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import MAX_INDEX, Constants
+from .basis import MAX_INDEX, Constants, _is_integer
 from .errors import BracketingError, ScanResolutionError
 from .operators import PotentialSpec
-from .spectral import EVEN, ODD, count_nodes
+from .spectral import EVEN, ODD
 
 #: Fewest grid intervals `default_config` derives.  The h^4 error of the low
 #: levels is far below the 1e-10 refinement width here: the quartic ground
@@ -158,11 +166,6 @@ class ShootingConfig:
                 f"steps must be an integer in [{MIN_STEPS}, {MAX_STEPS}], got {self.steps!r}")
         object.__setattr__(self, "x_max", float(self.x_max))
         object.__setattr__(self, "steps", int(self.steps))
-
-
-def _is_integer(value):
-    """True for a Python or numpy integer that is no bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def decay_length(pot: PotentialSpec, constants: Constants, energy: float) -> float:
@@ -302,23 +305,21 @@ def _seed(pot, constants, config, v0, energy, parity):
     return 0.0, h * (1.0 + h * h * f0 / 6.0 + (h**4 / 120.0) * (f0 * f0 + 3.0 * fpp0))
 
 
-def _shoot(pot, constants, config, energy, parity, potential, keep=None, *, sturm=None):
-    """psi at the last point of `potential`, V on a grid prefix, for one channel at a float energy.
+def _shoot(pot, constants, config, energy, parity, potential, every=_CHUNK):
+    """(psi, sign changes) at the last point of `potential`, V on a grid prefix, for one channel.
 
-    The first step comes from `_seed`.  Sign changes of the value in E
-    bracket levels.  Every P is checked positive (`_check_factor`).  u and d
-    are rescaled at the steps where `shoot_scan` rescales them, exactly and
-    keeping every sign.  A list `keep` receives psi_0 .. psi_last, scaled
-    along with u: the samples of one integration up to one power of two
-    (samples some 10^-250 under |u| may underflow, far below any node-count
-    floor).  A list `sturm` receives the sign changes of u counted at those
-    checks: u_0 against u_1, then u at each check against u at the one
-    before (a +-0.0 by its sign bit).  That is `shoot_scan`'s Sturm count
-    wherever at most one sign change falls between two checks, which
-    h k_max <= _COUNT_PHASE guarantees (module docstring).  The coefficients
-    are formed elementwise, so a prefix of the grid gives the samples of a
-    whole-grid integration.  The caller has checked the domain at this
-    energy or above (`_check_domain`).
+    energy is a float.  The first step comes from `_seed`.  Sign changes of
+    psi in E bracket levels.  Every P is checked positive (`_check_factor`).
+    Every `every` steps and after the last, u and d are rescaled where |u|
+    has passed _RESCALE_AT, exactly and keeping every sign, and u's sign is
+    compared with its sign at the check before (u_0 against u_1 first; a
+    +-0.0 by its sign bit).  Those changes are the Sturm count of u_0 ..
+    u_last, the scan's count, wherever h k(E) <= 2 sin(pi / (4 every))
+    (module docstring).  At the default, _CHUNK, the checks are the steps
+    where `shoot_scan` rescales, so psi is bitwise its value there.  The
+    coefficients are formed elementwise, so a prefix of the grid integrates
+    as the whole grid does up to its last point.  The caller has checked the
+    domain at this energy or above (`_check_domain`).
     """
     pfac, deltas = _factors(constants, config, potential - energy)
     _check_factor(config, pfac)
@@ -327,32 +328,22 @@ def _shoot(pot, constants, config, energy, parity, potential, keep=None, *, stur
     psi_0, psi_1 = _seed(pot, constants, config, float(potential[0]), energy, parity)
     u_0, u = float(pfac[0]) * psi_0, float(pfac[1]) * psi_1
     d = u - u_0
-    if keep is not None:
-        keep += [u_0, u]
     sign = math.copysign(1.0, u)
     changes = int(sign != math.copysign(1.0, u_0))
-    for lo in range(0, len(deltas), _CHUNK):
-        for delta in deltas[lo:lo + _CHUNK]:
+    for lo in range(0, len(deltas), every):
+        for delta in deltas[lo:lo + every]:
             d += delta * u
             u += d
-            if keep is not None:
-                keep.append(u)
         if abs(u) > _RESCALE_AT:
             shift = -math.frexp(u)[1]
             d, u = math.ldexp(d, shift), math.ldexp(u, shift)
-            if keep is not None:
-                keep[:] = [math.ldexp(sample, shift) for sample in keep]
         if math.copysign(1.0, u) != sign:
             sign = -sign
             changes += 1
-    if sturm is not None:
-        sturm.append(changes)
     psi = u / float(pfac[-1])
     if not math.isfinite(psi):
         raise OverflowError(_OVERFLOW)
-    if keep is not None:
-        keep[:] = (np.asarray(keep) / pfac).tolist()
-    return psi
+    return psi, changes
 
 
 def _scan_chunk(constants, config, gap, d, u):
@@ -483,7 +474,7 @@ def _bisect(pot, constants, config, parity, lo, hi, flo, fhi, potential):
         x, d, e = _brent_point(a, fa, b, fb, c, fc, d, e, tol,
                                _ITP_MARGIN * width * 2.0 ** (budget - shots))
         a, fa = b, fb
-        b, fb = x, _shoot(pot, constants, config, x, parity, potential)
+        b, fb = x, _shoot(pot, constants, config, x, parity, potential)[0]
 
 
 def _brent_point(a, fa, b, fb, c, fc, d, e, tol, next_width):
@@ -528,16 +519,23 @@ def _brent_point(a, fa, b, fb, c, fc, d, e, tol, next_width):
 
 
 def _trajectory_nodes(pot, constants, config, energy, parity, potential, v_min):
-    """Certified node count of the refined state on (0, x_t + 2 ell]; potential is V on the grid."""
+    """Node count of the refined state: the Sturm count of its trajectory on (0, x_t + 2 ell].
+
+    One `_shoot` on the grid prefix up to that cut; potential is V on the
+    grid.  Its checks lie _CHUNK steps apart where h k(E) <= _COUNT_PHASE,
+    k(E) = sqrt(2m (E - min V)) / hbar, and otherwise s steps apart, the
+    largest power of two with h k(E) <= 2 sin(pi / (4 s)), down to every
+    step; the count is exact at either spacing (module docstring).
+    """
     h = config.x_max / config.steps
     x_t = pot.turning_point(energy, mass=constants.mass)
     cut = min(config.x_max, x_t + 2.0 * _airy_length(pot, constants, x_t, energy - v_min))
     stop = int(cut / h) + 1
-    samples = []
-    _shoot(pot, constants, config, energy, parity, potential[:max(stop, 2)], samples)
-    # index 0 is x = 0; a node there belongs to the odd-channel boundary
-    # condition, not to the half-line count, and is dropped by the floor.
-    return count_nodes(samples[:stop])
+    phase = h * _wave_number(constants, energy - v_min)
+    every = _CHUNK
+    while every > 1 and phase > 2.0 * math.sin(math.pi / (4 * every)):
+        every //= 2
+    return _shoot(pot, constants, config, energy, parity, potential[:max(stop, 2)], every)[1]
 
 
 def _cap(pot, constants, v_min, count):
@@ -635,13 +633,11 @@ def _located_cells(pot, constants, config, energies, count, potential):
         cells = [k for k in range(top) if counts[k + 1] != counts[k]]
         values = {}
         for k in sorted({0, top, *cells, *(k + 1 for k in cells)}):
-            sturm = []
             try:
-                values[k] = _shoot(pot, constants, config, grid[k], parity, potential,
-                                   sturm=sturm)
+                values[k], changes_k = _shoot(pot, constants, config, grid[k], parity, potential)
             except (ValueError, OverflowError):
                 return None
-            if sturm != [counts[k]]:
+            if changes_k != counts[k]:
                 return None
         psi.append(values)
     return _cells(grid, psi, changes, top)

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import MAX_INDEX, BasisSpec, _require_positive
+from .basis import MAX_INDEX, BasisSpec, _is_integer, _require_positive
 from .errors import RangeError
 
 HARMONIC = "harmonic"
@@ -214,11 +214,12 @@ class BandedSymMatrix:
     bands: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        if not isinstance(self.dim, (int, np.integer)) or self.dim < 1:
+        if not (_is_integer(self.dim) and self.dim >= 1):
             raise ValueError(f"dim must be a positive integer, got {self.dim!r}")
         object.__setattr__(self, "dim", int(self.dim))
-        if not (0 <= int(self.bandwidth) <= self.dim - 1):
-            raise ValueError(f"bandwidth must lie in [0, dim - 1], got {self.bandwidth!r}")
+        if not (_is_integer(self.bandwidth) and 0 <= self.bandwidth <= self.dim - 1):
+            raise ValueError(f"bandwidth must be an integer in [0, dim - 1], "
+                             f"got {self.bandwidth!r}")
         object.__setattr__(self, "bandwidth", int(self.bandwidth))
         if len(self.bands) != self.bandwidth + 1:
             raise ValueError("need exactly bandwidth + 1 band arrays")
@@ -248,7 +249,7 @@ class BandedSymMatrix:
 
 
 def _check_dim(dim) -> int:
-    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
+    if not (_is_integer(dim) and dim >= 1):
         raise ValueError(f"dim must be a positive integer, got {dim!r}")
     if dim > MAX_INDEX:
         raise ValueError(f"dim {dim} above index cap {MAX_INDEX}")

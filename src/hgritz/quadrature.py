@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisSpec, _phi_neighbours, check_index
+from .basis import BasisSpec, _is_integer, _phi_neighbours, check_index
 from .errors import ConvergenceError, QuadratureError
 from .operators import PotentialSpec
 
@@ -384,7 +384,7 @@ def oracle_matrices(spec: BasisSpec, pot: PotentialSpec,
     a block with a non-finite sum has its rows rerun one by one, to raise
     the error of the first entry with a non-finite term.
     """
-    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
+    if not (_is_integer(dim) and dim >= 1):
         raise ValueError(f"dim must be a positive integer, got {dim!r}")
     last = check_index(int(dim) - 1)
     rule = _oracle_rule(2 * last + pot.degree + 4, f"dim {dim}")

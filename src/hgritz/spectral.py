@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisSpec, basis_table
+from .basis import BasisSpec, _is_integer, basis_table
 from .eigensolver import Spectrum, ascent_tolerance
 from .errors import DegenerateInputError
 from .operators import PotentialSpec
@@ -48,9 +48,10 @@ class ConvergenceTable:
     spectra: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        if len(dims) == 0 or any(d < 1 for d in dims):
-            raise ValueError("dims must be positive integers")
+        dims = tuple(self.dims)
+        if not dims or not all(_is_integer(d) and d >= 1 for d in dims):
+            raise ValueError(f"dims must be positive integers, got {dims!r}")
+        dims = tuple(int(d) for d in dims)
         if any(b <= a for a, b in zip(dims, dims[1:])):
             raise ValueError("dims must be strictly increasing")
         if len(self.spectra) != len(dims):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisSpec, Constants, _require_positive
+from .basis import BasisSpec, Constants, _is_integer, _require_positive
 from .eigensolver import Spectrum, eigh, eigvalsh
 from .errors import ConvergenceError
 from .operators import PotentialSpec, hamiltonian_matrix
@@ -171,10 +171,10 @@ def minimize_alpha(pot: PotentialSpec, constants: Constants, dim: int,
     well.
     """
     lo, hi = (float(bracket[0]), float(bracket[1]))
-    if not (0.0 < lo < hi):
-        raise ValueError(f"need 0 < lo < hi, got ({lo}, {hi})")
-    if levels < 1 or levels > dim:
-        raise ValueError("levels must lie in [1, dim]")
+    if not (0.0 < lo < hi < math.inf):
+        raise ValueError(f"bracket must hold finite 0 < lo < hi, got ({lo}, {hi})")
+    if not (_is_integer(levels) and 1 <= levels <= dim):
+        raise ValueError(f"levels must be an integer in [1, dim = {dim!r}], got {levels!r}")
 
     error = _level_error(dim) * _EPS
 
@@ -223,8 +223,8 @@ def convergence_table(pot: PotentialSpec, constants: Constants, alpha: float,
     Where a dim is invalid or the largest H leaves the float range, the
     matrices are built dim by dim instead, which raises what that dim raises.
     """
-    dims = tuple(int(d) for d in dims)
-    if dims and min(dims) >= 1:
+    dims = tuple(dims)
+    if dims and all(_is_integer(d) and d >= 1 for d in dims):
         try:
             spec = BasisSpec(alpha, constants.hbar, constants.mass)
             whole = np.asarray(hamiltonian_matrix(spec, pot, max(dims)))

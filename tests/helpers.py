@@ -12,7 +12,8 @@ decimal arithmetic, as do reference basis tables past the point where
 exp(-alpha x^2 / 2) underflows.  The per-element quadrature oracle is also
 written out here as two `inner_product` calls on the scalar evaluators, and
 implicit-shift QL as the textbook loop that rotates two rows of z^T after
-every rotation.
+every rotation.  A Numerov trajectory is stepped one point at a time by
+the textbook three-term recurrence on psi, not the library's summed form.
 """
 
 import decimal
@@ -352,3 +353,50 @@ def ql_rotation_by_rotation(d, e, z):
             e[m] = 0.0
     return np.array(d), zt.T
 
+
+
+def numerov_trajectory(pot, constants, x_max, steps, energy, parity, points=None):
+    """psi_0 .. psi_(points - 1) on x_i = i x_max / steps, by the three-term Numerov recurrence.
+
+    f_(i+1) psi_(i+1) = (12 - 10 f_i) psi_i - f_(i-1) psi_(i-1) with
+    f = 1 + (h^2 / 12) (2m / hbar^2) (E - V), one point at a time; V is
+    summed from the coefficients c_k of x^(2k) by Horner's rule.  psi_0 and
+    psi_1 are the Taylor series about x = 0 to the fifth order: psi(0) = 1,
+    psi'(0) = 0 for "even", psi(0) = 0, psi'(0) = 1 for "odd".  Wherever
+    |psi| passes 2^500 the last two samples are divided by 2^500, so that a
+    trajectory growing past the float range stays finite: the signs are
+    exact, magnitudes compare only between two such divisions.  points None
+    is the whole grid, steps + 1.
+    """
+    points = steps + 1 if points is None else points
+    coeffs = pot.coefficients(mass=constants.mass)
+    scale = 2.0 * constants.mass / constants.hbar**2
+    h = x_max / steps
+
+    def potential(x):
+        total = 0.0
+        for c in reversed(coeffs):
+            total = total * x * x + c
+        return total
+
+    f = [1.0 + h * h / 12.0 * scale * (energy - potential(i * x_max / steps))
+         for i in range(points)]
+    # F = (2m / hbar^2)(V - E): psi'' = F psi, and F''(0) = (2m / hbar^2) 2 c_1
+    f0 = scale * (coeffs[0] - energy)
+    fpp0 = scale * 2.0 * coeffs[1]
+    if parity == "even":
+        psi = [1.0, 1.0 + f0 * h * h / 2.0 + (f0 * f0 + fpp0) * h**4 / 24.0]
+    else:
+        psi = [0.0, h + f0 * h**3 / 6.0 + (f0 * f0 + 3.0 * fpp0) * h**5 / 120.0]
+    for i in range(1, points - 1):
+        psi.append(((12.0 - 10.0 * f[i]) * psi[i] - f[i - 1] * psi[i - 1]) / f[i + 1])
+        if abs(psi[-1]) > 2.0**500:
+            psi[-2:] = [psi[-2] / 2.0**500, psi[-1] / 2.0**500]
+    return np.array(psi[:points])
+
+
+def sign_changes(samples):
+    """Strict sign changes between consecutive nonzero samples."""
+    signs = np.sign(samples)
+    signs = signs[signs != 0]
+    return int(np.count_nonzero(signs[1:] != signs[:-1]))

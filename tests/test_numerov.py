@@ -7,8 +7,9 @@ import pytest
 from hgritz import (BasisSpec, BracketingError, Constants, PotentialSpec,
                     ScanResolutionError, hamiltonian_matrix)
 from hgritz import numerov
-from hgritz.spectral import count_nodes
 from hgritz.variational import minimize_alpha
+
+from helpers import numerov_trajectory, sign_changes
 
 C = Constants()
 HARM = PotentialSpec.harmonic(1.0)
@@ -116,10 +117,25 @@ class TestShoot:
         assert math.copysign(1.0, lo) != math.copysign(1.0, hi)
 
     def test_odd_channel_starts_at_zero(self):
+        # psi_0 = 0 gives u_0 = +0.0, which counts as positive: the first
+        # step adds no sign change
         cfg = numerov.default_config(HARM, C, 1.8, steps=2000)
-        traj = trajectory(HARM, cfg, 1.5, numerov.ODD)
-        assert traj[0] == 0.0
-        assert traj.size == cfg.steps + 1
+        v = numerov._grid_potential(HARM, C, cfg)
+        psi_0, psi_1 = numerov._seed(HARM, C, cfg, v[0], 1.5, numerov.ODD)
+        assert psi_0 == 0.0 and psi_1 > 0.0
+        psi, changes = numerov._shoot(HARM, C, cfg, 1.5, numerov.ODD, v[:2])
+        assert psi == pytest.approx(psi_1, rel=1e-15)
+        assert changes == 0
+
+    def test_first_step_counts_its_sign_change(self):
+        # at h k = 2 the even seed turns over within one step, psi_1 < 0 < psi_0;
+        # the count starts from u_0 against u_1, as the reference counts it
+        cfg = numerov.ShootingConfig(5.0, 1000)
+        v = numerov._grid_potential(HARM, C, cfg)
+        energy = 0.5 * (2.0 / 0.005) ** 2
+        reference = numerov_trajectory(HARM, C, 5.0, 1000, energy, numerov.EVEN, 2)
+        assert reference[0] > 0.0 > reference[1]
+        assert numerov._shoot(HARM, C, cfg, energy, numerov.EVEN, v[:2])[1] == 1
 
     def test_overflow_inside_a_block_is_named(self):
         # h = 0.058 over [0, 58]: delta reaches 199 near x_max, where |u|
@@ -145,19 +161,10 @@ class TestShoot:
             numerov.shoot_scan(HARM, C, cfg, [1.2], potential=v[:-1])
 
 
-def trajectory(pot, cfg, energy, parity, potential=None):
-    """psi_0 .. psi_steps of `_shoot` at energy, as its `keep` list receives them."""
-    if potential is None:
-        potential = numerov._grid_potential(pot, C, cfg)
-    samples = []
-    numerov._shoot(pot, C, cfg, energy, parity, potential, samples)
-    return np.array(samples)
-
-
 def refine(pot, cfg, bracket, parity):
     """`_bisect` on bracket, given psi(x_max) at both ends from `_shoot`."""
     v = numerov._grid_potential(pot, C, cfg)
-    ends = [numerov._shoot(pot, C, cfg, end, parity, v) for end in bracket]
+    ends = [numerov._shoot(pot, C, cfg, end, parity, v)[0] for end in bracket]
     return numerov._bisect(pot, C, cfg, parity, *bracket, *ends, v)
 
 
@@ -229,20 +236,24 @@ class TestSpectrumBelow:
 
     def test_trajectory_scaling_keeps_the_counts(self, monkeypatch):
         # psi grows like exp(x^2 / 2) past the turning point, e^648 at x = 36:
-        # past 1e250 but finite, so the unscaled samples are at hand to compare
+        # past 1e250 but finite, so the unscaled shoot is at hand to compare.
+        # Checked every 64 steps or every step, rescaling moves psi by a
+        # power of two alone and keeps the count of the reference trajectory
         cfg = numerov.ShootingConfig(36.0, 3600)
         v = numerov._grid_potential(HARM, C, cfg)
         for energy, parity in [(2.5, numerov.EVEN), (3.5, numerov.ODD), (4.2, numerov.EVEN)]:
-            scaled = trajectory(HARM, cfg, energy, parity, v)
-            monkeypatch.setattr(numerov, "_RESCALE_AT", math.inf)
-            unscaled = trajectory(HARM, cfg, energy, parity, v)
-            monkeypatch.undo()
-            assert np.abs(unscaled).max() > 1e250
-            shift = math.frexp(np.abs(scaled).max())[1] - math.frexp(np.abs(unscaled).max())[1]
-            assert shift < -800
-            big = np.abs(unscaled) > 1e-8 * np.abs(unscaled).max()
-            assert scaled[big].tolist() == np.ldexp(unscaled[big], shift).tolist()
-            assert count_nodes(scaled) == count_nodes(unscaled)
+            want = sign_changes(numerov_trajectory(HARM, C, 36.0, 3600, energy, parity))
+            for every in (numerov._CHUNK, 1):
+                scaled, changes = numerov._shoot(HARM, C, cfg, energy, parity, v, every)
+                monkeypatch.setattr(numerov, "_RESCALE_AT", math.inf)
+                unscaled, unscaled_changes = numerov._shoot(HARM, C, cfg, energy, parity, v,
+                                                            every)
+                monkeypatch.undo()
+                assert abs(unscaled) > 1e250
+                shift = math.frexp(scaled)[1] - math.frexp(unscaled)[1]
+                assert shift < -800
+                assert scaled == math.ldexp(unscaled, shift)
+                assert changes == unscaled_changes == want
 
     @pytest.mark.parametrize("pot, count", [(HARM, 5), (DOUBLE_WELL, 3)],
                              ids=["harmonic", "double-well"])
@@ -251,10 +262,10 @@ class TestSpectrumBelow:
         built = []
         shoot = numerov._shoot
 
-        def spy(pot, constants, config, energy, parity, potential, keep=None, **counted):
+        def spy(pot, constants, config, energy, parity, potential, *every):
             if sys._getframe(1).f_code.co_name == "_trajectory_nodes":
                 built.append((energy, len(potential)))
-            return shoot(pot, constants, config, energy, parity, potential, keep, **counted)
+            return shoot(pot, constants, config, energy, parity, potential, *every)
 
         monkeypatch.setattr(numerov, "_shoot", spy)
         levels = numerov.lowest_levels(pot, C, count)
@@ -415,21 +426,22 @@ class RecordedShoots:
 
     `_shoot` is the scalar integration behind every counted shoot of
     `_located_cells`, every refinement shoot of `_bisect`, and every
-    node-count trajectory, which passes a `keep` list and is not recorded.
-    `psi` stands in for the refinement shoots where given, as psi(energy).
+    node-count shoot of `_trajectory_nodes`, which stops at its cut and is
+    not recorded.  `psi` stands in for the other shoots where given, as
+    psi(energy), with no count.
     """
 
     def __init__(self, monkeypatch, psi=None):
         self.shots = []
         shoot = numerov._shoot
 
-        def recorded(pot, constants, config, energy, parity, potential, keep=None, **counted):
-            if keep is not None:
-                return shoot(pot, constants, config, energy, parity, potential, keep)
-            value = (shoot(pot, constants, config, energy, parity, potential, **counted)
-                     if psi is None else psi(energy))
+        def recorded(pot, constants, config, energy, parity, potential, *every):
+            if sys._getframe(1).f_code.co_name == "_trajectory_nodes":
+                return shoot(pot, constants, config, energy, parity, potential, *every)
+            value, changes = (shoot(pot, constants, config, energy, parity, potential, *every)
+                              if psi is None else (psi(energy), None))
             self.shots.append((energy, value))
-            return value
+            return value, changes
 
         monkeypatch.setattr(numerov, "_shoot", recorded)
 
@@ -569,9 +581,9 @@ def sign_change(pot, cfg, bracket, parity):
     """The lower end of a sign change of psi(x_max) in bracket, refined by bisection to adjacent floats."""
     v = numerov._grid_potential(pot, C, cfg)
     lo, hi = bracket
-    sign = math.copysign(1.0, numerov._shoot(pot, C, cfg, lo, parity, v))
+    sign = math.copysign(1.0, numerov._shoot(pot, C, cfg, lo, parity, v)[0])
     while (mid := 0.5 * (lo + hi)) not in (lo, hi):
-        if math.copysign(1.0, numerov._shoot(pot, C, cfg, mid, parity, v)) == sign:
+        if math.copysign(1.0, numerov._shoot(pot, C, cfg, mid, parity, v)[0]) == sign:
             lo = mid
         else:
             hi = mid
@@ -609,11 +621,11 @@ class TestShootScan:
             got, changes = numerov.shoot_scan(pot, C, cfg, energies)
             assert got.shape == changes.shape == (2, energies.size)
             for row, counts, parity in zip(got, changes, (numerov.EVEN, numerov.ODD)):
-                want = [numerov._shoot(pot, C, cfg, e, parity, v) for e in energies.tolist()]
+                want = [numerov._shoot(pot, C, cfg, e, parity, v)[0] for e in energies.tolist()]
                 assert row.tolist() == want
-                trajectories = [trajectory(pot, cfg, e, parity, v) for e in energies.tolist()]
-                assert counts.tolist() == [int(np.count_nonzero(np.diff(np.signbit(t))))
-                                           for t in trajectories]
+                assert counts.tolist() == [
+                    sign_changes(numerov_trajectory(pot, C, cfg.x_max, cfg.steps, e, parity))
+                    for e in energies.tolist()]
 
     def test_rescale_path_equals_scalar_shoots(self, monkeypatch):
         # psi grows like exp(x^2 / 2) past the turning point: e^800 at x = 40,
@@ -628,7 +640,7 @@ class TestShootScan:
                 with pytest.raises(OverflowError):
                     numerov.shoot_scan(HARM, C, cfg, energies)
             for row, parity in zip(got, (numerov.EVEN, numerov.ODD)):
-                assert row.tolist() == [numerov._shoot(HARM, C, cfg, e, parity, v)
+                assert row.tolist() == [numerov._shoot(HARM, C, cfg, e, parity, v)[0]
                                         for e in energies]
             # the Sturm count survives rescaling: levels n + 1/2 below each
             # energy, even n in row 0 and odd n in row 1
@@ -769,10 +781,7 @@ class TestLocatedCells:
             for parity, row, counts in zip((numerov.EVEN, numerov.ODD), psi.tolist(),
                                            changes.tolist()):
                 for energy, value, want in zip(energies.tolist(), row, counts):
-                    sturm = []
-                    assert numerov._shoot(pot, constants, grid, energy, parity, v,
-                                          sturm=sturm) == value
-                    assert sturm == [want]
+                    assert numerov._shoot(pot, constants, grid, energy, parity, v) == (value, want)
 
     def test_counted_shoot_counts_its_trajectory(self):
         # psi oscillates up to x_max = 5 at these energies; at h k_max just
@@ -786,11 +795,10 @@ class TestLocatedCells:
         in_the_last_block = 0
         for energy in energies.tolist():
             for parity in (numerov.EVEN, numerov.ODD):
-                samples, sturm = [], []
-                numerov._shoot(HARM, C, cfg, energy, parity, v, samples, sturm=sturm)
-                signs = np.signbit(samples)
-                changes = np.flatnonzero(signs[1:] != signs[:-1])
-                assert sturm == [changes.size]
+                signs = np.sign(numerov_trajectory(HARM, C, 5.0, 1000, energy, parity))
+                changes = np.flatnonzero(signs[1:] * signs[:-1] < 0)
+                assert np.count_nonzero(signs[1:]) == 1000
+                assert numerov._shoot(HARM, C, cfg, energy, parity, v)[1] == changes.size
                 in_the_last_block += bool(changes.size) and changes[-1] >= 961
         assert in_the_last_block >= 3
 
@@ -829,10 +837,10 @@ class TestLocatedCells:
     def test_a_counted_shoot_that_raises_runs_the_scan(self, monkeypatch):
         shoot = numerov._shoot
 
-        def overflowing(*args, sturm=None, **kwargs):
-            if sturm is not None:
+        def overflowing(*args):
+            if sys._getframe(1).f_code.co_name == "_located_cells":
                 raise OverflowError(numerov._OVERFLOW)
-            return shoot(*args, **kwargs)
+            return shoot(*args)
 
         monkeypatch.setattr(numerov, "_shoot", overflowing)
         steps = scanned_steps(monkeypatch)
@@ -856,3 +864,67 @@ class TestLocatedCells:
         assert scanned == [steps]
         np.testing.assert_allclose([float.fromhex(x) for x in got], np.arange(count) + 0.5,
                                    atol=1e-5)
+
+
+#: The tunnelling double well of a CI verify-mhu request: its even and odd
+#: levels pair into doublets that no float splits.
+TUNNELLING = (PotentialSpec.even_polynomial([0.0, -41.8479, 0.530985]),
+              Constants(mass=265.871), 6)
+
+#: `lowest_levels(HARM, C, 25, steps=1000)`, as hex.  h k reaches 0.06 at
+#: the top levels, past _COUNT_PHASE: counted every 64 steps, state 8 read
+#: 6 nodes and the request was refused.
+HARMONIC_25_AT_1000 = [
+    "0x1.ffffffff47410p-2", "0x1.7ffffffe90a96p+0", "0x1.3ffffffd8f932p+1",
+    "0x1.bffffff9b9cb0p+1", "0x1.1ffffff9a9cd4p+2", "0x1.5ffffff47ee75p+2",
+    "0x1.9fffffed6b1dbp+2", "0x1.dfffffe35d4a7p+2", "0x1.0fffffeb70cb4p+3",
+    "0x1.2fffffe3238e8p+3", "0x1.4fffffd96f47bp+3", "0x1.6fffffcd07731p+3",
+    "0x1.8fffffbf19ecfp+3", "0x1.afffffadbf3cep+3", "0x1.cfffff9ad8836p+3",
+    "0x1.efffff83b5b04p+3", "0x1.07ffffb58b8d9p+4", "0x1.17ffffa6a8d93p+4",
+    "0x1.27ffff971d84ep+4", "0x1.37ffff847d8d4p+4", "0x1.47ffff715703dp+4",
+    "0x1.57ffff5a8cdbbp+4", "0x1.67ffff436c1dap+4", "0x1.77ffff280aa94p+4",
+    "0x1.87ffff0c9196ap+4",
+]
+
+
+class TestNodeCounts:
+    """`_trajectory_nodes`: the Sturm count of each refined state's trajectory up to its cut."""
+
+    @pytest.mark.parametrize("pot, constants, count, steps", [
+        *((*family, None) for family in LOCATED), (*TUNNELLING, None), (HARM, C, 25, 1000)],
+        ids=[*LOCATED_IDS, "tunnelling-well", "harmonic-25-at-1000-steps"])
+    def test_counts_equal_the_reference_trajectory(self, monkeypatch, pot, constants, count,
+                                                   steps):
+        # every refined state, on the derived grids and on an explicit grid
+        # whose top states need checks closer than 64 steps
+        counted = []
+        nodes = numerov._trajectory_nodes
+
+        def spy(pot, constants, config, energy, parity, potential, v_min):
+            got = nodes(pot, constants, config, energy, parity, potential, v_min)
+            counted.append((config, energy, parity, got))
+            return got
+
+        monkeypatch.setattr(numerov, "_trajectory_nodes", spy)
+        levels = numerov.lowest_levels(pot, constants, count, steps=steps)
+        assert sorted(energy for _, energy, _, _ in counted)[:count] == levels.tolist()
+        v_min = pot.minimum(mass=constants.mass)
+        phases = []
+        for config, energy, parity, got in counted:
+            h = config.x_max / config.steps
+            cut = (pot.turning_point(energy, mass=constants.mass)
+                   + 2.0 * numerov.decay_length(pot, constants, energy))
+            points = int(min(cut, config.x_max) / h) + 1
+            reference = numerov_trajectory(pot, constants, config.x_max, config.steps, energy,
+                                           parity, points)
+            assert got == sign_changes(reference)
+            phases.append(h * numerov._wave_number(constants, energy - v_min))
+        # state n of a channel carries n nodes on the half line
+        for parity in (numerov.EVEN, numerov.ODD):
+            channel = sorted((energy, got) for _, energy, p, got in counted if p == parity)
+            assert [got for _, got in channel] == list(range(len(channel)))
+        assert (max(phases) > numerov._COUNT_PHASE) == (steps is not None)
+
+    def test_explicit_coarse_grid_keeps_its_levels(self):
+        got = [level.hex() for level in numerov.lowest_levels(HARM, C, 25, steps=1000).tolist()]
+        assert got == HARMONIC_25_AT_1000

@@ -118,6 +118,15 @@ class TestBandedSymMatrix:
         with pytest.raises(ValueError):
             BandedSymMatrix(2, 1, (np.array([1.0, np.inf]), np.ones(1)))
 
+    def test_sizes_must_be_integers(self):
+        # a bool dim once built dim 1, and a bandwidth of 1.7 bandwidth 1
+        with pytest.raises(ValueError, match="dim must be a positive integer, got True"):
+            BandedSymMatrix(True, 0, (np.ones(1),))
+        with pytest.raises(ValueError, match=r"bandwidth must be an integer in \[0, dim - 1\], "
+                                             r"got 1\.7"):
+            BandedSymMatrix(3, 1.7, (np.ones(3), np.ones(2)))
+        assert BandedSymMatrix(np.int64(3), np.int64(1), (np.ones(3), np.ones(2))).bandwidth == 1
+
 
 class TestKinetic:
     def test_scalar_case(self):

@@ -105,6 +105,13 @@ class TestCheckMhu:
         with pytest.raises(ValueError):
             ConvergenceTable((2,), (np.array([1.0, 2.0, 3.0]),))
 
+    def test_dims_must_be_integers(self):
+        # dims (2.9,) were once truncated to (2,)
+        for dims in [(2.9,), (True,), (2.0,)]:
+            with pytest.raises(ValueError, match=rf"dims must be positive integers, "
+                                                 rf"got \({dims[0]!r},\)"):
+                ConvergenceTable(dims, (np.array([1.0, 2.0]),))
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_spectrum_named(self, bad):
         # a NaN level once passed the ascent test and all three checks

@@ -177,6 +177,28 @@ class TestMinimizeAlpha:
         with pytest.raises(ValueError):
             minimize_alpha(HARM, C, 2, (0.5, 2.0), levels=3)
 
+    @pytest.mark.parametrize("levels", [True, 1.5, 0, 3])
+    def test_levels_must_be_an_integer_in_range(self, monkeypatch, levels):
+        # levels=True once ran as 1, and 1.5 raised numpy's slice TypeError
+        # from inside the first solve; now both are named before any solve
+        solves = []
+        monkeypatch.setattr(variational, "_levels", lambda *args: solves.append(args))
+        with pytest.raises(ValueError, match=r"levels must be an integer in \[1, dim = 2\], "
+                                             rf"got {levels!r}$"):
+            minimize_alpha(HARM, C, 2, (0.5, 2.0), levels=levels)
+        assert not solves
+
+    @pytest.mark.parametrize("bracket", [(0.5, np.inf), (0.5, np.nan), (np.nan, 2.0)])
+    def test_bracket_must_be_finite(self, monkeypatch, bracket):
+        # (0.5, inf) once reached the first solve and raised "alpha must be a
+        # positive finite real, got nan", naming neither the bracket nor its value
+        solves = []
+        monkeypatch.setattr(variational, "_levels", lambda *args: solves.append(args))
+        with pytest.raises(ValueError, match=r"bracket must hold finite 0 < lo < hi, got "
+                                             rf"\({bracket[0]}, {bracket[1]}\)"):
+            minimize_alpha(HARM, C, 2, bracket)
+        assert not solves
+
 
 class TestConvergenceTable:
     def test_exact_diagonal_prefixes(self):
@@ -222,6 +244,15 @@ class TestConvergenceTable:
         with pytest.raises(ValueError) as want:
             ConvergenceTable(dims, tuple(variational._levels(QUART, C, 1.3, d) for d in dims))
         assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("dims, bad", [((2.5, 4), "2.5"), ((True, 4), "True"),
+                                           ((2, 4.0), "4.0")])
+    def test_dims_must_be_integers(self, dims, bad):
+        # (2.5, 4) once gave dims (2, 4), and (True, 4) dims (1, 4); each
+        # is now refused as the per-dim build refuses it
+        with pytest.raises(ValueError, match=f"dim must be a positive integer, got {bad}$"):
+            convergence_table(QUART, C, 1.3, dims)
+        assert convergence_table(QUART, C, 1.3, (np.int64(2), 4)).dims == (2, 4)
 
     @pytest.mark.parametrize("dims", [(4, 12), (8, 11, 12)])
     def test_range_error_is_the_first_failing_dims(self, dims):
