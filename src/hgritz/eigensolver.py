@@ -14,9 +14,12 @@ to A in compact-WY blocks.  A matrix with no entry coupling an even
 index to an odd one, as every Hamiltonian of an even potential is, is solved
 one parity block at a time, read from its zeros, so each of its eigenvectors
 has exact parity; Householder leaves a column that is already tridiagonal
-as it is, so a tridiagonal block goes to QL unchanged.  Output is
-deterministic: eigenvalues ascend and each eigenvector has its
-largest-magnitude component positive.
+as it is, so a tridiagonal block goes to QL unchanged.  Householder runs on
+a stack of blocks at once, smaller ones padded with zeros above and to
+their left, and gives each block bitwise what it would give it alone; QL,
+on Python floats, the eigenvectors and the back-transform run block by
+block.  Output is deterministic: eigenvalues ascend and each eigenvector
+has its largest-magnitude component positive.
 
 There are two entries.  `eigh` returns the eigenvalues and eigenvectors as
 a `Spectrum` and checks each block by its eigen residual.  `eigvalsh`
@@ -25,7 +28,11 @@ scaling, parity split, reduction, QL and level order, but forms no vector.
 Without vectors there is no residual, so each of its blocks is certified
 instead: the reduction must keep the Frobenius norm, and Sturm counts of T
 at every level plus and minus the residual gate must put an eigenvalue of
-T of the level's own index within that gate.
+T of the level's own index within that gate.  Each reduces a matrix's two
+parity blocks as one stack.  The private `_eigvalsh_family` gives eigvalsh
+of many matrices, such as the truncations of a convergence table or the
+widths of an alpha grid, whose blocks of equal or nested sizes share a
+stack and one Sturm recurrence.
 """
 
 from __future__ import annotations
@@ -65,9 +72,19 @@ _GRAM_STRIP = 128
 
 #: eigh scales a matrix with an entry past 2^_MAX_EXPONENT down by a power of
 #: two, which is exact, until its largest entry is below that again.  Squares
-#: of the entries, and Householder's 2 / ||v||^2, then stay clear of overflow
-#: and underflow alike.
+#: of the entries then stay clear of overflow.  Tiny entries are not scaled
+#: up: their squares may underflow, and Householder rescales each column
+#: whose squared norm does (`_householder_tridiag`).
 _MAX_EXPONENT = 256
+
+_TINY = float(np.finfo(float).tiny)
+
+#: Entries of one zero-padded stack of parity blocks: blocks of consecutive
+#: matrices share a stack while (blocks) x (largest block dim)^2 stays under
+#: this, so a table over many large dims is reduced a few matrices at a
+#: time.  One matrix's blocks always share one stack, which is never larger
+#: than the matrix.
+_STACK_ENTRIES = 1 << 19
 
 
 def ascent_tolerance(level):
@@ -118,40 +135,96 @@ class Spectrum:
         return self.eigenvalues.size
 
 
-def _householder_tridiag(a):
-    """Reduce symmetric a in place to tridiagonal T = Q^T A Q; return d, e, betas.
+def _stack(blocks):
+    """(stack, pads): the square blocks as one stack of shape (B, n, n), n the largest.
 
-    Q = H_0 H_1 ... H_{n-3} is never formed.  H_k = I - betas[k] v v^T acts
-    on rows k + 1 on, and its v is kept below the diagonal, in a[k + 1:, k];
-    the entries above the superdiagonal are stale and never read.
-    A column with nothing below its subdiagonal entry is already reduced: it
-    is skipped and its beta is 0, so a tridiagonal a comes back as it is,
-    with every beta 0.
+    Block b sits at the bottom right of its slice, stack[b, pads[b]:,
+    pads[b]:], with zeros above and to its left.
     """
-    n = a.shape[0]
-    betas = np.zeros(max(n - 2, 0))
+    n = max(block.shape[0] for block in blocks)
+    stack = np.zeros((len(blocks), n, n))
+    pads = np.array([n - block.shape[0] for block in blocks])
+    for slot, block, pad in zip(stack, blocks, pads):
+        slot[pad:, pad:] = block
+    return stack, pads
+
+
+def _householder_tridiag(a):
+    """Reduce each symmetric block of the stack a, shape (B, n, n), in place to tridiagonal.
+
+    Each block A becomes T = Q^T A Q; returns T's d and e and the betas, of
+    shapes (B, n), (B, n - 1) and (B, n - 2).  Q = H_0 H_1 ... H_{n-3} is
+    never formed.  H_k = I - betas[b, k] v v^T acts on rows k + 1 on, and
+    its v is kept below the diagonal, in a[b, k + 1:, k]; the entries above
+    the superdiagonal are stale and never read.  A column with nothing
+    below its subdiagonal entry is already reduced: it is skipped and its
+    beta is 0, so a tridiagonal block comes back as it is, with every beta
+    0.  A block padded with zeros above and to its left (`_stack`) has
+    nothing below the subdiagonal of a padding column either, so its own
+    columns are reduced as they would be alone; each block's d, e and
+    betas are bitwise those of its own reduction, the padding adding zeros
+    in front, since every product is a batched `@`, which makes the same
+    BLAS call per block that `@` makes on one.  Every step runs for the
+    whole stack at once, and only a step at which some block skips its
+    column masks the update.
+
+    A column x whose squared norm is not a normal float is first scaled by
+    a power of two to a largest entry in [1/2, 1), which is exact, as
+    LAPACK dlarfg rescales; v and beta are then those of the scaled column,
+    which make the same reflector.  Every ||x||^2 is thus at least the
+    smallest normal float, and ||v||^2 = 2 ||x|| (||x|| + |x_0|) is at
+    least 2 ||x||^2 up to rounding, so beta = 2 / ||v||^2 is finite and
+    positive for every column that is reduced.  Squares that underflow
+    inside a sum of normal size fall below its rounding.
+    """
+    count, n = a.shape[:2]
+    betas = np.zeros((count, max(n - 2, 0)))
     for k in range(n - 2):
-        x = a[k + 1:, k]
-        if not x[1:].any():
+        x = a[:, k + 1:, k]
+        live = x[:, 1:].any(axis=1)
+        every = live.all()
+        if not (every or live.any()):
             continue
-        v = x.copy()
-        norm_x = math.sqrt(float(v @ v))
-        v[0] += math.copysign(norm_x, x[0])
-        vsq = float(v @ v)
-        if vsq == 0.0:
-            continue
+        # each block's v as a column and a row; its scalars have shape (B, 1, 1)
+        col = x[:, :, None].copy()
+        row = col.transpose(0, 2, 1)
+        sq = row @ col
+        scale = None
+        if sq.min() < _TINY:
+            small = live & (sq[:, 0, 0] < _TINY)
+            if small.any():
+                scale = np.where(small, np.frexp(np.abs(x).max(axis=1))[1], 0)[:, None, None]
+                col = np.ldexp(col, -scale)
+                row = col.transpose(0, 2, 1)
+                sq = row @ col
+        lead = np.copysign(np.sqrt(sq), col[:, :1])
+        col[:, :1] += lead
+        vsq = row @ col
+        if not every:
+            vsq[~live] = 1.0
         beta = 2.0 / vsq
-        sub = a[k + 1:, k + 1:]
-        p = beta * (sub @ v)
-        w = p - (0.5 * beta * float(p @ v)) * v
+        if not every:
+            beta[~live] = 0.0
+        sub = a[:, k + 1:, k + 1:]
+        p = beta * (sub @ col)
+        w = p - ((0.5 * beta) * (p.transpose(0, 2, 1) @ col)) * col
         # w v^T + v w^T: the transpose of w v^T holds each v_i w_j
-        update = np.multiply.outer(w, v)
-        update += update.T
+        update = w * row
+        update += update.transpose(0, 2, 1)
+        if not every:
+            update[~live] = 0.0  # a skipped block's entries stay bit for bit
         sub -= update
-        a[k, k + 1] = -math.copysign(norm_x, x[0])
-        x[0] = v[0]
-        betas[k] = beta
-    return np.diag(a).copy(), np.diag(a, 1).copy(), betas
+        if scale is not None:
+            lead = np.ldexp(lead, scale)
+            x[small, 1:] = col[small, 1:, 0]
+        if every:
+            a[:, k, k + 1] = -lead[:, 0, 0]
+            x[:, 0] = col[:, 0, 0]
+        else:
+            a[live, k, k + 1] = -lead[live, 0, 0]
+            x[live, 0] = col[live, 0, 0]
+        betas[:, k] = beta[:, 0, 0]
+    return (np.diagonal(a, 0, 1, 2).copy(), np.diagonal(a, 1, 1, 2).copy(), betas)
 
 
 def _back_transform(a, betas, z):
@@ -385,27 +458,28 @@ def _piece_vectors(d, e, lam):
     return z @ step
 
 
-def _tridiagonal_levels(a):
-    """Householder and QL on a copy of the symmetric block a.
+def _splits(d, e):
+    """(cut, split): where each tridiagonal T = (d[b], e[b]) of a stack splits, and e with 0 there.
 
-    Returns (reduced, betas, d, e, cuts, w, order): `_householder_tridiag`'s
-    reflectors in reduced and betas, T's diagonals (d, e), the indices of e
-    where T splits, and T's eigenvalues w ascending, w[k] being entry
-    order[k] of QL's own output.  T splits where QL's own test finds e
-    negligible, and QL runs on the whole of T with e set to 0 there, so no
-    sweep crosses a split: each piece's eigenvalues sit at its positions.
-    QL reads e at a split only in that test, so its eigenvalues are bitwise
-    those of QL on the unsplit T whenever that run, too, splits there at
-    every look.
+    T splits where QL's own test finds e negligible, and QL runs on the
+    whole of T with e set to 0 there, so no sweep crosses a split: each
+    piece's eigenvalues sit at its positions.  QL reads e at a split only in
+    that test, so its eigenvalues are bitwise those of QL on the unsplit T
+    whenever that run, too, splits there at every look.
     """
-    reduced = a.copy()
-    d, e, betas = _householder_tridiag(reduced)
-    cuts = np.flatnonzero(np.abs(e) <= _EPS * (np.abs(d[:-1]) + np.abs(d[1:])))
-    split = e.copy()
-    split[cuts] = 0.0
+    cut = np.abs(e) <= _EPS * (np.abs(d[:, :-1]) + np.abs(d[:, 1:]))
+    return cut, np.where(cut, 0.0, e)
+
+
+def _tridiagonal_levels(d, split):
+    """QL on one block's split tridiagonal (d, split) (`_splits`).
+
+    Returns (w, order): T's eigenvalues w ascending, w[k] being entry
+    order[k] of QL's own output.
+    """
     values = _ql_implicit(d, split)
     order = np.argsort(values, kind="stable")
-    return reduced, betas, d, e, cuts, values[order], order
+    return values[order], order
 
 
 def _tridiagonal_vectors(d, e, cuts, w, order):
@@ -438,14 +512,17 @@ def _fix_signs(v):
 def _gate(a, shift):
     """The residual gate 1e-10 (1 + ||A||_inf) of block 2^shift a, scaled down by 2^shift.
 
-    Scaling by a power of two is exact, so this is the gate of the unscaled
-    block on the scale of a.
+    a is one block, or a stack of blocks with one shift each.  Scaling by a
+    power of two is exact, so this is the gate of the unscaled block on the
+    scale of a.
     """
-    return 1e-10 * (math.ldexp(1.0, -shift) + float(np.abs(a).sum(axis=1).max()))
+    return 1e-10 * (np.ldexp(1.0, -shift) + np.abs(a).sum(axis=-1).max(axis=-1))
 
 
 def _unscaled(w, shift):
     """The levels w of a block scaled down by 2^shift, scaled back up."""
+    if not shift:
+        return w
     try:
         with np.errstate(over="raise"):
             return np.ldexp(w, shift)
@@ -472,56 +549,62 @@ def _finish(a, w, z, shift):
     return _unscaled(w, shift), v, math.ldexp(residual, shift)
 
 
-def _solve_block(a, shift):
-    """(eigenvalues, eigenvectors, residual) of the symmetric array 2^shift a."""
-    reduced, betas, d, e, cuts, w, order = _tridiagonal_levels(a)
-    z = _tridiagonal_vectors(d, e, cuts, w, order)
-    _back_transform(reduced, betas, z)
-    return _finish(a, w, z, shift)
+def _sturm_counts(d, e, x, pads):
+    """How many eigenvalues of each tridiagonal (d[b], e[b]) lie below each entry of x[b].
 
-
-def _sturm_counts(d, e, x):
-    """How many eigenvalues of tridiagonal (d, e) lie below each entry of x.
-
-    Each count is the number of negative pivots of T - x = L D L^T (Barth,
-    Martin & Wilkinson 1967, Numer. Math. 9:386), one recurrence running for
-    every x at once, after T and x are scaled by a power of two to a largest
-    entry of T below 1, which is exact.  As LAPACK dlaneg does, the
+    d, e and x are stacks of shapes (B, n), (B, n - 1) and (B, k); the first
+    pads[b] rows of member b are padding, outside its T, and e is 0 between
+    them and T.  Each count is the number of negative pivots of
+    T - x = L D L^T (Barth, Martin & Wilkinson 1967, Numer. Math. 9:386),
+    one recurrence running for every x of every member at once, after each
+    member's T and x are scaled by their own power of two to a largest
+    entry of T below 1, which is exact.  A padding row is an infinite
+    pivot: it counts nothing and hands T's first row its own d - x, so each
+    member's counts are those of its T alone.  As LAPACK dlaneg does, the
     recurrence first runs unguarded and counts a pivot by its sign bit: a
     zero pivot then sends the next one to an infinity of the other sign, so
     of the two exactly one counts, as if the zero were a tiny negative
-    pivot.  Only where that made a NaN (0 / 0, from an e of 0) is the
-    recurrence run again with every pivot smaller in magnitude than the
-    smallest normal float replaced by minus that, dlaneg's pivmin.
+    pivot.  Only for a member where that made a NaN (0 / 0, from an e of 0)
+    is the recurrence run again with every pivot smaller in magnitude than
+    the smallest normal float replaced by minus that, dlaneg's pivmin.
     """
-    top = max(float(np.abs(d).max()), float(np.abs(e).max(initial=0.0)))
-    shift = math.frexp(top)[1]
+    n = d.shape[1]
+    top = np.maximum(np.abs(d).max(axis=1), np.abs(e).max(axis=1, initial=0.0))
+    shift = np.frexp(top)[1][:, None]
     d, x, e2 = np.ldexp(d, -shift), np.ldexp(x, -shift), np.square(np.ldexp(e, -shift))
-    pivots = np.subtract.outer(d, x)
+    d[np.arange(n) < pads[:, None]] = np.inf
+    # row i of the recurrence holds every member's pivots i
+    d, e2 = d.T[:, :, None], e2.T[:, :, None]
+    pivots = d - x
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for i in range(1, d.size):
+        for i in range(1, n):
             pivots[i] -= e2[i - 1] / pivots[i - 1]
     # a zero last pivot has no successor to carry its count: it counts as
     # negative, as dlaneg's pivmin makes it
     last = pivots[-1]
     last[last == 0.0] = -0.0
-    if not np.isnan(last).any():
-        return np.signbit(pivots).sum(axis=0)
-    pivmin = float(np.finfo(float).tiny)
+    counts = np.signbit(pivots).sum(axis=0)
+    broken = np.isnan(last).any(axis=1)
+    if not broken.any():
+        return counts
+    pivmin = _TINY
     pivot = _floored(d[0] - x, pivmin)
-    count = (pivot < 0.0).astype(np.intp)
-    for i in range(1, d.size):
+    guarded = (pivot < 0.0).astype(np.intp)
+    for i in range(1, n):
         pivot = _floored(d[i] - x - e2[i - 1] / pivot, pivmin)
-        count += pivot < 0.0
-    return count
+        guarded += pivot < 0.0
+    counts[broken] = guarded[broken]
+    return counts
 
 
-def _certify(a, d, e, w, shift):
-    """Check the values-only solve of block a, which has no eigen residual.
+def _certify(a, d, e, w, shifts, pads):
+    """The first failed check of each values-only block solve, which has no eigen residual.
 
-    (d, e) is the tridiagonal T that a was reduced to and w its ascending
-    QL eigenvalues.  Two checks, each raising ConvergenceError naming the
-    dim:
+    a is the stack of the blocks (`_stack`), each scaled down by 2^shifts[b]
+    and padded by pads[b] rows, and (d, e) the tridiagonal stack that
+    Householder reduced it to.  w[b, :m] holds the m ascending QL
+    eigenvalues of block b; its other entries are never checked.  Two
+    checks, each failing with a ConvergenceError naming the block's dim:
 
     - the reduction.  An orthogonal similarity keeps the Frobenius norm, so
       the gap between ||T||_F and ||A||_F is at most the norm of
@@ -534,29 +617,32 @@ def _certify(a, d, e, w, shift):
       count(x) is the Sturm count of T below x: T then has its i-th
       eigenvalue within tol of w_i.  A residual under that gate would bound
       the error of each level by the same tol.
+
+    Every block's sums and Sturm counts run at once, over the stack; a block
+    that passes both has None.
     """
-    n = w.size
-    norm_a = math.sqrt(float((a * a).sum()))
-    norm_t = math.sqrt(float(d @ d) + 2.0 * float(e @ e))
-    if abs(norm_t - norm_a) > 1e-10 * (math.ldexp(1.0, -shift) + norm_a):
-        raise ConvergenceError(
-            f"tridiagonal reduction moved the Frobenius norm by "
-            f"{math.ldexp(abs(norm_t - norm_a), shift):.3e} for dim {n}", dim=n)
-    tol = _gate(a, shift)
-    counts = _sturm_counts(d, e, np.concatenate([w - tol, w + tol]))
+    n = d.shape[1]
+    norm_a = np.sqrt((a * a).sum(axis=(1, 2)))
+    norm_t = np.sqrt((d * d).sum(axis=1) + 2.0 * (e * e).sum(axis=1))
+    moved = np.abs(norm_t - norm_a) > 1e-10 * (np.ldexp(1.0, -shifts) + norm_a)
+    tol = _gate(a, shifts)[:, None]
+    counts = _sturm_counts(d, e, np.concatenate([w - tol, w + tol], axis=1), pads)
     index = np.arange(n)
-    bad = np.flatnonzero((counts[:n] > index) | (counts[n:] <= index))
-    if bad.size:
-        raise ConvergenceError(
-            f"Sturm count puts no eigenvalue within {math.ldexp(tol, shift):.3e} of "
-            f"level {int(bad[0])} for dim {n}", dim=n, index=int(bad[0]))
-
-
-def _block_levels(a, shift):
-    """Ascending eigenvalues of the symmetric array 2^shift a, certified."""
-    _, _, d, e, _, w, _ = _tridiagonal_levels(a)
-    _certify(a, d, e, w, shift)
-    return _unscaled(w, shift)
+    bad = ((counts[:, :n] > index) | (counts[:, n:] <= index)) & (index < n - pads[:, None])
+    failures = [None] * len(pads)
+    for b in np.flatnonzero(moved | bad.any(axis=1)).tolist():
+        dim, shift = n - int(pads[b]), int(shifts[b])
+        if moved[b]:
+            failures[b] = ConvergenceError(
+                f"tridiagonal reduction moved the Frobenius norm by "
+                f"{math.ldexp(abs(float(norm_t[b] - norm_a[b])), shift):.3e} for dim {dim}",
+                dim=dim)
+        else:
+            i = int(np.argmax(bad[b]))
+            failures[b] = ConvergenceError(
+                f"Sturm count puts no eigenvalue within {math.ldexp(float(tol[b, 0]), shift):.3e} "
+                f"of level {i} for dim {dim}", dim=dim, index=i)
+    return failures
 
 
 def _prepared(matrix):
@@ -623,16 +709,28 @@ def eigh(matrix) -> Spectrum:
     diagonal once the even indices are put before the odd ones.  Each block
     is solved on its own, so every eigenvector is exactly even or odd in the
     index, and the residual is the larger block residual, which is that of
-    the whole matrix.  A matrix with an entry past 2^256 is solved scaled
-    down by a power of two, so that only its eigenvalues must lie in the
-    float range.  Deterministic for identical input.
+    the whole matrix.  The two blocks are reduced as one stack.  A matrix
+    with an entry past 2^256 is solved scaled down by a power of two, so
+    that only its eigenvalues must lie in the float range.  Deterministic
+    for identical input.
     """
     a, shift = _prepared(matrix)
     n = a.shape[0]
     parts = _parity_parts(a)
     rows = [np.arange(n)[part] for part in parts]
-    values, vectors, residuals = zip(*[_solve_block(a[part, part], shift) for part in parts])
-    del a  # free the full matrix before the n x n merge below
+    blocks = [a[part, part] for part in parts]
+    reduced, pads = _stack(blocks)
+    d, e, betas = _householder_tridiag(reduced)
+    cut, split = _splits(d, e)
+    solved = []
+    for b, (block, pad) in enumerate(zip(blocks, pads.tolist())):
+        w, order = _tridiagonal_levels(d[b, pad:], split[b, pad:])
+        z = _tridiagonal_vectors(d[b, pad:], e[b, pad:], np.flatnonzero(cut[b, pad:]), w, order)
+        _back_transform(reduced[b, pad:, pad:], betas[b, pad:], z)
+        solved.append(_finish(block, w, z, shift))
+    values, vectors, residuals = zip(*solved)
+    # free the full matrix and the stack before the n x n merge below
+    del a, blocks, block, reduced, solved
     w = np.concatenate(values)
     order = _level_order(w, rows)
     columns = np.argsort(order)
@@ -654,8 +752,73 @@ def eigvalsh(matrix) -> np.ndarray:
     of the reduction and a Sturm count that puts each level within eigh's
     residual gate of an eigenvalue of T, of its own index.
     """
-    a, shift = _prepared(matrix)
-    parts = _parity_parts(a)
-    rows = [np.arange(a.shape[0])[part] for part in parts]
-    w = np.concatenate([_block_levels(a[part, part], shift) for part in parts])
-    return w[_level_order(w, rows)]
+    (w,) = _eigvalsh_family([matrix])
+    return w
+
+
+def _eigvalsh_family(matrices):
+    """Yield `eigvalsh` of each of the matrices in turn, bit for bit.
+
+    The parity blocks of consecutive matrices are reduced as one zero-padded
+    stack (`_stack`) of up to _STACK_ENTRIES entries, or of one matrix's
+    blocks, and certified by one Sturm recurrence; QL runs block by block.
+    What the loop of eigvalsh over the matrices would raise first, in matrix
+    then block order, is raised once every matrix before it is yielded: a
+    failure to prepare a matrix, or to draw it from the iterable, stops the
+    draw, and a block's QL, certificate and unscaling fail in that order.
+    """
+    source = iter(matrices)
+    group, count, top, stop = [], 0, 0, None
+    while True:
+        try:
+            a, shift = _prepared(next(source))
+        except StopIteration:
+            break
+        except Exception as exc:  # raised below, once the matrices before it are yielded
+            stop = exc
+            break
+        parts = _parity_parts(a)
+        blocks = [a[part, part] for part in parts]
+        # the even block is the larger one
+        if group and (count + len(blocks)) * max(top, blocks[0].shape[0]) ** 2 > _STACK_ENTRIES:
+            yield from _group_levels(group)
+            group, count, top = [], 0, 0
+        group.append((shift, [np.arange(a.shape[0])[part] for part in parts], blocks))
+        count, top = count + len(blocks), max(top, blocks[0].shape[0])
+    yield from _group_levels(group)
+    if stop is not None:
+        raise stop
+
+
+def _group_levels(group):
+    """Yield the certified levels of each (shift, rows, blocks) member of the group in turn."""
+    if not group:
+        return
+    shifts = np.array([shift for shift, _, blocks in group for _ in blocks])
+    stack, pads = _stack([block for _, _, blocks in group for block in blocks])
+    d, e, _ = _householder_tridiag(stack.copy())
+    split = _splits(d, e)[1]
+    w = np.zeros(d.shape)
+    failures = []
+    for b, pad in enumerate(pads.tolist()):
+        try:
+            levels = _tridiagonal_levels(d[b, pad:], split[b, pad:])[0]
+        except ConvergenceError as err:
+            failures.append(err)
+            continue
+        failures.append(None)
+        w[b, :levels.size] = levels
+        w[b, levels.size:] = levels[0]  # unchecked; repeats a level, so no new pivots
+    checks = _certify(stack, d, e, w, shifts, pads)
+    n = d.shape[1]
+    b = 0
+    for shift, rows, blocks in group:
+        values = []
+        for _ in blocks:
+            failure = failures[b] or checks[b]
+            if failure is not None:
+                raise failure
+            values.append(_unscaled(w[b, :n - pads[b]], shift))
+            b += 1
+        values = np.concatenate(values)
+        yield values[_level_order(values, rows)]

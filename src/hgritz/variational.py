@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisSpec, Constants, _is_integer, _require_positive
-from .eigensolver import Spectrum, eigh, eigvalsh
+from .eigensolver import Spectrum, _eigvalsh_family, eigh, eigvalsh
 from .errors import ConvergenceError
 from .operators import PotentialSpec, hamiltonian_matrix
 from .spectral import ConvergenceTable
@@ -114,21 +114,31 @@ def exact_diagonal_alpha(omega: float, constants: Constants = Constants()) -> fl
 
 def scan_alpha(pot: PotentialSpec, constants: Constants, dim: int,
                alphas) -> AlphaScanResult:
-    """All Ritz levels per alpha over a grid; argmin is over the ground level."""
+    """All Ritz levels per alpha over a grid; argmin is over the ground level.
+
+    Every width's H has parity blocks of the same sizes, so the solves of the
+    whole grid are reduced as one stack and certified in one Sturm
+    recurrence (`eigensolver._eigvalsh_family`).  Each spectrum is bitwise
+    `eigvalsh(hamiltonian_matrix(spec, pot, dim))` at its width, and the
+    first width whose build or solve fails, in ascending order, raises what
+    it raises alone, its message naming the width.
+    """
     grid = np.asarray(alphas, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("need a non-empty alpha grid")
     if np.any(~np.isfinite(grid)) or np.any(grid <= 0.0):
         raise ValueError("alphas must be positive finite reals")
     grid = np.sort(grid)
+    matrices = (hamiltonian_matrix(BasisSpec(float(a), constants.hbar, constants.mass), pot, dim)
+                for a in grid)
     energies = []
-    for a in grid:
-        try:
-            energies.append(_levels(pot, constants, float(a), dim))
-        except (ConvergenceError, OverflowError) as err:
-            # the error keeps its type and fields, and its message gains the width
-            err.args = (f"eigensolver failed at alpha = {float(a)!r}: {err}",)
-            raise
+    try:
+        for levels in _eigvalsh_family(matrices):
+            energies.append(levels)
+    except (ConvergenceError, OverflowError) as err:
+        # the error keeps its type and fields, and its message gains the width
+        err.args = (f"eigensolver failed at alpha = {float(grid[len(energies)])!r}: {err}",)
+        raise
     ground = np.array([e[0] for e in energies])
     argmin = float(grid[int(np.argmin(ground))])
     return AlphaScanResult(grid, tuple(energies), argmin)
@@ -220,8 +230,11 @@ def convergence_table(pot: PotentialSpec, constants: Constants, alpha: float,
     d is solved on its leading d x d block.  Every band of H is elementwise
     in the row index, so that block is bitwise the matrix built at d and
     each spectrum is bitwise `eigvalsh(hamiltonian_matrix(spec, pot, d))`.
-    Where a dim is invalid or the largest H leaves the float range, the
-    matrices are built dim by dim instead, which raises what that dim raises.
+    The parity blocks of every truncation are reduced as one stack and
+    certified in one Sturm recurrence (`eigensolver._eigvalsh_family`),
+    which raises what the first failing dim raises alone.  Where a dim is
+    invalid or the largest H leaves the float range, the matrices are built
+    dim by dim instead, which raises what that dim raises.
     """
     dims = tuple(dims)
     if dims and all(_is_integer(d) and d >= 1 for d in dims):
@@ -232,5 +245,5 @@ def convergence_table(pot: PotentialSpec, constants: Constants, alpha: float,
         except (ValueError, OverflowError):
             pass  # built dim by dim below, where each dim raises what it raises alone
         else:
-            return ConvergenceTable(dims, tuple(eigvalsh(whole[:d, :d]) for d in dims))
+            return ConvergenceTable(dims, tuple(_eigvalsh_family(whole[:d, :d] for d in dims)))
     return ConvergenceTable(dims, tuple(_levels(pot, constants, alpha, d) for d in dims))

@@ -695,6 +695,32 @@ def test_kinetic_scale_past_the_squares_range_solves(capsys, mass, hbar, alpha, 
     assert [row["nodes"] for row in rows] == [0, 1, 2]
 
 
+def assert_tiny_quartic_solves(capsys, lam, hbar):
+    # every entry of H lies near 1e-170 or 1e-160, and the squares of a
+    # Householder column's entries underflow
+    code, out, err = run_cli(capsys, ["solve", "--potential", "quartic", "--lambda", lam,
+                                      "--alpha", "1", "--hbar", hbar, "--dim", "8",
+                                      "--format", "json"])
+    assert (code, err) == (0, "")
+    rows = json.loads(out)["results"]
+    h = hamiltonian_matrix(BasisSpec(1.0, float(hbar)), PotentialSpec.quartic(float(lam)), 8)
+    want = np.ldexp(np.linalg.eigvalsh(np.ldexp(h.to_dense(), 600)), -600)
+    np.testing.assert_allclose([row["energy"] for row in rows], want, rtol=1e-11)
+    assert [row["nodes"] for row in rows] == list(range(8))
+
+
+def test_quartic_whose_squares_underflow_to_zero_solves(capsys):
+    # the columns' squared norms were 0 and their reflectors skipped: exit 0
+    # with a ground level of 2.99071223696e-171, 56 % below 6.72793e-171
+    assert_tiny_quartic_solves(capsys, "1e-170", "1e-85")
+
+
+def test_quartic_whose_squares_are_subnormal_solves(capsys):
+    # 2 / ||v||^2 from a subnormal squared norm overflowed: a RuntimeWarning,
+    # then exit 1
+    assert_tiny_quartic_solves(capsys, "1e-160", "1e-80")
+
+
 @pytest.mark.parametrize("argv", [
     ["--potential", "quartic", "--lambda", "1e-300", "--alpha", "1e10", "--dim", "3"],
     ["--potential", "quartic", "--lambda", "1e-300", "--dim", "6"],

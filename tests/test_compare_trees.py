@@ -16,6 +16,7 @@ _spec.loader.exec_module(compare_trees)
 SUMMARIES = ["2 of 2 solves and rules bit-identical",
              "2 of 2 spectra bit-identical (3 levels)",
              "2 of 2 node counts identical",
+             "2 of 2 tables and grids bit-identical",
              "2 of 2 requests identical"]
 
 
@@ -34,6 +35,10 @@ def records():
         "nodes": [("quartic alpha=1.8 dim=512", {"nodes": list(range(512))}),
                   ("deep_double_well alpha=1.59369 dim=512",
                    {"nodes": "raised DegenerateInputError: state 1 has no nonzero sample"})],
+        "tables": [("table harmonic 0.5 alpha=0.8 dims=(1, 3)",
+                    {"spectra": [np.array([0.5]).tobytes(), np.array([0.5, 1.5, 2.5]).tobytes()]}),
+                   ("grid quartic 0.2 dim=8",
+                    {"spectra": "raised ConvergenceError: QL stalled"})],
         "cli": [("solve seed 1 request 0", {"exit code": 0, "stdout": "{}\n"}),
                 ("solve seed 1 request 1",
                  {"exit code": "raised ValueError: no", "stdout": ""})],
@@ -302,10 +307,22 @@ def test_one_node_count_differs(capsys):
     code, lines = run(capsys, records(), new)
     assert code == 1
     assert lines == ["quartic alpha=1.8 dim=512: nodes differ",
-                     *SUMMARIES[:2], "1 of 2 node counts identical", SUMMARIES[3]]
+                     *SUMMARIES[:2], "1 of 2 node counts identical", *SUMMARIES[3:]]
 
 
-@pytest.mark.parametrize("sweep", ["eigh", "numerov", "nodes", "cli"])
+def test_one_table_spectrum_differs(capsys):
+    new = records()
+    label, fields = new["tables"][0]
+    spectra = list(fields["spectra"])
+    spectra[1] = np.array([0.5, 1.5, np.nextafter(2.5, 3.0)]).tobytes()
+    new["tables"][0] = (label, {"spectra": spectra})
+    code, lines = run(capsys, records(), new)
+    assert code == 1
+    assert lines == [f"{label}: spectra differ", *SUMMARIES[:3],
+                     "1 of 2 tables and grids bit-identical", SUMMARIES[4]]
+
+
+@pytest.mark.parametrize("sweep", ["eigh", "numerov", "nodes", "tables", "cli"])
 def test_shorter_record_list_is_reported(capsys, sweep):
     new = records()
     dropped = new[sweep].pop()[0]
@@ -329,9 +346,10 @@ def test_label_mismatch_is_reported(capsys):
 def test_a_failed_tree_differs_everywhere(capsys):
     code, lines = run(capsys, records(), {})
     assert code == 1
-    assert lines[-4:] == ["0 of 2 solves and rules bit-identical",
+    assert lines[-5:] == ["0 of 2 solves and rules bit-identical",
                           "0 of 2 spectra bit-identical (0 levels)",
                           "0 of 2 node counts identical",
+                          "0 of 2 tables and grids bit-identical",
                           "0 of 2 requests identical"]
 
 

@@ -16,6 +16,12 @@ def tridiagonal(diag, offdiag):
     return np.diag(diag) + np.diag(offdiag, 1) + np.diag(offdiag, -1)
 
 
+def reduce_block(a):
+    """(d, e, betas) of Householder on a copy of the one symmetric block a."""
+    d, e, betas = eigensolver._householder_tridiag(a[None].copy())
+    return d[0], e[0], betas[0]
+
+
 def test_two_by_two_closed_form():
     res = eigh(np.array([[2.0, 1.0], [1.0, 2.0]]))
     np.testing.assert_allclose(res.eigenvalues, [1.0, 3.0], atol=1e-14)
@@ -130,6 +136,25 @@ def test_input_validation():
         eigh(np.array([[np.nan]]))
 
 
+@pytest.mark.parametrize("solve", [eigh, eigensolver.eigvalsh], ids=["eigh", "eigvalsh"])
+def test_empty_matrix_is_refused(solve):
+    with pytest.raises(ValueError, match=r"^matrix must have dim >= 1$"):
+        solve(np.zeros((0, 0)))
+
+
+def test_residual_above_the_gate_raises_with_dim():
+    # the residual check of eigh's blocks, handed one vector moved off its
+    # eigenvector by 1e-6; the same vectors unmoved pass it
+    a = tridiagonal([1.0, 2.0, 3.0], [0.5, 0.5])
+    w, v = np.linalg.eigh(a)
+    assert eigensolver._finish(a, w, v.copy(), 0)[2] <= 1e-14
+    v[:, 1] += 1e-6 * v[:, 0]
+    with pytest.raises(ConvergenceError,
+                       match=r"^eigen residual 1\.\d{3}e-06 above tolerance for dim 3$") as err:
+        eigensolver._finish(a, w, v, 0)
+    assert err.value.dim == 3
+
+
 # -- parity blocks ------------------------------------------------------------
 
 _EPS = np.finfo(float).eps
@@ -236,7 +261,7 @@ def test_tridiagonal_blocks_skip_the_reduction():
     for a, step in ((harmonic.to_dense(), 2), (jacobi, 1), (pair, 1)):
         for p in range(step):
             block = a[p::step, p::step]
-            d, e, betas = eigensolver._householder_tridiag(block.copy())
+            d, e, betas = reduce_block(block)
             assert not betas.any()
             assert d.tobytes() == np.diag(block).tobytes()
             assert e.tobytes() == np.diag(block, 1).tobytes()
@@ -253,7 +278,7 @@ def test_tridiagonal_leading_columns_then_dense():
     res = eigh(a)
     assert_matches_lapack(res, a)
     assert res.residual_norm <= 1e-10 * (1.0 + np.abs(a).sum(axis=1).max())
-    d, e, betas = eigensolver._householder_tridiag(a.copy())
+    d, e, betas = reduce_block(a)
     assert not betas[:lead].any() and betas[lead] > 0.0
     np.testing.assert_array_equal(d[:lead], np.diag(a)[:lead])
 
@@ -263,7 +288,7 @@ def test_tridiagonal_leading_columns_then_dense():
 
 def ql_inputs(a):
     """(d, e) that eigh hands QL for the symmetric block a."""
-    return eigensolver._householder_tridiag(a.copy())[:2]
+    return reduce_block(a)[:2]
 
 
 def assert_ql_matches_oracle(d, e):
@@ -514,5 +539,179 @@ def test_sturm_counts_match_lapack(case, monkeypatch):
         # x = d[0] is the level of the split-off 1 x 1 piece, which counts as
         # below x, as a zero pivot counts as negative
         expect[levels.size] = 1 + (np.linalg.eigvalsh(a[1:, 1:]) < d[0]).sum()
-    np.testing.assert_array_equal(eigensolver._sturm_counts(d, e, x), expect)
+    counts = eigensolver._sturm_counts(d[None], e[None], x[None], np.zeros(1, dtype=int))
+    np.testing.assert_array_equal(counts[0], expect)
     assert bool(guarded) == (case == "split with zero pivots")
+
+
+
+def test_sturm_counts_of_a_padded_stack_are_each_members_alone():
+    # members of 12, 7, 3 and 1 rows at scales 2^-1000 to 2^600, one of them
+    # taking the guarded pass (a zero pivot before an e of 0), padded in
+    # front to 12 rows; each member's counts are its counts alone
+    rng = np.random.default_rng(21)
+    members = []
+    for size, exponent in ((12, 0), (7, -1000), (3, 600), (1, 0), (7, 0)):
+        members.append((np.ldexp(rng.standard_normal(size), exponent),
+                        np.ldexp(rng.standard_normal(size - 1), exponent)))
+    d, e = members[4]
+    d[:] = 0.5
+    e[0] = 0.0
+    x = [np.concatenate([np.linalg.eigvalsh(tridiagonal(d, e)), d[:1], [0.0]]) for d, e in members]
+    x = [np.resize(row, 14) for row in x]
+    alone = [eigensolver._sturm_counts(d[None], e[None], row[None], np.zeros(1, dtype=int))[0]
+             for (d, e), row in zip(members, x)]
+    pads = np.array([12 - d.size for d, _ in members])
+    stacked = eigensolver._sturm_counts(
+        np.array([np.concatenate([np.zeros(p), d]) for (d, _), p in zip(members, pads)]),
+        np.array([np.concatenate([np.zeros(p), e]) for (_, e), p in zip(members, pads)]),
+        np.array(x), pads)
+    np.testing.assert_array_equal(stacked, alone)
+
+# -- columns whose squared norm is not a normal float -------------------------
+
+
+@pytest.mark.parametrize("coupling", [1e-155, 1e-160])
+def test_reflector_from_a_column_whose_squared_norm_is_subnormal(coupling):
+    # the first column below the diagonal is (0, c, 0), whose squared norm
+    # 1e-310 or 1e-320 is subnormal: 2 / ||v||^2 overflowed, and QL ran out
+    # of sweeps on the NaNs that followed
+    a = np.array([[1.0, 0.0, coupling, 0.0], [0.0, 2.0, 1.0, 0.0],
+                  [coupling, 1.0, 3.0, 1.0], [0.0, 0.0, 1.0, 4.0]])
+    want = np.linalg.eigvalsh(a)
+    np.testing.assert_allclose(assert_eigvalsh_is_eighs(a), want, rtol=1e-14)
+    d, e, betas = reduce_block(a)
+    assert betas[0] > 0.0 and e[0] == pytest.approx(-coupling, rel=1e-15)
+
+
+@pytest.mark.parametrize("exponent", [-580, -900, -1000])
+def test_matrices_whose_squares_underflow_solve_scaled_bit_for_bit(exponent):
+    # every entry's square underflows, so every column's squared norm was 0
+    # and its reflector was skipped: the levels came out wrong.  Each column
+    # is now scaled by a power of two first, which is exact throughout.
+    a = random_symmetric(9, 5)
+    tiny = np.ldexp(a, exponent)
+    assert not (tiny * tiny).any()
+    w = assert_eigvalsh_is_eighs(tiny)
+    assert w.tobytes() == np.ldexp(eigensolver.eigvalsh(a), exponent).tobytes()
+    assert eigh(tiny).eigenvectors.tobytes() == eigh(a).eigenvectors.tobytes()
+
+
+# -- the family entry: many eigvalsh solves, one stack -------------------------
+
+
+def hamiltonian(name, alpha, dim):
+    return hamiltonian_matrix(BasisSpec(alpha), BLOCK_POTENTIALS[name], dim)
+
+
+def assert_family_is_eigvalsh_per_matrix(matrices):
+    got = list(eigensolver._eigvalsh_family(matrices))
+    assert len(got) == len(matrices)
+    for w, matrix in zip(got, matrices):
+        assert w.tobytes() == eigensolver.eigvalsh(matrix).tobytes()
+
+
+FAMILIES = {
+    # odd dims pad their odd block; every dim from 1 pads blocks of 1 to 9
+    "odd and mixed dims": lambda: [hamiltonian("quartic", 1.3, d) for d in range(1, 18)],
+    "dense, no split": lambda: [random_symmetric(n, 40 + n) for n in (2, 5, 9, 17)],
+    "split and unsplit": lambda: [hamiltonian("double_well", 2.0, 11), random_symmetric(7, 3),
+                                  hamiltonian("degree6", 0.7, 30), np.eye(1)],
+    # entries past 2^256 scale a member down by its own power of two
+    "scale shifts": lambda: [hamiltonian_matrix(BasisSpec(0.01), PotentialSpec.quartic(1e75), d)
+                             for d in (3, 8, 13)] + [hamiltonian("quartic", 1.5, 13)],
+    # harmonic blocks at the exact-diagonal width and off it are tridiagonal
+    "tridiagonal blocks": lambda: [hamiltonian("harmonic", alpha, d)
+                                   for alpha in (1.0, 1.5) for d in (2, 5, 16)]
+                                  + [random_symmetric(6, 2)],
+}
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_family_is_eigvalsh_per_matrix_bit_for_bit(name):
+    assert_family_is_eigvalsh_per_matrix(FAMILIES[name]())
+
+
+def test_family_splits_its_stacks_at_the_entry_cap(monkeypatch):
+    reduce = eigensolver._householder_tridiag
+    stacks = []
+
+    def counted(a):
+        stacks.append(a.shape)
+        return reduce(a)
+
+    monkeypatch.setattr(eigensolver, "_householder_tridiag", counted)
+    matrices = [hamiltonian("degree6", 1.5, d) for d in (4, 9, 10, 16, 3)]
+    assert_family_is_eigvalsh_per_matrix(matrices)
+    stacks.clear()
+    list(eigensolver._eigvalsh_family(matrices))
+    assert stacks == [(10, 8, 8)]
+    # 2 x 2^2 + 2 x 5^2 > 40: each stack holds the matrices that fit, or one
+    monkeypatch.setattr(eigensolver, "_STACK_ENTRIES", 40)
+    assert_family_is_eigvalsh_per_matrix(matrices)
+    stacks.clear()
+    list(eigensolver._eigvalsh_family(matrices))
+    assert stacks == [(2, 2, 2), (2, 5, 5), (2, 5, 5), (2, 8, 8), (2, 2, 2)]
+
+
+def failure(run):
+    """(type, text, dim, index) of what run raises."""
+    with pytest.raises(Exception) as err:
+        run()
+    return (type(err.value), str(err.value), getattr(err.value, "dim", None),
+            getattr(err.value, "index", None))
+
+
+# members and what each fails by: QL of blocks of 7 stalls, a level of
+# blocks of 15 moves by 1e-6 of the norm, and a 2 x 3 array is refused
+FAILING = {
+    "ok": lambda: hamiltonian("quartic", 1.5, 10),
+    "ql block 0": lambda: hamiltonian("quartic", 1.5, 13),  # blocks of 7 and 6
+    "ql block 1": lambda: hamiltonian("quartic", 1.5, 15),  # blocks of 8 and 7
+    "certificate": lambda: hamiltonian("quartic", 1.5, 30),
+    "refused": lambda: np.ones((2, 3)),
+    "range": lambda: np.full((2, 2), 1e308),
+}
+
+
+@pytest.mark.parametrize("members", [
+    ("ok", "ql block 1", "certificate", "ql block 0"),
+    ("ok", "ok", "certificate", "ql block 0"),
+    ("ok", "refused", "ql block 0"),
+    ("ql block 0", "refused"),
+    ("ok", "range", "ql block 1"),
+    ("ok", "ok", "refused"),
+])
+def test_family_raises_what_the_per_matrix_loop_raises_first(members, monkeypatch):
+    ql = eigensolver._ql_implicit
+    norm = {15: float(np.abs(np.linalg.eigvalsh(hamiltonian("quartic", 1.5, 30).to_dense())).max())}
+
+    def faulty(d, e):
+        if d.size == 7:
+            raise ConvergenceError(f"QL stalled for dim {d.size}", dim=d.size, index=2)
+        values = ql(d, e)
+        if d.size in norm:
+            values[3] += 1e-6 * norm[d.size]
+        return values
+
+    monkeypatch.setattr(eigensolver, "_ql_implicit", faulty)
+    matrices = [FAILING[name]() for name in members]
+    want = failure(lambda: [eigensolver.eigvalsh(m) for m in matrices])
+    assert failure(lambda: list(eigensolver._eigvalsh_family(matrices))) == want
+    # every member before the first failing one is yielded first
+    first = next(i for i, name in enumerate(members) if name != "ok")
+    family = eigensolver._eigvalsh_family(iter(matrices))
+    for matrix in matrices[:first]:
+        assert next(family).tobytes() == eigensolver.eigvalsh(matrix).tobytes()
+    assert failure(lambda: next(family)) == want
+
+
+def test_family_raises_a_failing_draw_after_the_members_before_it():
+    def drawn():
+        yield hamiltonian("quartic", 1.5, 6)
+        raise OverflowError("the fourth matrix")
+
+    family = eigensolver._eigvalsh_family(drawn())
+    assert next(family).size == 6
+    with pytest.raises(OverflowError, match="^the fourth matrix$"):
+        next(family)

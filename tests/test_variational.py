@@ -57,9 +57,11 @@ def test_solve_spectrum_keeps_the_eigen_residual():
 
 def test_level_searches_solve_for_values_only(monkeypatch):
     # scan_alpha, minimize_alpha and convergence_table read only levels:
-    # every solve is an eigvalsh, and none forms eigenvectors through eigh
+    # every solve is an eigvalsh, alone or in a family of them, and none
+    # forms eigenvectors through eigh
     solves = []
     eigvalsh = variational.eigvalsh
+    family = variational._eigvalsh_family
 
     def no_eigh(matrix):
         raise AssertionError("eigh called")
@@ -68,9 +70,17 @@ def test_level_searches_solve_for_values_only(monkeypatch):
         solves.append(np.shape(matrix)[0])
         return eigvalsh(matrix)
 
+    def counted_family(matrices):
+        def drawn():
+            for matrix in matrices:
+                solves.append(np.shape(matrix)[0])
+                yield matrix
+        return family(drawn())
+
     monkeypatch.setattr(variational, "eigh", no_eigh)
     monkeypatch.setattr(eigensolver, "eigh", no_eigh)
     monkeypatch.setattr(variational, "eigvalsh", counted)
+    monkeypatch.setattr(variational, "_eigvalsh_family", counted_family)
     scan_alpha(QUART, C, 6, [0.8, 1.6])
     assert solves == [6, 6]
     minimize_alpha(QUART, C, 5, (0.5, 4.0))
@@ -109,14 +119,33 @@ class TestScanAlpha:
             scan_alpha(QUART, C, 3, [1e-300, 1.0])
 
     def test_convergence_error_names_the_width_and_keeps_its_fields(self, monkeypatch):
-        def stall(matrix):
+        def stall(d, e):
             raise ConvergenceError("QL stalled", dim=3, index=1)
 
-        monkeypatch.setattr(variational, "eigvalsh", stall)
+        monkeypatch.setattr(eigensolver, "_ql_implicit", stall)
         with pytest.raises(ConvergenceError,
                            match=r"^eigensolver failed at alpha = 0\.5: QL stalled$") as err:
             scan_alpha(QUART, C, 3, np.array([1.0, 0.5]))
         assert (err.value.dim, err.value.index) == (3, 1)
+
+    def test_convergence_error_names_the_first_failing_width(self, monkeypatch):
+        # the grid's solves share one stack: QL stalls on the third block,
+        # block 0 of the second width, and every later block solves
+        ql = eigensolver._ql_implicit
+        calls = []
+
+        def stall_third(d, e):
+            calls.append(d.size)
+            if len(calls) == 3:
+                raise ConvergenceError("QL stalled", dim=d.size, index=0)
+            return ql(d, e)
+
+        monkeypatch.setattr(eigensolver, "_ql_implicit", stall_third)
+        with pytest.raises(ConvergenceError,
+                           match=r"^eigensolver failed at alpha = 1\.0: QL stalled$") as err:
+            scan_alpha(QUART, C, 3, [2.0, 1.0, 0.5])
+        assert (err.value.dim, err.value.index) == (2, 0)
+        assert calls == [2, 1, 2, 1, 2, 1]
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

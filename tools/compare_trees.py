@@ -3,7 +3,7 @@
     python tools/compare_trees.py OLD_SRC NEW_SRC
 
 Each tree (a directory holding the hgritz package) is imported in its own
-subprocess, and the two run at once.  Each runs four sweeps:
+subprocess, and the two run at once.  Each runs five sweeps:
 
 - eigensolver: 345 Hamiltonians of five potential families (harmonic,
   quartic, quartic and sextic single wells, double wells) at dims 1 to 256
@@ -31,6 +31,13 @@ subprocess, and the two run at once.  Each runs four sweeps:
   request whose turning point, near 1.8e3, once made the grid step too
   coarse and the count raise.  The counts are compared exactly, and a case
   that raises is compared by its exception's text.
+- tables and grids: `variational.convergence_table` on the five eigen
+  families at two widths, over dims 2:40:2 and over (1, 3, 8, 13), and on
+  the quartic of lambda 1e75 at alpha 0.01, whose entries pass 2^256, over
+  (3, 8, 13); and `variational.scan_alpha` on the five families over a
+  12-point grid at dims 8 to 64, odd ones among them: the solves that share
+  one stack of parity blocks.  Every spectrum is compared bit for bit, and
+  a case that raises is compared by its exception's text.
 - CLI reports: the first 40 requests of each benchmark workload (solve,
   minimize, certify) on seeds 1 to 3, as `bench/workloads.stream` makes
   them, through `hgritz.cli.main(argv + ["--format", "json"])`, the call the
@@ -76,6 +83,7 @@ BENCH = TOOLS.parent / "bench"
 SWEEPS = {"eigh": "solves and rules bit-identical",
           "numerov": "spectra bit-identical",
           "nodes": "node counts identical",
+          "tables": "tables and grids bit-identical",
           "cli": "requests identical"}
 
 #: The field that holds the exception a Numerov spectrum raised.  It never
@@ -124,6 +132,16 @@ NODE_CASES = (
     ("far_harmonic", "harmonic", 0.05, 2.0, 100),
     ("farthest_harmonic", "harmonic", 0.000867646, 5.04458, 3),
 )
+
+#: Dims of each convergence table of the five eigen families, at each width.
+TABLE_DIMS = (tuple(range(2, 41, 2)), (1, 3, 8, 13))
+TABLE_ALPHAS = (0.8, 2.0)
+#: (name, potential kind, its parameter, alpha, dims) of each table run
+#: beside the families.
+TABLE_CASES = (("scaled_quartic", "quartic", 1e75, 0.01, (3, 8, 13)),)
+#: Dims of the alpha grids, and the grid each runs: 12 log-spaced widths.
+GRID_DIMS = (8, 13, 21, 32, 47, 64)
+GRID_ALPHAS = tuple(0.6 * 7.5 ** (k / 11) for k in range(12))
 
 #: Last parts of the `results` keys that hold an index pair, such as the
 #: (r, s) of an oracle report's largest discrepancy: a moved one is named by
@@ -208,6 +226,35 @@ def _node_sweep():
     return out
 
 
+def _table_sweep():
+    from hgritz import Constants, convergence_table, scan_alpha
+
+    def spectra(label, solve):
+        try:
+            fields = {"spectra": [levels.tobytes() for levels in solve()]}
+        except Exception as exc:  # a raising case is compared by its text
+            fields = {"spectra": f"raised {type(exc).__name__}: {exc}"}
+        return label, fields
+
+    out = []
+    cases = [(f"{name} {param(k)[1]}", *param(k), alpha, dims)
+             for k, (name, param) in enumerate(EIGH_FAMILIES.items())
+             for alpha in TABLE_ALPHAS for dims in TABLE_DIMS]
+    cases += [(f"{name} {value}", kind, value, alpha, dims)
+              for name, kind, value, alpha, dims in TABLE_CASES]
+    for label, kind, value, alpha, dims in cases:
+        pot = _potential(kind, value)
+        out.append(spectra(f"table {label} alpha={alpha} dims={dims}",
+                           lambda: convergence_table(pot, Constants(), alpha, dims).spectra))
+    for k, (name, param) in enumerate(EIGH_FAMILIES.items()):
+        kind, value = param(k)
+        pot = _potential(kind, value)
+        for dim in GRID_DIMS:
+            out.append(spectra(f"grid {name} {value} dim={dim}",
+                               lambda: scan_alpha(pot, Constants(), dim, GRID_ALPHAS).energies))
+    return out
+
+
 def _cli_sweep():
     import workloads
     from hgritz.cli import main
@@ -247,7 +294,7 @@ def run_sweeps(src):
     if found is None or Path(found.origin).parent.parent.resolve() != Path(src).resolve():
         raise SystemExit(f"{src} holds no hgritz package")
     runs = {"eigh": _eigh_sweep(), "numerov": _numerov_sweep(), "nodes": _node_sweep(),
-            "cli": _cli_sweep()}
+            "tables": _table_sweep(), "cli": _cli_sweep()}
     sys.stdout.buffer.write(pickle.dumps(runs))
 
 
