@@ -29,16 +29,25 @@ Without vectors there is no residual, so each of its blocks is certified
 instead: the reduction must keep the Frobenius norm, and Sturm counts of T
 at every level plus and minus the residual gate must put an eigenvalue of
 T of the level's own index within that gate.  Each reduces a matrix's two
-parity blocks as one stack.  The private `_eigvalsh_family` gives eigvalsh
-of many matrices, such as the truncations of a convergence table or the
-widths of an alpha grid, whose blocks of equal or nested sizes share a
-stack and one Sturm recurrence.
+parity blocks as one stack.  A values-only solve has two phases: the
+reduce phase (`_reduce`: Householder on the stack, QL per block, the
+levels unscaled and ordered) and the certificate (`_certify`: the
+Frobenius check and the Sturm counts).  Two private entries run them over
+many matrices.  `_eigvalsh_family`, for the truncations of a convergence
+table or the widths of an alpha grid, reduces blocks of equal or nested
+sizes as one stack and certifies it at once.  `_DeferredLevels`, for a
+search that must read each matrix's levels before it picks the next
+matrix, reduces one matrix at a time and certifies the matrices solved so
+far together, in a few shared Sturm passes; it raises what eigvalsh would
+raise first, in solve order.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,6 +94,12 @@ _TINY = float(np.finfo(float).tiny)
 #: time.  One matrix's blocks always share one stack, which is never larger
 #: than the matrix.
 _STACK_ENTRIES = 1 << 19
+
+#: Pivots of one shared Sturm pass of `_DeferredLevels`: (blocks) x n x 2n,
+#: a level plus and minus its gate for each of n rows.  2^15 floats are
+#: 256 KiB, so the pass keeps its working set that small while it
+#: certifies 8 widths of a dim-64 H, and 128 of dim 16, at once.
+_CERTIFY_ENTRIES = 1 << 15
 
 
 def ascent_tolerance(level):
@@ -597,14 +612,43 @@ def _sturm_counts(d, e, x, pads):
     return counts
 
 
-def _certify(a, d, e, w, shifts, pads):
-    """The first failed check of each values-only block solve, which has no eigen residual.
+class _Reduced(NamedTuple):
+    """The reduce phase of a stack of values-only block solves (`_reduce`), awaiting `_certify`.
 
-    a is the stack of the blocks (`_stack`), each scaled down by 2^shifts[b]
-    and padded by pads[b] rows, and (d, e) the tridiagonal stack that
-    Householder reduced it to.  w[b, :m] holds the m ascending QL
-    eigenvalues of block b; its other entries are never checked.  Two
-    checks, each failing with a ConvergenceError naming the block's dim:
+    Per block b: d[b] and e[b] are the tridiagonal T that Householder
+    reduced it to and w[b, :m] its m ascending QL eigenvalues, the other
+    entries never checked; norm_a[b] and norm_t[b] are the Frobenius norms
+    of the block and of T, tol[b] the block's residual gate (`_gate`), all
+    on the scale of the block scaled down by 2^shifts[b], and pads[b] its
+    padding rows (`_stack`).  errors[b] is the pair of errors the block
+    raised before its certificate, by QL, and after it, by the unscaling;
+    None where it raised none.
+    """
+
+    d: np.ndarray
+    e: np.ndarray
+    w: np.ndarray
+    norm_a: np.ndarray
+    norm_t: np.ndarray
+    tol: np.ndarray
+    shifts: np.ndarray
+    pads: np.ndarray
+    errors: tuple
+
+
+def _joined(parts):
+    """The reduced stacks parts, of one n, as one stack, their blocks in order."""
+    *arrays, errors = zip(*parts)
+    return _Reduced(*(np.concatenate(x) for x in arrays), sum(errors, ()))
+
+
+def _certify(reduced):
+    """The first failure of each block of a reduced stack (`_reduce`), or None where it has none.
+
+    A block's failure is what eigvalsh on it alone raises first: its QL's
+    error, else its first failed check, else the error of its unscaling.
+    Values-only solves have no eigen residual, so two checks stand for it,
+    each failing with a ConvergenceError naming the block's dim:
 
     - the reduction.  An orthogonal similarity keeps the Frobenius norm, so
       the gap between ||T||_F and ||A||_F is at most the norm of
@@ -618,31 +662,30 @@ def _certify(a, d, e, w, shifts, pads):
       eigenvalue within tol of w_i.  A residual under that gate would bound
       the error of each level by the same tol.
 
-    Every block's sums and Sturm counts run at once, over the stack; a block
-    that passes both has None.
+    Every block's checks run at once, over the stack, in one Sturm
+    recurrence, which gives each block the counts it would get alone.
     """
+    d, e, w, norm_a, norm_t, tol, shifts, pads, errors = reduced
     n = d.shape[1]
-    norm_a = np.sqrt((a * a).sum(axis=(1, 2)))
-    norm_t = np.sqrt((d * d).sum(axis=1) + 2.0 * (e * e).sum(axis=1))
     moved = np.abs(norm_t - norm_a) > 1e-10 * (np.ldexp(1.0, -shifts) + norm_a)
-    tol = _gate(a, shifts)[:, None]
+    tol = tol[:, None]
     counts = _sturm_counts(d, e, np.concatenate([w - tol, w + tol], axis=1), pads)
     index = np.arange(n)
     bad = ((counts[:, :n] > index) | (counts[:, n:] <= index)) & (index < n - pads[:, None])
-    failures = [None] * len(pads)
+    checks = [None] * len(pads)
     for b in np.flatnonzero(moved | bad.any(axis=1)).tolist():
         dim, shift = n - int(pads[b]), int(shifts[b])
         if moved[b]:
-            failures[b] = ConvergenceError(
+            checks[b] = ConvergenceError(
                 f"tridiagonal reduction moved the Frobenius norm by "
                 f"{math.ldexp(abs(float(norm_t[b] - norm_a[b])), shift):.3e} for dim {dim}",
                 dim=dim)
         else:
             i = int(np.argmax(bad[b]))
-            failures[b] = ConvergenceError(
+            checks[b] = ConvergenceError(
                 f"Sturm count puts no eigenvalue within {math.ldexp(float(tol[b, 0]), shift):.3e} "
                 f"of level {i} for dim {dim}", dim=dim, index=i)
-    return failures
+    return [before or check or after for (before, after), check in zip(errors, checks)]
 
 
 def _prepared(matrix):
@@ -756,6 +799,16 @@ def eigvalsh(matrix) -> np.ndarray:
     return w
 
 
+def _member(a, shift):
+    """(shift, rows, blocks) of a matrix a that `_prepared` scaled down by 2^shift.
+
+    blocks are a's parity blocks (`_parity_parts`), even first, and rows[k]
+    the rows of a that block k holds.
+    """
+    parts = _parity_parts(a)
+    return shift, [np.arange(a.shape[0])[part] for part in parts], [a[part, part] for part in parts]
+
+
 def _eigvalsh_family(matrices):
     """Yield `eigvalsh` of each of the matrices in turn, bit for bit.
 
@@ -771,54 +824,127 @@ def _eigvalsh_family(matrices):
     group, count, top, stop = [], 0, 0, None
     while True:
         try:
-            a, shift = _prepared(next(source))
+            member = _member(*_prepared(next(source)))
         except StopIteration:
             break
         except Exception as exc:  # raised below, once the matrices before it are yielded
             stop = exc
             break
-        parts = _parity_parts(a)
-        blocks = [a[part, part] for part in parts]
+        blocks = member[2]
         # the even block is the larger one
         if group and (count + len(blocks)) * max(top, blocks[0].shape[0]) ** 2 > _STACK_ENTRIES:
             yield from _group_levels(group)
             group, count, top = [], 0, 0
-        group.append((shift, [np.arange(a.shape[0])[part] for part in parts], blocks))
+        group.append(member)
         count, top = count + len(blocks), max(top, blocks[0].shape[0])
     yield from _group_levels(group)
     if stop is not None:
         raise stop
 
 
-def _group_levels(group):
-    """Yield the certified levels of each (shift, rows, blocks) member of the group in turn."""
-    if not group:
-        return
+def _reduce(group):
+    """The reduce phase of eigvalsh on each (shift, rows, blocks) member of the group (`_member`).
+
+    The members' blocks are reduced as one stack and QL runs block by
+    block.  Returns (levels, reduced): levels[j] is member j's levels,
+    unscaled and in eigh's order, or None where QL or the unscaling failed
+    on one of its blocks, and reduced is the `_Reduced` stack that
+    `_certify` checks, which holds those errors.
+    """
     shifts = np.array([shift for shift, _, blocks in group for _ in blocks])
     stack, pads = _stack([block for _, _, blocks in group for block in blocks])
-    d, e, _ = _householder_tridiag(stack.copy())
+    norm_a = np.sqrt((stack * stack).sum(axis=(1, 2)))
+    tol = _gate(stack, shifts)
+    d, e, _ = _householder_tridiag(stack)
+    norm_t = np.sqrt((d * d).sum(axis=1) + 2.0 * (e * e).sum(axis=1))
     split = _splits(d, e)[1]
     w = np.zeros(d.shape)
-    failures = []
-    for b, pad in enumerate(pads.tolist()):
-        try:
-            levels = _tridiagonal_levels(d[b, pad:], split[b, pad:])[0]
-        except ConvergenceError as err:
-            failures.append(err)
-            continue
-        failures.append(None)
-        w[b, :levels.size] = levels
-        w[b, levels.size:] = levels[0]  # unchecked; repeats a level, so no new pivots
-    checks = _certify(stack, d, e, w, shifts, pads)
-    n = d.shape[1]
+    levels, errors = [], []
     b = 0
     for shift, rows, blocks in group:
         values = []
         for _ in blocks:
-            failure = failures[b] or checks[b]
+            pad = int(pads[b])
+            try:
+                block_levels = _tridiagonal_levels(d[b, pad:], split[b, pad:])[0]
+            except ConvergenceError as err:
+                errors.append((err, None))
+            else:
+                w[b, :block_levels.size] = block_levels
+                # unchecked; repeats a level, so no new pivots
+                w[b, block_levels.size:] = block_levels[0]
+                try:
+                    values.append(_unscaled(block_levels, shift))
+                    errors.append((None, None))
+                except RangeError as err:
+                    errors.append((None, err))
+            b += 1
+        if len(values) < len(blocks):
+            levels.append(None)
+            continue
+        values = np.concatenate(values)
+        levels.append(values[_level_order(values, rows)])
+    return levels, _Reduced(d, e, w, norm_a, norm_t, tol, shifts, pads, tuple(errors))
+
+
+def _group_levels(group):
+    """Yield the certified levels of each (shift, rows, blocks) member of the group in turn."""
+    if not group:
+        return
+    levels, reduced = _reduce(group)
+    failures = iter(_certify(reduced))
+    for values, (_, _, blocks) in zip(levels, group):
+        for failure in itertools.islice(failures, len(blocks)):
             if failure is not None:
                 raise failure
-            values.append(_unscaled(w[b, :n - pads[b]], shift))
-            b += 1
-        values = np.concatenate(values)
-        yield values[_level_order(values, rows)]
+        yield values
+
+
+class _DeferredLevels:
+    """eigvalsh of matrices solved one at a time, certified later in shared passes.
+
+    `solve` gives a matrix's levels, bitwise eigvalsh's, from the reduce
+    phase alone (`_reduce`); `certify` checks every matrix solved since the
+    last pass in one Sturm recurrence (`_certify`) and raises what the loop
+    of eigvalsh over them would raise first, in solve order.  A pass also
+    runs by itself before the pending blocks would pass _CERTIFY_ENTRIES
+    pivots of the recurrence, or before a matrix with blocks of another
+    size joins them, and before `solve` raises.  A caller reads levels
+    that may not be certified yet, and must call `certify` before it
+    returns anything computed from them.
+    """
+
+    def __init__(self):
+        self._pending = []
+        self._blocks = 0
+
+    def solve(self, build):
+        """The levels of the matrix build() returns, in eigh's order; their certificate is deferred.
+
+        What eigvalsh of that matrix raises, or build() itself, is raised
+        once every matrix solved before it is certified; a failed
+        certificate of one of those is raised instead.
+        """
+        try:
+            member = _member(*_prepared(build()))
+        except Exception:
+            self.certify()
+            raise
+        (levels,), reduced = _reduce([member])
+        count, n = reduced.d.shape
+        if self._pending and (self._pending[0].d.shape[1] != n
+                              or (self._blocks + count) * 2 * n * n > _CERTIFY_ENTRIES):
+            self.certify()
+        self._pending.append(reduced)
+        self._blocks += count
+        if levels is None:
+            self.certify()  # raises: one of this matrix's blocks failed, if no earlier one did
+        return levels
+
+    def certify(self):
+        """Certify every matrix solved since the last pass; raise the first failure, in solve order."""
+        pending, self._pending, self._blocks = self._pending, [], 0
+        if pending:
+            failure = next((f for f in _certify(_joined(pending)) if f is not None), None)
+            if failure is not None:
+                raise failure

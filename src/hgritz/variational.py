@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisSpec, Constants, _is_integer, _require_positive
-from .eigensolver import Spectrum, _eigvalsh_family, eigh, eigvalsh
+from .eigensolver import Spectrum, _DeferredLevels, _eigvalsh_family, eigh, eigvalsh
 from .errors import ConvergenceError
 from .operators import PotentialSpec, hamiltonian_matrix
 from .spectral import ConvergenceTable
@@ -179,6 +179,17 @@ def minimize_alpha(pot: PotentialSpec, constants: Constants, dim: int,
     by up to 9e-5 (dim 42 on (0.8, 5)).  A bound too wide ties real order:
     with n_b^3 in place of the n_b^2 term that search misses alpha = 1 as
     well.
+
+    Each width's levels are bitwise its `eigvalsh`'s.  The search reads
+    them at once, from the values-only reduce phase, and certifies the
+    widths it has solved together in a few shared Sturm passes
+    (`eigensolver._DeferredLevels`), always before it returns.  It raises
+    what the loop of eigvalsh over its widths, in solve order, would raise
+    first: within a width QL's error, then the certificate's, then the
+    unscaling's, and a width's build error only once every width before it
+    is certified.  A width is solved when a comparison first reads it, so
+    the last width the loop places, and the opening pair of a bracket
+    already narrower than the tolerance, are never solved.
     """
     lo, hi = (float(bracket[0]), float(bracket[1]))
     if not (0.0 < lo < hi < math.inf):
@@ -187,9 +198,14 @@ def minimize_alpha(pot: PotentialSpec, constants: Constants, dim: int,
         raise ValueError(f"levels must be an integer in [1, dim = {dim!r}], got {levels!r}")
 
     error = _level_error(dim) * _EPS
+    solver = _DeferredLevels()
+
+    def levels_at(a):
+        return solver.solve(
+            lambda: hamiltonian_matrix(BasisSpec(a, constants.hbar, constants.mass), pot, dim))
 
     def objective(a):
-        w = _levels(pot, constants, a, dim)
+        w = levels_at(a)
         key = np.concatenate(([w[:levels].sum()], w[levels:]))
         bound = np.full(key.size, error * max(abs(w[0]), abs(w[-1])))
         bound[0] *= levels
@@ -204,19 +220,23 @@ def minimize_alpha(pot: PotentialSpec, constants: Constants, dim: int,
     lo0, hi0 = lo, hi
     m1 = hi - _INVPHI * (hi - lo)
     m2 = lo + _INVPHI * (hi - lo)
-    f1 = objective(m1)
-    f2 = objective(m2)
+    # a width is solved when a comparison first reads it, so none that the
+    # loop leaves unread is
+    f1 = f2 = None
     while hi - lo > max(REL_TOL * 0.5 * (lo + hi), WIDTH_FLOOR):
+        if f1 is None:
+            f1 = objective(m1)
+        if f2 is None:
+            f2 = objective(m2)
         if below(f1, f2):
             hi, m2, f2 = m2, m1, f1
-            m1 = hi - _INVPHI * (hi - lo)
-            f1 = objective(m1)
+            m1, f1 = hi - _INVPHI * (hi - lo), None
         else:
             lo, m1, f1 = m1, m2, f2
-            m2 = lo + _INVPHI * (hi - lo)
-            f2 = objective(m2)
+            m2, f2 = lo + _INVPHI * (hi - lo), None
     alpha_star = 0.5 * (lo + hi)
-    energy = float(_levels(pot, constants, alpha_star, dim)[0])
+    energy = float(levels_at(alpha_star)[0])
+    solver.certify()
     edge = 2.0 * max(REL_TOL * alpha_star, WIDTH_FLOOR)
     boundary = (alpha_star - lo0) <= edge or (hi0 - alpha_star) <= edge
     return MinimizeResult(alpha_star, energy, boundary)

@@ -45,6 +45,11 @@ REPORTS = [
     ("scan_bracket", 0, ["scan-alpha", "--potential", "quartic", "--dim", "1",
                          "--alpha-bracket", "0.5,5"]),
     ("scan_bracket_boundary", 0, ["scan-alpha", "--dim", "1", "--alpha-bracket", "2,5"]),
+    # two parity blocks per width, stacked; at dim 9 the odd block is padded
+    ("scan_bracket_two_blocks", 0, ["scan-alpha", "--potential", "quartic", "--dim", "8",
+                                    "--alpha-bracket", "0.5,4"]),
+    ("scan_bracket_padded", 0, ["scan-alpha", "--potential", "quartic", "--dim", "9",
+                                "--alpha-bracket", "0.5,4"]),
     ("oracle", 0, ["oracle-compare", "--potential", "quartic", "--dim", "6",
                    "--alpha", "1.5"]),
     ("oracle_misindexed", 1, ["oracle-compare", "--potential", "quartic", "--dim", "5",
@@ -424,6 +429,25 @@ class TestVerifyMhu:
         assert doc["results"]["exact"] == pytest.approx([0.5e-9, 1.5e-9, 2.5e-9, 3.5e-9],
                                                         rel=1e-4)
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--dims", "4,2"], "--dims must be strictly increasing"),
+        (["--dims", "2,4", "--exact", "analytic", "--exact-levels", "0"],
+         "--exact-levels must be positive"),
+        (["--potential", "quartic", "--dims", "2,4", "--exact", "analytic"],
+         "--exact analytic applies only to the harmonic potential"),
+    ])
+    def test_usage_errors_name_their_flag(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["verify-mhu", *argv])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
+    def test_dims_range_steps_by_one_by_default(self, capsys):
+        code, out, _ = run_cli(capsys, ["verify-mhu", "--alpha", "1.3", "--dims", "2:5",
+                                        "--format", "json"])
+        assert code == 0
+        assert json.loads(out)["config"]["dims"] == [2, 3, 4, 5]
+
     @pytest.mark.parametrize("steps", ["0", "999", "1000001", "100000000000"])
     def test_numerov_steps_out_of_range_is_usage_error(self, capsys, steps):
         # 1e11 steps used to die on a 745 GiB allocation
@@ -640,6 +664,8 @@ OUT_OF_RANGE = [
      "the kinetic matrix entry alpha hbar^2 (2 dim - 1) / 4m = 10^308.7"),
     (["scan-alpha", "--potential", "quartic", "--dim", "3", "--alpha-grid", "1e-300,1"],
      "eigensolver failed at alpha = 1e-300: (2 alpha)^2 = 10^-599.4"),
+    (["scan-alpha", "--potential", "quartic", "--dim", "8", "--alpha-bracket", "1e-300,1e300"],
+     "(2 alpha)^2 = 10^599.8"),
 ]
 
 

@@ -17,6 +17,7 @@ SUMMARIES = ["2 of 2 solves and rules bit-identical",
              "2 of 2 spectra bit-identical (3 levels)",
              "2 of 2 node counts identical",
              "2 of 2 tables and grids bit-identical",
+             "2 of 2 searches bit-identical",
              "2 of 2 requests identical"]
 
 
@@ -39,6 +40,10 @@ def records():
                     {"spectra": [np.array([0.5]).tobytes(), np.array([0.5, 1.5, 2.5]).tobytes()]}),
                    ("grid quartic 0.2 dim=8",
                     {"spectra": "raised ConvergenceError: QL stalled"})],
+        "searches": [("search harmonic 0.5 dim=1 bracket=(0.5, 4.0) levels=1",
+                      {"result": ((1.0).hex(), (0.5).hex(), False)}),
+                     ("search out_of_range 1.0 dim=8 bracket=(1e-300, 1e+300) levels=1",
+                      {"result": "raised RangeError: (2 alpha)^2 = 10^599.8 lies outside"})],
         "cli": [("solve seed 1 request 0", {"exit code": 0, "stdout": "{}\n"}),
                 ("solve seed 1 request 1",
                  {"exit code": "raised ValueError: no", "stdout": ""})],
@@ -188,6 +193,43 @@ def test_numerov_sweep_covers_the_default_step_count(monkeypatch):
         assert fields["levels"] == [float(n).hex() for n in range(count)]
 
 
+def test_one_search_result_differs(capsys):
+    new = records()
+    label, fields = new["searches"][0]
+    alpha, energy, boundary = fields["result"]
+    new["searches"][0] = (label, {"result": (alpha, np.nextafter(0.5, 1.0).hex(), boundary)})
+    code, lines = run(capsys, records(), new)
+    assert code == 1
+    assert lines == [f"{label}: result differ", *SUMMARIES[:4],
+                     "1 of 2 searches bit-identical", SUMMARIES[5]]
+
+
+def test_search_sweep_covers_families_dims_levels_and_edge_cases(monkeypatch):
+    from hgritz import variational
+
+    calls = []
+
+    def minimize_alpha(pot, constants, dim, bracket, *, levels):
+        calls.append((pot.kind, dim, bracket, levels))
+        if bracket[0] == 1e-300:
+            raise OverflowError("out of range")
+        return variational.MinimizeResult(1.0, 0.5, False)
+
+    monkeypatch.setattr(variational, "minimize_alpha", minimize_alpha)
+    sweep = compare_trees._search_sweep()
+    assert len(sweep) == len(calls) == 5 * len(compare_trees.SEARCH_DIMS) + 4
+    dims = {dim for _, dim, _, _ in calls}
+    assert min(dims) == 1 and max(dims) == 64 and any(dim % 2 for dim in dims if dim > 1)
+    assert {levels for _, _, _, levels in calls} == {1, 2, 3, 4}
+    assert all(levels <= dim for _, dim, _, levels in calls)
+    names = [label.split()[1] for label, _ in sweep]
+    assert {name: names.count(name) for name in compare_trees.EIGH_FAMILIES} == \
+        dict.fromkeys(compare_trees.EIGH_FAMILIES, len(compare_trees.SEARCH_DIMS))
+    assert calls[-3:-1] == [("harmonic", 30, (0.1, 10.0), 1), ("quartic", 13, (0.005, 0.02), 2)]
+    assert sweep[-1][1] == {"result": "raised OverflowError: out of range"}
+    assert sweep[0][1] == {"result": ((1.0).hex(), (0.5).hex(), False)}
+
+
 def test_cli_request_raising_the_same_text_agrees(capsys):
     old, new = records(), records()
     assert old["cli"][1][1]["exit code"].startswith("raised ")
@@ -319,10 +361,10 @@ def test_one_table_spectrum_differs(capsys):
     code, lines = run(capsys, records(), new)
     assert code == 1
     assert lines == [f"{label}: spectra differ", *SUMMARIES[:3],
-                     "1 of 2 tables and grids bit-identical", SUMMARIES[4]]
+                     "1 of 2 tables and grids bit-identical", *SUMMARIES[4:]]
 
 
-@pytest.mark.parametrize("sweep", ["eigh", "numerov", "nodes", "tables", "cli"])
+@pytest.mark.parametrize("sweep", ["eigh", "numerov", "nodes", "tables", "searches", "cli"])
 def test_shorter_record_list_is_reported(capsys, sweep):
     new = records()
     dropped = new[sweep].pop()[0]
@@ -346,10 +388,11 @@ def test_label_mismatch_is_reported(capsys):
 def test_a_failed_tree_differs_everywhere(capsys):
     code, lines = run(capsys, records(), {})
     assert code == 1
-    assert lines[-5:] == ["0 of 2 solves and rules bit-identical",
+    assert lines[-6:] == ["0 of 2 solves and rules bit-identical",
                           "0 of 2 spectra bit-identical (0 levels)",
                           "0 of 2 node counts identical",
                           "0 of 2 tables and grids bit-identical",
+                          "0 of 2 searches bit-identical",
                           "0 of 2 requests identical"]
 
 

@@ -715,3 +715,78 @@ def test_family_raises_a_failing_draw_after_the_members_before_it():
     assert next(family).size == 6
     with pytest.raises(OverflowError, match="^the fourth matrix$"):
         next(family)
+
+
+# -- deferred certificates: levels now, Sturm passes shared later -------------
+
+
+def deferred(matrices):
+    """Each matrix's levels from one _DeferredLevels, certified before they are returned."""
+    solver = eigensolver._DeferredLevels()
+    levels = [solver.solve(lambda: matrix) for matrix in matrices]
+    solver.certify()
+    return levels
+
+
+@pytest.mark.parametrize("entries", [1 << 15, 1])
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_deferred_levels_are_eigvalsh_per_matrix_bit_for_bit(name, entries, monkeypatch):
+    # one shared pass for each run of a block size, or one pass per matrix
+    monkeypatch.setattr(eigensolver, "_CERTIFY_ENTRIES", entries)
+    matrices = FAMILIES[name]()
+    got = deferred(matrices)
+    assert [w.tobytes() for w in got] == [eigensolver.eigvalsh(m).tobytes() for m in matrices]
+
+
+def test_deferred_levels_share_passes_of_one_block_size(monkeypatch):
+    shapes = []
+    certify = eigensolver._certify
+    monkeypatch.setattr(eigensolver, "_certify",
+                        lambda reduced: shapes.append(reduced.d.shape) or certify(reduced))
+    # dims 16 and 15 both stack blocks of 8 rows, dim 9 blocks of 5
+    matrices = [hamiltonian("quartic", alpha, dim) for dim, alpha in
+                [(16, 1.0), (16, 1.5), (15, 2.0), (16, 2.5), (9, 1.0), (9, 2.0)]]
+    deferred(matrices)
+    assert shapes == [(8, 8), (4, 5)]
+    # 2 blocks x 8 x 16 pivots per dim-16 matrix: two fit under 512
+    monkeypatch.setattr(eigensolver, "_CERTIFY_ENTRIES", 512)
+    shapes.clear()
+    deferred(matrices)
+    assert shapes == [(4, 8), (4, 8), (4, 5)]
+
+
+@pytest.mark.parametrize("members", [
+    ("ok", "ql block 1", "certificate", "ql block 0"),
+    ("ok", "ok", "certificate", "ql block 0"),
+    ("ok", "certificate", "refused"),
+    ("ok", "refused", "ql block 0"),
+    ("ql block 0", "refused"),
+    ("ok", "range", "ql block 1"),
+    ("ok", "certificate", "range"),
+    ("ok", "range and certificate"),
+    ("ok", "ok", "refused"),
+])
+def test_deferred_levels_raise_what_the_per_matrix_loop_raises_first(members, monkeypatch):
+    # "range and certificate" is one block whose certificate fails and whose
+    # levels leave the float range when unscaled: the certificate comes first
+    ql = eigensolver._ql_implicit
+    norm = {15: float(np.abs(np.linalg.eigvalsh(hamiltonian("quartic", 1.5, 30).to_dense())).max())}
+
+    def faulty(d, e):
+        if d.size == 7:
+            raise ConvergenceError(f"QL stalled for dim {d.size}", dim=d.size, index=2)
+        values = ql(d, e)
+        if d.size in norm:
+            values[3] += 1e-6 * norm[d.size]
+        if d.size == 3:
+            values[0] += 1e-3 * np.abs(values).max()
+        return values
+
+    monkeypatch.setattr(eigensolver, "_ql_implicit", faulty)
+    failing = {**FAILING, "range and certificate": lambda: np.full((3, 3), 1e308)}
+    matrices = [failing[name]() for name in members]
+    want = failure(lambda: [eigensolver.eigvalsh(m) for m in matrices])
+    assert failure(lambda: deferred(matrices)) == want
+    assert failure(lambda: list(eigensolver._eigvalsh_family(matrices))) == want
+    if members[-1] == "range and certificate":
+        assert want[0] is ConvergenceError and "Sturm count" in want[1]

@@ -32,6 +32,20 @@ class TestPotentialSpec:
         with pytest.raises(ValueError):
             PotentialSpec("cubic")
 
+    @pytest.mark.parametrize("kind, given, message", [
+        ("harmonic", {}, "harmonic potential requires omega"),
+        ("harmonic", {"omega": 1.0, "lam": 1.0}, "harmonic potential takes only omega"),
+        ("quartic", {}, "quartic potential requires lam"),
+        ("quartic", {"lam": 1.0, "coeffs": (0.0, 1.0)}, "quartic potential takes only lam"),
+        ("even_polynomial", {"omega": 1.0, "coeffs": (0.0, 1.0)},
+         "even_polynomial potential takes only coeffs"),
+        ("even_polynomial", {}, "even_polynomial requires coefficients"),
+        ("even_polynomial", {"coeffs": (0.0, math.inf)}, "coefficients must be finite"),
+    ])
+    def test_each_field_check_names_its_fault(self, kind, given, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            PotentialSpec(kind, **given)
+
     def test_trailing_zero_coefficients_trimmed(self):
         pot = PotentialSpec.even_polynomial([0.0, 1.0, 0.0])
         assert pot.coeffs == (0.0, 1.0)
@@ -113,9 +127,11 @@ class TestBandedSymMatrix:
             BandedSymMatrix(0, 0, (np.array([]),))
         with pytest.raises(ValueError):
             BandedSymMatrix(2, 2, (np.ones(2), np.ones(1), np.ones(0)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^need exactly bandwidth \+ 1 band arrays$"):
+            BandedSymMatrix(2, 1, (np.ones(2),))
+        with pytest.raises(ValueError, match=r"^band 1 must have length 1, got \(2,\)$"):
             BandedSymMatrix(2, 1, (np.ones(2), np.ones(2)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^band 0 contains non-finite entries$"):
             BandedSymMatrix(2, 1, (np.array([1.0, np.inf]), np.ones(1)))
 
     def test_sizes_must_be_integers(self):

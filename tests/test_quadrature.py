@@ -63,6 +63,16 @@ GOLUB_WELSCH_ORDERS = [*range(2, 41), 64, 100, 134, 200, MAX_ORDER]
 
 
 class TestRule:
+    @pytest.mark.parametrize("nodes, weights, order, message", [
+        ([0.0], [SQRT_PI], 2, "nodes and weights must both have length `order`"),
+        ([-1.0, 1.0], [SQRT_PI, 0.0], 2, "weights must be positive"),
+        ([-1.0, 2.0], [SQRT_PI / 2, SQRT_PI / 2], 2, "rule must be symmetric about 0"),
+        ([-1.0, 1.0], [1.0, 1.0], 2, r"zeroth moment must equal sqrt\(pi\)"),
+    ])
+    def test_each_rule_check_names_its_fault(self, nodes, weights, order, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            QuadratureRule(np.array(nodes), np.array(weights), order)
+
     def test_order_one(self):
         rule = gauss_hermite_rule(1)
         np.testing.assert_array_equal(rule.nodes, [0.0])

@@ -7,6 +7,7 @@ from hgritz import (MAX_INDEX, BasisSpec, Constants, ConvergenceError, Potential
                     check_mhu, convergence_table, eigh, exact_diagonal_alpha,
                     hamiltonian_matrix, minimize_alpha, scan_alpha,
                     solve_spectrum)
+from hgritz.errors import RangeError
 from hgritz.spectral import ConvergenceTable
 
 C = Constants()
@@ -55,36 +56,43 @@ def test_solve_spectrum_keeps_the_eigen_residual():
     assert solve_spectrum(QUART, C, 1.3, 12).residual_norm == expected
 
 
+@pytest.fixture
+def reductions(monkeypatch):
+    """The stack shape of every Householder reduction, which each solve runs, eigh's or values-only."""
+    dims = []
+    reduce = eigensolver._householder_tridiag
+
+    def counted(stack):
+        dims.append(stack.shape)
+        return reduce(stack)
+
+    monkeypatch.setattr(eigensolver, "_householder_tridiag", counted)
+    return dims
+
+
 def test_level_searches_solve_for_values_only(monkeypatch):
     # scan_alpha, minimize_alpha and convergence_table read only levels:
-    # every solve is an eigvalsh, alone or in a family of them, and none
-    # forms eigenvectors through eigh
+    # every solve runs the values-only reduce phase, alone or in a family,
+    # and none forms eigenvectors, through eigh or otherwise
     solves = []
-    eigvalsh = variational.eigvalsh
-    family = variational._eigvalsh_family
+    reduce = eigensolver._reduce
 
-    def no_eigh(matrix):
-        raise AssertionError("eigh called")
+    def no_vectors(*args):
+        raise AssertionError("eigenvectors formed")
 
-    def counted(matrix):
-        solves.append(np.shape(matrix)[0])
-        return eigvalsh(matrix)
+    def counted(group):
+        solves.extend(sum(len(r) for r in rows) for _, rows, _ in group)
+        return reduce(group)
 
-    def counted_family(matrices):
-        def drawn():
-            for matrix in matrices:
-                solves.append(np.shape(matrix)[0])
-                yield matrix
-        return family(drawn())
-
-    monkeypatch.setattr(variational, "eigh", no_eigh)
-    monkeypatch.setattr(eigensolver, "eigh", no_eigh)
-    monkeypatch.setattr(variational, "eigvalsh", counted)
-    monkeypatch.setattr(variational, "_eigvalsh_family", counted_family)
+    monkeypatch.setattr(variational, "eigh", no_vectors)
+    monkeypatch.setattr(eigensolver, "eigh", no_vectors)
+    monkeypatch.setattr(eigensolver, "_tridiagonal_vectors", no_vectors)
+    monkeypatch.setattr(eigensolver, "_reduce", counted)
     scan_alpha(QUART, C, 6, [0.8, 1.6])
     assert solves == [6, 6]
+    solves.clear()
     minimize_alpha(QUART, C, 5, (0.5, 4.0))
-    assert len(solves) > 10 and set(solves) == {6, 5}
+    assert len(solves) > 10 and set(solves) == {5}
     solves.clear()
     convergence_table(QUART, C, 1.3, (2, 4, 8))
     assert solves == [2, 4, 8]
@@ -207,26 +215,152 @@ class TestMinimizeAlpha:
             minimize_alpha(HARM, C, 2, (0.5, 2.0), levels=3)
 
     @pytest.mark.parametrize("levels", [True, 1.5, 0, 3])
-    def test_levels_must_be_an_integer_in_range(self, monkeypatch, levels):
+    def test_levels_must_be_an_integer_in_range(self, reductions, levels):
         # levels=True once ran as 1, and 1.5 raised numpy's slice TypeError
         # from inside the first solve; now both are named before any solve
-        solves = []
-        monkeypatch.setattr(variational, "_levels", lambda *args: solves.append(args))
         with pytest.raises(ValueError, match=r"levels must be an integer in \[1, dim = 2\], "
                                              rf"got {levels!r}$"):
             minimize_alpha(HARM, C, 2, (0.5, 2.0), levels=levels)
-        assert not solves
+        assert not reductions
+        minimize_alpha(HARM, C, 2, (0.5, 2.0))
+        assert reductions  # the spy sees the search's solves
 
     @pytest.mark.parametrize("bracket", [(0.5, np.inf), (0.5, np.nan), (np.nan, 2.0)])
-    def test_bracket_must_be_finite(self, monkeypatch, bracket):
+    def test_bracket_must_be_finite(self, reductions, bracket):
         # (0.5, inf) once reached the first solve and raised "alpha must be a
         # positive finite real, got nan", naming neither the bracket nor its value
-        solves = []
-        monkeypatch.setattr(variational, "_levels", lambda *args: solves.append(args))
         with pytest.raises(ValueError, match=r"bracket must hold finite 0 < lo < hi, got "
                                              rf"\({bracket[0]}, {bracket[1]}\)"):
             minimize_alpha(HARM, C, 2, bracket)
-        assert not solves
+        assert not reductions
+        minimize_alpha(HARM, C, 2, (0.5, 2.0))
+        assert reductions
+
+
+class TestMinimizeAlphaSolves:
+    @pytest.fixture
+    def widths(self, monkeypatch):
+        """The width of every H the search builds, in build order."""
+        built = []
+        build = variational.hamiltonian_matrix
+
+        def counted(spec, pot, dim):
+            built.append(spec.alpha)
+            return build(spec, pot, dim)
+
+        monkeypatch.setattr(variational, "hamiltonian_matrix", counted)
+        return built
+
+    def test_no_width_the_search_never_reads_is_solved(self, widths):
+        # on (2, 5) the dim-1 harmonic ground level rises, so every
+        # comparison keeps the left part; each width is read by the
+        # comparison after it is placed, except the last one placed
+        res = minimize_alpha(HARM, C, 1, (2.0, 5.0))
+        lo, hi = 2.0, 5.0
+        m1, m2 = hi - variational._INVPHI * (hi - lo), lo + variational._INVPHI * (hi - lo)
+        comparisons = 0
+        while hi - lo > max(variational.REL_TOL * 0.5 * (lo + hi), variational.WIDTH_FLOOR):
+            hi, m2 = m2, m1
+            m1 = hi - variational._INVPHI * (hi - lo)
+            comparisons += 1
+        # the opening pair, one width per later comparison, and alpha_star
+        assert len(widths) == 2 + (comparisons - 1) + 1
+        assert len(set(widths)) == len(widths)
+        assert widths[-1] == res.alpha_star
+
+    def test_a_converged_bracket_solves_only_its_midpoint(self, widths):
+        res = minimize_alpha(HARM, C, 2, (1.0, 1.0 + 1e-9))
+        assert widths == [res.alpha_star]
+        assert res.energy == float(variational._levels(HARM, C, res.alpha_star, 2)[0])
+
+
+class TestMinimizeAlphaErrors:
+    """The search raises what the loop of eigvalsh over its widths, in solve order, raises first.
+
+    Within a width that is QL's error, then the certificate's, then the
+    unscaling's; the certificates run later than the solves, in shared
+    passes, so faults are placed by build index: the dim-8 quartic on
+    (0.5, 4) builds about 40 widths.
+    """
+
+    DIM = 8
+
+    @pytest.fixture
+    def faults(self, monkeypatch):
+        """{'moved', 'stalled', 'refused'}: the build index at which each fault strikes.
+
+        moved: level 1 of each block moves by 1.0, which its certificate
+        refuses; stalled: QL raises a ConvergenceError; refused: the build
+        raises a RangeError.  The dict also gets 'widths', every width built.
+        """
+        plan = {"widths": []}
+        build = variational.hamiltonian_matrix
+        ql = eigensolver._ql_implicit
+
+        def built(spec, pot, dim):
+            plan["widths"].append(spec.alpha)
+            if len(plan["widths"]) - 1 == plan.get("refused"):
+                raise RangeError("the refused width", 400.0)
+            return build(spec, pot, dim)
+
+        def faulty(d, e):
+            width = len(plan["widths"]) - 1
+            if width == plan.get("stalled"):
+                raise ConvergenceError("QL stalled", dim=d.size, index=2)
+            values = ql(d, e)
+            if width == plan.get("moved"):
+                values[1] += 1.0
+            return values
+
+        monkeypatch.setattr(variational, "hamiltonian_matrix", built)
+        monkeypatch.setattr(eigensolver, "_ql_implicit", faulty)
+        return plan
+
+    def alone(self, faults, k):
+        """(type, text, dim, index) of what eigvalsh raises on width k alone, its faults in place."""
+        del faults["widths"][k + 1:]
+        h = hamiltonian_matrix(BasisSpec(faults["widths"][k]), QUART, self.DIM)
+        with pytest.raises(Exception) as err:
+            eigensolver.eigvalsh(h)
+        return failure(err)
+
+    def search(self):
+        with pytest.raises(Exception) as err:
+            minimize_alpha(QUART, C, self.DIM, (0.5, 4.0))
+        return failure(err)
+
+    def test_a_failed_certificate_is_raised_though_later_widths_solved(self, faults):
+        faults["moved"] = 5
+        got = self.search()
+        assert len(faults["widths"]) > 20
+        want = self.alone(faults, 5)
+        assert got == want
+        assert want[0] is ConvergenceError and want[1].startswith("Sturm count puts no eigenvalue")
+        assert (want[2], want[3]) == (4, 1)
+
+    @pytest.mark.parametrize("later", ["stalled", "refused"])
+    def test_an_earlier_failed_certificate_wins_over_a_later_error(self, faults, later):
+        faults["moved"], faults[later] = 5, 7
+        got = self.search()
+        assert len(faults["widths"]) == 8
+        assert got == self.alone(faults, 5)
+
+    @pytest.mark.parametrize("fault", ["stalled", "refused"])
+    def test_a_later_error_is_raised_where_every_certificate_passes(self, faults, fault):
+        faults[fault] = 7
+        got = self.search()
+        assert len(faults["widths"]) == 8
+        if fault == "refused":
+            assert got == (RangeError, "the refused width = 10^400.0 lies outside the float range",
+                           None, None)
+        else:
+            assert got == self.alone(faults, 7) == (ConvergenceError, "QL stalled", 4, 2)
+
+
+def failure(err):
+    """(type, text, dim, index) of a caught exception."""
+    return (type(err.value), str(err.value), getattr(err.value, "dim", None),
+            getattr(err.value, "index", None))
 
 
 class TestConvergenceTable:

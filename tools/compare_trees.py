@@ -3,7 +3,7 @@
     python tools/compare_trees.py OLD_SRC NEW_SRC
 
 Each tree (a directory holding the hgritz package) is imported in its own
-subprocess, and the two run at once.  Each runs five sweeps:
+subprocess, and the two run at once.  Each runs six sweeps:
 
 - eigensolver: 345 Hamiltonians of five potential families (harmonic,
   quartic, quartic and sextic single wells, double wells) at dims 1 to 256
@@ -38,6 +38,14 @@ subprocess, and the two run at once.  Each runs five sweeps:
   12-point grid at dims 8 to 64, odd ones among them: the solves that share
   one stack of parity blocks.  Every spectrum is compared bit for bit, and
   a case that raises is compared by its exception's text.
+- searches: `variational.minimize_alpha` on the five eigen families on
+  (0.5, 4) at dims 1 to 64, odd ones among them, for the lowest 1 to 4
+  levels; on a bracket whose objective rises, so the search ends on its
+  boundary; on the harmonic dim-30 plateau (0.1, 10), where the higher
+  levels break the tie; on the quartic of lambda 1e75, whose entries pass
+  2^256; and on a bracket whose first width leaves the float range.
+  alpha_star, energy and boundary are compared bit for bit, and a search
+  that raises is compared by its exception's text.
 - CLI reports: the first 40 requests of each benchmark workload (solve,
   minimize, certify) on seeds 1 to 3, as `bench/workloads.stream` makes
   them, through `hgritz.cli.main(argv + ["--format", "json"])`, the call the
@@ -84,6 +92,7 @@ SWEEPS = {"eigh": "solves and rules bit-identical",
           "numerov": "spectra bit-identical",
           "nodes": "node counts identical",
           "tables": "tables and grids bit-identical",
+          "searches": "searches bit-identical",
           "cli": "requests identical"}
 
 #: The field that holds the exception a Numerov spectrum raised.  It never
@@ -142,6 +151,19 @@ TABLE_CASES = (("scaled_quartic", "quartic", 1e75, 0.01, (3, 8, 13)),)
 #: Dims of the alpha grids, and the grid each runs: 12 log-spaced widths.
 GRID_DIMS = (8, 13, 21, 32, 47, 64)
 GRID_ALPHAS = tuple(0.6 * 7.5 ** (k / 11) for k in range(12))
+
+#: Dims of the searches of the five eigen families; family k at dim index i
+#: sums the lowest 1 + (i + k) % 4 levels, at most dim.
+SEARCH_DIMS = (1, 2, 3, 5, 8, 9, 16, 21, 32, 47, 64)
+SEARCH_BRACKET = (0.5, 4.0)
+#: (name, potential kind, its parameter, dim, bracket, levels) of each search
+#: run beside the families.
+SEARCH_CASES = (
+    ("boundary", "harmonic", 1.0, 8, (2.0, 5.0), 1),
+    ("plateau", "harmonic", 1.0, 30, (0.1, 10.0), 1),
+    ("scaled_quartic", "quartic", 1e75, 13, (0.005, 0.02), 2),
+    ("out_of_range", "quartic", 1.0, 8, (1e-300, 1e300), 1),
+)
 
 #: Last parts of the `results` keys that hold an index pair, such as the
 #: (r, s) of an oracle report's largest discrepancy: a moved one is named by
@@ -255,6 +277,29 @@ def _table_sweep():
     return out
 
 
+def _search_sweep():
+    from hgritz import Constants, variational
+
+    def search(label, pot, dim, bracket, levels):
+        try:
+            res = variational.minimize_alpha(pot, Constants(), dim, bracket, levels=levels)
+            fields = {"result": (res.alpha_star.hex(), res.energy.hex(), res.boundary)}
+        except Exception as exc:  # a raising case is compared by its text
+            fields = {"result": f"raised {type(exc).__name__}: {exc}"}
+        return f"search {label} dim={dim} bracket={bracket} levels={levels}", fields
+
+    out = []
+    for k, (name, param) in enumerate(EIGH_FAMILIES.items()):
+        kind, value = param(k)
+        pot = _potential(kind, value)
+        for i, dim in enumerate(SEARCH_DIMS):
+            out.append(search(f"{name} {value}", pot, dim, SEARCH_BRACKET,
+                              min(1 + (i + k) % 4, dim)))
+    for name, kind, value, dim, bracket, levels in SEARCH_CASES:
+        out.append(search(f"{name} {value}", _potential(kind, value), dim, bracket, levels))
+    return out
+
+
 def _cli_sweep():
     import workloads
     from hgritz.cli import main
@@ -294,7 +339,7 @@ def run_sweeps(src):
     if found is None or Path(found.origin).parent.parent.resolve() != Path(src).resolve():
         raise SystemExit(f"{src} holds no hgritz package")
     runs = {"eigh": _eigh_sweep(), "numerov": _numerov_sweep(), "nodes": _node_sweep(),
-            "tables": _table_sweep(), "cli": _cli_sweep()}
+            "tables": _table_sweep(), "searches": _search_sweep(), "cli": _cli_sweep()}
     sys.stdout.buffer.write(pickle.dumps(runs))
 
 
