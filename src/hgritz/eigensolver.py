@@ -23,23 +23,11 @@ has its largest-magnitude component positive.
 
 There are two entries.  `eigh` returns the eigenvalues and eigenvectors as
 a `Spectrum` and checks each block by its eigen residual.  `eigvalsh`
-returns the same eigenvalues bit for bit, from the same validation,
-scaling, parity split, reduction, QL and level order, but forms no vector.
-Without vectors there is no residual, so each of its blocks is certified
-instead: the reduction must keep the Frobenius norm, and Sturm counts of T
-at every level plus and minus the residual gate must put an eigenvalue of
-T of the level's own index within that gate.  Each reduces a matrix's two
-parity blocks as one stack.  A values-only solve has two phases: the
-reduce phase (`_reduce`: Householder on the stack, QL per block, the
-levels unscaled and ordered) and the certificate (`_certify`: the
-Frobenius check and the Sturm counts).  Two private entries run them over
-many matrices.  `_eigvalsh_family`, for the truncations of a convergence
-table or the widths of an alpha grid, reduces blocks of equal or nested
-sizes as one stack and certifies it at once.  `_DeferredLevels`, for a
-search that must read each matrix's levels before it picks the next
-matrix, reduces one matrix at a time and certifies the matrices solved so
-far together, in a few shared Sturm passes; it raises what eigvalsh would
-raise first, in solve order.
+returns the same eigenvalues bit for bit but forms no vector, and
+certifies each block by Sturm counts instead (`_certify`).  Tables, grids
+and searches solve their many matrices through eigvalsh's driver,
+`_LevelSolver`, which gives each matrix's levels at once and certifies
+them later in shared passes.
 """
 
 from __future__ import annotations
@@ -95,7 +83,7 @@ _TINY = float(np.finfo(float).tiny)
 #: than the matrix.
 _STACK_ENTRIES = 1 << 19
 
-#: Pivots of one shared Sturm pass of `_DeferredLevels`: (blocks) x n x 2n,
+#: Pivots of one shared Sturm pass of `_LevelSolver`: (blocks) x n x 2n,
 #: a level plus and minus its gate for each of n rows.  2^15 floats are
 #: 256 KiB, so the pass keeps its working set that small while it
 #: certifies 8 widths of a dim-64 H, and 128 of dim 16, at once.
@@ -725,6 +713,16 @@ def _parity_parts(a):
     return [slice(p, None, 2) for p in range(min(a.shape[0], 2))]
 
 
+def _member(a, shift):
+    """(shift, rows, blocks) of a matrix a that `_prepared` scaled down by 2^shift.
+
+    blocks are a's parity blocks (`_parity_parts`), even first, and rows[k]
+    the rows of a that block k holds.
+    """
+    parts = _parity_parts(a)
+    return shift, [np.arange(a.shape[0])[part] for part in parts], [a[part, part] for part in parts]
+
+
 def _level_order(w, rows):
     """The order of the concatenated block levels w, where block k holds rows[k].
 
@@ -759,9 +757,7 @@ def eigh(matrix) -> Spectrum:
     """
     a, shift = _prepared(matrix)
     n = a.shape[0]
-    parts = _parity_parts(a)
-    rows = [np.arange(n)[part] for part in parts]
-    blocks = [a[part, part] for part in parts]
+    _, rows, blocks = _member(a, shift)
     reduced, pads = _stack(blocks)
     d, e, betas = _householder_tridiag(reduced)
     cut, split = _splits(d, e)
@@ -795,51 +791,10 @@ def eigvalsh(matrix) -> np.ndarray:
     of the reduction and a Sturm count that puts each level within eigh's
     residual gate of an eigenvalue of T, of its own index.
     """
-    (w,) = _eigvalsh_family([matrix])
+    solver = _LevelSolver()
+    (w,) = solver.solve([lambda: matrix])
+    solver.certify()
     return w
-
-
-def _member(a, shift):
-    """(shift, rows, blocks) of a matrix a that `_prepared` scaled down by 2^shift.
-
-    blocks are a's parity blocks (`_parity_parts`), even first, and rows[k]
-    the rows of a that block k holds.
-    """
-    parts = _parity_parts(a)
-    return shift, [np.arange(a.shape[0])[part] for part in parts], [a[part, part] for part in parts]
-
-
-def _eigvalsh_family(matrices):
-    """Yield `eigvalsh` of each of the matrices in turn, bit for bit.
-
-    The parity blocks of consecutive matrices are reduced as one zero-padded
-    stack (`_stack`) of up to _STACK_ENTRIES entries, or of one matrix's
-    blocks, and certified by one Sturm recurrence; QL runs block by block.
-    What the loop of eigvalsh over the matrices would raise first, in matrix
-    then block order, is raised once every matrix before it is yielded: a
-    failure to prepare a matrix, or to draw it from the iterable, stops the
-    draw, and a block's QL, certificate and unscaling fail in that order.
-    """
-    source = iter(matrices)
-    group, count, top, stop = [], 0, 0, None
-    while True:
-        try:
-            member = _member(*_prepared(next(source)))
-        except StopIteration:
-            break
-        except Exception as exc:  # raised below, once the matrices before it are yielded
-            stop = exc
-            break
-        blocks = member[2]
-        # the even block is the larger one
-        if group and (count + len(blocks)) * max(top, blocks[0].shape[0]) ** 2 > _STACK_ENTRIES:
-            yield from _group_levels(group)
-            group, count, top = [], 0, 0
-        group.append(member)
-        count, top = count + len(blocks), max(top, blocks[0].shape[0])
-    yield from _group_levels(group)
-    if stop is not None:
-        raise stop
 
 
 def _reduce(group):
@@ -887,64 +842,75 @@ def _reduce(group):
     return levels, _Reduced(d, e, w, norm_a, norm_t, tol, shifts, pads, tuple(errors))
 
 
-def _group_levels(group):
-    """Yield the certified levels of each (shift, rows, blocks) member of the group in turn."""
-    if not group:
-        return
-    levels, reduced = _reduce(group)
-    failures = iter(_certify(reduced))
-    for values, (_, _, blocks) in zip(levels, group):
-        for failure in itertools.islice(failures, len(blocks)):
-            if failure is not None:
-                raise failure
-        yield values
+class _LevelSolver:
+    """eigvalsh of many matrices: each matrix's levels now, their certificates later.
 
+    `solve` reduces the parity blocks of consecutive matrices as one
+    zero-padded stack (`_stack`) of up to _STACK_ENTRIES entries, or of one
+    matrix's blocks, and returns their levels from the reduce phase alone
+    (`_reduce`).  `certify` checks the matrices solved since its last call
+    (`_certify`); a stack of another block size, or one that would take the
+    pending blocks past _CERTIFY_ENTRIES pivots, runs that pass first.  A
+    caller reads levels that may not be certified yet, and must call
+    `certify` before it returns anything computed from them.
 
-class _DeferredLevels:
-    """eigvalsh of matrices solved one at a time, certified later in shared passes.
-
-    `solve` gives a matrix's levels, bitwise eigvalsh's, from the reduce
-    phase alone (`_reduce`); `certify` checks every matrix solved since the
-    last pass in one Sturm recurrence (`_certify`) and raises what the loop
-    of eigvalsh over them would raise first, in solve order.  A pass also
-    runs by itself before the pending blocks would pass _CERTIFY_ENTRIES
-    pivots of the recurrence, or before a matrix with blocks of another
-    size joins them, and before `solve` raises.  A caller reads levels
-    that may not be certified yet, and must call `certify` before it
-    returns anything computed from them.
+    Both raise what the loop of eigvalsh over the matrices, in solve order,
+    would raise first.  `certified` counts the matrices certified clean, so
+    a failure belongs to matrix number `certified`, from 0.
     """
 
     def __init__(self):
-        self._pending = []
-        self._blocks = 0
+        self.certified = 0
+        self._pending = []  # reduced stacks of one block size
+        self._sizes = []  # the blocks of each matrix in them, in solve order
 
-    def solve(self, build):
-        """The levels of the matrix build() returns, in eigh's order; their certificate is deferred.
+    def solve(self, builds):
+        """The levels, in eigh's order, of the matrix each callable of builds returns.
 
-        What eigvalsh of that matrix raises, or build() itself, is raised
-        once every matrix solved before it is certified; a failed
-        certificate of one of those is raised instead.
+        A build that raises, or a block whose QL or unscaling fails, is
+        raised once every matrix before it is certified.
         """
-        try:
-            member = _member(*_prepared(build()))
-        except Exception:
-            self.certify()
-            raise
-        (levels,), reduced = _reduce([member])
+        levels, group, count, top = [], [], 0, 0
+        for build in builds:
+            try:
+                member = _member(*_prepared(build()))
+            except Exception:
+                self._pend(group)
+                self.certify()
+                raise
+            blocks = member[2]
+            # the even block is the larger one
+            if group and (count + len(blocks)) * max(top, blocks[0].shape[0]) ** 2 > _STACK_ENTRIES:
+                levels += self._pend(group)
+                group, count, top = [], 0, 0
+            group.append(member)
+            count, top = count + len(blocks), max(top, blocks[0].shape[0])
+        return levels + self._pend(group)
+
+    def _pend(self, group):
+        """The levels of the group's members (`_reduce`), their certificate pending."""
+        if not group:
+            return []
+        levels, reduced = _reduce(group)
         count, n = reduced.d.shape
         if self._pending and (self._pending[0].d.shape[1] != n
-                              or (self._blocks + count) * 2 * n * n > _CERTIFY_ENTRIES):
+                              or (sum(self._sizes) + count) * 2 * n * n > _CERTIFY_ENTRIES):
             self.certify()
         self._pending.append(reduced)
-        self._blocks += count
-        if levels is None:
-            self.certify()  # raises: one of this matrix's blocks failed, if no earlier one did
+        self._sizes += [len(blocks) for _, _, blocks in group]
+        if any(values is None for values in levels):
+            self.certify()  # raises: a block of the group failed, if no earlier one did
         return levels
 
     def certify(self):
-        """Certify every matrix solved since the last pass; raise the first failure, in solve order."""
-        pending, self._pending, self._blocks = self._pending, [], 0
-        if pending:
-            failure = next((f for f in _certify(_joined(pending)) if f is not None), None)
+        """Certify the matrices solved since the last pass; raise the first failure, in solve order."""
+        pending, sizes = self._pending, self._sizes
+        self._pending, self._sizes = [], []
+        if not pending:
+            return
+        failures = iter(_certify(_joined(pending)))
+        for size in sizes:
+            failure = next((f for f in itertools.islice(failures, size) if f is not None), None)
             if failure is not None:
                 raise failure
+            self.certified += 1

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisSpec, Constants, _is_integer, _require_positive
-from .eigensolver import Spectrum, _DeferredLevels, _eigvalsh_family, eigh, eigvalsh
+from .eigensolver import Spectrum, _LevelSolver, eigh
 from .errors import ConvergenceError
 from .operators import PotentialSpec, hamiltonian_matrix
 from .spectral import ConvergenceTable
@@ -65,10 +65,9 @@ def _level_error(dim):
     return 0.5 * n_b * n_b + 5.0 * n_b + _ENTRY_ROUNDING
 
 
-def _levels(pot, constants, alpha, dim):
-    """The Ritz levels at width alpha, in eigh's order, from a values-only solve."""
-    spec = BasisSpec(alpha, constants.hbar, constants.mass)
-    return eigvalsh(hamiltonian_matrix(spec, pot, dim))
+def _build(pot, constants, alpha, dim):
+    """The build of H at width alpha, a callable that returns it."""
+    return lambda: hamiltonian_matrix(BasisSpec(alpha, constants.hbar, constants.mass), pot, dim)
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,8 +101,7 @@ class MinimizeResult:
 def solve_spectrum(pot: PotentialSpec, constants: Constants, alpha: float,
                    dim: int) -> Spectrum:
     """One secular-equation solve at the given width parameter."""
-    spec = BasisSpec(alpha, constants.hbar, constants.mass)
-    return eigh(hamiltonian_matrix(spec, pot, dim))
+    return eigh(_build(pot, constants, alpha, dim)())
 
 
 def exact_diagonal_alpha(omega: float, constants: Constants = Constants()) -> float:
@@ -116,12 +114,10 @@ def scan_alpha(pot: PotentialSpec, constants: Constants, dim: int,
                alphas) -> AlphaScanResult:
     """All Ritz levels per alpha over a grid; argmin is over the ground level.
 
-    Every width's H has parity blocks of the same sizes, so the solves of the
-    whole grid are reduced as one stack and certified in one Sturm
-    recurrence (`eigensolver._eigvalsh_family`).  Each spectrum is bitwise
-    `eigvalsh(hamiltonian_matrix(spec, pot, dim))` at its width, and the
-    first width whose build or solve fails, in ascending order, raises what
-    it raises alone, its message naming the width.
+    Each spectrum is bitwise `eigvalsh` of H at its width, the whole grid
+    solved in one call.  The first width whose build or solve fails, in
+    ascending order, raises what it raises alone, its message naming the
+    width.
     """
     grid = np.asarray(alphas, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
@@ -129,15 +125,13 @@ def scan_alpha(pot: PotentialSpec, constants: Constants, dim: int,
     if np.any(~np.isfinite(grid)) or np.any(grid <= 0.0):
         raise ValueError("alphas must be positive finite reals")
     grid = np.sort(grid)
-    matrices = (hamiltonian_matrix(BasisSpec(float(a), constants.hbar, constants.mass), pot, dim)
-                for a in grid)
-    energies = []
+    solver = _LevelSolver()
     try:
-        for levels in _eigvalsh_family(matrices):
-            energies.append(levels)
+        energies = solver.solve(_build(pot, constants, float(a), dim) for a in grid)
+        solver.certify()
     except (ConvergenceError, OverflowError) as err:
         # the error keeps its type and fields, and its message gains the width
-        err.args = (f"eigensolver failed at alpha = {float(grid[len(energies)])!r}: {err}",)
+        err.args = (f"eigensolver failed at alpha = {float(grid[solver.certified])!r}: {err}",)
         raise
     ground = np.array([e[0] for e in energies])
     argmin = float(grid[int(np.argmin(ground))])
@@ -180,16 +174,12 @@ def minimize_alpha(pot: PotentialSpec, constants: Constants, dim: int,
     with n_b^3 in place of the n_b^2 term that search misses alpha = 1 as
     well.
 
-    Each width's levels are bitwise its `eigvalsh`'s.  The search reads
-    them at once, from the values-only reduce phase, and certifies the
-    widths it has solved together in a few shared Sturm passes
-    (`eigensolver._DeferredLevels`), always before it returns.  It raises
-    what the loop of eigvalsh over its widths, in solve order, would raise
-    first: within a width QL's error, then the certificate's, then the
-    unscaling's, and a width's build error only once every width before it
-    is certified.  A width is solved when a comparison first reads it, so
-    the last width the loop places, and the opening pair of a bracket
-    already narrower than the tolerance, are never solved.
+    Each width's levels are bitwise its `eigvalsh`'s, read before they are
+    certified; the search certifies them before it returns and raises what
+    the loop of eigvalsh over its widths, in solve order, would raise first.
+    A width is solved when a comparison first reads it, so the last width
+    the loop places, and the opening pair of a bracket already narrower
+    than the tolerance, are never solved.
     """
     lo, hi = (float(bracket[0]), float(bracket[1]))
     if not (0.0 < lo < hi < math.inf):
@@ -198,11 +188,10 @@ def minimize_alpha(pot: PotentialSpec, constants: Constants, dim: int,
         raise ValueError(f"levels must be an integer in [1, dim = {dim!r}], got {levels!r}")
 
     error = _level_error(dim) * _EPS
-    solver = _DeferredLevels()
+    solver = _LevelSolver()
 
     def levels_at(a):
-        return solver.solve(
-            lambda: hamiltonian_matrix(BasisSpec(a, constants.hbar, constants.mass), pot, dim))
+        return solver.solve([_build(pot, constants, a, dim)])[0]
 
     def objective(a):
         w = levels_at(a)
@@ -250,20 +239,21 @@ def convergence_table(pot: PotentialSpec, constants: Constants, alpha: float,
     d is solved on its leading d x d block.  Every band of H is elementwise
     in the row index, so that block is bitwise the matrix built at d and
     each spectrum is bitwise `eigvalsh(hamiltonian_matrix(spec, pot, d))`.
-    The parity blocks of every truncation are reduced as one stack and
-    certified in one Sturm recurrence (`eigensolver._eigvalsh_family`),
-    which raises what the first failing dim raises alone.  Where a dim is
-    invalid or the largest H leaves the float range, the matrices are built
-    dim by dim instead, which raises what that dim raises.
+    Where a dim is invalid or the largest H leaves the float range, each
+    dim's H is built on its own.  The first dim that fails raises what it
+    raises alone.
     """
     dims = tuple(dims)
+    builds = [_build(pot, constants, alpha, d) for d in dims]
     if dims and all(_is_integer(d) and d >= 1 for d in dims):
         try:
-            spec = BasisSpec(alpha, constants.hbar, constants.mass)
-            whole = np.asarray(hamiltonian_matrix(spec, pot, max(dims)))
+            whole = np.asarray(_build(pot, constants, alpha, max(dims))())
             whole.setflags(write=False)
         except (ValueError, OverflowError):
-            pass  # built dim by dim below, where each dim raises what it raises alone
+            pass  # each dim raises what it raises alone
         else:
-            return ConvergenceTable(dims, tuple(_eigvalsh_family(whole[:d, :d] for d in dims)))
-    return ConvergenceTable(dims, tuple(_levels(pot, constants, alpha, d) for d in dims))
+            builds = [lambda d=d: whole[:d, :d] for d in dims]
+    solver = _LevelSolver()
+    spectra = solver.solve(builds)
+    solver.certify()
+    return ConvergenceTable(dims, tuple(spectra))

@@ -364,6 +364,39 @@ def test_one_table_spectrum_differs(capsys):
                      "1 of 2 tables and grids bit-identical", *SUMMARIES[4:]]
 
 
+def test_table_sweep_covers_families_and_raising_cases(monkeypatch):
+    import hgritz
+
+    calls = []
+
+    def convergence_table(pot, constants, alpha, dims):
+        calls.append(("table", pot.kind, alpha, dims))
+        if max(dims) == 12:
+            raise OverflowError("out of range")
+        return hgritz.spectral.ConvergenceTable(dims, tuple(np.zeros(d) for d in dims))
+
+    def scan_alpha(pot, constants, dim, alphas):
+        calls.append(("grid", pot.kind, dim, tuple(alphas)))
+        if alphas[0] == 1e-300:
+            raise OverflowError("out of range")
+        return hgritz.variational.AlphaScanResult(np.asarray(alphas), (np.zeros(dim),), 1.0)
+
+    monkeypatch.setattr(hgritz, "convergence_table", convergence_table)
+    monkeypatch.setattr(hgritz, "scan_alpha", scan_alpha)
+    sweep = compare_trees._table_sweep()
+    assert len(sweep) == len(calls) == 54
+    kinds = [call[0] for call in calls]
+    assert kinds.count("table") == 5 * 2 * 2 + 3 and kinds.count("grid") == 5 * 6 + 1
+    assert calls[21:23] == [("table", "quartic", 1e-3, (4, 12)),
+                            ("table", "quartic", 1e-3, (8, 11, 12))]
+    assert calls[-1] == ("grid", "quartic", 3, (1e-300, 1.0))
+    raised = [label for label, fields in sweep
+              if fields["spectra"] == "raised OverflowError: out of range"]
+    assert raised == ["table out_of_range 1e+300 alpha=0.001 dims=(4, 12)",
+                      "table out_of_range 1e+300 alpha=0.001 dims=(8, 11, 12)",
+                      "grid out_of_range 1.0 dim=3 alphas=(1e-300, 1.0)"]
+
+
 @pytest.mark.parametrize("sweep", ["eigh", "numerov", "nodes", "tables", "searches", "cli"])
 def test_shorter_record_list_is_reported(capsys, sweep):
     new = records()

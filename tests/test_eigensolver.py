@@ -597,18 +597,31 @@ def test_matrices_whose_squares_underflow_solve_scaled_bit_for_bit(exponent):
     assert eigh(tiny).eigenvectors.tobytes() == eigh(a).eigenvectors.tobytes()
 
 
-# -- the family entry: many eigvalsh solves, one stack -------------------------
+# -- the values-only driver: levels now, certificates later --------------------
 
 
 def hamiltonian(name, alpha, dim):
     return hamiltonian_matrix(BasisSpec(alpha), BLOCK_POTENTIALS[name], dim)
 
 
-def assert_family_is_eigvalsh_per_matrix(matrices):
-    got = list(eigensolver._eigvalsh_family(matrices))
-    assert len(got) == len(matrices)
-    for w, matrix in zip(got, matrices):
-        assert w.tobytes() == eigensolver.eigvalsh(matrix).tobytes()
+def builds_of(matrices):
+    """A build for each matrix, which returns it."""
+    return [lambda m=m: m for m in matrices]
+
+
+def solved(solver, builds, together):
+    """Each build's levels from the solver, certified before they are returned.
+
+    together: every build in one solve call, as a table or a grid solves
+    them; else one per call, as a search does.
+    """
+    if together:
+        levels = solver.solve(builds)
+    else:
+        levels = [w for build in builds for w in solver.solve([build])]
+    solver.certify()
+    assert solver.certified == len(levels)
+    return levels
 
 
 FAMILIES = {
@@ -627,9 +640,16 @@ FAMILIES = {
 }
 
 
+@pytest.mark.parametrize("entries", [1 << 15, 1])
 @pytest.mark.parametrize("name", list(FAMILIES))
-def test_family_is_eigvalsh_per_matrix_bit_for_bit(name):
-    assert_family_is_eigvalsh_per_matrix(FAMILIES[name]())
+def test_deferred_levels_are_eigvalsh_per_matrix_bit_for_bit(name, entries, monkeypatch):
+    # one shared pass for each run of a block size, or one pass per stack
+    monkeypatch.setattr(eigensolver, "_CERTIFY_ENTRIES", entries)
+    matrices = FAMILIES[name]()
+    want = [eigensolver.eigvalsh(m).tobytes() for m in matrices]
+    for together in (True, False):
+        got = solved(eigensolver._LevelSolver(), builds_of(matrices), together)
+        assert [w.tobytes() for w in got] == want
 
 
 def test_family_splits_its_stacks_at_the_entry_cap(monkeypatch):
@@ -642,16 +662,37 @@ def test_family_splits_its_stacks_at_the_entry_cap(monkeypatch):
 
     monkeypatch.setattr(eigensolver, "_householder_tridiag", counted)
     matrices = [hamiltonian("degree6", 1.5, d) for d in (4, 9, 10, 16, 3)]
-    assert_family_is_eigvalsh_per_matrix(matrices)
-    stacks.clear()
-    list(eigensolver._eigvalsh_family(matrices))
-    assert stacks == [(10, 8, 8)]
-    # 2 x 2^2 + 2 x 5^2 > 40: each stack holds the matrices that fit, or one
-    monkeypatch.setattr(eigensolver, "_STACK_ENTRIES", 40)
-    assert_family_is_eigvalsh_per_matrix(matrices)
-    stacks.clear()
-    list(eigensolver._eigvalsh_family(matrices))
-    assert stacks == [(2, 2, 2), (2, 5, 5), (2, 5, 5), (2, 8, 8), (2, 2, 2)]
+    want = [eigensolver.eigvalsh(m).tobytes() for m in matrices]
+    for entries, split in [(1 << 19, [(10, 8, 8)]),
+                           # 2 x 2^2 + 2 x 5^2 > 40: each stack holds the
+                           # matrices that fit, or one
+                           (40, [(2, 2, 2), (2, 5, 5), (2, 5, 5), (2, 8, 8), (2, 2, 2)])]:
+        monkeypatch.setattr(eigensolver, "_STACK_ENTRIES", entries)
+        stacks.clear()
+        got = solved(eigensolver._LevelSolver(), builds_of(matrices), True)
+        assert [w.tobytes() for w in got] == want
+        assert stacks == split
+
+
+def test_deferred_levels_share_passes_of_one_block_size(monkeypatch):
+    shapes = []
+    certify = eigensolver._certify
+    monkeypatch.setattr(eigensolver, "_certify",
+                        lambda reduced: shapes.append(reduced.d.shape) or certify(reduced))
+    # dims 16 and 15 both stack blocks of 8 rows, dim 9 blocks of 5
+    matrices = builds_of([hamiltonian("quartic", alpha, dim) for dim, alpha in
+                          [(16, 1.0), (16, 1.5), (15, 2.0), (16, 2.5), (9, 1.0), (9, 2.0)]])
+    solved(eigensolver._LevelSolver(), matrices, False)
+    assert shapes == [(8, 8), (4, 5)]
+    # solved together, they share one stack, padded to 8 rows, and one pass
+    shapes.clear()
+    solved(eigensolver._LevelSolver(), matrices, True)
+    assert shapes == [(12, 8)]
+    # 2 blocks x 8 x 16 pivots per dim-16 matrix: two fit under 512
+    monkeypatch.setattr(eigensolver, "_CERTIFY_ENTRIES", 512)
+    shapes.clear()
+    solved(eigensolver._LevelSolver(), matrices, False)
+    assert shapes == [(4, 8), (4, 8), (4, 5)]
 
 
 def failure(run):
@@ -662,8 +703,14 @@ def failure(run):
             getattr(err.value, "index", None))
 
 
-# members and what each fails by: QL of blocks of 7 stalls, a level of
-# blocks of 15 moves by 1e-6 of the norm, and a 2 x 3 array is refused
+def raising_build():
+    raise OverflowError("the build")
+
+
+# the build of each member and what it fails by: QL of blocks of 7 stalls,
+# a level of blocks of 15 moves by 1e-6 of the norm, a 2 x 3 array is
+# refused, one build raises, and "range and certificate" is one block whose
+# certificate fails and whose levels leave the float range when unscaled
 FAILING = {
     "ok": lambda: hamiltonian("quartic", 1.5, 10),
     "ql block 0": lambda: hamiltonian("quartic", 1.5, 13),  # blocks of 7 and 6
@@ -671,88 +718,9 @@ FAILING = {
     "certificate": lambda: hamiltonian("quartic", 1.5, 30),
     "refused": lambda: np.ones((2, 3)),
     "range": lambda: np.full((2, 2), 1e308),
+    "range and certificate": lambda: np.full((3, 3), 1e308),
+    "build": raising_build,
 }
-
-
-@pytest.mark.parametrize("members", [
-    ("ok", "ql block 1", "certificate", "ql block 0"),
-    ("ok", "ok", "certificate", "ql block 0"),
-    ("ok", "refused", "ql block 0"),
-    ("ql block 0", "refused"),
-    ("ok", "range", "ql block 1"),
-    ("ok", "ok", "refused"),
-])
-def test_family_raises_what_the_per_matrix_loop_raises_first(members, monkeypatch):
-    ql = eigensolver._ql_implicit
-    norm = {15: float(np.abs(np.linalg.eigvalsh(hamiltonian("quartic", 1.5, 30).to_dense())).max())}
-
-    def faulty(d, e):
-        if d.size == 7:
-            raise ConvergenceError(f"QL stalled for dim {d.size}", dim=d.size, index=2)
-        values = ql(d, e)
-        if d.size in norm:
-            values[3] += 1e-6 * norm[d.size]
-        return values
-
-    monkeypatch.setattr(eigensolver, "_ql_implicit", faulty)
-    matrices = [FAILING[name]() for name in members]
-    want = failure(lambda: [eigensolver.eigvalsh(m) for m in matrices])
-    assert failure(lambda: list(eigensolver._eigvalsh_family(matrices))) == want
-    # every member before the first failing one is yielded first
-    first = next(i for i, name in enumerate(members) if name != "ok")
-    family = eigensolver._eigvalsh_family(iter(matrices))
-    for matrix in matrices[:first]:
-        assert next(family).tobytes() == eigensolver.eigvalsh(matrix).tobytes()
-    assert failure(lambda: next(family)) == want
-
-
-def test_family_raises_a_failing_draw_after_the_members_before_it():
-    def drawn():
-        yield hamiltonian("quartic", 1.5, 6)
-        raise OverflowError("the fourth matrix")
-
-    family = eigensolver._eigvalsh_family(drawn())
-    assert next(family).size == 6
-    with pytest.raises(OverflowError, match="^the fourth matrix$"):
-        next(family)
-
-
-# -- deferred certificates: levels now, Sturm passes shared later -------------
-
-
-def deferred(matrices):
-    """Each matrix's levels from one _DeferredLevels, certified before they are returned."""
-    solver = eigensolver._DeferredLevels()
-    levels = [solver.solve(lambda: matrix) for matrix in matrices]
-    solver.certify()
-    return levels
-
-
-@pytest.mark.parametrize("entries", [1 << 15, 1])
-@pytest.mark.parametrize("name", list(FAMILIES))
-def test_deferred_levels_are_eigvalsh_per_matrix_bit_for_bit(name, entries, monkeypatch):
-    # one shared pass for each run of a block size, or one pass per matrix
-    monkeypatch.setattr(eigensolver, "_CERTIFY_ENTRIES", entries)
-    matrices = FAMILIES[name]()
-    got = deferred(matrices)
-    assert [w.tobytes() for w in got] == [eigensolver.eigvalsh(m).tobytes() for m in matrices]
-
-
-def test_deferred_levels_share_passes_of_one_block_size(monkeypatch):
-    shapes = []
-    certify = eigensolver._certify
-    monkeypatch.setattr(eigensolver, "_certify",
-                        lambda reduced: shapes.append(reduced.d.shape) or certify(reduced))
-    # dims 16 and 15 both stack blocks of 8 rows, dim 9 blocks of 5
-    matrices = [hamiltonian("quartic", alpha, dim) for dim, alpha in
-                [(16, 1.0), (16, 1.5), (15, 2.0), (16, 2.5), (9, 1.0), (9, 2.0)]]
-    deferred(matrices)
-    assert shapes == [(8, 8), (4, 5)]
-    # 2 blocks x 8 x 16 pivots per dim-16 matrix: two fit under 512
-    monkeypatch.setattr(eigensolver, "_CERTIFY_ENTRIES", 512)
-    shapes.clear()
-    deferred(matrices)
-    assert shapes == [(4, 8), (4, 8), (4, 5)]
 
 
 @pytest.mark.parametrize("members", [
@@ -765,10 +733,10 @@ def test_deferred_levels_share_passes_of_one_block_size(monkeypatch):
     ("ok", "certificate", "range"),
     ("ok", "range and certificate"),
     ("ok", "ok", "refused"),
+    ("ok", "build"),
+    ("ok", "certificate", "build", "ql block 0"),
 ])
 def test_deferred_levels_raise_what_the_per_matrix_loop_raises_first(members, monkeypatch):
-    # "range and certificate" is one block whose certificate fails and whose
-    # levels leave the float range when unscaled: the certificate comes first
     ql = eigensolver._ql_implicit
     norm = {15: float(np.abs(np.linalg.eigvalsh(hamiltonian("quartic", 1.5, 30).to_dense())).max())}
 
@@ -783,10 +751,13 @@ def test_deferred_levels_raise_what_the_per_matrix_loop_raises_first(members, mo
         return values
 
     monkeypatch.setattr(eigensolver, "_ql_implicit", faulty)
-    failing = {**FAILING, "range and certificate": lambda: np.full((3, 3), 1e308)}
-    matrices = [failing[name]() for name in members]
-    want = failure(lambda: [eigensolver.eigvalsh(m) for m in matrices])
-    assert failure(lambda: deferred(matrices)) == want
-    assert failure(lambda: list(eigensolver._eigvalsh_family(matrices))) == want
-    if members[-1] == "range and certificate":
+    failing = [FAILING[name] for name in members]
+    clean = []
+    want = failure(lambda: [clean.append(eigensolver.eigvalsh(build())) for build in failing])
+    for together in (True, False):
+        solver = eigensolver._LevelSolver()
+        assert failure(lambda: solved(solver, failing, together)) == want
+        # the failure belongs to the matrix after the ones certified clean
+        assert solver.certified == len(clean)
+    if "range and certificate" in members:
         assert want[0] is ConvergenceError and "Sturm count" in want[1]

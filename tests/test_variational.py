@@ -155,6 +155,32 @@ class TestScanAlpha:
         assert (err.value.dim, err.value.index) == (2, 0)
         assert calls == [2, 1, 2, 1, 2, 1]
 
+    def test_a_failed_certificate_names_its_width_though_later_widths_solved(self, monkeypatch):
+        # level 1 of the third block, block 0 of the second width, moves by
+        # 1.0; its certificate refuses it once every width is reduced
+        ql = eigensolver._ql_implicit
+        calls = []
+
+        def move_third(d, e):
+            calls.append(d.size)
+            values = ql(d, e)
+            if len(calls) == 3:
+                values[1] += 1.0
+            return values
+
+        monkeypatch.setattr(eigensolver, "_ql_implicit", move_third)
+        with pytest.raises(ConvergenceError, match=r"^eigensolver failed at alpha = 1\.0: "
+                                                   r"Sturm count puts no eigenvalue") as err:
+            scan_alpha(QUART, C, 3, [2.0, 1.0, 0.5])
+        assert calls == [2, 1, 2, 1, 2, 1]
+        # eigvalsh at that width alone, its first QL call moved the same way
+        calls[:] = [0, 0]
+        with pytest.raises(ConvergenceError) as alone:
+            eigensolver.eigvalsh(hamiltonian_matrix(BasisSpec(1.0), QUART, 3))
+        assert str(err.value) == f"eigensolver failed at alpha = 1.0: {alone.value}"
+        assert (err.value.dim, err.value.index) == (alone.value.dim, alone.value.index)
+        assert err.value.dim == 2
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             scan_alpha(HARM, C, 3, [])
@@ -271,7 +297,8 @@ class TestMinimizeAlphaSolves:
     def test_a_converged_bracket_solves_only_its_midpoint(self, widths):
         res = minimize_alpha(HARM, C, 2, (1.0, 1.0 + 1e-9))
         assert widths == [res.alpha_star]
-        assert res.energy == float(variational._levels(HARM, C, res.alpha_star, 2)[0])
+        assert res.energy == float(
+            eigensolver.eigvalsh(hamiltonian_matrix(BasisSpec(res.alpha_star), HARM, 2))[0])
 
 
 class TestMinimizeAlphaErrors:
@@ -405,7 +432,8 @@ class TestConvergenceTable:
         with pytest.raises(ValueError) as got:
             convergence_table(QUART, C, 1.3, dims)
         with pytest.raises(ValueError) as want:
-            ConvergenceTable(dims, tuple(variational._levels(QUART, C, 1.3, d) for d in dims))
+            ConvergenceTable(dims, tuple(
+                eigensolver.eigvalsh(hamiltonian_matrix(BasisSpec(1.3), QUART, d)) for d in dims))
         assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("dims, bad", [((2.5, 4), "2.5"), ((True, 4), "True"),
@@ -425,8 +453,36 @@ class TestConvergenceTable:
             convergence_table(pot, C, 1e-3, dims)
         with pytest.raises(OverflowError) as want:
             for d in dims:
-                variational._levels(pot, C, 1e-3, d)
+                eigensolver.eigvalsh(hamiltonian_matrix(BasisSpec(1e-3), pot, d))
         assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("pot, alpha", [(QUART, 1.3), (PotentialSpec.quartic(1e300), 1e-3)],
+                             ids=["leading-blocks", "dim-by-dim"])
+    def test_a_failed_certificate_is_the_first_failing_dims(self, monkeypatch, pot, alpha):
+        # a level of every block of 4 rows moves by 1e-3 of the block's
+        # largest: dim 8's certificate fails once dims 4 and 12 are built;
+        # at lambda 1e300 the dim-12 H leaves the float range, so each dim
+        # is built on its own
+        ql = eigensolver._ql_implicit
+        calls = []
+
+        def moved(d, e):
+            calls.append(d.size)
+            values = ql(d, e)
+            if d.size == 4:
+                values[1] += 1e-3 * np.abs(values).max()
+            return values
+
+        monkeypatch.setattr(eigensolver, "_ql_implicit", moved)
+        dims = (4, 8, 12)
+        with pytest.raises(ConvergenceError) as got:
+            convergence_table(pot, C, alpha, dims)
+        assert calls == ([2, 2, 4, 4, 6, 6] if pot is QUART else [2, 2, 4, 4])
+        with pytest.raises(ConvergenceError) as want:
+            for d in dims:
+                eigensolver.eigvalsh(hamiltonian_matrix(BasisSpec(alpha), pot, d))
+        assert failure(got) == failure(want)
+        assert str(got.value).startswith("Sturm count") and got.value.dim == 4
 
     def test_monotone_improvement_fixed_alpha(self):
         energies = [solve_spectrum(HARM, C, 0.7, d).eigenvalues[0]

@@ -32,12 +32,15 @@ subprocess, and the two run at once.  Each runs six sweeps:
   coarse and the count raise.  The counts are compared exactly, and a case
   that raises is compared by its exception's text.
 - tables and grids: `variational.convergence_table` on the five eigen
-  families at two widths, over dims 2:40:2 and over (1, 3, 8, 13), and on
-  the quartic of lambda 1e75 at alpha 0.01, whose entries pass 2^256, over
-  (3, 8, 13); and `variational.scan_alpha` on the five families over a
-  12-point grid at dims 8 to 64, odd ones among them: the solves that share
-  one stack of parity blocks.  Every spectrum is compared bit for bit, and
-  a case that raises is compared by its exception's text.
+  families at two widths, over dims 2:40:2 and over (1, 3, 8, 13); on the
+  quartic of lambda 1e75 at alpha 0.01, whose entries pass 2^256, over
+  (3, 8, 13); and on the quartic of lambda 1e300 at alpha 1e-3 over
+  (4, 12) and (8, 11, 12), whose dim-12 H leaves the float range, so each
+  dim is built on its own and the table raises.  `variational.scan_alpha`
+  on the five families over a 12-point grid at dims 8 to 64, odd ones
+  among them, and on the dim-3 quartic over (1e-300, 1.0), whose first
+  width raises.  Every spectrum is compared bit for bit, and a case that
+  raises is compared by its exception's text.
 - searches: `variational.minimize_alpha` on the five eigen families on
   (0.5, 4) at dims 1 to 64, odd ones among them, for the lowest 1 to 4
   levels; on a bracket whose objective rises, so the search ends on its
@@ -147,10 +150,15 @@ TABLE_DIMS = (tuple(range(2, 41, 2)), (1, 3, 8, 13))
 TABLE_ALPHAS = (0.8, 2.0)
 #: (name, potential kind, its parameter, alpha, dims) of each table run
 #: beside the families.
-TABLE_CASES = (("scaled_quartic", "quartic", 1e75, 0.01, (3, 8, 13)),)
+TABLE_CASES = (("scaled_quartic", "quartic", 1e75, 0.01, (3, 8, 13)),
+               ("out_of_range", "quartic", 1e300, 1e-3, (4, 12)),
+               ("out_of_range", "quartic", 1e300, 1e-3, (8, 11, 12)))
 #: Dims of the alpha grids, and the grid each runs: 12 log-spaced widths.
 GRID_DIMS = (8, 13, 21, 32, 47, 64)
 GRID_ALPHAS = tuple(0.6 * 7.5 ** (k / 11) for k in range(12))
+#: (name, potential kind, its parameter, dim, alphas) of each grid run
+#: beside the families.
+GRID_CASES = (("out_of_range", "quartic", 1.0, 3, (1e-300, 1.0)),)
 
 #: Dims of the searches of the five eigen families; family k at dim index i
 #: sums the lowest 1 + (i + k) % 4 levels, at most dim.
@@ -274,6 +282,10 @@ def _table_sweep():
         for dim in GRID_DIMS:
             out.append(spectra(f"grid {name} {value} dim={dim}",
                                lambda: scan_alpha(pot, Constants(), dim, GRID_ALPHAS).energies))
+    for name, kind, value, dim, alphas in GRID_CASES:
+        pot = _potential(kind, value)
+        out.append(spectra(f"grid {name} {value} dim={dim} alphas={alphas}",
+                           lambda: scan_alpha(pot, Constants(), dim, alphas).energies))
     return out
 
 
