@@ -640,16 +640,26 @@ FAMILIES = {
 }
 
 
+def assert_solved_is_eigvalsh_per_matrix(matrices, entries, together, monkeypatch):
+    # one shared pass for each run of a block size, or one pass per stack
+    monkeypatch.setattr(eigensolver, "_CERTIFY_ENTRIES", entries)
+    want = [eigensolver.eigvalsh(m).tobytes() for m in matrices]
+    got = solved(eigensolver._LevelSolver(), builds_of(matrices), together)
+    assert [w.tobytes() for w in got] == want
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_family_is_eigvalsh_per_matrix_bit_for_bit(name, monkeypatch):
+    # the whole family in one solve call, as a table or a grid solves it
+    for entries in (1 << 15, 1):
+        assert_solved_is_eigvalsh_per_matrix(FAMILIES[name](), entries, True, monkeypatch)
+
+
 @pytest.mark.parametrize("entries", [1 << 15, 1])
 @pytest.mark.parametrize("name", list(FAMILIES))
 def test_deferred_levels_are_eigvalsh_per_matrix_bit_for_bit(name, entries, monkeypatch):
-    # one shared pass for each run of a block size, or one pass per stack
-    monkeypatch.setattr(eigensolver, "_CERTIFY_ENTRIES", entries)
-    matrices = FAMILIES[name]()
-    want = [eigensolver.eigvalsh(m).tobytes() for m in matrices]
-    for together in (True, False):
-        got = solved(eigensolver._LevelSolver(), builds_of(matrices), together)
-        assert [w.tobytes() for w in got] == want
+    # one matrix per solve call, as a search solves its widths
+    assert_solved_is_eigvalsh_per_matrix(FAMILIES[name](), entries, False, monkeypatch)
 
 
 def test_family_splits_its_stacks_at_the_entry_cap(monkeypatch):
@@ -723,7 +733,7 @@ FAILING = {
 }
 
 
-@pytest.mark.parametrize("members", [
+MEMBERS = [
     ("ok", "ql block 1", "certificate", "ql block 0"),
     ("ok", "ok", "certificate", "ql block 0"),
     ("ok", "certificate", "refused"),
@@ -735,8 +745,10 @@ FAILING = {
     ("ok", "ok", "refused"),
     ("ok", "build"),
     ("ok", "certificate", "build", "ql block 0"),
-])
-def test_deferred_levels_raise_what_the_per_matrix_loop_raises_first(members, monkeypatch):
+]
+
+
+def assert_solved_raises_what_the_per_matrix_loop_raises_first(members, together, monkeypatch):
     ql = eigensolver._ql_implicit
     norm = {15: float(np.abs(np.linalg.eigvalsh(hamiltonian("quartic", 1.5, 30).to_dense())).max())}
 
@@ -754,10 +766,25 @@ def test_deferred_levels_raise_what_the_per_matrix_loop_raises_first(members, mo
     failing = [FAILING[name] for name in members]
     clean = []
     want = failure(lambda: [clean.append(eigensolver.eigvalsh(build())) for build in failing])
-    for together in (True, False):
-        solver = eigensolver._LevelSolver()
-        assert failure(lambda: solved(solver, failing, together)) == want
-        # the failure belongs to the matrix after the ones certified clean
-        assert solver.certified == len(clean)
+    solver = eigensolver._LevelSolver()
+    assert failure(lambda: solved(solver, failing, together)) == want
+    # the failure belongs to the matrix after the ones certified clean
+    assert solver.certified == len(clean)
     if "range and certificate" in members:
         assert want[0] is ConvergenceError and "Sturm count" in want[1]
+    return clean
+
+
+@pytest.mark.parametrize("members", MEMBERS)
+def test_family_raises_what_the_per_matrix_loop_raises_first(members, monkeypatch):
+    # the whole family in one solve call
+    clean = assert_solved_raises_what_the_per_matrix_loop_raises_first(members, True, monkeypatch)
+    # the members before the first failing one, alone, solve to their levels
+    levels = solved(eigensolver._LevelSolver(), [FAILING[name] for name in members[:len(clean)]], True)
+    assert [w.tobytes() for w in levels] == [w.tobytes() for w in clean]
+
+
+@pytest.mark.parametrize("members", MEMBERS)
+def test_deferred_levels_raise_what_the_per_matrix_loop_raises_first(members, monkeypatch):
+    # one matrix per solve call
+    assert_solved_raises_what_the_per_matrix_loop_raises_first(members, False, monkeypatch)
