@@ -9,17 +9,14 @@ of truncated spectra, and the node count of each eigenfunction.  A Numerov
 shooting solver supplies independent reference energies.
 """
 
-from .basis import (BasisSpec, Constants, MAX_INDEX, basis_derivative,
-                    basis_table, basis_value)
+from .basis import BasisSpec, Constants, MAX_INDEX, basis_table
 from .eigensolver import Spectrum, eigh, eigvalsh
 from .errors import (BracketingError, ConvergenceError, DegenerateInputError,
                      QuadratureError, ScanResolutionError)
 from .operators import (BandedSymMatrix, PotentialSpec, hamiltonian_matrix,
                         kinetic_matrix, potential_matrix)
-from .quadrature import (QuadratureRule, element_oracle, gauss_hermite_rule,
-                         inner_product)
-from .spectral import (ConvergenceTable, check_mhu, count_nodes,
-                       default_node_grid, node_counts)
+from .quadrature import QuadratureRule, element_oracle, gauss_hermite_rule
+from .spectral import ConvergenceTable, check_mhu, node_counts
 from .variational import (AlphaScanResult, MinimizeResult, convergence_table,
                           exact_diagonal_alpha, minimize_alpha, scan_alpha,
                           solve_spectrum)
@@ -28,16 +25,14 @@ from . import numerov
 __version__ = "0.1.0"
 
 __all__ = [
-    "BasisSpec", "Constants", "MAX_INDEX", "basis_derivative", "basis_table",
-    "basis_value",
+    "BasisSpec", "Constants", "MAX_INDEX", "basis_table",
     "Spectrum", "eigh", "eigvalsh",
     "BracketingError", "ConvergenceError", "DegenerateInputError",
     "QuadratureError", "ScanResolutionError",
     "BandedSymMatrix", "PotentialSpec", "hamiltonian_matrix",
     "kinetic_matrix", "potential_matrix",
-    "QuadratureRule", "element_oracle", "gauss_hermite_rule", "inner_product",
-    "ConvergenceTable", "check_mhu", "count_nodes", "default_node_grid",
-    "node_counts",
+    "QuadratureRule", "element_oracle", "gauss_hermite_rule",
+    "ConvergenceTable", "check_mhu", "node_counts",
     "AlphaScanResult", "MinimizeResult", "convergence_table",
     "exact_diagonal_alpha", "minimize_alpha", "scan_alpha", "solve_spectrum",
     "numerov",

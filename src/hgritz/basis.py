@@ -68,22 +68,16 @@ def _is_integer(value):
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def check_index(r, *, cap: int = MAX_INDEX) -> int:
-    """Validate a basis-function index: integer, 0 <= r < cap."""
+def check_index(r) -> int:
+    """Validate a basis-function index: integer, 0 <= r < MAX_INDEX."""
     if not _is_integer(r):
         raise TypeError(f"index must be an integer, got {r!r}")
     r = int(r)
     if r < 0:
         raise ValueError(f"index must be non-negative, got {r}")
-    if r >= cap:
-        raise ValueError(f"index {r} above cap {cap}")
+    if r >= MAX_INDEX:
+        raise ValueError(f"index {r} above cap {MAX_INDEX}")
     return r
-
-
-def _as_grid(x):
-    """Return (array view of x, was_scalar)."""
-    arr = np.asarray(x, dtype=float)
-    return np.atleast_1d(arr), arr.ndim == 0
 
 
 #: Smallest normal double.  Where phi_0 falls below it (alpha x^2 above about
@@ -100,14 +94,12 @@ _CARRY_STEP = 256
 _MIN_EXPONENT = -(2**30)
 
 
-def _recurrence(spec, xv, stop, out):
-    """Write phi_0 .. phi_{stop - 1} on xv into the rows of out, one at a time.
+def _recurrence(spec, xv, out):
+    """Write phi_0 .. phi_{len(out) - 1} on xv into the rows of out, in order.
 
-    phi_k goes to out[k % len(out)], and its row is yielded once written:
-    a table of stop rows keeps them all, a ring of 3 rows the last three.
     Each row is written in place with the same IEEE operations in the same
     order as (sq2y * phi_k - sqrt(k) * phi_{k-1}) / sqrt(k + 1), so every
-    row is bitwise the same whatever out holds.
+    row is bitwise the same whatever out holds and however many rows follow.
 
     Where phi_0 is a normal double the rows are the plain recurrence.  Past
     x = sqrt(1416 / alpha) phi_0 goes subnormal and then 0, and would take
@@ -118,7 +110,6 @@ def _recurrence(spec, xv, stop, out):
     work.
     """
     rows = list(out)
-    n_rows = len(rows)
     y = xv * math.sqrt(spec.alpha)
     sq2y = math.sqrt(2.0) * y
     row = rows[0]
@@ -137,19 +128,16 @@ def _recurrence(spec, xv, stop, out):
     term = np.empty_like(row)
     # sqrt(k) as 0-d arrays, which ufuncs take faster than floats; np.sqrt
     # and math.sqrt are both correctly rounded, so their bits agree
-    roots = np.sqrt(np.arange(stop, dtype=float))
+    roots = np.sqrt(np.arange(len(rows), dtype=float))
     root_next = roots[0, ...]
-    for k in range(stop):
-        yield rows[k % n_rows]
-        if k + 1 == stop:
-            return
-        row = rows[(k + 1) % n_rows]
+    for k in range(len(rows) - 1):
+        row = rows[k + 1]
         root, root_next = root_next, roots[k + 1, ...]
         # each ufunc writes to its last argument
-        np.multiply(sq2y, rows[k % n_rows], row)
+        np.multiply(sq2y, rows[k], row)
         if k:
             # at k = 0 the subtracted sqrt(0) phi_{-1} is 0 and the divisor 1
-            np.multiply(rows[(k - 1) % n_rows], root, term)
+            np.multiply(rows[k - 1], root, term)
             np.subtract(row, term, row)
             np.divide(row, root_next, row)
         if deep.size:
@@ -163,50 +151,13 @@ def _recurrence(spec, xv, stop, out):
 
 
 def basis_table(spec: BasisSpec, rmax: int, x) -> np.ndarray:
-    """Evaluate phi_0 .. phi_rmax on a grid; returns shape (rmax + 1, len(x))."""
-    rmax = check_index(rmax)
-    xv, _ = _as_grid(x)
-    out = np.empty((rmax + 1, xv.size))
-    for _ in _recurrence(spec, xv, rmax + 1, out):
-        pass
-    return out
+    """Evaluate phi_0 .. phi_rmax on a grid; returns shape (rmax + 1, len(x)).
 
-
-def _phi_neighbours(spec, rows, xv):
-    """(phi_{k-1}, phi_k, phi_{k+1}) on xv for each index k in rows.
-
-    One recurrence pass through a ring of three rows; returns three
-    (len(rows), len(xv)) arrays, with phi_{-1} = 0.  Only the rows asked for
-    are kept.
-    """
-    wanted = {k + d for k in rows for d in (-1, 0, 1)}
-    kept = {-1: np.zeros_like(xv)}
-    ring = np.empty((3, xv.size))
-    for k, row in enumerate(_recurrence(spec, xv, max(rows) + 2, ring)):
-        if k in wanted:
-            kept[k] = row.copy()
-    return tuple(np.array([kept[k + d] for k in rows]) for d in (-1, 0, 1))
-
-
-def basis_value(spec: BasisSpec, r, x):
-    """phi_r(x), evaluated by the normalized recurrence.
-
-    Decays like exp(-alpha x^2 / 2) at large |x| and satisfies
+    Decays like exp(-alpha x^2 / 2) at large |x|, and row r satisfies
     phi_r(-x) = (-1)^r phi_r(x) exactly.
     """
-    r = check_index(r)
-    xv, scalar = _as_grid(x)
-    _, (cur,), _ = _phi_neighbours(spec, [r], xv)
-    return float(cur[0]) if scalar else cur
-
-
-def basis_derivative(spec: BasisSpec, r, x):
-    """d(phi_r)/dx = (sqrt(2 alpha)/2) (sqrt(r) phi_{r-1} - sqrt(r+1) phi_{r+1}).
-
-    For r = 0 the phi_{r-1} term is absent.
-    """
-    r = check_index(r)
-    xv, scalar = _as_grid(x)
-    (below,), _, (above,) = _phi_neighbours(spec, [r], xv)
-    out = 0.5 * math.sqrt(2.0 * spec.alpha) * (math.sqrt(r) * below - math.sqrt(r + 1) * above)
-    return float(out[0]) if scalar else out
+    rmax = check_index(rmax)
+    xv = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.empty((rmax + 1, xv.size))
+    _recurrence(spec, xv, out)
+    return out

@@ -198,15 +198,11 @@ def _run_solve(args, parser, pot, constants) -> int:
     return _report(args, "solve", config, rows, [], table)
 
 
-def _exact_values(args, parser, pot, constants, dims):
+def _exact_values(args, pot, constants, dims):
     if args.exact == "none":
         return None
-    if args.exact_levels < 1:
-        parser.error("--exact-levels must be positive")
     levels = min(args.exact_levels, dims[-1])
     if args.exact == "analytic":
-        if pot.kind != "harmonic":
-            parser.error("--exact analytic applies only to the harmonic potential")
         return [(i + 0.5) * constants.hbar * pot.omega for i in range(levels)]
     return list(numerov.lowest_levels(pot, constants, levels, steps=args.numerov_steps))
 
@@ -218,9 +214,13 @@ def _run_verify_mhu(args, parser, pot, constants) -> int:
     if steps is not None and not numerov.MIN_STEPS <= steps <= numerov.MAX_STEPS:
         parser.error(f"--numerov-steps must lie in [{numerov.MIN_STEPS}, "
                      f"{numerov.MAX_STEPS}], got {steps}")
+    if args.exact != "none" and args.exact_levels < 1:
+        parser.error("--exact-levels must be positive")
+    if args.exact == "analytic" and pot.kind != "harmonic":
+        parser.error("--exact analytic applies only to the harmonic potential")
     config = _config(pot, constants, alpha=alpha, alpha_mode=mode, dims=dims)
     table = convergence_table(pot, constants, alpha, dims)
-    exact = _exact_values(args, parser, pot, constants, dims)
+    exact = _exact_values(args, pot, constants, dims)
     checks = check_mhu(table, exact)
     results = {"dims": list(dims), "spectra": [list(s) for s in table.spectra]}
     if exact is not None:

@@ -168,23 +168,13 @@ class ShootingConfig:
         object.__setattr__(self, "steps", int(self.steps))
 
 
-def decay_length(pot: PotentialSpec, constants: Constants, energy: float) -> float:
-    """Airy length scale at the turning point, (hbar^2 / 2m V'(x_t))^(1/3).
-
-    energy must lie above min V, so that the turning point x_t is positive.
-    """
-    x_t = pot.turning_point(energy, mass=constants.mass)
-    if not x_t > 0.0:
-        raise ValueError(f"energy = {energy!r} has no turning point above x = 0")
-    return _airy_length(pot, constants, x_t, energy - pot.minimum(mass=constants.mass))
-
-
 def _airy_length(pot, constants, x_t, depth):
-    """`decay_length` at the turning point x_t > 0 of a level depth above min V.
+    """Airy length (hbar^2 / 2m V'(x_t))^(1/3) at the turning point x_t > 0 of a level.
 
-    V'(x_t) is floored at the mean slope depth / x_t, the request's own
-    slope scale, so that a flat turning point still gives a finite length
-    in every system of units.  On a convex well the floor never binds.
+    depth is the level's height above min V.  V'(x_t) is floored at the
+    mean slope depth / x_t, the request's own slope scale, so that a flat
+    turning point still gives a finite length in every system of units.  On
+    a convex well the floor never binds.
     """
     slope = max(float(pot.derivative(x_t, mass=constants.mass)), depth / x_t)
     return (constants.hbar**2 / (2.0 * constants.mass * slope)) ** (1.0 / 3.0)

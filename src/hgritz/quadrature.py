@@ -7,18 +7,18 @@ follow from the Christoffel-Darboux formula, so a rule of order K integrates
 exp(-y^2) times any polynomial of degree <= 2K - 1 exactly.  No eigensolver
 is involved, so the oracle shares no code with the solver it checks.
 
-Inner products (f, g) = integral f(x) g(x) dx are evaluated by substituting
-y = x sqrt(alpha) and dividing the Gaussian factor carried by the integrand
-back out, leaving the rule a purely polynomial job.
+An inner product (f, g) = integral f(x) g(x) dx is evaluated by
+substituting y = x sqrt(alpha) and dividing the Gaussian factor carried by
+the integrand back out, leaving the rule a purely polynomial job: the sum
+over the nodes of ((w f) g) exp(y^2), divided by sqrt(alpha).
 
 `oracle_matrices` gives the upper triangles of the quadrature T and V in the
 quadrature-matrix form (Light, Hamilton & Lill 1985, J. Chem. Phys.
 82:1400): one basis recurrence pass at the rule's nodes, then the rows in
 blocks of `_BLOCK_ROWS`, each block one product over (rows, s >= its first
-row, nodes) summed along the nodes.  It keeps `inner_product`'s
-multiplication order, ((w f) g) exp(y^2) / sqrt(alpha), so each entry is
-bitwise the per-element `element_oracle`, which runs the same block code on
-its two rows.
+row, nodes) summed along the nodes in that order, so each entry is bitwise
+the per-element `element_oracle`, which runs the same block code on its two
+rows.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisSpec, _is_integer, _phi_neighbours, check_index
+from .basis import BasisSpec, _is_integer, _recurrence, check_index
 from .errors import ConvergenceError, QuadratureError
 from .operators import PotentialSpec
 
@@ -238,26 +238,6 @@ def _first_non_finite(terms, y):
             node_index=i, node=float(y[i]))
 
 
-def inner_product(spec: BasisSpec, f, g, rule: QuadratureRule) -> float:
-    """Integral of f(x) g(x) over the line, for f g decaying like exp(-alpha x^2).
-
-    f and g must accept ndarray arguments.  The Gaussian factor is divided
-    back out at the nodes, so the result is exact whenever the de-weighted
-    product is a polynomial the rule can integrate.
-    """
-    y, x, boost = _node_values(spec, rule)
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms = rule.weights * np.asarray(f(x), dtype=float) \
-            * np.asarray(g(x), dtype=float) * boost
-    _first_non_finite(terms, y)
-    return float(terms.sum()) / math.sqrt(spec.alpha)
-
-
-def minimum_order(r: int, s: int, degree: int) -> int:
-    """Smallest admissible rule order for the (r, s) element of a degree-d V."""
-    return math.ceil((r + s + degree) / 2) + 2
-
-
 #: Rows of one `_OracleTables.block`, whose terms are formed together.
 _BLOCK_ROWS = 16
 #: Floats in the one terms buffer of an `_OracleTables`: a block's columns
@@ -268,21 +248,26 @@ _BUFFER_TERMS = 1 << 14
 class _OracleTables:
     """phi_k', phi_k and V phi_k at a rule's nodes, for each index k in rows.
 
-    One basis recurrence pass feeds all three; the derivative rows use
-    `basis_derivative`'s formula and operation order, so every row is
-    bitwise what the per-element evaluators give.  Rows are addressed by
-    their position in rows.
+    One basis recurrence pass over phi_0 .. phi_{max(rows) + 1} feeds all
+    three; the derivative rows are the ladder
+    phi_k' = (sqrt(2 alpha) / 2) (sqrt(k) phi_{k-1} - sqrt(k + 1) phi_{k+1}),
+    with phi_{-1} = 0.  phi_{k+1} may be phi_1024, one past `basis_table`'s
+    cap.  Rows are addressed by their position in rows.
     """
 
     def __init__(self, spec, pot, rule, rows):
         self.spec = spec
         self.y, x, self.boost = _node_values(spec, rule)
-        below, phi, above = _phi_neighbours(spec, rows, x)
-        k = np.asarray(rows, dtype=float)[:, None]
+        # row 0 is phi_{-1} = 0, row k + 1 is phi_k
+        table = np.zeros((max(rows) + 3, x.size))
+        _recurrence(spec, x, table[1:])
+        index = np.asarray(rows)
+        below, phi, above = table[index], table[index + 1], table[index + 2]
+        k = index.astype(float)[:, None]
         self.dphi = 0.5 * math.sqrt(2.0 * spec.alpha) * (np.sqrt(k) * below
                                                          - np.sqrt(k + 1.0) * above)
         self.vphi = pot.value(x, mass=spec.mass) * phi
-        # inner_product's first factor w f, for f = phi_r' and f = phi_r
+        # the first factor w f of each inner product, for f = phi_r' and f = phi_r
         self.w_dphi = rule.weights * self.dphi
         self.w_phi = rule.weights * phi
         height = min(_BLOCK_ROWS, len(k))
@@ -292,7 +277,7 @@ class _OracleTables:
     def block(self, first, stop, lead):
         """Oracle (t_rs, v_rs) for r at positions first..stop-1 and s at lead.. on.
 
-        At most `_BLOCK_ROWS` rows.  Each entry is `inner_product`'s
+        At most `_BLOCK_ROWS` rows.  Each entry is the inner product's
         ((w f) g) boost, summed along the nodes and divided by sqrt(alpha).
         Entry (r, s) counts only where s >= r, as in an upper triangle: a
         non-finite term among those raises the QuadratureError of the first
@@ -352,12 +337,12 @@ def element_oracle(spec: BasisSpec, pot: PotentialSpec, r: int, s: int,
     r + s + deg(V) + 4 (over-provisioned) is taken from `gauss_hermite_rule`,
     and an element that needs an order past `MAX_ORDER` raises ValueError
     before anything is built; a supplied rule below the exactness threshold
-    is rejected rather than silently inexact.  It runs `oracle_matrices`'
-    block code on the rows r and s alone.
+    ceil((r + s + deg(V)) / 2) + 2 is rejected rather than silently inexact.
+    It runs `oracle_matrices`' block code on the rows r and s alone.
     """
     r = check_index(r)
     s = check_index(s)
-    need = minimum_order(r, s, pot.degree)
+    need = math.ceil((r + s + pot.degree) / 2) + 2
     if rule is None:
         rule = _oracle_rule(r + s + pot.degree + 4, f"element ({r}, {s})")
     elif rule.order < need:

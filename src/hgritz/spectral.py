@@ -5,8 +5,7 @@ eigenvalues must sit above the exact ones, decrease monotonically and
 interlace as the basis grows (upper-bound/interlacing behaviour), and the
 i-th eigenfunction must carry exactly i certified nodes (node structure).
 The spectrum comparisons are non-strict with tolerance tol = 1e-10 (1 + |eps|).
-node_counts certifies every state of a spectrum from one shared sampling;
-count_nodes is its sign-change rule, applied to one sampled function.
+node_counts certifies every state of a spectrum from one shared sampling.
 """
 
 from __future__ import annotations
@@ -30,7 +29,8 @@ MHU_TOL = 1e-10
 #: Relative floor under which samples count as boundary tail, not signal.
 DEFAULT_AMPLITUDE_FLOOR = 1e-8
 
-#: Grid used for node certification (see default_node_grid).
+#: Points of the uniform grid over |x| <= x_t + 5 / sqrt(alpha) whose spacing
+#: bounds node_counts' grid step (see _half_line_grid).
 NODE_GRID_POINTS = 2001
 
 #: Basis-table entries of one node_counts chunk: a chunk takes
@@ -142,52 +142,15 @@ def check_mhu(table: ConvergenceTable, exact=None) -> list[dict]:
     return checks
 
 
-def count_nodes(values, amplitude_floor: float = DEFAULT_AMPLITUDE_FLOOR) -> int:
-    """Certified sign changes of a sampled function.
-
-    Samples whose magnitude stays below amplitude_floor * max|values| are
-    dropped first (boundary tails and grazing zeros carry no sign
-    information); the count is over strict sign changes between consecutive
-    surviving samples.  Non-finite samples raise ValueError.
-    """
-    v = np.asarray(values, dtype=float)
-    if v.size == 0:
-        raise DegenerateInputError("no samples")
-    finite = np.isfinite(v)
-    if not finite.all():
-        bad = np.flatnonzero(~finite)
-        raise ValueError(f"{bad.size} of {v.size} samples are not finite, the first "
-                         f"{v[bad[0]]} at index {bad[0]}")
-    peak = float(np.abs(v).max())
-    if peak == 0.0:
-        raise DegenerateInputError("all samples are zero")
-    kept = v[np.abs(v) > amplitude_floor * peak]
-    if kept.size == 0:
-        raise DegenerateInputError("all samples below the amplitude floor")
-    signs = np.sign(kept)
-    return int(np.count_nonzero(signs[1:] != signs[:-1]))
-
-
-def default_node_grid(spec: BasisSpec, pot: PotentialSpec, energy: float) -> np.ndarray:
-    """Uniform grid of NODE_GRID_POINTS points over |x| <= x_turn + 5/sqrt(alpha).
-
-    A bound state has no node past its outer turning point x_turn (see
-    node_counts), so the grid covers every node, with a five-decay-length
-    margin for the tail.
-    """
-    x_turn = pot.turning_point(energy, mass=spec.mass)
-    half = x_turn + 5.0 / math.sqrt(spec.alpha)
-    return np.linspace(-half, half, NODE_GRID_POINTS)
-
-
 def _half_line_grid(spec: BasisSpec, turns: np.ndarray, dim: int) -> tuple[float, float]:
     """(h, n): the grid k h, 0 <= k < n, spans [0, max(turns)] and at most a step more.
 
-    h is the spacing of the finest default_node_grid over the outer turning
-    points `turns`, so no state is sampled more coarsely than there, and at
-    most pi / sqrt(alpha (2 dim - 1)), the spacing of the nodes of
-    phi_{dim-1} near x = 0, so no basis function is sampled more coarsely
-    than its nodes where a turning point lies far past them.  n is
+    h is the spacing of NODE_GRID_POINTS uniform points over
+    |x| <= x_t + 5 / sqrt(alpha) for the smallest of the outer turning points
+    `turns`, the finest such grid, so no state is sampled more coarsely than
+    on its own; and at most pi / sqrt(alpha (2 dim - 1)), the spacing of the
+    nodes of phi_{dim-1} near x = 0, so no basis function is sampled more
+    coarsely than its nodes where a turning point lies far past them.  n is
     math.inf where max(turns) / h overflows; node_counts builds the grid one
     chunk at a time and ends it at its tail cut.
     """
@@ -208,10 +171,11 @@ def node_counts(spec: BasisSpec, pot: PotentialSpec, spectrum: Spectrum) -> np.n
     therefore sampled only on its allowed half-line set {x >= 0 : V(x) <= E_i}
     of one grid shared by all states (_half_line_grid), which lies in
     [0, x_t(E_i)] as x_t(E) is the outermost root of V = E.  Its sign
-    changes there are counted by count_nodes' rule: samples at most
-    DEFAULT_AMPLITUDE_FLOOR times the state's peak on that set are dropped,
-    and strict sign changes between the rest count.  The node count is twice
-    that, plus one for an odd state, whose node at x = 0 the parity gives.
+    changes there are counted by one rule: samples at most
+    DEFAULT_AMPLITUDE_FLOOR times the state's peak on that set are dropped
+    (tails and grazing zeros carry no sign), and strict sign changes between
+    the rest count.  The node count is twice that, plus one for an odd
+    state, whose node at x = 0 the parity gives.
 
     One pass evaluates the basis recurrence on the grid a chunk at a time,
     NODE_TABLE_ENTRIES // min(dim, 256) points each, each point once.  The
@@ -221,7 +185,7 @@ def node_counts(spec: BasisSpec, pot: PotentialSpec, spectrum: Spectrum) -> np.n
     floor as runs of one sign, and stores each run as its sign and its
     largest |value|.  At the end a run survives exactly when that value
     exceeds the final floor, so the sign changes between kept samples are
-    the changes of sign between consecutive surviving runs: count_nodes'
+    the changes of sign between consecutive surviving runs: the rule's
     count bit for bit, in storage that grows with the nodes, not with the
     grid.
 
@@ -238,7 +202,7 @@ def node_counts(spec: BasisSpec, pot: PotentialSpec, spectrum: Spectrum) -> np.n
     every x_r the computed phi_r and psi_i carry relative errors far below
     1/3 wherever they are normal doubles.  Every sample dropped so lies at
     or under its state's running floor, which is at or under its final one,
-    so count_nodes keeps none of them and the count is bit for bit its count
+    so the rule keeps none of them and the count is bit for bit its count
     on the whole grid.  The bound is 0.0 where every phi_r(x_c) is, and
     then every later sample is 0 too; so the pass ends within a bounded
     number of chunks past x_{dim-1} on every input, however far the

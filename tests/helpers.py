@@ -10,10 +10,11 @@ and quartic potential matrices come from their hand-derived closed forms, and
 exact potential matrix entries come from the x ladder composed in 40-digit
 decimal arithmetic, as do reference basis tables past the point where
 exp(-alpha x^2 / 2) underflows.  The per-element quadrature oracle is also
-written out here as two `inner_product` calls on the scalar evaluators, and
-implicit-shift QL as the textbook loop that rotates two rows of z^T after
-every rotation.  A Numerov trajectory is stepped one point at a time by
-the textbook three-term recurrence on psi, not the library's summed form.
+written out here as two `inner_product` calls on basis_table rows, the node
+rule as `count_nodes` on one sampled function, and implicit-shift QL as the
+textbook loop that rotates two rows of z^T after every rotation.  A Numerov
+trajectory is stepped one point at a time by the textbook three-term
+recurrence on psi, not the library's summed form.
 """
 
 import decimal
@@ -21,10 +22,11 @@ import math
 
 import numpy as np
 
-from hgritz import (ConvergenceError, basis_derivative, basis_value,
-                    gauss_hermite_rule, inner_product)
+from hgritz import (ConvergenceError, DegenerateInputError, QuadratureError,
+                    basis_table, gauss_hermite_rule)
 from hgritz.basis import check_index
 from hgritz.eigensolver import _EPS, _MAX_SWEEPS
+from hgritz.spectral import DEFAULT_AMPLITUDE_FLOOR, NODE_GRID_POINTS
 
 #: Cap for the unnormalized Hermite path (textbook-value range): H_s and
 #: 2^s s! blow up long before phi_s does.
@@ -37,7 +39,9 @@ def hermite_eval(s, y):
     H_0 = 1, H_1 = 2y, H_{s+1} = 2 y H_s - 2 s H_{s-1}.  Accepts scalar or
     array y; s is capped at HERMITE_EVAL_MAX.
     """
-    s = check_index(s, cap=HERMITE_EVAL_MAX + 1)
+    s = check_index(s)
+    if s > HERMITE_EVAL_MAX:
+        raise ValueError(f"index {s} above cap {HERMITE_EVAL_MAX + 1}")
     arr = np.asarray(y, dtype=float)
     yv = np.atleast_1d(arr)
     h_prev = np.ones_like(yv)
@@ -73,11 +77,34 @@ def x_recurrence_coeffs(r, alpha):
 def _second_derivative(spec, s, x):
     # phi_s'' from two applications of the derivative ladder:
     # (alpha/2) [sqrt(s(s-1)) phi_{s-2} - (2s+1) phi_s + sqrt((s+1)(s+2)) phi_{s+2}]
-    out = -(2.0 * s + 1.0) * basis_value(spec, s, x)
+    table = basis_table(spec, s + 2, x)
+    out = -(2.0 * s + 1.0) * table[s]
     if s >= 2:
-        out = out + math.sqrt(s * (s - 1.0)) * basis_value(spec, s - 2, x)
-    out = out + math.sqrt((s + 1.0) * (s + 2.0)) * basis_value(spec, s + 2, x)
+        out = out + math.sqrt(s * (s - 1.0)) * table[s - 2]
+    out = out + math.sqrt((s + 1.0) * (s + 2.0)) * table[s + 2]
     return 0.5 * spec.alpha * out
+
+
+def inner_product(spec, f, g, rule):
+    """Integral of f(x) g(x) over the line, for f g decaying like exp(-alpha x^2).
+
+    f and g must accept ndarray arguments.  The Gaussian factor is divided
+    back out at the nodes, so the result is exact whenever the de-weighted
+    product is a polynomial the rule can integrate.  A non-finite term
+    raises QuadratureError naming its node.
+    """
+    y = rule.nodes
+    with np.errstate(over="ignore", invalid="ignore"):
+        boost = np.exp(y * y)
+        x = y / math.sqrt(spec.alpha)
+        terms = rule.weights * np.asarray(f(x), dtype=float) \
+            * np.asarray(g(x), dtype=float) * boost
+    bad = np.flatnonzero(~np.isfinite(terms))
+    if bad.size:
+        i = int(bad[0])
+        raise QuadratureError(f"non-finite integrand contribution at node {i} "
+                              f"(y = {y[i]:.6g})", node_index=i, node=float(y[i]))
+    return float(terms.sum()) / math.sqrt(spec.alpha)
 
 
 def kinetic_second_form(spec, r, s, rule=None):
@@ -93,13 +120,31 @@ def kinetic_second_form(spec, r, s, rule=None):
     scale = spec.hbar**2 / (2.0 * spec.mass)
     return -scale * inner_product(
         spec,
-        lambda x: basis_value(spec, r, x),
+        lambda x: basis_table(spec, r, x)[r],
         lambda x: _second_derivative(spec, s, x),
         rule)
 
 
+def _phi_and_slope(spec, r, x):
+    """(phi_r, phi_r') on x from basis_table rows, in the oracle's operation order.
+
+    phi_r' = (sqrt(2 alpha) / 2) (sqrt(r) phi_{r-1} - sqrt(r+1) phi_{r+1}).
+    phi_{r+1} is one more recurrence step, so r may be the index cap's last
+    index; the step carries no binary exponent, which at a Gauss-Hermite
+    node, alpha x^2 = y^2 < 2K + 1 <= 741, the recurrence never does.
+    """
+    table = basis_table(spec, r, x)
+    phi = table[r]
+    below = table[r - 1] if r else np.zeros_like(phi)
+    sq2y = math.sqrt(2.0) * (np.asarray(x, dtype=float) * math.sqrt(spec.alpha))
+    above = (sq2y * phi - math.sqrt(r) * below) / math.sqrt(r + 1)
+    slope = 0.5 * math.sqrt(2.0 * spec.alpha) * (math.sqrt(r) * below
+                                                 - math.sqrt(r + 1.0) * above)
+    return phi, slope
+
+
 def element_by_inner_products(spec, pot, r, s, rule):
-    """(t_rs, v_rs) as two `inner_product` calls on basis_derivative and basis_value.
+    """(t_rs, v_rs) as two `inner_product` calls on phi and phi' from basis_table rows.
 
     The per-element definition the batched oracle rows must reproduce bit
     for bit: kinetic (hbar^2/2m) (phi_r', phi_s'), potential (phi_r, V phi_s).
@@ -107,15 +152,51 @@ def element_by_inner_products(spec, pot, r, s, rule):
     scale = spec.hbar**2 / (2.0 * spec.mass)
     t_rs = scale * inner_product(
         spec,
-        lambda x: basis_derivative(spec, r, x),
-        lambda x: basis_derivative(spec, s, x),
+        lambda x: _phi_and_slope(spec, r, x)[1],
+        lambda x: _phi_and_slope(spec, s, x)[1],
         rule)
     v_rs = inner_product(
         spec,
-        lambda x: basis_value(spec, r, x),
-        lambda x: pot.value(x, mass=spec.mass) * basis_value(spec, s, x),
+        lambda x: _phi_and_slope(spec, r, x)[0],
+        lambda x: pot.value(x, mass=spec.mass) * _phi_and_slope(spec, s, x)[0],
         rule)
     return t_rs, v_rs
+
+
+def count_nodes(values, amplitude_floor=DEFAULT_AMPLITUDE_FLOOR):
+    """Certified sign changes of a sampled function: node_counts' rule on one state.
+
+    Samples whose magnitude stays below amplitude_floor * max|values| are
+    dropped first (boundary tails and grazing zeros carry no sign
+    information); the count is over strict sign changes between consecutive
+    surviving samples.  Non-finite samples raise ValueError.
+    """
+    v = np.asarray(values, dtype=float)
+    if v.size == 0:
+        raise DegenerateInputError("no samples")
+    finite = np.isfinite(v)
+    if not finite.all():
+        bad = np.flatnonzero(~finite)
+        raise ValueError(f"{bad.size} of {v.size} samples are not finite, the first "
+                         f"{v[bad[0]]} at index {bad[0]}")
+    peak = float(np.abs(v).max())
+    if peak == 0.0:
+        raise DegenerateInputError("all samples are zero")
+    kept = v[np.abs(v) > amplitude_floor * peak]
+    if kept.size == 0:
+        raise DegenerateInputError("all samples below the amplitude floor")
+    signs = np.sign(kept)
+    return int(np.count_nonzero(signs[1:] != signs[:-1]))
+
+
+def node_grid(spec, pot, energy):
+    """Uniform grid of NODE_GRID_POINTS points over |x| <= x_turn + 5 / sqrt(alpha).
+
+    A bound state has no node past its outer turning point x_turn, so the
+    grid covers every node, with a five-decay-length margin for the tail.
+    """
+    half = pot.turning_point(energy, mass=spec.mass) + 5.0 / math.sqrt(spec.alpha)
+    return np.linspace(-half, half, NODE_GRID_POINTS)
 
 
 def oscillator_state_closed_form(r, x, alpha=1.0):

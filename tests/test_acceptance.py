@@ -6,13 +6,13 @@ criterion.  Tolerances are pinned here and nowhere else.
 
 import numpy as np
 
-from helpers import charpoly_eigenvalues, exact_parity, oscillator_state_closed_form
+from helpers import (charpoly_eigenvalues, exact_parity, node_grid,
+                     oscillator_state_closed_form)
 
 from hgritz import (BasisSpec, Constants, ConvergenceTable, PotentialSpec,
-                    basis_table, check_mhu, convergence_table, default_node_grid,
-                    eigh, element_oracle, gauss_hermite_rule, hamiltonian_matrix,
-                    kinetic_matrix, minimize_alpha, node_counts, potential_matrix,
-                    solve_spectrum)
+                    basis_table, check_mhu, convergence_table, eigh, element_oracle,
+                    gauss_hermite_rule, hamiltonian_matrix, kinetic_matrix,
+                    minimize_alpha, node_counts, potential_matrix, solve_spectrum)
 from hgritz import numerov
 
 C = Constants()
@@ -44,7 +44,7 @@ def test_criterion_2_eigenfunctions_match_closed_form():
     spectrum = solve_spectrum(HARM, C, 1.0, 30)
     worst = 0.0
     for r in range(11):
-        grid = default_node_grid(spec, HARM, float(spectrum.eigenvalues[r]))
+        grid = node_grid(spec, HARM, float(spectrum.eigenvalues[r]))
         values = spectrum.eigenvectors[:, r] @ basis_table(spec, 29, grid)
         direct = oscillator_state_closed_form(r, grid)
         err = min(np.abs(values - direct).max(), np.abs(values + direct).max())

@@ -6,11 +6,24 @@ import pytest
 from helpers import (HERMITE_EVAL_MAX, basis_table_decimal, hermite_eval,
                      x_recurrence_coeffs)
 
-import hgritz.basis as basis
-from hgritz import (BasisSpec, MAX_INDEX, basis_derivative, basis_table,
-                    basis_value)
+import hgritz.quadrature as quadrature
+from hgritz import (BasisSpec, Constants, MAX_INDEX, PotentialSpec, basis_table,
+                    gauss_hermite_rule)
 
 SPEC1 = BasisSpec(1.0)
+
+
+def basis_row(spec, r, x):
+    """phi_r on x: row r of basis_table."""
+    return basis_table(spec, r, x)[r]
+
+
+def oracle_derivative(spec, r, order):
+    """(x, phi_r'(x)) at the nodes of a rule of `order`, as the quadrature oracle forms it."""
+    rule = gauss_hermite_rule(order)
+    tables = quadrature._OracleTables(spec, PotentialSpec.harmonic(1.0), rule, [r])
+    return rule.nodes / math.sqrt(spec.alpha), tables.dphi[0]
+
 
 # explicit low-order Hermite polynomials, the textbook cross-check route
 EXPLICIT_H = {
@@ -52,12 +65,12 @@ def test_hermite_index_errors():
 
 
 def test_basis_value_at_origin():
-    assert basis_value(SPEC1, 0, 0.0) == pytest.approx(math.pi ** -0.25, rel=1e-14)
-    assert basis_value(SPEC1, 1, 0.0) == 0.0
+    assert basis_row(SPEC1, 0, 0.0) == pytest.approx(math.pi ** -0.25, rel=1e-14)
+    assert basis_row(SPEC1, 1, 0.0) == 0.0
 
 
 def test_basis_value_gaussian_decay():
-    assert abs(basis_value(BasisSpec(4.0), 0, 10.0)) < 1e-80
+    assert abs(basis_row(BasisSpec(4.0), 0, 10.0)) < 1e-80
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
@@ -68,15 +81,15 @@ def test_basis_value_matches_closed_form(alpha):
     for r in range(13):
         norm = (alpha / math.pi) ** 0.25 / math.sqrt(2.0**r * math.factorial(r))
         direct = norm * hermite_eval(r, x * math.sqrt(alpha)) * np.exp(-0.5 * alpha * x * x)
-        np.testing.assert_allclose(basis_value(spec, r, x), direct, rtol=1e-12, atol=1e-13)
+        np.testing.assert_allclose(basis_row(spec, r, x), direct, rtol=1e-12, atol=1e-13)
 
 
 def test_basis_parity_exact():
     spec = BasisSpec(0.8)
     x = np.linspace(0.05, 10.0, 57)
     for r in range(51):
-        left = basis_value(spec, r, -x)
-        right = (-1.0) ** r * basis_value(spec, r, x)
+        left = basis_row(spec, r, -x)
+        right = (-1.0) ** r * basis_row(spec, r, x)
         np.testing.assert_allclose(left, right, rtol=1e-14, atol=0.0)
 
 
@@ -86,10 +99,10 @@ def test_x_recurrence_identity_pointwise(r):
     spec = BasisSpec(alpha)
     up, down = x_recurrence_coeffs(r, alpha)
     x = np.linspace(-6.0, 6.0, 100)
-    lhs = x * basis_value(spec, r, x)
-    rhs = up * basis_value(spec, r + 1, x)
+    lhs = x * basis_row(spec, r, x)
+    rhs = up * basis_row(spec, r + 1, x)
     if r > 0:
-        rhs = rhs + down * basis_value(spec, r - 1, x)
+        rhs = rhs + down * basis_row(spec, r - 1, x)
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
@@ -102,25 +115,29 @@ def test_x_recurrence_coeff_values():
 
 @pytest.mark.parametrize("alpha,r", [(1.0, 0), (1.0, 1), (0.5, 4), (2.0, 9), (1.0, 25)])
 def test_derivative_matches_finite_differences(alpha, r):
+    # the quadrature oracle's derivative ladder, at the nodes of its rule
     spec = BasisSpec(alpha)
     h = 1e-5
-    # sample away from nodes so the relative comparison is meaningful
-    x = np.linspace(0.11, 2.6, 23) + 0.013 * r
-    fd = (basis_value(spec, r, x + h) - basis_value(spec, r, x - h)) / (2.0 * h)
-    exact = basis_derivative(spec, r, x)
+    x, exact = oracle_derivative(spec, r, 2 * r + 8)
+    fd = (basis_row(spec, r, x + h) - basis_row(spec, r, x - h)) / (2.0 * h)
+    # away from the extrema, so the relative comparison is meaningful
     mask = np.abs(exact) > 1e-3
+    assert mask.sum() >= 4
     np.testing.assert_allclose(exact[mask], fd[mask], rtol=1e-6)
 
 
 def test_derivative_at_origin():
-    assert basis_derivative(SPEC1, 0, 0.0) == 0.0
+    # an odd rule's middle node is 0
+    x, slope = oracle_derivative(SPEC1, 0, 3)
+    assert x[1] == 0.0 and slope[1] == 0.0
     # phi_1 = sqrt(2 alpha) x phi_0, so its slope at 0 is sqrt(2) pi^(-1/4);
     # the finite-difference oracle certifies the same number
     expected = math.sqrt(2.0) * math.pi ** -0.25
-    assert basis_derivative(SPEC1, 1, 0.0) == pytest.approx(expected, rel=1e-13)
+    _, slope = oracle_derivative(SPEC1, 1, 3)
+    assert slope[1] == pytest.approx(expected, rel=1e-13)
     h = 1e-5
-    fd = (basis_value(SPEC1, 1, h) - basis_value(SPEC1, 1, -h)) / (2.0 * h)
-    assert basis_derivative(SPEC1, 1, 0.0) == pytest.approx(fd, rel=1e-8)
+    fd = (basis_row(SPEC1, 1, h) - basis_row(SPEC1, 1, -h)) / (2.0 * h)
+    assert slope[1] == pytest.approx(fd[0], rel=1e-8)
 
 
 @pytest.mark.parametrize("r", [0, 1, 5, 17, 50])
@@ -129,7 +146,7 @@ def test_node_structure(r):
     spec = BasisSpec(alpha)
     half = math.sqrt((2 * r + 1) / alpha) + 5.0 / math.sqrt(alpha)
     x = np.linspace(-half, half, 4001)
-    v = basis_value(spec, r, x)
+    v = basis_row(spec, r, x)
     kept = v[np.abs(v) > 1e-10 * np.abs(v).max()]
     signs = np.sign(kept)
     assert int(np.count_nonzero(signs[1:] != signs[:-1])) == r
@@ -138,18 +155,19 @@ def test_node_structure(r):
 def test_no_overflow_high_index():
     spec = BasisSpec(4.0)
     x = np.linspace(-10.0, 10.0, 201)  # |x sqrt(alpha)| <= 20
-    v = basis_value(spec, 200, x)
+    v = basis_row(spec, 200, x)
     assert np.all(np.isfinite(v))
     assert np.abs(v).max() < 10.0
 
 
 def test_basis_table_consistent_with_basis_value():
+    # row r is the same whatever rows follow it
     spec = BasisSpec(0.7)
     x = np.linspace(-2.0, 2.0, 9)
     table = basis_table(spec, 6, x)
     assert table.shape == (7, 9)
     for r in range(7):
-        np.testing.assert_array_equal(table[r], basis_value(spec, r, x))
+        np.testing.assert_array_equal(table[r], basis_row(spec, r, x))
 
 
 def test_spec_validation():
@@ -163,13 +181,20 @@ def test_spec_validation():
         BasisSpec(1.0, mass=-2.0)
     with pytest.raises(ValueError):
         BasisSpec(float("nan"))
+    # a bool or a string is no real, though float() takes both
+    with pytest.raises(ValueError, match="^alpha must be a positive real, got True$"):
+        BasisSpec(True)
+    with pytest.raises(ValueError, match="^hbar must be a positive real, got '1'$"):
+        Constants(hbar="1")
 
 
 def test_index_cap():
-    with pytest.raises(ValueError):
-        basis_value(SPEC1, MAX_INDEX, 0.0)
-    with pytest.raises(ValueError):
-        basis_derivative(SPEC1, -1, 0.0)
+    with pytest.raises(ValueError, match=f"index {MAX_INDEX} above cap {MAX_INDEX}"):
+        basis_table(SPEC1, MAX_INDEX, 0.0)
+    with pytest.raises(ValueError, match="index must be non-negative"):
+        basis_table(SPEC1, -1, 0.0)
+    with pytest.raises(TypeError, match="index must be an integer"):
+        basis_table(SPEC1, 2.0, 0.0)
 
 
 def _plain_table(spec, rmax, x):
@@ -198,7 +223,7 @@ def test_basis_table_past_seed_underflow_matches_decimal():
     normal = envelope > np.finfo(float).tiny
     assert np.all(np.abs(got - want)[normal] <= 1e-10 * envelope[normal])
     for r in (0, 700, 1022):
-        np.testing.assert_array_equal(basis_value(spec, r, x), got[r])
+        np.testing.assert_array_equal(basis_row(spec, r, x), got[r])
 
 
 def test_basis_table_bits_unchanged_where_seed_is_normal():
@@ -258,12 +283,8 @@ def test_basis_table_rows_bitwise_equal_the_stacked_recurrence(alpha, x, rmax):
     got = basis_table(spec, rmax, x)
     want = _stacked_rows(spec, rmax, x)
     assert got.tobytes() == want.tobytes()
-    # a ring of three rows yields the same rows as the whole table
-    ring = np.empty((3, x.size))
-    rows = [row.copy() for row in basis._recurrence(spec, x, rmax + 1, ring)]
-    assert np.array(rows).tobytes() == got.tobytes()
     for r in (0, 1, rmax):
-        assert basis_value(spec, r, x).tobytes() == got[r].tobytes()
+        assert basis_row(spec, r, x).tobytes() == got[r].tobytes()
 
 
 def test_far_points_give_zero():
@@ -272,8 +293,8 @@ def test_far_points_give_zero():
     spec = BasisSpec(1.0)
     with np.errstate(invalid="ignore"):
         # phi_1 is inf * 0 there, as it always was
-        assert basis_value(spec, 0, np.inf) == 0.0
-        assert basis_value(spec, 0, -np.inf) == 0.0
+        assert basis_row(spec, 0, np.inf) == 0.0
+        assert basis_row(spec, 0, -np.inf) == 0.0
     with np.errstate(over="raise", invalid="raise"):
         np.testing.assert_array_equal(basis_table(spec, 5, [1e10, -1e10, 1e5]), 0.0)
-        assert basis_value(spec, 1023, 1e5) == 0.0
+        assert basis_row(spec, 1023, 1e5) == 0.0

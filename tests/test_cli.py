@@ -197,12 +197,13 @@ class TestSolve:
             elements.append(1)
             return element_oracle(*args, **kwargs)
 
-        def counted_pass(spec, xv, stop, out):
-            passes.append(stop)
-            return recurrence(spec, xv, stop, out)
+        def counted_pass(spec, xv, out):
+            passes.append(len(out))
+            return recurrence(spec, xv, out)
 
         monkeypatch.setattr(quadrature, "element_oracle", counted_element)
         monkeypatch.setattr(basis, "_recurrence", counted_pass)
+        monkeypatch.setattr(quadrature, "_recurrence", counted_pass)
         code, out, _ = run_cli(capsys, ["oracle-compare", "--potential", "quartic",
                                         "--dim", "64"])
         assert code in (0, 1)
@@ -435,8 +436,15 @@ class TestVerifyMhu:
          "--exact-levels must be positive"),
         (["--potential", "quartic", "--dims", "2,4", "--exact", "analytic"],
          "--exact analytic applies only to the harmonic potential"),
+        # whose table leaves the float range: the usage error comes first
+        (["--potential", "quartic", "--lambda", "1e300", "--alpha", "1e-3", "--dims", "4,12",
+          "--exact", "analytic"], "--exact analytic applies only to the harmonic potential"),
+        (["--potential", "quartic", "--lambda", "1e300", "--alpha", "1e-3", "--dims", "4,12",
+          "--exact", "numerov", "--exact-levels", "0"], "--exact-levels must be positive"),
     ])
-    def test_usage_errors_name_their_flag(self, capsys, argv, message):
+    def test_usage_errors_name_their_flag(self, capsys, monkeypatch, argv, message):
+        # each is refused before any level is solved
+        monkeypatch.setattr(cli, "convergence_table", None)
         with pytest.raises(SystemExit) as err:
             cli.main(["verify-mhu", *argv])
         assert err.value.code == 2

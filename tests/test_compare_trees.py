@@ -18,6 +18,7 @@ SUMMARIES = ["2 of 2 solves and rules bit-identical",
              "2 of 2 node counts identical",
              "2 of 2 tables and grids bit-identical",
              "2 of 2 searches bit-identical",
+             "2 of 2 oracle matrices and basis tables bit-identical",
              "2 of 2 requests identical"]
 
 
@@ -44,6 +45,10 @@ def records():
                       {"result": ((1.0).hex(), (0.5).hex(), False)}),
                      ("search out_of_range 1.0 dim=8 bracket=(1e-300, 1e+300) levels=1",
                       {"result": "raised RangeError: (2 alpha)^2 = 10^599.8 lies outside"})],
+        "oracle": [("oracle quartic 1.0 alpha=1.0 dim=2",
+                    {"T and V": (np.array([[0.5, 0.0], [0.0, 1.5]]).tobytes(),
+                                 np.array([[0.75, 0.0], [0.0, 3.75]]).tobytes())}),
+                   ("basis table alpha=1.8 rows=2", {"table": (np.ones((2, 3)).tobytes(),)})],
         "cli": [("solve seed 1 request 0", {"exit code": 0, "stdout": "{}\n"}),
                 ("solve seed 1 request 1",
                  {"exit code": "raised ValueError: no", "stdout": ""})],
@@ -201,7 +206,7 @@ def test_one_search_result_differs(capsys):
     code, lines = run(capsys, records(), new)
     assert code == 1
     assert lines == [f"{label}: result differ", *SUMMARIES[:4],
-                     "1 of 2 searches bit-identical", SUMMARIES[5]]
+                     "1 of 2 searches bit-identical", *SUMMARIES[5:]]
 
 
 def test_search_sweep_covers_families_dims_levels_and_edge_cases(monkeypatch):
@@ -397,7 +402,59 @@ def test_table_sweep_covers_families_and_raising_cases(monkeypatch):
                       "grid out_of_range 1.0 dim=3 alphas=(1e-300, 1.0)"]
 
 
-@pytest.mark.parametrize("sweep", ["eigh", "numerov", "nodes", "tables", "searches", "cli"])
+def test_one_oracle_entry_differs(capsys):
+    new = records()
+    label, fields = new["oracle"][0]
+    t_bytes, _ = fields["T and V"]
+    v = np.array([[0.75, 0.0], [0.0, np.nextafter(3.75, 4.0)]])
+    new["oracle"][0] = (label, {"T and V": (t_bytes, v.tobytes())})
+    code, lines = run(capsys, records(), new)
+    assert code == 1
+    assert lines == [f"{label}: T and V differ", *SUMMARIES[:5],
+                     "1 of 2 oracle matrices and basis tables bit-identical", SUMMARIES[6]]
+
+
+def test_oracle_sweep_covers_families_dims_and_carried_points(monkeypatch):
+    import hgritz
+    import hgritz.quadrature as quadrature
+
+    oracles, tables = [], []
+
+    def oracle_matrices(spec, pot, dim):
+        oracles.append((pot.kind, pot.degree, spec.alpha, dim))
+        if dim == 64 and pot.kind == "harmonic":
+            raise ValueError("too large")
+        return np.zeros((dim, dim)), np.ones((dim, dim))
+
+    def basis_table(spec, rmax, x):
+        x = np.asarray(x, dtype=float)
+        tables.append((spec.alpha, rmax, x))
+        return np.zeros((rmax + 1, x.size))
+
+    monkeypatch.setattr(quadrature, "oracle_matrices", oracle_matrices)
+    monkeypatch.setattr(hgritz, "basis_table", basis_table)
+    sweep = compare_trees._oracle_sweep()
+    assert len(sweep) == len(oracles) + len(tables) == 4 * 4 * 18 + 3 * 3 + 1
+    assert {(kind, degree) for kind, degree, _, _ in oracles} == \
+        {("harmonic", 2), ("quartic", 4), ("even_polynomial", 6), ("even_polynomial", 4)}
+    dims = {dim for _, _, _, dim in oracles}
+    assert min(dims) == 1 and max(dims) == 64 and {15, 16, 17, 63} <= dims
+    # points past alpha x^2 = 1416 run on carried mantissas; the last table
+    # holds points where every row is 0
+    assert any(alpha * np.max(x * x) > 1416.0 for alpha, _, x in tables[:-1])
+    assert any(alpha * np.max(x * x) < 1416.0 for alpha, _, x in tables[:-1])
+    assert max(rmax for _, rmax, _ in tables) == hgritz.MAX_INDEX - 1
+    assert np.isinf(tables[-1][2]).any()
+    assert sweep[0][1] == {"T and V": (np.zeros((1, 1)).tobytes(), np.ones((1, 1)).tobytes())}
+    raised = [label for label, fields in sweep
+              if fields.get("T and V") == "raised ValueError: too large"]
+    assert raised == [f"oracle harmonic 1.0 alpha={alpha} dim=64"
+                      for alpha in compare_trees.ORACLE_ALPHAS]
+    assert sweep[-1][1] == {"table": (np.zeros((1024, 4)).tobytes(),)}
+
+
+@pytest.mark.parametrize("sweep", ["eigh", "numerov", "nodes", "tables", "searches", "oracle",
+                                   "cli"])
 def test_shorter_record_list_is_reported(capsys, sweep):
     new = records()
     dropped = new[sweep].pop()[0]
@@ -421,11 +478,12 @@ def test_label_mismatch_is_reported(capsys):
 def test_a_failed_tree_differs_everywhere(capsys):
     code, lines = run(capsys, records(), {})
     assert code == 1
-    assert lines[-6:] == ["0 of 2 solves and rules bit-identical",
+    assert lines[-7:] == ["0 of 2 solves and rules bit-identical",
                           "0 of 2 spectra bit-identical (0 levels)",
                           "0 of 2 node counts identical",
                           "0 of 2 tables and grids bit-identical",
                           "0 of 2 searches bit-identical",
+                          "0 of 2 oracle matrices and basis tables bit-identical",
                           "0 of 2 requests identical"]
 
 

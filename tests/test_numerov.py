@@ -32,6 +32,12 @@ ODD_LEVEL_X_MAX = 4.012210575973266
 ODD_LEVEL_BRACKET = (15.53594570308352, 15.662254196604524)
 
 
+def airy_length(pot, constants, energy):
+    """`numerov._airy_length` at the turning point of `energy`, which lies above min V."""
+    x_t = pot.turning_point(energy, mass=constants.mass)
+    return numerov._airy_length(pot, constants, x_t, energy - pot.minimum(mass=constants.mass))
+
+
 def lapack_level(pot, level):
     """Level `level` of LAPACK's dense solve at alpha 3 and dim 200.
 
@@ -63,13 +69,7 @@ class TestConfig:
     def test_default_config_domain(self):
         cfg = numerov.default_config(HARM, C, 0.6, steps=2000)
         x_t = HARM.turning_point(0.6, mass=1.0)
-        assert cfg.x_max > x_t + 5.0 * numerov.decay_length(HARM, C, 0.6)
-
-    def test_decay_length_needs_a_turning_point(self):
-        # its slope floor, (V(x_t) - min V) / x_t, needs x_t > 0
-        for energy in (0.0, -1.0):
-            with pytest.raises(ValueError, match="no turning point"):
-                numerov.decay_length(HARM, C, energy)
+        assert cfg.x_max > x_t + 5.0 * airy_length(HARM, C, 0.6)
 
     def test_default_config_needs_e_hi_above_the_scan_start(self):
         # the scan starts at min V = 0; no level lies at or below it
@@ -274,7 +274,7 @@ class TestSpectrumBelow:
         h = cfg.x_max / cfg.steps
         for energy, points in built:
             x_t = pot.turning_point(energy, mass=1.0)
-            cut = x_t + 2.0 * numerov.decay_length(pot, C, energy)
+            cut = x_t + 2.0 * airy_length(pot, C, energy)
             assert points <= int(cut / h) + 2 < cfg.steps
 
     def test_count_outside_its_range_is_refused(self, monkeypatch):
@@ -913,7 +913,7 @@ class TestNodeCounts:
         for config, energy, parity, got in counted:
             h = config.x_max / config.steps
             cut = (pot.turning_point(energy, mass=constants.mass)
-                   + 2.0 * numerov.decay_length(pot, constants, energy))
+                   + 2.0 * airy_length(pot, constants, energy))
             points = int(min(cut, config.x_max) / h) + 1
             reference = numerov_trajectory(pot, constants, config.x_max, config.steps, energy,
                                            parity, points)

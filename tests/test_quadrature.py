@@ -6,17 +6,16 @@ import numpy as np
 import pytest
 from numpy.polynomial.hermite import hermgauss
 
-from helpers import (element_by_inner_products, hermite_eval, kinetic_second_form,
-                     ql_rotation_by_rotation)
+from helpers import (element_by_inner_products, hermite_eval, inner_product,
+                     kinetic_second_form, ql_rotation_by_rotation)
 
 import hgritz.cli as cli
 import hgritz.eigensolver as eigensolver
 import hgritz.quadrature as quadrature
 from hgritz import (MAX_INDEX, BasisSpec, ConvergenceError, PotentialSpec, QuadratureError,
-                    QuadratureRule,
-                    basis_value, element_oracle, gauss_hermite_rule,
-                    inner_product, kinetic_matrix, potential_matrix)
-from hgritz.quadrature import MAX_ORDER, minimum_order, oracle_matrices
+                    QuadratureRule, basis_table, element_oracle, gauss_hermite_rule,
+                    kinetic_matrix, potential_matrix)
+from hgritz.quadrature import MAX_ORDER, oracle_matrices
 
 SQRT_PI = math.sqrt(math.pi)
 EPS = np.finfo(float).eps
@@ -228,8 +227,8 @@ class TestInnerProduct:
         for r in range(21):
             for s in range(r, 21):
                 got = inner_product(spec,
-                                    lambda x: basis_value(spec, r, x),
-                                    lambda x: basis_value(spec, s, x),
+                                    lambda x: basis_table(spec, r, x)[r],
+                                    lambda x: basis_table(spec, s, x)[s],
                                     rule)
                 want = 1.0 if r == s else 0.0
                 assert abs(got - want) <= 1e-10
@@ -237,16 +236,16 @@ class TestInnerProduct:
     def test_opposite_parity_vanishes(self):
         rule = gauss_hermite_rule(8)
         got = inner_product(SPEC1,
-                            lambda x: basis_value(SPEC1, 0, x),
-                            lambda x: basis_value(SPEC1, 1, x),
+                            lambda x: basis_table(SPEC1, 0, x)[0],
+                            lambda x: basis_table(SPEC1, 1, x)[1],
                             rule)
         assert abs(got) <= 1e-14
 
     def test_x_squared_cross_element(self):
         rule = gauss_hermite_rule(8)
         got = inner_product(SPEC1,
-                            lambda x: basis_value(SPEC1, 0, x),
-                            lambda x: x * x * basis_value(SPEC1, 2, x),
+                            lambda x: basis_table(SPEC1, 0, x)[0],
+                            lambda x: x * x * basis_table(SPEC1, 2, x)[2],
                             rule)
         assert got == pytest.approx(math.sqrt(2.0) / 2.0, abs=1e-12)
 
@@ -283,10 +282,11 @@ class TestElementOracle:
             element_oracle(SPEC1, QUART, 200, 200)
 
     def test_insufficient_order_rejected(self):
-        rule = gauss_hermite_rule(5)
-        assert minimum_order(6, 6, 4) > 5
-        with pytest.raises(ValueError):
-            element_oracle(SPEC1, QUART, 6, 6, rule)
+        # (6, 6) of a quartic needs ceil((6 + 6 + 4) / 2) + 2 = 10; 10 is taken
+        with pytest.raises(ValueError, match=r"^rule order 9 below exactness threshold 10 "
+                                             r"for element \(6, 6\)$"):
+            element_oracle(SPEC1, QUART, 6, 6, gauss_hermite_rule(9))
+        element_oracle(SPEC1, QUART, 6, 6, gauss_hermite_rule(10))
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("pot", [HARM, QUART,
@@ -352,7 +352,7 @@ class TestOracleMatrices:
                              ids=["quartic", "sextic", "deep-well"])
     def test_element_oracle_is_the_inner_product_integral(self, pot):
         # element_oracle shares the batched row code; the per-element route
-        # through inner_product and the scalar evaluators pins both
+        # through inner_product on basis_table rows pins both
         spec = BasisSpec(1.3)
         dim = 21
         rule = gauss_hermite_rule(2 * (dim - 1) + pot.degree + 4)

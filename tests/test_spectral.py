@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from helpers import exact_parity
+from helpers import count_nodes, exact_parity, node_grid
 
 import hgritz.spectral as spectral
 from hgritz import (BasisSpec, Constants, ConvergenceTable, DegenerateInputError,
-                    PotentialSpec, Spectrum, basis_table, check_mhu, count_nodes,
-                    default_node_grid, node_counts, solve_spectrum)
+                    PotentialSpec, Spectrum, basis_table, check_mhu, node_counts,
+                    solve_spectrum)
 
 SPEC1 = BasisSpec(1.0)
 HARM = PotentialSpec.harmonic(1.0)
@@ -98,12 +98,14 @@ class TestCheckMhu:
         assert "(i=0, dim=4)" in bound["detail"]
 
     def test_table_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^dims must be strictly increasing$"):
             ConvergenceTable((4, 2), (np.zeros(4), np.zeros(2)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^each spectrum must ascend$"):
             ConvergenceTable((2,), (np.array([2.0, 1.0]),))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^spectrum for dim 2 must have 2 entries$"):
             ConvergenceTable((2,), (np.array([1.0, 2.0, 3.0]),))
+        with pytest.raises(ValueError, match="^need one spectrum per dim$"):
+            ConvergenceTable((2, 4), (np.array([1.0, 2.0]),))
 
     def test_dims_must_be_integers(self):
         # dims (2.9,) were once truncated to (2,)
@@ -128,10 +130,11 @@ class TestCheckMhu:
 
 class TestNodeGrid:
     def test_covers_turning_point_with_margin(self):
-        grid = default_node_grid(SPEC1, HARM, 0.5)
-        assert grid.size == 2001
-        assert grid[0] == -grid[-1]
-        assert grid[-1] == pytest.approx(1.0 + 5.0, rel=1e-12)
+        # the spacing of 2001 points over |x| <= x_t + 5 / sqrt(alpha), x_t = 1;
+        # the grid ends within a step past x_t
+        step, size = spectral._half_line_grid(SPEC1, np.array([1.0]), 1)
+        assert step == pytest.approx(2.0 * (1.0 + 5.0) / 2000, rel=1e-12)
+        assert (size - 2) * step < 1.0 <= (size - 1) * step
 
     def test_node_theorem_harmonic(self):
         # reference: count_nodes on the whole line, one state at a time
@@ -139,7 +142,7 @@ class TestNodeGrid:
             spectrum = solve_spectrum(HARM, C, 1.0, dim)
             counts = node_counts(SPEC1, HARM, spectrum)
             for i in range(11):
-                grid = default_node_grid(SPEC1, HARM, float(spectrum.eigenvalues[i]))
+                grid = node_grid(SPEC1, HARM, float(spectrum.eigenvalues[i]))
                 values = spectrum.eigenvectors[:, i] @ basis_table(SPEC1, dim - 1, grid)
                 assert counts[i] == count_nodes(values) == i, (dim, i)
 
@@ -177,7 +180,7 @@ class TestNodeCounts:
         turns = np.array([self.QUART.turning_point(e, mass=1.0) for e in energies])
         step, size = spectral._half_line_grid(spec, turns, spectrum.dim)
         grid = step * np.arange(size)
-        finest = min(np.diff(default_node_grid(spec, self.QUART, e)).min() for e in energies)
+        finest = min(np.diff(node_grid(spec, self.QUART, e)).min() for e in energies)
         assert grid[0] == 0.0
         assert np.diff(grid).max() <= finest * (1.0 + 1e-12)
         assert grid[-1] >= turns.max()

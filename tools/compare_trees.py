@@ -3,7 +3,7 @@
     python tools/compare_trees.py OLD_SRC NEW_SRC
 
 Each tree (a directory holding the hgritz package) is imported in its own
-subprocess, and the two run at once.  Each runs six sweeps:
+subprocess, and the two run at once.  Each runs seven sweeps:
 
 - eigensolver: 345 Hamiltonians of five potential families (harmonic,
   quartic, quartic and sextic single wells, double wells) at dims 1 to 256
@@ -49,6 +49,14 @@ subprocess, and the two run at once.  Each runs six sweeps:
   2^256; and on a bracket whose first width leaves the float range.
   alpha_star, energy and boundary are compared bit for bit, and a search
   that raises is compared by its exception's text.
+- oracle: `quadrature.oracle_matrices` on four potential families
+  (harmonic, quartic, a sextic single well and a deep double well) at four
+  widths and 18 dims from 1 to 64, those either side of each 16-row block
+  among them: the bytes of T and V.  Beside them, `basis_table` of 2, 65
+  and 1,024 rows at three widths on 161 points of [-40, 40], where
+  alpha x^2 passes 1416 at two of the widths and the rows run on carried
+  mantissas, and on points so far out that every row is 0 or NaN: the bytes
+  of each table.  A case that raises is compared by its exception's text.
 - CLI reports: the first 40 requests of each benchmark workload (solve,
   minimize, certify) on seeds 1 to 3, as `bench/workloads.stream` makes
   them, through `hgritz.cli.main(argv + ["--format", "json"])`, the call the
@@ -96,6 +104,7 @@ SWEEPS = {"eigh": "solves and rules bit-identical",
           "nodes": "node counts identical",
           "tables": "tables and grids bit-identical",
           "searches": "searches bit-identical",
+          "oracle": "oracle matrices and basis tables bit-identical",
           "cli": "requests identical"}
 
 #: The field that holds the exception a Numerov spectrum raised.  It never
@@ -172,6 +181,26 @@ SEARCH_CASES = (
     ("scaled_quartic", "quartic", 1e75, 13, (0.005, 0.02), 2),
     ("out_of_range", "quartic", 1.0, 8, (1e-300, 1e300), 1),
 )
+
+#: Potential families of the oracle sweep, each at the four widths.
+ORACLE_FAMILIES = {
+    "harmonic": ("harmonic", 1.0),
+    "quartic": ("quartic", 1.0),
+    "sextic_well": ("even_polynomial", (0.0, 0.5, 0.1, 0.05)),
+    "double_well": ("even_polynomial", (0.0, -10.0, 0.5)),
+}
+ORACLE_ALPHAS = (0.5, 1.0, 1.5, 2.5)
+#: Dims up to `cli.ORACLE_MAX_DIM`, either side of each 16-row block.
+ORACLE_DIMS = (1, 2, 3, 4, 5, 7, 8, 13, 15, 16, 17, 31, 32, 33, 47, 48, 63, 64)
+#: Widths and last rows of the basis tables on `TABLE_POINTS`: alpha x^2
+#: reaches 640, 2,880 and 6,400, so the last two pass the 1416 where phi_0
+#: leaves the normal doubles.
+BASIS_ALPHAS = (0.4, 1.8, 4.0)
+BASIS_ROWS = (1, 64, 1023)
+TABLE_POINTS = 161
+#: Points past the reach of every row: each row is 0 there, or NaN (inf * 0)
+#: at the infinite ones.
+FAR_POINTS = (1e5, -1e10, float("inf"), float("-inf"))
 
 #: Last parts of the `results` keys that hold an index pair, such as the
 #: (r, s) of an oracle report's largest discrepancy: a moved one is named by
@@ -312,6 +341,34 @@ def _search_sweep():
     return out
 
 
+def _oracle_sweep():
+    from hgritz import BasisSpec, basis_table
+    from hgritz.quadrature import oracle_matrices
+    import numpy as np
+
+    def record(label, field, build):
+        try:
+            value = tuple(array.tobytes() for array in build())
+        except Exception as exc:  # a raising case is compared by its text
+            value = f"raised {type(exc).__name__}: {exc}"
+        return label, {field: value}
+
+    out = []
+    for name, (kind, value) in ORACLE_FAMILIES.items():
+        pot = _potential(kind, value)
+        for alpha, dim in itertools.product(ORACLE_ALPHAS, ORACLE_DIMS):
+            out.append(record(f"oracle {name} {value} alpha={alpha} dim={dim}", "T and V",
+                              lambda: oracle_matrices(BasisSpec(alpha), pot, dim)))
+    x = np.linspace(-40.0, 40.0, TABLE_POINTS)
+    for alpha, rmax in itertools.product(BASIS_ALPHAS, BASIS_ROWS):
+        out.append(record(f"basis table alpha={alpha} rows={rmax + 1}", "table",
+                          lambda: [basis_table(BasisSpec(alpha), rmax, x)]))
+    with np.errstate(invalid="ignore"):  # phi_1 at an infinite point is inf * 0
+        out.append(record(f"basis table far points {FAR_POINTS}", "table",
+                          lambda: [basis_table(BasisSpec(1.0), 1023, FAR_POINTS)]))
+    return out
+
+
 def _cli_sweep():
     import workloads
     from hgritz.cli import main
@@ -351,7 +408,8 @@ def run_sweeps(src):
     if found is None or Path(found.origin).parent.parent.resolve() != Path(src).resolve():
         raise SystemExit(f"{src} holds no hgritz package")
     runs = {"eigh": _eigh_sweep(), "numerov": _numerov_sweep(), "nodes": _node_sweep(),
-            "tables": _table_sweep(), "searches": _search_sweep(), "cli": _cli_sweep()}
+            "tables": _table_sweep(), "searches": _search_sweep(),
+            "oracle": _oracle_sweep(), "cli": _cli_sweep()}
     sys.stdout.buffer.write(pickle.dumps(runs))
 
 
