@@ -154,10 +154,13 @@ def basis_table(spec: BasisSpec, rmax: int, x) -> np.ndarray:
     """Evaluate phi_0 .. phi_rmax on a grid; returns shape (rmax + 1, len(x)).
 
     Decays like exp(-alpha x^2 / 2) at large |x|, and row r satisfies
-    phi_r(-x) = (-1)^r phi_r(x) exactly.
+    phi_r(-x) = (-1)^r phi_r(x) exactly.  x is a scalar or one-dimensional;
+    any other shape raises ValueError.
     """
     rmax = check_index(rmax)
     xv = np.atleast_1d(np.asarray(x, dtype=float))
+    if xv.ndim != 1:
+        raise ValueError(f"the grid must be a scalar or one-dimensional, got shape {xv.shape}")
     out = np.empty((rmax + 1, xv.size))
     _recurrence(spec, xv, out)
     return out

@@ -204,16 +204,12 @@ def _exact_values(args, pot, constants, dims):
     levels = min(args.exact_levels, dims[-1])
     if args.exact == "analytic":
         return [(i + 0.5) * constants.hbar * pot.omega for i in range(levels)]
-    return list(numerov.lowest_levels(pot, constants, levels, steps=args.numerov_steps))
+    return list(numerov.lowest_levels(pot, constants, levels))
 
 
 def _run_verify_mhu(args, parser, pot, constants) -> int:
     alpha, mode = _alpha_from_args(args, parser, pot, constants)
     dims = _parse_dims(args.dims, parser)
-    steps = args.numerov_steps
-    if steps is not None and not numerov.MIN_STEPS <= steps <= numerov.MAX_STEPS:
-        parser.error(f"--numerov-steps must lie in [{numerov.MIN_STEPS}, "
-                     f"{numerov.MAX_STEPS}], got {steps}")
     if args.exact != "none" and args.exact_levels < 1:
         parser.error("--exact-levels must be positive")
     if args.exact == "analytic" and pot.kind != "harmonic":
@@ -345,9 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exact", choices=["none", "analytic", "numerov"], default="none",
                    help="reference energies for the upper-bound check")
     p.add_argument("--exact-levels", type=int, default=5)
-    p.add_argument("--numerov-steps", type=int, default=None,
-                   help=f"Numerov grid intervals, {numerov.MIN_STEPS} to {numerov.MAX_STEPS}; "
-                        "derived from the range of the wanted levels by default")
     p.set_defaults(func=_run_verify_mhu)
 
     p = sub.add_parser("scan-alpha", parents=[common],

@@ -33,26 +33,26 @@ discrete Sturm count of the levels in every scan cell (Atkinson 1964,
 returns the same count with psi.
 
 `lowest_levels` takes its levels in three steps.  Locate: `shoot_scan` runs
-on a coarse grid, the same x_max and scan energies at a fifth of the steps
-(at least MIN_STEPS), and picks each channel's one-level cells below `top`,
-the first energy whose summed count reaches the wanted count.  Certify:
-each channel is shot once on the fine grid, counting sign changes, at min V,
-at both ends of every picked cell and at `top`.  Where every fine count
-equals the coarse one, the fine counts equal the coarse ones at every scan
-energy up to `top`, since both are nondecreasing and agree at the ends of
-every run of constant count; the picked cells are the fine scan's cells, and
-the psi(x_max) of their ends its bits.  Refine: `_bisect` narrows each cell
-by Brent's method with the ITP projection to a sign change of psi(x_max) at
+on a coarse grid, the same x_max and scan energies at a fifth of the steps,
+and picks each channel's one-level cells below `top`, the first energy
+whose summed count reaches the wanted count.  Certify: each channel is shot
+once on the fine grid, counting sign changes, at min V, at both ends of
+every picked cell and at `top`.  Where every fine count equals the coarse
+one, the fine counts equal the coarse ones at every scan energy up to
+`top`, since both are nondecreasing and agree at the ends of every run of
+constant count; the picked cells are the fine scan's cells, and the
+psi(x_max) of their ends its bits.  Refine: `_bisect` narrows each cell by
+Brent's method with the ITP projection to a sign change of psi(x_max) at
 most 1e-10 wide, and `_trajectory_nodes` counts each state's nodes as the
 Sturm count of one shoot on the grid prefix up to x_t + 2 ell, past which a
 bound state has no node; the state in the cell of counts n to n + 1 must
 carry n.  Otherwise (a grid raises, a count differs, a coarse cell holds two
-levels or its count falls, the coarse total falls short, or the fine grid is
-at MIN_STEPS or has h k_max past _COUNT_PHASE), `shoot_scan` runs on the
-fine grid itself; refinement and every refusal are the same on either route.
+levels or its count falls, or the coarse total falls short), `shoot_scan`
+runs on the fine grid itself; refinement and every refusal are the same on
+either route.
 
-`_shoot` counts sign changes only at its rescaling checks, s steps apart,
-which is exact while at most one falls between two checks.  With
+`_shoot` counts sign changes only at its rescaling checks, s = _CHUNK steps
+apart, which is exact while at most one falls between two checks.  With
 u_{i+1} - 2 u_i + u_{i-1} = delta_i u_i, delta_i >= -(h k_i)^2 where
 E > V_i (k_i the local wave number; delta_i >= 0 elsewhere), so at energy E
 each delta_i is at least -c, c = (h k)^2 with k = sqrt(2m (E - min V)) /
@@ -62,14 +62,12 @@ v_i = sin(i theta + phi) with c = 4 sin^2(theta / 2) changes sign once every
 pi / theta steps, so u's sign changes lie pi / theta steps apart, up to a
 step at either end.  h k <= 2 sin(pi / (4 s)) gives theta <= pi / (2 s):
 sign changes at least 2 s - 2 steps apart, and for s >= 2 no s steps
-between two checks hold two of them; at s = 1 every step is a check.  The
-counted and refinement shoots check every s = _CHUNK steps, where the scan
-rescales, so their psi is the scan's bits: exact for h k_max <= _COUNT_PHASE
-= 2 sin(pi / (4 _CHUNK)) = 0.0245 at the last scan energy, some 128 steps
-per sign change; the derived grids keep h k_max <= MAX_STEP_PHASE = 0.01
-(Cooley 1961), some 314.  A grid given by its step count can be coarser; on
-it `_trajectory_nodes` halves s from _CHUNK until h k(E) at the state's
-energy allows it, down to s = 1.
+between two checks hold two of them.  The checks are the steps where the
+scan rescales, so psi is the scan's bits, and the count is exact for
+h k_max <= _COUNT_PHASE = 2 sin(pi / (4 _CHUNK)) = 0.0245 at the last scan
+energy, some 128 steps per sign change.  `default_config`'s grid keeps
+h k_max <= MAX_STEP_PHASE = 0.01 (Cooley 1961), some 314, and every level
+lies below the scan's top.
 """
 
 from __future__ import annotations
@@ -180,24 +178,20 @@ def _airy_length(pot, constants, x_t, depth):
     return (constants.hbar**2 / (2.0 * constants.mass * slope)) ** (1.0 / 3.0)
 
 
-def default_config(pot: PotentialSpec, constants: Constants, e_hi: float,
-                   steps: int | None = None) -> ShootingConfig:
+def default_config(pot: PotentialSpec, constants: Constants, e_hi: float) -> ShootingConfig:
     """Domain sized for energies up to e_hi: turning point + 8 decay lengths.
 
-    e_hi must lie above min V, where `lowest_levels` starts its scan.
-    `steps` None derives the fewest steps, at least DEFAULT_STEPS, with
-    h k_max <= MAX_STEP_PHASE, h = x_max / steps and
-    k_max = sqrt(2m (e_hi - min V)) / hbar; past MAX_STEPS that raises
-    ScanResolutionError.  An explicit `steps` is used as given.
+    e_hi must lie above min V, where `lowest_levels` starts its scan.  The
+    grid takes the fewest steps, at least DEFAULT_STEPS, with h k_max <=
+    MAX_STEP_PHASE, h = x_max / steps, k_max = sqrt(2m (e_hi - min V)) /
+    hbar; past MAX_STEPS that raises ScanResolutionError.
     """
     v_min = pot.minimum(mass=constants.mass)
     if not float(e_hi) > v_min:
         raise ValueError(f"e_hi = {e_hi!r} must lie above the scan start, min V = {v_min!r}")
     x_t = pot.turning_point(e_hi, mass=constants.mass)
     x_max = x_t + 8.0 * _airy_length(pot, constants, x_t, float(e_hi) - v_min)
-    if steps is None:
-        steps = _derived_steps(constants, x_max, float(e_hi) - v_min)
-    return ShootingConfig(x_max, steps)
+    return ShootingConfig(x_max, _derived_steps(constants, x_max, float(e_hi) - v_min))
 
 
 def _derived_steps(constants, x_max, depth):
@@ -295,21 +289,21 @@ def _seed(pot, constants, config, v0, energy, parity):
     return 0.0, h * (1.0 + h * h * f0 / 6.0 + (h**4 / 120.0) * (f0 * f0 + 3.0 * fpp0))
 
 
-def _shoot(pot, constants, config, energy, parity, potential, every=_CHUNK):
+def _shoot(pot, constants, config, energy, parity, potential):
     """(psi, sign changes) at the last point of `potential`, V on a grid prefix, for one channel.
 
     energy is a float.  The first step comes from `_seed`.  Sign changes of
     psi in E bracket levels.  Every P is checked positive (`_check_factor`).
-    Every `every` steps and after the last, u and d are rescaled where |u|
+    Every _CHUNK steps and after the last, u and d are rescaled where |u|
     has passed _RESCALE_AT, exactly and keeping every sign, and u's sign is
     compared with its sign at the check before (u_0 against u_1 first; a
     +-0.0 by its sign bit).  Those changes are the Sturm count of u_0 ..
-    u_last, the scan's count, wherever h k(E) <= 2 sin(pi / (4 every))
-    (module docstring).  At the default, _CHUNK, the checks are the steps
-    where `shoot_scan` rescales, so psi is bitwise its value there.  The
-    coefficients are formed elementwise, so a prefix of the grid integrates
-    as the whole grid does up to its last point.  The caller has checked the
-    domain at this energy or above (`_check_domain`).
+    u_last, the scan's count, wherever h k(E) <= _COUNT_PHASE (module
+    docstring).  The checks are the steps where `shoot_scan` rescales, so
+    psi is bitwise its value there.  The coefficients are formed
+    elementwise, so a prefix of the grid integrates as the whole grid does
+    up to its last point.  The caller has checked the domain at this energy
+    or above (`_check_domain`).
     """
     pfac, deltas = _factors(constants, config, potential - energy)
     _check_factor(config, pfac)
@@ -320,8 +314,8 @@ def _shoot(pot, constants, config, energy, parity, potential, every=_CHUNK):
     d = u - u_0
     sign = math.copysign(1.0, u)
     changes = int(sign != math.copysign(1.0, u_0))
-    for lo in range(0, len(deltas), every):
-        for delta in deltas[lo:lo + every]:
+    for lo in range(0, len(deltas), _CHUNK):
+        for delta in deltas[lo:lo + _CHUNK]:
             d += delta * u
             u += d
         if abs(u) > _RESCALE_AT:
@@ -512,20 +506,14 @@ def _trajectory_nodes(pot, constants, config, energy, parity, potential, v_min):
     """Node count of the refined state: the Sturm count of its trajectory on (0, x_t + 2 ell].
 
     One `_shoot` on the grid prefix up to that cut; potential is V on the
-    grid.  Its checks lie _CHUNK steps apart where h k(E) <= _COUNT_PHASE,
-    k(E) = sqrt(2m (E - min V)) / hbar, and otherwise s steps apart, the
-    largest power of two with h k(E) <= 2 sin(pi / (4 s)), down to every
-    step; the count is exact at either spacing (module docstring).
+    grid.  The state lies below the scan's top, so h k(E) <= MAX_STEP_PHASE
+    < _COUNT_PHASE and the count at the checks is exact (module docstring).
     """
     h = config.x_max / config.steps
     x_t = pot.turning_point(energy, mass=constants.mass)
     cut = min(config.x_max, x_t + 2.0 * _airy_length(pot, constants, x_t, energy - v_min))
     stop = int(cut / h) + 1
-    phase = h * _wave_number(constants, energy - v_min)
-    every = _CHUNK
-    while every > 1 and phase > 2.0 * math.sin(math.pi / (4 * every)):
-        every //= 2
-    return _shoot(pot, constants, config, energy, parity, potential[:max(stop, 2)], every)[1]
+    return _shoot(pot, constants, config, energy, parity, potential[:max(stop, 2)])[1]
 
 
 def _cap(pot, constants, v_min, count):
@@ -591,24 +579,22 @@ def _located_cells(pot, constants, config, energies, count, potential):
     """`_cells` of the scan on config's grid, found without that scan, or None.
 
     `shoot_scan` runs on a coarse grid, the same x_max at a fifth of the
-    steps (_COARSEN, at least MIN_STEPS), over the same energies, and gives
-    the first energy `top` whose summed count reaches `count`.  Each channel
-    is then shot on config's grid (`_shoot`, counted) at min V, at both ends
-    of every coarse cell below `top` that holds a level, and at `top`.
-    Where every count equals the coarse one, the counts of the whole scan
-    equal them too (module docstring), so the cells and `top` are the scan's
-    and the psi values its bits.  None asks for the scan itself: where the
-    fine grid is at MIN_STEPS or has h k_max > _COUNT_PHASE, where either
-    grid raises, where the coarse total falls short of `count`, where a
-    coarse cell holds two levels or the count falls, or where a count
-    differs.  `potential` is V on config's grid.
+    steps (_COARSEN), over the same energies, and gives the first energy
+    `top` whose summed count reaches `count`.  Each channel is then shot on
+    config's grid (`_shoot`, counted) at min V, at both ends of every coarse
+    cell below `top` that holds a level, and at `top`.  Where every count
+    equals the coarse one, the counts of the whole scan equal them too
+    (module docstring), so the cells and `top` are the scan's and the psi
+    values its bits.  The counts are exact: config is `default_config`'s
+    grid for energies[-1], h k_max <= MAX_STEP_PHASE < _COUNT_PHASE.  None
+    asks for the scan itself: where either grid raises, where the coarse
+    total falls short of `count`, where a coarse cell holds two levels or
+    the count falls, or where a count differs.  `potential` is V on config's
+    grid.
     """
-    steps = max(MIN_STEPS, config.steps // _COARSEN)
-    k_max = _wave_number(constants, float(energies[-1] - energies[0]))
-    if steps == config.steps or config.x_max / config.steps * k_max > _COUNT_PHASE:
-        return None
     try:
-        _, changes = shoot_scan(pot, constants, ShootingConfig(config.x_max, steps), energies)
+        coarse = ShootingConfig(config.x_max, config.steps // _COARSEN)
+        _, changes = shoot_scan(pot, constants, coarse, energies)
     except (ValueError, OverflowError):
         return None
     top = _top(changes, count)
@@ -633,12 +619,11 @@ def _located_cells(pot, constants, config, energies, count, potential):
     return _cells(grid, psi, changes, top)
 
 
-def lowest_levels(pot: PotentialSpec, constants: Constants, count: int, *,
-                  steps: int | None = None) -> np.ndarray:
+def lowest_levels(pot: PotentialSpec, constants: Constants, count: int) -> np.ndarray:
     """The `count` lowest levels of both parity channels together, ascending.
 
-    The scan runs from min V to `_cap`, on the grid `default_config` builds
-    there (`steps` None derives its count), at _SCAN_PER_LEVEL energies per
+    The scan runs from min V to `_cap`, on the grid `default_config` derives
+    there, h k_max <= MAX_STEP_PHASE, at _SCAN_PER_LEVEL energies per
     wanted level, at least _MIN_SCAN; a cell holds as many levels as the
     Sturm count rises across it.  Its cells come from a coarse grid,
     certified by counted shoots on this one (`_located_cells`), or where
@@ -656,7 +641,7 @@ def lowest_levels(pot: PotentialSpec, constants: Constants, count: int, *,
     v_min = pot.minimum(mass=constants.mass)
     e_cap = _cap(pot, constants, v_min, count)
     while True:
-        config = default_config(pot, constants, e_cap, steps)
+        config = default_config(pot, constants, e_cap)
         energies = np.linspace(v_min, e_cap, max(_MIN_SCAN, _SCAN_PER_LEVEL * count))
         potential = _grid_potential(pot, constants, config)
         cells = _located_cells(pot, constants, config, energies, count, potential)

@@ -133,12 +133,16 @@ def test_criterion_5_oracle_equivalence():
     assert good_agrees
 
 
-def test_criterion_6_quartic_ground_state_two_routes():
+def test_criterion_6_quartic_ground_state_two_routes(monkeypatch):
     ritz = minimize_alpha(QUART, C, 40, (0.8, 4.0)).energy
 
-    # the ground level as the CLI's Numerov reference gets it, at three step counts
-    values = {steps: float(numerov.lowest_levels(QUART, C, 1, steps=steps)[0])
-              for steps in (10000, 20000, 40000)}
+    # the ground level as the CLI's Numerov reference gets it, at three step
+    # counts: its derived grid sits on the DEFAULT_STEPS floor, set here
+    values = {}
+    for steps in (10000, 20000, 40000):
+        with monkeypatch.context() as floor:
+            floor.setattr(numerov, "DEFAULT_STEPS", steps)
+            values[steps] = float(numerov.lowest_levels(QUART, C, 1)[0])
     # Richardson's step cancels the h^4 error: E_fine + (E_fine - E_coarse) / 15
     rich1 = values[20000] + (values[20000] - values[10000]) / 15.0
     rich2 = values[40000] + (values[40000] - values[20000]) / 15.0

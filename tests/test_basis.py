@@ -197,6 +197,18 @@ def test_index_cap():
         basis_table(SPEC1, 2.0, 0.0)
 
 
+def test_grid_of_two_dimensions_is_refused():
+    # a 2 x 2 grid once failed inside the recurrence, on numpy's broadcast
+    with pytest.raises(ValueError, match=r"one-dimensional, got shape \(2, 2\)"):
+        basis_table(SPEC1, 3, np.zeros((2, 2)))
+    # a scalar is a grid of one point, with the same bits
+    x = np.linspace(-3.0, 3.0, 7)
+    table = basis_table(SPEC1, 3, x)
+    assert table.shape == (4, 7)
+    for k, point in enumerate(x.tolist()):
+        assert basis_table(SPEC1, 3, point).tobytes() == table[:, k:k + 1].tobytes()
+
+
 def _plain_table(spec, rmax, x):
     """The recurrence seeded with phi_0 as a plain double, for bit comparison."""
     y = np.asarray(x, dtype=float) * math.sqrt(spec.alpha)

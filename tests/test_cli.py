@@ -227,7 +227,7 @@ class TestSolve:
         monkeypatch.setattr(numerov, "_shoot", count)
         code, _, _ = run_cli(capsys, ["verify-mhu", "--potential", "quartic", "--alpha", "2",
                                       "--dims", "2:12:2", "--exact", "numerov",
-                                      "--exact-levels", "3", "--numerov-steps", "2000"])
+                                      "--exact-levels", "3"])
         assert code == 0
         assert callers.count("_trajectory_nodes") == 3
         assert callers.count("_bisect") > 3 * 2
@@ -298,8 +298,7 @@ class TestVerifyMhu:
     def test_numerov_exact_values(self, capsys):
         code, out, _ = run_cli(capsys, [
             "verify-mhu", "--alpha", "1.3", "--dims", "2,4",
-            "--exact", "numerov", "--exact-levels", "2",
-            "--numerov-steps", "2000", "--format", "json"])
+            "--exact", "numerov", "--exact-levels", "2", "--format", "json"])
         assert code == 0
         doc = json.loads(out)
         np.testing.assert_allclose(doc["results"]["exact"], [0.5, 1.5], atol=1e-7)
@@ -311,7 +310,7 @@ class TestVerifyMhu:
         code, out, _ = run_cli(capsys, [
             "verify-mhu", "--potential", "harmonic", "--hbar", hbar,
             "--alpha", "exact-diagonal", "--dims", "2,4", "--exact", "numerov",
-            "--numerov-steps", "2000", "--format", "json"])
+            "--format", "json"])
         assert code == 0
         doc = json.loads(out)
         assert [c["pass"] for c in doc["checks"]] == [True, True, True]
@@ -362,13 +361,14 @@ class TestVerifyMhu:
     def test_numerov_extreme_quartic_is_answered(self, capsys, pot, scale):
         # a scan of 8 energies per unit energy asked for about 1e201 energies
         # here and was refused; taken by level count it scans 64.  Levels
-        # scale as lam^(1/3) (hbar^2 / m)^(2/3), and on the same number of
-        # steps they are those of lam = 1 to the refinement width
+        # scale as lam^(1/3) (hbar^2 / m)^(2/3), and on the derived grid,
+        # DEFAULT_STEPS at every scale, they are those of lam = 1 to the
+        # refinement width
         levels = []
         for argv in (pot, []):
             code, out, _ = run_cli(capsys, [
                 "verify-mhu", "--potential", "quartic", *argv, "--dims", "2,4",
-                "--exact", "numerov", "--numerov-steps", "1000", "--format", "json"])
+                "--exact", "numerov", "--format", "json"])
             assert code == 0
             levels.append(json.loads(out)["results"]["exact"])
         np.testing.assert_allclose(np.array(levels[0]) / scale, levels[1], rtol=1e-10)
@@ -379,7 +379,7 @@ class TestVerifyMhu:
         start = time.perf_counter()
         code, out, err = run_cli(capsys, [
             "verify-mhu", "--potential", "even-polynomial", "--coeffs", "0,-1e150,1",
-            "--dims", "2,4", "--exact", "numerov", "--numerov-steps", "1000"])
+            "--dims", "2,4", "--exact", "numerov"])
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (1, "")
         assert err.startswith("error: the energy scale 7.07107e+74 of the potential's "
@@ -456,14 +456,15 @@ class TestVerifyMhu:
         assert code == 0
         assert json.loads(out)["config"]["dims"] == [2, 3, 4, 5]
 
-    @pytest.mark.parametrize("steps", ["0", "999", "1000001", "100000000000"])
+    @pytest.mark.parametrize("steps", ["0", "999", "2000", "1000001", "100000000000"])
     def test_numerov_steps_out_of_range_is_usage_error(self, capsys, steps):
-        # 1e11 steps used to die on a 745 GiB allocation
+        # the Numerov grid is derived from the wanted levels alone; a step
+        # count, inside [MIN_STEPS, MAX_STEPS] or outside it, is an unknown option
         with pytest.raises(SystemExit) as err:
             cli.main(["verify-mhu", "--dims", "2,4", "--exact", "numerov",
                       "--numerov-steps", steps])
         assert err.value.code == 2
-        assert "--numerov-steps must lie in [1000, 1000000]" in capsys.readouterr().err
+        assert "unrecognized arguments: --numerov-steps" in capsys.readouterr().err
 
     def test_single_dim_vacuous(self, capsys):
         code, out, _ = run_cli(capsys, [

@@ -31,8 +31,8 @@ def records():
                    "residual_norm": np.float64(0.0).tobytes()}),
                  ("gauss-hermite rule order=1",
                   {"nodes": np.zeros(1).tobytes(), "weights": np.ones(1).tobytes()})],
-        "numerov": [("harmonic 0.75 count=1 steps=2000", {"levels": [(0.375).hex()]}),
-                    ("quartic 0.5 count=4 steps=2000",
+        "numerov": [("harmonic 0.75 count=1", {"levels": [(0.375).hex()]}),
+                    ("quartic 0.5 count=4",
                      {"levels": [(0.53).hex(), (1.9).hex()]})],
         "nodes": [("quartic alpha=1.8 dim=512", {"nodes": list(range(512))}),
                   ("deep_double_well alpha=1.59369 dim=512",
@@ -126,11 +126,11 @@ def test_moved_rule_reports_its_largest_node_and_weight_changes(capsys):
 def test_numerov_spectrum_raising_in_both_trees_differs(capsys):
     old, new = records(), records()
     for run_ in (old, new):
-        run_["numerov"][1] = ("quartic 0.5 count=4 steps=2000",
+        run_["numerov"][1] = ("quartic 0.5 count=4",
                               {compare_trees.RAISED: "ScanResolutionError: shared cell"})
     code, lines = run(capsys, old, new)
     assert code == 1
-    assert lines[0].startswith("quartic 0.5 count=4 steps=2000: raised differ")
+    assert lines[0].startswith("quartic 0.5 count=4: raised differ")
     assert "OLD raised ScanResolutionError: shared cell" in lines[0]
     assert "NEW raised ScanResolutionError: shared cell" in lines[0]
     assert lines[2] == "1 of 2 spectra bit-identical (1 levels)"
@@ -140,11 +140,11 @@ def test_moved_numerov_levels_report_their_largest_change(capsys):
     # |dE| / max(1, |E|): 1.9 moved by 3.8e-11 gives 2.0e-11, and 0.53 moved
     # by 1e-11 gives 1.0e-11 (below 1 the change is taken as absolute)
     new = records()
-    new["numerov"][1] = ("quartic 0.5 count=4 steps=2000",
+    new["numerov"][1] = ("quartic 0.5 count=4",
                          {"levels": [(0.53 + 1e-11).hex(), (1.9 + 3.8e-11).hex()]})
     code, lines = run(capsys, records(), new)
     assert code == 1
-    assert lines[0] == ("quartic 0.5 count=4 steps=2000: levels differ "
+    assert lines[0] == ("quartic 0.5 count=4: levels differ "
                         "(largest |dE| / max(1, |E|) 2.0e-11)")
     assert lines[2] == ("1 of 2 spectra bit-identical (1 levels) (1 with moved levels, "
                         "largest |dE| / max(1, |E|) 2.0e-11; 0 with a changed level count)")
@@ -153,24 +153,23 @@ def test_moved_numerov_levels_report_their_largest_change(capsys):
 def test_a_changed_numerov_level_count_is_reported(capsys):
     # levels pair by position; the extra level adds no change of its own
     new = records()
-    new["numerov"][0] = ("harmonic 0.75 count=1 steps=2000",
+    new["numerov"][0] = ("harmonic 0.75 count=1",
                          {"levels": [(0.375).hex(), (1.125).hex()]})
-    new["numerov"][1] = ("quartic 0.5 count=4 steps=2000",
+    new["numerov"][1] = ("quartic 0.5 count=4",
                          {"levels": [(0.53).hex(), (1.9 * (1.0 + 5e-11)).hex()]})
     code, lines = run(capsys, records(), new)
     assert code == 1
-    assert lines[:2] == ["harmonic 0.75 count=1 steps=2000: levels differ "
+    assert lines[:2] == ["harmonic 0.75 count=1: levels differ "
                          "(largest |dE| / max(1, |E|) 0.0e+00; 1 levels in OLD, 2 in NEW)",
-                         "quartic 0.5 count=4 steps=2000: levels differ "
+                         "quartic 0.5 count=4: levels differ "
                          "(largest |dE| / max(1, |E|) 5.0e-11)"]
     assert lines[3] == ("0 of 2 spectra bit-identical (0 levels) (2 with moved levels, "
                         "largest |dE| / max(1, |E|) 5.0e-11; 1 with a changed level count)")
 
 
 def test_numerov_sweep_covers_the_default_step_count(monkeypatch):
-    # verify-mhu runs default_config's own step count unless given one; the
-    # sweep runs it beside the explicit 1,000 (MIN_STEPS), 2,000 and 20,000
-    # steps, and alone on the heavy-mass and tunnelling cases
+    # verify-mhu runs the grid lowest_levels derives from the wanted levels,
+    # its only grid; the sweep asks for no other
     from hgritz import numerov
 
     calls = []
@@ -181,20 +180,14 @@ def test_numerov_sweep_covers_the_default_step_count(monkeypatch):
 
     monkeypatch.setattr(numerov, "lowest_levels", lowest_levels)
     sweep = compare_trees._numerov_sweep()
-    assert len(sweep) == len(calls) == 122
-    steps = [label.rsplit("steps=", 1)[1] for label, _ in sweep]
-    assert {s: steps.count(s) for s in steps} == {"1000": 30, "2000": 30, "20000": 30,
-                                                  "default": 32}
-    assert numerov.MIN_STEPS == 1000
-    counts = [int(label.split("count=")[1].split()[0]) for label, _ in sweep]
-    assert {c: counts.count(c) for c in counts} == {1: 40, 4: 41, 6: 1, 10: 40}
+    assert len(sweep) == len(calls) == 62
+    counts = [int(label.rsplit("count=", 1)[1]) for label, _ in sweep]
+    assert {c: counts.count(c) for c in counts} == {1: 15, 4: 16, 6: 1, 10: 15, 25: 15}
     assert [label for label, _ in sweep[-2:]] == [
-        "heavy_double_well (0.0, -10.0, 0.5) mass=1500.0 count=4 steps=default",
-        "tunnelling_double_well (0.0, -41.8479, 0.530985) mass=265.871 count=6 steps=default"]
+        "heavy_double_well (0.0, -10.0, 0.5) mass=1500.0 count=4",
+        "tunnelling_double_well (0.0, -41.8479, 0.530985) mass=265.871 count=6"]
     for (label, fields), count, (asked, given) in zip(sweep, counts, calls):
-        assert asked == count
-        assert given == ({} if label.endswith("steps=default")
-                         else {"steps": int(label.rsplit("=", 1)[1])})
+        assert (asked, given) == (count, {})
         assert fields["levels"] == [float(n).hex() for n in range(count)]
 
 

@@ -63,11 +63,9 @@ class TestConfig:
             with pytest.raises(ValueError, match=r"steps must be an integer in \[1000, "):
                 numerov.ShootingConfig(5.0, steps)
         assert numerov.ShootingConfig(5.0, np.int64(2000)).steps == 2000
-        with pytest.raises(ValueError, match="steps must be an integer"):
-            numerov.lowest_levels(HARM, C, 2, steps=5000.0)
 
     def test_default_config_domain(self):
-        cfg = numerov.default_config(HARM, C, 0.6, steps=2000)
+        cfg = numerov.default_config(HARM, C, 0.6)
         x_t = HARM.turning_point(0.6, mass=1.0)
         assert cfg.x_max > x_t + 5.0 * airy_length(HARM, C, 0.6)
 
@@ -75,8 +73,8 @@ class TestConfig:
         # the scan starts at min V = 0; no level lies at or below it
         for e_hi in (0.0, -1.0, math.nan):
             with pytest.raises(ValueError, match="scan start"):
-                numerov.default_config(HARM, C, e_hi, steps=2000)
-        assert numerov.default_config(HARM, C, 1e-6, steps=2000).steps == 2000
+                numerov.default_config(HARM, C, e_hi)
+        assert numerov.default_config(HARM, C, 1e-6).steps == numerov.DEFAULT_STEPS
 
     @pytest.mark.parametrize("pot, e_hi, want", [
         (HARM, 0.6, numerov.DEFAULT_STEPS),
@@ -100,26 +98,34 @@ class TestConfig:
             numerov.default_config(HARM, Constants(hbar=1e-6), 1.0)
 
     def test_shallow_domain_rejected(self):
-        bad = numerov.ShootingConfig(1.0, 2000)
-        with pytest.raises(ValueError):
-            numerov.shoot_scan(HARM, C, bad, [0.5])
+        # at E = 0.5 the turning point is 1: x_max = 1 lies inside the allowed
+        # region, and past x_max = 1.2 the tail decays by only 0.09 e-folds
+        for x_max, match in [(1.0, "inside the classically allowed region"),
+                             (1.2, r"gives only 0\.09 e-folds of tail suppression")]:
+            with pytest.raises(ValueError, match=match):
+                numerov.shoot_scan(HARM, C, numerov.ShootingConfig(x_max, 2000), [0.5])
+
+    def test_max_step_phase_lies_under_the_count_phase(self):
+        # h k_max <= MAX_STEP_PHASE on every derived grid; under _COUNT_PHASE
+        # the count at checks _CHUNK steps apart is the Sturm count
+        assert numerov.MAX_STEP_PHASE < numerov._COUNT_PHASE
 
 
 class TestShoot:
     def test_true_eigenvalue_gives_small_boundary_value(self):
-        cfg = numerov.default_config(HARM, C, 0.6, steps=6000)
+        cfg = numerov.default_config(HARM, C, 0.6)
         off_lo, at_eigen, off_hi = np.abs(numerov.shoot_scan(HARM, C, cfg, [0.4, 0.5, 0.6])[0][0])
         assert at_eigen < 1e-6 * min(off_lo, off_hi)
 
     def test_bracketing_signs(self):
-        cfg = numerov.default_config(HARM, C, 0.6, steps=6000)
+        cfg = numerov.default_config(HARM, C, 0.6)
         lo, hi = numerov.shoot_scan(HARM, C, cfg, [0.4, 0.6])[0][0]
         assert math.copysign(1.0, lo) != math.copysign(1.0, hi)
 
     def test_odd_channel_starts_at_zero(self):
         # psi_0 = 0 gives u_0 = +0.0, which counts as positive: the first
         # step adds no sign change
-        cfg = numerov.default_config(HARM, C, 1.8, steps=2000)
+        cfg = numerov.default_config(HARM, C, 1.8)
         v = numerov._grid_potential(HARM, C, cfg)
         psi_0, psi_1 = numerov._seed(HARM, C, cfg, v[0], 1.5, numerov.ODD)
         assert psi_0 == 0.0 and psi_1 > 0.0
@@ -151,13 +157,13 @@ class TestShoot:
 
     def test_shared_grid_potential(self):
         # lowest_levels hands every shoot V on the grid; the bits are the same
-        cfg = numerov.default_config(HARM, C, 1.8, steps=2000)
+        cfg = numerov.default_config(HARM, C, 1.8)
         v = numerov._grid_potential(HARM, C, cfg)
         energies = [0.7, 1.2]
         shared = numerov.shoot_scan(HARM, C, cfg, energies, potential=v)
         own = numerov.shoot_scan(HARM, C, cfg, energies)
         assert all(a.tolist() == b.tolist() for a, b in zip(shared, own))
-        with pytest.raises(ValueError, match="V at the 2001 grid points, got shape"):
+        with pytest.raises(ValueError, match="V at the 5001 grid points, got shape"):
             numerov.shoot_scan(HARM, C, cfg, [1.2], potential=v[:-1])
 
 
@@ -170,18 +176,18 @@ def refine(pot, cfg, bracket, parity):
 
 class TestEigenvalue:
     def test_harmonic_ground(self):
-        assert numerov.lowest_levels(HARM, C, 1, steps=6000).tolist() == \
+        assert numerov.lowest_levels(HARM, C, 1).tolist() == \
             [pytest.approx(0.5, abs=1e-8)]
 
     def test_harmonic_first_excited(self):
-        assert numerov.lowest_levels(HARM, C, 2, steps=6000)[1] == pytest.approx(1.5, abs=1e-8)
+        assert numerov.lowest_levels(HARM, C, 2)[1] == pytest.approx(1.5, abs=1e-8)
 
     def test_quartic_ground(self):
-        assert numerov.lowest_levels(QUART, C, 1, steps=6000).tolist() == \
+        assert numerov.lowest_levels(QUART, C, 1).tolist() == \
             [pytest.approx(QUARTIC_E0, abs=1e-6)]
 
     def test_no_sign_change_reported(self):
-        cfg = numerov.default_config(HARM, C, 1.2, steps=2000)
+        cfg = numerov.default_config(HARM, C, 1.2)
         with pytest.raises(BracketingError):
             refine(HARM, cfg, (0.6, 1.2), numerov.EVEN)
 
@@ -189,9 +195,11 @@ class TestEigenvalue:
 class TestConvergenceOrder:
     def test_step_halving_is_fourth_order(self):
         # state 15 carries enough truncation error at coarse steps that the
-        # h^4 signature is visible above the bisection quantization; the cap,
-        # and so x_max, does not depend on the step count
-        vals = {steps: numerov.lowest_levels(HARM, C, 16, steps=steps)[15]
+        # h^4 signature is plain; its sign change is refined to adjacent
+        # floats on grids over the x_max that `lowest_levels(HARM, C, 16)` takes
+        x_max = first_scan(HARM, C, 16)[0].x_max
+        vals = {steps: sign_change(HARM, numerov.ShootingConfig(x_max, steps), (15.4, 15.6),
+                                   numerov.ODD)
                 for steps in (1000, 2000, 4000)}
         ratio = (vals[1000] - vals[2000]) / (vals[2000] - vals[4000])
         assert 13.0 < ratio < 19.0
@@ -217,7 +225,7 @@ class TestSpectrumBelow:
     """The spectrum below the cap that `lowest_levels` derives."""
 
     def test_harmonic_below_five(self):
-        out = numerov.lowest_levels(HARM, C, 5, steps=6000)
+        out = numerov.lowest_levels(HARM, C, 5)
         np.testing.assert_allclose(out, [0.5, 1.5, 2.5, 3.5, 4.5], atol=1e-8)
 
     def test_heavy_mass_deep_well_is_answered(self, monkeypatch):
@@ -230,30 +238,29 @@ class TestSpectrumBelow:
         np.testing.assert_allclose(levels, [-49.91836702, -49.91836702,
                                             -49.7551678, -49.7551678], rtol=0.0, atol=1e-8)
         derived = configs[-1]
-        finer = numerov.lowest_levels(DEEP_WELL, heavy, 4, steps=2 * derived.steps)
-        assert configs[-1].x_max == derived.x_max
+        monkeypatch.setattr(numerov, "DEFAULT_STEPS", 2 * derived.steps)
+        finer = numerov.lowest_levels(DEEP_WELL, heavy, 4)
+        assert configs[-1] == numerov.ShootingConfig(derived.x_max, 2 * derived.steps)
         assert np.abs(finer - levels).max() <= 1e-10
 
     def test_trajectory_scaling_keeps_the_counts(self, monkeypatch):
         # psi grows like exp(x^2 / 2) past the turning point, e^648 at x = 36:
         # past 1e250 but finite, so the unscaled shoot is at hand to compare.
-        # Checked every 64 steps or every step, rescaling moves psi by a
-        # power of two alone and keeps the count of the reference trajectory
+        # Checked every 64 steps, rescaling moves psi by a power of two alone
+        # and keeps the count of the reference trajectory
         cfg = numerov.ShootingConfig(36.0, 3600)
         v = numerov._grid_potential(HARM, C, cfg)
         for energy, parity in [(2.5, numerov.EVEN), (3.5, numerov.ODD), (4.2, numerov.EVEN)]:
             want = sign_changes(numerov_trajectory(HARM, C, 36.0, 3600, energy, parity))
-            for every in (numerov._CHUNK, 1):
-                scaled, changes = numerov._shoot(HARM, C, cfg, energy, parity, v, every)
-                monkeypatch.setattr(numerov, "_RESCALE_AT", math.inf)
-                unscaled, unscaled_changes = numerov._shoot(HARM, C, cfg, energy, parity, v,
-                                                            every)
-                monkeypatch.undo()
-                assert abs(unscaled) > 1e250
-                shift = math.frexp(scaled)[1] - math.frexp(unscaled)[1]
-                assert shift < -800
-                assert scaled == math.ldexp(unscaled, shift)
-                assert changes == unscaled_changes == want
+            scaled, changes = numerov._shoot(HARM, C, cfg, energy, parity, v)
+            monkeypatch.setattr(numerov, "_RESCALE_AT", math.inf)
+            unscaled, unscaled_changes = numerov._shoot(HARM, C, cfg, energy, parity, v)
+            monkeypatch.undo()
+            assert abs(unscaled) > 1e250
+            shift = math.frexp(scaled)[1] - math.frexp(unscaled)[1]
+            assert shift < -800
+            assert scaled == math.ldexp(unscaled, shift)
+            assert changes == unscaled_changes == want
 
     @pytest.mark.parametrize("pot, count", [(HARM, 5), (DOUBLE_WELL, 3)],
                              ids=["harmonic", "double-well"])
@@ -262,10 +269,10 @@ class TestSpectrumBelow:
         built = []
         shoot = numerov._shoot
 
-        def spy(pot, constants, config, energy, parity, potential, *every):
+        def spy(pot, constants, config, energy, parity, potential):
             if sys._getframe(1).f_code.co_name == "_trajectory_nodes":
                 built.append((energy, len(potential)))
-            return shoot(pot, constants, config, energy, parity, potential, *every)
+            return shoot(pot, constants, config, energy, parity, potential)
 
         monkeypatch.setattr(numerov, "_shoot", spy)
         levels = numerov.lowest_levels(pot, C, count)
@@ -299,13 +306,13 @@ class TestSpectrumBelow:
         caps = []
         default_config = numerov.default_config
 
-        def spy(pot, constants, e_hi, steps=None):
+        def spy(pot, constants, e_hi):
             caps.append(e_hi)
-            return default_config(pot, constants, e_hi, steps)
+            return default_config(pot, constants, e_hi)
 
         monkeypatch.setattr(numerov, "default_config", spy)
         monkeypatch.setattr(numerov, "_cap", lambda *args: 0.3)
-        levels = numerov.lowest_levels(HARM, C, 3, steps=2000)
+        levels = numerov.lowest_levels(HARM, C, 3)
         np.testing.assert_allclose(levels, [0.5, 1.5, 2.5], atol=1e-8)
         assert caps == [0.3, 0.6, 1.2, 2.4, 4.8]
 
@@ -322,7 +329,7 @@ class TestSpectrumBelow:
             numerov._cap(PotentialSpec.even_polynomial([0.0, -1e150, 1.0]), C, -2.5e299, 3)
 
     def test_parity_channels_alternate(self):
-        merged = numerov.lowest_levels(HARM, C, 4, steps=4000)
+        merged = numerov.lowest_levels(HARM, C, 4)
         # channel structure: merged levels alternate even/odd, so consecutive
         # gaps stay near one quantum and never collapse to duplicates
         gaps = np.diff(merged)
@@ -330,7 +337,7 @@ class TestSpectrumBelow:
         np.testing.assert_allclose(merged, [0.5, 1.5, 2.5, 3.5], atol=1e-8)
 
     def test_quartic_matches_basis_solver(self):
-        out = numerov.lowest_levels(QUART, C, 2, steps=6000)
+        out = numerov.lowest_levels(QUART, C, 2)
         res = minimize_alpha(QUART, C, 40, (0.8, 4.0))
         from hgritz import solve_spectrum
         ritz = solve_spectrum(QUART, C, res.alpha_star, 40).eigenvalues
@@ -344,7 +351,7 @@ class TestSpectrumBelow:
         counted_twice(monkeypatch)
         recorder = RecordedShoots(monkeypatch)
         with pytest.raises(ScanResolutionError):
-            numerov.lowest_levels(HARM, C, 5, steps=2000)
+            numerov.lowest_levels(HARM, C, 5)
         assert not recorder.shots
 
     def test_a_level_at_min_v_is_reported(self, monkeypatch):
@@ -359,7 +366,7 @@ class TestSpectrumBelow:
         monkeypatch.setattr(numerov, "shoot_scan", counted_once_more)
         with pytest.raises(ScanResolutionError,
                            match="even-channel Sturm count is 1 at min V = 0, where no level"):
-            numerov.lowest_levels(HARM, C, 3, steps=2000)
+            numerov.lowest_levels(HARM, C, 3)
 
     def test_two_levels_in_one_cell_reported(self, monkeypatch):
         # with twice its Sturm count the cell of the ground level holds two
@@ -367,7 +374,7 @@ class TestSpectrumBelow:
         counted_twice(monkeypatch)
         with pytest.raises(ScanResolutionError, match=r"even-channel scan cell \(.*\) holds 2 "
                                                       r"levels \(Sturm count 0 to 2\)"):
-            numerov.lowest_levels(HARM, C, 5, steps=2000)
+            numerov.lowest_levels(HARM, C, 5)
 
 
 def counted_twice(monkeypatch):
@@ -435,10 +442,10 @@ class RecordedShoots:
         self.shots = []
         shoot = numerov._shoot
 
-        def recorded(pot, constants, config, energy, parity, potential, *every):
+        def recorded(pot, constants, config, energy, parity, potential):
             if sys._getframe(1).f_code.co_name == "_trajectory_nodes":
-                return shoot(pot, constants, config, energy, parity, potential, *every)
-            value, changes = (shoot(pot, constants, config, energy, parity, potential, *every)
+                return shoot(pot, constants, config, energy, parity, potential)
+            value, changes = (shoot(pot, constants, config, energy, parity, potential)
                               if psi is None else (psi(energy), None))
             self.shots.append((energy, value))
             return value, changes
@@ -456,7 +463,8 @@ class TestRefinement:
                              ids=["harmonic", "quartic", "sextic", "double-well"])
     def test_levels_are_bisections_bits(self, monkeypatch, pot, count, steps):
         # every level lies at a sign change as narrow as bisection to 1e-10
-        # would leave it
+        # would leave it, on grids of at least `steps` intervals
+        monkeypatch.setattr(numerov, "DEFAULT_STEPS", steps)
         recorder = RecordedShoots(monkeypatch)
         calls = []
         refine = numerov._bisect
@@ -468,7 +476,7 @@ class TestRefinement:
             return got
 
         monkeypatch.setattr(numerov, "_bisect", recorded)
-        levels = numerov.lowest_levels(pot, C, count, steps=steps)
+        levels = numerov.lowest_levels(pot, C, count)
         monkeypatch.undo()
         assert {args[3] for args, _, _ in calls} == {numerov.EVEN, numerov.ODD}
         assert levels.tolist() == sorted(got for _, got, _ in calls)
@@ -613,7 +621,7 @@ class TestShootScan:
     # blocks and a part one, 129 energies 63 full 32-step blocks and a part one
     @pytest.mark.parametrize("pot, e_hi", [(HARM, 5.0), (QUART, 6.0), (DEEP_WELL, -20.0)])
     def test_equals_scalar_shoots(self, pot, e_hi):
-        cfg = numerov.default_config(pot, C, e_hi, steps=2021)
+        cfg = numerov.ShootingConfig(numerov.default_config(pot, C, e_hi).x_max, 2021)
         v_min = pot.minimum(mass=1.0)
         v = numerov._grid_potential(pot, C, cfg)
         for count in (37, 129):
@@ -657,7 +665,7 @@ class TestShootScan:
             check(pot, constants, config, energy)
 
         monkeypatch.setattr(numerov, "_check_domain", spy)
-        cfg = numerov.default_config(HARM, C, 5.0, steps=2021)
+        cfg = numerov.ShootingConfig(numerov.default_config(HARM, C, 5.0).x_max, 2021)
         energies = np.random.default_rng(3).permutation(np.linspace(1e-3, 5.0, 37))
         numerov.shoot_scan(HARM, C, cfg, energies)
         assert checked == [5.0]
@@ -696,11 +704,11 @@ LOCATED = [(HARM, C, 5), (QUART, C, 8), (SEXTIC, C, 6), (DOUBLE_WELL, C, 6),
 LOCATED_IDS = ["harmonic", "quartic", "sextic", "double-well", "deep-well", "deep-well-mass-1500"]
 
 
-def first_scan(pot, constants, count, steps=None):
+def first_scan(pot, constants, count):
     """The grid, its V and the scan energies of `lowest_levels`' first scan."""
     v_min = pot.minimum(mass=constants.mass)
     e_cap = numerov._cap(pot, constants, v_min, count)
-    cfg = numerov.default_config(pot, constants, e_cap, steps)
+    cfg = numerov.default_config(pot, constants, e_cap)
     energies = np.linspace(v_min, e_cap, max(numerov._MIN_SCAN, numerov._SCAN_PER_LEVEL * count))
     return cfg, numerov._grid_potential(pot, constants, cfg), energies
 
@@ -713,11 +721,11 @@ def outcome(call):
         return f"{type(exc).__name__}: {exc}"
 
 
-def fine_route(monkeypatch, pot, constants, count, **given):
+def fine_route(monkeypatch, pot, constants, count):
     """`outcome` of `lowest_levels` with every scan on the grid itself, no cell located."""
     with monkeypatch.context() as fine:
         fine.setattr(numerov, "_located_cells", lambda *args: None)
-        return outcome(lambda: numerov.lowest_levels(pot, constants, count, **given))
+        return outcome(lambda: numerov.lowest_levels(pot, constants, count))
 
 
 def scanned_steps(monkeypatch, fault=None, everywhere=False):
@@ -813,7 +821,7 @@ class TestLocatedCells:
         assert numerov._located_cells(pot, constants, cfg, energies, count, v) == want
         steps = scanned_steps(monkeypatch)
         got = outcome(lambda: numerov.lowest_levels(pot, constants, count))
-        assert steps == [max(numerov.MIN_STEPS, cfg.steps // 5)]
+        assert steps == [cfg.steps // numerov._COARSEN]
         monkeypatch.undo()
         assert len(got) == count
         assert got == fine_route(monkeypatch, pot, constants, count)
@@ -849,54 +857,21 @@ class TestLocatedCells:
         monkeypatch.undo()
         assert got == fine_route(monkeypatch, QUART, C, 6)
 
-    @pytest.mark.parametrize("count, steps", [(3, numerov.MIN_STEPS), (16, 2000)],
-                             ids=["min-steps", "too-coarse-to-count"])
-    def test_a_grid_the_count_cannot_use_runs_the_scan(self, monkeypatch, count, steps):
-        # at MIN_STEPS no coarser grid is allowed; at 2,000 steps the 16th
-        # harmonic level puts h k_max past _COUNT_PHASE, where two sign
-        # changes could fall between two checks
-        e_cap = numerov._cap(HARM, C, 0.0, count)
-        cfg = numerov.default_config(HARM, C, e_cap, steps)
-        phase = cfg.x_max / steps * math.sqrt(2.0 * e_cap)
-        assert (steps == numerov.MIN_STEPS) != (phase > numerov._COUNT_PHASE)
-        scanned = scanned_steps(monkeypatch)
-        got = outcome(lambda: numerov.lowest_levels(HARM, C, count, steps=steps))
-        assert scanned == [steps]
-        np.testing.assert_allclose([float.fromhex(x) for x in got], np.arange(count) + 0.5,
-                                   atol=1e-5)
-
 
 #: The tunnelling double well of a CI verify-mhu request: its even and odd
 #: levels pair into doublets that no float splits.
 TUNNELLING = (PotentialSpec.even_polynomial([0.0, -41.8479, 0.530985]),
               Constants(mass=265.871), 6)
 
-#: `lowest_levels(HARM, C, 25, steps=1000)`, as hex.  h k reaches 0.06 at
-#: the top levels, past _COUNT_PHASE: counted every 64 steps, state 8 read
-#: 6 nodes and the request was refused.
-HARMONIC_25_AT_1000 = [
-    "0x1.ffffffff47410p-2", "0x1.7ffffffe90a96p+0", "0x1.3ffffffd8f932p+1",
-    "0x1.bffffff9b9cb0p+1", "0x1.1ffffff9a9cd4p+2", "0x1.5ffffff47ee75p+2",
-    "0x1.9fffffed6b1dbp+2", "0x1.dfffffe35d4a7p+2", "0x1.0fffffeb70cb4p+3",
-    "0x1.2fffffe3238e8p+3", "0x1.4fffffd96f47bp+3", "0x1.6fffffcd07731p+3",
-    "0x1.8fffffbf19ecfp+3", "0x1.afffffadbf3cep+3", "0x1.cfffff9ad8836p+3",
-    "0x1.efffff83b5b04p+3", "0x1.07ffffb58b8d9p+4", "0x1.17ffffa6a8d93p+4",
-    "0x1.27ffff971d84ep+4", "0x1.37ffff847d8d4p+4", "0x1.47ffff715703dp+4",
-    "0x1.57ffff5a8cdbbp+4", "0x1.67ffff436c1dap+4", "0x1.77ffff280aa94p+4",
-    "0x1.87ffff0c9196ap+4",
-]
-
 
 class TestNodeCounts:
     """`_trajectory_nodes`: the Sturm count of each refined state's trajectory up to its cut."""
 
-    @pytest.mark.parametrize("pot, constants, count, steps", [
-        *((*family, None) for family in LOCATED), (*TUNNELLING, None), (HARM, C, 25, 1000)],
-        ids=[*LOCATED_IDS, "tunnelling-well", "harmonic-25-at-1000-steps"])
-    def test_counts_equal_the_reference_trajectory(self, monkeypatch, pot, constants, count,
-                                                   steps):
-        # every refined state, on the derived grids and on an explicit grid
-        # whose top states need checks closer than 64 steps
+    @pytest.mark.parametrize("pot, constants, count", [*LOCATED, TUNNELLING],
+                             ids=[*LOCATED_IDS, "tunnelling-well"])
+    def test_counts_equal_the_reference_trajectory(self, monkeypatch, pot, constants, count):
+        # every refined state, on the derived grids, where h k(E) stays
+        # under MAX_STEP_PHASE and the checks 64 steps apart see every node
         counted = []
         nodes = numerov._trajectory_nodes
 
@@ -906,7 +881,7 @@ class TestNodeCounts:
             return got
 
         monkeypatch.setattr(numerov, "_trajectory_nodes", spy)
-        levels = numerov.lowest_levels(pot, constants, count, steps=steps)
+        levels = numerov.lowest_levels(pot, constants, count)
         assert sorted(energy for _, energy, _, _ in counted)[:count] == levels.tolist()
         v_min = pot.minimum(mass=constants.mass)
         phases = []
@@ -923,8 +898,13 @@ class TestNodeCounts:
         for parity in (numerov.EVEN, numerov.ODD):
             channel = sorted((energy, got) for _, energy, p, got in counted if p == parity)
             assert [got for _, got in channel] == list(range(len(channel)))
-        assert (max(phases) > numerov._COUNT_PHASE) == (steps is not None)
+        assert max(phases) <= numerov.MAX_STEP_PHASE
 
-    def test_explicit_coarse_grid_keeps_its_levels(self):
-        got = [level.hex() for level in numerov.lowest_levels(HARM, C, 25, steps=1000).tolist()]
-        assert got == HARMONIC_25_AT_1000
+    def test_a_state_with_a_wrong_node_count_is_refused(self, monkeypatch):
+        # a node count one past the state's Sturm count says the refinement
+        # left its cell; the level is refused, not returned
+        nodes = numerov._trajectory_nodes
+        monkeypatch.setattr(numerov, "_trajectory_nodes", lambda *args: nodes(*args) + 1)
+        with pytest.raises(ScanResolutionError,
+                           match=r"even channel state 0 at E = 0\.5 carries 1 nodes"):
+            numerov.lowest_levels(HARM, C, 2)

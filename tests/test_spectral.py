@@ -353,8 +353,16 @@ class TestNodeCounts:
     def test_mixed_parity_rejected(self):
         c, s = math.cos(0.3), math.sin(0.3)
         mixed = Spectrum([0.5, 1.5], [[c, -s], [s, c]])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="neither exactly even nor exactly odd"):
             node_counts(SPEC1, HARM, mixed)
+
+    def test_state_below_min_v_rejected(self):
+        # no point of the grid is allowed at E = -1 < min V, so the state has
+        # no sample to count its nodes on
+        below = Spectrum([-1.0], [[1.0]])
+        with pytest.raises(DegenerateInputError,
+                           match="state 0 has no nonzero sample on its allowed set"):
+            node_counts(SPEC1, HARM, below)
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
     def test_exact_diagonal_harmonic(self, dim):

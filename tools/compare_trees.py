@@ -11,17 +11,15 @@ subprocess, and the two run at once.  Each runs seven sweeps:
   Gauss-Hermite rules of every order from 1 to 370.  The eigenvalues,
   eigenvectors and residual_norm of every solve and the nodes and weights
   of every rule are compared bit for bit.
-- Numerov: `numerov.lowest_levels` on the five families at two strengths
-  each, for the lowest 1, 4 and 10 levels, at 1,000 (`numerov.MIN_STEPS`,
-  where the levels come from the scan on the grid itself), 2,000 and 20,000
-  steps and at the step count `numerov.default_config` takes by default,
-  which `verify-mhu` runs: 120 spectra, those past MIN_STEPS located on a
-  coarser grid first; the lowest 4 levels of the deep double well
+- Numerov: `numerov.lowest_levels`, on the grid it derives from the wanted
+  levels as `verify-mhu` runs it, on the five families at three strengths
+  each, for the lowest 1, 4, 10 and 25 levels: 60 spectra, each located on
+  a coarser grid first; the lowest 4 levels of the deep double well
   0,-10,0.5 at mass 1500, whose node-count trajectories grow past the float
   range before their cut; and the lowest 6 levels of the tunnelling double
-  well 0,-41.8479,0.530985 at mass 265.871, whose doublets no float splits,
-  both at the default step count: 122 spectra.  Every level is compared bit
-  for bit, and a spectrum that raises in either tree counts as differing.
+  well 0,-41.8479,0.530985 at mass 265.871, whose doublets no float splits:
+  62 spectra.  Every level is compared bit for bit, and a spectrum that
+  raises in either tree counts as differing.
   A differing spectrum's line gives its largest |dE| / max(1, |E|), levels
   paired by position, and its level counts where they changed.
 - node counts: `spectral.node_counts` on the quartic (lam 1) and the deep
@@ -131,13 +129,12 @@ NUMEROV_FAMILIES = {
     "sextic_well": lambda k: ("even_polynomial", (0.0, 0.5, 0.1 * k, 0.05 * (k + 1))),
     "double_well": lambda k: ("even_polynomial", (0.0, -2.0 * (k + 1), 0.5)),
 }
+#: Strengths k of each Numerov family.
+NUMEROV_STRENGTHS = range(3)
 #: How many of the lowest levels each spectrum holds.
-NUMEROV_COUNTS = (1, 4, 10)
-#: Step counts; 1,000 is `numerov.MIN_STEPS`, None `numerov.default_config`'s
-#: default, which `verify-mhu` runs unless --numerov-steps is given.
-NUMEROV_STEPS = (1000, 2000, 20000, None)
+NUMEROV_COUNTS = (1, 4, 10, 25)
 #: (name, potential kind, its parameter, mass, level count) of each spectrum
-#: run beside the families, at the default step count.
+#: run beside the families.
 NUMEROV_CASES = (
     ("heavy_double_well", "even_polynomial", (0.0, -10.0, 0.5), 1500.0, 4),
     ("tunnelling_double_well", "even_polynomial", (0.0, -41.8479, 0.530985), 265.871, 6),
@@ -247,26 +244,24 @@ def _eigh_sweep():
 def _numerov_sweep():
     from hgritz import Constants, numerov
 
-    def spectrum(label, pot, constants, count, steps):
-        # None leaves the step count to the tree's own default_config
-        given = {} if steps is None else {"steps": steps}
+    def spectrum(label, pot, constants, count):
         try:
-            levels = numerov.lowest_levels(pot, constants, count, **given)
+            levels = numerov.lowest_levels(pot, constants, count)
             fields = {"levels": [x.hex() for x in levels.tolist()]}
         except Exception as exc:  # reported as a difference, never equal
             fields = {RAISED: f"{type(exc).__name__}: {exc}"}
-        return f"{label} count={count} steps={steps or 'default'}", fields
+        return f"{label} count={count}", fields
 
     out = []
     for name, param in NUMEROV_FAMILIES.items():
-        for k in range(2):
+        for k in NUMEROV_STRENGTHS:
             kind, value = param(k)
             pot = _potential(kind, value)
-            for count, steps in itertools.product(NUMEROV_COUNTS, NUMEROV_STEPS):
-                out.append(spectrum(f"{name} {value}", pot, Constants(), count, steps))
+            for count in NUMEROV_COUNTS:
+                out.append(spectrum(f"{name} {value}", pot, Constants(), count))
     for name, kind, value, mass, count in NUMEROV_CASES:
         out.append(spectrum(f"{name} {value} mass={mass}", _potential(kind, value),
-                            Constants(mass=mass), count, None))
+                            Constants(mass=mass), count))
     return out
 
 
