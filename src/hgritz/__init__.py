@@ -11,8 +11,8 @@ shooting solver supplies independent reference energies.
 
 from .basis import BasisSpec, Constants, MAX_INDEX, basis_table
 from .eigensolver import Spectrum, eigh, eigvalsh
-from .errors import (BracketingError, ConvergenceError, DegenerateInputError,
-                     QuadratureError, ScanResolutionError)
+from .errors import (ConvergenceError, DegenerateInputError, QuadratureError,
+                     ScanResolutionError)
 from .operators import (BandedSymMatrix, PotentialSpec, hamiltonian_matrix,
                         kinetic_matrix, potential_matrix)
 from .quadrature import QuadratureRule, element_oracle, gauss_hermite_rule
@@ -27,8 +27,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BasisSpec", "Constants", "MAX_INDEX", "basis_table",
     "Spectrum", "eigh", "eigvalsh",
-    "BracketingError", "ConvergenceError", "DegenerateInputError",
-    "QuadratureError", "ScanResolutionError",
+    "ConvergenceError", "DegenerateInputError", "QuadratureError", "ScanResolutionError",
     "BandedSymMatrix", "PotentialSpec", "hamiltonian_matrix",
     "kinetic_matrix", "potential_matrix",
     "QuadratureRule", "element_oracle", "gauss_hermite_rule",

@@ -24,8 +24,7 @@ from importlib import resources
 import numpy as np
 
 from .basis import MAX_INDEX, BasisSpec, Constants
-from .errors import (BracketingError, ConvergenceError, QuadratureError,
-                     ScanResolutionError)
+from .errors import ConvergenceError, QuadratureError, ScanResolutionError
 from .operators import (BAND4_LADDER, BAND4_MISINDEXED, PotentialSpec, _check_band4,
                         kinetic_matrix, potential_matrix)
 from .quadrature import oracle_matrices
@@ -84,13 +83,11 @@ def _config(pot: PotentialSpec, constants: Constants, **fields) -> dict:
 
 
 def _parse_floats(text, parser, flag):
+    """Reals as a comma list ("0,1,0.5"); no field may be empty."""
     try:
-        values = tuple(float(tok) for tok in text.split(",") if tok.strip() != "")
+        return tuple(float(tok) for tok in text.split(","))
     except ValueError:
         parser.error(f"{flag} expects a comma-separated list of reals, got {text!r}")
-    if not values:
-        parser.error(f"{flag} expects at least one value")
-    return values
 
 
 def _width(value: float, parser, flag) -> float:
@@ -108,7 +105,7 @@ def _dim(value: int, parser, flag) -> int:
 
 
 def _parse_dims(text, parser):
-    """Dims as a comma list ("2,4,8") or an inclusive range ("2:30:2")."""
+    """Dims as a comma list ("2,4,8") or an inclusive range ("2:30:2"); no field may be empty."""
     try:
         if ":" in text:
             parts = [int(tok) for tok in text.split(":")]
@@ -119,7 +116,7 @@ def _parse_dims(text, parser):
             start, stop, step = parts
             dims = tuple(range(start, stop + 1, step))
         else:
-            dims = tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
+            dims = tuple(int(tok) for tok in text.split(","))
     except ValueError:
         parser.error(f"--dims expects 'a,b,c' or 'start:stop[:step]', got {text!r}")
     if not dims or any(b <= a for a, b in zip(dims, dims[1:])):
@@ -373,8 +370,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args, parser, _potential_from_args(args, parser),
                          _constants_from_args(args, parser))
-    except (ConvergenceError, BracketingError, ScanResolutionError,
-            QuadratureError, OverflowError, ValueError) as err:
+    except (ConvergenceError, ScanResolutionError, QuadratureError, OverflowError,
+            ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -10,10 +10,6 @@ class ConvergenceError(RuntimeError):
         self.index = index
 
 
-class BracketingError(RuntimeError):
-    """An interval that was expected to bracket a root or minimum does not."""
-
-
 class DegenerateInputError(ValueError):
     """Input carries no usable signal (zero vector, all samples under the floor)."""
 

@@ -79,7 +79,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import MAX_INDEX, Constants, _is_integer
-from .errors import BracketingError, ScanResolutionError
+from .errors import ScanResolutionError
 from .operators import PotentialSpec
 from .spectral import EVEN, ODD
 
@@ -236,13 +236,8 @@ def _check_domain(pot, constants, config, energy):
             f"tail suppression at E = {energy:.6g}; need >= {_MIN_EFOLDS}")
 
 
-def _grid_potential(pot, constants, config, given=None):
-    """V on the grid x_i = i x_max / steps, or `given` once its length is checked."""
-    if given is not None:
-        if np.shape(given) != (config.steps + 1,):
-            raise ValueError(f"potential must hold V at the {config.steps + 1} grid points, "
-                             f"got shape {np.shape(given)}")
-        return given
+def _grid_potential(pot, constants, config):
+    """V on the grid x_i = i x_max / steps."""
     x = np.linspace(0.0, config.x_max, config.steps + 1)
     return np.asarray(pot.value(x, mass=constants.mass), dtype=float)
 
@@ -353,8 +348,7 @@ def _scan_chunk(constants, config, gap, d, u):
 
 
 def shoot_scan(pot: PotentialSpec, constants: Constants, config: ShootingConfig,
-               energies, *, potential: np.ndarray | None = None
-               ) -> tuple[np.ndarray, np.ndarray]:
+               energies) -> tuple[np.ndarray, np.ndarray]:
     """psi(x_max) and its trajectory's sign changes at every energy, in both channels.
 
     Returns two arrays of shape (2, len(energies)), row 0 for the even channel
@@ -373,8 +367,8 @@ def shoot_scan(pot: PotentialSpec, constants: Constants, config: ShootingConfig,
     the power of two nearest _CHUNK^2 / energies down to 8, so that a block
     stays in cache and blocks end at every step where `_shoot` checks its
     rescaling.  The working set is O(_CHUNK x energies) at any step count.
-    `potential` is V on the grid; None computes it here.  An `energies` that
-    is empty, not finite or not one-dimensional raises ValueError first.
+    An `energies` that is empty, not finite or not one-dimensional raises
+    ValueError first.
     """
     energies = np.asarray(energies, dtype=float)
     if energies.ndim != 1 or energies.size == 0 or not np.isfinite(energies).all():
@@ -382,7 +376,7 @@ def shoot_scan(pot: PotentialSpec, constants: Constants, config: ShootingConfig,
                          f"got {energies!r}")
     _check_domain(pot, constants, config, float(energies.max()))
     both = np.concatenate([energies, energies])
-    v = _grid_potential(pot, constants, config, potential)
+    v = _grid_potential(pot, constants, config)
     n = config.steps
     (psi_0e, psi_1e), (psi_0o, psi_1o) = (
         _seed(pot, constants, config, v[0], energies, parity) for parity in (EVEN, ODD))
@@ -416,6 +410,17 @@ def shoot_scan(pot: PotentialSpec, constants: Constants, config: ShootingConfig,
 def _bisect(pot, constants, config, parity, lo, hi, flo, fhi, potential):
     """A sign change of psi(x_max) in (lo, hi), given psi(x_max) at both ends as flo and fhi.
 
+    flo and fhi differ in sign bit wherever `lowest_levels` calls this.
+    Both `_shoot` and `shoot_scan` count sign-bit changes over a subsequence
+    of u_0 .. u_N that starts at u_0 and ends at u_N, and rescaling keeps
+    every sign; so a count is odd exactly when u_N and u_0 differ in sign
+    bit.  u_0 is P_0 * 1 > 0 in the even channel and P_0 * 0.0 = +0.0 in the
+    odd one, at every energy, and psi(x_max) = u_N / P_N with P_N > 0
+    checked: the sign bit of psi(x_max) is the parity of the count.  Each
+    refined cell's end counts are n and n + 1: on the coarse route only
+    rises of 1 are kept and both end counts are checked on this grid, and on
+    the fine route a cell whose count does not rise by 1 raises first.
+
     Brent's method (`_brent_point`) narrows (lo, hi) on the sign of
     psi(x_max) until the sign change is at most width = _LEVEL_WIDTH wide,
     or 8 ulp of E where those are wider, and returns the end of it where
@@ -430,16 +435,10 @@ def _bisect(pot, constants, config, parity, lo, hi, flo, fhi, potential):
     result lies at one of those sign changes, within the width of the others.
     `potential` is V on the grid.  The shoots check no domain: the callers
     have checked it at hi or above, which covers every energy below
-    (`_check_domain`).  Ends of one sign raise BracketingError.
+    (`_check_domain`).  A zero fhi ends the loop's first pass at hi.
     """
     if flo == 0.0:
         return lo
-    if fhi == 0.0:
-        return hi
-    if math.copysign(1.0, flo) == math.copysign(1.0, fhi):
-        raise BracketingError(
-            f"psi(x_max) has the same sign at both bracket ends "
-            f"({lo:.6g}, {hi:.6g}) in the {parity} channel")
     # from |E| = 2^16 up, 8 ulp of E are wider than _LEVEL_WIDTH
     width = max(_LEVEL_WIDTH, 8.0 * math.ulp(max(abs(lo), abs(hi))))
     tol = 0.5 * width
@@ -647,7 +646,7 @@ def lowest_levels(pot: PotentialSpec, constants: Constants, count: int) -> np.nd
         cells = _located_cells(pot, constants, config, energies, count, potential)
         if cells is not None:
             break
-        psi, changes = shoot_scan(pot, constants, config, energies, potential=potential)
+        psi, changes = shoot_scan(pot, constants, config, energies)
         top = _top(changes, count)
         if top is not None:
             cells = _cells(energies.tolist(), psi.tolist(), changes.tolist(), top)

@@ -638,6 +638,54 @@ def test_width_must_be_positive_and_finite(capsys, argv, flag):
     assert f"{flag} must be positive and finite" in capsys.readouterr().err
 
 
+COEFFS = ["solve", "--potential", "even-polynomial", "--dim", "4", "--coeffs"]
+DIMS = ["verify-mhu", "--dims"]
+GRID = ["scan-alpha", "--dim", "4", "--alpha-grid"]
+BRACKET = ["scan-alpha", "--dim", "4", "--alpha-bracket"]
+REALS = "expects a comma-separated list of reals, got"
+DIMS_FORM = "--dims expects 'a,b,c' or 'start:stop[:step]', got"
+
+#: (argv, message): usage errors of the input parsers.  A list flag with an
+#: empty field was once read as a shorter list, so that --coeffs 0,,0.5
+#: solved 0.5 x^2 in place of 0.5 x^4.
+USAGE_ERRORS = [
+    *((COEFFS + [text], f"--coeffs {REALS} {text!r}")
+      for text in ("0,,0.5", ",0,0.5", "0,0.5,", "")),
+    *((DIMS + [text], f"{DIMS_FORM} {text!r}") for text in ("2,,4", "2,4,")),
+    *((GRID + [text], f"--alpha-grid {REALS} {text!r}") for text in ("1,,2", ",")),
+    *((BRACKET + [text], f"--alpha-bracket {REALS} {text!r}") for text in ("1,,2", "1,2,")),
+    (COEFFS + ["0,x"], f"--coeffs {REALS} '0,x'"),
+    (DIMS + ["2:30:0"], f"{DIMS_FORM} '2:30:0'"),
+    (DIMS + ["1:2:3:4"], f"{DIMS_FORM} '1:2:3:4'"),
+    (COEFFS[:-1], "--potential even-polynomial requires --coeffs"),
+    (COEFFS + ["0,-1"], "even_polynomial must be confining: positive leading coefficient "
+                        "on a power x^(2k) with k >= 1"),
+    (["solve", "--hbar", "0", "--dim", "4"], "hbar must be a positive finite real, got 0.0"),
+    (GRID + ["1,2", "--levels", "5"], "--levels must lie in [1, dim]"),
+    (BRACKET + ["5,2"], "--alpha-bracket expects 'lo,hi' with 0 < lo < hi"),
+    (BRACKET + ["2"], "--alpha-bracket expects 'lo,hi' with 0 < lo < hi"),
+]
+
+
+@pytest.mark.parametrize("argv,message", USAGE_ERRORS,
+                         ids=[" ".join(arg or "''" for arg in a) for a, _ in USAGE_ERRORS])
+def test_input_usage_errors(capsys, monkeypatch, argv, message):
+    # each exits 2 before any solve
+    for name in ("solve_spectrum", "convergence_table", "scan_alpha", "minimize_alpha"):
+        monkeypatch.setattr(cli, name, None)
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    assert err.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
+
+def test_list_fields_keep_their_surrounding_whitespace_optional(capsys):
+    code, out, _ = run_cli(capsys, ["solve", "--potential", "even-polynomial",
+                                    "--coeffs", " 0 , 0.5 ", "--dim", "4", "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["config"]["potential"]["coeffs"] == [0.0, 0.5]
+
+
 BAD_DIMS = [
     (["solve", "--dim", "1025"], "--dim", 1025),
     (["solve", "--dim", "0"], "--dim", 0),
@@ -671,6 +719,9 @@ OUT_OF_RANGE = [
      "the largest potential matrix entry = 10^322.1"),
     (["solve", "--alpha", "1e308", "--dim", "10"],
      "the kinetic matrix entry alpha hbar^2 (2 dim - 1) / 4m = 10^308.7"),
+    # alpha hbar^2 / 4m itself is past the float range, not only T's largest entry
+    (["solve", "--dim", "4", "--alpha", "1e300", "--hbar", "1e10", "--mass", "1e-300"],
+     "the kinetic matrix entry alpha hbar^2 (2 dim - 1) / 4m = 10^620.2"),
     (["scan-alpha", "--potential", "quartic", "--dim", "3", "--alpha-grid", "1e-300,1"],
      "eigensolver failed at alpha = 1e-300: (2 alpha)^2 = 10^-599.4"),
     (["scan-alpha", "--potential", "quartic", "--dim", "8", "--alpha-bracket", "1e-300,1e300"],

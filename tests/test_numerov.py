@@ -4,8 +4,8 @@ import sys
 import numpy as np
 import pytest
 
-from hgritz import (BasisSpec, BracketingError, Constants, PotentialSpec,
-                    ScanResolutionError, hamiltonian_matrix)
+from hgritz import (BasisSpec, Constants, PotentialSpec, ScanResolutionError,
+                    hamiltonian_matrix)
 from hgritz import numerov
 from hgritz.variational import minimize_alpha
 
@@ -155,17 +155,6 @@ class TestShoot:
         with pytest.raises(OverflowError, match=match):
             numerov.shoot_scan(HARM, C, cfg, [0.5, 1.0])
 
-    def test_shared_grid_potential(self):
-        # lowest_levels hands every shoot V on the grid; the bits are the same
-        cfg = numerov.default_config(HARM, C, 1.8)
-        v = numerov._grid_potential(HARM, C, cfg)
-        energies = [0.7, 1.2]
-        shared = numerov.shoot_scan(HARM, C, cfg, energies, potential=v)
-        own = numerov.shoot_scan(HARM, C, cfg, energies)
-        assert all(a.tolist() == b.tolist() for a, b in zip(shared, own))
-        with pytest.raises(ValueError, match="V at the 5001 grid points, got shape"):
-            numerov.shoot_scan(HARM, C, cfg, [1.2], potential=v[:-1])
-
 
 def refine(pot, cfg, bracket, parity):
     """`_bisect` on bracket, given psi(x_max) at both ends from `_shoot`."""
@@ -185,11 +174,6 @@ class TestEigenvalue:
     def test_quartic_ground(self):
         assert numerov.lowest_levels(QUART, C, 1).tolist() == \
             [pytest.approx(QUARTIC_E0, abs=1e-6)]
-
-    def test_no_sign_change_reported(self):
-        cfg = numerov.default_config(HARM, C, 1.2)
-        with pytest.raises(BracketingError):
-            refine(HARM, cfg, (0.6, 1.2), numerov.EVEN)
 
 
 class TestConvergenceOrder:
@@ -359,8 +343,8 @@ class TestSpectrumBelow:
         # there says the integration has failed, and it is not passed over
         scan = numerov.shoot_scan
 
-        def counted_once_more(*args, **kwargs):
-            psi, changes = scan(*args, **kwargs)
+        def counted_once_more(*args):
+            psi, changes = scan(*args)
             return psi, changes + 1
 
         monkeypatch.setattr(numerov, "shoot_scan", counted_once_more)
@@ -381,8 +365,8 @@ def counted_twice(monkeypatch):
     """`numerov.shoot_scan` replaced by itself with every Sturm count doubled."""
     scan = numerov.shoot_scan
 
-    def doubled(*args, **kwargs):
-        psi, changes = scan(*args, **kwargs)
+    def doubled(*args):
+        psi, changes = scan(*args)
         return psi, 2 * changes
 
     monkeypatch.setattr(numerov, "shoot_scan", doubled)
@@ -545,7 +529,7 @@ class TestRefinement:
             v = numerov._grid_potential(pot, C, cfg)
             v_min = pot.minimum(mass=1.0)
             energies = np.linspace(v_min, e_cap, int(max(64.0, 8.0 * (e_cap - v_min))))
-            psi, changes = numerov.shoot_scan(pot, C, cfg, energies, potential=v)
+            psi, changes = numerov.shoot_scan(pot, C, cfg, energies)
             grid = energies.tolist()
             for parity, values, counts in zip((numerov.EVEN, numerov.ODD), psi.tolist(),
                                               changes.tolist()):
@@ -737,9 +721,9 @@ def scanned_steps(monkeypatch, fault=None, everywhere=False):
     steps = []
     scan = numerov.shoot_scan
 
-    def spy(pot, constants, config, energies, **kwargs):
+    def spy(pot, constants, config, energies):
         steps.append(config.steps)
-        got = scan(pot, constants, config, energies, **kwargs)
+        got = scan(pot, constants, config, energies)
         if fault is not None and (everywhere
                                   or sys._getframe(1).f_code.co_name == "_located_cells"):
             return fault(*got)
@@ -784,7 +768,7 @@ class TestLocatedCells:
         for steps in (cfg.steps, max(numerov.MIN_STEPS, coarsest)):
             grid = numerov.ShootingConfig(cfg.x_max, steps)
             v = numerov._grid_potential(pot, constants, grid)
-            psi, changes = numerov.shoot_scan(pot, constants, grid, energies, potential=v)
+            psi, changes = numerov.shoot_scan(pot, constants, grid, energies)
             assert changes.max() >= 2
             for parity, row, counts in zip((numerov.EVEN, numerov.ODD), psi.tolist(),
                                            changes.tolist()):
@@ -814,7 +798,7 @@ class TestLocatedCells:
     def test_located_cells_are_the_scans(self, monkeypatch, pot, constants, count):
         # the coarse scan alone picks the cells; the levels keep their bits
         cfg, v, energies = first_scan(pot, constants, count)
-        psi, changes = numerov.shoot_scan(pot, constants, cfg, energies, potential=v)
+        psi, changes = numerov.shoot_scan(pot, constants, cfg, energies)
         total = changes.sum(axis=0)
         want = numerov._cells(energies.tolist(), psi.tolist(), changes.tolist(),
                               int(np.argmax(total >= count)))
@@ -908,3 +892,27 @@ class TestNodeCounts:
         with pytest.raises(ScanResolutionError,
                            match=r"even channel state 0 at E = 0\.5 carries 1 nodes"):
             numerov.lowest_levels(HARM, C, 2)
+
+
+class TestRefinedCellEnds:
+    """psi(x_max) at the ends of every cell `_bisect` refines: a 0 or two sign
+    bits, as the parity proof in its docstring has it, on both routes."""
+
+    @pytest.mark.parametrize("route", ["located", "fine"])
+    @pytest.mark.parametrize("pot, constants, count", [*LOCATED, TUNNELLING],
+                             ids=[*LOCATED_IDS, "tunnelling-well"])
+    def test_ends_differ_in_sign_bit(self, monkeypatch, pot, constants, count, route):
+        if route == "fine":
+            monkeypatch.setattr(numerov, "_located_cells", lambda *args: None)
+        ends = []
+        refine = numerov._bisect
+
+        def spy(pot, constants, config, parity, lo, hi, flo, fhi, potential):
+            ends.append((parity, flo, fhi))
+            return refine(pot, constants, config, parity, lo, hi, flo, fhi, potential)
+
+        monkeypatch.setattr(numerov, "_bisect", spy)
+        assert numerov.lowest_levels(pot, constants, count).size == count
+        assert {parity for parity, _, _ in ends} == {numerov.EVEN, numerov.ODD}
+        for _, flo, fhi in ends:
+            assert 0.0 in (flo, fhi) or math.copysign(1.0, flo) != math.copysign(1.0, fhi)

@@ -82,6 +82,11 @@ class TestPotentialSpec:
         assert poly.turning_point(16.0, mass=1.0) == pytest.approx(2.0, rel=1e-10)
         assert HARM.turning_point(-1.0, mass=1.0) == 0.0
 
+    @pytest.mark.parametrize("energy", [0.0, -2.0])
+    def test_quartic_turning_point_at_or_below_min_v(self, energy):
+        # V = lam x^4 > energy everywhere but at x = 0
+        assert QUART.turning_point(energy, mass=1.0) == 0.0
+
     def test_quartic_turning_point_past_the_float_range_of_e_over_lam(self):
         # E / lam = 1e310 overflows; x_t = 1e77.5 does not
         tiny = PotentialSpec.quartic(1e-300)
@@ -160,6 +165,13 @@ class TestKinetic:
         coeff = 2.0 * 9.0 / (4.0 * 0.5)
         for r in range(6):
             assert t[r, r] == pytest.approx(coeff * (2 * r + 1), rel=1e-15)
+
+    def test_scale_past_the_float_range_is_named(self):
+        # alpha hbar^2 / 4m = 10^619.4 itself, formed again by parts, is past the range
+        message = (r"^the kinetic matrix entry alpha hbar\^2 \(2 dim - 1\) / 4m = 10\^620\.2 "
+                   r"lies outside the float range$")
+        with pytest.raises(RangeError, match=message):
+            kinetic_matrix(BasisSpec(1e300, 1e10, 1e-300), 4)
 
 
 class TestPotential:
